@@ -408,22 +408,7 @@ impl DenseMatrix {
         name: Option<&str>,
     ) -> Result<DenseMatrix> {
         let dst = DenseMatrix::create(&self.ctx, self.rows, self.cols, layout, order, name)?;
-        // Walk destination tiles; gather each from the source. Out-of-core
-        // safe: touches one destination tile plus the source tiles covering
-        // it at a time.
-        let (tg_r, tg_c) = dst.tile_grid();
-        for ti in 0..tg_r {
-            for tj in 0..tg_c {
-                let mut buf = dst.pin_tile_new(ti, tj)?;
-                buf.fill(0.0);
-                let (r0, c0) = (ti as usize * dst.tile_r, tj as usize * dst.tile_c);
-                for r in 0..dst.tile_r.min(self.rows - r0) {
-                    for c in 0..dst.tile_c.min(self.cols - c0) {
-                        buf[r * dst.tile_c + c] = self.get(r0 + r, c0 + c)?;
-                    }
-                }
-            }
-        }
+        self.copy_into(&dst, false)?;
         Ok(dst)
     }
 
@@ -435,20 +420,51 @@ impl DenseMatrix {
         name: Option<&str>,
     ) -> Result<DenseMatrix> {
         let dst = DenseMatrix::create(&self.ctx, self.cols, self.rows, layout, order, name)?;
+        self.copy_into(&dst, true)?;
+        Ok(dst)
+    }
+
+    /// Fill `dst` with this matrix (`trans`: its transpose), walking
+    /// destination tiles. When the tilings correspond one-to-one — same
+    /// layout, or the [`MatrixLayout::transposed`] one under `trans` —
+    /// each destination tile is its source tile copied (transposed)
+    /// frame-to-frame: every source block is pinned, hence read, exactly
+    /// once. Any other pair gathers element by element, one pool access
+    /// each, whose I/O under memory pressure is Figure 1's point — the
+    /// eager engines' budgets pin it, so it stays as it is.
+    fn copy_into(&self, dst: &DenseMatrix, trans: bool) -> Result<()> {
+        let src_layout = if trans {
+            self.layout.transposed()
+        } else {
+            self.layout
+        };
+        let tilewise = dst.layout == src_layout;
         let (tg_r, tg_c) = dst.tile_grid();
         for ti in 0..tg_r {
             for tj in 0..tg_c {
                 let mut buf = dst.pin_tile_new(ti, tj)?;
                 buf.fill(0.0);
                 let (r0, c0) = (ti as usize * dst.tile_r, tj as usize * dst.tile_c);
-                for r in 0..dst.tile_r.min(dst.rows - r0) {
-                    for c in 0..dst.tile_c.min(dst.cols - c0) {
-                        buf[r * dst.tile_c + c] = self.get(c0 + c, r0 + r)?;
+                let (h, w) = (dst.tile_r.min(dst.rows - r0), dst.tile_c.min(dst.cols - c0));
+                // Where destination element (0, 0) of this tile comes from.
+                let (sr0, sc0) = if trans { (c0, r0) } else { (r0, c0) };
+                let src = if tilewise {
+                    Some(self.pin_tile((sr0 / self.tile_r) as u64, (sc0 / self.tile_c) as u64)?)
+                } else {
+                    None
+                };
+                for r in 0..h {
+                    for c in 0..w {
+                        let (sr, sc) = if trans { (c, r) } else { (r, c) };
+                        buf[r * dst.tile_c + c] = match &src {
+                            Some(tile) => tile[sr * self.tile_c + sc],
+                            None => self.get(sr0 + sr, sc0 + sc)?,
+                        };
                     }
                 }
             }
         }
-        Ok(dst)
+        Ok(())
     }
 
     /// Release the matrix's storage. The handle must not be used again.
@@ -624,6 +640,81 @@ mod tests {
             .relayout(MatrixLayout::Square, TileOrder::Hilbert, None)
             .unwrap();
         assert_eq!(m2.to_rows().unwrap(), data);
+    }
+
+    const LAYOUTS: [MatrixLayout; 3] = [
+        MatrixLayout::RowMajor,
+        MatrixLayout::ColMajor,
+        MatrixLayout::Square,
+    ];
+
+    #[test]
+    fn relayout_and_transpose_round_trip_every_layout_pair() {
+        // Ragged against every tile shape (1x64, 64x1, 8x8), so both the
+        // tile-wise and the element-wise walk meet partial tiles.
+        for (rows, cols) in [(11, 70), (67, 5), (1, 9)] {
+            let c = ctx(64);
+            let data = fill_seq(rows, cols);
+            let want_t: Vec<f64> = (0..rows * cols)
+                .map(|i| data[(i % rows) * cols + i / rows])
+                .collect();
+            for from in LAYOUTS {
+                let m =
+                    DenseMatrix::from_rows(&c, rows, cols, &data, from, TileOrder::ColMajor, None)
+                        .unwrap();
+                for to in LAYOUTS {
+                    let r = m.relayout(to, TileOrder::Hilbert, None).unwrap();
+                    assert_eq!(r.to_rows().unwrap(), data, "{from:?} -> {to:?}");
+                    let t = m.transpose(to, TileOrder::RowMajor, None).unwrap();
+                    assert_eq!(t.shape(), (cols, rows));
+                    assert_eq!(t.to_rows().unwrap(), want_t, "t: {from:?} -> {to:?}");
+                    r.free().unwrap();
+                    t.free().unwrap();
+                }
+                m.free().unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn tilewise_copies_read_each_source_block_exactly_once() {
+        // Two frames: one destination tile plus one source tile is all the
+        // tile-wise walk ever holds, so reads == source blocks even with
+        // no cache to speak of. The element walk re-reads under the same
+        // pressure (ColMajor -> ColMajor transpose, Strawman's case).
+        let (rows, cols) = (67, 21);
+        let reads_of = |from: MatrixLayout, to: MatrixLayout, trans: bool| {
+            let c = ctx(2);
+            let m =
+                DenseMatrix::from_fn(&c, rows, cols, from, TileOrder::RowMajor, None, |i, j| {
+                    (i * cols + j) as f64
+                })
+                .unwrap();
+            c.pool().flush_all().unwrap();
+            c.clear_cache().unwrap();
+            let before = c.io_snapshot();
+            let out = if trans {
+                m.transpose(to, TileOrder::RowMajor, None)
+            } else {
+                m.relayout(to, TileOrder::ZOrder, None)
+            }
+            .unwrap();
+            c.pool().flush_all().unwrap();
+            let io = c.io_snapshot() - before;
+            assert_eq!(io.writes, out.blocks(), "{from:?} -> {to:?}");
+            (io.reads, m.blocks())
+        };
+        for from in LAYOUTS {
+            let (reads, blocks) = reads_of(from, from.transposed(), true);
+            assert_eq!(reads, blocks, "transpose {from:?}");
+            let (reads, blocks) = reads_of(from, from, false);
+            assert_eq!(reads, blocks, "relayout {from:?}");
+        }
+        let (reads, blocks) = reads_of(MatrixLayout::ColMajor, MatrixLayout::ColMajor, true);
+        assert!(
+            reads > blocks,
+            "element walk: {reads} reads of {blocks} blocks"
+        );
     }
 
     #[test]

@@ -69,7 +69,9 @@ pub fn bnlj_io(n1: f64, n2: f64, n3: f64, p: CostParams) -> f64 {
 
 /// I/O (blocks) of the Appendix-A square-submatrix schedule with
 /// `p = √(M/3)`: `(2·p²/B · n2/p + p²/B) · (n1·n3/p²)`, i.e.
-/// `2√3·n1·n2·n3/(B·√M) + n1·n3/B` — matching the lower bound.
+/// `2√3·n1·n2·n3/(B·√M) + n1·n3/B` — matching the lower bound. This is
+/// the continuous form the optimizer and Figure 3 compare strategies
+/// with; [`square_tiled_schedule_io`] counts the same schedule exactly.
 pub fn square_tiled_io(n1: f64, n2: f64, n3: f64, p: CostParams) -> f64 {
     let b = p.block_elems;
     let side = (p.mem_elems / 3.0).sqrt();
@@ -78,6 +80,50 @@ pub fn square_tiled_io(n1: f64, n2: f64, n3: f64, p: CostParams) -> f64 {
         return (n1 * n2 + n2 * n3 + n1 * n3) / b;
     }
     2.0 * n1 * n2 * n3 / (b * side) + n1 * n3 / b
+}
+
+/// Submatrix (panel) side of the tiled schedules for a scratch budget of
+/// `mem_elems`: `√(M/3)` — three panels is every step's working set —
+/// rounded down to whole tiles, at least one. The kernels size their
+/// scratch with this very function, so the exact model below and the
+/// executed schedule cannot drift apart.
+pub fn panel_side(mem_elems: f64, tile_side: usize) -> usize {
+    (((mem_elems / 3.0).sqrt() as usize) / tile_side * tile_side).max(tile_side)
+}
+
+/// Exact `(reads, writes)` in blocks of the square-tiled kernel's
+/// schedule over square-tiled operands, as a pass-through pool counts it
+/// (no reuse between panel reads: the kernel's scratch *is* the memory).
+///
+/// Operand flags do not appear: a transposed read pins the tiles of the
+/// mirrored rectangle, the same number. `gram` (`t(X)·X` or `X·t(X)`,
+/// `n1 == n3`) is the half schedule: only output cells `bi <= bj` run,
+/// and a diagonal cell reads one operand strip — the other side is that
+/// strip transposed in memory. Every output block is written once either
+/// way. With `side` a whole number of tiles, an extent of `e` elements
+/// from a panel boundary spans `⌈e/tile⌉` tiles, so the count below is the
+/// schedule, tile for tile — `tests/cost_model_validation.rs` holds the
+/// kernel to it with `==`.
+pub fn square_tiled_schedule_io(
+    n1: usize,
+    n2: usize,
+    n3: usize,
+    gram: bool,
+    p: CostParams,
+) -> (u64, u64) {
+    let tile = p.block_elems.sqrt() as usize;
+    let side = panel_side(p.mem_elems, tile);
+    let tiles = |n: usize| n.div_ceil(tile) as u64;
+    // Tiles spanned by panel `b` of an `n`-long dimension.
+    let span = |n: usize, b: usize| tiles(side.min(n - b * side));
+    let mut reads = 0;
+    for bi in 0..n1.div_ceil(side) {
+        for bj in if gram { bi } else { 0 }..n3.div_ceil(side) {
+            let b_strip = if gram && bi == bj { 0 } else { span(n3, bj) };
+            reads += tiles(n2) * (span(n1, bi) + b_strip);
+        }
+    }
+    (reads, tiles(n1) * tiles(n3))
 }
 
 /// I/O (blocks) of RIOT-DB's relational plan: hash join `A ⋈ B` on

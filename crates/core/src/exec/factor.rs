@@ -27,8 +27,10 @@
 use riot_array::matrix::DenseMatrix;
 use riot_array::{MatrixLayout, TileOrder};
 
-use super::matmul::{prefetch_rect, read_rect, run_parallel, write_rect};
-use super::{ExecError, ExecResult};
+use super::gemm::{gemm_acc, transpose_into};
+use super::matmul::{prefetch_rect, read_rect, write_rect, Operand};
+use super::{run_parallel, ExecError, ExecResult};
+use crate::cost::panel_side;
 use crate::expr::ExprError;
 use crate::shape::Shape;
 
@@ -84,34 +86,19 @@ fn trsm_right_lt(a: &mut [f64], rows: usize, l: &[f64], t: usize) -> u64 {
     (rows * t * (t + 1) / 2) as u64
 }
 
-/// `C -= Li · Ljᵀ`: `c` is `pi x pj`, `li` is `pi x pk`, `lj` is
-/// `pj x pk`, all row-major.
-fn gemm_nt_sub(c: &mut [f64], li: &[f64], lj: &[f64], pi: usize, pj: usize, pk: usize) -> u64 {
-    for i in 0..pi {
-        let lrow = &li[i * pk..i * pk + pk];
-        for j in 0..pj {
-            let jrow = &lj[j * pk..j * pk + pk];
-            let mut s = 0.0;
-            for (a, b) in lrow.iter().zip(jrow) {
-                s += a * b;
-            }
-            c[i * pj + j] -= s;
-        }
-    }
-    (pi * pj * pk) as u64
-}
-
-/// Solve `L · X = B` in place: `b` is `t x cols` row-major, `l` is the
-/// lower-triangular `t x t` diagonal panel.
-fn trsm_forward(b: &mut [f64], cols: usize, l: &[f64], t: usize) -> u64 {
-    for r in 0..t {
-        for k in 0..r {
-            let lrk = l[r * t + k];
+/// Solve `T · X = B` in place for a triangular `t x t` panel `tri`, `b`
+/// being `t x cols` (all row-major): lower-triangular top-down, or —
+/// `upper` — upper-triangular bottom-up.
+fn trsm_left(b: &mut [f64], cols: usize, tri: &[f64], t: usize, upper: bool) -> u64 {
+    for step in 0..t {
+        let r = if upper { t - 1 - step } else { step };
+        for k in if upper { r + 1..t } else { 0..r } {
+            let trk = tri[r * t + k];
             for c in 0..cols {
-                b[r * cols + c] -= lrk * b[k * cols + c];
+                b[r * cols + c] -= trk * b[k * cols + c];
             }
         }
-        let d = l[r * t + r];
+        let d = tri[r * t + r];
         for c in 0..cols {
             b[r * cols + c] /= d;
         }
@@ -119,53 +106,48 @@ fn trsm_forward(b: &mut [f64], cols: usize, l: &[f64], t: usize) -> u64 {
     (t * (t + 1) / 2 * cols) as u64
 }
 
-/// Solve `Lᵀ · X = B` in place (backward substitution over the same
-/// lower-triangular panel).
-fn trsm_backward(b: &mut [f64], cols: usize, l: &[f64], t: usize) -> u64 {
-    for r in (0..t).rev() {
-        for k in r + 1..t {
-            let lkr = l[k * t + r];
-            for c in 0..cols {
-                b[r * cols + c] -= lkr * b[k * cols + c];
+/// Copy `src` into `dst` panel by panel. With `lower`, only panels on or
+/// below the diagonal are read; those above are written as zeros.
+fn copy_panels(
+    src: &DenseMatrix,
+    dst: &DenseMatrix,
+    p: usize,
+    lower: bool,
+    at: &'static str,
+) -> ExecResult<()> {
+    let (n, m) = src.shape();
+    let mut buf = vec![0.0; p * p];
+    for i0 in (0..n).step_by(p) {
+        src.ctx().governor().checkpoint(at)?;
+        let pi = p.min(n - i0);
+        for j0 in (0..m).step_by(p) {
+            let (pj, j1) = (p.min(m - j0), j0 + p);
+            if lower && j0 > i0 {
+                buf[..pi * pj].fill(0.0);
+            } else {
+                // Declare the next copy window before blocking.
+                if j1 < m && !(lower && j1 > i0) {
+                    prefetch_rect(src, i0, j1, pi, p.min(m - j1));
+                }
+                read_rect(src, i0, j0, pi, pj, &mut buf)?;
             }
-        }
-        let d = l[r * t + r];
-        for c in 0..cols {
-            b[r * cols + c] /= d;
+            write_rect(dst, i0, j0, pi, pj, &buf)?;
         }
     }
-    (t * (t + 1) / 2 * cols) as u64
+    Ok(())
 }
 
-/// `C -= A · B`: `c` is `pi x pj`, `a` is `pi x pk`, `b` is `pk x pj`.
-fn gemm_nn_sub(c: &mut [f64], a: &[f64], b: &[f64], pi: usize, pj: usize, pk: usize) -> u64 {
-    for i in 0..pi {
-        for k in 0..pk {
-            let aik = a[i * pk + k];
-            let brow = &b[k * pj..k * pj + pj];
-            let crow = &mut c[i * pj..i * pj + pj];
-            for (cv, bv) in crow.iter_mut().zip(brow) {
-                *cv -= aik * bv;
-            }
+/// `(out, flops)` — or, on any error (a pivot failure, a device fault, a
+/// governance abort at any checkpoint), free the half-built `out` before
+/// the error propagates: the leak-free-abort invariant.
+fn finish(out: DenseMatrix, flops: ExecResult<u64>) -> ExecResult<(DenseMatrix, u64)> {
+    match flops {
+        Ok(f) => Ok((out, f)),
+        Err(e) => {
+            let _ = out.free();
+            Err(e)
         }
     }
-    (pi * pj * pk) as u64
-}
-
-/// `C -= Aᵀ · B`: `c` is `pi x pj`, `a` is `pk x pi` (transposed use),
-/// `b` is `pk x pj`.
-fn gemm_tn_sub(c: &mut [f64], a: &[f64], b: &[f64], pi: usize, pj: usize, pk: usize) -> u64 {
-    for k in 0..pk {
-        for i in 0..pi {
-            let aki = a[k * pi + i];
-            let brow = &b[k * pj..k * pj + pj];
-            let crow = &mut c[i * pj..i * pj + pj];
-            for (cv, bv) in crow.iter_mut().zip(brow) {
-                *cv -= aki * bv;
-            }
-        }
-    }
-    (pi * pj * pk) as u64
 }
 
 fn expect_square(m: &DenseMatrix) -> ExecResult<usize> {
@@ -176,14 +158,6 @@ fn expect_square(m: &DenseMatrix) -> ExecResult<usize> {
         }));
     }
     Ok(m.rows())
-}
-
-/// Panel side for the factorization schedule: `√(M/3)` rounded down to a
-/// whole number of tiles, at least one tile — three panels is the working
-/// set of every step (the TRSM and trailing-update steps each touch two
-/// operand panels plus one output panel).
-fn panel_side(mem_elems: usize, tile_side: usize) -> usize {
-    (((mem_elems as f64 / 3.0).sqrt() as usize) / tile_side * tile_side).max(tile_side)
 }
 
 /// Out-of-core tiled Cholesky factorization: returns the lower-triangular
@@ -220,41 +194,18 @@ pub fn chol_tiled_parallel(
     let ctx = a.ctx();
     let out = DenseMatrix::create(ctx, n, n, MatrixLayout::Square, TileOrder::RowMajor, name)?;
     let (tile_r, tile_c) = out.tile_dims();
-    let p = panel_side(mem_elems, tile_r.max(tile_c));
+    let p = panel_side(mem_elems as f64, tile_r.max(tile_c));
     let nb = n.div_ceil(p);
     let pw = |i: usize| p.min(n - i * p);
     let threads = threads.max(1);
-    let mut flops = 0u64;
 
-    // The factor loops run inside one closure so that *any* error — a
-    // POTRF pivot failure, a device fault, or a governance abort at any
-    // checkpoint — frees the half-factored working copy before the error
-    // propagates (the leak-free-abort invariant).
+    // The factor loops run inside one closure so `finish` sees every error.
     let factor = || -> ExecResult<u64> {
         let mut flops = 0u64;
         // Working copy: lower triangle of `a` (diagonal panels whole —
         // their upper entries are scratch until POTRF zeroes them), zeros
         // above.
-        {
-            let mut buf = vec![0.0; p * p];
-            for i in 0..nb {
-                ctx.governor().checkpoint("factor.chol.copy")?;
-                let pi = pw(i);
-                for j in 0..nb {
-                    let pj = pw(j);
-                    if j <= i {
-                        if j < i {
-                            // Declare the next copy window before blocking.
-                            prefetch_rect(a, i * p, (j + 1) * p, pi, pw(j + 1));
-                        }
-                        read_rect(a, i * p, j * p, pi, pj, &mut buf)?;
-                    } else {
-                        buf[..pi * pj].fill(0.0);
-                    }
-                    write_rect(&out, i * p, j * p, pi, pj, &buf)?;
-                }
-            }
-        }
+        copy_panels(a, &out, p, true, "factor.chol.copy")?;
 
         let mut diag = vec![0.0; p * p];
         for k in 0..nb {
@@ -305,20 +256,21 @@ pub fn chol_tiled_parallel(
                 threads.min(cells.len().max(1)),
                 &cells,
                 || (vec![0.0; p * p], vec![0.0; p * p], vec![0.0; p * p]),
-                |&(i, j), (li, lj, cij)| {
+                |&(i, j), (li, ljt, cij)| {
                     ctx.governor().checkpoint("factor.chol.update")?;
                     let (pi, pj) = (pw(i), pw(j));
                     // Next window: the output panel this step modifies.
                     prefetch_rect(&out, i * p, j * p, pi, pj);
                     read_rect(&out, i * p, k0, pi, pk, li)?;
-                    let mut f = 0u64;
+                    // L(j,k)ᵀ: the in-memory transpose on the diagonal,
+                    // a transposed read of the stored panel off it.
                     if i == j {
-                        lj[..pi * pk].copy_from_slice(&li[..pi * pk]);
+                        transpose_into(li, pi, pk, ljt);
                     } else {
-                        read_rect(&out, j * p, k0, pj, pk, lj)?;
+                        read_rect(Operand::t(&out), k0, j * p, pk, pj, ljt)?;
                     }
                     read_rect(&out, i * p, j * p, pi, pj, cij)?;
-                    f += gemm_nt_sub(cij, li, lj, pi, pj, pk);
+                    let f = gemm_acc(cij, li, ljt, (pi, pj, pk), -1.0);
                     write_rect(&out, i * p, j * p, pi, pj, cij)?;
                     ctx.governor().add_flops(f);
                     Ok(f)
@@ -332,17 +284,8 @@ pub fn chol_tiled_parallel(
         }
         Ok(flops)
     };
-    match factor() {
-        Ok(f) => {
-            flops += f;
-            Ok((out, flops))
-        }
-        Err(e) => {
-            // The half-factored working copy is dead on error.
-            let _ = out.free();
-            Err(e)
-        }
-    }
+    let flops = factor();
+    finish(out, flops)
 }
 
 /// Blocked triangular solve of `L · Lᵀ · X = B` for a lower-triangular
@@ -371,33 +314,15 @@ pub fn tri_solve_parallel(
     let ctx = l.ctx();
     let x = DenseMatrix::create(ctx, n, m, MatrixLayout::Square, TileOrder::RowMajor, name)?;
     let (tile_r, tile_c) = x.tile_dims();
-    let p = panel_side(mem_elems, tile_r.max(tile_c));
+    let p = panel_side(mem_elems as f64, tile_r.max(tile_c));
     let nb = n.div_ceil(p);
     let mb = m.div_ceil(p);
     let pw = |i: usize| p.min(n - i * p);
     let qw = |j: usize| p.min(m - j * p);
 
-    // As in the factorization, the solve loops run inside one closure so
-    // any error — device fault or governance abort — frees the working
-    // copy `x` before propagating.
     let solve = || -> ExecResult<u64> {
         // X starts as a copy of B; each strip then solves in place.
-        {
-            let mut buf = vec![0.0; p * p];
-            for i in 0..nb {
-                ctx.governor().checkpoint("factor.solve.copy")?;
-                let pi = pw(i);
-                for j in 0..mb {
-                    let qj = qw(j);
-                    if j + 1 < mb {
-                        prefetch_rect(b, i * p, (j + 1) * p, pi, qw(j + 1));
-                    }
-                    read_rect(b, i * p, j * p, pi, qj, &mut buf)?;
-                    write_rect(&x, i * p, j * p, pi, qj, &buf)?;
-                }
-            }
-        }
-
+        copy_panels(b, &x, p, false, "factor.solve.copy")?;
         let strips: Vec<usize> = (0..mb).collect();
         run_parallel(
             threads.max(1).min(mb),
@@ -406,54 +331,41 @@ pub fn tri_solve_parallel(
             |&s, (lbuf, xb, xk)| {
                 let (s0, qs) = (s * p, qw(s));
                 let mut f = 0u64;
-                // Forward: L · Y = B over row panels top-down.
-                for i in 0..nb {
-                    ctx.governor().checkpoint("factor.solve.panel")?;
-                    let (i0, pi) = (i * p, pw(i));
-                    read_rect(&x, i0, s0, pi, qs, xb)?;
-                    for k in 0..i {
-                        let (_k0, pk) = (k * p, pw(k));
-                        // Declare the next L panel of this recurrence row.
-                        prefetch_rect(l, i0, (k + 1) * p, pi, pw(k + 1));
-                        read_rect(l, i0, k * p, pi, pk, lbuf)?;
-                        read_rect(&x, k * p, s0, pk, qs, xk)?;
-                        f += gemm_nn_sub(xb, lbuf, xk, pi, qs, pk);
-                    }
-                    read_rect(l, i0, i0, pi, pi, lbuf)?;
-                    f += trsm_forward(xb, qs, lbuf, pi);
-                    write_rect(&x, i0, s0, pi, qs, xb)?;
-                }
-                // Backward: Lᵀ · X = Y over row panels bottom-up.
-                for i in (0..nb).rev() {
-                    ctx.governor().checkpoint("factor.solve.panel")?;
-                    let (i0, pi) = (i * p, pw(i));
-                    read_rect(&x, i0, s0, pi, qs, xb)?;
-                    for k in i + 1..nb {
-                        let pk = pw(k);
-                        if k + 1 < nb {
-                            prefetch_rect(l, (k + 1) * p, i0, pw(k + 1), pi);
+                // Forward `L · Y = B` over row panels top-down, then
+                // backward `Lᵀ · X = Y` bottom-up: one recurrence, over `L`
+                // read plain and then through a transposed view.
+                for upper in [false, true] {
+                    let lv = Operand {
+                        mat: l,
+                        trans: upper,
+                    };
+                    for step in 0..nb {
+                        ctx.governor().checkpoint("factor.solve.panel")?;
+                        let i = if upper { nb - 1 - step } else { step };
+                        let (i0, pi) = (i * p, pw(i));
+                        read_rect(&x, i0, s0, pi, qs, xb)?;
+                        for k in if upper { i + 1..nb } else { 0..i } {
+                            let pk = pw(k);
+                            // Declare the next panel of this recurrence row.
+                            if k + 1 < nb {
+                                prefetch_rect(lv, i0, (k + 1) * p, pi, pw(k + 1));
+                            }
+                            read_rect(lv, i0, k * p, pi, pk, lbuf)?;
+                            read_rect(&x, k * p, s0, pk, qs, xk)?;
+                            f += gemm_acc(xb, lbuf, xk, (pi, qs, pk), -1.0);
                         }
-                        // L(k,i) used transposed: Lᵀ(i,k) = L(k,i)ᵀ.
-                        read_rect(l, k * p, i0, pk, pi, lbuf)?;
-                        read_rect(&x, k * p, s0, pk, qs, xk)?;
-                        f += gemm_tn_sub(xb, lbuf, xk, pi, qs, pk);
+                        read_rect(lv, i0, i0, pi, pi, lbuf)?;
+                        f += trsm_left(xb, qs, lbuf, pi, upper);
+                        write_rect(&x, i0, s0, pi, qs, xb)?;
                     }
-                    read_rect(l, i0, i0, pi, pi, lbuf)?;
-                    f += trsm_backward(xb, qs, lbuf, pi);
-                    write_rect(&x, i0, s0, pi, qs, xb)?;
                 }
                 ctx.governor().add_flops(f);
                 Ok(f)
             },
         )
     };
-    match solve() {
-        Ok(flops) => Ok((x, flops)),
-        Err(e) => {
-            let _ = x.free();
-            Err(e)
-        }
-    }
+    let flops = solve();
+    finish(x, flops)
 }
 
 /// `solve(a, b)` for symmetric positive definite `a`: factor `a = L·Lᵀ`

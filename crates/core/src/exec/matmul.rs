@@ -17,6 +17,10 @@
 //! `M`) and return the number of scalar multiplications performed, so
 //! measured I/O and flops can be checked against the cost model.
 //!
+//! Inputs are [`Operand`]s — a stored matrix plus BLAS's `trans` flag —
+//! so `t(x) %*% y` reads `x` directly and no transposed copy is stored
+//! (ARCHITECTURE.md, "Dense GEMM").
+//!
 //! ## Parallel execution
 //!
 //! [`matmul_tiled_parallel`] distributes the independent `(bi, bj)` output
@@ -35,13 +39,11 @@
 //! heap allocation: a pin guard exposes each tile as `&[f64]` and rows are
 //! copied straight between the frame and the caller's scratch.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
-
 use riot_array::{DenseMatrix, MatrixLayout, TileOrder};
 
-use super::{ExecError, ExecResult};
-use crate::cost::ChainTree;
+use super::gemm::{gemm_acc, transpose_into};
+use super::{run_parallel, ExecResult};
+use crate::cost::{panel_side, ChainTree};
 
 /// Which kernel to use for a multiplication.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,16 +56,66 @@ pub enum MatMulKernel {
     SquareTiled,
 }
 
-/// Worker threads to use when a caller asks for "all cores".
-pub fn default_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+/// One side of a product: a stored matrix read as itself or — `trans` —
+/// as its transpose. Rectangle reads through the view pin the tiles the
+/// mirrored plain read would and transpose in the copy they make anyway.
+#[derive(Clone, Copy)]
+pub struct Operand<'a> {
+    /// The stored matrix.
+    pub mat: &'a DenseMatrix,
+    /// Read `mat` transposed.
+    pub trans: bool,
+}
+
+impl<'a> From<&'a DenseMatrix> for Operand<'a> {
+    fn from(mat: &'a DenseMatrix) -> Self {
+        Operand { mat, trans: false }
+    }
+}
+
+impl<'a> Operand<'a> {
+    /// `mat` read transposed.
+    pub fn t(mat: &'a DenseMatrix) -> Self {
+        Operand { mat, trans: true }
+    }
+
+    /// Rows of the view.
+    pub fn rows(&self) -> usize {
+        self.stored(self.mat.shape()).0
+    }
+
+    /// Columns of the view.
+    pub fn cols(&self) -> usize {
+        self.stored(self.mat.shape()).1
+    }
+
+    /// One element of the view (random access through the pool).
+    pub fn get(&self, row: usize, col: usize) -> ExecResult<f64> {
+        let (r, c) = self.stored((row, col));
+        Ok(self.mat.get(r, c)?)
+    }
+
+    /// A `(row, col)` pair of the view in stored coordinates, or back.
+    fn stored(&self, (r, c): (usize, usize)) -> (usize, usize) {
+        if self.trans {
+            (c, r)
+        } else {
+            (r, c)
+        }
+    }
+}
+
+/// `t(X) · X` or `X · t(X)`: the same stored matrix under opposite flags,
+/// so the product is symmetric and half the output cells determine it.
+pub fn is_gram(a: Operand<'_>, b: Operand<'_>) -> bool {
+    a.trans != b.trans && a.mat.object() == b.mat.object()
 }
 
 /// Multiply with the chosen kernel; returns `(product, flops)`.
-pub fn multiply(
+pub fn multiply<'a>(
     kernel: MatMulKernel,
-    a: &DenseMatrix,
-    b: &DenseMatrix,
+    a: impl Into<Operand<'a>>,
+    b: impl Into<Operand<'a>>,
     mem_elems: usize,
     name: Option<&str>,
 ) -> ExecResult<(DenseMatrix, u64)> {
@@ -74,81 +126,38 @@ pub fn multiply(
     }
 }
 
-fn check_dims(a: &DenseMatrix, b: &DenseMatrix) {
-    assert_eq!(
-        a.cols(),
-        b.rows(),
-        "non-conformable matrices: {}x{} %*% {}x{}",
-        a.rows(),
-        a.cols(),
-        b.rows(),
-        b.cols()
-    );
+fn check_dims(a: Operand<'_>, b: Operand<'_>) {
+    let (n1, n2, k, n3) = (a.rows(), a.cols(), b.rows(), b.cols());
+    assert_eq!(n2, k, "non-conformable matrices: {n1}x{n2} %*% {k}x{n3}");
 }
 
-/// Distribute `items` over `threads` scoped workers pulling from an atomic
-/// work queue, each with its own scratch from `make_scratch`; `work`
-/// returns a flop count and the total is summed. With `threads <= 1` the
-/// items run inline in order (no spawn), keeping sequential kernels'
-/// I/O order deterministic. After the first failure remaining items are
-/// abandoned and that error is returned.
-pub(super) fn run_parallel<I: Sync, S: Send>(
-    threads: usize,
-    items: &[I],
-    make_scratch: impl Fn() -> S + Sync,
-    work: impl Fn(&I, &mut S) -> ExecResult<u64> + Sync,
-) -> ExecResult<u64> {
-    if threads <= 1 {
-        let mut scratch = make_scratch();
-        let mut total = 0u64;
-        for item in items {
-            total += work(item, &mut scratch)?;
+/// The largest worker count `<= threads` that its own plan keeps busy, and
+/// that plan. `plan(t)` sizes the work for `t` workers sharing the memory
+/// budget and returns it with its item count: fewer items than workers
+/// means each remaining worker can take a bigger share, which only shrinks
+/// the item count — so this converges.
+fn settle_threads<P>(threads: usize, plan: impl Fn(usize) -> (P, usize)) -> (P, usize) {
+    let mut threads = threads.max(1);
+    loop {
+        let (planned, items) = plan(threads);
+        if items >= threads {
+            return (planned, threads);
         }
-        return Ok(total);
+        threads = items;
     }
-    let next = AtomicUsize::new(0);
-    let flops = AtomicU64::new(0);
-    let failure: Mutex<Option<ExecError>> = Mutex::new(None);
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| {
-                // Per-worker scratch, allocated once.
-                let mut scratch = make_scratch();
-                loop {
-                    if failure.lock().unwrap().is_some() {
-                        break; // a sibling failed; abandon remaining work
-                    }
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(item) = items.get(i) else { break };
-                    match work(item, &mut scratch) {
-                        Ok(f) => {
-                            flops.fetch_add(f, Ordering::Relaxed);
-                        }
-                        Err(e) => {
-                            failure.lock().unwrap().get_or_insert(e);
-                            break;
-                        }
-                    }
-                }
-            });
-        }
-    });
-    if let Some(e) = failure.into_inner().unwrap() {
-        return Err(e);
-    }
-    Ok(flops.into_inner())
 }
 
 /// Example 2's algorithm: for each output column, walk the rows of `A`.
 /// The result uses the same layout family R would produce (column-major).
-pub fn matmul_naive(
-    a: &DenseMatrix,
-    b: &DenseMatrix,
+pub fn matmul_naive<'a>(
+    a: impl Into<Operand<'a>>,
+    b: impl Into<Operand<'a>>,
     name: Option<&str>,
 ) -> ExecResult<(DenseMatrix, u64)> {
+    let (a, b) = (a.into(), b.into());
     check_dims(a, b);
     let (n1, n2, n3) = (a.rows(), a.cols(), b.cols());
-    let ctx = a.ctx();
+    let ctx = a.mat.ctx();
     let t = DenseMatrix::create(
         ctx,
         n1,
@@ -174,9 +183,9 @@ pub fn matmul_naive(
 /// §4's BNLJ-inspired algorithm: rows of `A` are read in chunks sized so
 /// the chunk plus the corresponding rows of `T` fit in `mem_elems`; `B` is
 /// scanned once per chunk, column by column.
-pub fn matmul_bnlj(
-    a: &DenseMatrix,
-    b: &DenseMatrix,
+pub fn matmul_bnlj<'a>(
+    a: impl Into<Operand<'a>>,
+    b: impl Into<Operand<'a>>,
     mem_elems: usize,
     name: Option<&str>,
 ) -> ExecResult<(DenseMatrix, u64)> {
@@ -186,16 +195,17 @@ pub fn matmul_bnlj(
 /// [`matmul_bnlj`] with the chunk loop distributed over `threads` workers,
 /// each owning its chunk/column scratch. The per-worker memory budget is
 /// `mem_elems / threads`, so the total stays within the paper's `M`.
-pub fn matmul_bnlj_parallel(
-    a: &DenseMatrix,
-    b: &DenseMatrix,
+pub fn matmul_bnlj_parallel<'a>(
+    a: impl Into<Operand<'a>>,
+    b: impl Into<Operand<'a>>,
     mem_elems: usize,
     threads: usize,
     name: Option<&str>,
 ) -> ExecResult<(DenseMatrix, u64)> {
+    let (a, b) = (a.into(), b.into());
     check_dims(a, b);
     let (n1, n2, n3) = (a.rows(), a.cols(), b.cols());
-    let ctx = a.ctx();
+    let ctx = a.mat.ctx();
     // T inherits a row layout so chunk writes are sequential.
     let t = DenseMatrix::create(
         ctx,
@@ -205,28 +215,16 @@ pub fn matmul_bnlj_parallel(
         TileOrder::RowMajor,
         name,
     )?;
-    // Fixed point between worker count and chunk size: fewer chunks than
-    // requested workers means each remaining worker can take a bigger
-    // slice of the memory budget (shrinking threads only grows chunks, so
-    // this converges).
-    let mut threads = threads.max(1);
-    let mut chunk_rows;
-    loop {
-        chunk_rows = (mem_elems / threads / (n2 + n3)).clamp(1, n1);
-        let nchunks = n1.div_ceil(chunk_rows);
-        if nchunks >= threads {
-            break;
-        }
-        threads = nchunks;
-    }
-    let chunk_rows = chunk_rows;
+    let (chunk_rows, threads) = settle_threads(threads, |t| {
+        let rows = (mem_elems / t / (n2 + n3)).clamp(1, n1);
+        (rows, n1.div_ceil(rows))
+    });
     let chunks: Vec<usize> = (0..n1).step_by(chunk_rows).collect();
-    let threads = threads.min(chunks.len());
 
     // One chunk of A rows, streamed against all of B, into one chunk of T.
     let run_chunk =
         |r0: usize, a_chunk: &mut [f64], t_chunk: &mut [f64], col: &mut [f64]| -> ExecResult<u64> {
-            a.ctx().governor().checkpoint("matmul.bnlj.chunk")?;
+            ctx.governor().checkpoint("matmul.bnlj.chunk")?;
             let m = chunk_rows.min(n1 - r0);
             read_rect(a, r0, 0, m, n2, a_chunk)?;
             t_chunk[..m * n3].fill(0.0);
@@ -248,7 +246,7 @@ pub fn matmul_bnlj_parallel(
                 flops += (m * n2) as u64;
             }
             write_rect(&t, r0, 0, m, n3, t_chunk)?;
-            a.ctx().governor().add_flops(flops);
+            ctx.governor().add_flops(flops);
             Ok(flops)
         };
 
@@ -271,9 +269,9 @@ pub fn matmul_bnlj_parallel(
 /// `p = √(M/3)`, multiplied submatrix-by-submatrix. Operands and result
 /// should use [`MatrixLayout::Square`] tiles so each submatrix costs
 /// `p²/B` blocks, which is what makes the schedule meet the lower bound.
-pub fn matmul_tiled(
-    a: &DenseMatrix,
-    b: &DenseMatrix,
+pub fn matmul_tiled<'a>(
+    a: impl Into<Operand<'a>>,
+    b: impl Into<Operand<'a>>,
     mem_elems: usize,
     name: Option<&str>,
 ) -> ExecResult<(DenseMatrix, u64)> {
@@ -285,37 +283,34 @@ pub fn matmul_tiled(
 /// with `p = √(M / 3·threads)` (tile-aligned), so the combined footprint
 /// stays within `mem_elems`; output submatrices are disjoint, making the
 /// result identical to the sequential schedule.
-pub fn matmul_tiled_parallel(
-    a: &DenseMatrix,
-    b: &DenseMatrix,
+///
+/// A Gram product ([`is_gram`]) runs the half schedule: only cells
+/// `bi <= bj`, a diagonal cell reading one operand strip (the other is its
+/// in-memory transpose), an off-diagonal cell written twice — once
+/// mirrored through the idle `A` scratch panel.
+pub fn matmul_tiled_parallel<'a>(
+    a: impl Into<Operand<'a>>,
+    b: impl Into<Operand<'a>>,
     mem_elems: usize,
     threads: usize,
     name: Option<&str>,
 ) -> ExecResult<(DenseMatrix, u64)> {
+    let (a, b) = (a.into(), b.into());
     check_dims(a, b);
     let (n1, n2, n3) = (a.rows(), a.cols(), b.cols());
-    let ctx = a.ctx();
+    let gram = is_gram(a, b);
+    let ctx = a.mat.ctx();
     let t = DenseMatrix::create(ctx, n1, n3, MatrixLayout::Square, TileOrder::RowMajor, name)?;
-    // Submatrix side: p = sqrt(M / 3·threads) rounded down to a whole
-    // number of tiles, at least one tile. Fixed point between worker count
-    // and p: fewer output cells than requested workers means each
-    // remaining worker can take a bigger share of the budget (shrinking
-    // threads only grows p, which only shrinks the cell count, so this
-    // converges).
     let (tile_r, tile_c) = t.tile_dims();
-    let tile_side = tile_r.max(tile_c);
-    let mut threads = threads.max(1);
-    let mut p;
-    loop {
-        p = (((mem_elems as f64 / (3.0 * threads as f64)).sqrt() as usize) / tile_side * tile_side)
-            .max(tile_side);
-        let cells = n1.div_ceil(p) * n3.div_ceil(p);
-        if cells >= threads {
-            break;
-        }
-        threads = cells;
-    }
-    let (p, threads) = (p, threads);
+    let ((p, cells), threads) = settle_threads(threads, |workers| {
+        let p = panel_side(mem_elems as f64 / workers as f64, tile_r.max(tile_c));
+        let cells: Vec<(usize, usize)> = (0..n1.div_ceil(p))
+            .flat_map(|bi| (0..n3.div_ceil(p)).map(move |bj| (bi, bj)))
+            .filter(|&(bi, bj)| !gram || bi <= bj)
+            .collect();
+        let n = cells.len();
+        ((p, cells), n)
+    });
 
     let blocks = |n: usize| n.div_ceil(p);
     // One (bi, bj) output submatrix: accumulate over the bk dimension.
@@ -325,9 +320,10 @@ pub fn matmul_tiled_parallel(
                     bsub: &mut [f64],
                     tsub: &mut [f64]|
      -> ExecResult<u64> {
-        a.ctx().governor().checkpoint("matmul.tiled.cell")?;
+        ctx.governor().checkpoint("matmul.tiled.cell")?;
         let (i0, j0) = (bi * p, bj * p);
         let (pi, pj) = (p.min(n1 - i0), p.min(n3 - j0));
+        let diagonal = gram && bi == bj;
         tsub[..pi * pj].fill(0.0);
         let mut flops = 0u64;
         for bk in 0..blocks(n2) {
@@ -339,36 +335,26 @@ pub fn matmul_tiled_parallel(
                 let k1 = (bk + 1) * p;
                 let pk1 = p.min(n2 - k1);
                 prefetch_rect(a, i0, k1, pi, pk1);
-                prefetch_rect(b, k1, j0, pk1, pj);
-            }
-            read_rect(a, i0, k0, pi, pk, asub)?;
-            read_rect(b, k0, j0, pk, pj, bsub)?;
-            // Dense in-memory submatrix multiply-accumulate.
-            for i in 0..pi {
-                for k in 0..pk {
-                    let aik = asub[i * pk + k];
-                    if aik == 0.0 {
-                        flops += pj as u64;
-                        continue;
-                    }
-                    let brow = &bsub[k * pj..k * pj + pj];
-                    let trow = &mut tsub[i * pj..i * pj + pj];
-                    for (tv, bv) in trow.iter_mut().zip(brow) {
-                        *tv += aik * bv;
-                    }
-                    flops += pj as u64;
+                if !diagonal {
+                    prefetch_rect(b, k1, j0, pk1, pj);
                 }
             }
+            read_rect(a, i0, k0, pi, pk, asub)?;
+            if diagonal {
+                transpose_into(asub, pi, pk, bsub);
+            } else {
+                read_rect(b, k0, j0, pk, pj, bsub)?;
+            }
+            flops += gemm_acc(tsub, asub, bsub, (pi, pj, pk), 1.0);
         }
         write_rect(&t, i0, j0, pi, pj, tsub)?;
-        a.ctx().governor().add_flops(flops);
+        if gram && !diagonal {
+            transpose_into(tsub, pi, pj, asub);
+            write_rect(&t, j0, i0, pj, pi, asub)?;
+        }
+        ctx.governor().add_flops(flops);
         Ok(flops)
     };
-
-    let cells: Vec<(usize, usize)> = (0..blocks(n1))
-        .flat_map(|bi| (0..blocks(n3)).map(move |bj| (bi, bj)))
-        .collect();
-    let threads = threads.min(cells.len());
 
     let flops = run_parallel(
         threads,
@@ -386,10 +372,18 @@ pub fn matmul_tiled_parallel(
 /// the window's loads overlap the current window's compute. Free no-op
 /// when the pool's prefetcher is disabled; never changes counted I/O
 /// totals, only when the reads happen.
-pub fn prefetch_rect(m: &DenseMatrix, r0: usize, c0: usize, rows: usize, cols: usize) {
+pub fn prefetch_rect<'a>(
+    m: impl Into<Operand<'a>>,
+    r0: usize,
+    c0: usize,
+    rows: usize,
+    cols: usize,
+) {
+    let v @ Operand { mat: m, .. } = m.into();
     if rows == 0 || cols == 0 || m.ctx().pool().prefetch_depth() == 0 {
         return;
     }
+    let ((r0, c0), (rows, cols)) = (v.stored((r0, c0)), v.stored((rows, cols)));
     let (tr, tc) = m.tile_dims();
     let (t_row0, t_row1) = (r0 / tr, (r0 + rows - 1) / tr);
     let (t_col0, t_col1) = (c0 / tc, (c0 + cols - 1) / tc);
@@ -405,31 +399,41 @@ pub fn prefetch_rect(m: &DenseMatrix, r0: usize, c0: usize, rows: usize, cols: u
 /// Read the `rows x cols` rectangle at `(r0, c0)` of `m` into `buf`
 /// (row-major, `buf[i*cols + j]`), tile by tile. Zero-copy on the pool
 /// side: each tile is pinned and rows are copied straight out of the
-/// frame; no per-call allocation.
-pub fn read_rect(
-    m: &DenseMatrix,
+/// frame; no per-call allocation. A transposed [`Operand`] pins exactly
+/// the tiles the mirrored plain read would and transposes in the copy.
+pub fn read_rect<'a>(
+    m: impl Into<Operand<'a>>,
     r0: usize,
     c0: usize,
     rows: usize,
     cols: usize,
     buf: &mut [f64],
 ) -> ExecResult<()> {
+    let v @ Operand { mat: m, .. } = m.into();
     debug_assert!(buf.len() >= rows * cols, "rect buffer too small");
+    // The rectangle in stored coordinates; `buf` keeps the view's shape.
+    let ((sr0, sc0), (srows, scols)) = (v.stored((r0, c0)), v.stored((rows, cols)));
     let (tr, tc) = m.tile_dims();
-    let (t_row0, t_row1) = (r0 / tr, (r0 + rows - 1) / tr);
-    let (t_col0, t_col1) = (c0 / tc, (c0 + cols - 1) / tc);
+    let (t_row0, t_row1) = (sr0 / tr, (sr0 + srows - 1) / tr);
+    let (t_col0, t_col1) = (sc0 / tc, (sc0 + scols - 1) / tc);
     for ti in t_row0..=t_row1 {
         for tj in t_col0..=t_col1 {
             let tile = m.pin_tile(ti as u64, tj as u64)?;
             let (base_r, base_c) = (ti * tr, tj * tc);
-            let rs = r0.max(base_r);
-            let re = (r0 + rows).min(base_r + tr).min(m.rows());
-            let cs = c0.max(base_c);
-            let ce = (c0 + cols).min(base_c + tc).min(m.cols());
+            let rs = sr0.max(base_r);
+            let re = (sr0 + srows).min(base_r + tr).min(m.rows());
+            let cs = sc0.max(base_c);
+            let ce = (sc0 + scols).min(base_c + tc).min(m.cols());
             for r in rs..re {
                 let src = &tile[(r - base_r) * tc + (cs - base_c)..][..ce - cs];
-                let dst = &mut buf[(r - r0) * cols + (cs - c0)..][..ce - cs];
-                dst.copy_from_slice(src);
+                if v.trans {
+                    // Stored row `r` is view column `r - sr0`.
+                    for (c, s) in (cs..ce).zip(src) {
+                        buf[(c - sc0) * cols + (r - sr0)] = *s;
+                    }
+                } else {
+                    buf[(r - r0) * cols + (cs - c0)..][..ce - cs].copy_from_slice(src);
+                }
             }
         }
     }

@@ -10,15 +10,15 @@
 //! memory.
 
 pub mod factor;
+mod gemm;
 pub mod matmul;
 pub mod pipeline;
 pub mod sparse;
 
 pub use factor::{chol_tiled, chol_tiled_parallel, cholesky_solve, tri_solve_parallel};
 pub use matmul::{
-    default_threads, matmul_bnlj, matmul_bnlj_parallel, matmul_naive, matmul_tiled,
-    matmul_tiled_parallel, multiply, multiply_chain, prefetch_rect, read_rect, write_rect,
-    MatMulKernel,
+    is_gram, matmul_bnlj, matmul_bnlj_parallel, matmul_naive, matmul_tiled, matmul_tiled_parallel,
+    multiply, multiply_chain, prefetch_rect, read_rect, write_rect, MatMulKernel, Operand,
 };
 pub use pipeline::{
     drain_agg, drain_partitioned, drain_to_vec, fold_partitioned, governed, materialize, ConstScan,
@@ -29,6 +29,8 @@ pub use sparse::{
     dmspm, dmspm_parallel, dmv, spmdm, spmdm_parallel, spmm, spmm_fill, spmm_parallel, spmm_plan,
     spmm_plan_parallel, spmv, spmv_parallel, sptranspose, SpmmPlan,
 };
+
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use crate::expr::ExprError;
 use riot_storage::StorageError;
@@ -146,3 +148,43 @@ impl From<ExprError> for ExecError {
 
 /// Result alias for execution.
 pub type ExecResult<T> = std::result::Result<T, ExecError>;
+
+/// Distribute `items` over `threads` scoped workers pulling from an atomic
+/// work queue, each with its own scratch from `make_scratch`; `work`
+/// returns a flop count and the total is summed. With `threads <= 1` the
+/// items run inline in order (no spawn), keeping sequential kernels'
+/// I/O order deterministic. After the first failure remaining items are
+/// abandoned and a failing worker's error is returned.
+pub(crate) fn run_parallel<I: Sync, S: Send>(
+    threads: usize,
+    items: &[I],
+    make_scratch: impl Fn() -> S + Sync,
+    work: impl Fn(&I, &mut S) -> ExecResult<u64> + Sync,
+) -> ExecResult<u64> {
+    let next = AtomicUsize::new(0);
+    let failed = AtomicBool::new(false);
+    let worker = || -> ExecResult<u64> {
+        let mut scratch = make_scratch(); // per worker, allocated once
+        let mut flops = 0u64;
+        while !failed.load(Ordering::Relaxed) {
+            let Some(item) = items.get(next.fetch_add(1, Ordering::Relaxed)) else {
+                break;
+            };
+            flops += work(item, &mut scratch).map_err(|e| {
+                failed.store(true, Ordering::Relaxed);
+                e
+            })?;
+        }
+        Ok(flops)
+    };
+    if threads <= 1 {
+        return worker();
+    }
+    std::thread::scope(|s| {
+        let workers: Vec<_> = (0..threads).map(|_| s.spawn(worker)).collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().expect("exec worker panicked"))
+            .sum()
+    })
+}

@@ -22,12 +22,12 @@
 //! output — elementwise results are bit-identical to a sequential drain
 //! because every element is computed by exactly one worker, in one pass.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use riot_array::{DenseVector, StorageCtx, VectorWriter};
 
-use super::{ExecError, ExecResult};
+use super::{run_parallel, ExecError, ExecResult};
 use crate::expr::{AggOp, BinOp, ExprError, UnOp};
 
 /// Default chunk size in elements: one block's worth of `f64`s.
@@ -600,44 +600,24 @@ fn drain_into(pipe: &mut dyn Pipe, out: &mut [f64]) -> ExecResult<()> {
 pub type Partition<'out> = (Box<dyn Pipe>, &'out mut [f64]);
 
 /// Drain restricted pipes covering disjoint spans of one logical stream
-/// into the matching slices of the output, over `threads` scoped workers
-/// pulling from an atomic work queue. With one part (or one thread) the
-/// drain runs inline. The first failure abandons the remaining parts and
-/// is returned.
+/// into the matching slices of the output, over `threads` workers of the
+/// kernels' shared work queue (`run_parallel`: inline and in order with
+/// one thread; the first failure abandons the remaining parts).
 pub fn drain_partitioned(parts: Vec<Partition<'_>>, threads: usize) -> ExecResult<()> {
     let threads = threads.max(1).min(parts.len());
-    if threads <= 1 {
-        for (mut pipe, slice) in parts {
-            drain_into(pipe.as_mut(), slice)?;
-        }
-        return Ok(());
-    }
     let items: Vec<Mutex<Option<Partition<'_>>>> =
         parts.into_iter().map(|p| Mutex::new(Some(p))).collect();
-    let next = AtomicUsize::new(0);
-    let failure: Mutex<Option<ExecError>> = Mutex::new(None);
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| loop {
-                if failure.lock().unwrap().is_some() {
-                    break; // a sibling failed; abandon remaining work
-                }
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(i) else { break };
-                let Some((mut pipe, slice)) = item.lock().unwrap().take() else {
-                    continue;
-                };
-                if let Err(e) = drain_into(pipe.as_mut(), slice) {
-                    failure.lock().unwrap().get_or_insert(e);
-                    break;
-                }
-            });
-        }
-    });
-    match failure.into_inner().unwrap() {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
+    run_parallel(
+        threads,
+        &items,
+        || (),
+        |item, _| {
+            let (mut pipe, slice) = item.lock().unwrap().take().expect("parts are visited once");
+            drain_into(pipe.as_mut(), slice)?;
+            Ok(0)
+        },
+    )?;
+    Ok(())
 }
 
 /// Fold one pipe's whole stream with `op` from `op.init()` (no `Mean`
@@ -659,59 +639,33 @@ fn fold_pipe(pipe: &mut dyn Pipe, op: AggOp) -> ExecResult<f64> {
 }
 
 /// Fold restricted pipes covering disjoint spans of one logical stream,
-/// each sequentially from `op.init()`, over `threads` scoped workers
-/// pulling from an atomic work queue; partials return **in partition
-/// order**. Every partial is one partition's ordered fold, so the result
-/// vector is bitwise independent of the worker schedule — the property
-/// the fixed partition-tree aggregation is built on. With one thread the
-/// partitions fold inline in order. The first failure abandons the
-/// remaining partitions and is returned.
+/// each sequentially from `op.init()`, over `threads` `run_parallel`
+/// workers; partials return **in partition order**. Every partial is one
+/// partition's ordered fold, so the result vector is bitwise independent
+/// of the worker schedule — the property the fixed partition-tree
+/// aggregation is built on.
 pub fn fold_partitioned(
     pipes: Vec<Box<dyn Pipe>>,
     op: AggOp,
     threads: usize,
 ) -> ExecResult<Vec<f64>> {
     let threads = threads.max(1).min(pipes.len());
-    if threads <= 1 {
-        let mut out = Vec::with_capacity(pipes.len());
-        for mut pipe in pipes {
-            out.push(fold_pipe(pipe.as_mut(), op)?);
-        }
-        return Ok(out);
-    }
-    let items: Vec<Mutex<Option<Box<dyn Pipe>>>> =
-        pipes.into_iter().map(|p| Mutex::new(Some(p))).collect();
-    let partials: Vec<Mutex<f64>> = items.iter().map(|_| Mutex::new(op.init())).collect();
-    let next = AtomicUsize::new(0);
-    let failure: Mutex<Option<ExecError>> = Mutex::new(None);
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| loop {
-                if failure.lock().unwrap().is_some() {
-                    break; // a sibling failed; abandon remaining work
-                }
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(i) else { break };
-                let Some(mut pipe) = item.lock().unwrap().take() else {
-                    continue;
-                };
-                match fold_pipe(pipe.as_mut(), op) {
-                    Ok(p) => *partials[i].lock().unwrap() = p,
-                    Err(e) => {
-                        failure.lock().unwrap().get_or_insert(e);
-                        break;
-                    }
-                }
-            });
-        }
-    });
-    if let Some(e) = failure.into_inner().unwrap() {
-        return Err(e);
-    }
-    Ok(partials
+    let items: Vec<_> = pipes
         .into_iter()
-        .map(|p| p.into_inner().unwrap())
-        .collect())
+        .map(|p| (Mutex::new(Some(p)), Mutex::new(op.init())))
+        .collect();
+    run_parallel(
+        threads,
+        &items,
+        || (),
+        |(pipe, partial), _| {
+            let mut pipe = pipe.lock().unwrap().take().expect("parts are visited once");
+            *partial.lock().unwrap() = fold_pipe(pipe.as_mut(), op)?;
+            Ok(0)
+        },
+    )?;
+    let partials = items.into_iter().map(|(_, p)| p.into_inner().unwrap());
+    Ok(partials.collect())
 }
 
 /// Drain a pipe through an aggregate, producing a scalar.

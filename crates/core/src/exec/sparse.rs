@@ -49,8 +49,9 @@ use riot_array::{DenseMatrix, DenseVector, MatrixLayout, StorageCtx, TileOrder, 
 use riot_sparse::SparseMatrix;
 use riot_storage::{BlockId, ObjectId};
 
-use super::matmul::{prefetch_rect, read_rect, run_parallel, write_rect};
-use super::{ExecError, ExecResult};
+use super::gemm::axpy;
+use super::matmul::{prefetch_rect, read_rect, write_rect};
+use super::{run_parallel, ExecError, ExecResult};
 
 /// Out-of-core sparse matrix-vector multiply `y = A x`.
 ///
@@ -235,11 +236,7 @@ pub fn spmdm_parallel(
             let kk = tile_c.min(n2 - k0);
             read_rect(b, k0, 0, kk, n3, brow)?;
             tile.for_each(|r, k, v| {
-                let bslice = &brow[k * n3..k * n3 + n3];
-                let aslice = &mut acc[r * n3..r * n3 + n3];
-                for (av, bv) in aslice.iter_mut().zip(bslice) {
-                    *av += v * bv;
-                }
+                axpy(v, &brow[k * n3..][..n3], &mut acc[r * n3..][..n3]);
             });
             flops += tile.nnz() as u64 * n3 as u64;
         }

@@ -85,6 +85,13 @@ pub struct RewriteStats {
     /// structurally, so the plan commits to the Cholesky kernel (the
     /// inverse is never materialized).
     pub normal_eq_solves: u64,
+    /// Dense `Transpose` operands the executor fused into their product as
+    /// an operand flag instead of materializing (counted at execution,
+    /// after the logical plan is fixed — the plan still shows `t(x)`).
+    pub transposes_fused: u64,
+    /// Products of one stored matrix with its own transpose run on the
+    /// half (upper-triangle) tiled schedule.
+    pub gram_products: u64,
 }
 
 /// Rewrite the DAG rooted at `root`, returning the new root.

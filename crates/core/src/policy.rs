@@ -31,7 +31,9 @@ use crate::exec::pipeline::{
     CycleScan, GatherPipe, IfElsePipe, LiteralScan, MapPipe, Pipe, Probe, RangeScan, VecScan,
     ZipPipe,
 };
-use crate::exec::{factor, matmul, sparse as spkernel, ExecError, ExecResult, MatMulKernel};
+use crate::exec::{
+    factor, matmul, sparse as spkernel, ExecError, ExecResult, MatMulKernel, Operand,
+};
 use crate::expr::{AggOp, BinOp, ExprError, Node, NodeId, SourceRef, UnOp};
 use crate::graph::ExprGraph;
 use crate::opt::{optimize, OptConfig, RewriteStats};
@@ -2378,9 +2380,18 @@ impl Runtime {
                 sparse => sparse,
             },
             Node::MatMul { lhs, rhs } => {
-                let a = self.force_matrix_value(lhs)?;
-                let b = self.force_matrix_value(rhs)?;
-                self.multiply_values(a, b)?
+                let (a, at) = self.force_operand(lhs)?;
+                let (b, bt) = self.force_operand(rhs)?;
+                if let (MatValue::Dense(a), MatValue::Dense(b)) = (&a, &b) {
+                    let (a, b) = (Operand { mat: a, trans: at }, Operand { mat: b, trans: bt });
+                    MatValue::Dense(self.multiply_dense(a, b)?)
+                } else {
+                    // The sparse kernels take stored operands: a dense
+                    // transpose that meets one is materialized after all.
+                    let a = if at { self.force_matrix_value(lhs)? } else { a };
+                    let b = if bt { self.force_matrix_value(rhs)? } else { b };
+                    self.multiply_values(a, b)?
+                }
             }
             // Transpose is representation-generic: whatever representation
             // the input forces to, the result keeps it. `SpTranspose` is
@@ -2465,6 +2476,54 @@ impl Runtime {
         Ok(out)
     }
 
+    /// Force one side of a `MatMul`. A `Transpose` of a dense value is not
+    /// executed: its *input* is forced and `true` returned, so the product
+    /// reads it through a transposed [`Operand`] and `t(x)` never becomes
+    /// a stored object on the product's account.
+    fn force_operand(&mut self, id: NodeId) -> ExecResult<(MatValue, bool)> {
+        if let Node::Transpose { input } = *self.graph.node(id) {
+            if let dense @ MatValue::Dense(_) = self.force_matrix_value(input)? {
+                return Ok((dense, true));
+            }
+        }
+        Ok((self.force_matrix_value(id)?, false))
+    }
+
+    /// Dense x dense under the configured [`MatMulKernel`], operand flags
+    /// and all. Fused transposes and Gram products are executor-level plan
+    /// decisions, counted and traced next to the optimizer's (`RewriteStats`,
+    /// `Rewrite` events): the profile of a fused product has no `transpose`
+    /// span, and these are the lines saying why.
+    fn multiply_dense(&mut self, a: Operand<'_>, b: Operand<'_>) -> ExecResult<DenseMatrix> {
+        let gram = matmul::is_gram(a, b);
+        let fused = u64::from(a.trans) + u64::from(b.trans);
+        self.last_opt_stats.transposes_fused += fused;
+        self.last_opt_stats.gram_products += u64::from(gram);
+        for (rule, count) in [("transposes_fused", fused), ("gram_products", gram.into())] {
+            if count > 0 {
+                self.ctx.tracer().record(EventKind::Rewrite { rule, count });
+            }
+        }
+        let span = self.span_begin("matmul");
+        let detail = if span.token.is_active() {
+            let op = |o: Operand<'_>| {
+                let (r, c) = o.mat.shape();
+                if o.trans {
+                    format!("t({r}x{c})")
+                } else {
+                    format!("{r}x{c}")
+                }
+            };
+            format!("{} * {}{}", op(a), op(b), if gram { " [gram]" } else { "" })
+        } else {
+            String::new()
+        };
+        let (t, flops) = matmul::multiply(self.cfg.matmul_kernel, a, b, self.mem_elems(), None)?;
+        self.count_ops(flops as usize);
+        self.span_end(span, detail);
+        Ok(t)
+    }
+
     /// Force a node and densify the result: the factorization kernels are
     /// dense-only (a Cholesky factor of a sparse matrix fills in anyway).
     fn force_dense_value(&mut self, id: NodeId) -> ExecResult<DenseMatrix> {
@@ -2543,19 +2602,7 @@ impl Runtime {
                 MatValue::Dense(t)
             }
             (MatValue::Dense(a), MatValue::Dense(b)) => {
-                let span = self.span_begin("matmul");
-                let detail = if span.token.is_active() {
-                    let (ar, ac) = a.shape();
-                    let (_, bc) = b.shape();
-                    format!("{ar}x{ac} * {ac}x{bc}")
-                } else {
-                    String::new()
-                };
-                let (t, flops) =
-                    matmul::multiply(self.cfg.matmul_kernel, &a, &b, self.mem_elems(), None)?;
-                self.count_ops(flops as usize);
-                self.span_end(span, detail);
-                MatValue::Dense(t)
+                MatValue::Dense(self.multiply_dense((&a).into(), (&b).into())?)
             }
         })
     }
