@@ -28,7 +28,7 @@ use riot_array::matrix::DenseMatrix;
 use riot_array::{MatrixLayout, TileOrder};
 
 use super::gemm::{gemm_acc, transpose_into};
-use super::matmul::{prefetch_rect, read_rect, write_rect, Operand};
+use super::matmul::{non_conformable, prefetch_rect, read_rect, write_rect, Operand};
 use super::{run_parallel, ExecError, ExecResult};
 use crate::cost::panel_side;
 use crate::expr::ExprError;
@@ -37,7 +37,7 @@ use crate::shape::Shape;
 /// In-place lower Cholesky of the leading `t x t` panel of `buf`
 /// (row-major, stride `t`). On success the strict upper triangle is
 /// zeroed. `panel` and `row0` locate the panel for error reporting.
-fn potrf(buf: &mut [f64], t: usize, panel: usize, row0: usize) -> ExecResult<u64> {
+pub(crate) fn potrf(buf: &mut [f64], t: usize, panel: usize, row0: usize) -> ExecResult<u64> {
     let mut flops = 0u64;
     for j in 0..t {
         let mut d = buf[j * t + j];
@@ -150,14 +150,28 @@ fn finish(out: DenseMatrix, flops: ExecResult<u64>) -> ExecResult<(DenseMatrix, 
     }
 }
 
-fn expect_square(m: &DenseMatrix) -> ExecResult<usize> {
-    if m.rows() != m.cols() || m.rows() == 0 {
+/// The side of a `rows x cols` matrix that has to be square and non-empty.
+pub(crate) fn expect_square(rows: usize, cols: usize) -> ExecResult<usize> {
+    if rows != cols || rows == 0 {
         return Err(ExecError::Expr(ExprError::Expected {
             what: "non-empty square matrix",
-            got: Shape::Matrix(m.rows(), m.cols()),
+            got: Shape::Matrix(rows, cols),
         }));
     }
-    Ok(m.rows())
+    Ok(rows)
+}
+
+/// `solve(a, b)` entirely in memory, for engines whose matrices fit there:
+/// factor the row-major `n x n` panel `a` in place, then substitute
+/// forward and backward through the `n x m` right-hand side `x` — the
+/// tiled solve's own steps on a single panel.
+pub(crate) fn solve_in_memory(a: &mut [f64], x: &mut [f64], n: usize, m: usize) -> ExecResult<()> {
+    potrf(a, n, 0, 0)?;
+    trsm_left(x, m, a, n, false);
+    let mut lt = vec![0.0; n * n];
+    transpose_into(a, n, n, &mut lt);
+    trsm_left(x, m, &lt, n, true);
+    Ok(())
 }
 
 /// Out-of-core tiled Cholesky factorization: returns the lower-triangular
@@ -190,7 +204,7 @@ pub fn chol_tiled_parallel(
     threads: usize,
     name: Option<&str>,
 ) -> ExecResult<(DenseMatrix, u64)> {
-    let n = expect_square(a)?;
+    let n = expect_square(a.rows(), a.cols())?;
     let ctx = a.ctx();
     let out = DenseMatrix::create(ctx, n, n, MatrixLayout::Square, TileOrder::RowMajor, name)?;
     let (tile_r, tile_c) = out.tile_dims();
@@ -303,12 +317,9 @@ pub fn tri_solve_parallel(
     threads: usize,
     name: Option<&str>,
 ) -> ExecResult<(DenseMatrix, u64)> {
-    let n = expect_square(l)?;
+    let n = expect_square(l.rows(), l.cols())?;
     if b.rows() != n || b.cols() == 0 {
-        return Err(ExecError::Expr(ExprError::MatMulDims {
-            lhs: Shape::Matrix(n, n),
-            rhs: Shape::Matrix(b.rows(), b.cols()),
-        }));
+        return Err(non_conformable((n, n), b.shape()));
     }
     let m = b.cols();
     let ctx = l.ctx();

@@ -42,8 +42,10 @@
 use riot_array::{DenseMatrix, MatrixLayout, TileOrder};
 
 use super::gemm::{gemm_acc, transpose_into};
-use super::{run_parallel, ExecResult};
+use super::{run_parallel, ExecError, ExecResult};
 use crate::cost::{panel_side, ChainTree};
+use crate::expr::ExprError;
+use crate::shape::Shape;
 
 /// Which kernel to use for a multiplication.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,9 +128,19 @@ pub fn multiply<'a>(
     }
 }
 
-fn check_dims(a: Operand<'_>, b: Operand<'_>) {
-    let (n1, n2, k, n3) = (a.rows(), a.cols(), b.rows(), b.cols());
-    assert_eq!(n2, k, "non-conformable matrices: {n1}x{n2} %*% {k}x{n3}");
+/// The error for an `a %*% b` or `solve(a, b)` whose shapes do not fit.
+pub(crate) fn non_conformable(lhs: (usize, usize), rhs: (usize, usize)) -> ExecError {
+    ExecError::Expr(ExprError::MatMulDims {
+        lhs: Shape::Matrix(lhs.0, lhs.1),
+        rhs: Shape::Matrix(rhs.0, rhs.1),
+    })
+}
+
+fn check_dims(a: Operand<'_>, b: Operand<'_>) -> ExecResult<()> {
+    if a.cols() != b.rows() {
+        return Err(non_conformable((a.rows(), a.cols()), (b.rows(), b.cols())));
+    }
+    Ok(())
 }
 
 /// The largest worker count `<= threads` that its own plan keeps busy, and
@@ -155,7 +167,7 @@ pub fn matmul_naive<'a>(
     name: Option<&str>,
 ) -> ExecResult<(DenseMatrix, u64)> {
     let (a, b) = (a.into(), b.into());
-    check_dims(a, b);
+    check_dims(a, b)?;
     let (n1, n2, n3) = (a.rows(), a.cols(), b.cols());
     let ctx = a.mat.ctx();
     let t = DenseMatrix::create(
@@ -203,7 +215,7 @@ pub fn matmul_bnlj_parallel<'a>(
     name: Option<&str>,
 ) -> ExecResult<(DenseMatrix, u64)> {
     let (a, b) = (a.into(), b.into());
-    check_dims(a, b);
+    check_dims(a, b)?;
     let (n1, n2, n3) = (a.rows(), a.cols(), b.cols());
     let ctx = a.mat.ctx();
     // T inherits a row layout so chunk writes are sequential.
@@ -296,7 +308,7 @@ pub fn matmul_tiled_parallel<'a>(
     name: Option<&str>,
 ) -> ExecResult<(DenseMatrix, u64)> {
     let (a, b) = (a.into(), b.into());
-    check_dims(a, b);
+    check_dims(a, b)?;
     let (n1, n2, n3) = (a.rows(), a.cols(), b.cols());
     let gram = is_gram(a, b);
     let ctx = a.mat.ctx();

@@ -33,6 +33,16 @@ use crate::expr::{AggOp, BinOp, ExprError, UnOp};
 /// Default chunk size in elements: one block's worth of `f64`s.
 pub const DEFAULT_CHUNK: usize = 1024;
 
+/// The 0-based position of the 1-based subscript `raw` in a vector of
+/// `len` elements — the one bounds check behind every `x[i]`.
+pub(crate) fn position(raw: f64, len: usize) -> ExecResult<usize> {
+    let index = raw as i64;
+    if index < 1 || index as usize > len {
+        return Err(ExecError::Expr(ExprError::IndexOutOfBounds { index, len }));
+    }
+    Ok(index as usize - 1)
+}
+
 /// A pull-based chunk producer. Pipes are `Send` so restricted partitions
 /// can drain on worker threads.
 pub trait Pipe: Send {
@@ -520,14 +530,7 @@ impl Pipe for GatherPipe {
     fn next_into(&mut self, out: &mut Vec<f64>) -> ExecResult<usize> {
         let n = self.index.next_into(out)?;
         for v in out.iter_mut() {
-            let raw = *v as i64;
-            if raw < 1 || raw as usize > self.data.len() {
-                return Err(ExecError::Expr(ExprError::IndexOutOfBounds {
-                    index: raw,
-                    len: self.data.len(),
-                }));
-            }
-            *v = self.data.get(raw as usize - 1)?;
+            *v = self.data.get(position(*v, self.data.len())?)?;
         }
         self.ops.fetch_add(n as u64, Ordering::Relaxed);
         Ok(n)

@@ -8,6 +8,11 @@
 //! engines it builds DAG nodes, and computation happens at forcing points
 //! (`collect`, `sum`, assignment for MatNamed).
 //!
+//! Every operator has one implementation, the `try_` form returning a
+//! typed [`ExecError`]; the unprefixed forms and the arithmetic operator
+//! overloads are sugar that panics on the error, for programs that would
+//! only `unwrap` it.
+//!
 //! ```
 //! use riot_core::{EngineConfig, EngineKind, Session};
 //!
@@ -27,7 +32,6 @@ use std::time::Instant;
 
 use riot_array::MatrixLayout;
 use riot_storage::{CancelToken, DiskModel, IoSnapshot, PoolStats, ResourceLimits, StorageReport};
-use riot_trace::Metrics;
 
 use crate::exec::{ExecError, ExecResult};
 use crate::expr::{AggOp, BinOp, UnOp};
@@ -39,6 +43,11 @@ use crate::profile::QueryProfile;
 #[derive(Clone)]
 pub struct Session {
     rt: Rc<RefCell<Runtime>>,
+}
+
+/// The panicking sugar over a `try_` operator.
+fn must<T>(what: &str, result: ExecResult<T>) -> T {
+    result.unwrap_or_else(|e| panic!("{what} failed: {e}"))
 }
 
 impl Session {
@@ -70,6 +79,26 @@ impl Session {
         self.rt.borrow().cfg.kind
     }
 
+    // ---- the query bracket ----
+
+    /// The one way an operator or forcing point reaches the engine: borrow
+    /// the runtime and run `f` as one governed query (see
+    /// [`Session::set_limits`]). Loading inputs is not a query and borrows
+    /// the runtime directly.
+    fn run<T>(&self, f: impl FnOnce(&mut Runtime) -> ExecResult<T>) -> ExecResult<T> {
+        self.rt.borrow_mut().governed(f)
+    }
+
+    fn vec(&self, repr: ExecResult<VecRepr>) -> ExecResult<RVec> {
+        let (sess, repr) = (self.clone(), repr?);
+        Ok(RVec { sess, repr })
+    }
+
+    fn mat(&self, repr: ExecResult<MatRepr>) -> ExecResult<RMat> {
+        let (sess, repr) = (self.clone(), repr?);
+        Ok(RMat { sess, repr })
+    }
+
     // ---- resource governance & cancellation ----
 
     /// Start a session with `cfg` and `limits` attached: every forcing
@@ -89,18 +118,18 @@ impl Session {
     /// no pinned frames and no leaked storage behind. `ResourceLimits::
     /// none()` engages checkpoint accounting with nothing to trip.
     pub fn set_limits(&self, limits: ResourceLimits) {
-        self.rt.borrow().storage_ctx().governor().engage(limits);
+        self.storage_ctx().governor().engage(limits);
     }
 
     /// Detach limits: checkpoints return to the ungoverned fast path
     /// (one relaxed atomic load). A pending cancel stays pending.
     pub fn clear_limits(&self) {
-        self.rt.borrow().storage_ctx().governor().disengage();
+        self.storage_ctx().governor().disengage();
     }
 
     /// The currently attached limits (all-`None` when disengaged).
     pub fn limits(&self) -> ResourceLimits {
-        self.rt.borrow().storage_ctx().governor().limits()
+        self.storage_ctx().governor().limits()
     }
 
     /// A cloneable, `Send` handle that cancels this session's running
@@ -110,19 +139,19 @@ impl Session {
     /// [`Session::interrupt_checkpoint`] (the R interpreter calls that
     /// between statements).
     pub fn cancel_handle(&self) -> CancelToken {
-        self.rt.borrow().storage_ctx().governor().cancel_token()
+        self.storage_ctx().governor().cancel_token()
     }
 
     /// Clear a pending cancel so the session can run further queries.
     pub fn reset_cancel(&self) {
-        self.rt.borrow().storage_ctx().governor().reset_cancel();
+        self.storage_ctx().governor().reset_cancel();
     }
 
     /// Observe a pending cancellation outside any kernel — the
     /// statement-boundary seam: returns [`ExecError::Cancelled`] if a
     /// [`CancelToken`] has fired, `Ok(())` otherwise.
     pub fn interrupt_checkpoint(&self) -> ExecResult<()> {
-        if self.rt.borrow().storage_ctx().governor().is_cancelled() {
+        if self.storage_ctx().governor().is_cancelled() {
             return Err(ExecError::Cancelled {
                 at: "interp.statement",
             });
@@ -136,10 +165,11 @@ impl Session {
         self.rt.borrow().storage_ctx()
     }
 
+    // ---- loading ----
+
     /// Create a vector from a generator function.
     pub fn vector_from_fn(&self, len: usize, f: impl FnMut(usize) -> f64) -> ExecResult<RVec> {
-        let repr = self.rt.borrow_mut().load_vector(len, None, f)?;
-        Ok(self.vec(repr))
+        self.vec(self.rt.borrow_mut().load_vector(len, None, f))
     }
 
     /// Create a vector from a generator function, registered in the
@@ -152,14 +182,12 @@ impl Session {
         len: usize,
         f: impl FnMut(usize) -> f64,
     ) -> ExecResult<RVec> {
-        let repr = self.rt.borrow_mut().load_vector(len, Some(name), f)?;
-        Ok(self.vec(repr))
+        self.vec(self.rt.borrow_mut().load_vector(len, Some(name), f))
     }
 
     /// Reopen a named stored vector (see [`Session::vector_from_fn_named`]).
     pub fn open_vector(&self, name: &str) -> ExecResult<RVec> {
-        let repr = self.rt.borrow_mut().open_vector(name)?;
-        Ok(self.vec(repr))
+        self.vec(self.rt.borrow_mut().open_vector(name))
     }
 
     /// Create a vector from a slice.
@@ -175,11 +203,11 @@ impl Session {
         layout: MatrixLayout,
         f: impl FnMut(usize, usize) -> f64,
     ) -> ExecResult<RMat> {
-        let repr = self
-            .rt
-            .borrow_mut()
-            .load_matrix(rows, cols, layout, None, f)?;
-        Ok(self.mat(repr))
+        self.mat(
+            self.rt
+                .borrow_mut()
+                .load_matrix(rows, cols, layout, None, f),
+        )
     }
 
     /// Create a matrix from a generator function, registered in the
@@ -192,18 +220,14 @@ impl Session {
         layout: MatrixLayout,
         f: impl FnMut(usize, usize) -> f64,
     ) -> ExecResult<RMat> {
-        let repr = self
-            .rt
-            .borrow_mut()
-            .load_matrix(rows, cols, layout, Some(name), f)?;
-        Ok(self.mat(repr))
+        let mut rt = self.rt.borrow_mut();
+        self.mat(rt.load_matrix(rows, cols, layout, Some(name), f))
     }
 
     /// Reopen a named stored matrix, dense or sparse — the catalog
     /// header's object kind decides which physical reader runs.
     pub fn open_matrix(&self, name: &str) -> ExecResult<RMat> {
-        let repr = self.rt.borrow_mut().open_matrix(name)?;
-        Ok(self.mat(repr))
+        self.mat(self.rt.borrow_mut().open_matrix(name))
     }
 
     /// Create a sparse matrix from COO triplets `(row, col, value)`
@@ -218,11 +242,7 @@ impl Session {
         cols: usize,
         triplets: &[(usize, usize, f64)],
     ) -> ExecResult<RMat> {
-        let repr = self
-            .rt
-            .borrow_mut()
-            .load_sparse(rows, cols, None, triplets)?;
-        Ok(self.mat(repr))
+        self.mat(self.rt.borrow_mut().load_sparse(rows, cols, None, triplets))
     }
 
     /// [`Session::sparse_matrix`], registered in the catalog under `name`
@@ -235,52 +255,41 @@ impl Session {
         cols: usize,
         triplets: &[(usize, usize, f64)],
     ) -> ExecResult<RMat> {
-        let repr = self
-            .rt
-            .borrow_mut()
-            .load_sparse(rows, cols, Some(name), triplets)?;
-        Ok(self.mat(repr))
+        let mut rt = self.rt.borrow_mut();
+        self.mat(rt.load_sparse(rows, cols, Some(name), triplets))
     }
+
+    // ---- operators without a vector receiver ----
 
     /// R's `sample(n, k)`: k distinct indices in `1..=n`.
     pub fn sample(&self, n: usize, k: usize) -> ExecResult<RVec> {
-        let repr = self.rt.borrow_mut().sample(n, k)?;
-        Ok(self.vec(repr))
+        self.vec(self.run(|rt| rt.sample(n, k)))
     }
 
     /// A small in-memory vector — R's `c(...)`. Unlike
     /// [`Session::vector_from_slice`] this is *not* a stored source: under
     /// deferred engines the optimizer sees the literal values.
     pub fn literal(&self, values: &[f64]) -> ExecResult<RVec> {
-        let repr = self.rt.borrow_mut().literal(values.to_vec())?;
-        Ok(self.vec(repr))
+        self.vec(self.run(|rt| rt.literal(values.to_vec())))
     }
 
     /// R's `start:end` sequence.
     pub fn range(&self, start: i64, end: i64) -> ExecResult<RVec> {
-        let repr = self.rt.borrow_mut().range(start, end)?;
-        Ok(self.vec(repr))
+        self.vec(self.run(|rt| rt.range(start, end)))
     }
 
     /// R's `ifelse(cond, yes, no)` elementwise conditional.
     pub fn ifelse(&self, cond: &RVec, yes: &RVec, no: &RVec) -> ExecResult<RVec> {
-        let repr = self
-            .rt
-            .borrow_mut()
-            .ifelse(&cond.repr, &yes.repr, &no.repr)?;
-        Ok(self.vec(repr))
+        self.vec(self.run(|rt| rt.ifelse(&cond.repr, &yes.repr, &no.repr)))
     }
 
     /// Bind a name to a vector — R's `name <- value`. Under MatNamed this
     /// is the materialization point; under Riot it is free.
     pub fn assign(&self, _name: &str, v: &RVec) -> ExecResult<RVec> {
-        self.rt.borrow_mut().assign(&v.repr)?;
-        self.rt.borrow_mut().retain(&v.repr);
-        Ok(RVec {
-            sess: self.clone(),
-            repr: v.repr.clone(),
-        })
+        self.vec(self.run(|rt| rt.assign(&v.repr)))
     }
+
+    // ---- counters, profiles, plans ----
 
     /// Combined I/O so far (buffer pool + paging heap).
     pub fn io_snapshot(&self) -> IoSnapshot {
@@ -330,53 +339,22 @@ impl Session {
     /// with the engine's own counters. If tracing was off before the call
     /// it is off again after; counted I/O is unaffected either way.
     pub fn profile<R>(&self, f: impl FnOnce() -> R) -> (R, QueryProfile) {
-        let (tracer, engine, was_enabled, io0, ops0, pool0) = {
-            let rt = self.rt.borrow();
-            let tracer = Arc::clone(rt.tracer());
-            let was_enabled = tracer.is_enabled();
-            tracer.enable();
-            // Discard anything buffered before the region of interest.
-            let _ = tracer.drain();
-            (
-                tracer,
-                rt.cfg.kind.label().to_string(),
-                was_enabled,
-                rt.io_snapshot(),
-                rt.cpu_ops(),
-                rt.pool_stats(),
-            )
-        };
-        let dropped0 = tracer.dropped();
+        let tracer = Arc::clone(self.rt.borrow().tracer());
+        let was_enabled = tracer.is_enabled();
+        tracer.enable();
+        // Discard anything buffered before the region of interest.
+        let _ = tracer.drain();
+        let (base, dropped0) = (self.rt.borrow().counters(), tracer.dropped());
         let t0 = Instant::now();
         let out = f();
         let wall_ns = t0.elapsed().as_nanos() as u64;
         let events = tracer.drain();
-        let (io, flops, pool, threads) = {
-            let rt = self.rt.borrow();
-            (
-                rt.io_snapshot() - io0,
-                rt.cpu_ops() - ops0,
-                rt.pool_stats().delta(&pool0),
-                rt.cfg.threads.max(1) as u64,
-            )
-        };
+        let (total, pool) = self.rt.borrow().metrics_since(&base);
         if !was_enabled {
             tracer.disable();
         }
-        let total = Metrics {
-            reads: io.reads,
-            writes: io.writes,
-            seq_reads: io.seq_reads,
-            seq_writes: io.seq_writes,
-            bytes_read: io.bytes_read,
-            bytes_written: io.bytes_written,
-            flops,
-            threads,
-            pool_hits: pool.hits,
-            pool_misses: pool.misses,
-        };
         let profile = QueryProfile::assemble(
-            engine,
+            self.kind().label().to_string(),
             events,
             total,
             pool,
@@ -421,53 +399,6 @@ impl Session {
             _ => format!("-- {view_name} is a base table (eager engine)"),
         }
     }
-
-    fn vec(&self, repr: VecRepr) -> RVec {
-        RVec {
-            sess: self.clone(),
-            repr,
-        }
-    }
-
-    fn mat(&self, repr: MatRepr) -> RMat {
-        RMat {
-            sess: self.clone(),
-            repr,
-        }
-    }
-
-    fn binop(&self, op: BinOp, l: &RVec, r: &RVec) -> RVec {
-        self.try_binop(op, l, r)
-            .unwrap_or_else(|e| panic!("vector operation failed: {e}"))
-    }
-
-    fn try_binop(&self, op: BinOp, l: &RVec, r: &RVec) -> ExecResult<RVec> {
-        let repr = self.rt.borrow_mut().binop(op, &l.repr, &r.repr)?;
-        Ok(self.vec(repr))
-    }
-
-    fn binop_scalar(&self, op: BinOp, l: &RVec, s: f64, scalar_left: bool) -> RVec {
-        self.try_binop_scalar(op, l, s, scalar_left)
-            .unwrap_or_else(|e| panic!("vector operation failed: {e}"))
-    }
-
-    fn try_binop_scalar(&self, op: BinOp, l: &RVec, s: f64, scalar_left: bool) -> ExecResult<RVec> {
-        let repr = self
-            .rt
-            .borrow_mut()
-            .binop_scalar(op, &l.repr, s, scalar_left)?;
-        Ok(self.vec(repr))
-    }
-
-    fn unop(&self, op: UnOp, x: &RVec) -> RVec {
-        self.try_unop(op, x)
-            .unwrap_or_else(|e| panic!("vector operation failed: {e}"))
-    }
-
-    fn try_unop(&self, op: UnOp, x: &RVec) -> ExecResult<RVec> {
-        let repr = self.rt.borrow_mut().unop(op, &x.repr)?;
-        Ok(self.vec(repr))
-    }
 }
 
 /// A vector handle — the reproduction's `dbvector`.
@@ -501,6 +432,14 @@ impl Drop for RVec {
 }
 
 impl RVec {
+    /// One vector-valued operator over this vector, through the bracket.
+    fn op(
+        &self,
+        f: impl FnOnce(&mut Runtime, &VecRepr) -> ExecResult<VecRepr>,
+    ) -> ExecResult<RVec> {
+        self.sess.vec(self.sess.run(|rt| f(rt, &self.repr)))
+    }
+
     /// Number of elements.
     pub fn len(&self) -> usize {
         self.sess.rt.borrow().vec_len(&self.repr)
@@ -514,196 +453,183 @@ impl RVec {
     /// Generic elementwise binary op against another vector (the full
     /// [`BinOp`] surface; the arithmetic operators below are sugar).
     pub fn binary(&self, op: BinOp, other: &RVec) -> RVec {
-        self.sess.binop(op, self, other)
+        must("vector operation", self.try_binary(op, other))
     }
 
     /// [`binary`](Self::binary) with the error surfaced instead of a
     /// panic — what interpreters use so eager-engine governance aborts
     /// (cancellation, budgets) stay typed errors.
     pub fn try_binary(&self, op: BinOp, other: &RVec) -> ExecResult<RVec> {
-        self.sess.try_binop(op, self, other)
+        self.op(|rt, x| rt.binop(op, x, &other.repr))
     }
 
     /// Generic elementwise binary op against a scalar. `scalar_left`
     /// selects `c ∘ x` rather than `x ∘ c`.
     pub fn binary_scalar(&self, op: BinOp, c: f64, scalar_left: bool) -> RVec {
-        self.sess.binop_scalar(op, self, c, scalar_left)
+        must(
+            "vector operation",
+            self.try_binary_scalar(op, c, scalar_left),
+        )
     }
 
     /// [`binary_scalar`](Self::binary_scalar), error surfaced.
     pub fn try_binary_scalar(&self, op: BinOp, c: f64, scalar_left: bool) -> ExecResult<RVec> {
-        self.sess.try_binop_scalar(op, self, c, scalar_left)
+        self.op(|rt, x| rt.binop_scalar(op, x, c, scalar_left))
     }
 
     /// Generic elementwise unary op.
     pub fn unary(&self, op: UnOp) -> RVec {
-        self.sess.unop(op, self)
+        must("vector operation", self.try_unary(op))
     }
 
     /// [`unary`](Self::unary), error surfaced.
     pub fn try_unary(&self, op: UnOp) -> ExecResult<RVec> {
-        self.sess.try_unop(op, self)
+        self.op(|rt, x| rt.unop(op, x))
     }
 
     /// `sqrt(x)`.
     pub fn sqrt(&self) -> RVec {
-        self.sess.unop(UnOp::Sqrt, self)
+        self.unary(UnOp::Sqrt)
     }
 
     /// `abs(x)`.
     pub fn abs(&self) -> RVec {
-        self.sess.unop(UnOp::Abs, self)
+        self.unary(UnOp::Abs)
     }
 
     /// `exp(x)`.
     pub fn exp(&self) -> RVec {
-        self.sess.unop(UnOp::Exp, self)
+        self.unary(UnOp::Exp)
     }
 
     /// `log(x)` (natural).
     pub fn ln(&self) -> RVec {
-        self.sess.unop(UnOp::Ln, self)
+        self.unary(UnOp::Ln)
     }
 
     /// `x^2`, as R programs spell it.
     pub fn square(&self) -> RVec {
-        self.sess.binop_scalar(BinOp::Pow, self, 2.0, false)
+        self.pow(2.0)
     }
 
     /// `x^p`.
     pub fn pow(&self, p: f64) -> RVec {
-        self.sess.binop_scalar(BinOp::Pow, self, p, false)
+        self.binary_scalar(BinOp::Pow, p, false)
     }
 
     /// Elementwise comparison against a scalar: `x > c` etc.
     pub fn gt(&self, c: f64) -> RVec {
-        self.sess.binop_scalar(BinOp::Gt, self, c, false)
+        self.binary_scalar(BinOp::Gt, c, false)
     }
 
     /// `x < c`.
     pub fn lt(&self, c: f64) -> RVec {
-        self.sess.binop_scalar(BinOp::Lt, self, c, false)
+        self.binary_scalar(BinOp::Lt, c, false)
     }
 
     /// `x >= c`.
     pub fn ge(&self, c: f64) -> RVec {
-        self.sess.binop_scalar(BinOp::Ge, self, c, false)
+        self.binary_scalar(BinOp::Ge, c, false)
     }
 
     /// `x <= c`.
     pub fn le(&self, c: f64) -> RVec {
-        self.sess.binop_scalar(BinOp::Le, self, c, false)
+        self.binary_scalar(BinOp::Le, c, false)
     }
 
     /// Logical negation: `!x` (0 becomes 1, nonzero becomes 0).
     pub fn not(&self) -> RVec {
-        self.sess.unop(UnOp::Not, self)
+        self.unary(UnOp::Not)
     }
 
     /// Elementwise comparison against another vector.
     pub fn gt_vec(&self, other: &RVec) -> RVec {
-        self.sess.binop(BinOp::Gt, self, other)
+        self.binary(BinOp::Gt, other)
     }
 
     /// `x <= y` elementwise.
     pub fn le_vec(&self, other: &RVec) -> RVec {
-        self.sess.binop(BinOp::Le, self, other)
+        self.binary(BinOp::Le, other)
     }
 
     /// R's `pmin(x, y)`: elementwise minimum.
     pub fn pmin(&self, other: &RVec) -> RVec {
-        self.sess.binop(BinOp::Min, self, other)
+        self.binary(BinOp::Min, other)
     }
 
     /// R's `pmax(x, y)`: elementwise maximum.
     pub fn pmax(&self, other: &RVec) -> RVec {
-        self.sess.binop(BinOp::Max, self, other)
+        self.binary(BinOp::Max, other)
     }
 
     /// Subscript read: `x[idx]` (1-based indices).
     pub fn index(&self, idx: &RVec) -> RVec {
-        self.try_index(idx)
-            .unwrap_or_else(|e| panic!("subscript failed: {e}"))
+        must("subscript", self.try_index(idx))
     }
 
     /// [`index`](Self::index), error surfaced.
     pub fn try_index(&self, idx: &RVec) -> ExecResult<RVec> {
-        let repr = self.sess.rt.borrow_mut().gather(&self.repr, &idx.repr)?;
-        Ok(self.sess.vec(repr))
+        self.op(|rt, x| rt.gather(x, &idx.repr))
     }
 
     /// Masked update returning the new state: `x[mask] <- value`.
     pub fn mask_assign(&self, mask: &RVec, value: f64) -> RVec {
-        self.try_mask_assign(mask, value)
-            .unwrap_or_else(|e| panic!("masked assignment failed: {e}"))
+        must("masked assignment", self.try_mask_assign(mask, value))
     }
 
     /// [`mask_assign`](Self::mask_assign), error surfaced.
     pub fn try_mask_assign(&self, mask: &RVec, value: f64) -> ExecResult<RVec> {
-        let repr = self
-            .sess
-            .rt
-            .borrow_mut()
-            .mask_assign_scalar(&self.repr, &mask.repr, value)?;
-        Ok(self.sess.vec(repr))
+        self.op(|rt, x| rt.mask_assign_scalar(x, &mask.repr, value))
     }
 
     /// Masked update with a vector replacement: `x[mask] <- values`.
     pub fn mask_assign_vec(&self, mask: &RVec, values: &RVec) -> RVec {
-        self.try_mask_assign_vec(mask, values)
-            .unwrap_or_else(|e| panic!("masked assignment failed: {e}"))
+        must("masked assignment", self.try_mask_assign_vec(mask, values))
     }
 
     /// [`mask_assign_vec`](Self::mask_assign_vec), error surfaced.
     pub fn try_mask_assign_vec(&self, mask: &RVec, values: &RVec) -> ExecResult<RVec> {
-        let repr = self
-            .sess
-            .rt
-            .borrow_mut()
-            .mask_assign(&self.repr, &mask.repr, &values.repr)?;
-        Ok(self.sess.vec(repr))
+        self.op(|rt, x| rt.mask_assign(x, &mask.repr, &values.repr))
     }
 
     /// Indexed functional update: `x[idx] <- values` (1-based indices;
     /// `values` recycles to the index length).
     pub fn sub_assign(&self, idx: &RVec, values: &RVec) -> RVec {
-        self.try_sub_assign(idx, values)
-            .unwrap_or_else(|e| panic!("indexed assignment failed: {e}"))
+        must("indexed assignment", self.try_sub_assign(idx, values))
     }
 
     /// [`sub_assign`](Self::sub_assign), error surfaced.
     pub fn try_sub_assign(&self, idx: &RVec, values: &RVec) -> ExecResult<RVec> {
-        let repr = self
-            .sess
-            .rt
-            .borrow_mut()
-            .sub_assign(&self.repr, &idx.repr, &values.repr)?;
-        Ok(self.sess.vec(repr))
+        self.op(|rt, x| rt.sub_assign(x, &idx.repr, &values.repr))
+    }
+
+    fn aggregate(&self, op: AggOp) -> ExecResult<f64> {
+        self.sess.run(|rt| rt.aggregate(op, &self.repr))
     }
 
     /// `sum(x)` — a forcing point.
     pub fn sum(&self) -> ExecResult<f64> {
-        self.sess.rt.borrow_mut().aggregate(AggOp::Sum, &self.repr)
+        self.aggregate(AggOp::Sum)
     }
 
     /// `mean(x)` — a forcing point.
     pub fn mean(&self) -> ExecResult<f64> {
-        self.sess.rt.borrow_mut().aggregate(AggOp::Mean, &self.repr)
+        self.aggregate(AggOp::Mean)
     }
 
     /// `min(x)` — a forcing point.
     pub fn min(&self) -> ExecResult<f64> {
-        self.sess.rt.borrow_mut().aggregate(AggOp::Min, &self.repr)
+        self.aggregate(AggOp::Min)
     }
 
     /// `max(x)` — a forcing point.
     pub fn max(&self) -> ExecResult<f64> {
-        self.sess.rt.borrow_mut().aggregate(AggOp::Max, &self.repr)
+        self.aggregate(AggOp::Max)
     }
 
     /// Force evaluation and return all elements — R's `print`.
     pub fn collect(&self) -> ExecResult<Vec<f64>> {
-        self.sess.rt.borrow_mut().collect(&self.repr)
+        self.sess.run(|rt| rt.collect(&self.repr))
     }
 
     /// EXPLAIN this vector's deferred plan — sugar for
@@ -726,10 +652,10 @@ pub struct RMat {
 
 impl Clone for RMat {
     fn clone(&self) -> Self {
-        self.sess.rt.borrow_mut().retain_mat(&self.repr);
+        let repr = self.sess.rt.borrow_mut().alias_mat(&self.repr);
         RMat {
             sess: self.sess.clone(),
-            repr: self.repr.clone(),
+            repr,
         }
     }
 }
@@ -743,6 +669,14 @@ impl Drop for RMat {
 }
 
 impl RMat {
+    /// One matrix-valued operator over this matrix, through the bracket.
+    fn op(
+        &self,
+        f: impl FnOnce(&mut Runtime, &MatRepr) -> ExecResult<MatRepr>,
+    ) -> ExecResult<RMat> {
+        self.sess.mat(self.sess.run(|rt| f(rt, &self.repr)))
+    }
+
     /// Matrix shape `(rows, cols)`.
     pub fn shape(&self) -> (usize, usize) {
         self.sess.rt.borrow().mat_shape(&self.repr)
@@ -750,34 +684,30 @@ impl RMat {
 
     /// `t(m)`: transpose.
     pub fn t(&self) -> RMat {
-        self.try_t()
-            .unwrap_or_else(|e| panic!("transpose failed: {e}"))
+        must("transpose", self.try_t())
     }
 
     /// [`t`](Self::t), error surfaced — what interpreters use so
     /// eager-engine governance aborts stay typed errors.
     pub fn try_t(&self) -> ExecResult<RMat> {
-        let repr = self.sess.rt.borrow_mut().transpose(&self.repr)?;
-        Ok(self.sess.mat(repr))
+        self.op(|rt, m| rt.transpose(m))
     }
 
     /// `a %*% b`.
     pub fn matmul(&self, rhs: &RMat) -> RMat {
-        self.try_matmul(rhs)
-            .unwrap_or_else(|e| panic!("matrix multiplication failed: {e}"))
+        must("matrix multiplication", self.try_matmul(rhs))
     }
 
     /// [`matmul`](Self::matmul), error surfaced.
     pub fn try_matmul(&self, rhs: &RMat) -> ExecResult<RMat> {
-        let repr = self.sess.rt.borrow_mut().matmul(&self.repr, &rhs.repr)?;
-        Ok(self.sess.mat(repr))
+        self.op(|rt, m| rt.matmul(m, &rhs.repr))
     }
 
     /// Number of stored non-zeros — `nnz(m)`. For a deferred sparse
     /// source this reads the catalog statistic without touching storage;
     /// anything else is a forcing point that streams the value's tiles.
     pub fn nnz(&self) -> ExecResult<u64> {
-        self.sess.rt.borrow_mut().mat_nnz(&self.repr)
+        self.sess.run(|rt| rt.mat_nnz(&self.repr))
     }
 
     /// Cholesky factorization — `chol(a)`: the lower-triangular `L` with
@@ -785,15 +715,13 @@ impl RMat {
     /// that are not positive definite surface a typed error at the forcing
     /// point, never silent NaNs.
     pub fn chol(&self) -> ExecResult<RMat> {
-        let repr = self.sess.rt.borrow_mut().mat_chol(&self.repr)?;
-        Ok(self.sess.mat(repr))
+        self.op(|rt, m| rt.mat_chol(m))
     }
 
     /// Linear solve — `solve(a, b)` for symmetric positive definite `a`.
     /// Always factorization-backed: no engine materializes an inverse.
     pub fn solve(&self, rhs: &RMat) -> ExecResult<RMat> {
-        let repr = self.sess.rt.borrow_mut().mat_solve(&self.repr, &rhs.repr)?;
-        Ok(self.sess.mat(repr))
+        self.op(|rt, m| rt.mat_solve(m, &rhs.repr))
     }
 
     /// Convert to the block-compressed sparse representation —
@@ -801,19 +729,17 @@ impl RMat {
     /// keep their dense storage (sparsity is a library concept there,
     /// exactly as in base R).
     pub fn to_sparse(&self) -> ExecResult<RMat> {
-        let repr = self.sess.rt.borrow_mut().mat_to_sparse(&self.repr)?;
-        Ok(self.sess.mat(repr))
+        self.op(|rt, m| rt.mat_to_sparse(m))
     }
 
     /// Convert to the dense representation — `as.dense(m)`.
     pub fn to_dense(&self) -> ExecResult<RMat> {
-        let repr = self.sess.rt.borrow_mut().mat_to_dense(&self.repr)?;
-        Ok(self.sess.mat(repr))
+        self.op(|rt, m| rt.mat_to_dense(m))
     }
 
     /// Force evaluation: `(rows, cols, row-major data)`.
     pub fn collect(&self) -> ExecResult<(usize, usize, Vec<f64>)> {
-        self.sess.rt.borrow_mut().collect_matrix(&self.repr)
+        self.sess.run(|rt| rt.collect_matrix(&self.repr))
     }
 
     /// EXPLAIN this matrix's deferred plan — sugar for
@@ -835,35 +761,35 @@ macro_rules! vec_binops {
         impl std::ops::$trait<&RVec> for &RVec {
             type Output = RVec;
             fn $method(self, rhs: &RVec) -> RVec {
-                self.session().binop($op, self, rhs)
+                self.binary($op, rhs)
             }
         }
 
         impl std::ops::$trait<f64> for &RVec {
             type Output = RVec;
             fn $method(self, rhs: f64) -> RVec {
-                self.session().binop_scalar($op, self, rhs, false)
+                self.binary_scalar($op, rhs, false)
             }
         }
 
         impl std::ops::$trait<&RVec> for f64 {
             type Output = RVec;
             fn $method(self, rhs: &RVec) -> RVec {
-                rhs.session().binop_scalar($op, rhs, self, true)
+                rhs.binary_scalar($op, self, true)
             }
         }
 
         impl std::ops::$trait<RVec> for RVec {
             type Output = RVec;
             fn $method(self, rhs: RVec) -> RVec {
-                self.session().binop($op, &self, &rhs)
+                self.binary($op, &rhs)
             }
         }
 
         impl std::ops::$trait<f64> for RVec {
             type Output = RVec;
             fn $method(self, rhs: f64) -> RVec {
-                self.session().binop_scalar($op, &self, rhs, false)
+                self.binary_scalar($op, rhs, false)
             }
         }
     };
@@ -877,7 +803,7 @@ vec_binops!(Div, div, BinOp::Div);
 impl std::ops::Neg for &RVec {
     type Output = RVec;
     fn neg(self) -> RVec {
-        self.session().unop(UnOp::Neg, self)
+        self.unary(UnOp::Neg)
     }
 }
 

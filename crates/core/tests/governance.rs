@@ -15,7 +15,8 @@ use std::time::Duration;
 use riot_array::MatrixLayout;
 use riot_core::exec::ExecError;
 use riot_core::{
-    assert_no_leaks, leak_snapshot, CancelToken, EngineConfig, EngineKind, ResourceLimits, Session,
+    assert_no_leaks, leak_snapshot, BinOp, CancelToken, EngineConfig, EngineKind, RVec,
+    ResourceLimits, Session, UnOp,
 };
 
 /// Small pool so mid-size workloads actually page: 8 KiB blocks,
@@ -279,6 +280,77 @@ fn factor_scratch_freed_on_abort_under_all_engines() {
         s.clear_limits();
         s.reset_cancel();
         assert_no_leaks(&s, &snap, &format!("{kind:?} factor abort"));
+    }
+}
+
+/// One eager vector operator over `(x, y, idx)`, result dropped.
+type EagerOp = fn(&Session, &RVec, &RVec, &RVec) -> Result<(), ExecError>;
+
+/// Every eager vector operator: the name its per-chunk checkpoint carries
+/// (`<engine>.<name>.chunk`), and the operator.
+const EAGER_OPS: &[(&str, EagerOp)] = &[
+    ("unop", |_, x, _, _| x.try_unary(UnOp::Sqrt).map(drop)),
+    ("binop", |_, x, y, _| x.try_binary(BinOp::Add, y).map(drop)),
+    ("binop", |_, x, _, _| {
+        x.try_binary_scalar(BinOp::Mul, 2.0, true).map(drop)
+    }),
+    ("gather", |_, x, _, idx| x.try_index(idx).map(drop)),
+    ("ifelse", |s, x, y, _| s.ifelse(y, x, y).map(drop)),
+    ("ifelse", |_, x, y, _| x.try_mask_assign(y, 1.0).map(drop)),
+    ("ifelse", |_, x, y, _| x.try_mask_assign_vec(y, x).map(drop)),
+    ("sub_assign", |_, x, y, idx| {
+        x.try_sub_assign(idx, y).map(drop)
+    }),
+    ("aggregate", |_, x, _, _| x.sum().map(drop)),
+    ("collect", |_, x, _, _| x.collect().map(drop)),
+];
+
+#[test]
+fn eager_operators_cancel_at_every_chunk_and_leak_nothing() {
+    // Ten chunks per operand, so every operator crosses >= 8 checkpoints.
+    let n = 10 * EngineConfig::new(EngineKind::PlainR).chunk_elems;
+    for (kind, engine) in [
+        (EngineKind::PlainR, "plainr"),
+        (EngineKind::Strawman, "strawman"),
+    ] {
+        for (row, &(name, op)) in EAGER_OPS.iter().enumerate() {
+            let tag = format!("{kind:?} {name} (row {row})");
+            let inputs = |s: &Session| {
+                (
+                    s.vector_from_fn(n, |i| (i % 97) as f64).unwrap(),
+                    s.vector_from_fn(n, |i| (i % 2) as f64).unwrap(),
+                    s.vector_from_fn(n, |i| ((i * 7) % n + 1) as f64).unwrap(),
+                )
+            };
+            // Count-mode pass: how many checkpoints does the operator cross?
+            let probe = Session::with_limits(tight(kind), ResourceLimits::none());
+            let (x, y, idx) = inputs(&probe);
+            let gov = probe.storage_ctx().governor().clone();
+            let seen0 = gov.checkpoints_seen();
+            op(&probe, &x, &y, &idx).unwrap();
+            let total = gov.checkpoints_seen() - seen0;
+            assert!(total >= 8, "{tag}: only {total} checkpoints");
+
+            for k in 1..=total {
+                let s = Session::with_limits(tight(kind), ResourceLimits::none());
+                let (x, y, idx) = inputs(&s);
+                let gov = s.storage_ctx().governor().clone();
+                let snap = leak_snapshot(&s);
+                gov.set_cancel_at(gov.checkpoints_seen() + k);
+                match op(&s, &x, &y, &idx) {
+                    Err(ExecError::Cancelled { at }) => {
+                        assert_eq!(at, format!("{engine}.{name}.chunk"), "{tag} at {k}/{total}")
+                    }
+                    other => panic!("{tag}: cancel at {k}/{total} gave {other:?}"),
+                }
+                assert_no_leaks(&s, &snap, &format!("{tag}: cancel at {k}/{total}"));
+                // The session recovers: the same operator now completes,
+                // and its dropped result leaves the catalog as it was.
+                s.reset_cancel();
+                op(&s, &x, &y, &idx).unwrap_or_else(|e| panic!("{tag}: rerun failed: {e}"));
+                assert_no_leaks(&s, &snap, &format!("{tag}: rerun after {k}/{total}"));
+            }
+        }
     }
 }
 

@@ -6,7 +6,7 @@
 //! output — no hidden `t(x)`), and writes exactly the output's blocks. A
 //! Gram product's half schedule equals the full schedule bit for bit and
 //! is bitwise symmetric. The session-level tests pin the same through the
-//! forcing point in `policy.rs`.
+//! forcing point in `policy/executor.rs`.
 
 use std::sync::Arc;
 

@@ -1,5 +1,6 @@
-//! Property tests for governance: random pipelines at threads ∈ {1, 4},
-//! with a random cancel point injected.
+//! Property tests for governance: random pipelines under the deferred
+//! executor at threads ∈ {1, 4} and under both eager engines, with a
+//! random cancel point injected.
 //!
 //! * Neutrality holds for arbitrary workloads: a governor engaged with
 //!   empty limits never changes the result.
@@ -13,6 +14,7 @@
 use proptest::prelude::*;
 use riot_core::{
     assert_no_leaks, leak_snapshot, BinOp, EngineConfig, EngineKind, RVec, ResourceLimits, Session,
+    UnOp,
 };
 
 #[derive(Debug, Clone, Copy)]
@@ -36,17 +38,19 @@ fn step_strategy() -> impl Strategy<Value = Step> {
     ]
 }
 
-/// Apply `steps` to a fresh deferred pipeline over `base` and force it.
+/// Apply `steps` to a fresh pipeline over `base` and force it. Under the
+/// eager engines every step is itself a governed query, so every step
+/// surfaces its error.
 fn run_steps(s: &Session, base: &RVec, steps: &[Step]) -> Result<f64, riot_core::exec::ExecError> {
-    let mut v = base.binary_scalar(BinOp::Add, 0.0, false);
+    let mut v = base.try_binary_scalar(BinOp::Add, 0.0, false)?;
     for st in steps {
         v = match st {
-            Step::AddScalar(c) => v.binary_scalar(BinOp::Add, *c as f64, false),
-            Step::MulScalar(c) => v.binary_scalar(BinOp::Mul, *c as f64, false),
-            Step::Sqrt => v.abs().sqrt(),
-            Step::Abs => v.abs(),
-            Step::AddSelf => v.binary(BinOp::Add, base),
-            Step::Gather => v.index(&s.range(1, (base.len() / 2).max(2) as i64)?),
+            Step::AddScalar(c) => v.try_binary_scalar(BinOp::Add, *c as f64, false)?,
+            Step::MulScalar(c) => v.try_binary_scalar(BinOp::Mul, *c as f64, false)?,
+            Step::Sqrt => v.try_unary(UnOp::Abs)?.try_unary(UnOp::Sqrt)?,
+            Step::Abs => v.try_unary(UnOp::Abs)?,
+            Step::AddSelf => v.try_binary(BinOp::Add, base)?,
+            Step::Gather => v.try_index(&s.range(1, (base.len() / 2).max(2) as i64)?)?,
         };
     }
     v.sum()
@@ -59,6 +63,16 @@ fn tight(kind: EngineKind, threads: usize) -> EngineConfig {
         ..EngineConfig::new(kind)
     }
 }
+
+/// The engine x thread-count cells a cancel is injected into: the
+/// deferred executor sequential and fanned out, and both eager engines
+/// (single-threaded by construction).
+const CELLS: [(EngineKind, usize); 4] = [
+    (EngineKind::Riot, 1),
+    (EngineKind::Riot, 4),
+    (EngineKind::PlainR, 1),
+    (EngineKind::Strawman, 1),
+];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -94,11 +108,8 @@ proptest! {
         len in 2_000usize..12_000,
         cancel_at in 1u64..40,
     ) {
-        for threads in [1usize, 4] {
-            let s = Session::with_limits(
-                tight(EngineKind::Riot, threads),
-                ResourceLimits::none(),
-            );
+        for (kind, threads) in CELLS {
+            let s = Session::with_limits(tight(kind, threads), ResourceLimits::none());
             let x = s.vector_from_fn(len, |i| (i % 89) as f64).unwrap();
             // The reference result, computed before the cancel arms.
             let want = run_steps(&s, &x, &steps).unwrap();
@@ -111,7 +122,7 @@ proptest! {
                 Err(e) => {
                     prop_assert!(
                         e.is_governance_abort(),
-                        "threads={}: non-governance error {}", threads, e
+                        "{:?} threads={}: non-governance error {}", kind, threads, e
                     );
                     s.reset_cancel();
                     assert_no_leaks(&s, &snap, "random cancel");
@@ -125,7 +136,7 @@ proptest! {
             // The session is unpoisoned: the query runs again, same answer.
             let again = run_steps(&s, &x, &steps).unwrap();
             prop_assert_eq!(want.to_bits(), again.to_bits(),
-                "threads={}: post-abort rerun diverged", threads);
+                "{:?} threads={}: post-abort rerun diverged", kind, threads);
             assert_no_leaks(&s, &snap, "post-rerun");
         }
     }

@@ -344,8 +344,11 @@ impl QueryGovernor {
         }
         let dl = self.deadline_at_ms.load(Ordering::Relaxed);
         if dl != UNLIMITED {
+            // Whole milliseconds on both sides, so trip once the elapsed
+            // time *reaches* the limit: a zero deadline must trip even when
+            // the query finishes inside the millisecond it began.
             let now = self.t0.elapsed().as_millis() as u64;
-            if now > dl {
+            if now >= dl {
                 return Err(StorageError::BudgetExceeded {
                     resource: "deadline",
                     used: now - self.begin_ms.load(Ordering::Relaxed),

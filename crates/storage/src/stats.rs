@@ -15,7 +15,7 @@
 //! would not see such interleavings as sequential either).
 
 use std::fmt;
-use std::ops::Sub;
+use std::ops::{Add, Sub};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -159,6 +159,22 @@ impl IoSnapshot {
     /// Total megabytes moved, the unit of the paper's Figure 1(a).
     pub fn mb(&self) -> f64 {
         (self.bytes_read + self.bytes_written) as f64 / (1024.0 * 1024.0)
+    }
+}
+
+impl Add for IoSnapshot {
+    type Output = IoSnapshot;
+
+    fn add(self, rhs: IoSnapshot) -> IoSnapshot {
+        IoSnapshot {
+            reads: self.reads + rhs.reads,
+            writes: self.writes + rhs.writes,
+            seq_reads: self.seq_reads + rhs.seq_reads,
+            seq_writes: self.seq_writes + rhs.seq_writes,
+            bytes_read: self.bytes_read + rhs.bytes_read,
+            bytes_written: self.bytes_written + rhs.bytes_written,
+            syncs: self.syncs + rhs.syncs,
+        }
     }
 }
 

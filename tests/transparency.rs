@@ -113,3 +113,42 @@ fn sql_views_render_for_the_deferred_script() {
     assert!(sql.contains("SQRT("));
     assert!(sql.contains("POW("));
 }
+
+/// The variant of a script's execution error, by name.
+fn error_variant(script: &str, kind: EngineKind) -> &'static str {
+    use riot::core::exec::ExecError;
+    use riot::core::ExprError;
+    let mut interp = interpreter(kind, 1 << 10);
+    match interp.run(script) {
+        Err(riot::rlang::RError::Exec(e)) => match e {
+            ExecError::Expr(ExprError::IndexOutOfBounds { .. }) => "IndexOutOfBounds",
+            ExecError::Expr(ExprError::MatMulDims { .. }) => "MatMulDims",
+            ExecError::Unsupported(_) => "Unsupported",
+            other => panic!("{kind:?}: `{script}` failed with an unexpected error: {other}"),
+        },
+        other => panic!("{kind:?}: `{script}` must fail with an execution error, got {other:?}"),
+    }
+}
+
+#[test]
+fn script_errors_have_the_same_variant_under_every_engine() {
+    // Each script ends in a print: the eager engines fail at the
+    // operator, the deferred ones at the forcing point.
+    let cases = [
+        ("s <- sample(3, 5); print(s)", "Unsupported"),
+        ("r <- 5:1; print(r)", "Unsupported"),
+        (
+            "m <- matrix(1:6, nrow = 2, ncol = 3); p <- m %*% m; print(p)",
+            "MatMulDims",
+        ),
+        ("z <- x[0]; print(z)", "IndexOutOfBounds"),
+        ("z <- x[length(x) + 1]; print(z)", "IndexOutOfBounds"),
+        ("x[0] <- 1; print(x)", "IndexOutOfBounds"),
+        ("x[length(x) + 1] <- 1; print(x)", "IndexOutOfBounds"),
+    ];
+    for (script, want) in cases {
+        for kind in EngineKind::all() {
+            assert_eq!(error_variant(script, kind), want, "{kind:?}: `{script}`");
+        }
+    }
+}
