@@ -219,13 +219,13 @@ fn eval_node(
             Value::matrix(rows, cols, data)
         }
         // Representation conversions are identities to the dense oracle.
-        Node::Densify { input } | Node::Sparsify { input } => get(input).clone(),
+        Node::Densify([input]) | Node::Sparsify([input]) => get(input).clone(),
         Node::Literal(v) => Value::Vector(Arc::clone(v)),
         Node::Scalar(x) => Value::Scalar(*x),
         Node::Range { start, len } => {
             Value::vector((0..*len).map(|i| (*start + i as i64) as f64).collect())
         }
-        Node::Map { op, input } => {
+        Node::Map(op, [input]) => {
             let x = get(input);
             match x {
                 Value::Scalar(v) => Value::Scalar(op.apply(*v)),
@@ -235,14 +235,14 @@ fn eval_node(
                 }
             }
         }
-        Node::Zip { op, lhs, rhs } => {
+        Node::Zip(op, [lhs, rhs]) => {
             let (a, b) = (get(lhs), get(rhs));
             let out_shape = a.shape().broadcast(&b.shape());
             let n = out_shape.len();
             let data: Vec<f64> = (0..n).map(|i| op.apply(a.at(i), b.at(i))).collect();
             shape_value(out_shape, data)
         }
-        Node::IfElse { cond, yes, no } => {
+        Node::IfElse([cond, yes, no]) => {
             let (c, y, n) = (get(cond), get(yes), get(no));
             let out_shape = c.shape().broadcast(&y.shape()).broadcast(&n.shape());
             let data: Vec<f64> = (0..out_shape.len())
@@ -250,7 +250,7 @@ fn eval_node(
                 .collect();
             shape_value(out_shape, data)
         }
-        Node::Gather { data, index } => {
+        Node::Gather([data, index]) => {
             let d = get(data);
             let idx = get(index);
             let n = d.len();
@@ -265,7 +265,7 @@ fn eval_node(
             }
             Value::vector(out)
         }
-        Node::SubAssign { data, index, value } => {
+        Node::SubAssign([data, index, value]) => {
             let mut out = get(data).to_flat();
             let idx = get(index);
             let val = get(value);
@@ -281,7 +281,7 @@ fn eval_node(
             }
             Value::vector(out)
         }
-        Node::MaskAssign { data, mask, value } => {
+        Node::MaskAssign([data, mask, value]) => {
             let mut out = get(data).to_flat();
             let m = get(mask);
             let val = get(value);
@@ -292,7 +292,7 @@ fn eval_node(
             }
             Value::vector(out)
         }
-        Node::MatMul { lhs, rhs } => {
+        Node::MatMul([lhs, rhs]) => {
             let (a, b) = (get(lhs), get(rhs));
             let (
                 Value::Matrix {
@@ -327,7 +327,7 @@ fn eval_node(
         }
         // The planned-sparse transpose is the same transpose to the dense
         // oracle — representation is a physical concern.
-        Node::Transpose { input } | Node::SpTranspose { input } => {
+        Node::Transpose([input]) | Node::SpTranspose([input]) => {
             let x = get(input);
             let Value::Matrix { rows, cols, data } = x else {
                 return Err(ExprError::Expected {
@@ -344,7 +344,7 @@ fn eval_node(
             }
             Value::matrix(c, r, out)
         }
-        Node::Agg { op, input } => {
+        Node::Agg(op, [input]) => {
             let x = get(input);
             let n = x.len();
             let mut acc = op.init();
@@ -356,7 +356,7 @@ fn eval_node(
             }
             Value::Scalar(acc)
         }
-        Node::Chol { input } => {
+        Node::Chol([input]) => {
             let x = get(input);
             let Value::Matrix { rows, data, .. } = x else {
                 return Err(ExprError::Expected {
@@ -367,7 +367,7 @@ fn eval_node(
             let n = *rows;
             Value::matrix(n, n, dense_chol(data, n, x.shape())?)
         }
-        Node::Solve { lhs, rhs } => {
+        Node::Solve([lhs, rhs]) => {
             let (a, b) = (get(lhs), get(rhs));
             let (
                 Value::Matrix { rows, data: da, .. },

@@ -151,7 +151,7 @@ fn finish(out: DenseMatrix, flops: ExecResult<u64>) -> ExecResult<(DenseMatrix, 
 }
 
 /// The side of a `rows x cols` matrix that has to be square and non-empty.
-pub(crate) fn expect_square(rows: usize, cols: usize) -> ExecResult<usize> {
+fn expect_square(rows: usize, cols: usize) -> ExecResult<usize> {
     if rows != cols || rows == 0 {
         return Err(ExecError::Expr(ExprError::Expected {
             what: "non-empty square matrix",

@@ -129,7 +129,7 @@ pub fn multiply<'a>(
 }
 
 /// The error for an `a %*% b` or `solve(a, b)` whose shapes do not fit.
-pub(crate) fn non_conformable(lhs: (usize, usize), rhs: (usize, usize)) -> ExecError {
+pub(super) fn non_conformable(lhs: (usize, usize), rhs: (usize, usize)) -> ExecError {
     ExecError::Expr(ExprError::MatMulDims {
         lhs: Shape::Matrix(lhs.0, lhs.1),
         rhs: Shape::Matrix(rhs.0, rhs.1),

@@ -111,212 +111,92 @@ pub fn governed(pipe: Box<dyn Pipe>, ctx: &Arc<StorageCtx>, at: &'static str) ->
     })
 }
 
-/// Scan of a stored vector, block-aligned.
-pub struct VecScan {
-    vec: DenseVector,
+/// What a [`Scan`] reads its elements from.
+enum Source {
+    /// A stored vector, read block-aligned through the pool.
+    Stored(DenseVector),
+    /// An in-memory literal.
+    Mem(Arc<Vec<f64>>),
+    /// The sequence `start, start+1, ...` (R's `a:b`), computed on the fly.
+    Range(i64),
+    /// A scalar, broadcast.
+    Const(f64),
+    /// A short in-memory vector recycled (cycled) — R's recycling rule
+    /// for mismatched operand lengths.
+    Cycle(Vec<f64>),
+}
+
+/// The leaf of every pipeline: a cursor over elements `[pos, end)` of a
+/// stored vector, a literal, a sequence, a broadcast scalar or a recycled
+/// short vector, produced `chunk` at a time.
+pub struct Scan {
+    source: Source,
     pos: usize,
     end: usize,
     chunk: usize,
 }
 
-impl VecScan {
-    /// Scan `vec` in chunks of `chunk` elements.
-    pub fn new(vec: DenseVector, chunk: usize) -> Self {
-        let end = vec.len();
-        VecScan {
-            vec,
+impl Scan {
+    fn new(source: Source, len: usize, chunk: usize) -> Self {
+        Scan {
+            source,
             pos: 0,
-            end,
+            end: len,
             chunk,
         }
     }
-}
 
-impl Pipe for VecScan {
-    fn next_into(&mut self, out: &mut Vec<f64>) -> ExecResult<usize> {
-        out.clear();
-        let take = (self.end - self.pos).min(self.chunk);
-        if take == 0 {
-            return Ok(0);
-        }
-        // Declare the next chunk's span before blocking on this one, so
-        // its blocks load while the pipeline processes this chunk.
-        let ahead = (self.end - self.pos - take).min(self.chunk);
-        if ahead > 0 {
-            self.vec.prefetch_range(self.pos + take, ahead);
-        }
-        out.resize(take, 0.0);
-        self.vec.read_range(self.pos, out)?;
-        self.pos += take;
-        Ok(take)
+    /// Scan the stored vector `vec`.
+    pub fn stored(vec: DenseVector, chunk: usize) -> Self {
+        let len = vec.len();
+        Scan::new(Source::Stored(vec), len, chunk)
     }
 
-    fn total_len(&self) -> usize {
-        self.end - self.pos
+    /// Stream the in-memory literal `data`.
+    pub fn literal(data: Arc<Vec<f64>>, chunk: usize) -> Self {
+        let len = data.len();
+        Scan::new(Source::Mem(data), len, chunk)
     }
 
-    fn restrict(&mut self, start: usize, len: usize) -> bool {
-        debug_assert!(start + len <= self.vec.len(), "restrict out of range");
-        self.pos = start;
-        self.end = start + len;
-        true
-    }
-}
-
-/// Scan of an in-memory literal.
-pub struct LiteralScan {
-    data: Arc<Vec<f64>>,
-    pos: usize,
-    end: usize,
-    chunk: usize,
-}
-
-impl LiteralScan {
-    /// Stream `data` in chunks.
-    pub fn new(data: Arc<Vec<f64>>, chunk: usize) -> Self {
-        let end = data.len();
-        LiteralScan {
-            data,
-            pos: 0,
-            end,
-            chunk,
-        }
-    }
-}
-
-impl Pipe for LiteralScan {
-    fn next_into(&mut self, out: &mut Vec<f64>) -> ExecResult<usize> {
-        out.clear();
-        let take = (self.end - self.pos).min(self.chunk);
-        out.extend_from_slice(&self.data[self.pos..self.pos + take]);
-        self.pos += take;
-        Ok(take)
-    }
-
-    fn total_len(&self) -> usize {
-        self.end - self.pos
-    }
-
-    fn restrict(&mut self, start: usize, len: usize) -> bool {
-        debug_assert!(start + len <= self.data.len(), "restrict out of range");
-        self.pos = start;
-        self.end = start + len;
-        true
-    }
-}
-
-/// Generator for `start, start+1, ...` (R's `a:b`), computed on the fly.
-pub struct RangeScan {
-    start: i64,
-    pos: usize,
-    end: usize,
-    chunk: usize,
-}
-
-impl RangeScan {
     /// Stream the sequence `start .. start+len-1`.
-    pub fn new(start: i64, len: usize, chunk: usize) -> Self {
-        RangeScan {
-            start,
-            pos: 0,
-            end: len,
-            chunk,
-        }
-    }
-}
-
-impl Pipe for RangeScan {
-    fn next_into(&mut self, out: &mut Vec<f64>) -> ExecResult<usize> {
-        out.clear();
-        let take = (self.end - self.pos).min(self.chunk);
-        for i in 0..take {
-            out.push((self.start + (self.pos + i) as i64) as f64);
-        }
-        self.pos += take;
-        Ok(take)
+    pub fn range(start: i64, len: usize, chunk: usize) -> Self {
+        Scan::new(Source::Range(start), len, chunk)
     }
 
-    fn total_len(&self) -> usize {
-        self.end - self.pos
-    }
-
-    fn restrict(&mut self, start: usize, len: usize) -> bool {
-        debug_assert!(start + len <= self.end, "restrict out of range");
-        self.pos = start;
-        self.end = start + len;
-        true
-    }
-}
-
-/// A scalar broadcast to `len` elements.
-pub struct ConstScan {
-    value: f64,
-    pos: usize,
-    end: usize,
-    chunk: usize,
-}
-
-impl ConstScan {
     /// Stream `value` repeated `len` times.
-    pub fn new(value: f64, len: usize, chunk: usize) -> Self {
-        ConstScan {
-            value,
-            pos: 0,
-            end: len,
-            chunk,
-        }
-    }
-}
-
-impl Pipe for ConstScan {
-    fn next_into(&mut self, out: &mut Vec<f64>) -> ExecResult<usize> {
-        out.clear();
-        let take = (self.end - self.pos).min(self.chunk);
-        out.resize(take, self.value);
-        self.pos += take;
-        Ok(take)
+    pub fn constant(value: f64, len: usize, chunk: usize) -> Self {
+        Scan::new(Source::Const(value), len, chunk)
     }
 
-    fn total_len(&self) -> usize {
-        self.end - self.pos
-    }
-
-    fn restrict(&mut self, start: usize, len: usize) -> bool {
-        debug_assert!(start + len <= self.end, "restrict out of range");
-        self.pos = start;
-        self.end = start + len;
-        true
-    }
-}
-
-/// A short in-memory vector recycled (cycled) out to `out_len` elements —
-/// R's recycling rule for mismatched operand lengths.
-pub struct CycleScan {
-    data: Vec<f64>,
-    pos: usize,
-    end: usize,
-    chunk: usize,
-}
-
-impl CycleScan {
     /// Stream `data` cyclically until `out_len` elements were produced.
-    pub fn new(data: Vec<f64>, out_len: usize, chunk: usize) -> Self {
+    pub fn cycle(data: Vec<f64>, out_len: usize, chunk: usize) -> Self {
         assert!(!data.is_empty(), "cannot recycle an empty vector");
-        CycleScan {
-            data,
-            pos: 0,
-            end: out_len,
-            chunk,
-        }
+        Scan::new(Source::Cycle(data), out_len, chunk)
     }
 }
 
-impl Pipe for CycleScan {
+impl Pipe for Scan {
     fn next_into(&mut self, out: &mut Vec<f64>) -> ExecResult<usize> {
         out.clear();
-        let take = (self.end - self.pos).min(self.chunk);
-        for i in 0..take {
-            out.push(self.data[(self.pos + i) % self.data.len()]);
+        let (pos, take) = (self.pos, (self.end - self.pos).min(self.chunk));
+        let span = pos..pos + take;
+        match &self.source {
+            Source::Stored(_) if take == 0 => {}
+            Source::Stored(vec) => {
+                // Declare the next chunk's span before blocking on this
+                // one, so its blocks load while the pipeline processes
+                // this chunk.
+                let ahead = (self.end - span.end).min(self.chunk);
+                if ahead > 0 {
+                    vec.prefetch_range(span.end, ahead);
+                }
+                out.resize(take, 0.0);
+                vec.read_range(pos, out)?;
+            }
+            Source::Mem(data) => out.extend_from_slice(&data[span]),
+            Source::Range(start) => out.extend(span.map(|i| (start + i as i64) as f64)),
+            Source::Const(value) => out.resize(take, *value),
+            Source::Cycle(data) => out.extend(span.map(|i| data[i % data.len()])),
         }
         self.pos += take;
         Ok(take)
@@ -368,8 +248,8 @@ impl Pipe for MapPipe {
 }
 
 /// Binary elementwise operator; children must produce equal lengths (the
-/// compiler wraps scalars in [`ConstScan`] and recycled operands in
-/// [`CycleScan`] so this always holds).
+/// compiler wraps scalars in [`Scan::constant`] and recycled operands in
+/// [`Scan::cycle`] so this always holds).
 pub struct ZipPipe {
     op: BinOp,
     lhs: Box<dyn Pipe>,
@@ -547,53 +427,61 @@ impl Pipe for GatherPipe {
     }
 }
 
+/// The one drain loop: `pull` chunks until the stream ends, handing each
+/// to `sink`.
+pub(crate) fn for_each_chunk(
+    mut pull: impl FnMut(&mut Vec<f64>) -> ExecResult<usize>,
+    mut sink: impl FnMut(&[f64]) -> ExecResult<()>,
+) -> ExecResult<()> {
+    let mut buf = Vec::new();
+    while pull(&mut buf)? > 0 {
+        sink(&buf)?;
+    }
+    Ok(())
+}
+
 /// Drain a pipe into a freshly stored vector (sequential writes).
 pub fn materialize(
     mut pipe: Box<dyn Pipe>,
     ctx: &Arc<StorageCtx>,
     name: Option<&str>,
 ) -> ExecResult<DenseVector> {
-    let len = pipe.total_len();
-    let mut writer = VectorWriter::new(ctx, len, name)?;
-    let mut buf = Vec::new();
-    loop {
-        ctx.governor().checkpoint("pipeline.materialize.chunk")?;
-        let n = pipe.next_into(&mut buf)?;
-        if n == 0 {
-            break;
-        }
-        writer.push_chunk(&buf)?;
-    }
+    let mut writer = VectorWriter::new(ctx, pipe.total_len(), name)?;
+    for_each_chunk(
+        |buf| {
+            ctx.governor().checkpoint("pipeline.materialize.chunk")?;
+            pipe.next_into(buf)
+        },
+        |chunk| Ok(writer.push_chunk(chunk)?),
+    )?;
     Ok(writer.finish()?)
 }
 
 /// Drain a pipe into memory.
 pub fn drain_to_vec(mut pipe: Box<dyn Pipe>) -> ExecResult<Vec<f64>> {
     let mut out = Vec::with_capacity(pipe.total_len());
-    let mut buf = Vec::new();
-    loop {
-        let n = pipe.next_into(&mut buf)?;
-        if n == 0 {
-            break;
-        }
-        out.extend_from_slice(&buf);
-    }
+    for_each_chunk(
+        |buf| pipe.next_into(buf),
+        |chunk| {
+            out.extend_from_slice(chunk);
+            Ok(())
+        },
+    )?;
     Ok(out)
 }
 
 /// Drain one pipe fully into `out` (which must have the pipe's exact
 /// restricted length).
 fn drain_into(pipe: &mut dyn Pipe, out: &mut [f64]) -> ExecResult<()> {
-    let mut buf = Vec::new();
     let mut at = 0;
-    loop {
-        let n = pipe.next_into(&mut buf)?;
-        if n == 0 {
-            break;
-        }
-        out[at..at + n].copy_from_slice(&buf[..n]);
-        at += n;
-    }
+    for_each_chunk(
+        |buf| pipe.next_into(buf),
+        |chunk| {
+            out[at..at + chunk.len()].copy_from_slice(chunk);
+            at += chunk.len();
+            Ok(())
+        },
+    )?;
     debug_assert_eq!(at, out.len(), "partition produced a short stream");
     Ok(())
 }
@@ -628,16 +516,13 @@ pub fn drain_partitioned(parts: Vec<Partition<'_>>, threads: usize) -> ExecResul
 /// fixed partition-tree aggregation.
 fn fold_pipe(pipe: &mut dyn Pipe, op: AggOp) -> ExecResult<f64> {
     let mut acc = op.init();
-    let mut buf = Vec::new();
-    loop {
-        let n = pipe.next_into(&mut buf)?;
-        if n == 0 {
-            break;
-        }
-        for &v in &buf {
-            acc = op.fold(acc, v);
-        }
-    }
+    for_each_chunk(
+        |buf| pipe.next_into(buf),
+        |chunk| {
+            acc = chunk.iter().fold(acc, |a, &v| op.fold(a, v));
+            Ok(())
+        },
+    )?;
     Ok(acc)
 }
 
@@ -673,19 +558,8 @@ pub fn fold_partitioned(
 
 /// Drain a pipe through an aggregate, producing a scalar.
 pub fn drain_agg(mut pipe: Box<dyn Pipe>, op: AggOp) -> ExecResult<f64> {
-    let mut acc = op.init();
-    let mut count = 0usize;
-    let mut buf = Vec::new();
-    loop {
-        let n = pipe.next_into(&mut buf)?;
-        if n == 0 {
-            break;
-        }
-        count += n;
-        for &v in &buf {
-            acc = op.fold(acc, v);
-        }
-    }
+    let count = pipe.total_len();
+    let mut acc = fold_pipe(pipe.as_mut(), op)?;
     if op == AggOp::Mean && count > 0 {
         acc /= count as f64;
     }
@@ -706,15 +580,15 @@ mod tests {
 
     #[test]
     fn range_scan_produces_sequence() {
-        let p = Box::new(RangeScan::new(5, 4, 3));
+        let p = Box::new(Scan::range(5, 4, 3));
         assert_eq!(drain_to_vec(p).unwrap(), vec![5.0, 6.0, 7.0, 8.0]);
     }
 
     #[test]
     fn const_and_cycle_scans() {
-        let p = Box::new(ConstScan::new(2.5, 5, 2));
+        let p = Box::new(Scan::constant(2.5, 5, 2));
         assert_eq!(drain_to_vec(p).unwrap(), vec![2.5; 5]);
-        let p = Box::new(CycleScan::new(vec![1.0, 2.0], 5, 3));
+        let p = Box::new(Scan::cycle(vec![1.0, 2.0], 5, 3));
         assert_eq!(drain_to_vec(p).unwrap(), vec![1.0, 2.0, 1.0, 2.0, 1.0]);
     }
 
@@ -725,8 +599,8 @@ mod tests {
         let data: Vec<f64> = (0..20).map(|i| i as f64).collect();
         let x = DenseVector::from_slice(&c, &data, None).unwrap();
         let counter = ops();
-        let scan = Box::new(VecScan::new(x, 7));
-        let one = Box::new(ConstScan::new(1.0, 20, 7));
+        let scan = Box::new(Scan::stored(x, 7));
+        let one = Box::new(Scan::constant(1.0, 20, 7));
         let sub = Box::new(ZipPipe::new(BinOp::Sub, scan, one, counter.clone()));
         let sq = Box::new(MapPipe::new(UnOp::Square, sub, counter.clone()));
         let sqrt = Box::new(MapPipe::new(UnOp::Sqrt, sq, counter.clone()));
@@ -739,9 +613,9 @@ mod tests {
     #[test]
     fn ifelse_pipe_selects() {
         let counter = ops();
-        let cond = Box::new(LiteralScan::new(Arc::new(vec![1.0, 0.0, 1.0]), 2));
-        let yes = Box::new(ConstScan::new(9.0, 3, 2));
-        let no = Box::new(LiteralScan::new(Arc::new(vec![4.0, 5.0, 6.0]), 2));
+        let cond = Box::new(Scan::literal(Arc::new(vec![1.0, 0.0, 1.0]), 2));
+        let yes = Box::new(Scan::constant(9.0, 3, 2));
+        let no = Box::new(Scan::literal(Arc::new(vec![4.0, 5.0, 6.0]), 2));
         let p = Box::new(IfElsePipe::new(cond, yes, no, counter));
         assert_eq!(drain_to_vec(p).unwrap(), vec![9.0, 5.0, 9.0]);
     }
@@ -755,7 +629,7 @@ mod tests {
         c.clear_cache().unwrap();
         let before = c.io_snapshot();
         let counter = ops();
-        let idx = Box::new(LiteralScan::new(Arc::new(vec![80.0, 1.0, 41.0]), 2));
+        let idx = Box::new(Scan::literal(Arc::new(vec![80.0, 1.0, 41.0]), 2));
         let p = Box::new(GatherPipe::new(idx, Probe::Stored(x), counter));
         assert_eq!(drain_to_vec(p).unwrap(), vec![790.0, 0.0, 400.0]);
         let delta = c.io_snapshot() - before;
@@ -766,7 +640,7 @@ mod tests {
     #[test]
     fn gather_bounds_error() {
         let counter = ops();
-        let idx = Box::new(LiteralScan::new(Arc::new(vec![4.0]), 2));
+        let idx = Box::new(Scan::literal(Arc::new(vec![4.0]), 2));
         let p = GatherPipe::new(idx, Probe::Mem(Arc::new(vec![1.0, 2.0])), counter);
         let mut p: Box<dyn Pipe> = Box::new(p);
         let mut buf = Vec::new();
@@ -782,7 +656,7 @@ mod tests {
     #[test]
     fn gather_probe_range() {
         let counter = ops();
-        let idx = Box::new(LiteralScan::new(Arc::new(vec![3.0, 1.0]), 4));
+        let idx = Box::new(Scan::literal(Arc::new(vec![3.0, 1.0]), 4));
         let p = Box::new(GatherPipe::new(
             idx,
             Probe::Range {
@@ -798,7 +672,7 @@ mod tests {
     fn materialize_streams_to_storage() {
         let c = ctx();
         let counter = ops();
-        let r = Box::new(RangeScan::new(1, 30, 8));
+        let r = Box::new(Scan::range(1, 30, 8));
         let sq = Box::new(MapPipe::new(UnOp::Square, r, counter));
         let v = materialize(sq, &c, Some("squares")).unwrap();
         assert_eq!(v.len(), 30);
@@ -809,7 +683,7 @@ mod tests {
 
     #[test]
     fn aggregates_over_pipe() {
-        let mk = || Box::new(RangeScan::new(1, 10, 3)) as Box<dyn Pipe>;
+        let mk = || Box::new(Scan::range(1, 10, 3)) as Box<dyn Pipe>;
         assert_eq!(drain_agg(mk(), AggOp::Sum).unwrap(), 55.0);
         assert_eq!(drain_agg(mk(), AggOp::Mean).unwrap(), 5.5);
         assert_eq!(drain_agg(mk(), AggOp::Min).unwrap(), 1.0);
@@ -822,15 +696,15 @@ mod tests {
         let data: Vec<f64> = (0..40).map(|i| i as f64).collect();
         let stored = DenseVector::from_slice(&c, &data, None).unwrap();
         let mk: Vec<(Box<dyn Pipe>, Vec<f64>)> = vec![
-            (Box::new(VecScan::new(stored.clone(), 7)), data.clone()),
+            (Box::new(Scan::stored(stored.clone(), 7)), data.clone()),
             (
-                Box::new(LiteralScan::new(Arc::new(data.clone()), 7)),
+                Box::new(Scan::literal(Arc::new(data.clone()), 7)),
                 data.clone(),
             ),
-            (Box::new(RangeScan::new(0, 40, 7)), data.clone()),
-            (Box::new(ConstScan::new(3.0, 40, 7)), vec![3.0; 40]),
+            (Box::new(Scan::range(0, 40, 7)), data.clone()),
+            (Box::new(Scan::constant(3.0, 40, 7)), vec![3.0; 40]),
             (
-                Box::new(CycleScan::new(vec![1.0, 2.0, 3.0], 40, 7)),
+                Box::new(Scan::cycle(vec![1.0, 2.0, 3.0], 40, 7)),
                 (0..40).map(|i| [1.0, 2.0, 3.0][i % 3]).collect(),
             ),
         ];
@@ -849,8 +723,8 @@ mod tests {
         let x = DenseVector::from_slice(&c, &data, None).unwrap();
         let counter = ops();
         let build = || -> Box<dyn Pipe> {
-            let scan = Box::new(VecScan::new(x.clone(), 8));
-            let two = Box::new(ConstScan::new(2.0, 30, 8));
+            let scan = Box::new(Scan::stored(x.clone(), 8));
+            let two = Box::new(Scan::constant(2.0, 30, 8));
             let mul = Box::new(ZipPipe::new(BinOp::Mul, scan, two, counter.clone()));
             Box::new(MapPipe::new(UnOp::Neg, mul, counter.clone()))
         };
@@ -868,7 +742,7 @@ mod tests {
         let x = DenseVector::from_slice(&c, &data, None).unwrap();
         let counter = ops();
         let build = || -> Box<dyn Pipe> {
-            let scan = Box::new(VecScan::new(x.clone(), 8));
+            let scan = Box::new(Scan::stored(x.clone(), 8));
             Box::new(MapPipe::new(UnOp::Square, scan, counter.clone()))
         };
         let want = drain_to_vec(build()).unwrap();
@@ -906,8 +780,8 @@ mod tests {
         let x = DenseVector::from_slice(&c, &data, None).unwrap();
         let y = DenseVector::from_slice(&c, &data, None).unwrap();
         let counter = ops();
-        let sx = Box::new(VecScan::new(x, 8));
-        let sy = Box::new(VecScan::new(y, 8));
+        let sx = Box::new(Scan::stored(x, 8));
+        let sy = Box::new(Scan::stored(y, 8));
         let sum = Box::new(ZipPipe::new(BinOp::Add, sx, sy, counter.clone()));
         let total = drain_agg(sum, AggOp::Sum).unwrap();
         assert_eq!(total, (0..n).map(|i| 2.0 * i as f64).sum::<f64>());

@@ -239,7 +239,10 @@ impl AggOp {
     }
 }
 
-/// One operator in the expression DAG.
+/// One operator in the expression DAG. Interior operators carry their
+/// children as a fixed-size array in evaluation order, so everything that
+/// only needs to *reach* the children ([`Node::children`], hash-consing,
+/// traversals, rebuild-after-rewrite) is written once for every operator.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Node {
     /// A stored vector owned by the engine.
@@ -272,18 +275,12 @@ pub enum Node {
         /// Stored non-zeros.
         nnz: u64,
     },
-    /// Sparse-to-dense conversion. Inserted by the optimizer when a sparse
-    /// operand is too dense for the sparse kernels to pay off, and by the
-    /// frontend's `as.dense`.
-    Densify {
-        /// Input matrix (sparse-valued).
-        input: NodeId,
-    },
-    /// Dense-to-sparse compression (`as.sparse`).
-    Sparsify {
-        /// Input matrix (dense-valued).
-        input: NodeId,
-    },
+    /// Sparse-to-dense conversion of `[input]` (sparse-valued). Inserted by
+    /// the optimizer when a sparse operand is too dense for the sparse
+    /// kernels to pay off, and by the frontend's `as.dense`.
+    Densify([NodeId; 1]),
+    /// Dense-to-sparse compression (`as.sparse`) of `[input]`.
+    Sparsify([NodeId; 1]),
     /// A small in-memory vector (e.g. the 100 sampled indices of Example 1
     /// — the optimizer exploits that these are known and small).
     Literal(Arc<Vec<f64>>),
@@ -296,134 +293,99 @@ pub enum Node {
         /// Number of values.
         len: usize,
     },
-    /// Unary elementwise map.
-    Map {
-        /// Operation.
-        op: UnOp,
-        /// Input node.
-        input: NodeId,
-    },
-    /// Binary elementwise combination with R recycling.
-    Zip {
-        /// Operation.
-        op: BinOp,
-        /// Left input.
-        lhs: NodeId,
-        /// Right input.
-        rhs: NodeId,
-    },
-    /// Elementwise conditional: `cond[i] != 0 ? yes[i] : no[i]`.
-    IfElse {
-        /// Condition (0/1 logical).
-        cond: NodeId,
-        /// Value when true.
-        yes: NodeId,
-        /// Value when false.
-        no: NodeId,
-    },
-    /// Subscript read `data[index]` with 1-based indices.
-    Gather {
-        /// Vector being indexed.
-        data: NodeId,
-        /// Index vector.
-        index: NodeId,
-    },
-    /// Functional indexed update: a copy of `data` where position
-    /// `index[k]` holds `value[k]` (or a broadcast scalar value). This is
-    /// the paper's `[]<-` operator.
-    SubAssign {
-        /// Old state.
-        data: NodeId,
-        /// 1-based positions to replace.
-        index: NodeId,
-        /// Replacement values.
-        value: NodeId,
-    },
-    /// Functional masked update: where `mask[i] != 0`, take `value[i]`,
-    /// else keep `data[i]` (`b[b>100] <- 100`).
-    MaskAssign {
-        /// Old state.
-        data: NodeId,
-        /// 0/1 mask, same length as `data`.
-        mask: NodeId,
-        /// Replacement values (broadcastable).
-        value: NodeId,
-    },
-    /// Matrix product (`%*%`), a first-class operator.
-    MatMul {
-        /// Left matrix.
-        lhs: NodeId,
-        /// Right matrix.
-        rhs: NodeId,
-    },
-    /// Matrix transpose (representation-generic: the executor dispatches
-    /// the native sparse kernel when the forced operand is sparse).
-    Transpose {
-        /// Input matrix.
-        input: NodeId,
-    },
+    /// Unary elementwise map over `[input]`.
+    Map(UnOp, [NodeId; 1]),
+    /// Binary elementwise combination of `[lhs, rhs]` with R recycling.
+    Zip(BinOp, [NodeId; 2]),
+    /// Elementwise conditional over `[cond, yes, no]`:
+    /// `cond[i] != 0 ? yes[i] : no[i]`.
+    IfElse([NodeId; 3]),
+    /// Subscript read `data[index]` over `[data, index]`, 1-based.
+    Gather([NodeId; 2]),
+    /// Functional indexed update over `[data, index, value]`: a copy of
+    /// `data` where position `index[k]` holds `value[k]` (or a broadcast
+    /// scalar value). This is the paper's `[]<-` operator.
+    SubAssign([NodeId; 3]),
+    /// Functional masked update over `[data, mask, value]`: where
+    /// `mask[i] != 0`, take `value[i]`, else keep `data[i]`
+    /// (`b[b>100] <- 100`). The mask has `data`'s length; the value
+    /// broadcasts.
+    MaskAssign([NodeId; 3]),
+    /// Matrix product (`%*%`) of `[lhs, rhs]`, a first-class operator.
+    MatMul([NodeId; 2]),
+    /// Matrix transpose of `[input]` (representation-generic: the executor
+    /// dispatches the native sparse kernel when the forced operand is
+    /// sparse).
+    Transpose([NodeId; 1]),
     /// Transpose **planned on the sparse kernel**: emitted by the
     /// optimizer for sparse-valued inputs below the density threshold, so
     /// the plan itself records that the result stays in the sparse
     /// representation (and downstream rules — e.g. the `MatMul`
     /// physical-representation choice — can see through it).
-    SpTranspose {
-        /// Input matrix (sparse-valued).
-        input: NodeId,
-    },
-    /// Reduction to a scalar.
-    Agg {
-        /// Reduction operation.
-        op: AggOp,
-        /// Input node.
-        input: NodeId,
-    },
-    /// Cholesky factorization (`chol`): the lower-triangular `L` with
-    /// `L · Lᵀ = input` for a symmetric positive definite input. Executes
-    /// on the out-of-core tiled POTRF/TRSM/SYRK kernel; non-positive-
-    /// definite inputs surface a typed error, never NaNs.
-    Chol {
-        /// Input matrix (symmetric positive definite; only the lower
-        /// triangle is read).
-        input: NodeId,
-    },
-    /// Linear solve (`solve(a, b)`) for symmetric positive definite `a`:
-    /// factors `a = L·Lᵀ` out of core, then blocked forward/backward
-    /// triangular substitution — the inverse is never materialized.
-    Solve {
-        /// Coefficient matrix (symmetric positive definite).
-        lhs: NodeId,
-        /// Right-hand side (matrix, one column strip per solve).
-        rhs: NodeId,
-    },
+    SpTranspose([NodeId; 1]),
+    /// Reduction of `[input]` to a scalar.
+    Agg(AggOp, [NodeId; 1]),
+    /// Cholesky factorization (`chol`) of `[input]`: the lower-triangular
+    /// `L` with `L · Lᵀ = input` for a symmetric positive definite input
+    /// (only the lower triangle is read). Executes on the out-of-core
+    /// tiled POTRF/TRSM/SYRK kernel; non-positive-definite inputs surface
+    /// a typed error, never NaNs.
+    Chol([NodeId; 1]),
+    /// Linear solve (`solve(a, b)`) over `[a, b]` for symmetric positive
+    /// definite `a` and a matrix right-hand side: factors `a = L·Lᵀ` out
+    /// of core, then blocked forward/backward triangular substitution —
+    /// the inverse is never materialized.
+    Solve([NodeId; 2]),
 }
 
+/// What hash-consing compares: the operator (its enum tag), its payload
+/// and its children.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct NodeKey(std::mem::Discriminant<Node>, Vec<u8>);
+
 impl Node {
-    /// Children of this node in evaluation order.
-    pub fn children(&self) -> Vec<NodeId> {
-        match *self {
+    /// Children of this node in evaluation order. With
+    /// [`Node::children_mut`], the only place that maps an operator to its
+    /// children: one arm per arity.
+    pub fn children(&self) -> &[NodeId] {
+        match self {
             Node::VecSource { .. }
             | Node::MatSource { .. }
             | Node::SpMatSource { .. }
             | Node::Literal(_)
             | Node::Scalar(_)
-            | Node::Range { .. } => vec![],
-            Node::Map { input, .. }
-            | Node::Transpose { input }
-            | Node::SpTranspose { input }
-            | Node::Agg { input, .. }
-            | Node::Densify { input }
-            | Node::Sparsify { input }
-            | Node::Chol { input } => {
-                vec![input]
-            }
-            Node::Zip { lhs, rhs, .. } | Node::MatMul { lhs, rhs } | Node::Solve { lhs, rhs } => {
-                vec![lhs, rhs]
-            }
-            Node::IfElse { cond, yes, no } => vec![cond, yes, no],
-            Node::Gather { data, index } => vec![data, index],
-            Node::SubAssign { data, index, value } => vec![data, index, value],
-            Node::MaskAssign { data, mask, value } => vec![data, mask, value],
+            | Node::Range { .. } => &[],
+            Node::Map(_, c)
+            | Node::Agg(_, c)
+            | Node::Transpose(c)
+            | Node::SpTranspose(c)
+            | Node::Densify(c)
+            | Node::Sparsify(c)
+            | Node::Chol(c) => c,
+            Node::Zip(_, c) | Node::Gather(c) | Node::MatMul(c) | Node::Solve(c) => c,
+            Node::IfElse(c) | Node::SubAssign(c) | Node::MaskAssign(c) => c,
+        }
+    }
+
+    /// The children, for rewriting in place (same order as
+    /// [`Node::children`]).
+    pub fn children_mut(&mut self) -> &mut [NodeId] {
+        match self {
+            Node::VecSource { .. }
+            | Node::MatSource { .. }
+            | Node::SpMatSource { .. }
+            | Node::Literal(_)
+            | Node::Scalar(_)
+            | Node::Range { .. } => &mut [],
+            Node::Map(_, c)
+            | Node::Agg(_, c)
+            | Node::Transpose(c)
+            | Node::SpTranspose(c)
+            | Node::Densify(c)
+            | Node::Sparsify(c)
+            | Node::Chol(c) => c,
+            Node::Zip(_, c) | Node::Gather(c) | Node::MatMul(c) | Node::Solve(c) => c,
+            Node::IfElse(c) | Node::SubAssign(c) | Node::MaskAssign(c) => c,
         }
     }
 
@@ -432,85 +394,21 @@ impl Node {
         self.children().is_empty()
     }
 
-    /// Stable byte key for hash-consing (uses `f64::to_bits` so `-0.0`,
-    /// `NaN` payloads etc. are distinguished deterministically).
-    pub fn key(&self) -> Vec<u8> {
+    /// Stable key for hash-consing: tag, then payload, then children
+    /// (floats by `f64::to_bits`, so `-0.0`, `NaN` payloads etc. are
+    /// distinguished deterministically).
+    pub fn key(&self) -> NodeKey {
         let mut k = Vec::with_capacity(24);
-        let push_id = |k: &mut Vec<u8>, id: NodeId| k.extend_from_slice(&id.0.to_le_bytes());
+        let mut put = |x: u64| k.extend_from_slice(&x.to_le_bytes());
         match self {
             Node::VecSource { source, len } => {
-                k.push(0);
-                k.extend_from_slice(&source.0.to_le_bytes());
-                k.extend_from_slice(&(*len as u64).to_le_bytes());
+                put(source.0.into());
+                put(*len as u64);
             }
             Node::MatSource { source, rows, cols } => {
-                k.push(1);
-                k.extend_from_slice(&source.0.to_le_bytes());
-                k.extend_from_slice(&(*rows as u64).to_le_bytes());
-                k.extend_from_slice(&(*cols as u64).to_le_bytes());
-            }
-            Node::Literal(v) => {
-                k.push(2);
-                for x in v.iter() {
-                    k.extend_from_slice(&x.to_bits().to_le_bytes());
-                }
-            }
-            Node::Scalar(x) => {
-                k.push(3);
-                k.extend_from_slice(&x.to_bits().to_le_bytes());
-            }
-            Node::Range { start, len } => {
-                k.push(4);
-                k.extend_from_slice(&start.to_le_bytes());
-                k.extend_from_slice(&(*len as u64).to_le_bytes());
-            }
-            Node::Map { op, input } => {
-                k.push(5);
-                k.push(*op as u8);
-                push_id(&mut k, *input);
-            }
-            Node::Zip { op, lhs, rhs } => {
-                k.push(6);
-                k.push(*op as u8);
-                push_id(&mut k, *lhs);
-                push_id(&mut k, *rhs);
-            }
-            Node::IfElse { cond, yes, no } => {
-                k.push(7);
-                push_id(&mut k, *cond);
-                push_id(&mut k, *yes);
-                push_id(&mut k, *no);
-            }
-            Node::Gather { data, index } => {
-                k.push(8);
-                push_id(&mut k, *data);
-                push_id(&mut k, *index);
-            }
-            Node::SubAssign { data, index, value } => {
-                k.push(9);
-                push_id(&mut k, *data);
-                push_id(&mut k, *index);
-                push_id(&mut k, *value);
-            }
-            Node::MaskAssign { data, mask, value } => {
-                k.push(10);
-                push_id(&mut k, *data);
-                push_id(&mut k, *mask);
-                push_id(&mut k, *value);
-            }
-            Node::MatMul { lhs, rhs } => {
-                k.push(11);
-                push_id(&mut k, *lhs);
-                push_id(&mut k, *rhs);
-            }
-            Node::Transpose { input } => {
-                k.push(12);
-                push_id(&mut k, *input);
-            }
-            Node::Agg { op, input } => {
-                k.push(13);
-                k.push(*op as u8);
-                push_id(&mut k, *input);
+                put(source.0.into());
+                put(*rows as u64);
+                put(*cols as u64);
             }
             Node::SpMatSource {
                 source,
@@ -518,35 +416,35 @@ impl Node {
                 cols,
                 nnz,
             } => {
-                k.push(14);
-                k.extend_from_slice(&source.0.to_le_bytes());
-                k.extend_from_slice(&(*rows as u64).to_le_bytes());
-                k.extend_from_slice(&(*cols as u64).to_le_bytes());
-                k.extend_from_slice(&nnz.to_le_bytes());
+                put(source.0.into());
+                put(*rows as u64);
+                put(*cols as u64);
+                put(*nnz);
             }
-            Node::Densify { input } => {
-                k.push(15);
-                push_id(&mut k, *input);
+            Node::Literal(v) => v.iter().for_each(|x| put(x.to_bits())),
+            Node::Scalar(x) => put(x.to_bits()),
+            Node::Range { start, len } => {
+                put(*start as u64);
+                put(*len as u64);
             }
-            Node::Sparsify { input } => {
-                k.push(16);
-                push_id(&mut k, *input);
-            }
-            Node::SpTranspose { input } => {
-                k.push(17);
-                push_id(&mut k, *input);
-            }
-            Node::Chol { input } => {
-                k.push(18);
-                push_id(&mut k, *input);
-            }
-            Node::Solve { lhs, rhs } => {
-                k.push(19);
-                push_id(&mut k, *lhs);
-                push_id(&mut k, *rhs);
-            }
+            Node::Map(op, _) => put(*op as u64),
+            Node::Zip(op, _) => put(*op as u64),
+            Node::Agg(op, _) => put(*op as u64),
+            // No payload: the tag and the children say it all.
+            Node::Densify(_)
+            | Node::Sparsify(_)
+            | Node::IfElse(_)
+            | Node::Gather(_)
+            | Node::SubAssign(_)
+            | Node::MaskAssign(_)
+            | Node::MatMul(_)
+            | Node::Transpose(_)
+            | Node::SpTranspose(_)
+            | Node::Chol(_)
+            | Node::Solve(_) => {}
         }
-        k
+        self.children().iter().for_each(|c| put(c.0.into()));
+        NodeKey(std::mem::discriminant(self), k)
     }
 }
 
@@ -639,12 +537,10 @@ mod tests {
 
     #[test]
     fn children_enumeration() {
-        let n = Node::IfElse {
-            cond: NodeId(1),
-            yes: NodeId(2),
-            no: NodeId(3),
-        };
-        assert_eq!(n.children(), vec![NodeId(1), NodeId(2), NodeId(3)]);
+        let mut n = Node::IfElse([NodeId(1), NodeId(2), NodeId(3)]);
+        assert_eq!(n.children(), [NodeId(1), NodeId(2), NodeId(3)]);
+        n.children_mut()[1] = NodeId(7);
+        assert_eq!(n, Node::IfElse([NodeId(1), NodeId(7), NodeId(3)]));
         assert!(Node::Scalar(1.0).is_leaf());
         assert!(!n.is_leaf());
     }
@@ -660,13 +556,16 @@ mod tests {
         assert_eq!(Node::Scalar(f64::NAN).key(), Node::Scalar(f64::NAN).key());
         // Different node kinds with the same payload differ.
         assert_ne!(
-            Node::Map {
-                op: UnOp::Neg,
-                input: NodeId(0)
-            }
-            .key(),
-            Node::Transpose { input: NodeId(0) }.key()
+            Node::Map(UnOp::Neg, [NodeId(0)]).key(),
+            Node::Transpose([NodeId(0)]).key()
         );
+        // Same kind and children, different payload or child order.
+        let [x, y] = [NodeId(0), NodeId(1)];
+        assert_ne!(
+            Node::Zip(BinOp::Add, [x, y]).key(),
+            Node::Zip(BinOp::Sub, [x, y]).key()
+        );
+        assert_ne!(Node::Gather([x, y]).key(), Node::Gather([y, x]).key());
     }
 
     #[test]

@@ -8,15 +8,109 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::expr::{AggOp, BinOp, ExprError, Node, NodeId, SourceRef, UnOp};
+use crate::expr::{AggOp, BinOp, ExprError, Node, NodeId, NodeKey, SourceRef, UnOp};
 use crate::shape::Shape;
+
+/// **The** shape-rule table: the result shape of `node` over children of
+/// the given shapes, or why the operands do not conform. A rule is a
+/// function of the operator and its children's shapes only, so it is also
+/// what the eager engines check their stored operands against (operand
+/// `i` standing in as child `i`) — one specification for all four engines.
+pub fn shape_rule(node: &Node, shape: impl Fn(NodeId) -> Shape) -> Result<Shape, ExprError> {
+    let expected = |what, got| Err(ExprError::Expected { what, got });
+    let mismatch = |op, lhs, rhs| Err(ExprError::ShapeMismatch { lhs, rhs, op });
+    let is_vector = |s| matches!(s, Shape::Vector(_));
+    Ok(match *node {
+        Node::VecSource { len, .. } | Node::Range { len, .. } => Shape::Vector(len),
+        Node::MatSource { rows, cols, .. } | Node::SpMatSource { rows, cols, .. } => {
+            Shape::Matrix(rows, cols)
+        }
+        Node::Literal(ref values) => Shape::Vector(values.len()),
+        Node::Scalar(_) | Node::Agg(..) => Shape::Scalar,
+        Node::Map(_, [input]) => shape(input),
+        // R recycling: the shorter length must divide the longer.
+        Node::Zip(op, [lhs, rhs]) => {
+            let (ls, rs) = (shape(lhs), shape(rhs));
+            if !ls.broadcasts_with(&rs) {
+                return mismatch(op.name(), ls, rs);
+            }
+            ls.broadcast(&rs)
+        }
+        Node::IfElse([cond, yes, no]) => {
+            let (cs, ys, ns) = (shape(cond), shape(yes), shape(no));
+            if !cs.broadcasts_with(&ys) || !cs.broadcasts_with(&ns) || !ys.broadcasts_with(&ns) {
+                return mismatch("ifelse", ys, ns);
+            }
+            cs.broadcast(&ys).broadcast(&ns)
+        }
+        Node::Gather([data, index]) => match (shape(data), shape(index)) {
+            (ds, _) if !is_vector(ds) => return expected("vector", ds),
+            (_, Shape::Vector(n)) => Shape::Vector(n),
+            (_, Shape::Scalar) => Shape::Vector(1),
+            (_, other) => return expected("index vector", other),
+        },
+        Node::SubAssign([data, index, value]) => {
+            let (ds, is, vs) = (shape(data), shape(index), shape(value));
+            if !is_vector(ds) {
+                return expected("vector", ds);
+            }
+            if !is.broadcasts_with(&vs) {
+                return mismatch("[<-", is, vs);
+            }
+            ds
+        }
+        Node::MaskAssign([data, mask, value]) => {
+            let (ds, ms, vs) = (shape(data), shape(mask), shape(value));
+            if !is_vector(ds) {
+                return expected("vector", ds);
+            }
+            if ds != ms && ms != Shape::Scalar {
+                return mismatch("[mask<-", ds, ms);
+            }
+            if !ds.broadcasts_with(&vs) {
+                return mismatch("[mask<-", ds, vs);
+            }
+            ds
+        }
+        Node::MatMul([lhs, rhs]) => match (shape(lhs), shape(rhs)) {
+            (Shape::Matrix(r1, c1), Shape::Matrix(r2, c2)) if c1 == r2 => Shape::Matrix(r1, c2),
+            (lhs, rhs) => return Err(ExprError::MatMulDims { lhs, rhs }),
+        },
+        Node::Transpose([input]) | Node::SpTranspose([input]) => match shape(input) {
+            Shape::Matrix(r, c) => Shape::Matrix(c, r),
+            got => return expected("matrix", got),
+        },
+        Node::Densify([input]) | Node::Sparsify([input]) => match shape(input) {
+            s @ Shape::Matrix(..) => s,
+            got => return expected("matrix", got),
+        },
+        // Structural only (square, non-empty): positive definiteness is a
+        // value property checked at execution time.
+        Node::Chol([input]) => match shape(input) {
+            s @ Shape::Matrix(r, c) if r == c && r > 0 => s,
+            got => return expected("non-empty square matrix", got),
+        },
+        // `a` square `n x n`, `b` an `n x m` right-hand side.
+        Node::Solve([a, b]) => match (shape(a), shape(b)) {
+            (Shape::Matrix(n1, n2), Shape::Matrix(r, m))
+                if n1 == n2 && n1 > 0 && r == n1 && m > 0 =>
+            {
+                Shape::Matrix(n1, m)
+            }
+            (got @ Shape::Matrix(n1, n2), _) if n1 != n2 || n1 == 0 => {
+                return expected("non-empty square matrix", got)
+            }
+            (lhs, rhs) => return Err(ExprError::MatMulDims { lhs, rhs }),
+        },
+    })
+}
 
 /// Arena of expression nodes with structural sharing.
 #[derive(Default)]
 pub struct ExprGraph {
     nodes: Vec<Node>,
     shapes: Vec<Shape>,
-    intern: HashMap<Vec<u8>, NodeId>,
+    intern: HashMap<NodeKey, NodeId>,
 }
 
 impl ExprGraph {
@@ -45,32 +139,60 @@ impl ExprGraph {
         self.shapes[id.0 as usize]
     }
 
-    /// Intern `node` with shape `shape`, reusing an existing identical node.
-    fn intern(&mut self, node: Node, shape: Shape) -> NodeId {
+    /// Add `node` over existing children: check it against the shape rule
+    /// ([`shape_rule`]) and intern it, reusing an existing identical node.
+    /// An ill-shaped node is rejected and leaves the graph unchanged.
+    pub fn add(&mut self, node: Node) -> Result<NodeId, ExprError> {
+        let shape = shape_rule(&node, |id| self.shape(id))?;
         let key = node.key();
         if let Some(&id) = self.intern.get(&key) {
-            return id;
+            return Ok(id);
         }
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(node);
         self.shapes.push(shape);
         self.intern.insert(key, id);
-        id
+        Ok(id)
     }
 
-    // ---- leaf builders -------------------------------------------------
+    /// [`ExprGraph::add`] for the operators whose rule accepts every
+    /// operand: leaves, `Map` and `Agg`.
+    fn add_total(&mut self, node: Node) -> NodeId {
+        self.add(node)
+            .expect("leaves, maps and aggregates are well-shaped over any operand")
+    }
+
+    /// Intern `node`, a rewrite of a node of this graph that preserves its
+    /// operands' shapes (the optimizer's contract), so the rule holds.
+    pub fn rebuilt(&mut self, node: Node) -> NodeId {
+        self.add(node).expect("a rewrite preserves operand shapes")
+    }
+
+    /// A copy of node `id` with every child replaced by `f(self, child)`,
+    /// children visited in evaluation order. The copy is not interned:
+    /// the caller decides what it becomes.
+    pub fn map_children(
+        &mut self,
+        id: NodeId,
+        mut f: impl FnMut(&mut Self, NodeId) -> NodeId,
+    ) -> Node {
+        let mut node = self.node(id).clone();
+        for i in 0..node.children().len() {
+            node.children_mut()[i] = f(self, node.children()[i]);
+        }
+        node
+    }
+
+    // ---- builders: sugar over `add` ------------------------------------
 
     /// A stored vector of `len` elements.
     pub fn vec_source(&mut self, source: SourceRef, len: usize) -> NodeId {
-        self.intern(Node::VecSource { source, len }, Shape::Vector(len))
+        self.add_total(Node::VecSource { source, len })
     }
 
     /// A stored `rows x cols` matrix.
     pub fn mat_source(&mut self, source: SourceRef, rows: usize, cols: usize) -> NodeId {
-        self.intern(
-            Node::MatSource { source, rows, cols },
-            Shape::Matrix(rows, cols),
-        )
+        self.add_total(Node::MatSource { source, rows, cols })
     }
 
     /// A stored `rows x cols` block-compressed sparse matrix with `nnz`
@@ -82,90 +204,47 @@ impl ExprGraph {
         cols: usize,
         nnz: u64,
     ) -> NodeId {
-        self.intern(
-            Node::SpMatSource {
-                source,
-                rows,
-                cols,
-                nnz,
-            },
-            Shape::Matrix(rows, cols),
-        )
+        self.add_total(Node::SpMatSource {
+            source,
+            rows,
+            cols,
+            nnz,
+        })
     }
 
     /// A small in-memory literal vector.
     pub fn literal(&mut self, values: Vec<f64>) -> NodeId {
-        let shape = Shape::Vector(values.len());
-        self.intern(Node::Literal(Arc::new(values)), shape)
+        self.add_total(Node::Literal(Arc::new(values)))
     }
 
     /// A scalar constant.
     pub fn scalar(&mut self, value: f64) -> NodeId {
-        self.intern(Node::Scalar(value), Shape::Scalar)
+        self.add_total(Node::Scalar(value))
     }
 
     /// The integer sequence `start .. start+len-1` (R's `a:b`).
     pub fn range(&mut self, start: i64, len: usize) -> NodeId {
-        self.intern(Node::Range { start, len }, Shape::Vector(len))
+        self.add_total(Node::Range { start, len })
     }
-
-    // ---- operator builders ---------------------------------------------
 
     /// Unary elementwise map.
     pub fn map(&mut self, op: UnOp, input: NodeId) -> NodeId {
-        let shape = self.shape(input);
-        self.intern(Node::Map { op, input }, shape)
+        self.add_total(Node::Map(op, [input]))
     }
 
     /// Binary elementwise op with R recycling.
     pub fn zip(&mut self, op: BinOp, lhs: NodeId, rhs: NodeId) -> Result<NodeId, ExprError> {
-        let (ls, rs) = (self.shape(lhs), self.shape(rhs));
-        if !ls.broadcasts_with(&rs) {
-            return Err(ExprError::ShapeMismatch {
-                lhs: ls,
-                rhs: rs,
-                op: op.name(),
-            });
-        }
-        let shape = ls.broadcast(&rs);
-        Ok(self.intern(Node::Zip { op, lhs, rhs }, shape))
+        self.add(Node::Zip(op, [lhs, rhs]))
     }
 
     /// Elementwise conditional select.
     pub fn if_else(&mut self, cond: NodeId, yes: NodeId, no: NodeId) -> Result<NodeId, ExprError> {
-        let (cs, ys, ns) = (self.shape(cond), self.shape(yes), self.shape(no));
-        if !cs.broadcasts_with(&ys) || !cs.broadcasts_with(&ns) || !ys.broadcasts_with(&ns) {
-            return Err(ExprError::ShapeMismatch {
-                lhs: ys,
-                rhs: ns,
-                op: "ifelse",
-            });
-        }
-        let shape = cs.broadcast(&ys).broadcast(&ns);
-        Ok(self.intern(Node::IfElse { cond, yes, no }, shape))
+        self.add(Node::IfElse([cond, yes, no]))
     }
 
     /// Subscript read `data[index]`.
     pub fn gather(&mut self, data: NodeId, index: NodeId) -> Result<NodeId, ExprError> {
-        let ds = self.shape(data);
-        let is = self.shape(index);
-        if !matches!(ds, Shape::Vector(_)) {
-            return Err(ExprError::Expected {
-                what: "vector",
-                got: ds,
-            });
-        }
-        let out_len = match is {
-            Shape::Vector(n) => n,
-            Shape::Scalar => 1,
-            other => {
-                return Err(ExprError::Expected {
-                    what: "index vector",
-                    got: other,
-                })
-            }
-        };
-        Ok(self.intern(Node::Gather { data, index }, Shape::Vector(out_len)))
+        self.add(Node::Gather([data, index]))
     }
 
     /// Functional update `data[index] <- value`.
@@ -175,23 +254,7 @@ impl ExprGraph {
         index: NodeId,
         value: NodeId,
     ) -> Result<NodeId, ExprError> {
-        let ds = self.shape(data);
-        if !matches!(ds, Shape::Vector(_)) {
-            return Err(ExprError::Expected {
-                what: "vector",
-                got: ds,
-            });
-        }
-        let is = self.shape(index);
-        let vs = self.shape(value);
-        if !is.broadcasts_with(&vs) {
-            return Err(ExprError::ShapeMismatch {
-                lhs: is,
-                rhs: vs,
-                op: "[<-",
-            });
-        }
-        Ok(self.intern(Node::SubAssign { data, index, value }, ds))
+        self.add(Node::SubAssign([data, index, value]))
     }
 
     /// Functional masked update `data[mask] <- value`.
@@ -201,124 +264,51 @@ impl ExprGraph {
         mask: NodeId,
         value: NodeId,
     ) -> Result<NodeId, ExprError> {
-        let ds = self.shape(data);
-        let ms = self.shape(mask);
-        if !matches!(ds, Shape::Vector(_)) {
-            return Err(ExprError::Expected {
-                what: "vector",
-                got: ds,
-            });
-        }
-        if ds != ms && ms != Shape::Scalar {
-            return Err(ExprError::ShapeMismatch {
-                lhs: ds,
-                rhs: ms,
-                op: "[mask<-",
-            });
-        }
-        let vs = self.shape(value);
-        if !ds.broadcasts_with(&vs) {
-            return Err(ExprError::ShapeMismatch {
-                lhs: ds,
-                rhs: vs,
-                op: "[mask<-",
-            });
-        }
-        Ok(self.intern(Node::MaskAssign { data, mask, value }, ds))
+        self.add(Node::MaskAssign([data, mask, value]))
     }
 
     /// Matrix multiplication.
     pub fn matmul(&mut self, lhs: NodeId, rhs: NodeId) -> Result<NodeId, ExprError> {
-        let (ls, rs) = (self.shape(lhs), self.shape(rhs));
-        match (ls, rs) {
-            (Shape::Matrix(r1, c1), Shape::Matrix(r2, c2)) if c1 == r2 => {
-                Ok(self.intern(Node::MatMul { lhs, rhs }, Shape::Matrix(r1, c2)))
-            }
-            _ => Err(ExprError::MatMulDims { lhs: ls, rhs: rs }),
-        }
+        self.add(Node::MatMul([lhs, rhs]))
     }
 
     /// Matrix transpose.
     pub fn transpose(&mut self, input: NodeId) -> Result<NodeId, ExprError> {
-        match self.shape(input) {
-            Shape::Matrix(r, c) => Ok(self.intern(Node::Transpose { input }, Shape::Matrix(c, r))),
-            got => Err(ExprError::Expected {
-                what: "matrix",
-                got,
-            }),
-        }
+        self.add(Node::Transpose([input]))
     }
 
     /// Matrix transpose planned on the sparse kernel (the optimizer's
     /// below-threshold choice for sparse-valued inputs).
     pub fn sp_transpose(&mut self, input: NodeId) -> Result<NodeId, ExprError> {
-        match self.shape(input) {
-            Shape::Matrix(r, c) => {
-                Ok(self.intern(Node::SpTranspose { input }, Shape::Matrix(c, r)))
-            }
-            got => Err(ExprError::Expected {
-                what: "matrix",
-                got,
-            }),
-        }
+        self.add(Node::SpTranspose([input]))
     }
 
     /// Sparse-to-dense conversion of a matrix-valued node.
     pub fn densify(&mut self, input: NodeId) -> Result<NodeId, ExprError> {
-        match self.shape(input) {
-            s @ Shape::Matrix(..) => Ok(self.intern(Node::Densify { input }, s)),
-            got => Err(ExprError::Expected {
-                what: "matrix",
-                got,
-            }),
-        }
+        self.add(Node::Densify([input]))
     }
 
     /// Dense-to-sparse compression of a matrix-valued node.
     pub fn sparsify(&mut self, input: NodeId) -> Result<NodeId, ExprError> {
-        match self.shape(input) {
-            s @ Shape::Matrix(..) => Ok(self.intern(Node::Sparsify { input }, s)),
-            got => Err(ExprError::Expected {
-                what: "matrix",
-                got,
-            }),
-        }
+        self.add(Node::Sparsify([input]))
     }
 
     /// Scalar reduction.
     pub fn agg(&mut self, op: AggOp, input: NodeId) -> NodeId {
-        self.intern(Node::Agg { op, input }, Shape::Scalar)
+        self.add_total(Node::Agg(op, [input]))
     }
 
     /// Cholesky factorization of a square matrix-valued node. The shape
     /// check is structural (square, non-empty); positive definiteness is
     /// a value property checked at execution time.
     pub fn chol(&mut self, input: NodeId) -> Result<NodeId, ExprError> {
-        match self.shape(input) {
-            s @ Shape::Matrix(r, c) if r == c && r > 0 => Ok(self.intern(Node::Chol { input }, s)),
-            got => Err(ExprError::Expected {
-                what: "non-empty square matrix",
-                got,
-            }),
-        }
+        self.add(Node::Chol([input]))
     }
 
     /// Linear solve `solve(a, b)`: `a` square `n x n`, `b` an `n x m`
     /// right-hand side.
     pub fn solve(&mut self, lhs: NodeId, rhs: NodeId) -> Result<NodeId, ExprError> {
-        let (ls, rs) = (self.shape(lhs), self.shape(rhs));
-        match (ls, rs) {
-            (Shape::Matrix(n1, n2), Shape::Matrix(r, m))
-                if n1 == n2 && n1 > 0 && r == n1 && m > 0 =>
-            {
-                Ok(self.intern(Node::Solve { lhs, rhs }, Shape::Matrix(n1, m)))
-            }
-            (Shape::Matrix(n1, n2), _) if n1 != n2 || n1 == 0 => Err(ExprError::Expected {
-                what: "non-empty square matrix",
-                got: ls,
-            }),
-            _ => Err(ExprError::MatMulDims { lhs: ls, rhs: rs }),
-        }
+        self.add(Node::Solve([lhs, rhs]))
     }
 
     // ---- analysis ------------------------------------------------------
@@ -339,7 +329,7 @@ impl ExprGraph {
             }
             seen[id.0 as usize] = true;
             stack.push((id, true));
-            for child in self.node(id).children().into_iter().rev() {
+            for &child in self.node(id).children().iter().rev() {
                 if !seen[child.0 as usize] {
                     stack.push((child, false));
                 }
@@ -353,7 +343,7 @@ impl ExprGraph {
     pub fn ref_counts(&self, roots: &[NodeId]) -> HashMap<NodeId, usize> {
         let mut counts: HashMap<NodeId, usize> = HashMap::new();
         for id in self.reachable(roots) {
-            for c in self.node(id).children() {
+            for &c in self.node(id).children() {
                 *counts.entry(c).or_insert(0) += 1;
             }
         }
@@ -366,79 +356,39 @@ impl ExprGraph {
     /// Render `id` as an R-like expression string (cycles impossible:
     /// graphs are acyclic by construction).
     pub fn render(&self, id: NodeId) -> String {
+        let r = |id: &NodeId| self.render(*id);
         match self.node(id) {
             Node::VecSource { source, .. } => format!("v{}", source.0),
             Node::MatSource { source, .. } => format!("m{}", source.0),
             Node::SpMatSource { source, .. } => format!("sp{}", source.0),
-            Node::Densify { input } => format!("as.dense({})", self.render(*input)),
-            Node::Sparsify { input } => format!("as.sparse({})", self.render(*input)),
-            Node::Literal(v) => {
-                if v.len() <= 4 {
-                    format!(
-                        "c({})",
-                        v.iter()
-                            .map(|x| format!("{x}"))
-                            .collect::<Vec<_>>()
-                            .join(",")
-                    )
-                } else {
-                    format!("c(<{} values>)", v.len())
-                }
+            Node::Densify([input]) => format!("as.dense({})", r(input)),
+            Node::Sparsify([input]) => format!("as.sparse({})", r(input)),
+            Node::Literal(v) if v.len() <= 4 => {
+                let values: Vec<String> = v.iter().map(|x| format!("{x}")).collect();
+                format!("c({})", values.join(","))
             }
+            Node::Literal(v) => format!("c(<{} values>)", v.len()),
             Node::Scalar(x) => format!("{x}"),
             Node::Range { start, len } => format!("{}:{}", start, start + *len as i64 - 1),
-            Node::Map { op, input } => match op {
-                UnOp::Neg => format!("-{}", self.render(*input)),
-                UnOp::Square => format!("{}^2", self.render(*input)),
-                _ => format!("{}({})", op.name(), self.render(*input)),
-            },
-            Node::Zip { op, lhs, rhs } => match op {
-                BinOp::Min | BinOp::Max => {
-                    format!(
-                        "{}({}, {})",
-                        op.name(),
-                        self.render(*lhs),
-                        self.render(*rhs)
-                    )
-                }
-                _ => format!(
-                    "({} {} {})",
-                    self.render(*lhs),
-                    op.name(),
-                    self.render(*rhs)
-                ),
-            },
-            Node::IfElse { cond, yes, no } => format!(
-                "ifelse({}, {}, {})",
-                self.render(*cond),
-                self.render(*yes),
-                self.render(*no)
-            ),
-            Node::Gather { data, index } => {
-                format!("{}[{}]", self.render(*data), self.render(*index))
+            Node::Map(UnOp::Neg, [input]) => format!("-{}", r(input)),
+            Node::Map(UnOp::Square, [input]) => format!("{}^2", r(input)),
+            Node::Map(op, [input]) => format!("{}({})", op.name(), r(input)),
+            Node::Zip(op @ (BinOp::Min | BinOp::Max), [lhs, rhs]) => {
+                format!("{}({}, {})", op.name(), r(lhs), r(rhs))
             }
-            Node::SubAssign { data, index, value } => format!(
-                "`[<-`({}, {}, {})",
-                self.render(*data),
-                self.render(*index),
-                self.render(*value)
-            ),
-            Node::MaskAssign { data, mask, value } => format!(
-                "`[<-`({}, {}, {})",
-                self.render(*data),
-                self.render(*mask),
-                self.render(*value)
-            ),
-            Node::MatMul { lhs, rhs } => {
-                format!("({} %*% {})", self.render(*lhs), self.render(*rhs))
+            Node::Zip(op, [lhs, rhs]) => format!("({} {} {})", r(lhs), op.name(), r(rhs)),
+            Node::IfElse([cond, yes, no]) => {
+                format!("ifelse({}, {}, {})", r(cond), r(yes), r(no))
             }
-            Node::Transpose { input } => format!("t({})", self.render(*input)),
-            Node::SpTranspose { input } => format!("t({})", self.render(*input)),
-            Node::Agg { op, input } => format!("{}({})", op.name(), self.render(*input)),
-            Node::Chol { input } => format!("chol({})", self.render(*input)),
-            Node::Solve { lhs, rhs } => {
-                format!("solve({}, {})", self.render(*lhs), self.render(*rhs))
+            Node::Gather([data, index]) => format!("{}[{}]", r(data), r(index)),
+            Node::SubAssign([data, at, value]) | Node::MaskAssign([data, at, value]) => {
+                format!("`[<-`({}, {}, {})", r(data), r(at), r(value))
             }
+            Node::MatMul([lhs, rhs]) => format!("({} %*% {})", r(lhs), r(rhs)),
+            Node::Transpose([input]) | Node::SpTranspose([input]) => format!("t({})", r(input)),
+            Node::Agg(op, [input]) => format!("{}({})", op.name(), r(input)),
+            Node::Chol([input]) => format!("chol({})", r(input)),
+            Node::Solve([a, b]) => format!("solve({}, {})", r(a), r(b)),
         }
     }
 }
@@ -459,6 +409,70 @@ mod tests {
         let b = g.zip(BinOp::Add, x, x).unwrap();
         assert_eq!(a, b);
         assert_eq!(g.len(), 2);
+    }
+
+    #[test]
+    fn keys_carry_the_tag_and_ill_shaped_nodes_are_not_interned() {
+        // One node per variant, equal payloads (all zero) and children.
+        let [a, b, c] = [NodeId(0), NodeId(1), NodeId(2)];
+        let (source, rows, cols) = (SourceRef(0), 0, 0);
+        let nodes = [
+            Node::VecSource { source, len: 0 },
+            Node::MatSource { source, rows, cols },
+            Node::SpMatSource {
+                source,
+                rows,
+                cols,
+                nnz: 0,
+            },
+            Node::Literal(Arc::new(vec![])),
+            Node::Scalar(0.0),
+            Node::Range { start: 0, len: 0 },
+            Node::Densify([a]),
+            Node::Sparsify([a]),
+            Node::Map(UnOp::Neg, [a]),
+            Node::Transpose([a]),
+            Node::SpTranspose([a]),
+            Node::Agg(AggOp::Sum, [a]),
+            Node::Chol([a]),
+            Node::Zip(BinOp::Add, [a, b]),
+            Node::Gather([a, b]),
+            Node::MatMul([a, b]),
+            Node::Solve([a, b]),
+            Node::IfElse([a, b, c]),
+            Node::SubAssign([a, b, c]),
+            Node::MaskAssign([a, b, c]),
+        ];
+        for (i, x) in nodes.iter().enumerate() {
+            for y in &nodes[i + 1..] {
+                assert_ne!(x.key(), y.key(), "{x:?} vs {y:?}");
+            }
+        }
+
+        let mut g = graph();
+        let v5 = g.vec_source(SourceRef(0), 5);
+        let v3 = g.vec_source(SourceRef(1), 3);
+        let m = g.mat_source(SourceRef(2), 2, 3);
+        let before = g.len();
+        for bad in [
+            Node::Zip(BinOp::Add, [v5, v3]),
+            Node::IfElse([v5, v3, v5]),
+            Node::SubAssign([v5, v3, v5]),
+            Node::MaskAssign([v5, v3, v5]),
+            Node::Gather([m, v3]),
+            Node::MatMul([m, m]),
+            Node::Solve([m, m]),
+            Node::Chol([m]),
+            Node::Transpose([v5]),
+            Node::Densify([v5]),
+        ] {
+            assert!(g.add(bad.clone()).is_err(), "{bad:?}");
+        }
+        assert_eq!(
+            g.len(),
+            before,
+            "a rejected node leaves the graph unchanged"
+        );
     }
 
     #[test]

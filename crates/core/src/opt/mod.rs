@@ -14,6 +14,7 @@ use std::collections::HashMap;
 pub use chain::{all_orders, optimal_order, ChainPlan};
 pub use rules::{rewrite, OptConfig, RewriteStats};
 
+use crate::cost::ChainTree;
 use crate::expr::{Node, NodeId};
 use crate::graph::ExprGraph;
 use crate::shape::Shape;
@@ -39,36 +40,37 @@ fn reorder(
     if let Some(&r) = memo.get(&id) {
         return r;
     }
-    let node = g.node(id).clone();
-    let out = if matches!(node, Node::MatMul { .. }) {
-        // Flatten the maximal chain of MatMuls rooted here.
+    let out = if matches!(g.node(id), Node::MatMul(_)) {
+        // Flatten the maximal chain of MatMuls rooted here, recursing
+        // inside the leaves (they may contain further chains, e.g. under
+        // a Transpose).
         let mut leaves = Vec::new();
         flatten_chain(g, id, &mut leaves);
-        // Recurse inside the leaves (they may contain further chains, e.g.
-        // under a Transpose).
-        let leaves: Vec<NodeId> = leaves
-            .into_iter()
-            .map(|l| reorder(g, l, stats, memo))
-            .collect();
-        if leaves.len() <= 2 {
-            rebuild_binary(g, &leaves)
+        for leaf in &mut leaves {
+            *leaf = reorder(g, *leaf, stats, memo);
+        }
+        let tree = if leaves.len() <= 2 {
+            ChainTree::in_order(leaves.len())
         } else {
             let mut dims = Vec::with_capacity(leaves.len() + 1);
-            for (i, &l) in leaves.iter().enumerate() {
+            for &l in &leaves {
                 let Shape::Matrix(r, c) = g.shape(l) else {
                     unreachable!("matmul leaves are matrices");
                 };
-                if i == 0 {
+                if dims.is_empty() {
                     dims.push(r);
                 }
                 dims.push(c);
             }
-            let plan = chain::optimal_order(&dims);
             stats.chains_reordered += 1;
-            build_tree(g, &plan.tree, &leaves)
-        }
+            chain::optimal_order(&dims).tree
+        };
+        build_tree(g, &tree, &leaves)
+    } else if g.node(id).is_leaf() {
+        id
     } else {
-        rebuild_with_children(g, &node, stats, memo)
+        let node = g.map_children(id, |g, child| reorder(g, child, stats, memo));
+        g.rebuilt(node)
     };
     memo.insert(id, out);
     out
@@ -77,7 +79,7 @@ fn reorder(
 /// Collect the operand leaves of the maximal MatMul subtree at `id`.
 fn flatten_chain(g: &ExprGraph, id: NodeId, leaves: &mut Vec<NodeId>) {
     match *g.node(id) {
-        Node::MatMul { lhs, rhs } => {
+        Node::MatMul([lhs, rhs]) => {
             flatten_chain(g, lhs, leaves);
             flatten_chain(g, rhs, leaves);
         }
@@ -85,120 +87,12 @@ fn flatten_chain(g: &ExprGraph, id: NodeId, leaves: &mut Vec<NodeId>) {
     }
 }
 
-fn rebuild_binary(g: &mut ExprGraph, leaves: &[NodeId]) -> NodeId {
-    match leaves {
-        [only] => *only,
-        [l, r] => g.matmul(*l, *r).expect("shapes preserved"),
-        _ => unreachable!(),
-    }
-}
-
-fn build_tree(g: &mut ExprGraph, tree: &crate::cost::ChainTree, leaves: &[NodeId]) -> NodeId {
+fn build_tree(g: &mut ExprGraph, tree: &ChainTree, leaves: &[NodeId]) -> NodeId {
     match tree {
-        crate::cost::ChainTree::Leaf(i) => leaves[*i],
-        crate::cost::ChainTree::Mul(l, r) => {
-            let lhs = build_tree(g, l, leaves);
-            let rhs = build_tree(g, r, leaves);
-            g.matmul(lhs, rhs).expect("shapes preserved")
-        }
-    }
-}
-
-fn rebuild_with_children(
-    g: &mut ExprGraph,
-    node: &Node,
-    stats: &mut RewriteStats,
-    memo: &mut HashMap<NodeId, NodeId>,
-) -> NodeId {
-    let go = |g: &mut ExprGraph,
-              id: NodeId,
-              stats: &mut RewriteStats,
-              memo: &mut HashMap<NodeId, NodeId>| { reorder(g, id, stats, memo) };
-    match node.clone() {
-        n @ (Node::VecSource { .. }
-        | Node::MatSource { .. }
-        | Node::SpMatSource { .. }
-        | Node::Literal(_)
-        | Node::Scalar(_)
-        | Node::Range { .. }) => {
-            // Leaves: re-intern is unnecessary; find the existing id via a
-            // rebuild through the public builders.
-            match n {
-                Node::VecSource { source, len } => g.vec_source(source, len),
-                Node::MatSource { source, rows, cols } => g.mat_source(source, rows, cols),
-                Node::SpMatSource {
-                    source,
-                    rows,
-                    cols,
-                    nnz,
-                } => g.sp_mat_source(source, rows, cols, nnz),
-                Node::Literal(v) => g.literal(v.as_ref().clone()),
-                Node::Scalar(x) => g.scalar(x),
-                Node::Range { start, len } => g.range(start, len),
-                _ => unreachable!(),
-            }
-        }
-        Node::Densify { input } => {
-            let input = go(g, input, stats, memo);
-            g.densify(input).expect("shapes preserved")
-        }
-        Node::Sparsify { input } => {
-            let input = go(g, input, stats, memo);
-            g.sparsify(input).expect("shapes preserved")
-        }
-        Node::Map { op, input } => {
-            let input = go(g, input, stats, memo);
-            g.map(op, input)
-        }
-        Node::Zip { op, lhs, rhs } => {
-            let lhs = go(g, lhs, stats, memo);
-            let rhs = go(g, rhs, stats, memo);
-            g.zip(op, lhs, rhs).expect("shapes preserved")
-        }
-        Node::IfElse { cond, yes, no } => {
-            let cond = go(g, cond, stats, memo);
-            let yes = go(g, yes, stats, memo);
-            let no = go(g, no, stats, memo);
-            g.if_else(cond, yes, no).expect("shapes preserved")
-        }
-        Node::Gather { data, index } => {
-            let data = go(g, data, stats, memo);
-            let index = go(g, index, stats, memo);
-            g.gather(data, index).expect("shapes preserved")
-        }
-        Node::SubAssign { data, index, value } => {
-            let data = go(g, data, stats, memo);
-            let index = go(g, index, stats, memo);
-            let value = go(g, value, stats, memo);
-            g.sub_assign(data, index, value).expect("shapes preserved")
-        }
-        Node::MaskAssign { data, mask, value } => {
-            let data = go(g, data, stats, memo);
-            let mask = go(g, mask, stats, memo);
-            let value = go(g, value, stats, memo);
-            g.mask_assign(data, mask, value).expect("shapes preserved")
-        }
-        Node::MatMul { .. } => unreachable!("handled by caller"),
-        Node::Transpose { input } => {
-            let input = go(g, input, stats, memo);
-            g.transpose(input).expect("shapes preserved")
-        }
-        Node::SpTranspose { input } => {
-            let input = go(g, input, stats, memo);
-            g.sp_transpose(input).expect("shapes preserved")
-        }
-        Node::Agg { op, input } => {
-            let input = go(g, input, stats, memo);
-            g.agg(op, input)
-        }
-        Node::Chol { input } => {
-            let input = go(g, input, stats, memo);
-            g.chol(input).expect("shapes preserved")
-        }
-        Node::Solve { lhs, rhs } => {
-            let lhs = go(g, lhs, stats, memo);
-            let rhs = go(g, rhs, stats, memo);
-            g.solve(lhs, rhs).expect("shapes preserved")
+        ChainTree::Leaf(i) => leaves[*i],
+        ChainTree::Mul(l, r) => {
+            let children = [build_tree(g, l, leaves), build_tree(g, r, leaves)];
+            g.rebuilt(Node::MatMul(children))
         }
     }
 }
@@ -227,11 +121,11 @@ mod tests {
         let (opt, stats) = optimize(&mut g, abc, &OptConfig::default());
         assert_eq!(stats.chains_reordered, 1);
         // New root multiplies A by (BC): its rhs is a MatMul.
-        let Node::MatMul { lhs, rhs } = *g.node(opt) else {
+        let Node::MatMul([lhs, rhs]) = *g.node(opt) else {
             panic!("root must stay a matmul")
         };
         assert!(matches!(g.node(lhs), Node::MatSource { .. }));
-        assert!(matches!(g.node(rhs), Node::MatMul { .. }));
+        assert!(matches!(g.node(rhs), Node::MatMul(_)));
         assert_eq!(evaluate(&g, opt, &src).unwrap(), want);
     }
 
@@ -249,13 +143,10 @@ mod tests {
         };
         let (opt, stats) = optimize(&mut g, abc, &cfg);
         assert_eq!(stats.chains_reordered, 0);
-        let Node::MatMul { lhs, .. } = *g.node(opt) else {
+        let Node::MatMul([lhs, _]) = *g.node(opt) else {
             panic!()
         };
-        assert!(
-            matches!(g.node(lhs), Node::MatMul { .. }),
-            "stays left-deep"
-        );
+        assert!(matches!(g.node(lhs), Node::MatMul(_)), "stays left-deep");
     }
 
     #[test]
@@ -300,7 +191,7 @@ mod tests {
             if let Some(pos) = leaves.iter().position(|&l| l == id) {
                 return crate::cost::ChainTree::Leaf(pos);
             }
-            let Node::MatMul { lhs, rhs } = *g.node(id) else {
+            let Node::MatMul([lhs, rhs]) = *g.node(id) else {
                 panic!("unexpected node in chain")
             };
             crate::cost::ChainTree::Mul(

@@ -170,7 +170,7 @@ impl Runtime {
     pub(super) fn force_aggregate(&mut self, op: AggOp, id: NodeId) -> ExecResult<f64> {
         let root = self.graph.agg(op, id);
         self.force("aggregate", root, |rt, root| match *rt.graph.node(root) {
-            Node::Agg { op, input } => rt.aggregate_node(op, input),
+            Node::Agg(op, [input]) => rt.aggregate_node(op, input),
             Node::Scalar(folded) => Ok(folded),
             _ => unreachable!("an aggregate root plans to an aggregate or its folded value"),
         })

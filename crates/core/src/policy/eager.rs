@@ -23,7 +23,6 @@ use riot_vm::VmId;
 
 use super::{HeapMat, MatRepr, Runtime, StrawMat, StrawTable, VecRepr};
 use crate::exec::factor;
-use crate::exec::matmul::non_conformable;
 use crate::exec::pipeline::position;
 use crate::exec::ExecResult;
 use crate::expr::{AggOp, BinOp, UnOp};
@@ -92,6 +91,10 @@ impl Runtime {
     /// heap has no catalog and ignores it.
     fn alloc(&mut self, len: usize, name: Option<&str>) -> ExecResult<VecRepr> {
         if self.on_heap() {
+            // A heap page is a block: R's intermediates count against the
+            // temp budget like the Strawman's tables do.
+            let pages = len.div_ceil(self.cfg.block_size / 8).max(1);
+            self.ctx.governor().charge_temp_blocks(pages as u64)?;
             return Ok(VecRepr::Vm(self.heap.alloc(len)));
         }
         let vec = DenseVector::create_wide(&self.ctx, len, name)?;
@@ -207,14 +210,29 @@ impl Runtime {
         })
     }
 
-    /// A small vector holding `values`: literals, ranges, samples, and the
+    /// The sequence `start, start+1, ...` of `len` elements, generated a
+    /// chunk at a time (a range may be far longer than memory).
+    pub(super) fn eager_range(&mut self, start: i64, len: usize) -> ExecResult<VecRepr> {
+        let next = |i| (start + i as i64) as f64;
+        self.build(len, None, |rt, out| {
+            fill(len, rt.chunk(), next, |at, buf| {
+                rt.write_chunk(out, at, buf)
+            })
+        })
+    }
+
+    /// A small vector holding `values`: literals, samples, and the
     /// length-1 operand of a scalar broadcast.
     pub(super) fn from_values(&mut self, values: &[f64]) -> ExecResult<VecRepr> {
         self.build(values.len(), None, |rt, out| rt.write_chunk(out, 0, values))
     }
 
-    pub(super) fn eager_unop(&mut self, op: UnOp, input: &VecRepr) -> ExecResult<VecRepr> {
-        let n = self.vec_len(input);
+    pub(super) fn eager_unop(
+        &mut self,
+        op: UnOp,
+        input: &VecRepr,
+        n: usize,
+    ) -> ExecResult<VecRepr> {
         let mut buf = vec![0.0; self.chunk()];
         self.build(n, None, |rt, out| {
             rt.for_chunks(at!(rt, "unop"), n, |rt, at, take| {
@@ -232,8 +250,8 @@ impl Runtime {
         op: BinOp,
         lhs: &VecRepr,
         rhs: &VecRepr,
+        n: usize,
     ) -> ExecResult<VecRepr> {
-        let n = self.vec_len(lhs).max(self.vec_len(rhs));
         let (mut lb, mut rb) = (vec![0.0; self.chunk()], vec![0.0; self.chunk()]);
         self.build(n, None, |rt, out| {
             rt.for_chunks(at!(rt, "binop"), n, |rt, at, take| {
@@ -250,8 +268,13 @@ impl Runtime {
     }
 
     /// `data[index]` with 1-based subscripts.
-    pub(super) fn eager_gather(&mut self, data: &VecRepr, index: &VecRepr) -> ExecResult<VecRepr> {
-        let (dn, k) = (self.vec_len(data), self.vec_len(index));
+    pub(super) fn eager_gather(
+        &mut self,
+        data: &VecRepr,
+        index: &VecRepr,
+        k: usize,
+    ) -> ExecResult<VecRepr> {
+        let dn = self.vec_len(data);
         self.build(k, None, |rt, out| {
             rt.for_chunks(at!(rt, "gather"), k, |rt, at, take| {
                 for t in at..at + take {
@@ -271,9 +294,9 @@ impl Runtime {
         cond: &VecRepr,
         yes: &VecRepr,
         no: &VecRepr,
+        n: usize,
     ) -> ExecResult<VecRepr> {
         let (cl, yl, nl) = (self.vec_len(cond), self.vec_len(yes), self.vec_len(no));
-        let n = nl.max(cl);
         let mut buf = vec![0.0; self.chunk()];
         self.build(n, None, |rt, out| {
             rt.for_chunks(at!(rt, "ifelse"), n, |rt, at, take| {
@@ -298,8 +321,9 @@ impl Runtime {
         data: &VecRepr,
         index: &VecRepr,
         value: &VecRepr,
+        n: usize,
     ) -> ExecResult<VecRepr> {
-        let (n, k, vl) = (self.vec_len(data), self.vec_len(index), self.vec_len(value));
+        let (k, vl) = (self.vec_len(index), self.vec_len(value));
         let mut buf = vec![0.0; self.chunk()];
         self.build(n, None, |rt, out| {
             rt.for_chunks(at!(rt, "sub_assign"), n, |rt, at, take| {
@@ -381,9 +405,6 @@ impl Runtime {
     /// R's internal loop (Example 2): j outer, i middle, k inner.
     pub(super) fn heap_matmul(&mut self, a: HeapMat, b: HeapMat) -> ExecResult<MatRepr> {
         let (n1, n2, n3) = (a.rows, a.cols, b.cols);
-        if n2 != b.rows {
-            return Err(non_conformable((n1, n2), (b.rows, n3)));
-        }
         let id = self.heap.alloc(n1 * n3);
         let columns = (0..n3).try_for_each(|j| {
             self.ctx.governor().checkpoint("plainr.matmul.col")?;
@@ -416,7 +437,7 @@ impl Runtime {
     /// paged in, factored by the tiled kernel's own diagonal-panel step,
     /// and written back as a new heap object.
     pub(super) fn heap_chol(&mut self, m: HeapMat) -> ExecResult<MatRepr> {
-        let n = factor::expect_square(m.rows, m.cols)?;
+        let n = m.rows;
         self.ctx.governor().checkpoint("plainr.chol")?;
         let mut a = self.heap.to_vec(m.id);
         factor::potrf(&mut a, n, 0, 0)?;
@@ -425,10 +446,7 @@ impl Runtime {
     }
 
     pub(super) fn heap_solve(&mut self, a: HeapMat, b: HeapMat) -> ExecResult<MatRepr> {
-        let (n, m) = (factor::expect_square(a.rows, a.cols)?, b.cols);
-        if b.rows != n || m == 0 {
-            return Err(non_conformable((n, n), (b.rows, m)));
-        }
+        let (n, m) = (a.rows, b.cols);
         self.ctx.governor().checkpoint("plainr.solve")?;
         let mut l = self.heap.to_vec(a.id);
         let mut x = self.heap.to_vec(b.id);

@@ -10,9 +10,8 @@ use riot_trace::EventKind;
 
 use super::{MatValue, Runtime};
 use crate::exec::pipeline::{
-    drain_agg, drain_partitioned, drain_to_vec, fold_partitioned, governed, materialize, position,
-    ConstScan, CycleScan, GatherPipe, IfElsePipe, LiteralScan, MapPipe, Pipe, Probe, RangeScan,
-    VecScan, ZipPipe,
+    drain_agg, drain_partitioned, drain_to_vec, fold_partitioned, for_each_chunk, governed,
+    materialize, position, GatherPipe, IfElsePipe, MapPipe, Pipe, Probe, Scan, ZipPipe,
 };
 use crate::exec::{factor, matmul, sparse as spkernel, ExecError, ExecResult, Operand};
 use crate::expr::{AggOp, Node, NodeId};
@@ -67,30 +66,25 @@ impl Runtime {
             // device-I/O sequence of the old sequential drain.
             let mut pipe = governed(self.compile(input, len)?, &self.ctx, "pipeline.agg.chunk");
             let mut partials = Vec::with_capacity(spans.len());
-            let mut buf = Vec::new();
             let mut at = 0usize;
             let mut acc = op.init();
-            loop {
-                let n = pipe.next_into(&mut buf)?;
-                if n == 0 {
-                    break;
-                }
-                let mut off = 0usize;
-                while off < n {
-                    let (s, take) = spans[partials.len()];
-                    let span_end = s + take;
-                    let step = (span_end - at).min(n - off);
-                    for &v in &buf[off..off + step] {
-                        acc = op.fold(acc, v);
+            for_each_chunk(
+                |buf| pipe.next_into(buf),
+                |mut chunk| {
+                    while !chunk.is_empty() {
+                        let (s, take) = spans[partials.len()];
+                        let (head, rest) = chunk.split_at((s + take - at).min(chunk.len()));
+                        acc = head.iter().fold(acc, |a, &v| op.fold(a, v));
+                        at += head.len();
+                        chunk = rest;
+                        if at == s + take {
+                            partials.push(acc);
+                            acc = op.init();
+                        }
                     }
-                    at += step;
-                    off += step;
-                    if at == span_end {
-                        partials.push(acc);
-                        acc = op.init();
-                    }
-                }
-            }
+                    Ok(())
+                },
+            )?;
             debug_assert_eq!(at, len, "aggregation consumed the whole stream");
             partials
         } else {
@@ -141,25 +135,15 @@ impl Runtime {
             _ => return false, // recycled operand or matrix value
         }
         if self.materialized.contains_key(&id) {
-            return true; // compiles to a restrictable VecScan
+            return true; // compiles to a restrictable stored Scan
         }
         match self.graph.node(id) {
             Node::VecSource { .. } | Node::Literal(_) | Node::Range { .. } => true,
-            Node::Map { input, .. } => self.parallel_safe(*input, out_len),
-            Node::Zip { lhs, rhs, .. } => {
-                self.parallel_safe(*lhs, out_len) && self.parallel_safe(*rhs, out_len)
+            node @ (Node::Map(..) | Node::Zip(..) | Node::IfElse(_) | Node::MaskAssign(_)) => {
+                let mut operands = node.children().iter();
+                operands.all(|&c| self.parallel_safe(c, out_len))
             }
-            Node::IfElse { cond, yes, no } => {
-                self.parallel_safe(*cond, out_len)
-                    && self.parallel_safe(*yes, out_len)
-                    && self.parallel_safe(*no, out_len)
-            }
-            Node::MaskAssign { data, mask, value } => {
-                self.parallel_safe(*data, out_len)
-                    && self.parallel_safe(*mask, out_len)
-                    && self.parallel_safe(*value, out_len)
-            }
-            Node::SubAssign { .. } => true, // forced once, then a VecScan
+            Node::SubAssign(_) => true, // forced once, then a stored Scan
             _ => false,
         }
     }
@@ -228,75 +212,70 @@ impl Runtime {
         let own_len = shape.len();
         if matches!(shape, Shape::Scalar) {
             let value = self.scalar_value(id)?;
-            return Ok(Box::new(ConstScan::new(value, out_len, self.chunk())));
+            return Ok(Box::new(Scan::constant(value, out_len, self.chunk())));
         }
         if own_len != out_len {
             // Recycled operand: materialize the short side in memory.
             debug_assert!(own_len < out_len && out_len % own_len == 0);
             let data = self.drain(id, own_len, "pipeline.cycle.chunk")?;
-            return Ok(Box::new(CycleScan::new(data, out_len, self.chunk())));
+            return Ok(Box::new(Scan::cycle(data, out_len, self.chunk())));
         }
         if let Some(vec) = self.materialized.get(&id) {
-            return Ok(Box::new(VecScan::new(vec.clone(), self.chunk())));
+            return Ok(Box::new(Scan::stored(vec.clone(), self.chunk())));
         }
         let node = self.graph.node(id).clone();
         Ok(match node {
-            Node::VecSource { source, .. } => Box::new(VecScan::new(
+            Node::VecSource { source, .. } => Box::new(Scan::stored(
                 self.vec_sources[&source.0].clone(),
                 self.chunk(),
             )),
-            Node::Literal(data) => Box::new(LiteralScan::new(data, self.chunk())),
-            Node::Range { start, len } => Box::new(RangeScan::new(start, len, self.chunk())),
+            Node::Literal(data) => Box::new(Scan::literal(data, self.chunk())),
+            Node::Range { start, len } => Box::new(Scan::range(start, len, self.chunk())),
             Node::Scalar(_) => unreachable!("scalar shapes are handled above"),
-            Node::Map { op, input } => {
+            Node::Map(op, [input]) => {
                 let input = self.compile(input, out_len)?;
                 Box::new(MapPipe::new(op, input, Arc::clone(&self.cpu_ops)))
             }
-            Node::Zip { op, lhs, rhs } => {
+            Node::Zip(op, [lhs, rhs]) => {
                 let lhs = self.compile(lhs, out_len)?;
                 let rhs = self.compile(rhs, out_len)?;
                 Box::new(ZipPipe::new(op, lhs, rhs, Arc::clone(&self.cpu_ops)))
             }
             // A `MaskAssign` is present when the optimizer is off (MatNamed
             // or ablation): it executes as the equivalent conditional.
-            Node::IfElse { cond, yes, no }
-            | Node::MaskAssign {
-                mask: cond,
-                value: yes,
-                data: no,
-            } => {
+            Node::IfElse([cond, yes, no]) | Node::MaskAssign([no, cond, yes]) => {
                 let cond = self.compile(cond, out_len)?;
                 let yes = self.compile(yes, out_len)?;
                 let no = self.compile(no, out_len)?;
                 Box::new(IfElsePipe::new(cond, yes, no, Arc::clone(&self.cpu_ops)))
             }
-            Node::Gather { data, index } => {
+            Node::Gather([data, index]) => {
                 let idx_len = self.graph.shape(index).len();
                 let index = self.compile(index, idx_len)?;
                 let probe = self.compile_probe(data)?;
                 Box::new(GatherPipe::new(index, probe, Arc::clone(&self.cpu_ops)))
             }
-            Node::SubAssign { data, index, value } => {
+            Node::SubAssign([data, index, value]) => {
                 let vec = self.force_subassign(id, data, index, value)?;
-                Box::new(VecScan::new(vec, self.chunk()))
+                Box::new(Scan::stored(vec, self.chunk()))
             }
-            Node::MatMul { .. }
-            | Node::Transpose { .. }
-            | Node::SpTranspose { .. }
+            Node::MatMul(_)
+            | Node::Transpose(_)
+            | Node::SpTranspose(_)
             | Node::MatSource { .. }
             | Node::SpMatSource { .. }
-            | Node::Densify { .. }
-            | Node::Sparsify { .. }
-            | Node::Chol { .. }
-            | Node::Solve { .. } => {
+            | Node::Densify(_)
+            | Node::Sparsify(_)
+            | Node::Chol(_)
+            | Node::Solve(_) => {
                 return Err(ExecError::Unsupported(
                     "matrix values cannot stream through vector pipelines; use collect_matrix"
                         .to_string(),
                 ))
             }
-            Node::Agg { op, input } => {
+            Node::Agg(op, [input]) => {
                 let v = self.aggregate_node(op, input)?;
-                Box::new(ConstScan::new(v, out_len, self.chunk()))
+                Box::new(Scan::constant(v, out_len, self.chunk()))
             }
         })
     }
@@ -311,19 +290,19 @@ impl Runtime {
     fn scalar_value(&mut self, id: NodeId) -> ExecResult<f64> {
         match self.graph.node(id).clone() {
             Node::Scalar(c) => Ok(c),
-            Node::Agg { op, input } => self.aggregate_node(op, input),
-            Node::Map { op, input } => {
+            Node::Agg(op, [input]) => self.aggregate_node(op, input),
+            Node::Map(op, [input]) => {
                 let x = self.scalar_value(input)?;
                 self.count_ops(1);
                 Ok(op.apply(x))
             }
-            Node::Zip { op, lhs, rhs } => {
+            Node::Zip(op, [lhs, rhs]) => {
                 let a = self.scalar_value(lhs)?;
                 let b = self.scalar_value(rhs)?;
                 self.count_ops(1);
                 Ok(op.apply(a, b))
             }
-            Node::IfElse { cond, yes, no } => {
+            Node::IfElse([cond, yes, no]) => {
                 let c = self.scalar_value(cond)?;
                 if c != 0.0 {
                     self.scalar_value(yes)
@@ -424,12 +403,12 @@ impl Runtime {
             Node::SpMatSource { source, .. } => {
                 MatValue::Sparse(self.sparse_sources[&source.0].clone())
             }
-            Node::Densify { input } => MatValue::Dense(self.force_dense_value(input)?),
-            Node::Sparsify { input } => match self.force_matrix_value(input)? {
+            Node::Densify([input]) => MatValue::Dense(self.force_dense_value(input)?),
+            Node::Sparsify([input]) => match self.force_matrix_value(input)? {
                 MatValue::Dense(d) => MatValue::Sparse(SparseMatrix::from_dense(&d, None)?),
                 sparse => sparse,
             },
-            Node::MatMul { lhs, rhs } => {
+            Node::MatMul([lhs, rhs]) => {
                 let (a, at) = self.force_operand(lhs)?;
                 let (b, bt) = self.force_operand(rhs)?;
                 if let (MatValue::Dense(a), MatValue::Dense(b)) = (&a, &b) {
@@ -448,7 +427,7 @@ impl Runtime {
             // the optimizer's explicit below-threshold plan; a plain
             // `Transpose` over a sparse value (e.g. under MatNamed, which
             // never optimizes) reaches the same native kernel.
-            Node::Transpose { input } | Node::SpTranspose { input } => {
+            Node::Transpose([input]) | Node::SpTranspose([input]) => {
                 let value = self.force_matrix_value(input)?;
                 let (r, c) = value.shape();
                 match value {
@@ -464,7 +443,7 @@ impl Runtime {
                     )?),
                 }
             }
-            Node::Chol { input } => {
+            Node::Chol([input]) => {
                 let a = self.force_dense_value(input)?;
                 let (r, c) = a.shape();
                 MatValue::Dense(self.kernel(
@@ -473,7 +452,7 @@ impl Runtime {
                     |_| factor::chol_tiled_parallel(&a, mem, threads, None),
                 )?)
             }
-            Node::Solve { lhs, rhs } => {
+            Node::Solve([lhs, rhs]) => {
                 let a = self.force_dense_value(lhs)?;
                 let b = self.force_dense_value(rhs)?;
                 let ((r, c), m) = (a.shape(), b.cols());
@@ -505,7 +484,7 @@ impl Runtime {
     /// reads it through a transposed [`Operand`] and `t(x)` never becomes
     /// a stored object on the product's account.
     fn force_operand(&mut self, id: NodeId) -> ExecResult<(MatValue, bool)> {
-        if let Node::Transpose { input } = *self.graph.node(id) {
+        if let Node::Transpose([input]) = *self.graph.node(id) {
             if let dense @ MatValue::Dense(_) = self.force_matrix_value(input)? {
                 return Ok((dense, true));
             }

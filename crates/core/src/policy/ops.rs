@@ -15,7 +15,8 @@ use riot_storage::ObjectKind;
 use super::eager::{fill, stored};
 use super::{MatRepr, MatValue, Runtime, StrawTable, VecRepr};
 use crate::exec::{factor, matmul_naive, ExecError, ExecResult};
-use crate::expr::{AggOp, BinOp, Node, UnOp};
+use crate::expr::{AggOp, BinOp, Node, NodeId, UnOp};
+use crate::graph::shape_rule;
 use crate::shape::Shape;
 
 impl Runtime {
@@ -169,6 +170,45 @@ impl Runtime {
         })
     }
 
+    // ================= the family dispatch =================
+
+    /// One vector operator over `operands`, dispatched on the family once.
+    /// Deferred operands record `node` over their DAG nodes. Stored
+    /// operands are checked against the very same shape rule, then handed
+    /// to `eager` with the result length the rule gives — so an operator
+    /// accepts the same operands, and produces the same length, under all
+    /// four engines.
+    fn vec_op<const N: usize>(
+        &mut self,
+        node: impl Fn([NodeId; N]) -> Node,
+        operands: [&VecRepr; N],
+        eager: impl FnOnce(&mut Self, usize) -> ExecResult<VecRepr>,
+    ) -> ExecResult<VecRepr> {
+        if self.deferred() {
+            let ids = operands.map(|v| match v {
+                VecRepr::Node(id) => *id,
+                _ => unreachable!("deferred operators take DAG nodes"),
+            });
+            return Ok(VecRepr::Node(self.graph.add(node(ids))?));
+        }
+        let shapes = operands.map(|v| Shape::Vector(self.vec_len(v)));
+        eager(self, eager_shape(node, shapes)?.len())
+    }
+
+    /// The shape rule of matrix operator `node` over `operands` of either
+    /// family, checked before the dispatch.
+    fn mat_rule<const N: usize>(
+        &self,
+        node: fn([NodeId; N]) -> Node,
+        operands: [&MatRepr; N],
+    ) -> ExecResult<()> {
+        let shapes = operands.map(|m| {
+            let (rows, cols) = self.mat_shape(m);
+            Shape::Matrix(rows, cols)
+        });
+        eager_shape(node, shapes).map(drop)
+    }
+
     // ================= vector operators =================
 
     /// Length of a vector value.
@@ -222,24 +262,25 @@ impl Runtime {
         if self.deferred() {
             return Ok(VecRepr::Node(self.graph.range(start, len)));
         }
-        let data: Vec<f64> = (0..len).map(|i| (start + i as i64) as f64).collect();
-        self.from_values(&data)
+        self.eager_range(start, len)
     }
 
     /// Elementwise unary map.
     pub(crate) fn unop(&mut self, op: UnOp, input: &VecRepr) -> ExecResult<VecRepr> {
-        match input {
-            VecRepr::Node(i) => Ok(VecRepr::Node(self.graph.map(op, *i))),
-            _ => self.eager_unop(op, input),
-        }
+        self.vec_op(
+            |c| Node::Map(op, c),
+            [input],
+            |rt, n| rt.eager_unop(op, input, n),
+        )
     }
 
     /// Elementwise binary op between two vector values (R recycling).
     pub(crate) fn binop(&mut self, op: BinOp, lhs: &VecRepr, rhs: &VecRepr) -> ExecResult<VecRepr> {
-        match (lhs, rhs) {
-            (VecRepr::Node(l), VecRepr::Node(r)) => Ok(VecRepr::Node(self.graph.zip(op, *l, *r)?)),
-            _ => self.eager_binop(op, lhs, rhs),
-        }
+        self.vec_op(
+            |c| Node::Zip(op, c),
+            [lhs, rhs],
+            |rt, n| rt.eager_binop(op, lhs, rhs, n),
+        )
     }
 
     /// `scalar` as an operand of a vector operator: a `Scalar` node, or a
@@ -271,10 +312,9 @@ impl Runtime {
 
     /// Subscript read `data[index]`.
     pub(crate) fn gather(&mut self, data: &VecRepr, index: &VecRepr) -> ExecResult<VecRepr> {
-        match (data, index) {
-            (VecRepr::Node(d), VecRepr::Node(i)) => Ok(VecRepr::Node(self.graph.gather(*d, *i)?)),
-            _ => self.eager_gather(data, index),
-        }
+        self.vec_op(Node::Gather, [data, index], |rt, k| {
+            rt.eager_gather(data, index, k)
+        })
     }
 
     /// Elementwise conditional `ifelse(cond, yes, no)`.
@@ -284,12 +324,9 @@ impl Runtime {
         yes: &VecRepr,
         no: &VecRepr,
     ) -> ExecResult<VecRepr> {
-        match (cond, yes, no) {
-            (VecRepr::Node(c), VecRepr::Node(y), VecRepr::Node(n)) => {
-                Ok(VecRepr::Node(self.graph.if_else(*c, *y, *n)?))
-            }
-            _ => self.eager_ifelse(cond, yes, no),
-        }
+        self.vec_op(Node::IfElse, [cond, yes, no], |rt, n| {
+            rt.eager_ifelse(cond, yes, no, n)
+        })
     }
 
     /// Masked functional update `data[mask] <- value`. Eagerly this is
@@ -301,12 +338,9 @@ impl Runtime {
         mask: &VecRepr,
         value: &VecRepr,
     ) -> ExecResult<VecRepr> {
-        match (data, mask, value) {
-            (VecRepr::Node(d), VecRepr::Node(m), VecRepr::Node(v)) => {
-                Ok(VecRepr::Node(self.graph.mask_assign(*d, *m, *v)?))
-            }
-            _ => self.eager_ifelse(mask, value, data),
-        }
+        self.vec_op(Node::MaskAssign, [data, mask, value], |rt, n| {
+            rt.eager_ifelse(mask, value, data, n)
+        })
     }
 
     /// Masked update against a scalar replacement value.
@@ -330,12 +364,9 @@ impl Runtime {
         index: &VecRepr,
         value: &VecRepr,
     ) -> ExecResult<VecRepr> {
-        match (data, index, value) {
-            (VecRepr::Node(d), VecRepr::Node(i), VecRepr::Node(v)) => {
-                Ok(VecRepr::Node(self.graph.sub_assign(*d, *i, *v)?))
-            }
-            _ => self.eager_sub_assign(data, index, value),
-        }
+        self.vec_op(Node::SubAssign, [data, index, value], |rt, n| {
+            rt.eager_sub_assign(data, index, value, n)
+        })
     }
 
     /// Reduce a vector to a scalar (forces evaluation on all engines, but
@@ -384,6 +415,7 @@ impl Runtime {
 
     /// Matrix product.
     pub(crate) fn matmul(&mut self, lhs: &MatRepr, rhs: &MatRepr) -> ExecResult<MatRepr> {
+        self.mat_rule(Node::MatMul, [lhs, rhs])?;
         match (lhs, rhs) {
             (MatRepr::Node(l), MatRepr::Node(r)) => Ok(MatRepr::Node(self.graph.matmul(*l, *r)?)),
             (MatRepr::Vm(a), MatRepr::Vm(b)) => self.heap_matmul(*a, *b),
@@ -400,6 +432,7 @@ impl Runtime {
     /// `L · Lᵀ = a`. Deferred engines record a [`Node::Chol`]; the eager
     /// engines factor immediately in their own representation.
     pub(crate) fn mat_chol(&mut self, m: &MatRepr) -> ExecResult<MatRepr> {
+        self.mat_rule(Node::Chol, [m])?;
         match m {
             MatRepr::Node(id) => Ok(MatRepr::Node(self.graph.chol(*id)?)),
             MatRepr::Vm(m) => self.heap_chol(*m),
@@ -414,6 +447,7 @@ impl Runtime {
     /// Linear solve `solve(a, b)` for symmetric positive definite `a` —
     /// always Cholesky-backed; no engine materializes an inverse.
     pub(crate) fn mat_solve(&mut self, a: &MatRepr, b: &MatRepr) -> ExecResult<MatRepr> {
+        self.mat_rule(Node::Solve, [a, b])?;
         match (a, b) {
             (MatRepr::Node(l), MatRepr::Node(r)) => Ok(MatRepr::Node(self.graph.solve(*l, *r)?)),
             (MatRepr::Vm(a), MatRepr::Vm(b)) => self.heap_solve(*a, *b),
@@ -512,4 +546,14 @@ impl Runtime {
             self.heap.release(m.id);
         }
     }
+}
+
+/// The graph's shape rule applied to operands that are not in the graph:
+/// operand `i` stands in as child `i`.
+fn eager_shape<const N: usize>(
+    node: impl Fn([NodeId; N]) -> Node,
+    shapes: [Shape; N],
+) -> ExecResult<Shape> {
+    let node = node(std::array::from_fn(|i| NodeId(i as u32)));
+    Ok(shape_rule(&node, |id| shapes[id.0 as usize])?)
 }

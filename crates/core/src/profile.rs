@@ -377,23 +377,23 @@ fn plan_label(graph: &ExprGraph, id: NodeId) -> String {
         Node::VecSource { source, .. } => format!("scan v{}", source.0),
         Node::MatSource { source, .. } => format!("scan m{}", source.0),
         Node::SpMatSource { source, nnz, .. } => format!("scan sparse s{} nnz={nnz}", source.0),
-        Node::Densify { .. } => "densify".to_string(),
-        Node::Sparsify { .. } => "sparsify".to_string(),
+        Node::Densify(_) => "densify".to_string(),
+        Node::Sparsify(_) => "sparsify".to_string(),
         Node::Literal(v) => format!("literal n={}", v.len()),
         Node::Scalar(c) => format!("const {c}"),
         Node::Range { start, len } => format!("range {start}..+{len}"),
-        Node::Map { op, .. } => format!("map {}", op.name()),
-        Node::Zip { op, .. } => format!("zip {}", op.name()),
-        Node::IfElse { .. } => "ifelse".to_string(),
-        Node::Gather { .. } => "gather".to_string(),
-        Node::SubAssign { .. } => "subassign".to_string(),
-        Node::MaskAssign { .. } => "maskassign".to_string(),
-        Node::MatMul { .. } => "matmul".to_string(),
-        Node::Transpose { .. } => "transpose".to_string(),
-        Node::SpTranspose { .. } => "sptranspose".to_string(),
-        Node::Agg { op, .. } => format!("agg {}", op.name()),
-        Node::Chol { .. } => "chol".to_string(),
-        Node::Solve { .. } => "solve".to_string(),
+        Node::Map(op, _) => format!("map {}", op.name()),
+        Node::Zip(op, _) => format!("zip {}", op.name()),
+        Node::IfElse(_) => "ifelse".to_string(),
+        Node::Gather(_) => "gather".to_string(),
+        Node::SubAssign(_) => "subassign".to_string(),
+        Node::MaskAssign(_) => "maskassign".to_string(),
+        Node::MatMul(_) => "matmul".to_string(),
+        Node::Transpose(_) => "transpose".to_string(),
+        Node::SpTranspose(_) => "sptranspose".to_string(),
+        Node::Agg(op, _) => format!("agg {}", op.name()),
+        Node::Chol(_) => "chol".to_string(),
+        Node::Solve(_) => "solve".to_string(),
     };
     format!("{what}  -> {shape}")
 }

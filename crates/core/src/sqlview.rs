@@ -86,7 +86,7 @@ fn select_with_bindings(
             format!("SELECT I, J, V FROM S{}", source.0)
         }
         // Representation changes are invisible at the relational level.
-        Node::Densify { input } | Node::Sparsify { input } => {
+        Node::Densify([input]) | Node::Sparsify([input]) => {
             select_with_bindings(g, *input, namer, bound)
         }
         Node::Literal(values) => {
@@ -106,7 +106,7 @@ fn select_with_bindings(
             "SELECT I, I + {} AS V FROM GENERATE_SERIES(1, {len}) AS G(I)",
             start - 1
         ),
-        Node::Map { op, input } => {
+        Node::Map(op, [input]) => {
             let t = namer.fresh("TMP");
             let inner = select_with_bindings(g, *input, namer, bound);
             format!(
@@ -114,8 +114,8 @@ fn select_with_bindings(
                 expr = op.sql(&format!("{t}.V"))
             )
         }
-        Node::Zip { op, lhs, rhs } => render_binary(g, *op, *lhs, *rhs, namer, bound),
-        Node::IfElse { cond, yes, no } => {
+        Node::Zip(op, [lhs, rhs]) => render_binary(g, *op, *lhs, *rhs, namer, bound),
+        Node::IfElse([cond, yes, no]) => {
             let (tc, ty, tn) = (namer.fresh("TMP"), namer.fresh("TMP"), namer.fresh("TMP"));
             let c = select_with_bindings(g, *cond, namer, bound);
             let y = select_with_bindings(g, *yes, namer, bound);
@@ -126,7 +126,7 @@ fn select_with_bindings(
                  WHERE {tc}.I={ty}.I AND {tc}.I={tn}.I"
             )
         }
-        Node::Gather { data, index } => {
+        Node::Gather([data, index]) => {
             // "dereferencing a vector with a vector of indices translates
             // cleanly to a join between them" (§4.1):
             // SELECT S.I, D.V FROM D, S WHERE D.I = S.V
@@ -135,13 +135,8 @@ fn select_with_bindings(
             let s = select_with_bindings(g, *index, namer, bound);
             format!("SELECT {ts}.I, {td}.V\nFROM ({d}) {td}, ({s}) {ts}\nWHERE {td}.I={ts}.V")
         }
-        Node::SubAssign { data, index, value }
-        | Node::MaskAssign {
-            data,
-            mask: index,
-            value,
-        } => {
-            let is_mask = matches!(g.node(id), Node::MaskAssign { .. });
+        Node::SubAssign([data, index, value]) | Node::MaskAssign([data, index, value]) => {
+            let is_mask = matches!(g.node(id), Node::MaskAssign(_));
             let (td, ti, tv) = (namer.fresh("TMP"), namer.fresh("TMP"), namer.fresh("TMP"));
             let d = select_with_bindings(g, *data, namer, bound);
             let i = select_with_bindings(g, *index, namer, bound);
@@ -160,7 +155,7 @@ fn select_with_bindings(
                 )
             }
         }
-        Node::MatMul { lhs, rhs } => {
+        Node::MatMul([lhs, rhs]) => {
             // The paper's §4.1 matrix multiplication query:
             // SELECT A.I, B.J, SUM(A.V*B.V) FROM A, B WHERE A.J=B.I
             // GROUP BY A.I, B.J
@@ -172,12 +167,12 @@ fn select_with_bindings(
                  FROM ({a}) {ta}, ({b}) {tb}\nWHERE {ta}.J={tb}.I\nGROUP BY {ta}.I, {tb}.J"
             )
         }
-        Node::Transpose { input } | Node::SpTranspose { input } => {
+        Node::Transpose([input]) | Node::SpTranspose([input]) => {
             let t = namer.fresh("TMP");
             let inner = select_with_bindings(g, *input, namer, bound);
             format!("SELECT {t}.J AS I, {t}.I AS J, {t}.V\nFROM ({inner}) {t}")
         }
-        Node::Agg { op, input } => {
+        Node::Agg(op, [input]) => {
             let t = namer.fresh("TMP");
             let inner = select_with_bindings(g, *input, namer, bound);
             let agg = match op {
@@ -192,12 +187,12 @@ fn select_with_bindings(
         // the paper's motivating example of computation SQL cannot express
         // (an iterative kernel, not a join-aggregate). The view renders a
         // table function call so the plan stays inspectable.
-        Node::Chol { input } => {
+        Node::Chol([input]) => {
             let t = namer.fresh("TMP");
             let inner = select_with_bindings(g, *input, namer, bound);
             format!("SELECT I, J, V FROM CHOL(TABLE ({inner}) {t})")
         }
-        Node::Solve { lhs, rhs } => {
+        Node::Solve([lhs, rhs]) => {
             let (ta, tb) = (namer.fresh("TMP"), namer.fresh("TMP"));
             let a = select_with_bindings(g, *lhs, namer, bound);
             let b = select_with_bindings(g, *rhs, namer, bound);

@@ -263,7 +263,7 @@ fn spmm_and_transpose_prefetch_parity() {
     assert_parity("sptranspose", measure(64, 0, run_t), measure(64, 4, run_t));
 }
 
-/// The elementwise pipeline's `VecScan` declares its next chunk: engine
+/// The elementwise pipeline's stored `Scan` declares its next chunk: engine
 /// collect parity with `EngineConfig::prefetch_depth` on vs off.
 #[test]
 fn pipeline_collect_prefetch_parity() {

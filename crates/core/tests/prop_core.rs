@@ -1,11 +1,13 @@
 //! Property tests for the core: the optimizer must preserve semantics on
 //! *random programs*, and all four engines must agree with the reference
-//! evaluator elementwise.
+//! evaluator elementwise — on the value, or on the error variant when a
+//! subscript is out of bounds.
 
 use proptest::prelude::*;
+use riot_core::exec::{ExecError, ExecResult};
 use riot_core::{
-    evaluate, optimize, BinOp, EngineConfig, EngineKind, ExprGraph, MemSources, NodeId, OptConfig,
-    Session, UnOp, Value,
+    evaluate, optimize, BinOp, EngineConfig, EngineKind, ExprError, ExprGraph, MemSources, NodeId,
+    OptConfig, RVec, Session, UnOp,
 };
 
 /// A small random-program AST we can replay against every backend.
@@ -22,7 +24,46 @@ enum Prog {
     /// data[mask > c] <- c (masked update).
     Clamp(Box<Prog>, i8),
     /// Subscript with a fixed small index set.
-    Pick(Box<Prog>, Vec<u8>),
+    Pick(Box<Prog>, Vec<Idx>),
+}
+
+/// One subscript of a `Pick` over a vector of length `n`: mostly in
+/// range, but also everything a script can write there.
+#[derive(Debug, Clone, Copy)]
+enum Idx {
+    /// `1 + i mod n`: in range.
+    At(u8),
+    /// In range after truncation (`x[2.7]` is `x[2]`).
+    Frac(u8),
+    /// `0`: out of bounds.
+    Zero,
+    /// `n + 1`: out of bounds.
+    PastEnd,
+    /// `-(1 + i mod n)`: out of bounds (no negative-subscript exclusion).
+    Neg(u8),
+}
+
+impl Idx {
+    fn value(self, n: usize) -> f64 {
+        let at = |i: u8| (i as usize % n + 1) as f64;
+        match self {
+            Idx::At(i) => at(i),
+            Idx::Frac(i) => at(i) + 0.7,
+            Idx::Zero => 0.0,
+            Idx::PastEnd => (n + 1) as f64,
+            Idx::Neg(i) => -at(i),
+        }
+    }
+}
+
+fn idx_strategy() -> impl Strategy<Value = Idx> {
+    prop_oneof![
+        40 => any::<u8>().prop_map(Idx::At),
+        4 => any::<u8>().prop_map(Idx::Frac),
+        1 => Just(Idx::Zero),
+        1 => Just(Idx::PastEnd),
+        1 => any::<u8>().prop_map(Idx::Neg),
+    ]
 }
 
 fn unops() -> impl Strategy<Value = UnOp> {
@@ -61,7 +102,7 @@ fn prog_strategy() -> impl Strategy<Value = Prog> {
                 Box::new(b)
             )),
             (inner.clone(), 1i8..40).prop_map(|(p, c)| Prog::Clamp(Box::new(p), c)),
-            (inner, prop::collection::vec(any::<u8>(), 1..6))
+            (inner, prop::collection::vec(idx_strategy(), 1..6))
                 .prop_map(|(p, idx)| Prog::Pick(Box::new(p), idx)),
         ]
     })
@@ -101,8 +142,7 @@ fn build(g: &mut ExprGraph, p: &Prog, x: NodeId, y: NodeId, n: usize) -> NodeId 
         Prog::Pick(inner, idx) => {
             let d = build(g, inner, x, y, n);
             let k = idx.len();
-            let picks: Vec<f64> = idx.iter().map(|&i| (i as usize % n + 1) as f64).collect();
-            let lit = g.literal(picks);
+            let lit = g.literal(idx.iter().map(|i| i.value(n)).collect());
             let picked = g.gather(d, lit).unwrap();
             // Re-expand to length n by cycling indices so composition keeps
             // working: picked[((0..n) % k) + 1].
@@ -113,20 +153,27 @@ fn build(g: &mut ExprGraph, p: &Prog, x: NodeId, y: NodeId, n: usize) -> NodeId 
     }
 }
 
-fn values_close(a: &Value, b: &Value) -> bool {
-    let (a, b) = (a.to_flat(), b.to_flat());
-    if a.len() != b.len() {
-        return false;
+/// Two outcomes agree when both are values that are elementwise close, or
+/// both are errors of the same variant (which subscript trips first may
+/// differ between plans; that one trips may not).
+fn outcomes_agree(got: &Result<Vec<f64>, ExprError>, want: &Result<Vec<f64>, ExprError>) -> bool {
+    match (got, want) {
+        (Ok(a), Ok(b)) => {
+            a.len() == b.len()
+                && a.iter().zip(b).all(|(x, y)| {
+                    (x.is_nan() && y.is_nan())
+                        || (x - y).abs() <= 1e-9 * (1.0 + x.abs().max(y.abs()))
+                })
+        }
+        (Err(a), Err(b)) => std::mem::discriminant(a) == std::mem::discriminant(b),
+        _ => false,
     }
-    a.iter().zip(&b).all(|(x, y)| {
-        (x.is_nan() && y.is_nan()) || (x - y).abs() <= 1e-9 * (1.0 + x.abs().max(y.abs()))
-    })
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Optimizer output is elementwise-equal to the unoptimized DAG.
+    /// Optimizer output has the same outcome as the unoptimized DAG.
     #[test]
     fn optimizer_preserves_semantics(p in prog_strategy(), n in 3usize..30, seed in any::<u64>()) {
         let mut g = ExprGraph::new();
@@ -144,18 +191,18 @@ proptest! {
         let y = g.vec_source(yr, n);
         let root = build(&mut g, &p, x, y, n);
 
-        let want = evaluate(&g, root, &src).unwrap();
+        let want = evaluate(&g, root, &src).map(|v| v.to_flat());
         let (opt_root, _) = optimize(&mut g, root, &OptConfig::default());
-        let got = evaluate(&g, opt_root, &src).unwrap();
+        let got = evaluate(&g, opt_root, &src).map(|v| v.to_flat());
         prop_assert!(
-            values_close(&got, &want),
-            "prog {:?}\nunopt: {}\nopt:   {}",
+            outcomes_agree(&got, &want),
+            "prog {:?}\nunopt: {} = {want:?}\nopt:   {} = {got:?}",
             p, g.render(root), g.render(opt_root)
         );
     }
 
-    /// All four engines compute the same values as the reference evaluator
-    /// for random programs.
+    /// All four engines — and Riot with its optimizer switched off — have
+    /// the same outcome as the reference evaluator for random programs.
     #[test]
     fn engines_agree_with_reference(p in prog_strategy(), n in 3usize..24) {
         // Reference.
@@ -168,84 +215,65 @@ proptest! {
         let x = g.vec_source(xr, n);
         let y = g.vec_source(yr, n);
         let root = build(&mut g, &p, x, y, n);
-        let want = evaluate(&g, root, &src).unwrap().to_flat();
+        let want = evaluate(&g, root, &src).map(|v| v.to_flat());
 
-        for kind in EngineKind::all() {
+        let unoptimized = OptConfig { pushdown: false, fold: false, ..OptConfig::default() };
+        let engines = EngineKind::all().map(|kind| (kind, OptConfig::default()));
+        for (kind, opt) in engines.into_iter().chain([(EngineKind::Riot, unoptimized)]) {
             let mut cfg = EngineConfig::new(kind);
             cfg.block_size = 512;
             cfg.mem_blocks = 8; // tiny: forces out-of-core paths
             cfg.chunk_elems = 16;
+            cfg.opt = opt;
             let s = Session::new(cfg);
             let xv = s.vector_from_slice(&xd).unwrap();
             let yv = s.vector_from_slice(&yd).unwrap();
-            let out = run_session(&s, &p, &xv, &yv, n);
-            let got = out.collect().unwrap();
+            // Eager engines fail at the operator, deferred ones at the
+            // forcing point.
+            let got = match run_session(&s, &p, &xv, &yv, n).and_then(|out| out.collect()) {
+                Ok(values) => Ok(values),
+                Err(ExecError::Expr(e)) => Err(e),
+                Err(other) => panic!("engine {kind:?}: unexpected error {other} on {p:?}"),
+            };
             prop_assert!(
-                got.len() == want.len()
-                    && got.iter().zip(&want).all(|(a, b)| {
-                        (a.is_nan() && b.is_nan())
-                            || (a - b).abs() <= 1e-9 * (1.0 + a.abs().max(b.abs()))
-                    }),
-                "engine {kind:?} diverged on {p:?}: got {got:?} want {want:?}"
+                outcomes_agree(&got, &want),
+                "engine {kind:?} (pushdown {}) diverged on {p:?}: got {got:?} want {want:?}",
+                opt.pushdown
             );
         }
     }
 }
 
 /// Replay a [`Prog`] through the session API (what user R code would do).
-fn run_session(
-    s: &Session,
-    p: &Prog,
-    x: &riot_core::RVec,
-    y: &riot_core::RVec,
-    n: usize,
-) -> riot_core::RVec {
-    match p {
+fn run_session(s: &Session, p: &Prog, x: &RVec, y: &RVec, n: usize) -> ExecResult<RVec> {
+    Ok(match p {
         Prog::Input(false) => x.clone(),
         Prog::Input(true) => y.clone(),
         Prog::Const(c) => {
-            let seq = s.range(1, n as i64).unwrap();
-            (seq * 0.0) + f64::from(*c)
+            let zeros = s
+                .range(1, n as i64)?
+                .try_binary_scalar(BinOp::Mul, 0.0, false)?;
+            zeros.try_binary_scalar(BinOp::Add, f64::from(*c), false)?
         }
-        Prog::Seq => s.range(1, n as i64).unwrap(),
-        Prog::Map(op, inner) => {
-            let v = run_session(s, inner, x, y, n);
-            match op {
-                UnOp::Neg => -&v,
-                UnOp::Abs => v.abs(),
-                UnOp::Square => v.square(),
-                UnOp::Not => v.not(),
-                _ => unreachable!("strategy limits unops"),
-            }
-        }
+        Prog::Seq => s.range(1, n as i64)?,
+        Prog::Map(op, inner) => run_session(s, inner, x, y, n)?.try_unary(*op)?,
         Prog::Zip(op, a, b) => {
-            let a = run_session(s, a, x, y, n);
-            let b = run_session(s, b, x, y, n);
-            match op {
-                BinOp::Add => &a + &b,
-                BinOp::Sub => &a - &b,
-                BinOp::Mul => &a * &b,
-                BinOp::Min => a.pmin(&b),
-                BinOp::Max => a.pmax(&b),
-                BinOp::Gt => a.gt_vec(&b),
-                BinOp::Le => a.le_vec(&b),
-                _ => unreachable!("strategy limits binops"),
-            }
+            let a = run_session(s, a, x, y, n)?;
+            let b = run_session(s, b, x, y, n)?;
+            a.try_binary(*op, &b)?
         }
         Prog::Clamp(inner, c) => {
-            let d = run_session(s, inner, x, y, n);
-            let mask = d.gt(f64::from(*c));
-            d.mask_assign(&mask, f64::from(*c))
+            let d = run_session(s, inner, x, y, n)?;
+            let mask = d.try_binary_scalar(BinOp::Gt, f64::from(*c), false)?;
+            d.try_mask_assign(&mask, f64::from(*c))?
         }
         Prog::Pick(inner, idx) => {
-            let d = run_session(s, inner, x, y, n);
-            let picks: Vec<f64> = idx.iter().map(|&i| (i as usize % n + 1) as f64).collect();
+            let d = run_session(s, inner, x, y, n)?;
+            let picks: Vec<f64> = idx.iter().map(|i| i.value(n)).collect();
             let k = picks.len();
-            let pv = s.vector_from_slice(&picks).unwrap();
-            let picked = d.index(&pv);
+            let picked = d.try_index(&s.vector_from_slice(&picks)?)?;
             let cyc: Vec<f64> = (0..n).map(|i| (i % k + 1) as f64).collect();
-            let cv = s.vector_from_slice(&cyc).unwrap();
-            picked.index(&cv)
+            picked.try_index(&s.vector_from_slice(&cyc)?)?
         }
-    }
+    })
 }

@@ -597,7 +597,7 @@ impl Interpreter {
             }
             "seq_len" => {
                 let n = self.as_scalar(self.arg1(&positional, name)?)? as i64;
-                let v = self.session.range(1, n)?;
+                let v = self.seq_len(n)?;
                 Ok(RValue::Vector { v, logical: false })
             }
             "numeric" => {
@@ -617,7 +617,20 @@ impl Interpreter {
                     .map(|v| self.as_scalar(v))
                     .transpose()?
                     .unwrap_or(1.0);
-                let values: Vec<f64> = (0..n).map(|_| self.rng.gen_range(lo..hi)).collect();
+                if !(lo <= hi && lo.is_finite() && hi.is_finite()) {
+                    return Err(RError::Runtime(format!(
+                        "runif(): invalid range [{lo}, {hi}]"
+                    )));
+                }
+                // An empty range has one value to draw (and no RNG step).
+                let mut draw = || {
+                    if lo < hi {
+                        self.rng.gen_range(lo..hi)
+                    } else {
+                        lo
+                    }
+                };
+                let values: Vec<f64> = (0..n).map(|_| draw()).collect();
                 let v = self.session.vector_from_slice(&values)?;
                 Ok(RValue::Vector { v, logical: false })
             }
@@ -629,7 +642,7 @@ impl Interpreter {
                     .unwrap_or(6.0) as i64;
                 match self.arg1(&positional, name)? {
                     RValue::Vector { v, logical } => {
-                        let idx = self.session.range(1, k.min(v.len() as i64))?;
+                        let idx = self.seq_len(k.min(v.len() as i64))?;
                         Ok(RValue::Vector {
                             v: v.try_index(&idx)?,
                             logical: *logical,
@@ -660,10 +673,16 @@ impl Interpreter {
                 let nrow = named("nrow").map(|v| self.as_scalar(v)).transpose()?;
                 let ncol = named("ncol").map(|v| self.as_scalar(v)).transpose()?;
                 let n = values.len();
+                let (nrow, ncol) = (nrow.map(|r| r as usize), ncol.map(|c| c as usize));
+                if n == 0 || nrow == Some(0) || ncol == Some(0) {
+                    return Err(RError::Runtime(
+                        "matrix() needs data and positive dimensions".to_string(),
+                    ));
+                }
                 let (rows, cols) = match (nrow, ncol) {
-                    (Some(r), Some(c)) => (r as usize, c as usize),
-                    (Some(r), None) => (r as usize, n.div_ceil(r as usize)),
-                    (None, Some(c)) => (n.div_ceil(c as usize), c as usize),
+                    (Some(r), Some(c)) => (r, c),
+                    (Some(r), None) => (r, n.div_ceil(r)),
+                    (None, Some(c)) => (n.div_ceil(c), c),
                     (None, None) => (n, 1),
                 };
                 // R fills column-major and recycles the data.
@@ -902,6 +921,15 @@ impl Interpreter {
             _ => {}
         }
         Ok(())
+    }
+
+    /// `1:n`, or `numeric(0)` for `n == 0` (where `1:0` would count down).
+    fn seq_len(&self, n: i64) -> RResult<RVec> {
+        Ok(if n == 0 {
+            self.session.literal(&[])?
+        } else {
+            self.session.range(1, n)?
+        })
     }
 
     fn arg1<'v>(&self, positional: &[&'v RValue], name: &str) -> RResult<&'v RValue> {

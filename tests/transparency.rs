@@ -114,7 +114,8 @@ fn sql_views_render_for_the_deferred_script() {
     assert!(sql.contains("POW("));
 }
 
-/// The variant of a script's execution error, by name.
+/// How a script fails, by name: the variant of its execution error, or
+/// `"Runtime"` for an error the interpreter itself raises.
 fn error_variant(script: &str, kind: EngineKind) -> &'static str {
     use riot::core::exec::ExecError;
     use riot::core::ExprError;
@@ -123,10 +124,14 @@ fn error_variant(script: &str, kind: EngineKind) -> &'static str {
         Err(riot::rlang::RError::Exec(e)) => match e {
             ExecError::Expr(ExprError::IndexOutOfBounds { .. }) => "IndexOutOfBounds",
             ExecError::Expr(ExprError::MatMulDims { .. }) => "MatMulDims",
+            ExecError::Expr(ExprError::ShapeMismatch { .. }) => "ShapeMismatch",
+            ExecError::Expr(ExprError::Expected { .. }) => "Expected",
+            ExecError::BudgetExceeded { .. } => "BudgetExceeded",
             ExecError::Unsupported(_) => "Unsupported",
             other => panic!("{kind:?}: `{script}` failed with an unexpected error: {other}"),
         },
-        other => panic!("{kind:?}: `{script}` must fail with an execution error, got {other:?}"),
+        Err(riot::rlang::RError::Runtime(_)) => "Runtime",
+        other => panic!("{kind:?}: `{script}` must fail with an error, got {other:?}"),
     }
 }
 
@@ -145,10 +150,68 @@ fn script_errors_have_the_same_variant_under_every_engine() {
         ("z <- x[length(x) + 1]; print(z)", "IndexOutOfBounds"),
         ("x[0] <- 1; print(x)", "IndexOutOfBounds"),
         ("x[length(x) + 1] <- 1; print(x)", "IndexOutOfBounds"),
+        // Subscripts of a sequence keep their bounds check, directly and
+        // through pushdown.
+        ("r <- 1:10; print(r[11])", "IndexOutOfBounds"),
+        ("r <- 1:10; print(r[0])", "IndexOutOfBounds"),
+        ("r <- 1:10; print(r[-1])", "IndexOutOfBounds"),
+        ("r <- 1:10; y <- r * 2; print(y[11])", "IndexOutOfBounds"),
+        // One shape rule: recycling needs the shorter length to divide
+        // the longer, whichever engine holds the operands.
+        ("r <- 1:10; y <- 1:3; print(r + y)", "ShapeMismatch"),
+        ("r <- 1:10; print(pmin(r, 1:3))", "ShapeMismatch"),
+        ("r <- 1:10; print(ifelse(r > 5, 1:3, 0))", "ShapeMismatch"),
+        (
+            "r <- 1:10; r[c(1, 2)] <- c(1, 2, 3); print(r)",
+            "ShapeMismatch",
+        ),
+        (
+            "print(solve(matrix(1:4, nrow = 2), matrix(1:3, nrow = 3)))",
+            "MatMulDims",
+        ),
+        ("print(chol(matrix(1:6, nrow = 2)))", "Expected"),
+        // Arguments that used to panic inside a builtin.
+        ("m <- matrix(1:6, nrow = 0)", "Runtime"),
+        ("m <- matrix(1:6, ncol = 0)", "Runtime"),
+        ("m <- matrix(c(), nrow = 2)", "Runtime"),
+        ("u <- runif(3, 5, 1)", "Runtime"),
     ];
     for (script, want) in cases {
         for kind in EngineKind::all() {
             assert_eq!(error_variant(script, kind), want, "{kind:?}: `{script}`");
         }
     }
+}
+
+#[test]
+fn edge_case_scripts_print_the_same_under_every_engine() {
+    let cases = [
+        ("r <- 1:10; print(r[c(2.7, 3.2)])", "[1] 2 3\n"),
+        ("r <- 1:10; y <- r * 2; print(y[1.5])", "[1] 2\n"),
+        ("print(seq_len(0))", "numeric(0)\n"),
+        ("print(head(x, 0))", "numeric(0)\n"),
+        ("print(length(seq_len(3)))", "[1] 3\n"),
+        ("print(runif(2, 4, 4))", "[1] 4 4\n"),
+    ];
+    for (script, want) in cases {
+        for kind in EngineKind::all() {
+            let out = interpreter(kind, 1 << 10).run(script);
+            assert_eq!(out.unwrap(), want, "{kind:?}: `{script}`");
+        }
+    }
+}
+
+#[test]
+fn a_range_longer_than_memory_meets_the_temp_budget_not_the_allocator() {
+    // An engine that stores `1:1e12` is refused by the governor before it
+    // allocates anything; only Riot, which never stores it, accepts.
+    let script = "riot.limits(max_temp_blocks = 1000); r <- 1:1000000000000";
+    for kind in [
+        EngineKind::PlainR,
+        EngineKind::Strawman,
+        EngineKind::MatNamed,
+    ] {
+        assert_eq!(error_variant(script, kind), "BudgetExceeded", "{kind:?}");
+    }
+    interpreter(EngineKind::Riot, 1 << 10).run(script).unwrap();
 }
