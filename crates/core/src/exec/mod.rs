@@ -3,11 +3,11 @@
 //!
 //! RIOT-DB leans on the database's iterator-based execution model to
 //! pipeline plan operators and avoid materializing intermediate results
-//! (§4.1). This module is the native equivalent: a pull-based [`Pipe`]
-//! tree produces results one chunk (block's worth) at a time, so a whole
-//! elementwise expression — Line (1) of Example 1 with its twelve
-//! intermediates — runs in a single pass over its inputs with O(chunk)
-//! memory.
+//! (§4.1). This module is the native equivalent: a [`Tape`] over
+//! pull-based [`Pipe`] leaves produces results one chunk (block's worth)
+//! at a time, so a whole elementwise expression — Line (1) of Example 1
+//! with its twelve intermediates — runs in a single pass over its inputs
+//! with O(chunk) memory.
 
 pub mod factor;
 mod gemm;
@@ -21,8 +21,8 @@ pub use matmul::{
     multiply, multiply_chain, prefetch_rect, read_rect, write_rect, MatMulKernel, Operand,
 };
 pub use pipeline::{
-    drain_agg, drain_partitioned, drain_to_vec, fold_partitioned, governed, materialize,
-    GatherPipe, GovernedPipe, IfElsePipe, MapPipe, Pipe, Probe, Scan, ZipPipe,
+    drain_agg, drain_partitioned, drain_to_vec, fold_partitioned, governed, materialize, Arg,
+    GatherPipe, GovernedPipe, Pipe, Scan, Source, Tape, TapeBuilder,
 };
 pub use sparse::{
     dmspm, dmspm_parallel, dmv, spmdm, spmdm_parallel, spmm, spmm_fill, spmm_parallel, spmm_plan,

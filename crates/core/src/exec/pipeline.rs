@@ -1,11 +1,20 @@
-//! The chunked Volcano pipeline.
+//! The chunked pipeline: a register tape over pull-based leaves.
 //!
-//! Every operator implements [`Pipe`]: `next_into` fills a caller-supplied
-//! buffer with the next chunk of up to `chunk` elements and returns the
-//! count (0 = end of stream). Chains of elementwise operators therefore
+//! Everything that streams implements [`Pipe`]: `next_into` fills a
+//! caller-supplied buffer with the next chunk of up to `chunk` elements
+//! and returns the count (0 = end of stream). Elementwise expressions
 //! stream with O(chunk) memory and zero intermediate materialization —
 //! the property the paper credits for RIOT-DB's wins over both plain R
 //! (no in-memory temporaries) and the strawman (no on-disk temporaries).
+//!
+//! A forcing point compiles its DAG into one [`Tape`]: a flat list of
+//! instructions over chunk-sized registers, one instruction per *distinct*
+//! DAG node. Per chunk, every leaf ([`Scan`], [`GatherPipe`]) is pulled
+//! once into its register, and every elementwise operator runs once as a
+//! slice kernel ([`UnOp::apply_slice`], [`BinOp::apply_slice`],
+//! [`select_slice`]) — so a subexpression referenced k times is computed
+//! once, a source is pinned once, a scalar operand never becomes a buffer,
+//! and operator dispatch happens per chunk, not per element.
 //!
 //! [`GatherPipe`] is the executor's index-nested-loop join: it pulls index
 //! chunks and probes the data side element by element, which after the
@@ -14,9 +23,9 @@
 //!
 //! ## Parallel draining
 //!
-//! Pipes are `Send`, and every built-in pipe supports
-//! [`Pipe::restrict`]: narrowing the stream to a contiguous span of its
-//! output. [`drain_partitioned`] runs one restricted pipe per span on a
+//! Pipes are `Send`, and every pipe supports [`Pipe::restrict`]:
+//! narrowing the stream to a contiguous span of its output.
+//! [`drain_partitioned`] runs one restricted pipe per span on a
 //! scoped worker pool (the same atomic work-queue schedule the parallel
 //! matmul kernels use), writing each span straight into its slice of the
 //! output — elementwise results are bit-identical to a sequential drain
@@ -28,7 +37,7 @@ use std::sync::{Arc, Mutex};
 use riot_array::{DenseVector, StorageCtx, VectorWriter};
 
 use super::{run_parallel, ExecError, ExecResult};
-use crate::expr::{AggOp, BinOp, ExprError, UnOp};
+use crate::expr::{select_slice, AggOp, BinOp, ExprError, Src, UnOp};
 
 /// Default chunk size in elements: one block's worth of `f64`s.
 pub const DEFAULT_CHUNK: usize = 1024;
@@ -46,21 +55,23 @@ pub(crate) fn position(raw: f64, len: usize) -> ExecResult<usize> {
 /// A pull-based chunk producer. Pipes are `Send` so restricted partitions
 /// can drain on worker threads.
 pub trait Pipe: Send {
-    /// Fill `out` (cleared first) with the next chunk; returns the number
-    /// of elements produced, 0 at end of stream.
+    /// Replace the contents of `out` with the next chunk; returns the
+    /// number of elements produced, 0 at end of stream.
     fn next_into(&mut self, out: &mut Vec<f64>) -> ExecResult<usize>;
 
     /// Total number of elements this pipe will produce.
     fn total_len(&self) -> usize;
 
     /// Narrow the pipe to produce only elements `[start, start + len)` of
-    /// its stream. Must be called before the first `next_into`; afterwards
-    /// `total_len` reports `len`. Returns `false` when the pipe (or a
-    /// child) cannot be restricted — the caller must then discard it and
-    /// fall back to a sequential drain (a partially restricted tree is
-    /// unusable).
-    fn restrict(&mut self, _start: usize, _len: usize) -> bool {
-        false
+    /// its stream; afterwards `total_len` reports `len`. Called before the
+    /// first `next_into`, or between spans: once the current span is
+    /// drained, the pipe may be pointed at another.
+    fn restrict(&mut self, start: usize, len: usize);
+
+    /// Scalar operations this pipe performs (and adds to its op counter)
+    /// per element it produces.
+    fn ops_per_elem(&self) -> u64 {
+        0
     }
 }
 
@@ -73,16 +84,14 @@ pub struct GovernedPipe {
     inner: Box<dyn Pipe>,
     gov: Arc<riot_storage::QueryGovernor>,
     at: &'static str,
+    ops_per_elem: u64,
 }
 
 impl Pipe for GovernedPipe {
     fn next_into(&mut self, out: &mut Vec<f64>) -> ExecResult<usize> {
         self.gov.checkpoint(self.at)?;
         let n = self.inner.next_into(out)?;
-        // One flop per element produced is a floor, not an exact count:
-        // the wrapped tree may apply several operators per element. The
-        // floor is enough for flop budgets to bind on drain-only queries.
-        self.gov.add_flops(n as u64);
+        self.gov.add_flops(n as u64 * self.ops_per_elem);
         Ok(n)
     }
 
@@ -90,275 +99,42 @@ impl Pipe for GovernedPipe {
         self.inner.total_len()
     }
 
-    fn restrict(&mut self, start: usize, len: usize) -> bool {
+    fn restrict(&mut self, start: usize, len: usize) {
         self.inner.restrict(start, len)
+    }
+
+    fn ops_per_elem(&self) -> u64 {
+        self.ops_per_elem
     }
 }
 
-/// Wrap `pipe` with a per-chunk governance checkpoint labelled `at`.
-/// When the context's governor is disengaged the pipe is returned
-/// unchanged, so ungoverned queries pay nothing — not even the extra
-/// virtual dispatch.
+/// Wrap `pipe` with a per-chunk governance checkpoint labelled `at`, which
+/// also charges the chunk's scalar operations to the flop budget. When the
+/// context's governor is disengaged the pipe is returned unchanged, so
+/// ungoverned queries pay nothing — not even the extra virtual dispatch.
 pub fn governed(pipe: Box<dyn Pipe>, ctx: &Arc<StorageCtx>, at: &'static str) -> Box<dyn Pipe> {
     let gov = ctx.governor();
     if !gov.engaged() {
         return pipe;
     }
     Box::new(GovernedPipe {
+        ops_per_elem: pipe.ops_per_elem(),
         inner: pipe,
         gov: Arc::clone(gov),
         at,
     })
 }
 
-/// What a [`Scan`] reads its elements from.
-enum Source {
+/// A vector a pipeline reads where it lies: a [`Scan`] streams it in
+/// order, a [`GatherPipe`] probes it by index. Reading a stored vector
+/// goes through the buffer pool, so each probe is at most one block read —
+/// the index-nested-loop plan of §4.1.
+pub enum Source {
     /// A stored vector, read block-aligned through the pool.
-    Stored(DenseVector),
-    /// An in-memory literal.
-    Mem(Arc<Vec<f64>>),
-    /// The sequence `start, start+1, ...` (R's `a:b`), computed on the fly.
-    Range(i64),
-    /// A scalar, broadcast.
-    Const(f64),
-    /// A short in-memory vector recycled (cycled) — R's recycling rule
-    /// for mismatched operand lengths.
-    Cycle(Vec<f64>),
-}
-
-/// The leaf of every pipeline: a cursor over elements `[pos, end)` of a
-/// stored vector, a literal, a sequence, a broadcast scalar or a recycled
-/// short vector, produced `chunk` at a time.
-pub struct Scan {
-    source: Source,
-    pos: usize,
-    end: usize,
-    chunk: usize,
-}
-
-impl Scan {
-    fn new(source: Source, len: usize, chunk: usize) -> Self {
-        Scan {
-            source,
-            pos: 0,
-            end: len,
-            chunk,
-        }
-    }
-
-    /// Scan the stored vector `vec`.
-    pub fn stored(vec: DenseVector, chunk: usize) -> Self {
-        let len = vec.len();
-        Scan::new(Source::Stored(vec), len, chunk)
-    }
-
-    /// Stream the in-memory literal `data`.
-    pub fn literal(data: Arc<Vec<f64>>, chunk: usize) -> Self {
-        let len = data.len();
-        Scan::new(Source::Mem(data), len, chunk)
-    }
-
-    /// Stream the sequence `start .. start+len-1`.
-    pub fn range(start: i64, len: usize, chunk: usize) -> Self {
-        Scan::new(Source::Range(start), len, chunk)
-    }
-
-    /// Stream `value` repeated `len` times.
-    pub fn constant(value: f64, len: usize, chunk: usize) -> Self {
-        Scan::new(Source::Const(value), len, chunk)
-    }
-
-    /// Stream `data` cyclically until `out_len` elements were produced.
-    pub fn cycle(data: Vec<f64>, out_len: usize, chunk: usize) -> Self {
-        assert!(!data.is_empty(), "cannot recycle an empty vector");
-        Scan::new(Source::Cycle(data), out_len, chunk)
-    }
-}
-
-impl Pipe for Scan {
-    fn next_into(&mut self, out: &mut Vec<f64>) -> ExecResult<usize> {
-        out.clear();
-        let (pos, take) = (self.pos, (self.end - self.pos).min(self.chunk));
-        let span = pos..pos + take;
-        match &self.source {
-            Source::Stored(_) if take == 0 => {}
-            Source::Stored(vec) => {
-                // Declare the next chunk's span before blocking on this
-                // one, so its blocks load while the pipeline processes
-                // this chunk.
-                let ahead = (self.end - span.end).min(self.chunk);
-                if ahead > 0 {
-                    vec.prefetch_range(span.end, ahead);
-                }
-                out.resize(take, 0.0);
-                vec.read_range(pos, out)?;
-            }
-            Source::Mem(data) => out.extend_from_slice(&data[span]),
-            Source::Range(start) => out.extend(span.map(|i| (start + i as i64) as f64)),
-            Source::Const(value) => out.resize(take, *value),
-            Source::Cycle(data) => out.extend(span.map(|i| data[i % data.len()])),
-        }
-        self.pos += take;
-        Ok(take)
-    }
-
-    fn total_len(&self) -> usize {
-        self.end - self.pos
-    }
-
-    fn restrict(&mut self, start: usize, len: usize) -> bool {
-        debug_assert!(start + len <= self.end, "restrict out of range");
-        self.pos = start;
-        self.end = start + len;
-        true
-    }
-}
-
-/// Unary elementwise operator over a child pipe.
-pub struct MapPipe {
-    op: UnOp,
-    input: Box<dyn Pipe>,
-    ops: Arc<AtomicU64>,
-}
-
-impl MapPipe {
-    /// Apply `op` to each element of `input`; `ops` counts scalar work.
-    pub fn new(op: UnOp, input: Box<dyn Pipe>, ops: Arc<AtomicU64>) -> Self {
-        MapPipe { op, input, ops }
-    }
-}
-
-impl Pipe for MapPipe {
-    fn next_into(&mut self, out: &mut Vec<f64>) -> ExecResult<usize> {
-        let n = self.input.next_into(out)?;
-        for v in out.iter_mut() {
-            *v = self.op.apply(*v);
-        }
-        self.ops.fetch_add(n as u64, Ordering::Relaxed);
-        Ok(n)
-    }
-
-    fn total_len(&self) -> usize {
-        self.input.total_len()
-    }
-
-    fn restrict(&mut self, start: usize, len: usize) -> bool {
-        self.input.restrict(start, len)
-    }
-}
-
-/// Binary elementwise operator; children must produce equal lengths (the
-/// compiler wraps scalars in [`Scan::constant`] and recycled operands in
-/// [`Scan::cycle`] so this always holds).
-pub struct ZipPipe {
-    op: BinOp,
-    lhs: Box<dyn Pipe>,
-    rhs: Box<dyn Pipe>,
-    rbuf: Vec<f64>,
-    ops: Arc<AtomicU64>,
-}
-
-impl ZipPipe {
-    /// Combine two equal-length pipes elementwise with `op`.
-    pub fn new(op: BinOp, lhs: Box<dyn Pipe>, rhs: Box<dyn Pipe>, ops: Arc<AtomicU64>) -> Self {
-        debug_assert_eq!(lhs.total_len(), rhs.total_len(), "zip operand lengths");
-        ZipPipe {
-            op,
-            lhs,
-            rhs,
-            rbuf: Vec::new(),
-            ops,
-        }
-    }
-}
-
-impl Pipe for ZipPipe {
-    fn next_into(&mut self, out: &mut Vec<f64>) -> ExecResult<usize> {
-        let n = self.lhs.next_into(out)?;
-        let m = self.rhs.next_into(&mut self.rbuf)?;
-        debug_assert_eq!(n, m, "zip chunk lengths diverged");
-        for (a, b) in out.iter_mut().zip(self.rbuf.iter()) {
-            *a = self.op.apply(*a, *b);
-        }
-        self.ops.fetch_add(n as u64, Ordering::Relaxed);
-        Ok(n)
-    }
-
-    fn total_len(&self) -> usize {
-        self.lhs.total_len()
-    }
-
-    fn restrict(&mut self, start: usize, len: usize) -> bool {
-        self.lhs.restrict(start, len) && self.rhs.restrict(start, len)
-    }
-}
-
-/// Elementwise conditional over three equal-length pipes.
-pub struct IfElsePipe {
-    cond: Box<dyn Pipe>,
-    yes: Box<dyn Pipe>,
-    no: Box<dyn Pipe>,
-    ybuf: Vec<f64>,
-    nbuf: Vec<f64>,
-    ops: Arc<AtomicU64>,
-}
-
-impl IfElsePipe {
-    /// `cond[i] != 0 ? yes[i] : no[i]` streamed chunkwise.
-    pub fn new(
-        cond: Box<dyn Pipe>,
-        yes: Box<dyn Pipe>,
-        no: Box<dyn Pipe>,
-        ops: Arc<AtomicU64>,
-    ) -> Self {
-        IfElsePipe {
-            cond,
-            yes,
-            no,
-            ybuf: Vec::new(),
-            nbuf: Vec::new(),
-            ops,
-        }
-    }
-}
-
-impl Pipe for IfElsePipe {
-    fn next_into(&mut self, out: &mut Vec<f64>) -> ExecResult<usize> {
-        let n = self.cond.next_into(out)?;
-        let ny = self.yes.next_into(&mut self.ybuf)?;
-        let nn = self.no.next_into(&mut self.nbuf)?;
-        debug_assert!(n == ny && n == nn, "ifelse chunk lengths diverged");
-        for i in 0..n {
-            out[i] = if out[i] != 0.0 {
-                self.ybuf[i]
-            } else {
-                self.nbuf[i]
-            };
-        }
-        self.ops.fetch_add(n as u64, Ordering::Relaxed);
-        Ok(n)
-    }
-
-    fn total_len(&self) -> usize {
-        self.cond.total_len()
-    }
-
-    fn restrict(&mut self, start: usize, len: usize) -> bool {
-        self.cond.restrict(start, len)
-            && self.yes.restrict(start, len)
-            && self.no.restrict(start, len)
-    }
-}
-
-/// Random-access side of a gather: anything that can be probed by 1-based
-/// index. Probing a stored vector goes through the buffer pool, so each
-/// probe is at most one block read — the index-nested-loop plan of §4.1.
-pub enum Probe {
-    /// A stored vector.
     Stored(DenseVector),
     /// An in-memory vector.
     Mem(Arc<Vec<f64>>),
-    /// The sequence `start..`.
+    /// The sequence `start, start+1, ...` (R's `a:b`), computed on the fly.
     Range {
         /// First value of the sequence.
         start: i64,
@@ -367,13 +143,13 @@ pub enum Probe {
     },
 }
 
-impl Probe {
-    /// Length of the probed vector.
+impl Source {
+    /// Length of the vector.
     pub fn len(&self) -> usize {
         match self {
-            Probe::Stored(v) => v.len(),
-            Probe::Mem(v) => v.len(),
-            Probe::Range { len, .. } => *len,
+            Source::Stored(v) => v.len(),
+            Source::Mem(v) => v.len(),
+            Source::Range { len, .. } => *len,
         }
     }
 
@@ -385,23 +161,344 @@ impl Probe {
     /// Fetch 0-based element `i`.
     pub fn get(&self, i: usize) -> ExecResult<f64> {
         match self {
-            Probe::Stored(v) => Ok(v.get(i)?),
-            Probe::Mem(v) => Ok(v[i]),
-            Probe::Range { start, .. } => Ok((*start + i as i64) as f64),
+            Source::Stored(v) => Ok(v.get(i)?),
+            Source::Mem(v) => Ok(v[i]),
+            Source::Range { start, .. } => Ok((*start + i as i64) as f64),
         }
+    }
+}
+
+/// The leaf of every pipeline: a cursor over elements `[pos, end)` of a
+/// [`Source`], produced `chunk` at a time.
+pub struct Scan {
+    source: Source,
+    pos: usize,
+    end: usize,
+    chunk: usize,
+}
+
+impl Scan {
+    /// Stream `source` from its first element to its last.
+    pub fn new(source: Source, chunk: usize) -> Self {
+        let end = source.len();
+        Scan {
+            source,
+            pos: 0,
+            end,
+            chunk,
+        }
+    }
+
+    /// Stream `data` cyclically until `out_len` elements were produced —
+    /// R's recycling rule for mismatched operand lengths.
+    pub fn cycle(data: Vec<f64>, out_len: usize, chunk: usize) -> Self {
+        assert!(!data.is_empty(), "cannot recycle an empty vector");
+        let end = out_len;
+        Scan {
+            end,
+            ..Scan::new(Source::Mem(Arc::new(data)), chunk)
+        }
+    }
+}
+
+impl Pipe for Scan {
+    fn next_into(&mut self, out: &mut Vec<f64>) -> ExecResult<usize> {
+        let (pos, take) = (self.pos, (self.end - self.pos).min(self.chunk));
+        let span = pos..pos + take;
+        // A tape register keeps its length from chunk to chunk, so this
+        // sizes the buffer on the first chunk, truncates it on a short
+        // last one, and is free in between: every source then writes
+        // into an already-sized buffer.
+        out.resize(take, 0.0);
+        match &self.source {
+            Source::Stored(_) if take == 0 => {}
+            Source::Stored(vec) => {
+                // Declare the next chunk's span before blocking on this
+                // one, so its blocks load while the pipeline processes
+                // this chunk.
+                let ahead = (self.end - span.end).min(self.chunk);
+                if ahead > 0 {
+                    vec.prefetch_range(span.end, ahead);
+                }
+                vec.read_range(pos, out)?;
+            }
+            Source::Mem(data) if span.end <= data.len() => out.copy_from_slice(&data[span]),
+            Source::Mem(data) => {
+                let lanes = out.iter_mut().zip(span);
+                lanes.for_each(|(o, i)| *o = data[i % data.len()])
+            }
+            Source::Range { start, .. } => {
+                let lanes = out.iter_mut().zip(span);
+                lanes.for_each(|(o, i)| *o = (start + i as i64) as f64)
+            }
+        }
+        self.pos += take;
+        Ok(take)
+    }
+
+    fn total_len(&self) -> usize {
+        self.end - self.pos
+    }
+
+    fn restrict(&mut self, start: usize, len: usize) {
+        self.pos = start;
+        self.end = start + len;
+    }
+}
+
+/// An operand of a tape instruction.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Arg {
+    /// The chunk an earlier instruction left in this register.
+    Reg(usize),
+    /// A scalar, broadcast inside the kernel.
+    Const(f64),
+}
+
+/// One tape instruction; each fills one register per chunk.
+enum Instr {
+    /// Pull the next chunk of this leaf.
+    Pull(usize),
+    /// `op` over a register.
+    Map(UnOp, usize),
+    /// `op` over `[lhs, rhs]`, at least one of them a register.
+    Zip(BinOp, [Arg; 2]),
+    /// `cond != 0 ? yes : no` over a register and `[yes, no]`.
+    IfElse(usize, [Arg; 2]),
+}
+
+impl Instr {
+    /// Visit every register this instruction reads.
+    fn for_each_read(&mut self, mut f: impl FnMut(&mut usize)) {
+        let args: &mut [Arg] = match self {
+            Instr::Pull(_) => &mut [],
+            Instr::Map(_, reg) => return f(reg),
+            Instr::Zip(_, args) => args,
+            Instr::IfElse(cond, args) => {
+                f(cond);
+                args
+            }
+        };
+        for arg in args {
+            if let Arg::Reg(reg) = arg {
+                f(reg);
+            }
+        }
+    }
+}
+
+/// Builds a [`Tape`] an instruction at a time. Every instruction gets a
+/// virtual register of its own (the caller memoizes the returned [`Arg`]
+/// per DAG node, so a shared node is one instruction); [`Self::finish`]
+/// maps them onto as few chunk buffers as their lifetimes allow.
+/// Operators over scalars alone fold to a scalar on the spot, counted as
+/// one operation.
+pub struct TapeBuilder {
+    steps: Vec<Instr>,
+    leaves: Vec<Box<dyn Pipe>>,
+    len: usize,
+    chunk: usize,
+    ops: Arc<AtomicU64>,
+}
+
+impl TapeBuilder {
+    /// A tape producing `len` elements `chunk` at a time; `ops` counts
+    /// scalar work. Every leaf pulled from must stream the same `len`
+    /// elements in the same `chunk`s.
+    pub fn new(len: usize, chunk: usize, ops: Arc<AtomicU64>) -> Self {
+        TapeBuilder {
+            steps: Vec::new(),
+            leaves: Vec::new(),
+            len,
+            chunk,
+            ops,
+        }
+    }
+
+    fn push(&mut self, instr: Instr) -> Arg {
+        self.steps.push(instr);
+        Arg::Reg(self.steps.len() - 1)
+    }
+
+    fn folded(&self, value: f64) -> Arg {
+        self.ops.fetch_add(1, Ordering::Relaxed);
+        Arg::Const(value)
+    }
+
+    /// The chunks of `leaf`.
+    pub fn pull(&mut self, leaf: Box<dyn Pipe>) -> Arg {
+        debug_assert_eq!(leaf.total_len(), self.len, "leaf length");
+        self.leaves.push(leaf);
+        self.push(Instr::Pull(self.leaves.len() - 1))
+    }
+
+    /// `op(a)`, elementwise.
+    pub fn map(&mut self, op: UnOp, a: Arg) -> Arg {
+        match a {
+            Arg::Reg(reg) => self.push(Instr::Map(op, reg)),
+            Arg::Const(c) => self.folded(op.apply(c)),
+        }
+    }
+
+    /// `op(a, b)`, elementwise.
+    pub fn zip(&mut self, op: BinOp, a: Arg, b: Arg) -> Arg {
+        match (a, b) {
+            (Arg::Const(a), Arg::Const(b)) => self.folded(op.apply(a, b)),
+            _ => self.push(Instr::Zip(op, [a, b])),
+        }
+    }
+
+    /// `cond[i] != 0 ? yes[i] : no[i]`; a scalar condition is its arm.
+    pub fn if_else(&mut self, cond: Arg, yes: Arg, no: Arg) -> Arg {
+        match cond {
+            Arg::Reg(cond) => self.push(Instr::IfElse(cond, [yes, no])),
+            Arg::Const(c) if c != 0.0 => yes,
+            Arg::Const(_) => no,
+        }
+    }
+
+    /// The tape streaming `root`. Registers are assigned in one pass from
+    /// a free list: a buffer returns to the list at the last instruction
+    /// that reads it (never, for the root), and an instruction takes its
+    /// output buffer before releasing its inputs, so kernels never alias.
+    pub fn finish(mut self, root: Arg) -> Tape {
+        const ROOT: usize = usize::MAX;
+        let mut last_read = vec![0; self.steps.len()];
+        for (at, instr) in self.steps.iter_mut().enumerate() {
+            instr.for_each_read(|reg| last_read[*reg] = at);
+        }
+        if let Arg::Reg(reg) = root {
+            last_read[reg] = ROOT;
+        }
+        let (mut buffer_of, mut free, mut buffers) = (Vec::new(), Vec::new(), 0);
+        for (at, instr) in self.steps.iter_mut().enumerate() {
+            buffer_of.push(free.pop().unwrap_or_else(|| {
+                buffers += 1;
+                buffers - 1
+            }));
+            instr.for_each_read(|reg| {
+                let buffer = buffer_of[*reg];
+                // Release once, even when the instruction reads it twice.
+                if last_read[*reg] == at && !free.contains(&buffer) {
+                    free.push(buffer);
+                }
+                *reg = buffer;
+            });
+        }
+        Tape {
+            root: match root {
+                Arg::Reg(reg) => Arg::Reg(buffer_of[reg]),
+                scalar => scalar,
+            },
+            steps: self.steps.into_iter().zip(buffer_of).collect(),
+            leaves: self.leaves,
+            regs: vec![Vec::new(); buffers],
+            remaining: self.len,
+            chunk: self.chunk,
+            ops: self.ops,
+        }
+    }
+}
+
+/// A compiled elementwise DAG: per chunk, each instruction runs once, in
+/// order, into its register, and the root register is handed to the
+/// caller. Memory is `live registers x chunk`, whatever the DAG's size.
+pub struct Tape {
+    /// Instructions in dependency order, each with the register it fills.
+    steps: Vec<(Instr, usize)>,
+    leaves: Vec<Box<dyn Pipe>>,
+    regs: Vec<Vec<f64>>,
+    root: Arg,
+    remaining: usize,
+    chunk: usize,
+    ops: Arc<AtomicU64>,
+}
+
+impl Tape {
+    /// Chunk buffers this tape computes in.
+    pub fn registers(&self) -> usize {
+        self.regs.len()
+    }
+
+    /// Elementwise instructions: the scalar operations per element this
+    /// tape counts itself (its leaves count their own).
+    fn kernels(&self) -> u64 {
+        (self.steps.len() - self.leaves.len()) as u64
+    }
+}
+
+impl Pipe for Tape {
+    fn next_into(&mut self, out: &mut Vec<f64>) -> ExecResult<usize> {
+        let n = self.remaining.min(self.chunk);
+        if n == 0 {
+            // Registers keep their length for the next span.
+            out.clear();
+            return Ok(0);
+        }
+        self.remaining -= n;
+        let regs = &mut self.regs;
+        for (instr, dst) in &mut self.steps {
+            // Out of the file while it is written, so the kernel can read
+            // the other registers.
+            let mut buf = std::mem::take(&mut regs[*dst]);
+            buf.resize(n, 0.0);
+            let src = |arg: Arg| match arg {
+                Arg::Reg(reg) => Src::Slice(&regs[reg]),
+                Arg::Const(c) => Src::Scalar(c),
+            };
+            match instr {
+                Instr::Pull(leaf) => {
+                    let pulled = self.leaves[*leaf].next_into(&mut buf)?;
+                    debug_assert_eq!(pulled, n, "leaf fell out of step with the tape");
+                }
+                Instr::Map(op, reg) => op.apply_slice(&regs[*reg], &mut buf),
+                Instr::Zip(op, [a, b]) => op.apply_slice(src(*a), src(*b), &mut buf),
+                Instr::IfElse(cond, [yes, no]) => {
+                    select_slice(&regs[*cond], src(*yes), src(*no), &mut buf)
+                }
+            }
+            regs[*dst] = buf;
+        }
+        match self.root {
+            // The caller's previous buffer becomes the register.
+            Arg::Reg(reg) => std::mem::swap(out, &mut regs[reg]),
+            Arg::Const(c) => {
+                out.clear();
+                out.resize(n, c);
+            }
+        }
+        self.ops
+            .fetch_add(n as u64 * self.kernels(), Ordering::Relaxed);
+        Ok(n)
+    }
+
+    fn total_len(&self) -> usize {
+        self.remaining
+    }
+
+    fn restrict(&mut self, start: usize, len: usize) {
+        self.leaves
+            .iter_mut()
+            .for_each(|leaf| leaf.restrict(start, len));
+        self.remaining = len;
+    }
+
+    fn ops_per_elem(&self) -> u64 {
+        let leaf_ops = self.leaves.iter().map(|leaf| leaf.ops_per_elem());
+        self.kernels() + leaf_ops.sum::<u64>()
     }
 }
 
 /// Gather: pulls 1-based indices from `index` and probes `data`.
 pub struct GatherPipe {
     index: Box<dyn Pipe>,
-    data: Probe,
+    data: Source,
     ops: Arc<AtomicU64>,
 }
 
 impl GatherPipe {
     /// `data[index]` with 1-based indices.
-    pub fn new(index: Box<dyn Pipe>, data: Probe, ops: Arc<AtomicU64>) -> Self {
+    pub fn new(index: Box<dyn Pipe>, data: Source, ops: Arc<AtomicU64>) -> Self {
         GatherPipe { index, data, ops }
     }
 }
@@ -420,16 +517,20 @@ impl Pipe for GatherPipe {
         self.index.total_len()
     }
 
-    fn restrict(&mut self, start: usize, len: usize) -> bool {
+    fn restrict(&mut self, start: usize, len: usize) {
         // The probe side is random-access; narrowing the index stream
         // narrows the gather.
         self.index.restrict(start, len)
+    }
+
+    fn ops_per_elem(&self) -> u64 {
+        1 + self.index.ops_per_elem()
     }
 }
 
 /// The one drain loop: `pull` chunks until the stream ends, handing each
 /// to `sink`.
-pub(crate) fn for_each_chunk(
+fn for_each_chunk(
     mut pull: impl FnMut(&mut Vec<f64>) -> ExecResult<usize>,
     mut sink: impl FnMut(&[f64]) -> ExecResult<()>,
 ) -> ExecResult<()> {
@@ -442,16 +543,14 @@ pub(crate) fn for_each_chunk(
 
 /// Drain a pipe into a freshly stored vector (sequential writes).
 pub fn materialize(
-    mut pipe: Box<dyn Pipe>,
+    pipe: Box<dyn Pipe>,
     ctx: &Arc<StorageCtx>,
     name: Option<&str>,
 ) -> ExecResult<DenseVector> {
+    let mut pipe = governed(pipe, ctx, "pipeline.materialize.chunk");
     let mut writer = VectorWriter::new(ctx, pipe.total_len(), name)?;
     for_each_chunk(
-        |buf| {
-            ctx.governor().checkpoint("pipeline.materialize.chunk")?;
-            pipe.next_into(buf)
-        },
+        |buf| pipe.next_into(buf),
         |chunk| Ok(writer.push_chunk(chunk)?),
     )?;
     Ok(writer.finish()?)
@@ -513,16 +612,13 @@ pub fn drain_partitioned(parts: Vec<Partition<'_>>, threads: usize) -> ExecResul
 
 /// Fold one pipe's whole stream with `op` from `op.init()` (no `Mean`
 /// division — callers divide by the count): the per-partition leaf of the
-/// fixed partition-tree aggregation.
-fn fold_pipe(pipe: &mut dyn Pipe, op: AggOp) -> ExecResult<f64> {
+/// fixed partition-tree aggregation. `buf` is the chunk buffer; a caller
+/// folding span after span keeps one, so it stays sized.
+pub(crate) fn fold_pipe(pipe: &mut dyn Pipe, op: AggOp, buf: &mut Vec<f64>) -> ExecResult<f64> {
     let mut acc = op.init();
-    for_each_chunk(
-        |buf| pipe.next_into(buf),
-        |chunk| {
-            acc = chunk.iter().fold(acc, |a, &v| op.fold(a, v));
-            Ok(())
-        },
-    )?;
+    while pipe.next_into(buf)? > 0 {
+        acc = buf.iter().fold(acc, |a, &v| op.fold(a, v));
+    }
     Ok(acc)
 }
 
@@ -548,7 +644,7 @@ pub fn fold_partitioned(
         || (),
         |(pipe, partial), _| {
             let mut pipe = pipe.lock().unwrap().take().expect("parts are visited once");
-            *partial.lock().unwrap() = fold_pipe(pipe.as_mut(), op)?;
+            *partial.lock().unwrap() = fold_pipe(pipe.as_mut(), op, &mut Vec::new())?;
             Ok(0)
         },
     )?;
@@ -559,7 +655,7 @@ pub fn fold_partitioned(
 /// Drain a pipe through an aggregate, producing a scalar.
 pub fn drain_agg(mut pipe: Box<dyn Pipe>, op: AggOp) -> ExecResult<f64> {
     let count = pipe.total_len();
-    let mut acc = fold_pipe(pipe.as_mut(), op)?;
+    let mut acc = fold_pipe(pipe.as_mut(), op, &mut Vec::new())?;
     if op == AggOp::Mean && count > 0 {
         acc /= count as f64;
     }
@@ -580,16 +676,34 @@ mod tests {
 
     #[test]
     fn range_scan_produces_sequence() {
-        let p = Box::new(Scan::range(5, 4, 3));
+        let p = Box::new(Scan::new(Source::Range { start: 5, len: 4 }, 3));
         assert_eq!(drain_to_vec(p).unwrap(), vec![5.0, 6.0, 7.0, 8.0]);
     }
 
     #[test]
     fn const_and_cycle_scans() {
-        let p = Box::new(Scan::constant(2.5, 5, 2));
-        assert_eq!(drain_to_vec(p).unwrap(), vec![2.5; 5]);
+        // A scalar root streams as a broadcast; no leaf, no register.
+        let tape = TapeBuilder::new(5, 2, ops()).finish(Arg::Const(2.5));
+        assert_eq!(tape.registers(), 0);
+        assert_eq!(drain_to_vec(Box::new(tape)).unwrap(), vec![2.5; 5]);
         let p = Box::new(Scan::cycle(vec![1.0, 2.0], 5, 3));
         assert_eq!(drain_to_vec(p).unwrap(), vec![1.0, 2.0, 1.0, 2.0, 1.0]);
+    }
+
+    #[test]
+    fn stored_scan_fills_a_buffer_of_any_length() {
+        // The register a tape hands a stored scan keeps its length from
+        // the previous chunk: full chunks read straight into it, the short
+        // last chunk truncates it, and the end of the stream empties it.
+        let c = ctx();
+        let data: Vec<f64> = (0..20).map(|i| i as f64).collect();
+        let x = DenseVector::from_slice(&c, &data, None).unwrap();
+        let mut scan = Scan::new(Source::Stored(x), 8);
+        let mut buf = vec![f64::NAN; 11];
+        for want in [&data[..8], &data[8..16], &data[16..], &[]] {
+            assert_eq!(scan.next_into(&mut buf).unwrap(), want.len());
+            assert_eq!(buf, want);
+        }
     }
 
     #[test]
@@ -599,12 +713,12 @@ mod tests {
         let data: Vec<f64> = (0..20).map(|i| i as f64).collect();
         let x = DenseVector::from_slice(&c, &data, None).unwrap();
         let counter = ops();
-        let scan = Box::new(Scan::stored(x, 7));
-        let one = Box::new(Scan::constant(1.0, 20, 7));
-        let sub = Box::new(ZipPipe::new(BinOp::Sub, scan, one, counter.clone()));
-        let sq = Box::new(MapPipe::new(UnOp::Square, sub, counter.clone()));
-        let sqrt = Box::new(MapPipe::new(UnOp::Sqrt, sq, counter.clone()));
-        let got = drain_to_vec(sqrt).unwrap();
+        let mut t = TapeBuilder::new(20, 7, counter.clone());
+        let scan = t.pull(Box::new(Scan::new(Source::Stored(x), 7)));
+        let sub = t.zip(BinOp::Sub, scan, Arg::Const(1.0));
+        let sq = t.map(UnOp::Square, sub);
+        let sqrt = t.map(UnOp::Sqrt, sq);
+        let got = drain_to_vec(Box::new(t.finish(sqrt))).unwrap();
         let want: Vec<f64> = (0..20).map(|i| (i as f64 - 1.0).abs()).collect();
         assert_eq!(got, want);
         assert_eq!(counter.load(Ordering::Relaxed), 60, "3 ops x 20 elements");
@@ -612,12 +726,83 @@ mod tests {
 
     #[test]
     fn ifelse_pipe_selects() {
+        let lit = |v: &[f64]| Box::new(Scan::new(Source::Mem(Arc::new(v.to_vec())), 2));
+        let mut t = TapeBuilder::new(3, 2, ops());
+        let cond = t.pull(lit(&[1.0, 0.0, 1.0]));
+        let no = t.pull(lit(&[4.0, 5.0, 6.0]));
+        let mixed = t.if_else(cond, Arg::Const(9.0), no);
+        assert_eq!(
+            drain_to_vec(Box::new(t.finish(mixed))).unwrap(),
+            vec![9.0, 5.0, 9.0]
+        );
+        // Scalar arms on both sides, and a scalar condition.
+        let mut t = TapeBuilder::new(3, 2, ops());
+        let cond = t.pull(lit(&[1.0, 0.0, 1.0]));
+        let flags = t.if_else(cond, Arg::Const(7.0), Arg::Const(-7.0));
+        let kept = t.if_else(Arg::Const(0.0), Arg::Const(1.0), flags);
+        assert_eq!(
+            drain_to_vec(Box::new(t.finish(kept))).unwrap(),
+            vec![7.0, -7.0, 7.0]
+        );
+    }
+
+    #[test]
+    fn tape_computes_a_shared_node_once_per_chunk() {
+        // e = 2d + 3d with d = sqrt(x + y): five distinct nodes, each one
+        // instruction however often it is referenced, and x and y pinned
+        // once per chunk.
+        let c = ctx();
+        let n = 80;
+        let data: Vec<f64> = (0..n).map(|i| i as f64).collect();
+        let x = DenseVector::from_slice(&c, &data, None).unwrap();
+        let y = DenseVector::from_slice(&c, &data, None).unwrap();
+        c.clear_cache().unwrap();
+        let before = c.io_snapshot();
         let counter = ops();
-        let cond = Box::new(Scan::literal(Arc::new(vec![1.0, 0.0, 1.0]), 2));
-        let yes = Box::new(Scan::constant(9.0, 3, 2));
-        let no = Box::new(Scan::literal(Arc::new(vec![4.0, 5.0, 6.0]), 2));
-        let p = Box::new(IfElsePipe::new(cond, yes, no, counter));
-        assert_eq!(drain_to_vec(p).unwrap(), vec![9.0, 5.0, 9.0]);
+        let mut t = TapeBuilder::new(n, 8, counter.clone());
+        let (x, y) = (
+            t.pull(Box::new(Scan::new(Source::Stored(x), 8))),
+            t.pull(Box::new(Scan::new(Source::Stored(y), 8))),
+        );
+        let sum = t.zip(BinOp::Add, x, y);
+        let d = t.map(UnOp::Sqrt, sum);
+        let (d2, d3) = (
+            t.zip(BinOp::Mul, d, Arg::Const(2.0)),
+            t.zip(BinOp::Mul, d, Arg::Const(3.0)),
+        );
+        let e = t.zip(BinOp::Add, d2, d3);
+        let tape = t.finish(e);
+        assert_eq!(tape.ops_per_elem(), 5);
+        let got = drain_to_vec(Box::new(tape)).unwrap();
+        let want: Vec<f64> = (0..n)
+            .map(|i| {
+                let d = (2.0 * i as f64).sqrt();
+                d * 2.0 + d * 3.0
+            })
+            .collect();
+        assert_eq!(got, want);
+        assert_eq!(counter.load(Ordering::Relaxed), 5 * n as u64);
+        let delta = c.io_snapshot() - before;
+        assert_eq!((delta.reads, delta.writes), (20, 0), "x and y once each");
+    }
+
+    #[test]
+    fn tape_folds_scalars_and_streams_bare_roots() {
+        let counter = ops();
+        let mut t = TapeBuilder::new(4, 3, counter.clone());
+        // Const x Const and a map of it fold while building.
+        let six = t.zip(BinOp::Mul, Arg::Const(2.0), Arg::Const(3.0));
+        assert_eq!(t.map(UnOp::Neg, six), Arg::Const(-6.0));
+        // A root that is a bare leaf: the tape is one pull.
+        let leaf = t.pull(Box::new(Scan::new(Source::Range { start: 1, len: 4 }, 3)));
+        let tape = t.finish(leaf);
+        assert_eq!((tape.registers(), tape.ops_per_elem()), (1, 0));
+        assert_eq!(
+            drain_to_vec(Box::new(tape)).unwrap(),
+            vec![1.0, 2.0, 3.0, 4.0]
+        );
+        // The two folds, one scalar operation each; the bare leaf none.
+        assert_eq!(counter.load(Ordering::Relaxed), 2);
     }
 
     #[test]
@@ -629,8 +814,8 @@ mod tests {
         c.clear_cache().unwrap();
         let before = c.io_snapshot();
         let counter = ops();
-        let idx = Box::new(Scan::literal(Arc::new(vec![80.0, 1.0, 41.0]), 2));
-        let p = Box::new(GatherPipe::new(idx, Probe::Stored(x), counter));
+        let idx = Box::new(Scan::new(Source::Mem(Arc::new(vec![80.0, 1.0, 41.0])), 2));
+        let p = Box::new(GatherPipe::new(idx, Source::Stored(x), counter));
         assert_eq!(drain_to_vec(p).unwrap(), vec![790.0, 0.0, 400.0]);
         let delta = c.io_snapshot() - before;
         // 3 probes, at most 3 block reads, not the 10 a full scan needs.
@@ -640,8 +825,8 @@ mod tests {
     #[test]
     fn gather_bounds_error() {
         let counter = ops();
-        let idx = Box::new(Scan::literal(Arc::new(vec![4.0]), 2));
-        let p = GatherPipe::new(idx, Probe::Mem(Arc::new(vec![1.0, 2.0])), counter);
+        let idx = Box::new(Scan::new(Source::Mem(Arc::new(vec![4.0])), 2));
+        let p = GatherPipe::new(idx, Source::Mem(Arc::new(vec![1.0, 2.0])), counter);
         let mut p: Box<dyn Pipe> = Box::new(p);
         let mut buf = Vec::new();
         assert!(matches!(
@@ -656,10 +841,10 @@ mod tests {
     #[test]
     fn gather_probe_range() {
         let counter = ops();
-        let idx = Box::new(Scan::literal(Arc::new(vec![3.0, 1.0]), 4));
+        let idx = Box::new(Scan::new(Source::Mem(Arc::new(vec![3.0, 1.0])), 4));
         let p = Box::new(GatherPipe::new(
             idx,
-            Probe::Range {
+            Source::Range {
                 start: 100,
                 len: 10,
             },
@@ -671,10 +856,10 @@ mod tests {
     #[test]
     fn materialize_streams_to_storage() {
         let c = ctx();
-        let counter = ops();
-        let r = Box::new(Scan::range(1, 30, 8));
-        let sq = Box::new(MapPipe::new(UnOp::Square, r, counter));
-        let v = materialize(sq, &c, Some("squares")).unwrap();
+        let mut t = TapeBuilder::new(30, 8, ops());
+        let r = t.pull(Box::new(Scan::new(Source::Range { start: 1, len: 30 }, 8)));
+        let sq = t.map(UnOp::Square, r);
+        let v = materialize(Box::new(t.finish(sq)), &c, Some("squares")).unwrap();
         assert_eq!(v.len(), 30);
         assert_eq!(v.get(4).unwrap(), 25.0);
         let want: Vec<f64> = (1..=30).map(|i| (i * i) as f64).collect();
@@ -683,7 +868,7 @@ mod tests {
 
     #[test]
     fn aggregates_over_pipe() {
-        let mk = || Box::new(Scan::range(1, 10, 3)) as Box<dyn Pipe>;
+        let mk = || Box::new(Scan::new(Source::Range { start: 1, len: 10 }, 3)) as Box<dyn Pipe>;
         assert_eq!(drain_agg(mk(), AggOp::Sum).unwrap(), 55.0);
         assert_eq!(drain_agg(mk(), AggOp::Mean).unwrap(), 5.5);
         assert_eq!(drain_agg(mk(), AggOp::Min).unwrap(), 1.0);
@@ -696,20 +881,29 @@ mod tests {
         let data: Vec<f64> = (0..40).map(|i| i as f64).collect();
         let stored = DenseVector::from_slice(&c, &data, None).unwrap();
         let mk: Vec<(Box<dyn Pipe>, Vec<f64>)> = vec![
-            (Box::new(Scan::stored(stored.clone(), 7)), data.clone()),
             (
-                Box::new(Scan::literal(Arc::new(data.clone()), 7)),
+                Box::new(Scan::new(Source::Stored(stored.clone()), 7)),
                 data.clone(),
             ),
-            (Box::new(Scan::range(0, 40, 7)), data.clone()),
-            (Box::new(Scan::constant(3.0, 40, 7)), vec![3.0; 40]),
+            (
+                Box::new(Scan::new(Source::Mem(Arc::new(data.clone())), 7)),
+                data.clone(),
+            ),
+            (
+                Box::new(Scan::new(Source::Range { start: 0, len: 40 }, 7)),
+                data.clone(),
+            ),
+            (
+                Box::new(TapeBuilder::new(40, 7, ops()).finish(Arg::Const(3.0))),
+                vec![3.0; 40],
+            ),
             (
                 Box::new(Scan::cycle(vec![1.0, 2.0, 3.0], 40, 7)),
                 (0..40).map(|i| [1.0, 2.0, 3.0][i % 3]).collect(),
             ),
         ];
         for (mut pipe, full) in mk {
-            assert!(pipe.restrict(11, 13));
+            pipe.restrict(11, 13);
             assert_eq!(pipe.total_len(), 13);
             let got = drain_to_vec(pipe).unwrap();
             assert_eq!(got, full[11..24].to_vec());
@@ -723,14 +917,15 @@ mod tests {
         let x = DenseVector::from_slice(&c, &data, None).unwrap();
         let counter = ops();
         let build = || -> Box<dyn Pipe> {
-            let scan = Box::new(Scan::stored(x.clone(), 8));
-            let two = Box::new(Scan::constant(2.0, 30, 8));
-            let mul = Box::new(ZipPipe::new(BinOp::Mul, scan, two, counter.clone()));
-            Box::new(MapPipe::new(UnOp::Neg, mul, counter.clone()))
+            let mut t = TapeBuilder::new(30, 8, counter.clone());
+            let scan = t.pull(Box::new(Scan::new(Source::Stored(x.clone()), 8)));
+            let mul = t.zip(BinOp::Mul, scan, Arg::Const(2.0));
+            let neg = t.map(UnOp::Neg, mul);
+            Box::new(t.finish(neg))
         };
         let full = drain_to_vec(build()).unwrap();
         let mut restricted = build();
-        assert!(restricted.restrict(5, 12));
+        restricted.restrict(5, 12);
         assert_eq!(drain_to_vec(restricted).unwrap(), full[5..17].to_vec());
     }
 
@@ -742,8 +937,10 @@ mod tests {
         let x = DenseVector::from_slice(&c, &data, None).unwrap();
         let counter = ops();
         let build = || -> Box<dyn Pipe> {
-            let scan = Box::new(Scan::stored(x.clone(), 8));
-            Box::new(MapPipe::new(UnOp::Square, scan, counter.clone()))
+            let mut t = TapeBuilder::new(n, 8, counter.clone());
+            let scan = t.pull(Box::new(Scan::new(Source::Stored(x.clone()), 8)));
+            let sq = t.map(UnOp::Square, scan);
+            Box::new(t.finish(sq))
         };
         let want = drain_to_vec(build()).unwrap();
 
@@ -760,7 +957,7 @@ mod tests {
             let mut parts = Vec::new();
             for (&(s, take), slice) in spans.iter().zip(slices) {
                 let mut pipe = build();
-                assert!(pipe.restrict(s, take));
+                pipe.restrict(s, take);
                 parts.push((pipe, slice));
             }
             drain_partitioned(parts, 3).unwrap();
@@ -780,10 +977,52 @@ mod tests {
         let x = DenseVector::from_slice(&c, &data, None).unwrap();
         let y = DenseVector::from_slice(&c, &data, None).unwrap();
         let counter = ops();
-        let sx = Box::new(Scan::stored(x, 8));
-        let sy = Box::new(Scan::stored(y, 8));
-        let sum = Box::new(ZipPipe::new(BinOp::Add, sx, sy, counter.clone()));
-        let total = drain_agg(sum, AggOp::Sum).unwrap();
+        let mut t = TapeBuilder::new(n, 8, counter.clone());
+        let sx = t.pull(Box::new(Scan::new(Source::Stored(x.clone()), 8)));
+        let sy = t.pull(Box::new(Scan::new(Source::Stored(y), 8)));
+        let sum = t.zip(BinOp::Add, sx, sy);
+        let total = drain_agg(Box::new(t.finish(sum)), AggOp::Sum).unwrap();
         assert_eq!(total, (0..n).map(|i| 2.0 * i as f64).sum::<f64>());
+
+        // Memory is live registers x chunk, not nodes x chunk. A 200-deep
+        // chain keeps one value alive at a time (plus the one being
+        // written); with the scan alive to the end, one more.
+        for keep_scan in [false, true] {
+            let mut t = TapeBuilder::new(n, 8, counter.clone());
+            let scan = t.pull(Box::new(Scan::new(Source::Stored(x.clone()), 8)));
+            let mut v = scan;
+            for _ in 0..100 {
+                v = t.zip(BinOp::Add, v, Arg::Const(1.0));
+                v = t.map(UnOp::Neg, v);
+            }
+            if keep_scan {
+                v = t.zip(BinOp::Sub, v, scan);
+            }
+            let tape = t.finish(v);
+            assert_eq!(tape.ops_per_elem(), 200 + u64::from(keep_scan));
+            assert_eq!(tape.registers(), 2 + usize::from(keep_scan));
+            // 100 rounds of -(v + 1) leave v as it started.
+            let want = if keep_scan {
+                vec![0.0; n]
+            } else {
+                data.clone()
+            };
+            assert_eq!(drain_to_vec(Box::new(tape)).unwrap(), want);
+        }
+
+        // A 50-wide fan-in folded as it is built: each branch dies into
+        // the running sum, so the scan, the sum, one branch and the
+        // register being written are all that is ever live.
+        let mut t = TapeBuilder::new(n, 8, counter);
+        let scan = t.pull(Box::new(Scan::new(Source::Stored(x), 8)));
+        let mut sum = Arg::Const(0.0);
+        for k in 0..50 {
+            let branch = t.zip(BinOp::Mul, scan, Arg::Const(f64::from(k)));
+            sum = t.zip(BinOp::Add, sum, branch);
+        }
+        let tape = t.finish(sum);
+        assert_eq!((tape.ops_per_elem(), tape.registers()), (100, 4));
+        let want: Vec<f64> = data.iter().map(|v| v * 1225.0).collect();
+        assert_eq!(drain_to_vec(Box::new(tape)).unwrap(), want);
     }
 }

@@ -22,6 +22,22 @@ pub struct NodeId(pub u32);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SourceRef(pub u32);
 
+/// Run `$body` with `$op` bound to the variant of `$ty` that `$self` is —
+/// one copy of the body per listed variant, each over a *constant*
+/// operator. A loop in the body is thereby matched once, outside, instead
+/// of per element, and its `apply` inlines to the one expression the
+/// scalar path evaluates, so the results are bit-identical to it.
+macro_rules! hoisted {
+    ($self:expr, $ty:ident: $($variant:ident)*, |$op:ident| $body:expr) => {
+        match $self {
+            $($ty::$variant => {
+                let $op = $ty::$variant;
+                $body
+            })*
+        }
+    };
+}
+
 /// Unary elementwise operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UnOp {
@@ -43,6 +59,7 @@ pub enum UnOp {
 
 impl UnOp {
     /// Apply the operation to one scalar.
+    #[inline]
     pub fn apply(self, x: f64) -> f64 {
         match self {
             UnOp::Neg => -x,
@@ -59,6 +76,17 @@ impl UnOp {
                 }
             }
         }
+    }
+
+    /// Apply the operation to a whole chunk, `dst[i] = op(src[i])`, with
+    /// the operator dispatch `hoisted!` out of the loop.
+    pub fn apply_slice(self, src: &[f64], dst: &mut [f64]) {
+        debug_assert_eq!(src.len(), dst.len());
+        hoisted!(self, UnOp: Neg Sqrt Abs Square Exp Ln Not, |op| {
+            for (d, &x) in dst.iter_mut().zip(src) {
+                *d = op.apply(x);
+            }
+        })
     }
 
     /// R-ish surface syntax (for DAG pretty-printing).
@@ -128,6 +156,7 @@ pub enum BinOp {
 
 impl BinOp {
     /// Apply the operation to two scalars.
+    #[inline]
     pub fn apply(self, a: f64, b: f64) -> f64 {
         let t = |x: bool| if x { 1.0 } else { 0.0 };
         match self {
@@ -148,6 +177,17 @@ impl BinOp {
             BinOp::And => t(a != 0.0 && b != 0.0),
             BinOp::Or => t(a != 0.0 || b != 0.0),
         }
+    }
+
+    /// Apply the operation to a whole chunk, `dst[i] = op(a[i], b[i])`,
+    /// either operand a broadcast scalar: the chunk form of
+    /// [`BinOp::apply`], `hoisted!` like [`UnOp::apply_slice`].
+    pub fn apply_slice(self, a: Src<'_>, b: Src<'_>, dst: &mut [f64]) {
+        hoisted!(
+            self,
+            BinOp: Add Sub Mul Div Pow Mod Min Max Eq Ne Lt Le Gt Ge And Or,
+            |op| zip_lanes(a, b, dst, |x, y| op.apply(x, y))
+        )
     }
 
     /// R-ish surface syntax.
@@ -192,6 +232,57 @@ impl BinOp {
             BinOp::And => format!("(CASE WHEN {a}<>0 AND {b}<>0 THEN 1 ELSE 0 END)"),
             BinOp::Or => format!("(CASE WHEN {a}<>0 OR {b}<>0 THEN 1 ELSE 0 END)"),
         }
+    }
+}
+
+/// One operand of a chunk kernel: a chunk of values, or a scalar that
+/// broadcasts against the other operands without ever becoming a buffer.
+#[derive(Debug, Clone, Copy)]
+pub enum Src<'a> {
+    /// One value per output element.
+    Slice(&'a [f64]),
+    /// The same value for every output element.
+    Scalar(f64),
+}
+
+/// `dst[i] = f(a[i], b[i])` with the operand shapes resolved outside the
+/// loop. Inlined into one call site per operator, so `f` is a constant
+/// there and every loop body is straight-line code.
+#[inline(always)]
+fn zip_lanes(a: Src<'_>, b: Src<'_>, dst: &mut [f64], f: impl Fn(f64, f64) -> f64) {
+    match (a, b) {
+        (Src::Slice(a), Src::Slice(b)) => {
+            debug_assert!(a.len() == dst.len() && b.len() == dst.len());
+            for ((d, &a), &b) in dst.iter_mut().zip(a).zip(b) {
+                *d = f(a, b);
+            }
+        }
+        (Src::Slice(a), Src::Scalar(b)) => {
+            debug_assert_eq!(a.len(), dst.len());
+            for (d, &a) in dst.iter_mut().zip(a) {
+                *d = f(a, b);
+            }
+        }
+        (Src::Scalar(a), Src::Slice(b)) => {
+            debug_assert_eq!(b.len(), dst.len());
+            for (d, &b) in dst.iter_mut().zip(b) {
+                *d = f(a, b);
+            }
+        }
+        (Src::Scalar(a), Src::Scalar(b)) => dst.fill(f(a, b)),
+    }
+}
+
+/// The elementwise conditional over one chunk:
+/// `dst[i] = cond[i] != 0 ? yes[i] : no[i]`.
+pub fn select_slice(cond: &[f64], yes: Src<'_>, no: Src<'_>, dst: &mut [f64]) {
+    debug_assert_eq!(cond.len(), dst.len());
+    let at = |arm: Src<'_>, i: usize| match arm {
+        Src::Slice(values) => values[i],
+        Src::Scalar(value) => value,
+    };
+    for (i, (d, &c)) in dst.iter_mut().zip(cond).enumerate() {
+        *d = if c != 0.0 { at(yes, i) } else { at(no, i) };
     }
 }
 

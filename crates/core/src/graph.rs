@@ -338,21 +338,6 @@ impl ExprGraph {
         order
     }
 
-    /// Number of references to each node from within the sub-DAG reachable
-    /// from `roots` (roots get one extra count as externally referenced).
-    pub fn ref_counts(&self, roots: &[NodeId]) -> HashMap<NodeId, usize> {
-        let mut counts: HashMap<NodeId, usize> = HashMap::new();
-        for id in self.reachable(roots) {
-            for &c in self.node(id).children() {
-                *counts.entry(c).or_insert(0) += 1;
-            }
-        }
-        for &r in roots {
-            *counts.entry(r).or_insert(0) += 1;
-        }
-        counts
-    }
-
     /// Render `id` as an R-like expression string (cycles impossible:
     /// graphs are acyclic by construction).
     pub fn render(&self, id: NodeId) -> String {
@@ -545,17 +530,6 @@ mod tests {
         assert!(pos(y) < pos(s));
         assert!(pos(s) < pos(q));
         assert_eq!(order.len(), 4);
-    }
-
-    #[test]
-    fn ref_counts_shared_nodes() {
-        let mut g = graph();
-        let x = g.vec_source(SourceRef(0), 4);
-        let sq = g.map(UnOp::Square, x);
-        let sum = g.zip(BinOp::Add, sq, sq).unwrap();
-        let counts = g.ref_counts(&[sum]);
-        assert_eq!(counts[&sq], 2);
-        assert_eq!(counts[&sum], 1);
     }
 
     #[test]

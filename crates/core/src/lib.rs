@@ -18,7 +18,7 @@
 //!  opt         — subscript pushdown (Fig. 2), MaskAssign->IfElse,
 //!      |         constant folding, matrix-chain DP reordering (§5)
 //!      v
-//!  exec        — Volcano-style chunk pipeline (no intermediate
+//!  exec        — register-tape chunk pipeline (no intermediate
 //!      |         materialization), index-nested-loop gather, and three
 //!      |         out-of-core matmul kernels (naive / BNLJ / square-tiled)
 //!      v

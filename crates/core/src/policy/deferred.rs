@@ -17,7 +17,6 @@ use crate::exec::pipeline::{drain_to_vec, governed, materialize};
 use crate::exec::ExecResult;
 use crate::expr::{AggOp, Node, NodeId};
 use crate::opt::optimize;
-use crate::shape::Shape;
 
 impl Runtime {
     // ================= the two policy points =================
@@ -56,14 +55,13 @@ impl Runtime {
     }
 
     /// The forcing prelude: plan `root`, and when that rewrote the DAG,
-    /// trace the decisions and spill what the plan shares.
-    fn plan_root(&mut self, root: NodeId) -> ExecResult<NodeId> {
+    /// trace the decisions.
+    fn plan_root(&mut self, root: NodeId) -> NodeId {
         let Some(root) = self.optimized(root) else {
-            return Ok(root);
+            return root;
         };
         self.record_opt_events(root);
-        self.spill_shared(root)?;
-        Ok(root)
+        root
     }
 
     /// A forcing point: one span named `name` around planning `root` and
@@ -79,7 +77,7 @@ impl Runtime {
             name,
             |rt| rt.detail_of(planned.get()),
             |rt| {
-                planned.set(rt.plan_root(root)?);
+                planned.set(rt.plan_root(root));
                 body(rt, planned.get())
             },
         )
@@ -112,34 +110,6 @@ impl Runtime {
                 tracer.record(EventKind::Rewrite { rule, count });
             }
         }
-    }
-
-    /// §5's materialization decision: a deferred-only engine would
-    /// re-compute a subexpression once per reference, because the pipeline
-    /// executes the DAG as a tree. Before compiling, materialize every
-    /// non-leaf vector node referenced more than once whose size makes
-    /// recomputation more expensive than one write+read pass. Spills land
-    /// in the `materialized` cache, so later forcing points reuse them —
-    /// "materialization complements deferred evaluation".
-    fn spill_shared(&mut self, root: NodeId) -> ExecResult<()> {
-        if matches!(self.graph.shape(root), Shape::Matrix(..)) {
-            return Ok(()); // a matrix plan has no vector nodes to spill
-        }
-        let counts = self.graph.ref_counts(&[root]);
-        let threshold = 4 * self.chunk();
-        // reachable() is children-first, so inner shared nodes spill
-        // before any parent that consumes them is materialized.
-        for id in self.graph.reachable(&[root]) {
-            if id == root || self.graph.node(id).is_leaf() || self.materialized.contains_key(&id) {
-                continue;
-            }
-            let shared = counts.get(&id).copied().unwrap_or(0) >= 2;
-            let big = matches!(self.graph.shape(id), Shape::Vector(n) if n >= threshold);
-            if shared && big {
-                self.force_vector_to_disk(id)?;
-            }
-        }
-        Ok(())
     }
 
     // ================= forcing points =================

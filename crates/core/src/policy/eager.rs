@@ -25,7 +25,7 @@ use super::{HeapMat, MatRepr, Runtime, StrawMat, StrawTable, VecRepr};
 use crate::exec::factor;
 use crate::exec::pipeline::position;
 use crate::exec::ExecResult;
-use crate::expr::{AggOp, BinOp, UnOp};
+use crate::expr::{AggOp, BinOp, Src, UnOp};
 
 /// Where an eager vector lives.
 enum Slot<'a> {
@@ -233,13 +233,14 @@ impl Runtime {
         input: &VecRepr,
         n: usize,
     ) -> ExecResult<VecRepr> {
-        let mut buf = vec![0.0; self.chunk()];
+        let buf = vec![0.0; self.chunk()];
+        let (mut src, mut dst) = (buf.clone(), buf);
         self.build(n, None, |rt, out| {
             rt.for_chunks(at!(rt, "unop"), n, |rt, at, take| {
-                let buf = &mut buf[..take];
-                rt.read_chunk(input, at, buf)?;
-                buf.iter_mut().for_each(|v| *v = op.apply(*v));
-                rt.write_chunk(out, at, buf)
+                let (src, dst) = (&mut src[..take], &mut dst[..take]);
+                rt.read_chunk(input, at, src)?;
+                op.apply_slice(src, dst);
+                rt.write_chunk(out, at, dst)
             })?;
             rt.seal(out)
         })
@@ -252,16 +253,15 @@ impl Runtime {
         rhs: &VecRepr,
         n: usize,
     ) -> ExecResult<VecRepr> {
-        let (mut lb, mut rb) = (vec![0.0; self.chunk()], vec![0.0; self.chunk()]);
+        let buf = vec![0.0; self.chunk()];
+        let (mut lb, mut rb, mut dst) = (buf.clone(), buf.clone(), buf);
         self.build(n, None, |rt, out| {
             rt.for_chunks(at!(rt, "binop"), n, |rt, at, take| {
-                let (lb, rb) = (&mut lb[..take], &mut rb[..take]);
+                let (lb, rb, dst) = (&mut lb[..take], &mut rb[..take], &mut dst[..take]);
                 rt.read_cycled(lhs, n, at, lb)?;
                 rt.read_cycled(rhs, n, at, rb)?;
-                lb.iter_mut()
-                    .zip(rb.iter())
-                    .for_each(|(l, r)| *l = op.apply(*l, *r));
-                rt.write_chunk(out, at, lb)
+                op.apply_slice(Src::Slice(lb), Src::Slice(rb), dst);
+                rt.write_chunk(out, at, dst)
             })?;
             rt.seal(out)
         })

@@ -2,6 +2,7 @@
 //! chunk pipelines, partitioned aggregation trees, and matrix kernels.
 //! Nothing here knows which engine planned the DAG.
 
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use riot_array::{DenseMatrix, DenseVector, MatrixLayout, TileOrder};
@@ -10,8 +11,8 @@ use riot_trace::EventKind;
 
 use super::{MatValue, Runtime};
 use crate::exec::pipeline::{
-    drain_agg, drain_partitioned, drain_to_vec, fold_partitioned, for_each_chunk, governed,
-    materialize, position, GatherPipe, IfElsePipe, MapPipe, Pipe, Probe, Scan, ZipPipe,
+    drain_agg, drain_partitioned, drain_to_vec, fold_partitioned, fold_pipe, governed, materialize,
+    position, Arg, GatherPipe, Pipe, Scan, Source, TapeBuilder,
 };
 use crate::exec::{factor, matmul, sparse as spkernel, ExecError, ExecResult, Operand};
 use crate::expr::{AggOp, Node, NodeId};
@@ -40,65 +41,30 @@ impl Runtime {
         let epb = self.ctx.elems_per_block();
         let align = self.chunk().max(epb).div_ceil(epb) * epb;
         let part = 4 * align;
+        // The tree-vs-fallback decision reads the plan and the length
+        // only, so it is the same at every thread count.
         if len <= part || !self.parallel_safe(input, len) {
             let pipe = governed(self.compile(input, len)?, &self.ctx, "pipeline.agg.chunk");
             return drain_agg(pipe, op);
         }
-        // Probe restrictability once, so the tree-vs-fallback decision is
-        // identical at every thread count (`parallel_safe` is necessary,
-        // but `restrict` is the authority; a partially restricted tree
-        // must be discarded per the `Pipe::restrict` contract).
-        {
-            let mut probe = self.compile(input, len)?;
-            if !probe.restrict(0, len) {
-                let pipe = governed(self.compile(input, len)?, &self.ctx, "pipeline.agg.chunk");
-                return drain_agg(pipe, op);
-            }
-        }
-        let spans: Vec<(usize, usize)> = (0..len)
-            .step_by(part)
-            .map(|s| (s, part.min(len - s)))
-            .collect();
         let threads = self.cfg.threads.max(1);
+        let spans = (0..len).step_by(part).map(|s| (s, part.min(len - s)));
         let partials = if threads <= 1 {
-            // One pass over a single pipe with the accumulator reset at
-            // partition boundaries: identical partials, and the exact
-            // device-I/O sequence of the old sequential drain.
+            // One pipe pointed at each partition in turn: identical
+            // partials, and the device-I/O sequence of a sequential drain.
             let mut pipe = governed(self.compile(input, len)?, &self.ctx, "pipeline.agg.chunk");
-            let mut partials = Vec::with_capacity(spans.len());
-            let mut at = 0usize;
-            let mut acc = op.init();
-            for_each_chunk(
-                |buf| pipe.next_into(buf),
-                |mut chunk| {
-                    while !chunk.is_empty() {
-                        let (s, take) = spans[partials.len()];
-                        let (head, rest) = chunk.split_at((s + take - at).min(chunk.len()));
-                        acc = head.iter().fold(acc, |a, &v| op.fold(a, v));
-                        at += head.len();
-                        chunk = rest;
-                        if at == s + take {
-                            partials.push(acc);
-                            acc = op.init();
-                        }
-                    }
-                    Ok(())
-                },
-            )?;
-            debug_assert_eq!(at, len, "aggregation consumed the whole stream");
-            partials
+            let mut buf = Vec::new();
+            let mut fold = |(start, take)| {
+                pipe.restrict(start, take);
+                fold_pipe(pipe.as_mut(), op, &mut buf)
+            };
+            spans.map(&mut fold).collect::<ExecResult<Vec<_>>>()?
         } else {
-            // One restricted pipe per span, folded on scoped workers.
-            let mut pipes = Vec::with_capacity(spans.len());
-            for &(s, take) in &spans {
+            // One restricted pipe per partition, folded on scoped workers.
+            let mut pipes = Vec::new();
+            for (start, take) in spans {
                 let mut pipe = self.compile(input, len)?;
-                if !pipe.restrict(s, take) {
-                    // Unreachable after the probe for every built-in pipe;
-                    // kept graceful for future pipes with span-dependent
-                    // restriction.
-                    let pipe = governed(self.compile(input, len)?, &self.ctx, "pipeline.agg.chunk");
-                    return drain_agg(pipe, op);
-                }
+                pipe.restrict(start, take);
                 pipes.push(governed(pipe, &self.ctx, "pipeline.agg.part"));
             }
             fold_partitioned(pipes, op, threads)?
@@ -128,24 +94,31 @@ impl Runtime {
     /// sequential one. `SubAssign` is safe because its forced
     /// materialization is memoized (the first compile does the work,
     /// identical to sequential) and then scans like a stored vector.
-    fn parallel_safe(&self, id: NodeId, out_len: usize) -> bool {
-        match self.graph.shape(id) {
-            Shape::Scalar => return matches!(self.graph.node(id), Node::Scalar(_)),
-            Shape::Vector(l) if l == out_len => {}
-            _ => return false, // recycled operand or matrix value
-        }
-        if self.materialized.contains_key(&id) {
-            return true; // compiles to a restrictable stored Scan
-        }
-        match self.graph.node(id) {
-            Node::VecSource { .. } | Node::Literal(_) | Node::Range { .. } => true,
-            node @ (Node::Map(..) | Node::Zip(..) | Node::IfElse(_) | Node::MaskAssign(_)) => {
-                let mut operands = node.children().iter();
-                operands.all(|&c| self.parallel_safe(c, out_len))
+    fn parallel_safe(&self, root: NodeId, out_len: usize) -> bool {
+        let (mut seen, mut stack) = (HashSet::new(), vec![root]);
+        while let Some(id) = stack.pop() {
+            if !seen.insert(id) {
+                continue; // a shared node is judged once
             }
-            Node::SubAssign(_) => true, // forced once, then a stored Scan
-            _ => false,
+            let node = self.graph.node(id);
+            match self.graph.shape(id) {
+                Shape::Scalar if matches!(node, Node::Scalar(_)) => continue,
+                Shape::Vector(l) if l == out_len => {}
+                _ => return false, // computed scalar, recycled operand or matrix value
+            }
+            if self.materialized.contains_key(&id) {
+                continue; // compiles to a restrictable stored Scan
+            }
+            match node {
+                Node::VecSource { .. } | Node::Literal(_) | Node::Range { .. } => {}
+                Node::SubAssign(_) => {} // forced once, then a stored Scan
+                Node::Map(..) | Node::Zip(..) | Node::IfElse(_) | Node::MaskAssign(_) => {
+                    stack.extend(node.children());
+                }
+                _ => return false,
+            }
         }
+        true
     }
 
     /// Attempt a partitioned parallel drain of node `id` (`len` elements):
@@ -171,113 +144,107 @@ impl Runtime {
             return Ok(None);
         }
         let per = len.div_ceil(threads).div_ceil(align) * align;
-        let mut spans = Vec::new();
-        let mut start = 0;
-        while start < len {
-            let take = per.min(len - start);
-            spans.push((start, take));
-            start += take;
-        }
-        if spans.len() <= 1 {
+        if per >= len {
             return Ok(None);
         }
         let mut out = vec![0.0; len];
-        {
-            let mut slices: Vec<&mut [f64]> = Vec::new();
-            let mut rest: &mut [f64] = &mut out;
-            for &(_, take) in &spans {
-                let (head, tail) = std::mem::take(&mut rest).split_at_mut(take);
-                slices.push(head);
-                rest = tail;
-            }
-            let mut parts: Vec<(Box<dyn Pipe>, &mut [f64])> = Vec::with_capacity(spans.len());
-            for (&(s, take), slice) in spans.iter().zip(slices) {
-                let mut pipe = self.compile(id, len)?;
-                if !pipe.restrict(s, take) {
-                    return Ok(None);
-                }
-                parts.push((governed(pipe, &self.ctx, "pipeline.collect.part"), slice));
-            }
-            drain_partitioned(parts, threads)?;
+        let mut parts = Vec::new();
+        for (k, slice) in out.chunks_mut(per).enumerate() {
+            let mut pipe = self.compile(id, len)?;
+            pipe.restrict(k * per, slice.len());
+            parts.push((governed(pipe, &self.ctx, "pipeline.collect.part"), slice));
         }
+        drain_partitioned(parts, threads)?;
         Ok(Some(out))
     }
 
     // ================= pipeline compilation =================
 
     /// Compile node `id` into a pipe producing `out_len` elements
-    /// (broadcasting scalars and recycling short operands).
+    /// (broadcasting scalars and recycling short operands): one tape for
+    /// the whole DAG under `id`, one instruction per distinct node.
     pub(super) fn compile(&mut self, id: NodeId, out_len: usize) -> ExecResult<Box<dyn Pipe>> {
+        let mut tape = TapeBuilder::new(out_len, self.chunk(), Arc::clone(&self.cpu_ops));
+        let root = self.emit(&mut tape, &mut HashMap::new(), id, out_len)?;
+        Ok(Box::new(tape.finish(root)))
+    }
+
+    /// Emit node `id` onto `tape`, children first, and return where its
+    /// value is: a register, or a constant for a scalar (scalar arithmetic
+    /// folds in the builder). `done` memoizes by node, so a shared
+    /// subexpression — and anything its compilation forces: an
+    /// aggregation pass, a recycled operand's drain — happens once per
+    /// tape.
+    fn emit(
+        &mut self,
+        tape: &mut TapeBuilder,
+        done: &mut HashMap<NodeId, Arg>,
+        id: NodeId,
+        out_len: usize,
+    ) -> ExecResult<Arg> {
+        if let Some(&arg) = done.get(&id) {
+            return Ok(arg);
+        }
+        let chunk = self.chunk();
         let shape = self.graph.shape(id);
-        let own_len = shape.len();
-        if matches!(shape, Shape::Scalar) {
-            let value = self.scalar_value(id)?;
-            return Ok(Box::new(Scan::constant(value, out_len, self.chunk())));
-        }
-        if own_len != out_len {
-            // Recycled operand: materialize the short side in memory.
-            debug_assert!(own_len < out_len && out_len % own_len == 0);
-            let data = self.drain(id, own_len, "pipeline.cycle.chunk")?;
-            return Ok(Box::new(Scan::cycle(data, out_len, self.chunk())));
-        }
-        if let Some(vec) = self.materialized.get(&id) {
-            return Ok(Box::new(Scan::stored(vec.clone(), self.chunk())));
-        }
-        let node = self.graph.node(id).clone();
-        Ok(match node {
-            Node::VecSource { source, .. } => Box::new(Scan::stored(
-                self.vec_sources[&source.0].clone(),
-                self.chunk(),
-            )),
-            Node::Literal(data) => Box::new(Scan::literal(data, self.chunk())),
-            Node::Range { start, len } => Box::new(Scan::range(start, len, self.chunk())),
-            Node::Scalar(_) => unreachable!("scalar shapes are handled above"),
-            Node::Map(op, [input]) => {
-                let input = self.compile(input, out_len)?;
-                Box::new(MapPipe::new(op, input, Arc::clone(&self.cpu_ops)))
-            }
-            Node::Zip(op, [lhs, rhs]) => {
-                let lhs = self.compile(lhs, out_len)?;
-                let rhs = self.compile(rhs, out_len)?;
-                Box::new(ZipPipe::new(op, lhs, rhs, Arc::clone(&self.cpu_ops)))
-            }
-            // A `MaskAssign` is present when the optimizer is off (MatNamed
-            // or ablation): it executes as the equivalent conditional.
-            Node::IfElse([cond, yes, no]) | Node::MaskAssign([no, cond, yes]) => {
-                let cond = self.compile(cond, out_len)?;
-                let yes = self.compile(yes, out_len)?;
-                let no = self.compile(no, out_len)?;
-                Box::new(IfElsePipe::new(cond, yes, no, Arc::clone(&self.cpu_ops)))
-            }
-            Node::Gather([data, index]) => {
-                let idx_len = self.graph.shape(index).len();
-                let index = self.compile(index, idx_len)?;
-                let probe = self.compile_probe(data)?;
-                Box::new(GatherPipe::new(index, probe, Arc::clone(&self.cpu_ops)))
-            }
-            Node::SubAssign([data, index, value]) => {
-                let vec = self.force_subassign(id, data, index, value)?;
-                Box::new(Scan::stored(vec, self.chunk()))
-            }
-            Node::MatMul(_)
-            | Node::Transpose(_)
-            | Node::SpTranspose(_)
-            | Node::MatSource { .. }
-            | Node::SpMatSource { .. }
-            | Node::Densify(_)
-            | Node::Sparsify(_)
-            | Node::Chol(_)
-            | Node::Solve(_) => {
-                return Err(ExecError::Unsupported(
-                    "matrix values cannot stream through vector pipelines; use collect_matrix"
-                        .to_string(),
-                ))
-            }
-            Node::Agg(op, [input]) => {
-                let v = self.aggregate_node(op, input)?;
-                Box::new(Scan::constant(v, out_len, self.chunk()))
-            }
-        })
+        let arg =
+            if shape != Shape::Scalar && shape.len() != out_len {
+                // Recycled operand: materialize the short side in memory.
+                debug_assert!(shape.len() < out_len && out_len % shape.len() == 0);
+                let data = self.drain(id, shape.len(), "pipeline.cycle.chunk")?;
+                tape.pull(Box::new(Scan::cycle(data, out_len, chunk)))
+            } else if let Some(source) = self.leaf_source(id) {
+                tape.pull(Box::new(Scan::new(source, chunk)))
+            } else {
+                match self.graph.node(id).clone() {
+                    Node::Scalar(c) => Arg::Const(c),
+                    Node::Agg(op, [input]) => Arg::Const(self.aggregate_node(op, input)?),
+                    Node::Map(op, [input]) => {
+                        let input = self.emit(tape, done, input, out_len)?;
+                        tape.map(op, input)
+                    }
+                    Node::Zip(op, [lhs, rhs]) => {
+                        let lhs = self.emit(tape, done, lhs, out_len)?;
+                        let rhs = self.emit(tape, done, rhs, out_len)?;
+                        tape.zip(op, lhs, rhs)
+                    }
+                    // A `MaskAssign` is present when the optimizer is off (MatNamed
+                    // or ablation): it executes as the equivalent conditional.
+                    Node::IfElse([cond, yes, no]) | Node::MaskAssign([no, cond, yes]) => {
+                        match self.emit(tape, done, cond, out_len)? {
+                            // A scalar condition picks its arm here, so the
+                            // other arm's aggregates never run.
+                            Arg::Const(c) => {
+                                self.emit(tape, done, if c != 0.0 { yes } else { no }, out_len)?
+                            }
+                            cond => {
+                                let yes = self.emit(tape, done, yes, out_len)?;
+                                let no = self.emit(tape, done, no, out_len)?;
+                                tape.if_else(cond, yes, no)
+                            }
+                        }
+                    }
+                    // The non-lockstep operators stay pipes of their own, which
+                    // the tape pulls from like any other leaf.
+                    Node::Gather([data, index]) => {
+                        let idx_len = self.graph.shape(index).len();
+                        let index = self.compile(index, idx_len)?;
+                        let probe = self.compile_probe(data)?;
+                        let ops = Arc::clone(&self.cpu_ops);
+                        tape.pull(Box::new(GatherPipe::new(index, probe, ops)))
+                    }
+                    Node::SubAssign([data, index, value]) => {
+                        let vec = self.force_subassign(id, data, index, value)?;
+                        tape.pull(Box::new(Scan::new(Source::Stored(vec), chunk)))
+                    }
+                    _ => return Err(ExecError::Unsupported(
+                        "matrix values cannot stream through vector pipelines; use collect_matrix"
+                            .to_string(),
+                    )),
+                }
+            };
+        done.insert(id, arg);
+        Ok(arg)
     }
 
     /// Compile node `id` and drain all `len` elements into memory,
@@ -286,53 +253,29 @@ impl Runtime {
         drain_to_vec(governed(self.compile(id, len)?, &self.ctx, at))
     }
 
-    /// Evaluate a scalar-shaped node to its value.
-    fn scalar_value(&mut self, id: NodeId) -> ExecResult<f64> {
-        match self.graph.node(id).clone() {
-            Node::Scalar(c) => Ok(c),
-            Node::Agg(op, [input]) => self.aggregate_node(op, input),
-            Node::Map(op, [input]) => {
-                let x = self.scalar_value(input)?;
-                self.count_ops(1);
-                Ok(op.apply(x))
+    /// What node `id` can be read from where it lies: its stored result
+    /// when it has one, else the vector a leaf stands for.
+    fn leaf_source(&self, id: NodeId) -> Option<Source> {
+        if let Some(vec) = self.materialized.get(&id) {
+            return Some(Source::Stored(vec.clone()));
+        }
+        match self.graph.node(id) {
+            Node::VecSource { source, .. } => {
+                Some(Source::Stored(self.vec_sources[&source.0].clone()))
             }
-            Node::Zip(op, [lhs, rhs]) => {
-                let a = self.scalar_value(lhs)?;
-                let b = self.scalar_value(rhs)?;
-                self.count_ops(1);
-                Ok(op.apply(a, b))
-            }
-            Node::IfElse([cond, yes, no]) => {
-                let c = self.scalar_value(cond)?;
-                if c != 0.0 {
-                    self.scalar_value(yes)
-                } else {
-                    self.scalar_value(no)
-                }
-            }
-            other => Err(ExecError::Unsupported(format!(
-                "scalar evaluation of {other:?}"
-            ))),
+            Node::Literal(data) => Some(Source::Mem(Arc::clone(data))),
+            &Node::Range { start, len } => Some(Source::Range { start, len }),
+            _ => None,
         }
     }
 
     /// Random-access side of a gather: leaves probe directly; anything
     /// else is materialized first (RIOT's "materialization complements
     /// deferred evaluation").
-    fn compile_probe(&mut self, id: NodeId) -> ExecResult<Probe> {
-        if let Some(vec) = self.materialized.get(&id) {
-            return Ok(Probe::Stored(vec.clone()));
-        }
-        match self.graph.node(id).clone() {
-            Node::VecSource { source, .. } => {
-                Ok(Probe::Stored(self.vec_sources[&source.0].clone()))
-            }
-            Node::Literal(data) => Ok(Probe::Mem(data)),
-            Node::Range { start, len } => Ok(Probe::Range { start, len }),
-            _ => {
-                let vec = self.force_vector_to_disk(id)?;
-                Ok(Probe::Stored(vec))
-            }
+    fn compile_probe(&mut self, id: NodeId) -> ExecResult<Source> {
+        match self.leaf_source(id) {
+            Some(source) => Ok(source),
+            None => Ok(Source::Stored(self.force_vector_to_disk(id)?)),
         }
     }
 
@@ -577,5 +520,165 @@ impl Runtime {
         m.for_each(|_, _, v| count += u64::from(v != 0.0))?;
         self.count_ops(m.rows() * m.cols());
         Ok(count)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use proptest::prelude::*;
+
+    use super::*;
+    use crate::eval::{evaluate, MemSources};
+    use crate::expr::{BinOp, UnOp};
+    use crate::policy::VecRepr;
+    use crate::{EngineConfig, EngineKind};
+
+    /// Length of every vector: a ragged number of 16-element chunks, and
+    /// past the `4 x chunk` partition size, so aggregates take the tree.
+    const N: usize = 203;
+
+    /// A scalar constant or an earlier node (index modulo the node count).
+    #[derive(Debug, Clone, Copy)]
+    enum Operand {
+        Node(u8),
+        Scalar(i8),
+    }
+
+    /// One interior node of a random DAG. Operands point at *any* earlier
+    /// node, so fan-out — one node under many parents — is the common case.
+    #[derive(Debug, Clone, Copy)]
+    enum Spec {
+        Map(UnOp, u8),
+        Zip(BinOp, u8, Operand),
+        IfElse(u8, Operand, Operand),
+    }
+
+    fn operand() -> impl Strategy<Value = Operand> {
+        prop_oneof![
+            3 => any::<u8>().prop_map(Operand::Node),
+            1 => (-3i8..4).prop_map(Operand::Scalar),
+        ]
+    }
+
+    fn spec() -> impl Strategy<Value = Spec> {
+        use {BinOp::*, UnOp::*};
+        let unops = [Neg, Sqrt, Abs, Square, Exp, Ln, Not];
+        let binops = [
+            Add, Sub, Mul, Div, Pow, Mod, Min, Max, Eq, Ne, Lt, Le, Gt, Ge, And, Or,
+        ];
+        prop_oneof![
+            3 => (0..unops.len(), any::<u8>()).prop_map(move |(op, a)| Spec::Map(unops[op], a)),
+            6 => (0..binops.len(), any::<u8>(), operand())
+                .prop_map(move |(op, a, b)| Spec::Zip(binops[op], a, b)),
+            2 => (any::<u8>(), operand(), operand()).prop_map(|(c, y, n)| Spec::IfElse(c, y, n)),
+        ]
+    }
+
+    /// A runtime holding `x`, `y` and `1:N`, the DAG `specs` describes
+    /// over them (root: the last node), and the oracle's sources.
+    fn build(specs: &[Spec], threads: usize) -> (Runtime, NodeId, MemSources) {
+        let mut cfg = EngineConfig::new(EngineKind::Riot);
+        cfg.block_size = 128; // 16 elements
+        cfg.chunk_elems = 16;
+        cfg.mem_blocks = 64; // holds x and y: counted I/O is thread-invariant
+        cfg.threads = threads;
+        let mut rt = Runtime::new(cfg);
+        let xd: Vec<f64> = (0..N).map(|i| i as f64 * 0.75 - 40.0).collect();
+        let yd: Vec<f64> = (0..N).map(|i| ((i * 7) % 11) as f64 - 2.0).collect();
+        let mut src = MemSources::new();
+        let mut nodes = Vec::new();
+        for data in [xd, yd] {
+            match rt.load_vector(N, None, |i| data[i]).unwrap() {
+                VecRepr::Node(id) => nodes.push(id),
+                _ => unreachable!("Riot values are DAG nodes"),
+            }
+            src.add_vector(data);
+        }
+        nodes.push(rt.graph.range(1, N));
+        for spec in specs {
+            let g = &mut rt.graph;
+            let at = |i: u8| nodes[i as usize % nodes.len()];
+            let mut arg = |o: Operand| match o {
+                Operand::Node(i) => at(i),
+                Operand::Scalar(c) => g.scalar(f64::from(c)),
+            };
+            let id = match *spec {
+                Spec::Map(op, a) => g.map(op, at(a)),
+                Spec::Zip(op, a, b) => {
+                    let b = arg(b);
+                    g.zip(op, at(a), b).unwrap()
+                }
+                Spec::IfElse(c, y, n) => {
+                    let (y, n) = (arg(y), arg(n));
+                    g.if_else(at(c), y, n).unwrap()
+                }
+            };
+            nodes.push(id);
+        }
+        (rt, *nodes.last().unwrap(), src)
+    }
+
+    /// Bit-for-bit, except that any NaN equals any NaN (a vectorized
+    /// kernel may propagate a different payload).
+    fn same_bits(a: &[f64], b: &[f64]) -> bool {
+        a.len() == b.len()
+            && a.iter()
+                .zip(b)
+                .all(|(a, b)| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The tape against the oracle on random DAGs with fan-out: same
+        /// bits, one instruction per distinct interior node, restriction
+        /// equal to slicing, and the same answers and counters with
+        /// threads.
+        #[test]
+        fn tape_matches_the_oracle_on_random_dags(
+            specs in prop::collection::vec(spec(), 1..24),
+            start in 0..N,
+            take in 0..N,
+        ) {
+            let (mut rt, root, src) = build(&specs, 1);
+            let want = evaluate(&rt.graph, root, &src).unwrap().to_flat();
+
+            // One full drain: the oracle's bits, and one scalar operation
+            // per element of each *distinct* interior node.
+            let interior = rt.graph.reachable(&[root]).into_iter().filter(|&id| {
+                !rt.graph.node(id).is_leaf() && rt.graph.shape(id) == Shape::Vector(N)
+            });
+            let interior = interior.count() as u64;
+            let pipe = rt.compile(root, N).unwrap();
+            prop_assert_eq!(pipe.ops_per_elem(), interior);
+            let before = rt.cpu_ops();
+            let full = drain_to_vec(pipe).unwrap();
+            prop_assert!(same_bits(&full, &want), "{specs:?}: {full:?} vs {want:?}");
+            prop_assert_eq!(rt.cpu_ops() - before, interior * N as u64);
+
+            // A restricted tape produces exactly that slice of the stream.
+            let take = take.min(N - start);
+            let mut pipe = rt.compile(root, N).unwrap();
+            pipe.restrict(start, take);
+            prop_assert_eq!(pipe.total_len(), take);
+            let part = drain_to_vec(pipe).unwrap();
+            prop_assert!(same_bits(&part, &full[start..start + take]));
+
+            // Forcing points at 1 and 4 threads: same values, same scalar
+            // work, same counted I/O.
+            let runs = [1, 4].map(|threads| {
+                let (mut rt, root, _) = build(&specs, threads);
+                rt.drop_caches().unwrap();
+                let io = rt.io_snapshot();
+                let out = rt.force_collect(root).unwrap();
+                let sum = rt.force_aggregate(AggOp::Sum, root).unwrap();
+                let io = rt.io_snapshot() - io;
+                (out, sum.to_bits(), rt.cpu_ops(), io.reads, io.writes)
+            });
+            prop_assert!(same_bits(&runs[0].0, &runs[1].0));
+            prop_assert!(runs[0].1 == runs[1].1 || (runs[0].0.iter().any(|v| v.is_nan())));
+            prop_assert_eq!(&runs[0].2, &runs[1].2);
+            prop_assert_eq!((runs[0].3, runs[0].4), (runs[1].3, runs[1].4));
+        }
     }
 }

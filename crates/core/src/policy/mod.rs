@@ -25,10 +25,10 @@
 //!   against `matmul_naive` and the tiled factorization over stored tiles.
 //! * **Deferred** (`MatNamed`, `Riot`) — `deferred`: operators only build
 //!   DAG nodes, and the engines differ at two policy points —
-//!   `Runtime::optimized` (Riot optimizes the DAG at every forcing point,
-//!   then spills shared subexpressions) and `Runtime::assign` (MatNamed
-//!   materializes every named object). `executor` is the half that runs
-//!   a planned DAG: pipelines, aggregation trees, matrix kernels.
+//!   `Runtime::optimized` (Riot optimizes the DAG at every forcing
+//!   point) and `Runtime::assign` (MatNamed materializes every named
+//!   object). `executor` is the half that runs a planned DAG: pipelines,
+//!   aggregation trees, matrix kernels.
 //!
 //! `Runtime::deferred` is the family test for operators that have no
 //! operand to look at (loads, literals, `sample`, ranges).
@@ -265,7 +265,7 @@ pub struct Runtime {
     pub(crate) sparse_sources: HashMap<u32, SparseMatrix>,
     next_source: u32,
     /// Materialized vector results, keyed by DAG node (MatNamed's named
-    /// objects; Riot's spills and shared-subexpression caches).
+    /// objects; forced `SubAssign`s and computed gather operands).
     pub(crate) materialized: HashMap<NodeId, DenseVector>,
     pub(crate) mat_materialized: HashMap<NodeId, DenseMatrix>,
     pub(crate) sparse_materialized: HashMap<NodeId, SparseMatrix>,

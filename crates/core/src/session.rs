@@ -997,34 +997,38 @@ mod tests {
     }
 
     #[test]
-    fn riot_spills_shared_subexpressions_once() {
-        // e = f(d) + g(d) with a large shared d: the engine must
-        // materialize d once instead of recomputing it per branch, and a
-        // second forcing point must reuse the spill.
+    fn riot_computes_shared_subexpressions_once_per_chunk() {
+        // e = f(d) + g(d) with a large shared d: d is one register of the
+        // tape, computed once per chunk from one pass over x and y — never
+        // recomputed per branch, never written to disk.
         let mut cfg = EngineConfig::new(EngineKind::Riot);
         cfg.block_size = 512;
         cfg.chunk_elems = 64;
         cfg.mem_blocks = 16;
         let s = Session::new(cfg);
-        let n = 4096; // 64 blocks; spill threshold is 4 chunks = 256 elems
+        let n = 4096; // 64 blocks per vector, 4x the pool
         let x = s.vector_from_fn(n, |i| i as f64).unwrap();
         let y = s.vector_from_fn(n, |i| (2 * i) as f64).unwrap();
         let d = (&x + &y).sqrt(); // shared, non-leaf, large
         let e = &(&d * 2.0) + &(&d * 3.0);
-        s.drop_caches().unwrap();
-        let first = s.io_snapshot();
-        let got = e.sum().unwrap();
         let want: f64 = (0..n).map(|i| 5.0 * ((3 * i) as f64).sqrt()).sum();
-        assert!((got - want).abs() < 1e-6 * want.abs());
-        let after_first = s.io_snapshot();
-        // d was spilled: exactly one write pass of 64 blocks.
-        assert_eq!((after_first - first).writes, 64, "one spill of d");
-        // A second forcing point reuses the spill: no new writes, and the
-        // reads come from d (64 blocks x 2 branches) not from x and y.
-        let total2 = e.sum().unwrap();
-        assert!((total2 - want).abs() < 1e-6 * want.abs());
-        let after_second = s.io_snapshot();
-        assert_eq!((after_second - after_first).writes, 0, "spill reused");
+        let mut passes = Vec::new();
+        for _ in 0..2 {
+            s.drop_caches().unwrap();
+            let (io, ops) = (s.io_snapshot(), s.cpu_ops());
+            let got = e.sum().unwrap();
+            assert!((got - want).abs() < 1e-6 * want.abs());
+            let io = s.io_snapshot() - io;
+            assert_eq!((io.reads, io.writes), (128, 0), "x and y once, no spill");
+            // x+y, sqrt, 2d, 3d and their sum — five nodes, not the seven
+            // of the expression tree — plus the aggregate's own fold.
+            assert_eq!(s.cpu_ops() - ops, 6 * n as u64);
+            passes.push(got.to_bits());
+        }
+        assert_eq!(
+            passes[0], passes[1],
+            "a second forcing point repeats the first"
+        );
     }
 
     #[test]
