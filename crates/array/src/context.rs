@@ -311,11 +311,6 @@ impl StorageCtx {
         self.pool.tracer()
     }
 
-    /// One-stop storage health snapshot (counted I/O + pool counters).
-    pub fn storage_report(&self) -> riot_storage::StorageReport {
-        self.pool.storage_report()
-    }
-
     /// Flush and empty the cache (used between measured strategies).
     pub fn clear_cache(&self) -> Result<()> {
         self.pool.clear_cache()

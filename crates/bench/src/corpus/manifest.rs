@@ -37,7 +37,7 @@ pub struct Budget {
 /// One named size/memory configuration of a workload.
 #[derive(Debug, Clone)]
 pub struct Profile {
-    /// Profile name (`test` for CI, `full` for the bench artifact).
+    /// Profile name (`test` for CI, `full` for the `riot-corpus` gate).
     pub name: String,
     /// Block (and heap page) size in bytes.
     pub block_size: usize,

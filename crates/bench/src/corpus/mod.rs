@@ -14,13 +14,11 @@
 
 pub mod manifest;
 
-use std::time::Instant;
-
 use riot_core::{EngineConfig, EngineKind};
 use riot_rlang::Interpreter;
 use riot_storage::PREFETCH_AUTO;
 
-pub use manifest::{engine_slug, Budget, Manifest, Profile};
+pub use manifest::{Budget, Manifest, Profile};
 
 /// Thread counts every cell grid runs.
 pub const THREADS: [usize; 2] = [1, 4];
@@ -355,18 +353,8 @@ pub struct CellResult {
     pub output: String,
     /// FNV-1a of `output` (what manifests pin).
     pub checksum: u64,
-    /// Counted block reads during the script (loading excluded).
-    pub reads: u64,
-    /// Counted block writes during the script.
-    pub writes: u64,
-    /// Wall-clock seconds for the script.
-    pub wall_secs: f64,
-    /// Scalar operations during the script.
-    pub flops: u64,
-    /// Spans in the captured profile (0 when not captured).
-    pub spans: usize,
-    /// Deterministic counts-only profile tree, if requested.
-    pub profile_tree: Option<String>,
+    /// Counted block I/O during the script (loading excluded).
+    pub io: Budget,
 }
 
 /// Session configuration for one cell of `profile`.
@@ -382,83 +370,37 @@ pub fn session_config(profile: &Profile, cell: Cell) -> EngineConfig {
 
 /// Run `script` against an interpreter whose inputs are already bound:
 /// drop caches (so the script is measured cold, like the paper's
-/// separate load and query phases), then measure wall clock, counted
-/// I/O, and flops around the run. With `capture_profile` the run happens
-/// inside [`riot_core::Session::profile`] and the span tree is kept.
-pub fn run_script_measured(
-    interp: &mut Interpreter,
-    script: &str,
-    capture_profile: bool,
-) -> (String, CellMeasurement) {
+/// separate load and query phases), then count the I/O around the run.
+pub fn run_script_measured(interp: &mut Interpreter, script: &str) -> (String, Budget) {
     let session = interp.session().clone();
     session.drop_caches().expect("drop caches");
     let io0 = session.io_snapshot();
-    let ops0 = session.cpu_ops();
-    let t0 = Instant::now();
-    let (output, spans, profile_tree) = if capture_profile {
-        let (out, profile) = session.profile(|| interp.run(script));
-        (
-            out.unwrap_or_else(|e| panic!("corpus script failed: {e}")),
-            profile.root.count() - 1,
-            Some(profile.render_counts()),
-        )
-    } else {
-        let out = interp
-            .run(script)
-            .unwrap_or_else(|e| panic!("corpus script failed: {e}"));
-        (out, 0, None)
-    };
-    let wall_secs = t0.elapsed().as_secs_f64();
+    let output = interp
+        .run(script)
+        .unwrap_or_else(|e| panic!("corpus script failed: {e}"));
     let io = session.io_snapshot() - io0;
-    let m = CellMeasurement {
+    let counted = Budget {
         reads: io.reads,
         writes: io.writes,
-        wall_secs,
-        flops: session.cpu_ops() - ops0,
-        spans,
-        profile_tree,
     };
-    (output, m)
-}
-
-/// The counters [`run_script_measured`] returns alongside the output.
-pub struct CellMeasurement {
-    /// Counted block reads.
-    pub reads: u64,
-    /// Counted block writes.
-    pub writes: u64,
-    /// Wall-clock seconds.
-    pub wall_secs: f64,
-    /// Scalar operations.
-    pub flops: u64,
-    /// Captured profile spans (0 when not captured).
-    pub spans: usize,
-    /// Deterministic counts-only profile tree, when captured.
-    pub profile_tree: Option<String>,
+    (output, counted)
 }
 
 /// Run one grid cell of `workload` under `profile` from a fresh session.
-pub fn run_cell(w: &Workload, profile: &Profile, cell: Cell, capture_profile: bool) -> CellResult {
+pub fn run_cell(w: &Workload, profile: &Profile, cell: Cell) -> CellResult {
     let mut interp = Interpreter::new(session_config(profile, cell));
     bind_inputs(&mut interp, &inputs(w.name, profile), false);
-    let (output, m) = run_script_measured(&mut interp, w.script, capture_profile);
+    let (output, io) = run_script_measured(&mut interp, w.script);
     CellResult {
         cell,
         checksum: fnv1a(&output),
         output,
-        reads: m.reads,
-        writes: m.writes,
-        wall_secs: m.wall_secs,
-        flops: m.flops,
-        spans: m.spans,
-        profile_tree: m.profile_tree,
+        io,
     }
 }
 
 /// Everything measured for one workload across the grid.
 pub struct WorkloadReport {
-    /// Workload name.
-    pub name: String,
     /// The (cross-engine identical) output checksum.
     pub checksum: u64,
     /// One result per grid cell, grid order.
@@ -477,10 +419,7 @@ pub fn verify_workload(w: &Workload, profile_name: &str) -> WorkloadReport {
     let mut cells = Vec::new();
     let mut reference: Option<String> = None;
     for cell in grid(&w.manifest.engines) {
-        // Keep one span tree per workload: the Riot single-thread
-        // demand-paged cell, the canonical configuration.
-        let capture = cell.engine == EngineKind::Riot && cell.threads == 1 && cell.prefetch == 0;
-        let r = run_cell(w, profile, cell, capture);
+        let r = run_cell(w, profile, cell);
         match &reference {
             None => reference = Some(r.output.clone()),
             Some(want) => assert_eq!(
@@ -502,20 +441,14 @@ pub fn verify_workload(w: &Workload, profile_name: &str) -> WorkloadReport {
             )
         });
         assert_eq!(
-            (r.reads, r.writes),
-            (budget.reads, budget.writes),
+            r.io, budget,
             "{}/{}: counted I/O under {:?} t{} pf{} drifted from the pinned budget \
              (regenerate with riot-corpus --update if intentional)",
-            w.name,
-            profile_name,
-            cell.engine,
-            cell.threads,
-            cell.prefetch
+            w.name, profile_name, cell.engine, cell.threads, cell.prefetch
         );
         cells.push(r);
     }
     WorkloadReport {
-        name: w.name.to_string(),
         checksum: profile.checksum,
         cells,
     }
@@ -533,7 +466,7 @@ pub fn measure_profile(w: &Workload, profile: &Profile) -> (u64, Vec<(EngineKind
             threads: 1,
             prefetch: 0,
         };
-        let r = run_cell(w, profile, cell, false);
+        let r = run_cell(w, profile, cell);
         match checksum {
             None => checksum = Some(r.checksum),
             Some(c) => assert_eq!(
@@ -542,13 +475,7 @@ pub fn measure_profile(w: &Workload, profile: &Profile) -> (u64, Vec<(EngineKind
                 w.name
             ),
         }
-        budgets.push((
-            engine,
-            Budget {
-                reads: r.reads,
-                writes: r.writes,
-            },
-        ));
+        budgets.push((engine, r.io));
     }
     (checksum.expect("at least one engine"), budgets)
 }
@@ -561,12 +488,4 @@ pub fn fnv1a(s: &str) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
     h
-}
-
-/// Cores visible to this process — recorded in every bench artifact so
-/// flat thread-scaling curves on 1-core containers are self-explaining.
-pub fn cores_available() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
 }

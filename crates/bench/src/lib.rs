@@ -1,4 +1,5 @@
-//! Shared harness code for the figure-regeneration binaries and benches.
+//! Shared harness code for the figure-regeneration binaries and the
+//! workload corpus.
 
 pub mod corpus;
 
@@ -68,134 +69,6 @@ pub fn run_example1(kind: EngineKind, n: usize, mem_blocks: usize) -> Example1Ru
     }
 }
 
-/// One tracing-overhead measurement: the identical `Session` workload run
-/// untraced and inside [`Session::profile`] (the fully-enabled path —
-/// ring recording, span bracketing, event drain), best-of-`reps` wall
-/// clocks so scheduler noise cancels out of both sides.
-#[derive(Debug, Clone)]
-pub struct TraceOverhead {
-    /// Which bench binary measured it (`BENCH_pr7.json` merge key).
-    pub source: &'static str,
-    /// Human label for the workload.
-    pub workload: &'static str,
-    /// Best untraced wall seconds.
-    pub disabled_secs: f64,
-    /// Best traced wall seconds.
-    pub enabled_secs: f64,
-    /// Spans in the recorded profile.
-    pub spans: usize,
-    /// Typed events in the recorded profile.
-    pub events: usize,
-}
-
-impl TraceOverhead {
-    /// Enabled/disabled wall-clock ratio (1.0 = free).
-    pub fn ratio(&self) -> f64 {
-        self.enabled_secs / self.disabled_secs
-    }
-
-    /// The `--test-mode` gate: tracing costs under 5% wall clock. The
-    /// small absolute term keeps millisecond-scale CI runs from failing
-    /// on a single timer-granularity blip.
-    pub fn assert_within_5pct(&self) {
-        assert!(
-            self.enabled_secs <= self.disabled_secs * 1.05 + 5e-4,
-            "tracing overhead {:.2}% exceeds 5% ({:.6}s -> {:.6}s, {} spans / {} events)",
-            (self.ratio() - 1.0) * 100.0,
-            self.disabled_secs,
-            self.enabled_secs,
-            self.spans,
-            self.events
-        );
-    }
-}
-
-/// Measure tracing overhead for `work` run against a fresh session from
-/// `mk` each repetition (fresh sessions keep the two sides' catalog and
-/// cache state identical).
-pub fn measure_trace_overhead(
-    source: &'static str,
-    workload: &'static str,
-    reps: usize,
-    mk: impl Fn() -> Session,
-    work: impl Fn(&Session) -> u64,
-) -> TraceOverhead {
-    let mut disabled_secs = f64::MAX;
-    let mut enabled_secs = f64::MAX;
-    let mut spans = 0;
-    let mut events = 0;
-    let mut check = None;
-    for _ in 0..reps.max(1) {
-        let s = mk();
-        let t0 = std::time::Instant::now();
-        let plain = work(&s);
-        disabled_secs = disabled_secs.min(t0.elapsed().as_secs_f64());
-
-        let s = mk();
-        // Warm the tracer: the first enable lazily allocates the event
-        // ring, a one-time cost that is not the steady-state overhead
-        // this row reports.
-        let _ = s.profile(|| 0u64);
-        let t0 = std::time::Instant::now();
-        let (traced, profile) = s.profile(|| work(&s));
-        enabled_secs = enabled_secs.min(t0.elapsed().as_secs_f64());
-        spans = profile.root.count() - 1;
-        events = profile.events.len();
-
-        assert_eq!(plain, traced, "tracing changed the workload's result");
-        if let Some(prev) = check.replace(traced) {
-            assert_eq!(prev, traced, "workload is not deterministic");
-        }
-    }
-    TraceOverhead {
-        source,
-        workload,
-        disabled_secs,
-        enabled_secs,
-        spans,
-        events,
-    }
-}
-
-/// Merge `rows` into `BENCH_pr7.json` at the repository root. Each row is
-/// one line keyed by `source`, so the two bench binaries can each rewrite
-/// their own rows without clobbering the other's.
-pub fn write_trace_overhead_rows(rows: &[TraceOverhead]) {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pr7.json");
-    let source = rows.first().map(|r| r.source).unwrap_or_default();
-    let mut kept: Vec<String> = std::fs::read_to_string(path)
-        .unwrap_or_default()
-        .lines()
-        .filter(|l| {
-            l.trim_start().starts_with("{ \"source\"")
-                && !l.contains(&format!("\"source\": \"{source}\""))
-        })
-        .map(|l| l.trim_end_matches(',').to_string())
-        .collect();
-    for r in rows {
-        kept.push(format!(
-            "    {{ \"source\": \"{}\", \"workload\": \"{}\", \"disabled_secs\": {:.6}, \
-             \"enabled_secs\": {:.6}, \"overhead_ratio\": {:.4}, \"spans\": {}, \
-             \"events\": {} }}",
-            r.source,
-            r.workload,
-            r.disabled_secs,
-            r.enabled_secs,
-            r.ratio(),
-            r.spans,
-            r.events
-        ));
-    }
-    kept.sort();
-    let json = format!(
-        "{{\n  \"bench\": \"tracing_overhead\",\n  \"cores_available\": {},\n  \"rows\": [\n{}\n  ]\n}}\n",
-        corpus::cores_available(),
-        kept.join(",\n")
-    );
-    std::fs::write(path, json).expect("write BENCH_pr7.json");
-    println!("  wrote {path}");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,21 +78,5 @@ mod tests {
         let r = run_example1(EngineKind::Riot, 4096, 8);
         assert!(r.io.reads > 0);
         assert_eq!(r.n, 4096);
-    }
-
-    #[test]
-    fn trace_overhead_measures_and_reconciles() {
-        let row = measure_trace_overhead(
-            "unit",
-            "elementwise",
-            2,
-            || Session::new(EngineConfig::new(EngineKind::Riot)),
-            |s| {
-                let x = s.vector_from_fn(2048, |i| i as f64).unwrap();
-                (&x * 2.0).sum().unwrap() as u64
-            },
-        );
-        assert!(row.disabled_secs > 0.0 && row.enabled_secs > 0.0);
-        assert!(row.spans >= 1, "the sum forcing point spans");
     }
 }

@@ -1,9 +1,9 @@
-//! The corpus regression gate as a plain `cargo test`: every workload's
-//! "test" profile runs the full engine × threads × prefetch grid with
-//! cross-engine output equality and the manifests' exact counted-I/O
-//! budgets asserted in every cell. This is the same check the
-//! `riot-corpus --test-mode` CI job performs, kept here so a bare
-//! `cargo test` also refuses budget or checksum drift.
+//! The corpus regression gate for the `test` profiles: every workload
+//! runs the full engine × threads × prefetch grid with cross-engine
+//! output equality and the manifests' exact counted-I/O budgets asserted
+//! in every cell, so a bare `cargo test` (and CI's `RIOT_TRACE=1` leg)
+//! refuses budget or checksum drift. The `full` profiles are gated by
+//! the `riot-corpus` binary.
 
 use riot_bench::corpus::{self, verify_workload};
 

@@ -56,7 +56,7 @@ fn sweep(name: &str) {
             let tag = format!("{name}/{engine:?} t{threads}");
 
             // Reference from an untouched, ungoverned session.
-            let reference = corpus::run_cell(&w, profile, cell, false);
+            let reference = corpus::run_cell(&w, profile, cell);
 
             // Count-mode pass: governed with empty limits. Doubles as
             // the corpus-level neutrality check for the output.
@@ -116,15 +116,14 @@ fn sweep(name: &str) {
                 s.reset_cancel();
                 let mut interp = Interpreter::with_session(s.clone());
                 corpus::bind_inputs(&mut interp, &corpus::inputs(w.name, profile), false);
-                let (out, m) = corpus::run_script_measured(&mut interp, w.script, false);
+                let (out, m) = corpus::run_script_measured(&mut interp, w.script);
                 assert_eq!(
                     corpus::fnv1a(&out),
                     reference.checksum,
                     "{tag}: rerun after cancel at {k}/{total} diverged"
                 );
                 assert_eq!(
-                    (m.reads, m.writes),
-                    (reference.reads, reference.writes),
+                    m, reference.io,
                     "{tag}: rerun after cancel at {k}/{total} broke the I/O budget"
                 );
             }

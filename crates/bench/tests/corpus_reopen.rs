@@ -58,12 +58,12 @@ fn check_same_ctx_rerun(workload: &str, engine: EngineKind, threads: usize, pref
     ));
     let mut interp = Interpreter::with_session(Session::with_ctx(cfg, Arc::clone(&ctx)));
     bind_inputs(&mut interp, &inputs, true);
-    let (out1, m1) = run_script_measured(&mut interp, w.script, false);
+    let (out1, m1) = run_script_measured(&mut interp, w.script);
     drop(interp);
 
     let mut interp = Interpreter::with_session(Session::with_ctx(cfg, ctx));
     open_inputs(&mut interp, &inputs);
-    let (out2, m2) = run_script_measured(&mut interp, w.script, false);
+    let (out2, m2) = run_script_measured(&mut interp, w.script);
 
     assert_eq!(
         out1, out2,
@@ -96,7 +96,7 @@ fn check_durable_reopen(workload: &str, engine: EngineKind, threads: usize, pref
     .expect("format durable ctx");
     let mut interp = Interpreter::with_session(Session::with_ctx(cfg, Arc::clone(&ctx)));
     bind_inputs(&mut interp, &inputs, true);
-    let (out1, m1) = run_script_measured(&mut interp, w.script, false);
+    let (out1, m1) = run_script_measured(&mut interp, w.script);
     drop(interp);
     ctx.commit().expect("flush + commit before 'shutdown'");
     drop(ctx);
@@ -109,7 +109,7 @@ fn check_durable_reopen(workload: &str, engine: EngineKind, threads: usize, pref
     .expect("reopen durable ctx");
     let mut interp = Interpreter::with_session(Session::with_ctx(cfg, ctx));
     open_inputs(&mut interp, &inputs);
-    let (out2, m2) = run_script_measured(&mut interp, w.script, false);
+    let (out2, m2) = run_script_measured(&mut interp, w.script);
 
     assert_eq!(
         out1, out2,

@@ -69,7 +69,7 @@ fn build(split: &[Vec<usize>], i: usize, j: usize) -> ChainTree {
 }
 
 /// Enumerate every parenthesization of `k` matrices (Catalan many) —
-/// exponential, used only to verify the DP in tests and benches.
+/// exponential, used only to verify the DP in tests.
 pub fn all_orders(k: usize) -> Vec<ChainTree> {
     fn rec(i: usize, j: usize) -> Vec<ChainTree> {
         if i == j {

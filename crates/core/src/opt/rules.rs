@@ -38,7 +38,7 @@ use crate::expr::{BinOp, Node, NodeId, UnOp};
 use crate::graph::ExprGraph;
 use crate::shape::Shape;
 
-/// Which rule families to apply (ablation switches for the benches).
+/// Which rule families to apply (ablation switches).
 #[derive(Debug, Clone, Copy)]
 pub struct OptConfig {
     /// Enable subscript pushdown (Figure 2).

@@ -398,13 +398,6 @@ impl Runtime {
         self.ctx.pool().pool_stats()
     }
 
-    /// One-call folded storage counters: counted I/O plus pool counters
-    /// (retry/corruption counters fold in at the layer that stacked those
-    /// wrappers; the default in-memory device has none).
-    pub fn storage_report(&self) -> riot_storage::StorageReport {
-        self.ctx.storage_report()
-    }
-
     /// The runtime's storage context (pool, catalog, and governor).
     pub fn storage_ctx(&self) -> Arc<StorageCtx> {
         Arc::clone(&self.ctx)

@@ -31,7 +31,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use riot_array::MatrixLayout;
-use riot_storage::{CancelToken, DiskModel, IoSnapshot, PoolStats, ResourceLimits, StorageReport};
+use riot_storage::{CancelToken, DiskModel, IoSnapshot, PoolStats, ResourceLimits};
 
 use crate::exec::{ExecError, ExecResult};
 use crate::expr::{AggOp, BinOp, UnOp};
@@ -320,12 +320,6 @@ impl Session {
     /// Buffer-pool cache-effectiveness counters so far.
     pub fn pool_stats(&self) -> PoolStats {
         self.rt.borrow().pool_stats()
-    }
-
-    /// Folded storage counters so far: counted I/O plus pool counters
-    /// (see [`StorageReport`]).
-    pub fn storage_report(&self) -> StorageReport {
-        self.rt.borrow().storage_report()
     }
 
     /// Profile one region of this session: tracing turns on, `f` runs,

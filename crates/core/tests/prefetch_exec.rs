@@ -12,7 +12,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use riot_array::{DenseMatrix, DenseVector, MatrixLayout, StorageCtx, TileOrder};
-use riot_core::exec::{dmspm, matmul_bnlj, matmul_tiled, spmdm, spmm, spmv, sptranspose};
+use riot_core::exec::{
+    chol_tiled, dmspm, matmul_bnlj, matmul_tiled, spmdm, spmm, spmv, sptranspose,
+};
 use riot_sparse::SparseMatrix;
 use riot_storage::testing::FailpointDevice;
 use riot_storage::{BufferPool, IoSnapshot, MemBlockDevice, PoolConfig, PoolStats, ReplacerKind};
@@ -168,6 +170,32 @@ fn matmul_kernels_prefetch_parity() {
         (t.to_rows().unwrap(), flops)
     };
     assert_parity("matmul_bnlj", measure(96, 0, bnlj), measure(96, 4, bnlj));
+
+    // The factorization declares per-panel windows through the same
+    // `prefetch_rect`: 2x2 panels of 16x16 over a diagonally dominant A.
+    let chol = |c: &Arc<StorageCtx>| {
+        let a = DenseMatrix::from_fn(
+            c,
+            n,
+            n,
+            MatrixLayout::Square,
+            TileOrder::RowMajor,
+            None,
+            |i, j| {
+                if i == j {
+                    n as f64
+                } else {
+                    1.0 / (1 + i + j) as f64
+                }
+            },
+        )
+        .unwrap();
+        c.pool().flush_all().unwrap();
+        c.clear_cache().unwrap();
+        let (l, flops) = chol_tiled(&a, 3 * 16 * 16, None).unwrap();
+        (l.to_rows().unwrap(), flops)
+    };
+    assert_parity("chol_tiled", measure(64, 0, chol), measure(64, 4, chol));
 }
 
 #[test]

@@ -883,16 +883,14 @@ impl Interpreter {
     /// `riot.profile(expr)`: evaluate and force `expr` inside a profiled
     /// region, append the flat I/O profile to the script output, and return
     /// the value. `riot.profile()` with no argument prints the session's
-    /// cumulative pool and storage counters instead.
+    /// cumulative counted I/O and pool counters instead.
     fn profile_builtin(&mut self, args: &[(Option<String>, Expr)]) -> RResult<RValue> {
         if args.is_empty() {
-            let text = format!(
-                "{}\n{}",
-                self.session.pool_stats(),
-                self.session.storage_report()
-            );
-            self.output.push_str(text.trim_end());
-            self.output.push('\n');
+            self.output.push_str(&format!(
+                "io:   {}\n{}\n",
+                self.session.io_snapshot(),
+                self.session.pool_stats()
+            ));
             return Ok(RValue::Null);
         }
         // A clone is a second handle onto the same runtime, so the closure
@@ -1399,8 +1397,12 @@ print(sum(nnz(p1) + nnz(p2) + nnz(p3) + nnz(p4)))";
     fn riot_profile_without_args_reports_session_counters() {
         let out = run("x <- 1:256\nprint(sum(x))\nriot.profile()");
         assert!(out.contains("[1] 32896"), "{out}");
-        // Cumulative pool + storage report, not a per-query profile.
-        assert!(out.contains("hit"), "pool stats present:\n{out}");
+        // Cumulative counters, not a per-query profile: one line each.
+        for prefix in ["io:", "pool:"] {
+            let n = out.lines().filter(|l| l.starts_with(prefix)).count();
+            assert_eq!(n, 1, "exactly one `{prefix}` line:\n{out}");
+        }
+        assert!(out.contains("hit rate"), "pool stats present:\n{out}");
     }
 
     #[test]

@@ -86,7 +86,6 @@ pub mod governor;
 pub mod mem_device;
 pub mod pool;
 pub mod replacer;
-pub mod report;
 pub mod retry;
 pub mod stats;
 pub mod testing;
@@ -101,8 +100,7 @@ pub use governor::{CancelToken, QueryGovernor, ResourceLimits};
 pub use mem_device::MemBlockDevice;
 pub use pool::{BufferPool, PinnedFrame, PinnedFrameMut, PoolConfig, PoolStats, PREFETCH_AUTO};
 pub use replacer::{ClockReplacer, LruReplacer, MruReplacer, Replacer, ReplacerKind};
-pub use report::StorageReport;
-pub use retry::{RetryDevice, RetryPolicy, RetrySnapshot, RetryStats};
+pub use retry::{RetryDevice, RetryPolicy, RetryStats};
 pub use stats::{DiskModel, InFlight, IoSnapshot, IoStats};
 pub use testing::{FailpointDevice, FailpointHandle, Watchdog};
 pub use verify::{checksum64, VerifyingDevice};

@@ -233,7 +233,7 @@ impl PoolStats {
 
 impl std::fmt::Display for PoolStats {
     /// One-line summary: `hits/misses (rate), evict-wb, coalesced, prefetch
-    /// issued/hit/wasted` — the shape tests and benches print.
+    /// issued/hit/wasted` — the shape tests and `riot.profile()` print.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
@@ -743,16 +743,6 @@ impl BufferPool {
     /// against this pool; disabled by default).
     pub fn tracer(&self) -> &Arc<Tracer> {
         &self.core.tracer
-    }
-
-    /// One-call snapshot of everything this pool can observe: counted I/O
-    /// plus cache-effectiveness counters. Retry/corruption counters live in
-    /// the device wrappers (the pool sees them type-erased), so callers
-    /// that stacked those fold them in via
-    /// [`crate::StorageReport::with_retries`] /
-    /// [`crate::StorageReport::with_corruptions`].
-    pub fn storage_report(&self) -> crate::StorageReport {
-        crate::StorageReport::new(self.io_stats().snapshot(), self.pool_stats())
     }
 
     /// Gauges of device I/O currently outstanding on the pool's behalf

@@ -4,10 +4,9 @@
 //! resident: the BNLJ-inspired matrix multiply pins a chunk of `A` rows
 //! while streaming `B`, and the square-tiled algorithm holds three `p × p`
 //! submatrices. Replacement only decides the fate of *unpinned* pages, but
-//! the choice still matters for workloads that re-touch data (the ablation
-//! bench `ablation_replacer` quantifies this). Three classic policies are
-//! provided: LRU (default), Clock (second chance), and MRU (which is
-//! optimal for cyclic scans larger than memory).
+//! the choice still matters for workloads that re-touch data. Three classic
+//! policies are provided: LRU (default), Clock (second chance), and MRU
+//! (which is optimal for cyclic scans larger than memory).
 
 /// Frame index inside a buffer pool.
 pub type FrameId = usize;

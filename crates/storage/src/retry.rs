@@ -101,40 +101,6 @@ impl RetryStats {
     pub fn gave_up(&self) -> u64 {
         self.gave_up.load(Ordering::Relaxed)
     }
-
-    /// A consistent-enough point-in-time copy of all four counters.
-    pub fn snapshot(&self) -> RetrySnapshot {
-        RetrySnapshot {
-            retried_reads: self.retried_reads(),
-            retried_writes: self.retried_writes(),
-            recovered: self.recovered(),
-            gave_up: self.gave_up(),
-        }
-    }
-}
-
-/// Plain-value snapshot of [`RetryStats`] (comparable, copyable — what
-/// [`crate::StorageReport`] embeds).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RetrySnapshot {
-    /// Read re-issues.
-    pub retried_reads: u64,
-    /// Write (and sync) re-issues.
-    pub retried_writes: u64,
-    /// Operations that failed at least once and then succeeded.
-    pub recovered: u64,
-    /// Operations whose transient retries were exhausted.
-    pub gave_up: u64,
-}
-
-impl std::fmt::Display for RetrySnapshot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "retries: {} read / {} write re-issues, {} recovered, {} gave up",
-            self.retried_reads, self.retried_writes, self.recovered, self.gave_up
-        )
-    }
 }
 
 /// A [`BlockDevice`] wrapper that retries transient failures with backoff.

@@ -62,4 +62,4 @@ pub use riot_core::{
     RMat, RVec, ResourceLimits, Session,
 };
 pub use riot_rlang::Interpreter;
-pub use riot_storage::{DiskModel, IoSnapshot, PoolStats, StorageReport};
+pub use riot_storage::{DiskModel, IoSnapshot, PoolStats};
