@@ -28,6 +28,8 @@
 //! `Send + Sync` clones sharing one [`StorageCtx`], so parallel kernels
 //! work on disjoint tiles from many threads.
 
+#![deny(unsafe_code)]
+
 pub mod context;
 pub mod linear;
 pub mod matrix;

@@ -50,7 +50,10 @@ impl DenseVector {
         name: Option<&str>,
     ) -> Result<Self> {
         let epb = ctx.elems_per_block();
-        assert!(slot_elems >= 1 && epb % slot_elems == 0, "bad slot width");
+        assert!(
+            slot_elems >= 1 && epb.is_multiple_of(slot_elems),
+            "bad slot width"
+        );
         let per_block = epb / slot_elems;
         let blocks = len.div_ceil(per_block).max(1) as u64;
         let (object, extent) = ctx.create_object(blocks, name)?;
@@ -93,7 +96,10 @@ impl DenseVector {
         }
         let slot_elems = header.layout as usize;
         let epb = ctx.elems_per_block();
-        if header.cols != 1 || header.nnz != header.rows || slot_elems == 0 || epb % slot_elems != 0
+        if header.cols != 1
+            || header.nnz != header.rows
+            || slot_elems == 0
+            || !epb.is_multiple_of(slot_elems)
         {
             return Err(cannot("bad vector header"));
         }

@@ -1,6 +1,8 @@
 //! Shared harness code for the figure-regeneration binaries and the
 //! workload corpus.
 
+#![deny(unsafe_code)]
+
 pub mod corpus;
 
 use riot_core::{EngineConfig, EngineKind, Session};

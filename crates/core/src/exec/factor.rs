@@ -27,80 +27,113 @@
 use riot_array::matrix::DenseMatrix;
 use riot_array::{MatrixLayout, TileOrder};
 
-use super::gemm::{gemm_acc, transpose_into};
+use super::gemm::{axpy, gemm_acc, gemm_acc_ld, transpose_into};
 use super::matmul::{non_conformable, prefetch_rect, read_rect, write_rect, Operand};
 use super::{run_parallel, ExecError, ExecResult};
 use crate::cost::panel_side;
 use crate::expr::ExprError;
 use crate::shape::Shape;
 
+/// Column-block width of the in-memory panel kernels: everything to the
+/// left of a block reaches it as one [`gemm_acc_ld`] product, only the
+/// `NB` in-block columns run through the scalar recurrences.
+const NB: usize = 32;
+
 /// In-place lower Cholesky of the leading `t x t` panel of `buf`
 /// (row-major, stride `t`). On success the strict upper triangle is
 /// zeroed. `panel` and `row0` locate the panel for error reporting.
+///
+/// Right-looking over [`NB`]-wide column blocks. Every element still
+/// receives its subtractions in ascending `k` and its divide after the
+/// last one, so the bits are those of the unblocked dot-product loop at
+/// any block width.
 pub(crate) fn potrf(buf: &mut [f64], t: usize, panel: usize, row0: usize) -> ExecResult<u64> {
-    let mut flops = 0u64;
-    for j in 0..t {
-        let mut d = buf[j * t + j];
-        for k in 0..j {
-            d -= buf[j * t + k] * buf[j * t + k];
-        }
-        flops += j as u64 + 1;
-        // A non-finite pivot (NaN already in the input, or overflow) and a
-        // non-positive pivot both mean "not positive definite" — erroring
-        // here is what keeps NaNs from silently flowing downstream.
-        if !d.is_finite() || d <= 0.0 {
-            return Err(ExecError::NotPositiveDefinite {
-                tile: panel,
-                pivot: row0 + j,
-            });
-        }
-        let d = d.sqrt();
-        buf[j * t + j] = d;
-        for i in j + 1..t {
-            let mut s = buf[i * t + j];
-            for k in 0..j {
-                s -= buf[i * t + k] * buf[j * t + k];
+    // The block column below the diagonal block, and its transpose.
+    let (mut col, mut colt) = (vec![0.0; NB * t], vec![0.0; NB * t]);
+    for j0 in (0..t).step_by(NB) {
+        let j1 = (j0 + NB).min(t);
+        // Factor the block column: in-block `k` only, one pivot at a time,
+        // each row taking its update as soon as its multiplier exists.
+        let mut lj = [0.0; NB];
+        for j in j0..j1 {
+            let d = buf[j * t + j];
+            // A non-finite pivot (NaN already in the input, or overflow) and
+            // a non-positive pivot both mean "not positive definite" —
+            // erroring here is what keeps NaNs from silently flowing
+            // downstream.
+            if !d.is_finite() || d <= 0.0 {
+                return Err(ExecError::NotPositiveDefinite {
+                    tile: panel,
+                    pivot: row0 + j,
+                });
             }
-            buf[i * t + j] = s / d;
-            flops += j as u64 + 1;
+            let d = d.sqrt();
+            buf[j * t + j] = d;
+            buf[j * t + j + 1..(j + 1) * t].fill(0.0);
+            for i in j + 1..t {
+                let row = &mut buf[i * t..][..j1.min(i + 1)];
+                let lij = row[j] / d;
+                row[j] = lij;
+                if i < j1 {
+                    lj[i - j0] = lij;
+                }
+                axpy(-lij, &lj[j + 1 - j0..row.len() - j0], &mut row[j + 1..]);
+            }
         }
-        for i in j + 1..t {
-            buf[j * t + i] = 0.0;
+        // Trailing update, lower triangle only: each row block takes
+        // `A(i, j1..=i) -= L(i, j0..j1) · L(j1..=i, j0..j1)ᵀ` in place.
+        let (rows, nb) = (t - j1, j1 - j0);
+        for r in 0..rows {
+            for k in 0..nb {
+                let v = buf[(j1 + r) * t + j0 + k];
+                (col[r * nb + k], colt[k * rows + r]) = (v, v);
+            }
+        }
+        for r0 in (0..rows).step_by(NB) {
+            let r1 = (r0 + NB).min(rows);
+            gemm_acc_ld(
+                (&mut buf[(j1 + r0) * t + j1..], t),
+                (&col[r0 * nb..], nb),
+                (&colt, rows),
+                (r1 - r0, r1, nb),
+                -1.0,
+            );
         }
     }
-    Ok(flops)
-}
-
-/// Solve `X · Lᵀ = A` in place: `a` is `rows x t` row-major, `l` is the
-/// already-factored lower-triangular `t x t` diagonal panel.
-fn trsm_right_lt(a: &mut [f64], rows: usize, l: &[f64], t: usize) -> u64 {
-    for r in 0..rows {
-        for j in 0..t {
-            let mut s = a[r * t + j];
-            for k in 0..j {
-                s -= a[r * t + k] * l[j * t + k];
-            }
-            a[r * t + j] = s / l[j * t + j];
-        }
-    }
-    (rows * t * (t + 1) / 2) as u64
+    Ok((t * (t + 1) * (t + 2) / 6) as u64)
 }
 
 /// Solve `T · X = B` in place for a triangular `t x t` panel `tri`, `b`
 /// being `t x cols` (all row-major): lower-triangular top-down, or —
 /// `upper` — upper-triangular bottom-up.
+///
+/// Top-down, each [`NB`]-row block first takes everything above it as one
+/// product, which leaves every element's subtractions in ascending `k`.
+/// Bottom-up, a row's own block holds its *first* `k`, so pulling the rest
+/// into a product would regroup the sum: that sweep stays unblocked (its
+/// shapes are matrix-vector wherever it runs).
 fn trsm_left(b: &mut [f64], cols: usize, tri: &[f64], t: usize, upper: bool) -> u64 {
+    let b = &mut b[..t * cols];
     for step in 0..t {
         let r = if upper { t - 1 - step } else { step };
-        for k in if upper { r + 1..t } else { 0..r } {
-            let trk = tri[r * t + k];
-            for c in 0..cols {
-                b[r * cols + c] -= trk * b[k * cols + c];
-            }
+        let (above, rest) = b.split_at_mut(r * cols);
+        let block = r - r % NB;
+        if !upper && r == block {
+            let dims = (NB.min(t - r), cols, r);
+            gemm_acc_ld((rest, cols), (&tri[r * t..], t), (above, cols), dims, -1.0);
+        }
+        let (row, below) = rest.split_at_mut(cols);
+        let (k0, others) = if upper {
+            (r + 1, &*below)
+        } else {
+            (block, &above[block * cols..])
+        };
+        for (k, xk) in others.chunks_exact(cols).enumerate() {
+            axpy(-tri[r * t + k0 + k], xk, row);
         }
         let d = tri[r * t + r];
-        for c in 0..cols {
-            b[r * cols + c] /= d;
+        for v in row {
+            *v /= d;
         }
     }
     (t * (t + 1) / 2 * cols) as u64
@@ -164,14 +197,12 @@ fn expect_square(rows: usize, cols: usize) -> ExecResult<usize> {
 /// `solve(a, b)` entirely in memory, for engines whose matrices fit there:
 /// factor the row-major `n x n` panel `a` in place, then substitute
 /// forward and backward through the `n x m` right-hand side `x` — the
-/// tiled solve's own steps on a single panel.
-pub(crate) fn solve_in_memory(a: &mut [f64], x: &mut [f64], n: usize, m: usize) -> ExecResult<()> {
-    potrf(a, n, 0, 0)?;
-    trsm_left(x, m, a, n, false);
+/// tiled solve's own steps on a single panel, and their flop count.
+pub(crate) fn solve_in_memory(a: &mut [f64], x: &mut [f64], n: usize, m: usize) -> ExecResult<u64> {
+    let flops = potrf(a, n, 0, 0)? + trsm_left(x, m, a, n, false);
     let mut lt = vec![0.0; n * n];
     transpose_into(a, n, n, &mut lt);
-    trsm_left(x, m, &lt, n, true);
-    Ok(())
+    Ok(flops + trsm_left(x, m, &lt, n, true))
 }
 
 /// Out-of-core tiled Cholesky factorization: returns the lower-triangular
@@ -241,8 +272,8 @@ pub fn chol_tiled_parallel(
             flops += run_parallel(
                 threads.min(rows.len().max(1)),
                 &rows,
-                || vec![0.0; p * p],
-                |&i, buf| {
+                || (vec![0.0; p * p], vec![0.0; p * p]),
+                |&i, (buf, xt)| {
                     ctx.governor().checkpoint("factor.chol.trsm")?;
                     let pi = pw(i);
                     // Next window for this row panel: its own
@@ -252,7 +283,10 @@ pub fn chol_tiled_parallel(
                         prefetch_rect(&out, i * p, (k + 1) * p, pi, pw(k + 1));
                     }
                     read_rect(&out, i * p, k0, pi, pk, buf)?;
-                    let f = trsm_right_lt(buf, pi, &diag, pk);
+                    // `X · Lᵀ = A` is `L · Xᵀ = Aᵀ`.
+                    transpose_into(buf, pi, pk, xt);
+                    let f = trsm_left(xt, pi, &diag, pk, false);
+                    transpose_into(xt, pk, pi, buf);
                     write_rect(&out, i * p, k0, pi, pk, buf)?;
                     ctx.governor().add_flops(f);
                     Ok(f)
@@ -459,6 +493,156 @@ mod tests {
             }
         }
         l
+    }
+
+    /// The unblocked kernels the level-3 ones replaced, kept as oracles:
+    /// per element a dot-product loop in ascending `k`, then the divide.
+    fn potrf_unblocked(buf: &mut [f64], t: usize) -> Result<u64, usize> {
+        let mut flops = 0u64;
+        for j in 0..t {
+            let mut d = buf[j * t + j];
+            for k in 0..j {
+                d -= buf[j * t + k] * buf[j * t + k];
+            }
+            if !d.is_finite() || d <= 0.0 {
+                return Err(j);
+            }
+            let d = d.sqrt();
+            buf[j * t + j] = d;
+            for i in j + 1..t {
+                let mut s = buf[i * t + j];
+                for k in 0..j {
+                    s -= buf[i * t + k] * buf[j * t + k];
+                }
+                buf[i * t + j] = s / d;
+                buf[j * t + i] = 0.0;
+            }
+            flops += ((j + 1) * (t - j)) as u64;
+        }
+        Ok(flops)
+    }
+
+    /// `X · Lᵀ = A` in place, `a` being `rows x t`.
+    fn trsm_right_lt_unblocked(a: &mut [f64], rows: usize, l: &[f64], t: usize) {
+        for r in 0..rows {
+            for j in 0..t {
+                let mut s = a[r * t + j];
+                for k in 0..j {
+                    s -= a[r * t + k] * l[j * t + k];
+                }
+                a[r * t + j] = s / l[j * t + j];
+            }
+        }
+    }
+
+    fn trsm_left_unblocked(b: &mut [f64], cols: usize, tri: &[f64], t: usize, upper: bool) {
+        for step in 0..t {
+            let r = if upper { t - 1 - step } else { step };
+            for k in if upper { r + 1..t } else { 0..r } {
+                let trk = tri[r * t + k];
+                for c in 0..cols {
+                    b[r * cols + c] -= trk * b[k * cols + c];
+                }
+            }
+            for c in 0..cols {
+                b[r * cols + c] /= tri[r * t + r];
+            }
+        }
+    }
+
+    /// A real-valued SPD panel (sums round, so regrouping would show).
+    fn spd_real(t: usize) -> Vec<f64> {
+        let off = |i: usize, j: usize| ((i * 31 + j * 17) % 23) as f64 / 7.0 - 1.5;
+        (0..t * t)
+            .map(|at| match (at / t, at % t) {
+                (i, j) if i == j => 4.0 * t as f64 + (i % 5) as f64 / 3.0,
+                (i, j) => off(i.min(j), i.max(j)),
+            })
+            .collect()
+    }
+
+    fn rhs(rows: usize, cols: usize) -> Vec<f64> {
+        (0..rows * cols)
+            .map(|at| ((at * 13) % 29) as f64 / 9.0 - 1.3)
+            .collect()
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Panel sides ragged against [`NB`] on both sides of 1, 2, 3 and 8
+    /// blocks.
+    const SIDES: [usize; 6] = [1, 31, 32, 33, 97, 257];
+
+    #[test]
+    fn blocked_potrf_is_bitwise_the_unblocked_loop() {
+        for t in SIDES {
+            let (mut got, mut want) = (spd_real(t), spd_real(t));
+            let flops = potrf(&mut got, t, 0, 0).unwrap();
+            assert_eq!(Ok(flops), potrf_unblocked(&mut want, t), "t = {t}: flops");
+            assert!(bits(&got) == bits(&want), "t = {t}");
+        }
+    }
+
+    #[test]
+    fn blocked_trsm_is_bitwise_the_unblocked_loops() {
+        for t in SIDES {
+            let mut l = spd_real(t);
+            potrf(&mut l, t, 0, 0).unwrap();
+            let mut lt = vec![0.0; t * t];
+            transpose_into(&l, t, t, &mut lt);
+            for n in [1usize, 3, 4, 37] {
+                // Both sweeps of `trsm_left` over a `t x n` right-hand side.
+                for (tri, upper) in [(&l, false), (&lt, true)] {
+                    let (mut got, mut want) = (rhs(t, n), rhs(t, n));
+                    let flops = trsm_left(&mut got, n, tri, t, upper);
+                    trsm_left_unblocked(&mut want, n, tri, t, upper);
+                    assert_eq!(flops, (t * (t + 1) / 2 * n) as u64);
+                    assert!(
+                        bits(&got) == bits(&want),
+                        "t = {t}, cols = {n}, upper = {upper}"
+                    );
+                }
+                // The Cholesky TRSM step: `X · Lᵀ = A` over `n x t` as the
+                // top-down sweep between two transposes.
+                let (mut got, mut want) = (rhs(n, t), rhs(n, t));
+                let mut xt = vec![0.0; t * n];
+                transpose_into(&got, n, t, &mut xt);
+                trsm_left(&mut xt, n, &l, t, false);
+                transpose_into(&xt, t, n, &mut got);
+                trsm_right_lt_unblocked(&mut want, n, &l, t);
+                assert!(bits(&got) == bits(&want), "t = {t}, rows = {n}: X·Lᵀ = A");
+            }
+        }
+    }
+
+    #[test]
+    fn blocked_potrf_fails_at_the_unblocked_pivot() {
+        // An indefinite input, a zero pivot, and a NaN in the lower triangle
+        // (which reaches the pivot of its row), each in the first, a middle
+        // and the last column block.
+        let t = 97;
+        for at in [0usize, 5, 40, 64, 96] {
+            let poison = |a: &mut [f64], case: usize| match case {
+                0 => a[at * t + at] = -a[at * t + at],
+                1 => a[at * t..][..t].fill(0.0),
+                _ => a[at.max(1) * t + at.max(1) - 1] = f64::NAN,
+            };
+            for case in 0..3 {
+                let (mut got, mut want) = (spd_real(t), spd_real(t));
+                poison(&mut got, case);
+                poison(&mut want, case);
+                let pivot = potrf_unblocked(&mut want, t).unwrap_err();
+                assert_eq!(pivot, at.max(case / 2), "case {case} at {at}");
+                match potrf(&mut got, t, 3, 1000) {
+                    Err(ExecError::NotPositiveDefinite { tile: 3, pivot: p }) => {
+                        assert_eq!(p, 1000 + pivot, "case {case} at {at}")
+                    }
+                    other => panic!("case {case} at {at}: {other:?}"),
+                }
+            }
+        }
     }
 
     fn assert_close(got: &[f64], want: &[f64], tol: f64) {

@@ -169,9 +169,8 @@ pub(crate) fn run_parallel<I: Sync, S: Send>(
             let Some(item) = items.get(next.fetch_add(1, Ordering::Relaxed)) else {
                 break;
             };
-            flops += work(item, &mut scratch).map_err(|e| {
+            flops += work(item, &mut scratch).inspect_err(|_| {
                 failed.store(true, Ordering::Relaxed);
-                e
             })?;
         }
         Ok(flops)

@@ -36,6 +36,8 @@
 //!   object (views without cross-statement deferral);
 //! * **Riot** — fully deferred, optimized, pipelined, selective.
 
+#![deny(unsafe_code)]
+
 pub mod cost;
 pub mod eval;
 pub mod exec;

@@ -469,7 +469,7 @@ fn push_operand(
         Shape::Vector(l) => {
             // Recycled operand: position p of the output reads element
             // ((p-1) mod l) + 1 of n.
-            debug_assert!(l > 0 && out_len % l == 0, "recycling invariant");
+            debug_assert!(l > 0 && out_len.is_multiple_of(l), "recycling invariant");
             let one = g.scalar(1.0);
             let len = g.scalar(l as f64);
             let zero_based = build_zip(g, BinOp::Sub, index, one, cfg, stats);

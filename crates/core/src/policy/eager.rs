@@ -428,9 +428,9 @@ impl Runtime {
     }
 
     /// Count `flops` scalar operations, against the flop budget too.
-    fn charge(&mut self, flops: usize) {
-        self.count_ops(flops);
-        self.ctx.governor().add_flops(flops as u64);
+    fn charge(&mut self, flops: u64) {
+        self.count_ops(flops as usize);
+        self.ctx.governor().add_flops(flops);
     }
 
     /// In-memory Cholesky, as R's LAPACK call would: the whole matrix is
@@ -440,8 +440,8 @@ impl Runtime {
         let n = m.rows;
         self.ctx.governor().checkpoint("plainr.chol")?;
         let mut a = self.heap.to_vec(m.id);
-        factor::potrf(&mut a, n, 0, 0)?;
-        self.charge(n * n * n / 3 + n * n);
+        let flops = factor::potrf(&mut a, n, 0, 0)?;
+        self.charge(flops);
         Ok(self.heap_mat(n, n, &a))
     }
 
@@ -450,8 +450,8 @@ impl Runtime {
         self.ctx.governor().checkpoint("plainr.solve")?;
         let mut l = self.heap.to_vec(a.id);
         let mut x = self.heap.to_vec(b.id);
-        factor::solve_in_memory(&mut l, &mut x, n, m)?;
-        self.charge(n * n * n / 3 + 2 * n * n * m);
+        let flops = factor::solve_in_memory(&mut l, &mut x, n, m)?;
+        self.charge(flops);
         Ok(self.heap_mat(n, m, &x))
     }
 

@@ -190,7 +190,7 @@ impl Runtime {
         let arg =
             if shape != Shape::Scalar && shape.len() != out_len {
                 // Recycled operand: materialize the short side in memory.
-                debug_assert!(shape.len() < out_len && out_len % shape.len() == 0);
+                debug_assert!(shape.len() < out_len && out_len.is_multiple_of(shape.len()));
                 let data = self.drain(id, shape.len(), "pipeline.cycle.chunk")?;
                 tape.pull(Box::new(Scan::cycle(data, out_len, chunk)))
             } else if let Some(source) = self.leaf_source(id) {

@@ -171,6 +171,50 @@ proptest! {
     }
 }
 
+/// One panel holds each operand, so a single in-memory GEMM call sees the
+/// whole shape: ragged against every register block in use (4, 8, 16
+/// wide), the packed depth (128) and the packed column block (256), down
+/// to a matrix-vector product — and equal, bit for bit, to the plain
+/// ascending-`k` sum whichever instantiation this machine selected. A row
+/// of `inf` in `A` next to the zero-padded pack edge poisons its own
+/// output row and nothing else.
+#[test]
+fn whole_panel_products_are_the_ascending_k_sum() {
+    let c = ctx(0);
+    let val =
+        |i: usize, j: usize, salt: usize| ((i * 31 + j * 17 + salt * 7) % 23) as f64 / 7.0 - 1.5;
+    for (n1, n2, n3) in [(5, 9, 1), (3, 130, 17), (9, 130, 261), (2, 257, 300)] {
+        let av = |i: usize, k: usize| {
+            if i + 1 == n1 {
+                f64::INFINITY
+            } else {
+                val(i, k, 1)
+            }
+        };
+        let (sq, rm) = (MatrixLayout::Square, TileOrder::RowMajor);
+        let a = DenseMatrix::from_fn(&c, n1, n2, sq, rm, None, av).unwrap();
+        let b = mk(&c, n2, n3, 2);
+        let (got, _) = audited(
+            &c,
+            MatMulKernel::SquareTiled,
+            (&a).into(),
+            (&b).into(),
+            3 * 304 * 304,
+            1,
+        );
+        for i in 0..n1 {
+            for j in 0..n3 {
+                let want = (0..n2).fold(0.0, |acc, k| acc + av(i, k) * val(k, j, 2));
+                let cell = f64::from_bits(got[i * n3 + j]);
+                assert_eq!(cell.is_finite(), i + 1 < n1, "{n1}x{n2}x{n3} ({i},{j})");
+                if i + 1 < n1 {
+                    assert_eq!(cell.to_bits(), want.to_bits(), "{n1}x{n2}x{n3} ({i},{j})");
+                }
+            }
+        }
+    }
+}
+
 /// The forcing point: `t(x) %*% y`, `x %*% t(y)` and the Gram product each
 /// add exactly one catalog object — the result — and say so in the
 /// optimizer stats; a `t(x)` forced in its own right still materializes.

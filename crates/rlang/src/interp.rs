@@ -670,10 +670,26 @@ impl Interpreter {
                     RValue::Vector { v, .. } => v.collect()?,
                     _ => return Err(RError::Runtime("matrix data must be numeric".to_string())),
                 };
-                let nrow = named("nrow").map(|v| self.as_scalar(v)).transpose()?;
-                let ncol = named("ncol").map(|v| self.as_scalar(v)).transpose()?;
+                if positional.len() > 3 {
+                    return Err(RError::Runtime(
+                        "matrix(data, nrow, ncol) takes at most three unnamed arguments"
+                            .to_string(),
+                    ));
+                }
+                // R's formal order: unnamed arguments 2 and 3 are nrow, ncol.
+                let dim = |key: &str, pos: usize| -> RResult<Option<usize>> {
+                    if named(key).is_some() && positional.len() > pos {
+                        return Err(RError::Runtime(format!(
+                            "matrix(): {key} given both by name and by position"
+                        )));
+                    }
+                    let v = named(key).or_else(|| positional.get(pos).copied());
+                    Ok(v.map(|v| self.as_scalar(v))
+                        .transpose()?
+                        .map(|d| d as usize))
+                };
+                let (nrow, ncol) = (dim("nrow", 1)?, dim("ncol", 2)?);
                 let n = values.len();
-                let (nrow, ncol) = (nrow.map(|r| r as usize), ncol.map(|c| c as usize));
                 if n == 0 || nrow == Some(0) || ncol == Some(0) {
                     return Err(RError::Runtime(
                         "matrix() needs data and positive dimensions".to_string(),
@@ -1166,6 +1182,38 @@ m <- matrix(1:6, nrow = 2, ncol = 3)
 print(nrow(t(m)))
 print(ncol(t(m)))");
         assert_eq!(out.trim(), "[1] 3\n[1] 2");
+    }
+
+    #[test]
+    fn matrix_takes_nrow_and_ncol_by_position() {
+        // R's formal order is matrix(data, nrow, ncol); every spelling of
+        // 2 x 3 is the same matrix, and the issue's reproducer factors.
+        let dims = |call: &str| format!("m <- {call}\nprint(nrow(m))\nprint(ncol(m))\nprint(m)");
+        for kind in EngineKind::all() {
+            let want = run_with(kind, &dims("matrix(1:6, nrow = 2, ncol = 3)"));
+            assert!(want.starts_with("[1] 2\n[1] 3\n"), "{kind:?}:\n{want}");
+            for call in [
+                "matrix(1:6, 2, 3)",
+                "matrix(1:6, 2)",
+                "matrix(1:6, ncol = 3)",
+                "matrix(1:6, 2, ncol = 3)",
+            ] {
+                assert_eq!(run_with(kind, &dims(call)), want, "{kind:?}: {call}");
+            }
+            let gram = run_with(kind, "print(nrow(chol(matrix(c(4, 1, 1, 3), 2, 2))))");
+            assert_eq!(gram.trim(), "[1] 2", "{kind:?}");
+            for (call, says) in [
+                ("matrix(1:6, 2, 3, 4)", "at most three"),
+                ("matrix(1:6, 2, nrow = 3)", "nrow given both"),
+                ("matrix(1:6, 2, 3, ncol = 3)", "ncol given both"),
+            ] {
+                let mut i = Interpreter::new(EngineConfig::new(kind));
+                match i.run(call) {
+                    Err(RError::Runtime(m)) => assert!(m.contains(says), "{kind:?}: {call}: {m}"),
+                    other => panic!("{kind:?}: {call}: {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

@@ -37,6 +37,8 @@
 //! Function definitions, lists, data frames, and NA semantics are out of
 //! scope (see DESIGN.md).
 
+#![deny(unsafe_code)]
+
 pub mod ast;
 pub mod interp;
 pub mod lexer;

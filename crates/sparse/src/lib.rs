@@ -72,6 +72,8 @@
 //! ([`SparseMatrix::write_tile_entries_at`], the replay path for plans
 //! spilled to a growable catalog extent).
 
+#![deny(unsafe_code)]
+
 pub mod matrix;
 
 pub use matrix::{SparseMatrix, SparseTile, TileSlot};

@@ -219,7 +219,7 @@ impl SparseMatrix {
     ) -> Result<Self> {
         let epb = ctx.elems_per_block();
         assert!(
-            epb >= 2 && epb % 2 == 0,
+            epb >= 2 && epb.is_multiple_of(2),
             "directory entries need an even element count per block"
         );
         let ntiles = (d.tr * d.tc) as usize;

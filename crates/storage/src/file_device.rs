@@ -402,7 +402,7 @@ mod tests {
 
         fn interrupt_due(&mut self) -> bool {
             self.calls += 1;
-            self.calls % 3 == 0
+            self.calls.is_multiple_of(3)
         }
     }
 

@@ -564,7 +564,7 @@ impl BufferPool {
         assert!(config.frames > 0, "pool needs at least one frame");
         let block_size = device.block_size();
         assert!(
-            block_size % std::mem::size_of::<f64>() == 0,
+            block_size.is_multiple_of(std::mem::size_of::<f64>()),
             "block size must hold whole f64 elements"
         );
         let elems_per_block = block_size / std::mem::size_of::<f64>();

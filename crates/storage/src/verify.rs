@@ -88,7 +88,10 @@ impl<D: BlockDevice> VerifyingDevice<D> {
     /// left off.
     pub fn new(inner: D) -> Self {
         let bs = inner.block_size();
-        assert!(bs >= 8 && bs % 8 == 0, "block size must be a multiple of 8");
+        assert!(
+            bs >= 8 && bs.is_multiple_of(8),
+            "block size must be a multiple of 8"
+        );
         let slots = (bs / 8) as u64;
         let total = inner.num_blocks();
         // Invert the group layout: a complete group of (slots+1) physical

@@ -29,6 +29,8 @@
 //! produces scattered, expensive I/O compared with a database's bulk
 //! sequential scans.
 
+#![deny(unsafe_code)]
+
 pub mod heap;
 
 pub use heap::{PagedHeap, VmConfig, VmId, VmStats};
