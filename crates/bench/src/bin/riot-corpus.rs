@@ -6,6 +6,12 @@
 //! binary is the only place the `full` budgets (the only ones with
 //! non-zero Plain R paging) are checked. It writes nothing.
 //!
+//! `--update` re-measures and rewrites the manifests — unless some cell
+//! would read or write **more** than it is pinned at: counted I/O may only
+//! decrease, so the offending cells are printed, nothing is written, and
+//! the exit code is 1 (raising a budget on purpose is an edit of the
+//! manifest by hand, visible in review).
+//!
 //! ```text
 //! cargo run --release -p riot-bench --bin riot-corpus              # gate the full profiles
 //! cargo run --release -p riot-bench --bin riot-corpus -- --update  # regenerate budgets/checksums
@@ -60,8 +66,10 @@ fn print_workload_table(report: &WorkloadReport) {
 }
 
 /// Re-measure every profile of every workload and rewrite the manifest
-/// files with fresh checksums and budgets.
+/// files with fresh checksums and budgets — all of them, or, when any
+/// cell's counted I/O went up, none.
 fn update_manifests() {
+    let (mut measured, mut raised) = (Vec::new(), Vec::new());
     for w in corpus::workloads() {
         let mut manifest = w.manifest.clone();
         for profile in &mut manifest.profiles {
@@ -83,8 +91,17 @@ fn update_manifests() {
                     .join(" ")
             );
         }
-        std::fs::write(w.manifest_path, manifest.render())
-            .unwrap_or_else(|e| panic!("writing {}: {e}", w.manifest_path));
+        let cells = w.manifest.raised_cells(&manifest);
+        raised.extend(cells.into_iter().map(|cell| format!("{} {cell}", w.name)));
+        measured.push((w.manifest_path, manifest));
+    }
+    if !raised.is_empty() {
+        eprintln!("counted I/O may only decrease; nothing written. Raised cells:");
+        raised.iter().for_each(|cell| eprintln!("  {cell}"));
+        std::process::exit(1);
+    }
+    for (path, manifest) in measured {
+        std::fs::write(path, manifest.render()).unwrap_or_else(|e| panic!("writing {path}: {e}"));
     }
     println!(
         "manifests rewritten; verify with `cargo test -p riot-bench` and a plain `riot-corpus` run"

@@ -109,6 +109,30 @@ impl Manifest {
         self.profiles.iter().find(|p| p.name == name)
     }
 
+    /// The cells of `measured` that read or write **more** than this
+    /// manifest pins, one description each — the standing rule "counted
+    /// I/O may only decrease", as a check `--update` runs before it
+    /// writes. A cell this manifest has no budget for yet is new, not
+    /// raised.
+    pub fn raised_cells(&self, measured: &Manifest) -> Vec<String> {
+        let mut raised = Vec::new();
+        for new in &measured.profiles {
+            let pinned = self.profile(&new.name).map_or(&[][..], |p| &p.budgets);
+            for (slug, was) in pinned {
+                match new.budgets.iter().find(|(k, _)| k == slug) {
+                    Some((_, now)) if now.reads > was.reads || now.writes > was.writes => {
+                        raised.push(format!(
+                            "[{}] {slug}: {}r/{}w -> {}r/{}w",
+                            new.name, was.reads, was.writes, now.reads, now.writes
+                        ));
+                    }
+                    _ => {}
+                }
+            }
+        }
+        raised
+    }
+
     /// Parse the manifest syntax; errors carry the offending line.
     pub fn parse(src: &str) -> Result<Manifest, String> {
         let mut m = Manifest {
@@ -276,6 +300,31 @@ mod tests {
             })
         );
         assert_eq!(Manifest::parse(&m.render()).unwrap().render(), m.render());
+    }
+
+    #[test]
+    fn a_raised_cell_is_named_and_a_lowered_or_new_one_is_not() {
+        let src = "description = demo\nengines = plain_r mat_named riot\n\n[profile test]\n\
+                   block_size = 512\nmem_blocks = 24\nchunk_elems = 64\n\
+                   checksum = 0x00000000000000ff\n\
+                   budget plain_r = reads 10 writes 2\nbudget riot = reads 3 writes 4\n";
+        let pinned = Manifest::parse(src).unwrap();
+        assert!(pinned.raised_cells(&pinned).is_empty());
+        let budget = |reads, writes| Budget { reads, writes };
+        let mut doctored = pinned.clone();
+        let profile = &mut doctored.profiles[0];
+        profile.set_budget(EngineKind::PlainR, budget(9, 0)); // lower: fine
+        profile.set_budget(EngineKind::MatNamed, budget(99, 99)); // new: fine
+        profile.set_budget(EngineKind::Riot, budget(3, 5)); // one more write
+        assert_eq!(
+            pinned.raised_cells(&doctored),
+            ["[test] riot: 3r/4w -> 3r/5w"]
+        );
+        doctored.profiles[0].set_budget(EngineKind::Riot, budget(4, 0));
+        assert_eq!(
+            pinned.raised_cells(&doctored),
+            ["[test] riot: 3r/4w -> 4r/0w"]
+        );
     }
 
     #[test]

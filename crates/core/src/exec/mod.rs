@@ -21,8 +21,8 @@ pub use matmul::{
     multiply, multiply_chain, prefetch_rect, read_rect, write_rect, MatMulKernel, Operand,
 };
 pub use pipeline::{
-    drain_agg, drain_partitioned, drain_to_vec, fold_partitioned, governed, materialize, Arg,
-    GatherPipe, GovernedPipe, Pipe, Scan, Source, Tape, TapeBuilder,
+    drain_partitioned, drain_to_vec, fold_partitioned, governed, materialize, Arg, GatherPipe,
+    GovernedPipe, Pipe, Scan, Source, Tape, TapeBuilder,
 };
 pub use sparse::{
     dmspm, dmspm_parallel, dmv, spmdm, spmdm_parallel, spmm, spmm_fill, spmm_parallel, spmm_plan,

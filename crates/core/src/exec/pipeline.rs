@@ -16,6 +16,13 @@
 //! once, a source is pinned once, a scalar operand never becomes a buffer,
 //! and operator dispatch happens per chunk, not per element.
 //!
+//! A tape ends in a root register it streams out, or in **k fold sinks**
+//! ([`TapeBuilder::fold`]): k aggregates over one pass, each a fold
+//! instruction reading whatever register holds its input, into its own
+//! accumulator ([`Pipe::folds`]). The sinks share every register below
+//! them, so a batch of aggregates over one scan computes a shared
+//! subexpression once per chunk and reads each source once.
+//!
 //! [`GatherPipe`] is the executor's index-nested-loop join: it pulls index
 //! chunks and probes the data side element by element, which after the
 //! optimizer's pushdown is how `z <- d[s]; print(z)` touches only ~100
@@ -73,6 +80,14 @@ pub trait Pipe: Send {
     fn ops_per_elem(&self) -> u64 {
         0
     }
+
+    /// The accumulators of this pipe's fold sinks, in sink order (none
+    /// for a pipe that only streams). They hold the fold of everything
+    /// drained so far; the caller reads them when a span is drained and
+    /// resets the ones that start over with the next span.
+    fn folds(&mut self) -> &mut [f64] {
+        &mut []
+    }
 }
 
 /// A pipe adapter that places a governance checkpoint before every chunk
@@ -105,6 +120,10 @@ impl Pipe for GovernedPipe {
 
     fn ops_per_elem(&self) -> u64 {
         self.ops_per_elem
+    }
+
+    fn folds(&mut self) -> &mut [f64] {
+        self.inner.folds()
     }
 }
 
@@ -265,6 +284,8 @@ enum Instr {
     Zip(BinOp, [Arg; 2]),
     /// `cond != 0 ? yes : no` over a register and `[yes, no]`.
     IfElse(usize, [Arg; 2]),
+    /// Fold the operand into this sink's accumulator; fills no register.
+    Fold(AggOp, Arg, usize),
 }
 
 impl Instr {
@@ -274,6 +295,7 @@ impl Instr {
             Instr::Pull(_) => &mut [],
             Instr::Map(_, reg) => return f(reg),
             Instr::Zip(_, args) => args,
+            Instr::Fold(_, arg, _) => std::slice::from_mut(arg),
             Instr::IfElse(cond, args) => {
                 f(cond);
                 args
@@ -296,6 +318,7 @@ impl Instr {
 pub struct TapeBuilder {
     steps: Vec<Instr>,
     leaves: Vec<Box<dyn Pipe>>,
+    folds: Vec<f64>,
     len: usize,
     chunk: usize,
     ops: Arc<AtomicU64>,
@@ -309,6 +332,7 @@ impl TapeBuilder {
         TapeBuilder {
             steps: Vec::new(),
             leaves: Vec::new(),
+            folds: Vec::new(),
             len,
             chunk,
             ops,
@@ -357,25 +381,41 @@ impl TapeBuilder {
         }
     }
 
-    /// The tape streaming `root`. Registers are assigned in one pass from
-    /// a free list: a buffer returns to the list at the last instruction
-    /// that reads it (never, for the root), and an instruction takes its
-    /// output buffer before releasing its inputs, so kernels never alias.
-    pub fn finish(mut self, root: Arg) -> Tape {
+    /// One more fold sink: `op` over every element of `a`, into an
+    /// accumulator of its own ([`Pipe::folds`], in the order of these
+    /// calls). The instruction sits where it is emitted, so the register
+    /// it reads is free again right after it.
+    pub fn fold(&mut self, op: AggOp, a: Arg) {
+        self.steps.push(Instr::Fold(op, a, self.folds.len()));
+        self.folds.push(op.init());
+    }
+
+    /// The tape streaming `root` — or, with `None`, the tape of a batch
+    /// of aggregates: every chunk goes into the fold sinks and nothing
+    /// streams out. Registers are assigned in one pass from a free list: a
+    /// buffer returns to the list at the last instruction that reads it
+    /// (never, for the root), and an instruction takes its output buffer
+    /// before releasing its inputs, so kernels never alias.
+    pub fn finish(mut self, root: impl Into<Option<Arg>>) -> Tape {
         const ROOT: usize = usize::MAX;
+        let root = root.into();
         let mut last_read = vec![0; self.steps.len()];
         for (at, instr) in self.steps.iter_mut().enumerate() {
             instr.for_each_read(|reg| last_read[*reg] = at);
         }
-        if let Arg::Reg(reg) = root {
+        if let Some(Arg::Reg(reg)) = root {
             last_read[reg] = ROOT;
         }
         let (mut buffer_of, mut free, mut buffers) = (Vec::new(), Vec::new(), 0);
         for (at, instr) in self.steps.iter_mut().enumerate() {
-            buffer_of.push(free.pop().unwrap_or_else(|| {
-                buffers += 1;
-                buffers - 1
-            }));
+            // A fold writes no chunk: its slot names no buffer.
+            buffer_of.push(match instr {
+                Instr::Fold(..) => ROOT,
+                _ => free.pop().unwrap_or_else(|| {
+                    buffers += 1;
+                    buffers - 1
+                }),
+            });
             instr.for_each_read(|reg| {
                 let buffer = buffer_of[*reg];
                 // Release once, even when the instruction reads it twice.
@@ -386,12 +426,13 @@ impl TapeBuilder {
             });
         }
         Tape {
-            root: match root {
+            root: root.map(|root| match root {
                 Arg::Reg(reg) => Arg::Reg(buffer_of[reg]),
                 scalar => scalar,
-            },
+            }),
             steps: self.steps.into_iter().zip(buffer_of).collect(),
             leaves: self.leaves,
+            folds: self.folds,
             regs: vec![Vec::new(); buffers],
             remaining: self.len,
             chunk: self.chunk,
@@ -402,13 +443,17 @@ impl TapeBuilder {
 
 /// A compiled elementwise DAG: per chunk, each instruction runs once, in
 /// order, into its register, and the root register is handed to the
-/// caller. Memory is `live registers x chunk`, whatever the DAG's size.
+/// caller — or, for a batch of aggregates, every fold sink takes the chunk
+/// in. Memory is `live registers x chunk`, whatever the DAG's size.
 pub struct Tape {
     /// Instructions in dependency order, each with the register it fills.
     steps: Vec<(Instr, usize)>,
     leaves: Vec<Box<dyn Pipe>>,
     regs: Vec<Vec<f64>>,
-    root: Arg,
+    /// One accumulator per fold sink.
+    folds: Vec<f64>,
+    /// The register streamed out; `None` for a tape that only folds.
+    root: Option<Arg>,
     remaining: usize,
     chunk: usize,
     ops: Arc<AtomicU64>,
@@ -421,9 +466,10 @@ impl Tape {
     }
 
     /// Elementwise instructions: the scalar operations per element this
-    /// tape counts itself (its leaves count their own).
+    /// tape counts itself (its leaves count their own, and whoever reads
+    /// the fold sinks counts those).
     fn kernels(&self) -> u64 {
-        (self.steps.len() - self.leaves.len()) as u64
+        (self.steps.len() - self.leaves.len() - self.folds.len()) as u64
     }
 }
 
@@ -438,14 +484,21 @@ impl Pipe for Tape {
         self.remaining -= n;
         let regs = &mut self.regs;
         for (instr, dst) in &mut self.steps {
+            fn src(regs: &[Vec<f64>], arg: Arg) -> Src<'_> {
+                match arg {
+                    Arg::Reg(reg) => Src::Slice(&regs[reg]),
+                    Arg::Const(c) => Src::Scalar(c),
+                }
+            }
+            if let Instr::Fold(op, arg, sink) = *instr {
+                self.folds[sink] = op.fold_slice(self.folds[sink], src(regs, arg), n);
+                continue;
+            }
             // Out of the file while it is written, so the kernel can read
             // the other registers.
             let mut buf = std::mem::take(&mut regs[*dst]);
             buf.resize(n, 0.0);
-            let src = |arg: Arg| match arg {
-                Arg::Reg(reg) => Src::Slice(&regs[reg]),
-                Arg::Const(c) => Src::Scalar(c),
-            };
+            let src = |arg: Arg| src(regs, arg);
             match instr {
                 Instr::Pull(leaf) => {
                     let pulled = self.leaves[*leaf].next_into(&mut buf)?;
@@ -456,16 +509,18 @@ impl Pipe for Tape {
                 Instr::IfElse(cond, [yes, no]) => {
                     select_slice(&regs[*cond], src(*yes), src(*no), &mut buf)
                 }
+                Instr::Fold(..) => unreachable!("folds fill no register"),
             }
             regs[*dst] = buf;
         }
         match self.root {
             // The caller's previous buffer becomes the register.
-            Arg::Reg(reg) => std::mem::swap(out, &mut regs[reg]),
-            Arg::Const(c) => {
+            Some(Arg::Reg(reg)) => std::mem::swap(out, &mut regs[reg]),
+            Some(Arg::Const(c)) => {
                 out.clear();
                 out.resize(n, c);
             }
+            None => out.clear(),
         }
         self.ops
             .fetch_add(n as u64 * self.kernels(), Ordering::Relaxed);
@@ -486,6 +541,10 @@ impl Pipe for Tape {
     fn ops_per_elem(&self) -> u64 {
         let leaf_ops = self.leaves.iter().map(|leaf| leaf.ops_per_elem());
         self.kernels() + leaf_ops.sum::<u64>()
+    }
+
+    fn folds(&mut self) -> &mut [f64] {
+        &mut self.folds
     }
 }
 
@@ -610,33 +669,25 @@ pub fn drain_partitioned(parts: Vec<Partition<'_>>, threads: usize) -> ExecResul
     Ok(())
 }
 
-/// Fold one pipe's whole stream with `op` from `op.init()` (no `Mean`
-/// division — callers divide by the count): the per-partition leaf of the
-/// fixed partition-tree aggregation. `buf` is the chunk buffer; a caller
-/// folding span after span keeps one, so it stays sized.
-pub(crate) fn fold_pipe(pipe: &mut dyn Pipe, op: AggOp, buf: &mut Vec<f64>) -> ExecResult<f64> {
-    let mut acc = op.init();
-    while pipe.next_into(buf)? > 0 {
-        acc = buf.iter().fold(acc, |a, &v| op.fold(a, v));
-    }
-    Ok(acc)
+/// Drain the current span of a pipe into its fold sinks, streaming
+/// nothing. `buf` is the chunk buffer; a caller folding span after span
+/// keeps one, so it stays sized.
+pub(crate) fn drain_folds(pipe: &mut dyn Pipe, buf: &mut Vec<f64>) -> ExecResult<()> {
+    while pipe.next_into(buf)? > 0 {}
+    Ok(())
 }
 
 /// Fold restricted pipes covering disjoint spans of one logical stream,
-/// each sequentially from `op.init()`, over `threads` `run_parallel`
-/// workers; partials return **in partition order**. Every partial is one
-/// partition's ordered fold, so the result vector is bitwise independent
-/// of the worker schedule — the property the fixed partition-tree
-/// aggregation is built on.
-pub fn fold_partitioned(
-    pipes: Vec<Box<dyn Pipe>>,
-    op: AggOp,
-    threads: usize,
-) -> ExecResult<Vec<f64>> {
+/// each sequentially from its sinks' `init()`, over `threads`
+/// `run_parallel` workers; the sinks' partials return **in partition
+/// order**. Every partial is one partition's ordered fold, so the result
+/// is bitwise independent of the worker schedule — the property the fixed
+/// partition-tree aggregation is built on.
+pub fn fold_partitioned(pipes: Vec<Box<dyn Pipe>>, threads: usize) -> ExecResult<Vec<Vec<f64>>> {
     let threads = threads.max(1).min(pipes.len());
     let items: Vec<_> = pipes
         .into_iter()
-        .map(|p| (Mutex::new(Some(p)), Mutex::new(op.init())))
+        .map(|p| (Mutex::new(Some(p)), Mutex::new(Vec::new())))
         .collect();
     run_parallel(
         threads,
@@ -644,22 +695,13 @@ pub fn fold_partitioned(
         || (),
         |(pipe, partial), _| {
             let mut pipe = pipe.lock().unwrap().take().expect("parts are visited once");
-            *partial.lock().unwrap() = fold_pipe(pipe.as_mut(), op, &mut Vec::new())?;
+            drain_folds(pipe.as_mut(), &mut Vec::new())?;
+            *partial.lock().unwrap() = pipe.folds().to_vec();
             Ok(0)
         },
     )?;
     let partials = items.into_iter().map(|(_, p)| p.into_inner().unwrap());
     Ok(partials.collect())
-}
-
-/// Drain a pipe through an aggregate, producing a scalar.
-pub fn drain_agg(mut pipe: Box<dyn Pipe>, op: AggOp) -> ExecResult<f64> {
-    let count = pipe.total_len();
-    let mut acc = fold_pipe(pipe.as_mut(), op, &mut Vec::new())?;
-    if op == AggOp::Mean && count > 0 {
-        acc /= count as f64;
-    }
-    Ok(acc)
 }
 
 #[cfg(test)]
@@ -868,11 +910,30 @@ mod tests {
 
     #[test]
     fn aggregates_over_pipe() {
-        let mk = || Box::new(Scan::new(Source::Range { start: 1, len: 10 }, 3)) as Box<dyn Pipe>;
-        assert_eq!(drain_agg(mk(), AggOp::Sum).unwrap(), 55.0);
-        assert_eq!(drain_agg(mk(), AggOp::Mean).unwrap(), 5.5);
-        assert_eq!(drain_agg(mk(), AggOp::Min).unwrap(), 1.0);
-        assert_eq!(drain_agg(mk(), AggOp::Max).unwrap(), 10.0);
+        // Four sinks over one leaf: one pass, one register.
+        let mut t = TapeBuilder::new(10, 3, ops());
+        let r = t.pull(Box::new(Scan::new(Source::Range { start: 1, len: 10 }, 3)));
+        for op in [AggOp::Sum, AggOp::Mean, AggOp::Min, AggOp::Max] {
+            t.fold(op, r);
+        }
+        let mut tape = t.finish(None);
+        assert_eq!((tape.registers(), tape.ops_per_elem()), (1, 0));
+        let mut buf = vec![f64::NAN; 2];
+        drain_folds(&mut tape, &mut buf).unwrap();
+        assert!(buf.is_empty(), "a folding tape streams nothing");
+        // `Mean` accumulates the sum; whoever reads the sink divides.
+        assert_eq!(tape.folds(), [55.0, 55.0, 1.0, 10.0]);
+        // Pointed at another span, the sinks carry on unless reset.
+        tape.folds()[2..].copy_from_slice(&[AggOp::Min.init(), AggOp::Max.init()]);
+        tape.restrict(3, 4);
+        drain_folds(&mut tape, &mut buf).unwrap();
+        assert_eq!(tape.folds(), [77.0, 77.0, 4.0, 7.0]);
+        // A sink over a scalar folds it once per element.
+        let mut t = TapeBuilder::new(5, 2, ops());
+        t.fold(AggOp::Sum, Arg::Const(1.5));
+        let mut tape = t.finish(None);
+        drain_folds(&mut tape, &mut buf).unwrap();
+        assert_eq!(tape.folds(), [7.5]);
     }
 
     #[test]
@@ -981,8 +1042,10 @@ mod tests {
         let sx = t.pull(Box::new(Scan::new(Source::Stored(x.clone()), 8)));
         let sy = t.pull(Box::new(Scan::new(Source::Stored(y), 8)));
         let sum = t.zip(BinOp::Add, sx, sy);
-        let total = drain_agg(Box::new(t.finish(sum)), AggOp::Sum).unwrap();
-        assert_eq!(total, (0..n).map(|i| 2.0 * i as f64).sum::<f64>());
+        t.fold(AggOp::Sum, sum);
+        let mut tape = t.finish(None);
+        drain_folds(&mut tape, &mut Vec::new()).unwrap();
+        assert_eq!(tape.folds()[0], (0..n).map(|i| 2.0 * i as f64).sum::<f64>());
 
         // Memory is live registers x chunk, not nodes x chunk. A 200-deep
         // chain keeps one value alive at a time (plus the one being

@@ -302,12 +302,23 @@ pub enum AggOp {
 impl AggOp {
     /// Fold `acc` with the next value (`Mean` accumulates a sum; callers
     /// divide by the count at the end).
+    #[inline]
     pub fn fold(self, acc: f64, x: f64) -> f64 {
         match self {
             AggOp::Sum | AggOp::Mean => acc + x,
             AggOp::Min => acc.min(x),
             AggOp::Max => acc.max(x),
         }
+    }
+
+    /// Fold the `n` elements of a chunk into `acc`, in order: the chunk
+    /// form of [`AggOp::fold`], `hoisted!` like [`UnOp::apply_slice`], so
+    /// every bit is what the element-at-a-time fold gives.
+    pub fn fold_slice(self, acc: f64, src: Src<'_>, n: usize) -> f64 {
+        hoisted!(self, AggOp: Sum Mean Min Max, |op| match src {
+            Src::Slice(values) => values.iter().fold(acc, |a, &x| op.fold(a, x)),
+            Src::Scalar(x) => (0..n).fold(acc, |a, _| op.fold(a, x)),
+        })
     }
 
     /// Neutral starting accumulator.

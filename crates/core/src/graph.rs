@@ -54,7 +54,9 @@ pub fn shape_rule(node: &Node, shape: impl Fn(NodeId) -> Shape) -> Result<Shape,
             if !is_vector(ds) {
                 return expected("vector", ds);
             }
-            if !is.broadcasts_with(&vs) {
+            // The value recycles to the index, never the other way: its
+            // length divides the index's (a scalar's always does).
+            if !is.broadcasts_with(&vs) || (vs != Shape::Scalar && vs.len() > is.len()) {
                 return mismatch("[<-", is, vs);
             }
             ds
@@ -110,6 +112,9 @@ pub fn shape_rule(node: &Node, shape: impl Fn(NodeId) -> Shape) -> Result<Shape,
 pub struct ExprGraph {
     nodes: Vec<Node>,
     shapes: Vec<Shape>,
+    /// Height of each node over its leaves: what a recursive traversal
+    /// of the DAG under it costs in stack.
+    depths: Vec<u32>,
     intern: HashMap<NodeKey, NodeId>,
 }
 
@@ -139,6 +144,11 @@ impl ExprGraph {
         self.shapes[id.0 as usize]
     }
 
+    /// Height of `id` over its leaves (0 for a leaf).
+    pub fn depth(&self, id: NodeId) -> usize {
+        self.depths[id.0 as usize] as usize
+    }
+
     /// Add `node` over existing children: check it against the shape rule
     /// ([`shape_rule`]) and intern it, reusing an existing identical node.
     /// An ill-shaped node is rejected and leaves the graph unchanged.
@@ -149,6 +159,11 @@ impl ExprGraph {
             return Ok(id);
         }
         let id = NodeId(self.nodes.len() as u32);
+        let below = node
+            .children()
+            .iter()
+            .map(|&c| self.depths[c.0 as usize] + 1);
+        self.depths.push(below.max().unwrap_or(0));
         self.nodes.push(node);
         self.shapes.push(shape);
         self.intern.insert(key, id);
@@ -166,6 +181,17 @@ impl ExprGraph {
     /// operands' shapes (the optimizer's contract), so the rule holds.
     pub fn rebuilt(&mut self, node: Node) -> NodeId {
         self.add(node).expect("a rewrite preserves operand shapes")
+    }
+
+    /// Replace the scalar-shaped node `id` by its value, now that it has
+    /// been computed. Nodes are otherwise immutable, and so are the
+    /// stored objects under them, so the value is the node's for good:
+    /// every DAG holding `id` reads a constant from here on, and building
+    /// the same operator over the same children again finds it.
+    pub fn settle(&mut self, id: NodeId, value: f64) {
+        debug_assert_eq!(self.shape(id), Shape::Scalar, "only a scalar has one value");
+        self.nodes[id.0 as usize] = Node::Scalar(value);
+        self.depths[id.0 as usize] = 0;
     }
 
     /// A copy of node `id` with every child replaced by `f(self, child)`,
@@ -438,11 +464,15 @@ mod tests {
         let v5 = g.vec_source(SourceRef(0), 5);
         let v3 = g.vec_source(SourceRef(1), 3);
         let m = g.mat_source(SourceRef(2), 2, 3);
+        let v10 = g.vec_source(SourceRef(3), 10);
+        // A value recycles to the index's length (a scalar always does).
+        assert!(g.add(Node::SubAssign([v10, v10, v5])).is_ok());
         let before = g.len();
         for bad in [
             Node::Zip(BinOp::Add, [v5, v3]),
             Node::IfElse([v5, v3, v5]),
             Node::SubAssign([v5, v3, v5]),
+            Node::SubAssign([v10, v5, v10]),
             Node::MaskAssign([v5, v3, v5]),
             Node::Gather([m, v3]),
             Node::MatMul([m, m]),
@@ -471,6 +501,21 @@ mod tests {
         assert_eq!(g.shape(sq), Shape::Vector(8));
         let total = g.agg(AggOp::Sum, sq);
         assert_eq!(g.shape(total), Shape::Scalar);
+    }
+
+    #[test]
+    fn a_settled_scalar_is_its_value_wherever_it_is_held() {
+        let mut g = graph();
+        let x = g.vec_source(SourceRef(0), 8);
+        let total = g.agg(AggOp::Sum, x);
+        let centered = g.zip(BinOp::Sub, x, total).unwrap();
+        assert_eq!((g.depth(x), g.depth(total), g.depth(centered)), (0, 1, 2));
+        g.settle(total, 36.0);
+        assert_eq!(*g.node(total), Node::Scalar(36.0));
+        assert_eq!(g.depth(total), 0);
+        assert_eq!(g.render(centered), "(v0 - 36)");
+        // Building the same aggregate again finds the value.
+        assert_eq!(g.agg(AggOp::Sum, x), total);
     }
 
     #[test]

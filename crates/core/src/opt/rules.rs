@@ -99,6 +99,10 @@ pub struct RewriteStats {
     /// Products of one stored matrix with its own transpose run on the
     /// half (upper-triangle) tiled schedule.
     pub gram_products: u64,
+    /// Pending aggregates that rode along in the batch of the one that was
+    /// observed — members beyond the first, folded in the same pass
+    /// (counted at execution, like the two above).
+    pub aggregates_batched: u64,
 }
 
 /// Rewrite the DAG rooted at `root`, returning the new root.

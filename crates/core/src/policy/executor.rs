@@ -11,7 +11,7 @@ use riot_trace::EventKind;
 
 use super::{MatValue, Runtime};
 use crate::exec::pipeline::{
-    drain_agg, drain_partitioned, drain_to_vec, fold_partitioned, fold_pipe, governed, materialize,
+    drain_folds, drain_partitioned, drain_to_vec, fold_partitioned, governed, materialize,
     position, Arg, GatherPipe, Pipe, Scan, Source, TapeBuilder,
 };
 use crate::exec::{factor, matmul, sparse as spkernel, ExecError, ExecResult, Operand};
@@ -21,62 +21,93 @@ use crate::shape::Shape;
 impl Runtime {
     // ================= aggregation =================
 
-    /// Aggregate node `input` with `op` through the **fixed partition
-    /// tree**: the stream is cut at block-aligned boundaries derived only
-    /// from its length (never from the thread count), each partition
-    /// folds sequentially from `op.init()`, and the partials combine in
-    /// partition order — so `sum()` and friends are **bit-identical
-    /// across every `EngineConfig::threads` value**, while still fanning
-    /// the partition folds out over the worker pool.
+    /// Run a batch of aggregates — `(op, input)` per sink, every input of
+    /// one length — in **one pass**: one tape with a fold sink per member
+    /// over the registers they share. k = 1 is the batch of one.
     ///
-    /// Inputs at most one partition long take the classic single-fold
-    /// path (bit-for-bit the pre-tree sequential aggregate, which keeps
-    /// small results — and the cross-engine transparency tests built on
-    /// them — exactly stable); inputs the partitioner cannot prove
-    /// parallel-safe fall back to it too (one sequential fold is the same
-    /// value at every thread count).
-    pub(super) fn aggregate_node(&mut self, op: AggOp, input: NodeId) -> ExecResult<f64> {
-        let len = self.graph.shape(input).len();
-        self.count_ops(len);
+    /// Each sink folds as it would alone. A sink whose input is longer
+    /// than one partition and provably parallel-safe takes the **fixed
+    /// partition tree**: the stream is cut at block-aligned boundaries
+    /// derived only from its length (never from the thread count), each
+    /// partition folds sequentially from `op.init()`, and the partials
+    /// combine in partition order — so `sum()` and friends are
+    /// **bit-identical across every `EngineConfig::threads` value**. Any
+    /// other sink is one sequential fold over the whole stream (the same
+    /// value at every thread count, and bit for bit the pre-tree
+    /// aggregate, which keeps small results — and the cross-engine
+    /// transparency tests built on them — exactly stable). The decision
+    /// reads the plan and the length only; which aggregates share the pass
+    /// never changes a bit of any of them.
+    ///
+    /// The partition folds fan out over the worker pool when every sink
+    /// takes the tree; otherwise one pipe is pointed at each partition in
+    /// turn — identical partials, and the device-I/O sequence of a
+    /// sequential drain — with the sequential sinks carrying on across
+    /// the partition boundaries.
+    pub(super) fn aggregate_batch(&mut self, sinks: &[(AggOp, NodeId)]) -> ExecResult<Vec<f64>> {
+        let Some(&(_, first)) = sinks.first() else {
+            return Ok(Vec::new());
+        };
+        let len = self.graph.shape(first).len();
+        self.count_ops(len * sinks.len());
         let epb = self.ctx.elems_per_block();
         let align = self.chunk().max(epb).div_ceil(epb) * epb;
         let part = 4 * align;
-        // The tree-vs-fallback decision reads the plan and the length
-        // only, so it is the same at every thread count.
-        if len <= part || !self.parallel_safe(input, len) {
-            let pipe = governed(self.compile(input, len)?, &self.ctx, "pipeline.agg.chunk");
-            return drain_agg(pipe, op);
-        }
-        let threads = self.cfg.threads.max(1);
-        let spans = (0..len).step_by(part).map(|s| (s, part.min(len - s)));
-        let partials = if threads <= 1 {
-            // One pipe pointed at each partition in turn: identical
-            // partials, and the device-I/O sequence of a sequential drain.
-            let mut pipe = governed(self.compile(input, len)?, &self.ctx, "pipeline.agg.chunk");
-            let mut buf = Vec::new();
-            let mut fold = |(start, take)| {
-                pipe.restrict(start, take);
-                fold_pipe(pipe.as_mut(), op, &mut buf)
-            };
-            spans.map(&mut fold).collect::<ExecResult<Vec<_>>>()?
+        let tree: Vec<bool> = sinks
+            .iter()
+            .map(|&(_, input)| len > part && self.parallel_safe(input, len))
+            .collect();
+        let partitioned = tree.contains(&true);
+        let spans: Vec<(usize, usize)> = if partitioned {
+            let starts = (0..len).step_by(part);
+            starts.map(|s| (s, part.min(len - s))).collect()
         } else {
+            vec![(0, len)]
+        };
+        let threads = self.cfg.threads.max(1);
+        let partials = if threads > 1 && !tree.contains(&false) {
             // One restricted pipe per partition, folded on scoped workers.
             let mut pipes = Vec::new();
             for (start, take) in spans {
-                let mut pipe = self.compile(input, len)?;
+                let mut pipe = self.compile_folds(sinks, len)?;
                 pipe.restrict(start, take);
                 pipes.push(governed(pipe, &self.ctx, "pipeline.agg.part"));
             }
-            fold_partitioned(pipes, op, threads)?
+            fold_partitioned(pipes, threads)?
+        } else {
+            let pipe = self.compile_folds(sinks, len)?;
+            let mut pipe = governed(pipe, &self.ctx, "pipeline.agg.chunk");
+            let (mut buf, mut partials) = (Vec::new(), Vec::new());
+            for (start, take) in spans {
+                if partitioned {
+                    pipe.restrict(start, take);
+                }
+                drain_folds(pipe.as_mut(), &mut buf)?;
+                partials.push(pipe.folds().to_vec());
+                // A tree sink starts its next partition over.
+                for ((acc, &(op, _)), &tree) in pipe.folds().iter_mut().zip(sinks).zip(&tree) {
+                    if tree {
+                        *acc = op.init();
+                    }
+                }
+            }
+            partials
         };
-        let mut acc = partials[0];
-        for &p in &partials[1..] {
-            acc = op.fold(acc, p);
+        let mut values = Vec::with_capacity(sinks.len());
+        for (at, (&(op, _), &tree)) in sinks.iter().zip(&tree).enumerate() {
+            // A tree sink combines its partials in partition order; a
+            // sequential sink's last reading is its whole fold.
+            let from = if tree { 0 } else { partials.len() - 1 };
+            let mut acc = partials[from][at];
+            for later in &partials[from + 1..] {
+                acc = op.fold(acc, later[at]);
+            }
+            if op == AggOp::Mean && len > 0 {
+                acc /= len as f64;
+            }
+            values.push(acc);
         }
-        if op == AggOp::Mean && len > 0 {
-            acc /= len as f64;
-        }
-        Ok(acc)
+        Ok(values)
     }
 
     // ================= parallel pipeline =================
@@ -169,12 +200,28 @@ impl Runtime {
         Ok(Box::new(tape.finish(root)))
     }
 
+    /// Compile a batch of aggregates over `len`-element inputs into one
+    /// tape that folds into one sink per member, in order: still one
+    /// instruction per distinct node, whichever members reach it.
+    fn compile_folds(
+        &mut self,
+        sinks: &[(AggOp, NodeId)],
+        len: usize,
+    ) -> ExecResult<Box<dyn Pipe>> {
+        let mut tape = TapeBuilder::new(len, self.chunk(), Arc::clone(&self.cpu_ops));
+        let mut done = HashMap::new();
+        for &(op, input) in sinks {
+            let input = self.emit(&mut tape, &mut done, input, len)?;
+            tape.fold(op, input);
+        }
+        Ok(Box::new(tape.finish(None)))
+    }
+
     /// Emit node `id` onto `tape`, children first, and return where its
     /// value is: a register, or a constant for a scalar (scalar arithmetic
     /// folds in the builder). `done` memoizes by node, so a shared
-    /// subexpression — and anything its compilation forces: an
-    /// aggregation pass, a recycled operand's drain — happens once per
-    /// tape.
+    /// subexpression — and anything its compilation forces: a recycled
+    /// operand's drain, an indexed update — happens once per tape.
     fn emit(
         &mut self,
         tape: &mut TapeBuilder,
@@ -198,7 +245,9 @@ impl Runtime {
             } else {
                 match self.graph.node(id).clone() {
                     Node::Scalar(c) => Arg::Const(c),
-                    Node::Agg(op, [input]) => Arg::Const(self.aggregate_node(op, input)?),
+                    // Forcing points give the aggregates under their root
+                    // a value before they plan; one met here runs now.
+                    Node::Agg(..) => Arg::Const(self.scalar_value(id)?),
                     Node::Map(op, [input]) => {
                         let input = self.emit(tape, done, input, out_len)?;
                         tape.map(op, input)
@@ -212,8 +261,7 @@ impl Runtime {
                     // or ablation): it executes as the equivalent conditional.
                     Node::IfElse([cond, yes, no]) | Node::MaskAssign([no, cond, yes]) => {
                         match self.emit(tape, done, cond, out_len)? {
-                            // A scalar condition picks its arm here, so the
-                            // other arm's aggregates never run.
+                            // A scalar condition picks its arm here.
                             Arg::Const(c) => {
                                 self.emit(tape, done, if c != 0.0 { yes } else { no }, out_len)?
                             }
@@ -249,7 +297,12 @@ impl Runtime {
 
     /// Compile node `id` and drain all `len` elements into memory,
     /// checkpointing under `at`.
-    fn drain(&mut self, id: NodeId, len: usize, at: &'static str) -> ExecResult<Vec<f64>> {
+    pub(super) fn drain(
+        &mut self,
+        id: NodeId,
+        len: usize,
+        at: &'static str,
+    ) -> ExecResult<Vec<f64>> {
         drain_to_vec(governed(self.compile(id, len)?, &self.ctx, at))
     }
 
@@ -575,8 +628,8 @@ mod tests {
     }
 
     /// A runtime holding `x`, `y` and `1:N`, the DAG `specs` describes
-    /// over them (root: the last node), and the oracle's sources.
-    fn build(specs: &[Spec], threads: usize) -> (Runtime, NodeId, MemSources) {
+    /// over them (every node, the root last), and the oracle's sources.
+    fn build(specs: &[Spec], threads: usize) -> (Runtime, Vec<NodeId>, MemSources) {
         let mut cfg = EngineConfig::new(EngineKind::Riot);
         cfg.block_size = 128; // 16 elements
         cfg.chunk_elems = 16;
@@ -615,7 +668,14 @@ mod tests {
             };
             nodes.push(id);
         }
-        (rt, *nodes.last().unwrap(), src)
+        (rt, nodes, src)
+    }
+
+    /// The `(op, node)` sinks `picks` names over `nodes`.
+    fn sinks_over(picks: &[(usize, u8)], nodes: &[NodeId]) -> Vec<(AggOp, NodeId)> {
+        let ops = [AggOp::Sum, AggOp::Mean, AggOp::Min, AggOp::Max];
+        let sink = |&(op, at): &(usize, u8)| (ops[op], nodes[at as usize % nodes.len()]);
+        picks.iter().map(sink).collect()
     }
 
     /// Bit-for-bit, except that any NaN equals any NaN (a vectorized
@@ -627,20 +687,48 @@ mod tests {
                 .all(|(a, b)| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()))
     }
 
+    /// A batch whose sinks disagree on the partition tree — a gather is
+    /// never parallel-safe — still gives each sink the fold it has alone:
+    /// one pipe visits the partitions in turn and the sequential sink
+    /// carries on across their boundaries.
+    #[test]
+    fn a_mixed_batch_keeps_each_sinks_own_fold() {
+        for threads in [1, 4] {
+            let thirds = Spec::Zip(BinOp::Div, 0, Operand::Scalar(3));
+            let (mut rt, nodes, _) = build(&[thirds], threads);
+            let (thirds, all) = (nodes[3], nodes[2]);
+            let gathered = rt.graph.gather(thirds, all).unwrap();
+            assert!(rt.parallel_safe(thirds, N) && !rt.parallel_safe(gathered, N));
+            let sinks = [
+                (AggOp::Sum, gathered),
+                (AggOp::Sum, thirds),
+                (AggOp::Mean, nodes[0]),
+            ];
+            let batch = rt.aggregate_batch(&sinks).unwrap();
+            let alone = sinks.map(|sink| rt.aggregate_batch(&[sink]).unwrap()[0]);
+            assert!(same_bits(&batch, &alone), "{batch:?} vs {alone:?}");
+            // Same values, and the straight fold and the tree really are
+            // different sums of them.
+            assert_ne!(batch[0].to_bits(), batch[1].to_bits());
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
         /// The tape against the oracle on random DAGs with fan-out: same
         /// bits, one instruction per distinct interior node, restriction
         /// equal to slicing, and the same answers and counters with
-        /// threads.
+        /// threads — streaming, and folding into k sinks at once.
         #[test]
         fn tape_matches_the_oracle_on_random_dags(
             specs in prop::collection::vec(spec(), 1..24),
+            picks in prop::collection::vec((0..4usize, any::<u8>()), 1..6),
             start in 0..N,
             take in 0..N,
         ) {
-            let (mut rt, root, src) = build(&specs, 1);
+            let (mut rt, nodes, src) = build(&specs, 1);
+            let root = *nodes.last().unwrap();
             let want = evaluate(&rt.graph, root, &src).unwrap().to_flat();
 
             // One full drain: the oracle's bits, and one scalar operation
@@ -664,14 +752,29 @@ mod tests {
             let part = drain_to_vec(pipe).unwrap();
             prop_assert!(same_bits(&part, &full[start..start + take]));
 
+            // A restricted multi-sink tape folds exactly that slice of
+            // each sink's stream, in order.
+            let sinks = sinks_over(&picks, &nodes);
+            let mut want = Vec::new();
+            for &(op, node) in &sinks {
+                let stream = drain_to_vec(rt.compile(node, N).unwrap()).unwrap();
+                let slice = &stream[start..start + take];
+                want.push(slice.iter().fold(op.init(), |acc, &v| op.fold(acc, v)));
+            }
+            let mut pipe = rt.compile_folds(&sinks, N).unwrap();
+            pipe.restrict(start, take);
+            drain_folds(pipe.as_mut(), &mut Vec::new()).unwrap();
+            prop_assert!(same_bits(pipe.folds(), &want), "{sinks:?}");
+
             // Forcing points at 1 and 4 threads: same values, same scalar
             // work, same counted I/O.
             let runs = [1, 4].map(|threads| {
-                let (mut rt, root, _) = build(&specs, threads);
+                let (mut rt, nodes, _) = build(&specs, threads);
+                let root = *nodes.last().unwrap();
                 rt.drop_caches().unwrap();
                 let io = rt.io_snapshot();
                 let out = rt.force_collect(root).unwrap();
-                let sum = rt.force_aggregate(AggOp::Sum, root).unwrap();
+                let sum = rt.aggregate(AggOp::Sum, &VecRepr::Node(root)).unwrap();
                 let io = rt.io_snapshot() - io;
                 (out, sum.to_bits(), rt.cpu_ops(), io.reads, io.writes)
             });
@@ -679,6 +782,27 @@ mod tests {
             prop_assert!(runs[0].1 == runs[1].1 || (runs[0].0.iter().any(|v| v.is_nan())));
             prop_assert_eq!(&runs[0].2, &runs[1].2);
             prop_assert_eq!((runs[0].3, runs[0].4), (runs[1].3, runs[1].4));
+
+            // One pass with k sinks: each sink's bits are those of its own
+            // single-sink pass, at either thread count, and the pass
+            // counts every distinct node under the sinks once per element
+            // plus one fold per sink.
+            let batches = [1, 4].map(|threads| {
+                let (mut rt, nodes, _) = build(&specs, threads);
+                let sinks = sinks_over(&picks, &nodes);
+                let inputs: Vec<NodeId> = sinks.iter().map(|&(_, node)| node).collect();
+                let interior = rt.graph.reachable(&inputs).into_iter();
+                let interior = interior.filter(|&id| !rt.graph.node(id).is_leaf()).count();
+                let before = rt.cpu_ops();
+                let batch = rt.aggregate_batch(&sinks).unwrap();
+                let counted = rt.cpu_ops() - before;
+                assert_eq!(counted, ((interior + sinks.len()) * N) as u64, "{sinks:?}");
+                let alone = sinks.iter().map(|&sink| rt.aggregate_batch(&[sink]).unwrap()[0]);
+                let alone: Vec<f64> = alone.collect();
+                assert!(same_bits(&batch, &alone), "{sinks:?}: {batch:?} vs {alone:?}");
+                batch
+            });
+            prop_assert!(same_bits(&batches[0], &batches[1]));
         }
     }
 }

@@ -27,7 +27,10 @@
 //!   DAG nodes, and the engines differ at two policy points —
 //!   `Runtime::optimized` (Riot optimizes the DAG at every forcing
 //!   point) and `Runtime::assign` (MatNamed materializes every named
-//!   object). `executor` is the half that runs a planned DAG: pipelines,
+//!   object). An aggregate is deferred like any operator — a
+//!   scalar-shaped node, pending until its value is observed, then run in
+//!   one pass with every other pending aggregate over the same storage.
+//!   `executor` is the half that runs a planned DAG: pipelines,
 //!   aggregation trees, matrix kernels.
 //!
 //! `Runtime::deferred` is the family test for operators that have no
@@ -38,7 +41,7 @@ mod eager;
 mod executor;
 mod ops;
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -269,9 +272,27 @@ pub struct Runtime {
     pub(crate) materialized: HashMap<NodeId, DenseVector>,
     pub(crate) mat_materialized: HashMap<NodeId, DenseMatrix>,
     pub(crate) sparse_materialized: HashMap<NodeId, SparseMatrix>,
+    /// Aggregates built and not yet observed, oldest first: what one
+    /// observation can run in one pass. Nothing here snapshots its
+    /// operands, and
+    /// nothing needs to: no stored object is mutated in place in the
+    /// deferred family (`force_subassign` copies, a named value
+    /// materializes into a fresh object), so an aggregate that runs late
+    /// reads what it would have read when it was built.
+    pub(crate) pending: BTreeMap<NodeId, deferred::Pending>,
     pub(crate) cpu_ops: Arc<AtomicU64>,
     pub(crate) last_opt_stats: RewriteStats,
     rng: StdRng,
+}
+
+/// A span detail, cut to a line's length (on a character boundary).
+fn clipped(mut detail: String) -> String {
+    if detail.len() > 120 {
+        let cut = (0..=117).rev().find(|&at| detail.is_char_boundary(at));
+        detail.truncate(cut.unwrap_or(0));
+        detail.push_str("...");
+    }
+    detail
 }
 
 /// `true` when the environment variable `name` is set to anything but
@@ -331,6 +352,7 @@ impl Runtime {
             materialized: HashMap::new(),
             mat_materialized: HashMap::new(),
             sparse_materialized: HashMap::new(),
+            pending: BTreeMap::new(),
             cpu_ops: Arc::new(AtomicU64::new(0)),
             last_opt_stats: RewriteStats::default(),
             rng: StdRng::seed_from_u64(cfg.seed),
@@ -456,12 +478,7 @@ impl Runtime {
 
     /// Span detail: the node's rendered expression, truncated.
     fn detail_of(&self, id: NodeId) -> String {
-        let mut s = self.graph.render(id);
-        if s.len() > 120 {
-            s.truncate(117);
-            s.push_str("...");
-        }
-        s
+        clipped(self.graph.render(id))
     }
 
     /// Run `f` as one governed query — the bracket every

@@ -173,25 +173,41 @@ impl Runtime {
     // ================= the family dispatch =================
 
     /// One vector operator over `operands`, dispatched on the family once.
-    /// Deferred operands record `node` over their DAG nodes. Stored
-    /// operands are checked against the very same shape rule, then handed
-    /// to `eager` with the result length the rule gives — so an operator
-    /// accepts the same operands, and produces the same length, under all
-    /// four engines.
+    /// Deferred operands record `node` over their DAG nodes (a
+    /// scalar-shaped result — arithmetic over aggregates — is registered
+    /// as pending). Stored operands are checked against the very same
+    /// shape rule, then handed to `eager` with the result length the rule
+    /// gives — so an operator accepts the same operands, and produces the
+    /// same length, under all four engines. `scalar` names the operand
+    /// that is a broadcast scalar, if one is: the eager engines hold it as
+    /// a length-1 vector, but it stands in the rule as the scalar it is.
     fn vec_op<const N: usize>(
         &mut self,
         node: impl Fn([NodeId; N]) -> Node,
         operands: [&VecRepr; N],
+        scalar: Option<usize>,
         eager: impl FnOnce(&mut Self, usize) -> ExecResult<VecRepr>,
     ) -> ExecResult<VecRepr> {
         if self.deferred() {
-            let ids = operands.map(|v| match v {
-                VecRepr::Node(id) => *id,
+            // A scalar that has its value is the constant, whichever node
+            // it was observed through — so equal DAGs stay one DAG.
+            let ids = operands.map(|v| match *v {
+                VecRepr::Node(id) => match *self.graph.node(id) {
+                    Node::Scalar(value) => self.graph.scalar(value),
+                    _ => id,
+                },
                 _ => unreachable!("deferred operators take DAG nodes"),
             });
-            return Ok(VecRepr::Node(self.graph.add(node(ids))?));
+            let id = self.graph.add(node(ids))?;
+            if self.graph.shape(id) == Shape::Scalar {
+                self.defer(id)?;
+            }
+            return Ok(VecRepr::Node(id));
         }
-        let shapes = operands.map(|v| Shape::Vector(self.vec_len(v)));
+        let shapes = std::array::from_fn(|i| match scalar {
+            Some(at) if at == i => Shape::Scalar,
+            _ => Shape::Vector(self.vec_len(operands[i])),
+        });
         eager(self, eager_shape(node, shapes)?.len())
     }
 
@@ -270,6 +286,7 @@ impl Runtime {
         self.vec_op(
             |c| Node::Map(op, c),
             [input],
+            None,
             |rt, n| rt.eager_unop(op, input, n),
         )
     }
@@ -279,6 +296,7 @@ impl Runtime {
         self.vec_op(
             |c| Node::Zip(op, c),
             [lhs, rhs],
+            None,
             |rt, n| rt.eager_binop(op, lhs, rhs, n),
         )
     }
@@ -301,18 +319,24 @@ impl Runtime {
         scalar_on_left: bool,
     ) -> ExecResult<VecRepr> {
         let s = self.scalar(scalar)?;
-        let out = if scalar_on_left {
-            self.binop(op, &s, lhs)
+        let (sides, at) = if scalar_on_left {
+            ([&s, lhs], 0)
         } else {
-            self.binop(op, lhs, &s)
+            ([lhs, &s], 1)
         };
+        let out = self.vec_op(
+            |c| Node::Zip(op, c),
+            sides,
+            Some(at),
+            |rt, n| rt.eager_binop(op, sides[0], sides[1], n),
+        );
         self.release(&s);
         out
     }
 
     /// Subscript read `data[index]`.
     pub(crate) fn gather(&mut self, data: &VecRepr, index: &VecRepr) -> ExecResult<VecRepr> {
-        self.vec_op(Node::Gather, [data, index], |rt, k| {
+        self.vec_op(Node::Gather, [data, index], None, |rt, k| {
             rt.eager_gather(data, index, k)
         })
     }
@@ -324,7 +348,7 @@ impl Runtime {
         yes: &VecRepr,
         no: &VecRepr,
     ) -> ExecResult<VecRepr> {
-        self.vec_op(Node::IfElse, [cond, yes, no], |rt, n| {
+        self.vec_op(Node::IfElse, [cond, yes, no], None, |rt, n| {
             rt.eager_ifelse(cond, yes, no, n)
         })
     }
@@ -338,7 +362,7 @@ impl Runtime {
         mask: &VecRepr,
         value: &VecRepr,
     ) -> ExecResult<VecRepr> {
-        self.vec_op(Node::MaskAssign, [data, mask, value], |rt, n| {
+        self.vec_op(Node::MaskAssign, [data, mask, value], None, |rt, n| {
             rt.eager_ifelse(mask, value, data, n)
         })
     }
@@ -351,7 +375,9 @@ impl Runtime {
         value: f64,
     ) -> ExecResult<VecRepr> {
         let v = self.scalar(value)?;
-        let out = self.mask_assign(data, mask, &v);
+        let out = self.vec_op(Node::MaskAssign, [data, mask, &v], Some(2), |rt, n| {
+            rt.eager_ifelse(mask, &v, data, n)
+        });
         self.release(&v);
         out
     }
@@ -364,25 +390,46 @@ impl Runtime {
         index: &VecRepr,
         value: &VecRepr,
     ) -> ExecResult<VecRepr> {
-        self.vec_op(Node::SubAssign, [data, index, value], |rt, n| {
+        self.vec_op(Node::SubAssign, [data, index, value], None, |rt, n| {
             rt.eager_sub_assign(data, index, value, n)
         })
     }
 
-    /// Reduce a vector to a scalar (forces evaluation on all engines, but
-    /// deferred engines stream without materializing).
+    /// `op(v)` as a deferred scalar: a handle on the scalar-shaped
+    /// aggregate node, registered as pending — nothing runs until its
+    /// value is observed. `None` for a stored operand: the eager engines
+    /// have nothing to defer, and [`Runtime::aggregate`] computes at once.
+    pub(crate) fn defer_aggregate(
+        &mut self,
+        op: AggOp,
+        v: &VecRepr,
+    ) -> ExecResult<Option<VecRepr>> {
+        let VecRepr::Node(input) = *v else {
+            return Ok(None);
+        };
+        let agg = self.graph.agg(op, input);
+        self.defer(agg)?;
+        Ok(Some(VecRepr::Node(agg)))
+    }
+
+    /// Reduce a vector to a scalar, now: the eager engines compute it, the
+    /// deferred ones observe the deferred scalar (streaming, with whatever
+    /// else is pending over the same storage, nothing materialized).
     pub(crate) fn aggregate(&mut self, op: AggOp, v: &VecRepr) -> ExecResult<f64> {
-        match v {
-            VecRepr::Node(id) => self.force_aggregate(op, *id),
+        match self.defer_aggregate(op, v)? {
+            Some(VecRepr::Node(agg)) => self.scalar_value(agg),
             _ => self.eager_aggregate(op, v),
         }
     }
 
     /// Fully evaluate a vector value into memory (the `print` forcing
-    /// point).
+    /// point). Collecting a deferred scalar observes it.
     pub(crate) fn collect(&mut self, v: &VecRepr) -> ExecResult<Vec<f64>> {
-        match v {
-            VecRepr::Node(id) => self.force_collect(*id),
+        match *v {
+            VecRepr::Node(id) if self.graph.shape(id) == Shape::Scalar => {
+                Ok(vec![self.scalar_value(id)?])
+            }
+            VecRepr::Node(id) => self.force_collect(id),
             _ => self.eager_collect(v),
         }
     }

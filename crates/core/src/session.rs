@@ -6,7 +6,9 @@
 //! with R") and run unchanged under any [`EngineKind`]. Under eager
 //! engines every operator call computes immediately; under deferred
 //! engines it builds DAG nodes, and computation happens at forcing points
-//! (`collect`, `sum`, assignment for MatNamed).
+//! (`collect`, `sum`, assignment for MatNamed). An aggregate can be left
+//! deferred too ([`RVec::deferred`]): aggregates over the same storage
+//! then share one pass when the first of them is observed.
 //!
 //! Every operator has one implementation, the `try_` form returning a
 //! typed [`ExecError`]; the unprefixed forms and the arithmetic operator
@@ -317,6 +319,11 @@ impl Session {
         self.rt.borrow().last_opt_stats
     }
 
+    /// Deferred aggregates built and not yet observed.
+    pub fn pending_scalars(&self) -> usize {
+        self.rt.borrow().pending.len()
+    }
+
     /// Buffer-pool cache-effectiveness counters so far.
     pub fn pool_stats(&self) -> PoolStats {
         self.rt.borrow().pool_stats()
@@ -597,8 +604,31 @@ impl RVec {
         self.op(|rt, x| rt.sub_assign(x, &idx.repr, &values.repr))
     }
 
-    fn aggregate(&self, op: AggOp) -> ExecResult<f64> {
+    /// `op(x)`, observed — a forcing point.
+    pub fn aggregate(&self, op: AggOp) -> ExecResult<f64> {
         self.sess.run(|rt| rt.aggregate(op, &self.repr))
+    }
+
+    /// `op(x)` as a **deferred scalar**: a scalar-shaped handle that takes
+    /// part in arithmetic like any vector (`&x - &x.deferred(Mean)?`) and
+    /// runs only when a value is observed — [`RVec::collect`] on it or on
+    /// anything built over it. Every pending aggregate over the same
+    /// storage then shares that one pass. `None` under the eager engines,
+    /// which have nothing to defer: use [`RVec::aggregate`].
+    pub fn deferred(&self, op: AggOp) -> ExecResult<Option<RVec>> {
+        let repr = self.sess.run(|rt| rt.defer_aggregate(op, &self.repr))?;
+        Ok(repr.map(|repr| RVec {
+            sess: self.sess.clone(),
+            repr,
+        }))
+    }
+
+    /// True for a deferred scalar (an aggregate, or arithmetic over
+    /// aggregates and constants) — a length-1 value whose number is only
+    /// computed when observed.
+    pub fn is_scalar(&self) -> bool {
+        matches!(self.repr, VecRepr::Node(id)
+            if self.sess.rt.borrow().graph.shape(id) == crate::shape::Shape::Scalar)
     }
 
     /// `sum(x)` — a forcing point.
@@ -1006,23 +1036,140 @@ mod tests {
         let d = (&x + &y).sqrt(); // shared, non-leaf, large
         let e = &(&d * 2.0) + &(&d * 3.0);
         let want: f64 = (0..n).map(|i| 5.0 * ((3 * i) as f64).sqrt()).sum();
-        let mut passes = Vec::new();
-        for _ in 0..2 {
-            s.drop_caches().unwrap();
-            let (io, ops) = (s.io_snapshot(), s.cpu_ops());
-            let got = e.sum().unwrap();
-            assert!((got - want).abs() < 1e-6 * want.abs());
-            let io = s.io_snapshot() - io;
-            assert_eq!((io.reads, io.writes), (128, 0), "x and y once, no spill");
-            // x+y, sqrt, 2d, 3d and their sum — five nodes, not the seven
-            // of the expression tree — plus the aggregate's own fold.
-            assert_eq!(s.cpu_ops() - ops, 6 * n as u64);
-            passes.push(got.to_bits());
+        s.drop_caches().unwrap();
+        let (io, ops) = (s.io_snapshot(), s.cpu_ops());
+        let got = e.sum().unwrap();
+        assert!((got - want).abs() < 1e-6 * want.abs());
+        let io = s.io_snapshot() - io;
+        assert_eq!((io.reads, io.writes), (128, 0), "x and y once, no spill");
+        // x+y, sqrt, 2d, 3d and their sum — five nodes, not the seven of
+        // the expression tree — plus the aggregate's own fold.
+        assert_eq!(s.cpu_ops() - ops, 6 * n as u64);
+        // The value is the node's from here on: asking again costs nothing.
+        s.drop_caches().unwrap();
+        let (io, ops) = (s.io_snapshot(), s.cpu_ops());
+        assert_eq!(e.sum().unwrap().to_bits(), got.to_bits());
+        assert_eq!((s.io_snapshot() - io).reads, 0, "sum(e) twice is one pass");
+        assert_eq!(s.cpu_ops(), ops);
+    }
+
+    /// Two written-out k-means rounds (k = 2) over `x`, `y`, as the
+    /// benchmark's `stream_ooc` script writes them, every aggregate left
+    /// deferred where the engine defers; returns the final counts and
+    /// centroids, and the counted I/O from a cold pool.
+    fn two_kmeans_rounds(kind: EngineKind) -> (Vec<f64>, IoSnapshot) {
+        let mut cfg = EngineConfig::new(kind);
+        cfg.block_size = 512; // 64 elements
+        cfg.chunk_elems = 64;
+        cfg.mem_blocks = 64;
+        let s = Session::new(cfg);
+        let n = 64 * 128; // 128 blocks per vector, 4x the pool together
+        let x = s.vector_from_fn(n, |i| ((i * 7) % 23) as f64).unwrap();
+        let y = s.vector_from_fn(n, |i| ((i * 5) % 19) as f64).unwrap();
+        // An aggregate as the engine gives it: deferred, or its value.
+        let reduce = |v: &RVec| match v.deferred(AggOp::Sum).unwrap() {
+            Some(pending) => pending,
+            None => s.literal(&[v.sum().unwrap()]).unwrap(),
+        };
+        let named = |name: &str, v: RVec| s.assign(name, &v).unwrap();
+        let mut c = [[4.0, 4.0], [16.0, 12.0]].map(|c| c.map(|v| s.literal(&[v]).unwrap()));
+        s.drop_caches().unwrap();
+        let before = s.io_snapshot();
+        let mut counts = Vec::new();
+        for _round in 0..2 {
+            let [d1, d2] = [0, 1].map(|k| {
+                let d = (&x - &c[k][0]).square() + (&y - &c[k][1]).square();
+                named("d", d)
+            });
+            let m = named("m", d1.pmin(&d2));
+            let a1 = named("a1", d1.le_vec(&m));
+            let a2 = named("a2", d1.gt_vec(&m));
+            counts = vec![named("n1", reduce(&a1)), named("n2", reduce(&a2))];
+            for (k, a) in [&a1, &a2].into_iter().enumerate() {
+                c[k] =
+                    [&x, &y].map(|p| named("c", reduce(&(p * a)).binary(BinOp::Div, &counts[k])));
+            }
         }
-        assert_eq!(
-            passes[0], passes[1],
-            "a second forcing point repeats the first"
+        let scalars = counts.iter().chain(c.iter().flatten());
+        let values = scalars.map(|v| v.collect().unwrap()[0]).collect();
+        (values, s.io_snapshot() - before)
+    }
+
+    #[test]
+    fn riot_scans_once_per_kmeans_round() {
+        let (want, _) = two_kmeans_rounds(EngineKind::PlainR);
+        // Round 2's distances need round 1's centroids, and nothing else
+        // needs anything: two scans of x and y (128 blocks each), no more.
+        let (got, io) = two_kmeans_rounds(EngineKind::Riot);
+        assert_eq!(got, want);
+        assert_eq!((io.reads, io.writes), (2 * (128 + 128), 0));
+        // MatNamed observes a scalar where it is bound to a name, so
+        // nothing is pending when the next one is built: its aggregates
+        // scan one at a time, as they always did. Per round, five named
+        // vectors each read two and are written, and six aggregates read
+        // one stored vector (the counts) or two (the centroid sums).
+        let (got, io) = two_kmeans_rounds(EngineKind::MatNamed);
+        assert_eq!(got, want);
+        let per_round = (5 * 256 + 2 * 128 + 4 * 256, 5 * 128);
+        assert_eq!((io.reads, io.writes), (2 * per_round.0, 2 * per_round.1));
+    }
+
+    #[test]
+    fn a_batch_explains_and_profiles_as_one_node() {
+        let s = Session::with_engine(EngineKind::Riot);
+        let x = s.vector_from_fn(4096, |i| i as f64).unwrap();
+        let w = (&x * 2.0).sqrt();
+        let ops = [AggOp::Sum, AggOp::Mean, AggOp::Max];
+        let pending = ops.map(|op| w.deferred(op).unwrap().expect("Riot defers"));
+        // EXPLAIN: the member's own plan under the batch it would run
+        // with — itself first, then the others, oldest first.
+        let plan = pending[1].explain();
+        let head = "aggregate ×3: mean sum max | v0\nagg mean  -> scalar\n└─ map sqrt";
+        assert!(plan.starts_with(head), "{plan}");
+        // PROFILE: one span for the batch, one scan of x, and the riders
+        // counted where the optimizer's decisions are.
+        let (_, profile) = s.profile(|| pending[1].collect().unwrap());
+        let tree = profile.render_counts();
+        assert!(
+            tree.contains("└─ aggregate  ×3: mean sum max | v0  ["),
+            "{tree}"
         );
+        assert_eq!(tree.matches("aggregate").count(), 1, "{tree}");
+        let rode = profile.events.iter().find_map(|e| match e.kind {
+            riot_trace::EventKind::Rewrite { rule, count } if rule == "aggregates_batched" => {
+                Some(count)
+            }
+            _ => None,
+        });
+        assert_eq!((rode, s.last_opt_stats().aggregates_batched), (Some(2), 2));
+        // A scalar that has its value explains as the constant it is.
+        assert_eq!(s.pending_scalars(), 0);
+        assert!(
+            pending[0].explain().starts_with("const "),
+            "{}",
+            pending[0].explain()
+        );
+    }
+
+    #[test]
+    fn a_forgotten_aggregate_still_runs_when_it_is_needed() {
+        // A budget of eight elements: the registry holds eight aggregates
+        // and forgets the oldest of twelve. Forgotten ones ride in nobody's
+        // batch, but their handles — and DAGs over them — still work.
+        let mut cfg = EngineConfig::new(EngineKind::Riot);
+        (cfg.block_size, cfg.mem_blocks, cfg.chunk_elems) = (64, 1, 8);
+        let s = Session::new(cfg);
+        let x = s.vector_from_fn(8, |i| i as f64).unwrap();
+        let sums: Vec<RVec> = (0..12)
+            .map(|k| (&x + k as f64).deferred(AggOp::Sum).unwrap().unwrap())
+            .collect();
+        assert_eq!(s.pending_scalars(), 8);
+        let shifted = &x - &sums[0]; // over a forgotten one
+        assert_eq!(shifted.collect().unwrap()[7], 7.0 - 28.0);
+        for (k, sum) in sums.iter().enumerate() {
+            assert_eq!(sum.collect().unwrap(), [28.0 + 8.0 * k as f64]);
+        }
+        assert_eq!(s.pending_scalars(), 0);
     }
 
     #[test]

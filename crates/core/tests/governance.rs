@@ -15,7 +15,7 @@ use std::time::Duration;
 use riot_array::MatrixLayout;
 use riot_core::exec::ExecError;
 use riot_core::{
-    assert_no_leaks, leak_snapshot, BinOp, CancelToken, EngineConfig, EngineKind, RVec,
+    assert_no_leaks, leak_snapshot, AggOp, BinOp, CancelToken, EngineConfig, EngineKind, RVec,
     ResourceLimits, Session, UnOp,
 };
 
@@ -249,6 +249,102 @@ fn cancel_at_every_checkpoint_of_matrix_query_leaks_nothing() {
             Ok(_) => panic!("cancel at checkpoint {k}/{total} did not abort"),
         }
     }
+}
+
+/// Elements of the vectors under [`three_pending`]: ten partitions of the
+/// aggregation tree.
+const BATCH_LEN: usize = 40_000;
+
+/// Three aggregates left deferred over one shared `w = sqrt(x + y) * x`
+/// (three nodes over two stored vectors): a batch of three when any one of
+/// them is observed.
+fn three_pending(s: &Session) -> Vec<RVec> {
+    let x = s.vector_from_fn(BATCH_LEN, |i| (i % 97) as f64).unwrap();
+    let y = s
+        .vector_from_fn(BATCH_LEN, |i| (i % 31) as f64 * 0.5)
+        .unwrap();
+    let w = x.binary(BinOp::Add, &y).sqrt().binary(BinOp::Mul, &x);
+    let ops = [AggOp::Sum, AggOp::Mean, AggOp::Max];
+    let pending = ops.map(|op| w.deferred(op).unwrap().expect("Riot defers"));
+    assert_eq!(s.pending_scalars(), 3);
+    pending.into()
+}
+
+fn observed(pending: &[RVec]) -> Vec<f64> {
+    let values = pending.iter().map(|v| v.collect().unwrap()[0]);
+    values.collect()
+}
+
+#[test]
+fn a_cancelled_batch_leaves_every_scalar_pending() {
+    for threads in [1, 4] {
+        let cfg = EngineConfig {
+            threads,
+            ..tight(EngineKind::Riot)
+        };
+        let want = observed(&three_pending(&Session::new(cfg)));
+
+        // Count-mode pass: the checkpoints one observation crosses.
+        let probe = Session::with_limits(cfg, ResourceLimits::none());
+        let pending = three_pending(&probe);
+        let seen0 = probe.storage_ctx().governor().checkpoints_seen();
+        pending[0].collect().unwrap();
+        let total = probe.storage_ctx().governor().checkpoints_seen() - seen0;
+        assert!(total > 40, "one checkpoint per chunk: {total}");
+        assert_eq!(observed(&pending), want, "governance is neutral");
+
+        for k in 1..=total {
+            let s = Session::with_limits(cfg, ResourceLimits::none());
+            let pending = three_pending(&s);
+            let gov = s.storage_ctx().governor().clone();
+            let snap = leak_snapshot(&s);
+            gov.set_cancel_at(gov.checkpoints_seen() + k);
+            let err = pending[k as usize % 3].collect().unwrap_err();
+            assert!(matches!(err, ExecError::Cancelled { .. }), "{k}: {err}");
+            gov.set_cancel_at(u64::MAX);
+            s.reset_cancel();
+            assert_no_leaks(&s, &snap, &format!("cancel at checkpoint {k}/{total}"));
+            // All or nothing: no scalar of an aborted batch has a value,
+            // and observing any one of them then gives all three theirs.
+            assert_eq!(s.pending_scalars(), 3, "checkpoint {k}/{total}");
+            pending[(k as usize + 1) % 3].collect().unwrap();
+            assert_eq!(s.pending_scalars(), 0, "checkpoint {k}/{total}");
+            let io = s.io_snapshot();
+            assert_eq!(observed(&pending), want, "checkpoint {k}/{total}");
+            assert_eq!(
+                s.io_snapshot(),
+                io,
+                "the values are there: nothing runs again"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_batch_charges_each_shared_node_once() {
+    // The tape of the batch computes w's three nodes once per element,
+    // whichever sinks read them: its flop charge is that of one pass, not
+    // of three. One operation short of that trips; that much admits it.
+    let one_pass = 3 * BATCH_LEN as u64;
+    let s = Session::new(tight(EngineKind::Riot));
+    let pending = three_pending(&s);
+    let snap = leak_snapshot(&s);
+    s.set_limits(ResourceLimits::none().with_max_flops(one_pass - 1));
+    let err = pending[0].collect().unwrap_err();
+    let flops = "flops";
+    assert!(
+        matches!(err, ExecError::BudgetExceeded { resource, .. } if resource == flops),
+        "{err}"
+    );
+    assert_no_leaks(&s, &snap, "flop-budget abort of a batch");
+    assert_eq!(s.pending_scalars(), 3);
+    s.set_limits(ResourceLimits::none().with_max_flops(one_pass));
+    pending[0].collect().unwrap();
+    assert_eq!(
+        s.pending_scalars(),
+        0,
+        "three sinks within one pass's budget"
+    );
 }
 
 #[test]

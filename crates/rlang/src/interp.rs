@@ -6,13 +6,14 @@
 //! engine, this interpreter routes every vector operation of the script
 //! to the session — so the engine choice is invisible to the program text.
 
+use std::cell::OnceCell;
 use std::collections::HashMap;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use riot_core::exec::ExecError;
-use riot_core::{BinOp, EngineConfig, RMat, RVec, Session, UnOp};
+use riot_core::{AggOp, BinOp, EngineConfig, RMat, RVec, Session, UnOp};
 
 use crate::ast::{BinaryOp, Expr, Stmt};
 use crate::parser::{parse_program, ParseError};
@@ -22,7 +23,10 @@ use crate::parser::{parse_program, ParseError};
 pub enum RValue {
     /// A length-1 numeric (kept unboxed for optimizer visibility).
     Scalar(f64),
-    /// A numeric or logical vector.
+    /// A numeric or logical vector — or, under the deferred engines, a
+    /// scalar that has not been observed yet ([`RVec::is_scalar`]): an
+    /// aggregate, or arithmetic over aggregates. It is a length-1 value
+    /// like any other, computed when the script needs the number.
     Vector {
         /// Engine-backed vector.
         v: RVec,
@@ -75,10 +79,17 @@ impl From<ExecError> for RError {
 
 type RResult<T> = Result<T, RError>;
 
+/// A name's value, and beside it the number [`Interpreter::get`] found
+/// when the value was a deferred scalar.
+struct Binding {
+    value: RValue,
+    observed: OnceCell<RValue>,
+}
+
 /// An R interpreter bound to one engine session.
 pub struct Interpreter {
     session: Session,
-    env: HashMap<String, RValue>,
+    env: HashMap<String, Binding>,
     output: String,
     rng: StdRng,
 }
@@ -113,8 +124,7 @@ impl Interpreter {
         f: impl FnMut(usize) -> f64,
     ) -> RResult<()> {
         let v = self.session.vector_from_fn(len, f)?;
-        self.env
-            .insert(name.to_string(), RValue::Vector { v, logical: false });
+        self.bind(name, RValue::Vector { v, logical: false });
         Ok(())
     }
 
@@ -130,7 +140,7 @@ impl Interpreter {
         let m = self
             .session
             .matrix_from_fn(rows, cols, riot_array::MatrixLayout::Square, f)?;
-        self.env.insert(name.to_string(), RValue::Matrix(m));
+        self.bind(name, RValue::Matrix(m));
         Ok(())
     }
 
@@ -145,7 +155,7 @@ impl Interpreter {
         triplets: &[(usize, usize, f64)],
     ) -> RResult<()> {
         let m = self.session.sparse_matrix(rows, cols, triplets)?;
-        self.env.insert(name.to_string(), RValue::Matrix(m));
+        self.bind(name, RValue::Matrix(m));
         Ok(())
     }
 
@@ -160,8 +170,7 @@ impl Interpreter {
         f: impl FnMut(usize) -> f64,
     ) -> RResult<()> {
         let v = self.session.vector_from_fn_named(stored, len, f)?;
-        self.env
-            .insert(name.to_string(), RValue::Vector { v, logical: false });
+        self.bind(name, RValue::Vector { v, logical: false });
         Ok(())
     }
 
@@ -182,7 +191,7 @@ impl Interpreter {
             riot_array::MatrixLayout::Square,
             f,
         )?;
-        self.env.insert(name.to_string(), RValue::Matrix(m));
+        self.bind(name, RValue::Matrix(m));
         Ok(())
     }
 
@@ -198,7 +207,7 @@ impl Interpreter {
         let m = self
             .session
             .sparse_matrix_named(stored, rows, cols, triplets)?;
-        self.env.insert(name.to_string(), RValue::Matrix(m));
+        self.bind(name, RValue::Matrix(m));
         Ok(())
     }
 
@@ -206,26 +215,47 @@ impl Interpreter {
     /// catalog (the reopen side of [`Interpreter::bind_vector_stored`]).
     pub fn bind_open_vector(&mut self, name: &str, stored: &str) -> RResult<()> {
         let v = self.session.open_vector(stored)?;
-        self.env
-            .insert(name.to_string(), RValue::Vector { v, logical: false });
+        self.bind(name, RValue::Vector { v, logical: false });
         Ok(())
     }
 
     /// Bind `name` to the stored (dense or sparse) matrix named `stored`.
     pub fn bind_open_matrix(&mut self, name: &str, stored: &str) -> RResult<()> {
         let m = self.session.open_matrix(stored)?;
-        self.env.insert(name.to_string(), RValue::Matrix(m));
+        self.bind(name, RValue::Matrix(m));
         Ok(())
     }
 
     /// Pre-bind a scalar.
     pub fn bind_scalar(&mut self, name: &str, value: f64) {
-        self.env.insert(name.to_string(), RValue::Scalar(value));
+        self.bind(name, RValue::Scalar(value));
     }
 
-    /// Look up a variable (for assertions in tests).
+    fn bind(&mut self, name: &str, value: RValue) {
+        let observed = OnceCell::new();
+        self.env
+            .insert(name.to_string(), Binding { value, observed });
+    }
+
+    fn lookup(&self, name: &str) -> RResult<&RValue> {
+        let binding = self.env.get(name);
+        let found = binding.map(|b| &b.value);
+        found.ok_or_else(|| RError::Runtime(format!("object '{name}' not found")))
+    }
+
+    /// Look up a variable (for assertions in tests). Looking is an
+    /// observation: a deferred scalar is computed and comes back as
+    /// `RValue::Scalar` (if that fails it stays deferred, and comes back
+    /// as it is).
     pub fn get(&self, name: &str) -> Option<&RValue> {
-        self.env.get(name)
+        let binding = self.env.get(name)?;
+        match &binding.value {
+            RValue::Vector { v, .. } if v.is_scalar() => match v.collect() {
+                Ok(x) => Some(binding.observed.get_or_init(|| RValue::Scalar(x[0]))),
+                Err(_) => Some(&binding.value),
+            },
+            value => Some(value),
+        }
     }
 
     /// Parse and execute `src`; returns the output printed during the run.
@@ -264,23 +294,19 @@ impl Interpreter {
                 if let RValue::Vector { v, .. } = &v {
                     self.session.assign(name, v)?;
                 }
-                self.env.insert(name.clone(), v);
+                self.bind(name, v);
                 Ok(())
             }
             Stmt::IndexAssign { name, index, value } => {
-                let current = self
-                    .env
-                    .get(name)
-                    .cloned()
-                    .ok_or_else(|| RError::Runtime(format!("object '{name}' not found")))?;
-                let RValue::Vector { v: data, .. } = current else {
+                let current = self.lookup(name)?.clone();
+                let RValue::Vector { v: data, .. } = self.observed(current)? else {
                     return Err(RError::Runtime(format!(
                         "indexed assignment target '{name}' is not a vector"
                     )));
                 };
                 let idx = self.eval(index)?;
                 let val = self.eval(value)?;
-                let updated = match idx {
+                let updated = match self.observed(idx)? {
                     // b[b > 100] <- 100: logical mask.
                     RValue::Vector {
                         v: mask,
@@ -307,14 +333,8 @@ impl Interpreter {
                     }
                     _ => return Err(RError::Runtime("invalid subscript".to_string())),
                 };
-                let updated = self.session.assign(name, &updated)?;
-                self.env.insert(
-                    name.clone(),
-                    RValue::Vector {
-                        v: updated,
-                        logical: false,
-                    },
-                );
+                let v = self.session.assign(name, &updated)?;
+                self.bind(name, RValue::Vector { v, logical: false });
                 Ok(())
             }
             Stmt::If {
@@ -339,7 +359,7 @@ impl Interpreter {
                     _ => return Err(RError::Runtime("for needs a sequence".to_string())),
                 };
                 for v in values {
-                    self.env.insert(var.clone(), RValue::Scalar(v));
+                    self.bind(var, RValue::Scalar(v));
                     self.exec_block(body)?;
                 }
                 Ok(())
@@ -352,11 +372,7 @@ impl Interpreter {
             Expr::Num(v) => Ok(RValue::Scalar(*v)),
             Expr::Bool(b) => Ok(RValue::Scalar(if *b { 1.0 } else { 0.0 })),
             Expr::Str(s) => Ok(RValue::Str(s.clone())),
-            Expr::Var(name) => self
-                .env
-                .get(name)
-                .cloned()
-                .ok_or_else(|| RError::Runtime(format!("object '{name}' not found"))),
+            Expr::Var(name) => self.lookup(name).cloned(),
             Expr::Neg(inner) => match self.eval(inner)? {
                 RValue::Scalar(v) => Ok(RValue::Scalar(-v)),
                 RValue::Vector { v, .. } => Ok(RValue::Vector {
@@ -425,12 +441,12 @@ impl Interpreter {
     }
 
     fn subscript(&mut self, target: RValue, index: RValue) -> RResult<RValue> {
-        let RValue::Vector { v: data, .. } = target else {
+        let RValue::Vector { v: data, .. } = self.observed(target)? else {
             return Err(RError::Runtime(
                 "subscript target is not a vector".to_string(),
             ));
         };
-        match index {
+        match self.observed(index)? {
             RValue::Scalar(p) => {
                 let idx = self.session.literal(&[p])?;
                 Ok(RValue::Vector {
@@ -532,13 +548,18 @@ impl Interpreter {
             "sum" | "mean" | "min" | "max" => match self.arg1(&positional, name)? {
                 RValue::Scalar(x) => Ok(RValue::Scalar(*x)),
                 RValue::Vector { v, .. } => {
-                    let x = match name {
-                        "sum" => v.sum()?,
-                        "mean" => v.mean()?,
-                        "min" => v.min()?,
-                        _ => v.max()?,
+                    let op = match name {
+                        "sum" => AggOp::Sum,
+                        "mean" => AggOp::Mean,
+                        "min" => AggOp::Min,
+                        _ => AggOp::Max,
                     };
-                    Ok(RValue::Scalar(x))
+                    // Deferred where the engine defers: the number is
+                    // computed when the script observes it.
+                    Ok(match v.deferred(op)? {
+                        Some(v) => RValue::Vector { v, logical: false },
+                        None => RValue::Scalar(v.aggregate(op)?),
+                    })
                 }
                 RValue::Matrix(m) => {
                     // R reduces a matrix like the flattened vector of its
@@ -641,7 +662,7 @@ impl Interpreter {
                     .transpose()?
                     .unwrap_or(6.0) as i64;
                 match self.arg1(&positional, name)? {
-                    RValue::Vector { v, logical } => {
+                    RValue::Vector { v, logical } if !v.is_scalar() => {
                         let idx = self.seq_len(k.min(v.len() as i64))?;
                         Ok(RValue::Vector {
                             v: v.try_index(&idx)?,
@@ -951,6 +972,15 @@ impl Interpreter {
             .first()
             .copied()
             .ok_or_else(|| RError::Runtime(format!("{name}() needs an argument")))
+    }
+
+    /// A deferred scalar where the script needs the number itself (a
+    /// subscript, the target of one): observed. Anything else as it is.
+    fn observed(&self, v: RValue) -> RResult<RValue> {
+        match &v {
+            RValue::Vector { v: x, .. } if x.is_scalar() => Ok(RValue::Scalar(x.collect()?[0])),
+            _ => Ok(v),
+        }
     }
 
     fn as_scalar(&self, v: &RValue) -> RResult<f64> {
@@ -1384,6 +1414,152 @@ print(sum(nnz(p1) + nnz(p2) + nnz(p3) + nnz(p4)))";
         i.session().reset_cancel();
         let out = i.run("print(sum(x))").unwrap();
         assert_eq!(out.trim(), "[1] 528");
+    }
+
+    #[test]
+    fn a_deferred_scalar_is_computed_where_it_is_observed() {
+        // `m` is 3 and a bare aggregate. Each row is one way a script (or
+        // its host) can come to need the number: under Riot the aggregate
+        // is pending before the row runs and has its value after, and
+        // every engine prints the same thing.
+        let setup = "x <- 1:8\nm <- sum(x[1:2])";
+        let observations = [
+            "print(m)",
+            "if (m > 2) print(7)",
+            "for (i in m) print(i)",
+            "print(m:4)",
+            "print(length(1:m))",
+            "print(c(m, 1))",
+            "print(head(x, m))",
+            "print(head(m))",
+            "print(x[m])",
+            "y <- x\ny[m] <- 0\nprint(y)",
+            "y <- x\ny[x > m] <- m\nprint(y)",
+            "print(x - m)",
+            "print(sum(x * m) / m + mean(m))",
+            "print(seq_len(m))",
+            "print(matrix(m, 1, 1))",
+            "print(nnz(m))",
+        ];
+        for observe in observations {
+            let outputs = EngineKind::all().map(|kind| {
+                let mut i = Interpreter::new(EngineConfig::new(kind));
+                i.run(setup).unwrap();
+                let before = i.session().pending_scalars();
+                assert_eq!(before, usize::from(kind == EngineKind::Riot), "{kind:?}");
+                let out = i
+                    .run(observe)
+                    .unwrap_or_else(|e| panic!("{kind:?}: {observe}: {e}"));
+                assert_eq!(i.session().pending_scalars(), 0, "{kind:?}: {observe}");
+                assert!(matches!(i.get("m"), Some(RValue::Scalar(m)) if *m == 3.0));
+                out
+            });
+            assert!(
+                outputs.windows(2).all(|w| w[0] == w[1]),
+                "{observe}: {outputs:?}"
+            );
+        }
+        // Errors are the same errors too: a scalar is not a vector.
+        for bad in ["m[1]", "m[1] <- 2"] {
+            for kind in EngineKind::all() {
+                let mut i = Interpreter::new(EngineConfig::new(kind));
+                i.run(setup).unwrap();
+                let err = i.run(bad);
+                assert!(matches!(&err, Err(RError::Runtime(m)) if m.contains("not a vector")));
+            }
+        }
+        // Profiling and asking the host both observe; `Interpreter::run`
+        // returning does not, and a failed look leaves the scalar pending.
+        let mut i = Interpreter::new(EngineConfig::new(EngineKind::Riot));
+        i.run(setup).unwrap();
+        let profiled = i.run("riot.profile(m)").unwrap();
+        assert!(
+            profiled.contains("spans          1"),
+            "the batch:\n{profiled}"
+        );
+        assert_eq!(i.session().pending_scalars(), 0);
+        i.run("v <- mean(x)\nw <- mean(x[9:9])").unwrap();
+        assert_eq!(i.session().pending_scalars(), 2);
+        assert!(matches!(i.get("v"), Some(RValue::Scalar(v)) if *v == 4.5));
+        assert!(
+            matches!(i.get("w"), Some(RValue::Vector { .. })),
+            "9 is out of bounds"
+        );
+        assert_eq!(i.session().pending_scalars(), 1);
+    }
+
+    #[test]
+    fn deferred_aggregates_share_a_pass_and_run_once() {
+        // The iot rollup: nothing runs in the loop, and `print(rsum)`
+        // resolves each window's three aggregates over one gather.
+        let rollup = "\
+rsum <- numeric(3)
+rmin <- numeric(3)
+rmax <- numeric(3)
+for (j in 1:3) {
+  win <- s[((j - 1) * 64 + 1):(j * 64)]
+  rsum[j] <- sum(win)
+  rmin[j] <- min(win)
+  rmax[j] <- max(win)
+}";
+        let prints = "print(rsum)\nprint(rmin)\nprint(rmax)";
+        let outputs = EngineKind::all().map(|kind| {
+            let mut cfg = EngineConfig::new(kind);
+            cfg.block_size = 512; // one window per block
+            cfg.chunk_elems = 64;
+            let mut i = Interpreter::new(cfg);
+            i.bind_vector("s", 192, |k| ((k * 13) % 17) as f64).unwrap();
+            let session = i.session().clone();
+            session.drop_caches().unwrap();
+            let before = session.io_snapshot();
+            i.run(rollup).unwrap();
+            if kind == EngineKind::Riot {
+                assert_eq!(session.pending_scalars(), 9);
+                assert_eq!((session.io_snapshot() - before).reads, 0);
+                i.run("print(rsum)").unwrap();
+                assert_eq!(session.pending_scalars(), 0, "min and max rode along");
+                assert_eq!((session.io_snapshot() - before).reads, 3);
+            }
+            i.run(prints).unwrap()
+        });
+        assert!(outputs.windows(2).all(|w| w[0] == w[1]), "{outputs:?}");
+
+        // `sum(d)` twice is one pass: the value is the node's.
+        let mut cfg = EngineConfig::new(EngineKind::Riot);
+        cfg.block_size = 512;
+        let mut i = Interpreter::new(cfg);
+        i.bind_vector("x", 640, |k| k as f64).unwrap();
+        let session = i.session().clone();
+        let mut reads = Vec::new();
+        for _ in 0..2 {
+            session.drop_caches().unwrap();
+            let before = session.io_snapshot();
+            assert_eq!(
+                i.run("d <- x * 2\nprint(sum(d))").unwrap().trim(),
+                "[1] 408960"
+            );
+            reads.push((session.io_snapshot() - before).reads);
+        }
+        assert_eq!(reads, [10, 0]);
+    }
+
+    #[test]
+    fn a_long_unobserved_loop_stays_shallow() {
+        // Nothing observes `acc` for 5000 rounds. A scalar over a DAG
+        // deeper than the bound is observed where it is built, so neither
+        // the chain under `acc` nor the number of pending aggregates
+        // grows with the loop (and planning it never runs out of stack).
+        let outputs = [EngineKind::PlainR, EngineKind::Riot].map(|kind| {
+            let mut i = Interpreter::new(EngineConfig::new(kind));
+            i.bind_vector("x", 8, |k| k as f64).unwrap();
+            let out = i
+                .run("acc <- 0\nfor (i in 1:5000) acc <- acc + sum(x * i) / 2")
+                .unwrap();
+            assert!(i.session().pending_scalars() < 200, "{kind:?}");
+            out + &i.run("print(acc)").unwrap()
+        });
+        assert_eq!(outputs[0], outputs[1]);
+        assert_eq!(outputs[0].trim(), "[1] 175035000");
     }
 
     #[test]

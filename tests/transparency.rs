@@ -165,6 +165,11 @@ fn script_errors_have_the_same_variant_under_every_engine() {
             "r <- 1:10; r[c(1, 2)] <- c(1, 2, 3); print(r)",
             "ShapeMismatch",
         ),
+        // The value recycles to the index, never the index to the value.
+        (
+            "r <- c(1, 2, 3, 4, 5); r[c(1, 2)] <- c(1, 2, 3, 4); print(r)",
+            "ShapeMismatch",
+        ),
         (
             "print(solve(matrix(1:4, nrow = 2), matrix(1:3, nrow = 3)))",
             "MatMulDims",
@@ -189,6 +194,15 @@ fn edge_case_scripts_print_the_same_under_every_engine() {
         ("r <- 1:10; print(r[c(2.7, 3.2)])", "[1] 2 3\n"),
         ("r <- 1:10; y <- r * 2; print(y[1.5])", "[1] 2\n"),
         ("print(seq_len(0))", "numeric(0)\n"),
+        // A scalar broadcasts against anything, the empty vector included.
+        ("print(seq_len(0) + 1)", "numeric(0)\n"),
+        ("print(seq_len(0) * 2)", "numeric(0)\n"),
+        ("print(pmin(seq_len(0), 1))", "numeric(0)\n"),
+        ("print(sum(seq_len(0)))", "[1] 0\n"),
+        (
+            "r <- 1:6; r[c(1, 2, 3, 4)] <- c(8, 9); print(r)",
+            "[1] 8 9 8 9 5 6\n",
+        ),
         ("print(head(x, 0))", "numeric(0)\n"),
         ("print(length(seq_len(3)))", "[1] 3\n"),
         ("print(runif(2, 4, 4))", "[1] 4 4\n"),
