@@ -171,34 +171,86 @@ pub fn occupied_fraction(density: f64, tile_elems: f64) -> f64 {
     (1.0 - (1.0 - density.clamp(0.0, 1.0)).powf(tile_elems)).clamp(0.0, 1.0)
 }
 
+/// Expected occupied tiles of an `n1 x n2` matrix at `density` under the
+/// square tiling ([`occupied_fraction`] of the tile grid).
+fn occupied_tiles(n1: f64, n2: f64, density: f64, p: CostParams) -> f64 {
+    let side = p.block_elems.sqrt();
+    (n1 / side).ceil() * (n2 / side).ceil() * occupied_fraction(density, p.block_elems)
+}
+
+/// Expected `(data pages, directory blocks)` of an `n1 x n2` sparse
+/// matrix at `density` in the packed format of `riot-sparse`: occupied
+/// tiles share pages, so the pages are the payload elements over the
+/// block size, and the run directory holds one count per tile-row plus
+/// four values per occupied tile. The payload of the average occupied
+/// tile (`nnz / occupied`) is priced in the form that nnz selects:
+/// triples up to a tile side of non-zeros, CSR up to its capacity, the
+/// dense tile above.
+pub fn sparse_blocks(n1: f64, n2: f64, density: f64, p: CostParams) -> (f64, f64) {
+    let b = p.block_elems;
+    let side = b.sqrt();
+    let tile_rows = (n1 / side).ceil();
+    let occupied = occupied_tiles(n1, n2, density, p);
+    if occupied == 0.0 {
+        return (0.0, (tile_rows / b).ceil());
+    }
+    let per_tile = density.clamp(0.0, 1.0) * n1 * n2 / occupied;
+    let payload = if per_tile <= side {
+        3.0 * per_tile
+    } else if per_tile <= (b - side - 1.0) / 2.0 {
+        side + 1.0 + 2.0 * per_tile
+    } else {
+        b
+    };
+    (
+        (occupied * payload / b).ceil(),
+        ((tile_rows + 4.0 * occupied) / b).ceil(),
+    )
+}
+
 /// I/O (blocks) of out-of-core sparse matrix-vector multiply `y = A x`
-/// for an `n1 x n2` matrix at `density`: directory + occupied data pages
-/// + one streaming read of `x` per tile-row + one write of `y`.
+/// for an `n1 x n2` matrix at `density`, opened cold: run directory +
+/// packed data pages ([`sparse_blocks`]) + `x` (once when it fits in
+/// memory, else once per tile-row) + one write of `y`.
 pub fn spmv_io(n1: f64, n2: f64, density: f64, p: CostParams) -> f64 {
     let b = p.block_elems;
-    let tiles = (n1 * n2 / b).ceil();
-    let dir = (2.0 * tiles / b).ceil().max(1.0);
-    let tile_rows = (n1 / b.sqrt()).ceil().max(1.0);
-    dir + tiles * occupied_fraction(density, b) + tile_rows * (n2 / b).ceil() + n1 / b
+    let (pages, dir) = sparse_blocks(n1, n2, density, p);
+    dir + pages + x_passes(n1, n2, p) * (n2 / b).ceil() + n1 / b
+}
+
+/// How often a matrix-vector kernel streams `x`: once when it fits in
+/// memory, else once per tile-row.
+fn x_passes(n1: f64, n2: f64, p: CostParams) -> f64 {
+    if n2 <= p.mem_elems {
+        1.0
+    } else {
+        (n1 / p.block_elems.sqrt()).ceil().max(1.0)
+    }
 }
 
 /// I/O (blocks) of the dense matrix-vector multiply the sparse kernel is
-/// compared against: every tile, plus `x` per tile-row, plus `y`.
+/// compared against: every tile, plus `x` (as in [`spmv_io`]), plus `y`.
 pub fn dmv_io(n1: f64, n2: f64, p: CostParams) -> f64 {
     let b = p.block_elems;
-    let tile_rows = (n1 / b.sqrt()).ceil().max(1.0);
-    (n1 * n2 / b).ceil() + tile_rows * (n2 / b).ceil() + n1 / b
+    (n1 * n2 / b).ceil() + x_passes(n1, n2, p) * (n2 / b).ceil() + n1 / b
 }
 
 /// I/O (blocks) of sparse `A (n1 x n2, density)` times dense
-/// `B (n2 x n3)` with dense accumulator tiles: occupied pages of `A`,
-/// plus — for each occupied `A` tile — the matching block-row of `B`,
+/// `B (n2 x n3)`, `A` opened cold: run directory + packed data pages of
+/// `A` ([`sparse_blocks`]), plus the square-tiled block-rows of `B` —
+/// each once when `B` fits in memory, else once per occupied `A` tile —
 /// plus the dense output.
 pub fn spmdm_io(n1: f64, n2: f64, n3: f64, density: f64, p: CostParams) -> f64 {
     let b = p.block_elems;
     let side = b.sqrt();
-    let occ = (n1 * n2 / b).ceil() * occupied_fraction(density, b);
-    occ + occ * (side * n3 / b).ceil() + n1 * n3 / b
+    let (pages, dir) = sparse_blocks(n1, n2, density, p);
+    let b_row = (n3 / side).ceil();
+    let b_rows = if n2 * n3 <= p.mem_elems {
+        (n2 / side).ceil()
+    } else {
+        occupied_tiles(n1, n2, density, p)
+    };
+    dir + pages + b_rows * b_row + n1 * n3 / b
 }
 
 /// Default density threshold for the optimizer's sparse-vs-dense kernel

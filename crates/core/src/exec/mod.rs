@@ -24,10 +24,7 @@ pub use pipeline::{
     drain_partitioned, drain_to_vec, fold_partitioned, governed, materialize, Arg, GatherPipe,
     GovernedPipe, Pipe, Scan, Source, Tape, TapeBuilder,
 };
-pub use sparse::{
-    dmspm, dmspm_parallel, dmv, spmdm, spmdm_parallel, spmm, spmm_fill, spmm_parallel, spmm_plan,
-    spmm_plan_parallel, spmv, spmv_parallel, sptranspose, SpmmPlan,
-};
+pub use sparse::{dmspm, dmv, spmdm, spmm, spmm_fill, spmm_plan, spmv, sptranspose, SpmmPlan};
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 

@@ -4,44 +4,66 @@
 //! closes the `{sparse, dense} x {sparse, dense}` product table and the
 //! unary transpose, so no combination is forced through a densifying
 //! conversion (the §5 argument: format-aware operators, not format
-//! conversions, are where the I/O wins live). Per-kernel counted-I/O
-//! contracts (pinned by `tests/sparse_exec.rs` and the unit tests here;
-//! page layout in the [`riot_sparse`] crate docs):
+//! conversions, are where the I/O wins live).
 //!
-//! * [`spmv`] — sparse matrix x dense vector. Walks tile-rows, touching
-//!   **only occupied pages**: reads are `occupied_pages` plus at most one
-//!   block of `x` per occupied tile; `y` streams out whole blocks at a
-//!   time (each written exactly once, never read back), so its blocks
-//!   cost pure writes.
+//! Every kernel that reads a sparse operand reads it through one strip
+//! walker, [`SparseMatrix::tile_row`]: a cursor over a tile-row that pins
+//! each of its pages once and lends the decoded tiles in `tj` order. The
+//! kernels keep only their inner expression — and the declaration of the
+//! next strip ([`SparseMatrix::prefetch_tile_row`], plus the dense
+//! rectangles that strip will pull). Occupied tiles share pages, so
+//! `occupied_pages` below counts *pages*, typically far fewer than the
+//! occupied tiles. Per-kernel counted-I/O contracts (pinned by
+//! `tests/sparse_exec.rs`, `tests/prop_sparse.rs` and the unit tests
+//! here; page layout in the [`riot_sparse`] crate docs):
+//!
+//! * [`spmv`] — sparse matrix x dense vector. Walks tile-rows: reads are
+//!   `occupied_pages + x.blocks` whenever the pool holds `x` beside a
+//!   page (each page is read once even when two tile-rows share it); `y`
+//!   streams out whole blocks at a time (each written exactly once, never
+//!   read back), so its blocks cost pure writes.
 //! * [`dmv`] — the dense reference the sparse path is measured against
 //!   (reads every tile of `A` regardless of content).
-//! * [`spmdm`] — sparse x dense with **dense accumulator strips**: one
-//!   tile-row of accumulators lives in memory; each occupied sparse tile
-//!   pulls the matching block-row of the dense operand, so skipped sparse
-//!   tiles skip their dense reads too.
+//! * [`spmdm`] — sparse x dense with **dense accumulator strips**: the
+//!   accumulators of one output tile-row live in memory; each occupied
+//!   sparse tile pulls the matching block-row of the dense operand, so
+//!   skipped sparse tiles skip their dense reads too. Reads of `A` are
+//!   `occupied_pages`; every output block is written once, whole. This is
+//!   the kernel `a %*% v` reaches from R (`n3 = 1`).
 //! * [`dmspm`] — dense x sparse, mirroring [`spmdm`] from the right: the
 //!   accumulator strip follows the dense operand's tile-rows, and only
 //!   sparse tile-rows with at least one occupied tile pull the matching
-//!   rectangle of the dense operand. Reads are `occupied_pages(B)` plus
-//!   the `A` rectangles matching occupied `B` tile-rows — a fully empty
-//!   `B` tile-row costs zero `A` I/O.
+//!   rectangle of the dense operand. Reads are `occupied_pages(B)` per
+//!   strip that finds them evicted, plus the `A` rectangles matching
+//!   occupied `B` tile-rows — a fully empty `B` tile-row costs zero `A`
+//!   I/O.
 //! * [`sptranspose`] — native sparse transpose. Planning derives the
 //!   output directory from the cached input directory (zero I/O); the
-//!   data pass reads each occupied input page exactly once and re-sorts
-//!   its entries per tile. Total: `occupied_pages` reads,
-//!   `occupied_pages + dir_blocks` writes.
+//!   data pass reads each input page exactly once, re-sorts the entries
+//!   in memory and appends the output pages in order. Total:
+//!   `occupied_pages` reads whenever the re-sort buffer fits the pool's
+//!   capacity, the output's `blocks()` in writes.
 //! * [`spmm`] — sparse x sparse producing a sparse result. The output
 //!   extent must be sized before any page can land, so the kernel runs
-//!   **two passes** — but pass one now **spills** each computed tile's
-//!   entries to a growable catalog extent ([`SpmmPlan`]), and pass two
-//!   replays the spill instead of recomputing: zero extra flops, zero
-//!   re-reads of `A` or `B`. [`spmm_plan`] / [`spmm_fill`] expose the
-//!   passes individually so tests can pin exactly that.
+//!   **two passes** — pass one **spills** each computed tile's entries to
+//!   a growable catalog extent ([`SpmmPlan`]), and pass two replays the
+//!   spill into the output's page appender instead of recomputing: zero
+//!   extra flops, zero re-reads of `A` or `B`. [`spmm_plan`] /
+//!   [`spmm_fill`] expose the passes individually so tests can pin
+//!   exactly that.
 //!
-//! All kernels return `(result, flops)` where flops counts scalar
-//! multiplications (for [`sptranspose`], moved non-zeros), so measured
-//! I/O and arithmetic can be checked against the cost model like the
-//! dense kernels.
+//! The dense results of [`spmdm`] and [`dmspm`] take square tiles, or
+//! tall `ColMajor` ones when the result is narrower than a square tile
+//! (`product_matrix`): an `n x 1` product is `n / B` blocks, not one
+//! block per `sqrt(B)` values.
+//!
+//! Each kernel takes `threads`: independent strips (or output tiles) are
+//! distributed over that many scoped workers, results are bit-identical
+//! at every count, and `threads <= 1` runs inline in order — the
+//! sequential device sequence. All kernels return `(result, flops)` where
+//! flops counts scalar multiplications (for [`sptranspose`], moved
+//! non-zeros), so measured I/O and arithmetic can be checked against the
+//! cost model like the dense kernels.
 
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -55,27 +77,18 @@ use super::{run_parallel, ExecError, ExecResult};
 
 /// Out-of-core sparse matrix-vector multiply `y = A x`.
 ///
-/// Reads the occupied pages of `A` once each and streams `x` per
-/// tile-row; `y` streams out block by block as pure write I/O (no
+/// Reads the pages of `A` once each and streams `x` per tile-row; `y`
+/// streams out whole blocks at a time as pure write I/O (no
 /// read-modify-write of fresh output pages).
-pub fn spmv(
-    a: &SparseMatrix,
-    x: &DenseVector,
-    name: Option<&str>,
-) -> ExecResult<(DenseVector, u64)> {
-    spmv_parallel(a, x, 1, name)
-}
-
-/// [`spmv`] with the tile-row strips distributed over `threads` scoped
-/// workers, each owning its accumulator/`x` scratch. Work items are
-/// **output-block groups** of tile-rows, so every worker writes whole
-/// disjoint blocks of `y` (pure writes, like the sequential stream) and
-/// every occupied page of `A` is read by exactly one worker. Results are
-/// bit-identical to the sequential schedule (each output element is one
+///
+/// Work items are **output-block groups** of tile-rows distributed over
+/// `threads` scoped workers, each owning its accumulator/`x` scratch, so
+/// every worker writes whole disjoint blocks of `y`. Results are
+/// bit-identical at every thread count (each output element is one
 /// worker's ordinary tile-row fold) and — in the in-memory regime — total
 /// counted I/O is identical too. `threads <= 1` runs the groups inline in
-/// order, reproducing the sequential kernel's device sequence exactly.
-pub fn spmv_parallel(
+/// order: the sequential device sequence.
+pub fn spmv(
     a: &SparseMatrix,
     x: &DenseVector,
     threads: usize,
@@ -84,35 +97,25 @@ pub fn spmv_parallel(
     let (rows, cols) = a.shape();
     assert_eq!(x.len(), cols, "spmv operand lengths");
     let (tile_r, tile_c) = a.tile_dims();
-    let (tr, tc) = a.tile_grid();
     let y = DenseVector::create(a.ctx(), rows, name)?;
-    let per_block = y.elems_per_block();
     // Tile dims come from the block size, so whole tile-rows pack into
     // whole output blocks: groups never share a block.
-    debug_assert_eq!(per_block % tile_r, 0, "tile-rows pack into y blocks");
-    let rows_per_group = per_block;
-    let groups: Vec<usize> = (0..rows).step_by(rows_per_group).collect();
+    let group = y.elems_per_block();
+    debug_assert_eq!(group % tile_r, 0, "tile-rows pack into y blocks");
+    let groups: Vec<usize> = (0..rows).step_by(group).collect();
 
     let run_group = |g0: usize, acc: &mut [f64], xbuf: &mut [f64]| -> ExecResult<u64> {
         a.ctx().governor().checkpoint("sparse.spmv.group")?;
-        let g_rows = rows_per_group.min(rows - g0);
+        let g_rows = group.min(rows - g0);
+        acc[..g_rows].fill(0.0);
         let mut flops = 0u64;
-        let t0 = (g0 / tile_r) as u64;
-        let t1 = ((g0 + g_rows - 1) / tile_r) as u64;
-        for ti in t0..=t1 {
-            // Next strip's occupied pages load while this one computes.
-            if ti + 1 < tr {
-                a.prefetch_tile_row(ti + 1);
-            }
-            let r0 = ti as usize * tile_r;
-            let m = tile_r.min(rows - r0);
-            let strip = &mut acc[r0 - g0..r0 - g0 + m];
-            strip.fill(0.0);
-            for tj in 0..tc {
-                let Some(tile) = a.tile(ti, tj)? else {
-                    continue;
-                };
-                let c0 = tj as usize * tile_c;
+        for ti in (g0 / tile_r) as u64..(g0 + g_rows).div_ceil(tile_r) as u64 {
+            // Next strip's pages load while this one computes.
+            a.prefetch_tile_row(ti + 1);
+            let strip = &mut acc[ti as usize * tile_r - g0..];
+            let mut tiles = a.tile_row(ti);
+            while let Some(tile) = tiles.next()? {
+                let c0 = tile.tj() as usize * tile_c;
                 let take = tile_c.min(cols - c0);
                 x.read_range(c0, &mut xbuf[..take])?;
                 tile.for_each(|r, c, v| strip[r] += v * xbuf[c]);
@@ -127,7 +130,7 @@ pub fn spmv_parallel(
     let flops = run_parallel(
         threads,
         &groups,
-        || (vec![0.0; rows_per_group], vec![0.0; tile_c]),
+        || (vec![0.0; group], vec![0.0; tile_c]),
         |&g0, (acc, xbuf)| run_group(g0, acc, xbuf),
     )?;
     Ok((y, flops))
@@ -172,25 +175,45 @@ pub fn dmv(a: &DenseMatrix, x: &DenseVector, name: Option<&str>) -> ExecResult<(
     Ok((writer.finish()?, flops))
 }
 
-/// Sparse `A` times dense `B`, producing a dense matrix with square
-/// tiling. Processes one tile-row of `A` at a time with a dense
-/// accumulator strip of `tile_r x n3`; only occupied `A` tiles pull the
-/// matching `tile_c x n3` block-row of `B`.
-pub fn spmdm(
-    a: &SparseMatrix,
-    b: &DenseMatrix,
+/// The `n1 x n3` result of a product with a sparse operand. A result
+/// narrower than a square tile takes tall `ColMajor` tiles: an `n x 1`
+/// product is `n / B` blocks rather than one nearly empty block per
+/// `sqrt(B)` values, and the next multiplication reads it back as such.
+fn product_matrix(
+    ctx: &Arc<StorageCtx>,
+    n1: usize,
+    n3: usize,
     name: Option<&str>,
-) -> ExecResult<(DenseMatrix, u64)> {
-    spmdm_parallel(a, b, 1, name)
+) -> ExecResult<DenseMatrix> {
+    let square = MatrixLayout::Square.tile_dims(ctx.elems_per_block());
+    let layout = if n3 < square.1 {
+        MatrixLayout::ColMajor
+    } else {
+        MatrixLayout::Square
+    };
+    Ok(DenseMatrix::create(
+        ctx,
+        n1,
+        n3,
+        layout,
+        TileOrder::RowMajor,
+        name,
+    )?)
 }
 
-/// [`spmdm`] with the tile-row strip loop distributed over `threads`
-/// scoped workers, each owning its accumulator-strip and `B` block-row
-/// scratch. Strips are independent (disjoint output rows), so results are
-/// bit-identical to the sequential schedule and — in the in-memory regime
-/// — total counted I/O is identical too. `threads <= 1` runs the strips
-/// inline in order, reproducing the sequential device sequence exactly.
-pub fn spmdm_parallel(
+/// Sparse `A` times dense `B`, producing a dense matrix (tiled by
+/// `product_matrix`). Each tile-row of `A` accumulates into a dense
+/// `tile_r x n3` strip; only occupied `A` tiles pull the matching
+/// `tile_c x n3` block-row of `B`.
+///
+/// Work items are groups of tile-rows covering whole output tile-rows
+/// (one tile-row of `A` unless the output's tiles are taller), so every
+/// output block is written once, whole, by one worker. Groups are
+/// independent, so results are bit-identical at every thread count and —
+/// in the in-memory regime — total counted I/O is identical too.
+/// `threads <= 1` runs the groups inline in order: the sequential device
+/// sequence.
+pub fn spmdm(
     a: &SparseMatrix,
     b: &DenseMatrix,
     threads: usize,
@@ -200,81 +223,62 @@ pub fn spmdm_parallel(
     assert_eq!(n2, b.rows(), "spmdm inner dimensions");
     let n3 = b.cols();
     let (tile_r, tile_c) = a.tile_dims();
-    let (tr, tc) = a.tile_grid();
-    let t = DenseMatrix::create(
-        a.ctx(),
-        n1,
-        n3,
-        MatrixLayout::Square,
-        TileOrder::RowMajor,
-        name,
-    )?;
-    let strips: Vec<u64> = (0..tr).collect();
-    let run_strip = |ti: u64, acc: &mut [f64], brow: &mut [f64]| -> ExecResult<u64> {
-        a.ctx().governor().checkpoint("sparse.spmdm.strip")?;
-        // Declare the next strip: its occupied `A` pages and the matching
-        // `B` block-rows load while this strip computes (the bounded
-        // prefetch queue caps how much of the window is accepted).
-        if ti + 1 < tr {
+    let t = product_matrix(a.ctx(), n1, n3, name)?;
+    let group = tile_r.max(t.tile_dims().0);
+    let groups: Vec<usize> = (0..n1).step_by(group).collect();
+    let run_group = |g0: usize, acc: &mut [f64], brow: &mut [f64]| -> ExecResult<u64> {
+        let g_rows = group.min(n1 - g0);
+        acc[..g_rows * n3].fill(0.0);
+        let mut flops = 0u64;
+        for ti in (g0 / tile_r) as u64..(g0 + g_rows).div_ceil(tile_r) as u64 {
+            a.ctx().governor().checkpoint("sparse.spmdm.strip")?;
+            // Declare the next strip: its `A` pages and the matching `B`
+            // block-rows load while this strip computes (the bounded
+            // prefetch queue caps how much of the window is accepted).
             a.prefetch_tile_row(ti + 1);
-            for tj in 0..tc {
-                if a.tile_page_block(ti + 1, tj).is_some() {
-                    let k0 = tj as usize * tile_c;
-                    prefetch_rect(b, k0, 0, tile_c.min(n2 - k0), n3);
-                }
+            for next in a.row(ti + 1) {
+                let k0 = next.tj as usize * tile_c;
+                prefetch_rect(b, k0, 0, tile_c.min(n2 - k0), n3);
+            }
+            let strip = &mut acc[(ti as usize * tile_r - g0) * n3..];
+            let mut tiles = a.tile_row(ti);
+            while let Some(tile) = tiles.next()? {
+                let k0 = tile.tj() as usize * tile_c;
+                read_rect(b, k0, 0, tile_c.min(n2 - k0), n3, brow)?;
+                tile.for_each(|r, k, v| {
+                    axpy(v, &brow[k * n3..][..n3], &mut strip[r * n3..][..n3]);
+                });
+                flops += tile.nnz() as u64 * n3 as u64;
             }
         }
-        let r0 = ti as usize * tile_r;
-        let m = tile_r.min(n1 - r0);
-        let mut flops = 0u64;
-        acc[..m * n3].fill(0.0);
-        for tj in 0..tc {
-            let Some(tile) = a.tile(ti, tj)? else {
-                continue;
-            };
-            let k0 = tj as usize * tile_c;
-            let kk = tile_c.min(n2 - k0);
-            read_rect(b, k0, 0, kk, n3, brow)?;
-            tile.for_each(|r, k, v| {
-                axpy(v, &brow[k * n3..][..n3], &mut acc[r * n3..][..n3]);
-            });
-            flops += tile.nnz() as u64 * n3 as u64;
-        }
-        write_rect(&t, r0, 0, m, n3, acc)?;
+        write_rect(&t, g0, 0, g_rows, n3, acc)?;
         a.ctx().governor().add_flops(flops);
         Ok(flops)
     };
     let flops = run_parallel(
         threads,
-        &strips,
-        || (vec![0.0; tile_r * n3], vec![0.0; tile_c * n3]),
-        |&ti, (acc, brow)| run_strip(ti, acc, brow),
+        &groups,
+        || (vec![0.0; group * n3], vec![0.0; tile_c * n3]),
+        |&g0, (acc, brow)| run_group(g0, acc, brow),
     )?;
     Ok((t, flops))
 }
 
-/// Dense `A` times sparse `B`, producing a dense matrix with square
-/// tiling — the mirror image of [`spmdm`]. Processes one tile-row strip
-/// of `A` at a time with a dense accumulator of `strip x n3`; within a
+/// Dense `A` times sparse `B`, producing a dense matrix (tiled by
+/// `product_matrix`) — the mirror image of [`spmdm`]. Each strip of
+/// `A`'s rows accumulates into a dense `strip x n3` buffer; within a
 /// strip, a tile-row of `B` with at least one occupied tile pulls the
 /// matching `strip x tile_k` rectangle of `A` exactly once, and a fully
 /// empty `B` tile-row pulls nothing.
+///
+/// Strips (one tile-row of `A`, or of the output where its tiles are
+/// taller) are distributed over `threads` scoped workers, each owning its
+/// accumulator and `A`-rectangle scratch; `B` is read shared. Strips are
+/// independent, so results are bit-identical at every thread count and —
+/// in the in-memory regime — total counted I/O is identical too.
+/// `threads <= 1` runs the strips inline in order: the sequential device
+/// sequence.
 pub fn dmspm(
-    a: &DenseMatrix,
-    b: &SparseMatrix,
-    name: Option<&str>,
-) -> ExecResult<(DenseMatrix, u64)> {
-    dmspm_parallel(a, b, 1, name)
-}
-
-/// [`dmspm`] with the output-strip loop distributed over `threads` scoped
-/// workers, each owning its accumulator and `A`-rectangle scratch. Strips
-/// are independent (disjoint output rows; `B` is read shared), so results
-/// are bit-identical to the sequential schedule and — in the in-memory
-/// regime — total counted I/O is identical too. `threads <= 1` runs the
-/// strips inline in order, reproducing the sequential device sequence
-/// exactly.
-pub fn dmspm_parallel(
     a: &DenseMatrix,
     b: &SparseMatrix,
     threads: usize,
@@ -284,44 +288,30 @@ pub fn dmspm_parallel(
     assert_eq!(n2, b.rows(), "dmspm inner dimensions");
     let n3 = b.cols();
     let (tile_k, tile_c) = b.tile_dims();
-    let (btr, btc) = b.tile_grid();
-    let strip = a.tile_dims().0;
-    let t = DenseMatrix::create(
-        a.ctx(),
-        n1,
-        n3,
-        MatrixLayout::Square,
-        TileOrder::RowMajor,
-        name,
-    )?;
+    let t = product_matrix(a.ctx(), n1, n3, name)?;
+    let strip = a.tile_dims().0.max(t.tile_dims().0);
     let strips: Vec<usize> = (0..n1).step_by(strip).collect();
     let run_strip = |r0: usize, acc: &mut [f64], abuf: &mut [f64]| -> ExecResult<u64> {
         a.ctx().governor().checkpoint("sparse.dmspm.strip")?;
         let m = strip.min(n1 - r0);
         let mut flops = 0u64;
         acc[..m * n3].fill(0.0);
-        for tk in 0..btr {
+        for tk in 0..b.tile_grid().0 {
             // Next `B` tile-row (and the `A` rectangle it will pull, when
             // occupied) loads while this tile-row computes.
-            if tk + 1 < btr {
-                b.prefetch_tile_row(tk + 1);
-                if (0..btc).any(|tj| b.tile_page_block(tk + 1, tj).is_some()) {
-                    let k1 = (tk + 1) as usize * tile_k;
-                    prefetch_rect(a, r0, k1, m, tile_k.min(n2 - k1));
-                }
+            b.prefetch_tile_row(tk + 1);
+            if !b.row(tk + 1).is_empty() {
+                let k1 = (tk + 1) as usize * tile_k;
+                prefetch_rect(a, r0, k1, m, tile_k.min(n2 - k1));
             }
             let k0 = tk as usize * tile_k;
             let kk = tile_k.min(n2 - k0);
-            let mut loaded = false;
-            for tj in 0..btc {
-                let Some(tile) = b.tile(tk, tj)? else {
-                    continue;
-                };
-                if !loaded {
-                    read_rect(a, r0, k0, m, kk, abuf)?;
-                    loaded = true;
-                }
-                let c0 = tj as usize * tile_c;
+            if !b.row(tk).is_empty() {
+                read_rect(a, r0, k0, m, kk, abuf)?;
+            }
+            let mut tiles = b.tile_row(tk);
+            while let Some(tile) = tiles.next()? {
+                let c0 = tile.tj() as usize * tile_c;
                 tile.for_each(|k, c, v| {
                     let col = c0 + c;
                     for r in 0..m {
@@ -349,7 +339,8 @@ pub fn dmspm_parallel(
 /// A thin counting wrapper over [`SparseMatrix::transpose`] — the result
 /// stays sparse and the planning pass derives the output directory from
 /// the cached input directory without touching storage. Counted I/O:
-/// `occupied_pages` reads + (`occupied_pages` + output directory) writes.
+/// `occupied_pages` reads (while the re-sort buffer fits the pool's
+/// capacity) + the output's `blocks()` in writes.
 pub fn sptranspose(a: &SparseMatrix, name: Option<&str>) -> ExecResult<(SparseMatrix, u64)> {
     a.ctx().governor().checkpoint("sparse.transpose")?;
     let t = a.transpose(name)?;
@@ -366,20 +357,16 @@ pub fn sptranspose(a: &SparseMatrix, name: Option<&str>) -> ExecResult<(SparseMa
 
 /// An append-only `f64` stream over a growable catalog object
 /// ([`StorageCtx::alloc_growable`] / [`StorageCtx::extend_object`]): the
-/// spill target for SpMM's pass-one results. Blocks are written through
-/// the pool, so spill I/O shows up in the same counters as everything
-/// else.
-struct SpillWriter {
+/// spill of SpMM's pass-one results. Blocks are written through the pool,
+/// so spill I/O shows up in the same counters as everything else. The
+/// object is released on drop — whether an error unwinds pass one with
+/// the spill half written or pass two is done replaying it — so neither
+/// failed nor finished plans leak spill storage.
+struct Spill {
     ctx: Arc<StorageCtx>,
-    /// The spill object; `Some` until ownership moves to the
-    /// [`SpillFile`] in [`SpillWriter::finish`]. Dropping the writer with
-    /// the object still here (an error unwound pass one) releases it, so
-    /// failed plans cannot leak spill storage.
-    object: Option<ObjectId>,
+    object: ObjectId,
     /// Every block of the object, segment by segment, in stream order.
     blocks: Vec<BlockId>,
-    /// Blocks already filled and written.
-    used: usize,
     /// The current partial block.
     buf: Vec<f64>,
     epb: usize,
@@ -387,15 +374,13 @@ struct SpillWriter {
     len: u64,
 }
 
-impl SpillWriter {
+impl Spill {
     fn new(ctx: &Arc<StorageCtx>, name: &str) -> ExecResult<Self> {
         let (object, extent) = ctx.alloc_growable(1, Some(name))?;
-        let blocks = (0..extent.blocks).map(|i| extent.block(i)).collect();
-        Ok(SpillWriter {
+        Ok(Spill {
             ctx: Arc::clone(ctx),
-            object: Some(object),
-            blocks,
-            used: 0,
+            object,
+            blocks: (0..extent.blocks).map(|i| extent.block(i)).collect(),
             buf: Vec::with_capacity(ctx.elems_per_block()),
             epb: ctx.elems_per_block(),
             len: 0,
@@ -411,58 +396,24 @@ impl SpillWriter {
         Ok(())
     }
 
+    /// Write the current block out (the last, partial one too: pass one
+    /// calls this once more when it has pushed everything).
     fn flush_block(&mut self) -> ExecResult<()> {
-        let object = self.object.expect("writer not finished");
-        if self.used == self.blocks.len() {
+        let used = (self.len as usize - self.buf.len()) / self.epb;
+        if used == self.blocks.len() {
             // Grow geometrically (capped) so extension stays O(log n)
             // catalog calls without over-allocating small spills.
             let grow = (self.blocks.len() as u64).clamp(1, 64);
-            let seg = self.ctx.extend_object(object, grow)?;
+            let seg = self.ctx.extend_object(self.object, grow)?;
             self.blocks.extend((0..seg.blocks).map(|i| seg.block(i)));
         }
-        let mut page = self.ctx.pool().pin_new(self.blocks[self.used])?;
+        let mut page = self.ctx.pool().pin_new(self.blocks[used])?;
         page[..self.buf.len()].copy_from_slice(&self.buf);
         page[self.buf.len()..].fill(0.0);
-        drop(page);
-        self.used += 1;
         self.buf.clear();
         Ok(())
     }
 
-    fn finish(mut self) -> ExecResult<SpillFile> {
-        if !self.buf.is_empty() {
-            self.flush_block()?;
-        }
-        Ok(SpillFile {
-            ctx: Arc::clone(&self.ctx),
-            object: self.object.take().expect("writer finished once"),
-            blocks: std::mem::take(&mut self.blocks),
-            len: self.len,
-            epb: self.epb,
-        })
-    }
-}
-
-impl Drop for SpillWriter {
-    fn drop(&mut self) {
-        // Reached only when pass one errored out before `finish`;
-        // best-effort release, a failure here only leaks simulated disk.
-        if let Some(object) = self.object.take() {
-            let _ = self.ctx.drop_object(object);
-        }
-    }
-}
-
-/// A finished spill stream; freed (blocks released) on drop.
-struct SpillFile {
-    ctx: Arc<StorageCtx>,
-    object: ObjectId,
-    blocks: Vec<BlockId>,
-    len: u64,
-    epb: usize,
-}
-
-impl SpillFile {
     /// Blocks a full sequential read touches (allocated-but-unused tail
     /// segments are never read).
     fn data_blocks(&self) -> u64 {
@@ -470,22 +421,22 @@ impl SpillFile {
     }
 }
 
-impl Drop for SpillFile {
+impl Drop for Spill {
     fn drop(&mut self) {
         // Best-effort: a failure here only leaks simulated disk.
         let _ = self.ctx.drop_object(self.object);
     }
 }
 
-/// Sequential reader over a [`SpillFile`], one pinned block at a time.
+/// Sequential reader over a written [`Spill`], one pinned block at a time.
 struct SpillReader<'f> {
-    file: &'f SpillFile,
+    file: &'f Spill,
     at: u64,
     buf: Vec<f64>,
 }
 
 impl<'f> SpillReader<'f> {
-    fn new(file: &'f SpillFile) -> Self {
+    fn new(file: &'f Spill) -> Self {
         SpillReader {
             file,
             at: 0,
@@ -525,7 +476,7 @@ pub struct SpmmPlan {
     b: SparseMatrix,
     /// Per-output-tile nnz in row-major tile order.
     tile_nnz: Vec<u32>,
-    spill: SpillFile,
+    spill: Spill,
     flops: u64,
 }
 
@@ -549,25 +500,15 @@ impl SpmmPlan {
 
 /// SpMM pass one: compute every output tile once (dense accumulator tile
 /// in memory), record its nnz in the plan, and spill its sorted entries.
-pub fn spmm_plan(a: &SparseMatrix, b: &SparseMatrix) -> ExecResult<SpmmPlan> {
-    spmm_plan_parallel(a, b, 1)
-}
-
-/// [`spmm_plan`] with the per-output-tile loop distributed over `threads`
-/// scoped workers, each owning its dense accumulator scratch.
 ///
-/// Output tiles are computed in parallel **groups**, but their entries are
-/// appended to the spill strictly in row-major tile order by the
-/// coordinating thread — so the spill stream (and therefore the plan, the
-/// filled product, and the spill's block count) is **bit-identical** to
-/// the sequential pass at every thread count. `threads <= 1` computes the
-/// cells inline in order, reproducing the sequential device sequence
-/// exactly.
-pub fn spmm_plan_parallel(
-    a: &SparseMatrix,
-    b: &SparseMatrix,
-    threads: usize,
-) -> ExecResult<SpmmPlan> {
+/// Output tiles are computed by `threads` scoped workers, each owning its
+/// dense accumulator scratch, but their entries are appended to the spill
+/// strictly in row-major tile order by the coordinating thread — so the
+/// spill stream (and therefore the plan, the filled product, and the
+/// spill's block count) is **bit-identical** at every thread count.
+/// `threads <= 1` computes the cells inline in order: the sequential
+/// device sequence.
+pub fn spmm_plan(a: &SparseMatrix, b: &SparseMatrix, threads: usize) -> ExecResult<SpmmPlan> {
     let (_, n2) = a.shape();
     assert_eq!(n2, b.rows(), "spmm inner dimensions");
     let (atr, atc) = a.tile_dims();
@@ -582,8 +523,6 @@ pub fn spmm_plan_parallel(
     );
     let (gtr, _) = a.tile_grid();
     let (_, gtc) = b.tile_grid();
-    let inner = a.tile_grid().1;
-    let threads = threads.max(1);
     let cells: Vec<(u64, u64)> = (0..gtr)
         .flat_map(|bi| (0..gtc).map(move |bj| (bi, bj)))
         .collect();
@@ -595,10 +534,9 @@ pub fn spmm_plan_parallel(
             return;
         }
         let mut blocks = Vec::new();
-        for bk in 0..inner {
-            if let (Some(ab), Some(bb)) = (a.tile_page_block(bi, bk), b.tile_page_block(bk, bj)) {
-                blocks.push(ab);
-                blocks.push(bb);
+        for at in a.row(bi) {
+            if let Some(bt) = b.slot(u64::from(at.tj), bj) {
+                blocks.extend([a.page_block(at.page), b.page_block(bt.page)]);
             }
         }
         a.ctx().pool().prefetch(&blocks);
@@ -613,9 +551,10 @@ pub fn spmm_plan_parallel(
         a.ctx().governor().checkpoint("sparse.spmm.cell")?;
         scratch.fill(0.0);
         let mut fl = 0u64;
-        for bk in 0..inner {
-            let Some(at) = a.tile(bi, bk)? else { continue };
-            let Some(bt) = b.tile(bk, bj)? else { continue };
+        let mut a_tiles = a.tile_row(bi);
+        while let Some(at) = a_tiles.next()? {
+            let mut b_tile = b.tile(at.tj(), bj);
+            let Some(bt) = b_tile.next()? else { continue };
             at.for_each(|r, k, va| {
                 bt.for_each_in_row(k, |c, vb| {
                     scratch[r * btc + c] += va * vb;
@@ -633,10 +572,10 @@ pub fn spmm_plan_parallel(
         Ok(fl)
     };
 
-    let mut spill = SpillWriter::new(a.ctx(), "spmm-spill")?;
+    let mut spill = Spill::new(a.ctx(), "spmm-spill")?;
     let mut tile_nnz = Vec::with_capacity(cells.len());
     let mut flops = 0u64;
-    let append = |spill: &mut SpillWriter, entries: &[(usize, usize, f64)]| -> ExecResult<()> {
+    let append = |spill: &mut Spill, entries: &[(usize, usize, f64)]| -> ExecResult<()> {
         for &(r, c, v) in entries {
             spill.push(r as f64)?;
             spill.push(c as f64)?;
@@ -758,11 +697,14 @@ pub fn spmm_plan_parallel(
             return Err(e);
         }
     }
+    if !spill.buf.is_empty() {
+        spill.flush_block()?;
+    }
     Ok(SpmmPlan {
         a: a.clone(),
         b: b.clone(),
         tile_nnz,
-        spill: spill.finish()?,
+        spill,
         flops,
     })
 }
@@ -774,60 +716,45 @@ pub fn spmm_plan_parallel(
 pub fn spmm_fill(plan: SpmmPlan, name: Option<&str>) -> ExecResult<(SparseMatrix, u64)> {
     let (n1, _) = plan.a.shape();
     let n3 = plan.b.cols();
-    let (gtr, _) = plan.a.tile_grid();
     let (_, gtc) = plan.b.tile_grid();
-    let out = SparseMatrix::create_with_plan(
+    let cells = plan.tile_nnz.iter().zip(0u64..);
+    let mut out = SparseMatrix::create_with_plan(
         plan.a.ctx(),
         n1,
         n3,
         plan.a.layout(),
-        &plan.tile_nnz,
+        cells.clone().map(|(&nnz, i)| (i / gtc, i % gtc, nnz)),
         name,
     )?;
     let mut reader = SpillReader::new(&plan.spill);
     let mut entries = Vec::new();
-    for bi in 0..gtr {
+    for (&nnz, _) in cells.filter(|c| *c.0 > 0) {
         plan.a.ctx().governor().checkpoint("sparse.spmm.fill")?;
-        for bj in 0..gtc {
-            let nnz = plan.tile_nnz[(bi * gtc + bj) as usize] as usize;
-            if nnz == 0 {
-                continue;
-            }
-            entries.clear();
-            for _ in 0..nnz {
-                let r = reader.next()? as usize;
-                let c = reader.next()? as usize;
-                let v = reader.next()?;
-                entries.push((r, c, v));
-            }
-            out.write_tile_entries_at(bi, bj, &entries)?;
+        entries.clear();
+        for _ in 0..nnz {
+            let r = reader.next()? as usize;
+            let c = reader.next()? as usize;
+            let v = reader.next()?;
+            entries.push((r, c, v));
         }
+        out.push(&entries)?;
     }
     debug_assert_eq!(reader.at, plan.spill.len, "spill fully consumed");
-    Ok((out, plan.flops))
+    Ok((out.finish()?, plan.flops))
 }
 
 /// Sparse x sparse multiply producing a sparse result with `A`'s tiling:
-/// [`spmm_plan`] then [`spmm_fill`]. Every multiplication runs exactly
-/// once; memory is one dense accumulator tile plus one spill block.
+/// [`spmm_plan`] (on `threads` workers) then [`spmm_fill`]. Every
+/// multiplication runs exactly once; memory is one dense accumulator tile
+/// per worker plus one spill block, and the product is bit-identical at
+/// every thread count.
 pub fn spmm(
-    a: &SparseMatrix,
-    b: &SparseMatrix,
-    name: Option<&str>,
-) -> ExecResult<(SparseMatrix, u64)> {
-    spmm_fill(spmm_plan(a, b)?, name)
-}
-
-/// [`spmm`] with pass one's per-output-tile loop on `threads` workers
-/// ([`spmm_plan_parallel`]); the spilled plan — and therefore the filled
-/// product — is bit-identical at every thread count.
-pub fn spmm_parallel(
     a: &SparseMatrix,
     b: &SparseMatrix,
     threads: usize,
     name: Option<&str>,
 ) -> ExecResult<(SparseMatrix, u64)> {
-    spmm_fill(spmm_plan_parallel(a, b, threads)?, name)
+    spmm_fill(spmm_plan(a, b, threads)?, name)
 }
 
 #[cfg(test)]
@@ -874,7 +801,7 @@ mod tests {
             .unwrap();
         let xdata: Vec<f64> = (0..cols).map(|i| (i as f64 * 0.3).sin()).collect();
         let x = DenseVector::from_slice(&c, &xdata, None).unwrap();
-        let (y, flops) = spmv(&a, &x, None).unwrap();
+        let (y, flops) = spmv(&a, &x, 1, None).unwrap();
         assert_eq!(flops, a.nnz());
         let want = dense_ref_mv(rows, cols, &a.to_rows().unwrap(), &xdata);
         assert_close(&y.to_vec().unwrap(), &want);
@@ -891,7 +818,7 @@ mod tests {
         c.pool().flush_all().unwrap();
         c.clear_cache().unwrap();
         let before = c.io_snapshot();
-        let (y, _) = spmv(&a, &x, None).unwrap();
+        let (y, _) = spmv(&a, &x, 1, None).unwrap();
         let delta = c.io_snapshot() - before;
         // 3 occupied pages + at most one x block per occupied tile.
         assert!(
@@ -921,7 +848,7 @@ mod tests {
             |i, j| ((i * 7 + j * 3) % 11) as f64 - 5.0,
         )
         .unwrap();
-        let (t, flops) = spmdm(&a, &b, None).unwrap();
+        let (t, flops) = spmdm(&a, &b, 1, None).unwrap();
         assert_eq!(flops, a.nnz() * n3 as u64);
         let ad = a.to_rows().unwrap();
         let bd = b.to_rows().unwrap();
@@ -958,7 +885,7 @@ mod tests {
             None,
         )
         .unwrap();
-        let (t, _) = spmm(&a, &b, None).unwrap();
+        let (t, _) = spmm(&a, &b, 1, None).unwrap();
         assert_eq!(t.shape(), (n1, n3));
         // Expected: (0,5)=8, (9,9)=15, (23,23)=-6.
         let got = t.to_rows().unwrap();
@@ -989,7 +916,7 @@ mod tests {
         let trips = band_triplets(n2, n3);
         let b =
             SparseMatrix::from_triplets(&c, n2, n3, MatrixLayout::Square, &trips, None).unwrap();
-        let (t, flops) = dmspm(&a, &b, None).unwrap();
+        let (t, flops) = dmspm(&a, &b, 1, None).unwrap();
         assert_eq!(flops, b.nnz() * n1 as u64);
         let ad = a.to_rows().unwrap();
         let bd = b.to_rows().unwrap();
@@ -1034,7 +961,7 @@ mod tests {
         c.pool().flush_all().unwrap();
         c.clear_cache().unwrap();
         let before = c.io_snapshot();
-        let (t, _) = dmspm(&a, &b, None).unwrap();
+        let (t, _) = dmspm(&a, &b, 1, None).unwrap();
         let delta = c.io_snapshot() - before;
         // Per output strip (2 strips): 1 B page (cached after the first
         // strip) + 1 A tile. Everything else is skipped.
@@ -1099,7 +1026,7 @@ mod tests {
             None,
         )
         .unwrap();
-        let plan = spmm_plan(&a, &b).unwrap();
+        let plan = spmm_plan(&a, &b, 1).unwrap();
         let pass_one_flops = plan.flops();
         let spill_blocks = plan.spill_blocks();
         assert!(pass_one_flops > 0 && plan.out_nnz() > 0);
@@ -1168,7 +1095,7 @@ mod tests {
                 }
             }
         }
-        let (_, flops) = spmm(&a, &b, None).unwrap();
+        let (_, flops) = spmm(&a, &b, 1, None).unwrap();
         assert_eq!(flops, want_flops, "each multiplication counted once");
     }
 
@@ -1200,13 +1127,16 @@ mod tests {
         handle.fail_reads(first_page, 1);
         let live_before = c.live_objects();
         let blocks_before = c.total_blocks();
-        assert!(spmm_plan(&a, &a).is_err(), "injected read error surfaces");
+        assert!(
+            spmm_plan(&a, &a, 1).is_err(),
+            "injected read error surfaces"
+        );
         // The half-written spill did not leak: object count and block
         // footprint are exactly what they were before the attempt.
         assert_eq!(c.live_objects(), live_before);
         assert_eq!(c.total_blocks(), blocks_before);
         // And with the failpoint consumed, the same plan now succeeds.
-        let plan = spmm_plan(&a, &a).unwrap();
+        let plan = spmm_plan(&a, &a, 1).unwrap();
         assert!(plan.out_nnz() > 0);
     }
 
@@ -1223,12 +1153,12 @@ mod tests {
         )
         .unwrap();
         let live_before = c.live_objects();
-        let (t, _) = spmm(&a, &a, None).unwrap();
+        let (t, _) = spmm(&a, &a, 1, None).unwrap();
         // Only the product object outlives the call: the spill is gone.
         assert_eq!(c.live_objects(), live_before + 1);
         drop(t);
         // Dropping an unfilled plan releases the spill too.
-        let plan = spmm_plan(&a, &a).unwrap();
+        let plan = spmm_plan(&a, &a, 1).unwrap();
         let live_with_plan = c.live_objects();
         drop(plan);
         assert_eq!(c.live_objects(), live_with_plan - 1);
@@ -1244,7 +1174,7 @@ mod tests {
         let dense = sp.to_dense(TileOrder::RowMajor, None).unwrap();
         let xdata: Vec<f64> = (0..cols).map(|i| i as f64 - 11.0).collect();
         let x = DenseVector::from_slice(&c, &xdata, None).unwrap();
-        let (ys, _) = spmv(&sp, &x, None).unwrap();
+        let (ys, _) = spmv(&sp, &x, 1, None).unwrap();
         let (yd, flops) = dmv(&dense, &x, None).unwrap();
         assert_eq!(flops, (rows * cols) as u64);
         assert_close(&ys.to_vec().unwrap(), &yd.to_vec().unwrap());

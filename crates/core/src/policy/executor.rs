@@ -545,9 +545,9 @@ impl Runtime {
             (MatValue::Sparse(a), MatValue::Sparse(b))
                 if a.tile_dims() == b.tile_dims() && a.tile_dims().0 == a.tile_dims().1 =>
             {
-                MatValue::Sparse(self.kernel("spmm", detail, |_| {
-                    spkernel::spmm_parallel(&a, &b, threads, None)
-                })?)
+                MatValue::Sparse(
+                    self.kernel("spmm", detail, |_| spkernel::spmm(&a, &b, threads, None))?,
+                )
             }
             // Sparse x sparse over mismatched tilings falls back to the
             // sparse x dense kernel on a densified right side.
@@ -556,12 +556,12 @@ impl Runtime {
                     MatValue::Dense(b) => b,
                     MatValue::Sparse(b) => b.to_dense(TileOrder::RowMajor, None)?,
                 };
-                spkernel::spmdm_parallel(&a, &b, threads, None)
+                spkernel::spmdm(&a, &b, threads, None)
             })?),
             (MatValue::Dense(a), MatValue::Sparse(b)) => {
-                MatValue::Dense(self.kernel("dmspm", detail, |_| {
-                    spkernel::dmspm_parallel(&a, &b, threads, None)
-                })?)
+                MatValue::Dense(
+                    self.kernel("dmspm", detail, |_| spkernel::dmspm(&a, &b, threads, None))?,
+                )
             }
         })
     }

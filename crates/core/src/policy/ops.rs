@@ -151,7 +151,12 @@ impl Runtime {
             .ctx
             .find_object(name)
             .and_then(|id| self.ctx.object_header(id).ok().flatten())
-            .is_some_and(|h| h.kind == ObjectKind::SparseMatrix);
+            .is_some_and(|h| {
+                matches!(
+                    h.kind,
+                    ObjectKind::SparseMatrix | ObjectKind::SparseTilePages
+                )
+            });
         let opened = if is_sparse {
             MatValue::Sparse(SparseMatrix::open(&self.ctx, name)?)
         } else {

@@ -106,7 +106,7 @@ fn spmv_counted_io_identical_through_overlapped_path() {
         ctx.pool().flush_all().unwrap();
         ctx.clear_cache().unwrap();
         let before = ctx.io_snapshot();
-        let (y, _) = spmv(&a, &x, None).unwrap();
+        let (y, _) = spmv(&a, &x, 1, None).unwrap();
         let io = ctx.io_snapshot() - before;
         (y.to_vec().unwrap(), a.occupied_pages(), io.reads, io.writes)
     };

@@ -213,7 +213,7 @@ fn sparse_kernels_prefetch_parity() {
         .unwrap();
         c.pool().flush_all().unwrap();
         c.clear_cache().unwrap();
-        let (y, flops) = spmv(&a, &x, None).unwrap();
+        let (y, flops) = spmv(&a, &x, 1, None).unwrap();
         (y.to_vec().unwrap(), flops)
     };
     assert_parity("spmv", measure(64, 0, run_spmv), measure(64, 4, run_spmv));
@@ -232,7 +232,7 @@ fn sparse_kernels_prefetch_parity() {
         .unwrap();
         c.pool().flush_all().unwrap();
         c.clear_cache().unwrap();
-        let (t, flops) = spmdm(&a, &b, None).unwrap();
+        let (t, flops) = spmdm(&a, &b, 1, None).unwrap();
         (t.to_rows().unwrap(), flops)
     };
     assert_parity(
@@ -255,7 +255,7 @@ fn sparse_kernels_prefetch_parity() {
         let b = SparseMatrix::from_triplets(c, n1, n2, MatrixLayout::Square, &trips, None).unwrap();
         c.pool().flush_all().unwrap();
         c.clear_cache().unwrap();
-        let (t, flops) = dmspm(&a, &b, None).unwrap();
+        let (t, flops) = dmspm(&a, &b, 1, None).unwrap();
         (t.to_rows().unwrap(), flops)
     };
     assert_parity(
@@ -275,7 +275,7 @@ fn spmm_and_transpose_prefetch_parity() {
             SparseMatrix::from_triplets(c, n, n, MatrixLayout::Square, &band(n, n), None).unwrap();
         c.pool().flush_all().unwrap();
         c.clear_cache().unwrap();
-        let (t, flops) = spmm(&a, &b, None).unwrap();
+        let (t, flops) = spmm(&a, &b, 1, None).unwrap();
         (t.to_rows().unwrap(), t.nnz(), flops)
     };
     assert_parity("spmm", measure(256, 0, run_spmm), measure(256, 4, run_spmm));

@@ -3,7 +3,9 @@
 //! table agrees with the dense reference across random shapes/densities,
 //! `t(t(A)) == A` through the native transpose, and the density-threshold
 //! rewrites (multiply *and* transpose) preserve semantics against the
-//! dense evaluation oracle.
+//! dense evaluation oracle. `kernels_agree_across_packing_seams` drives the
+//! same kernels over a matrix built to hit every seam page packing
+//! creates.
 
 use std::sync::Arc;
 
@@ -52,6 +54,120 @@ fn close(a: &[f64], b: &[f64]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| (x - y).abs() < 1e-9)
 }
 
+fn matmul_ref(a: &[f64], b: &[f64], n1: usize, n2: usize, n3: usize) -> Vec<f64> {
+    let mut out = vec![0.0; n1 * n3];
+    for i in 0..n1 {
+        for k in 0..n2 {
+            for j in 0..n3 {
+                out[i * n3 + j] += a[i * n2 + k] * b[k * n3 + j];
+            }
+        }
+    }
+    out
+}
+
+/// Triplets of a `rows x 38` matrix (8x8 tiles: triples up to 8
+/// non-zeros, CSR up to 27, dense above; the last tile column is 6 wide)
+/// laid out to hit every seam of the packed format — the matrix
+/// `riot-sparse`'s `packing_seams_round_trip` pins slot by slot: page 0
+/// filled to its last element by a CSR and two triples tiles, a
+/// dense-form tile on a page of its own between packed ones, page 3
+/// shared by tile-rows 3 to 5, tile-rows 0 and 2 (and 6, at 53 rows)
+/// empty, and tile (5, 4) in the ragged corner at 45 rows.
+fn seam_triplets() -> Vec<(usize, usize, f64)> {
+    let mut trips = Vec::new();
+    let mut fill = |ti: usize, tj: usize, n: usize| {
+        let w = 8.min(38 - 8 * tj);
+        for k in 0..n {
+            let v = (trips.len() + 1) as f64 * if k % 2 == 0 { 0.25 } else { -0.5 };
+            trips.push((8 * ti + k / w, 8 * tj + k % w, v));
+        }
+    };
+    for (ti, tj, n) in [
+        (1, 0, 11),
+        (1, 1, 8),
+        (1, 2, 3),
+        (1, 3, 2),
+        (1, 4, 30),
+        (3, 0, 1),
+        (3, 2, 10),
+        (4, 1, 5),
+        (5, 4, 2),
+    ] {
+        fill(ti, tj, n);
+    }
+    trips
+}
+
+/// Every kernel of the product table, the native transpose and the
+/// sparse result of `spmm` agree with the dense reference on the seam
+/// matrix, at one and at four threads, and a cold `spmv` still reads each
+/// shared page once.
+#[test]
+fn kernels_agree_across_packing_seams() {
+    let trips = seam_triplets();
+    for (rows, threads) in [(45, 1), (53, 1), (45, 4)] {
+        let cols = 38;
+        let c = ctx();
+        let a = SparseMatrix::from_triplets(&c, rows, cols, MatrixLayout::Square, &trips, None)
+            .unwrap();
+        assert_eq!((a.occupied_tiles(), a.occupied_pages()), (9, 4));
+        let ad = scatter(rows, cols, &trips);
+
+        let xdata: Vec<f64> = (0..cols).map(|i| ((i * 7) % 13) as f64 - 6.0).collect();
+        let x = DenseVector::from_slice(&c, &xdata, None).unwrap();
+        c.pool().flush_all().unwrap();
+        c.clear_cache().unwrap();
+        let before = c.io_snapshot();
+        let (y, flops) = spmv(&a, &x, threads, None).unwrap();
+        assert_eq!(
+            (c.io_snapshot() - before).reads,
+            a.occupied_pages() + x.blocks()
+        );
+        assert_eq!(flops, a.nnz());
+        assert!(close(
+            &y.to_vec().unwrap(),
+            &matmul_ref(&ad, &xdata, rows, cols, 1)
+        ));
+
+        // A (rows x 38) times t(A) (38 x rows), the right side in every
+        // format: spmm keeps the product sparse, and it round-trips
+        // through to_dense / from_dense and back through the transpose.
+        let at = a.transpose(None).unwrap();
+        let atd = at.to_dense(TileOrder::RowMajor, None).unwrap();
+        let want = matmul_ref(&ad, &atd.to_rows().unwrap(), rows, cols, rows);
+        let (ss, _) = spmm(&a, &at, threads, None).unwrap();
+        let (sd, _) = spmdm(&a, &atd, threads, None).unwrap();
+        let da = a.to_dense(TileOrder::RowMajor, None).unwrap();
+        let (ds, _) = dmspm(&da, &at, threads, None).unwrap();
+        assert_close(&ss.to_rows().unwrap(), &want);
+        assert_close(&sd.to_rows().unwrap(), &want);
+        assert_close(&ds.to_rows().unwrap(), &want);
+        let ssd = ss.to_dense(TileOrder::RowMajor, None).unwrap();
+        let again = SparseMatrix::from_dense(&ssd, None).unwrap();
+        assert_eq!(again.to_rows().unwrap(), ss.to_rows().unwrap());
+        // A t(A) is symmetric: its transpose is itself.
+        let sst = ss.transpose(None).unwrap();
+        assert_close(&sst.to_rows().unwrap(), &want);
+
+        // A thin right side (3 columns) takes the tall-tile result path.
+        let bdata: Vec<f64> = (0..cols * 3).map(|k| ((k * 3) % 7) as f64 - 3.0).collect();
+        let (layout, order) = (MatrixLayout::Square, TileOrder::RowMajor);
+        let b =
+            riot_array::DenseMatrix::from_rows(&c, cols, 3, &bdata, layout, order, None).unwrap();
+        let (thin, _) = spmdm(&a, &b, threads, None).unwrap();
+        assert_eq!(thin.layout(), MatrixLayout::ColMajor);
+        assert_close(
+            &thin.to_rows().unwrap(),
+            &matmul_ref(&ad, &bdata, rows, cols, 3),
+        );
+    }
+}
+
+fn assert_close(got: &[f64], want: &[f64]) {
+    assert!(close(got, want), "got {got:?}\nwant {want:?}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
@@ -64,7 +180,7 @@ proptest! {
         let dense = sp.to_dense(TileOrder::RowMajor, None).unwrap();
         let xdata: Vec<f64> = (0..cols).map(|i| ((i * 7) % 13) as f64 - 6.0).collect();
         let x = DenseVector::from_slice(&c, &xdata, None).unwrap();
-        let (ys, sflops) = spmv(&sp, &x, None).unwrap();
+        let (ys, sflops) = spmv(&sp, &x, 1, None).unwrap();
         let (yd, _) = dmv(&dense, &x, None).unwrap();
         prop_assert!(close(&ys.to_vec().unwrap(), &yd.to_vec().unwrap()));
         prop_assert_eq!(sflops, sp.nnz());
@@ -81,7 +197,7 @@ proptest! {
         let b = riot_array::DenseMatrix::from_rows(
             &c, n2, n3, &bdata, MatrixLayout::Square, TileOrder::RowMajor, None,
         ).unwrap();
-        let (t, _) = spmdm(&sp, &b, None).unwrap();
+        let (t, _) = spmdm(&sp, &b, 1, None).unwrap();
         let ad = scatter(n1, n2, &trips);
         let mut want = vec![0.0; n1 * n3];
         for i in 0..n1 {
@@ -155,9 +271,9 @@ proptest! {
             }
         }
 
-        let (ss, _) = spmm(&sa, &sb, None).unwrap();       // sparse x sparse
-        let (sd, _) = spmdm(&sa, &db, None).unwrap();      // sparse x dense
-        let (ds, _) = dmspm(&da, &sb, None).unwrap();      // dense  x sparse
+        let (ss, _) = spmm(&sa, &sb, 1, None).unwrap();       // sparse x sparse
+        let (sd, _) = spmdm(&sa, &db, 1, None).unwrap();      // sparse x dense
+        let (ds, _) = dmspm(&da, &sb, 1, None).unwrap();      // dense  x sparse
         prop_assert!(close(&ss.to_rows().unwrap(), &want));
         prop_assert!(close(&sd.to_rows().unwrap(), &want));
         prop_assert!(close(&ds.to_rows().unwrap(), &want));

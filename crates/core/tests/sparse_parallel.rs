@@ -10,9 +10,7 @@
 use std::sync::Arc;
 
 use riot_array::{DenseMatrix, DenseVector, MatrixLayout, StorageCtx, TileOrder};
-use riot_core::exec::{
-    dmspm_parallel, spmdm_parallel, spmm_fill, spmm_parallel, spmm_plan_parallel, spmv_parallel,
-};
+use riot_core::exec::{dmspm, spmdm, spmm, spmm_fill, spmm_plan, spmv};
 use riot_core::{EngineConfig, EngineKind, Session};
 use riot_sparse::SparseMatrix;
 use riot_storage::IoSnapshot;
@@ -44,7 +42,7 @@ fn spmv_parallel_matches_sequential_exactly() {
         c.pool().flush_all().unwrap();
         c.clear_cache().unwrap();
         let before = c.io_snapshot();
-        let (y, flops) = spmv_parallel(&a, &x, threads, None).unwrap();
+        let (y, flops) = spmv(&a, &x, threads, None).unwrap();
         c.pool().flush_all().unwrap();
         (y.to_vec().unwrap(), flops, c.io_snapshot() - before)
     };
@@ -82,7 +80,7 @@ fn spmdm_parallel_matches_sequential_exactly() {
         c.pool().flush_all().unwrap();
         c.clear_cache().unwrap();
         let before = c.io_snapshot();
-        let (t, flops) = spmdm_parallel(&a, &b, threads, None).unwrap();
+        let (t, flops) = spmdm(&a, &b, threads, None).unwrap();
         c.pool().flush_all().unwrap();
         (t.to_rows().unwrap(), flops, c.io_snapshot() - before)
     };
@@ -120,7 +118,7 @@ fn dmspm_parallel_matches_sequential_exactly() {
         c.pool().flush_all().unwrap();
         c.clear_cache().unwrap();
         let before = c.io_snapshot();
-        let (t, flops) = dmspm_parallel(&a, &b, threads, None).unwrap();
+        let (t, flops) = dmspm(&a, &b, threads, None).unwrap();
         c.pool().flush_all().unwrap();
         (t.to_rows().unwrap(), flops, c.io_snapshot() - before)
     };
@@ -155,7 +153,7 @@ fn spmm_parallel_plan_and_product_match_sequential_exactly() {
         c.pool().flush_all().unwrap();
         c.clear_cache().unwrap();
         let before = c.io_snapshot();
-        let plan = spmm_plan_parallel(&a, &b, threads).unwrap();
+        let plan = spmm_plan(&a, &b, threads).unwrap();
         let (out_nnz, spill_blocks) = (plan.out_nnz(), plan.spill_blocks());
         let (t, flops) = spmm_fill(plan, None).unwrap();
         c.pool().flush_all().unwrap();
@@ -186,7 +184,7 @@ fn spmm_parallel_plan_and_product_match_sequential_exactly() {
     }
 }
 
-/// A device error inside a worker surfaces from `spmm_plan_parallel`
+/// A device error inside a worker surfaces from `spmm_plan`
 /// without leaking the spill object or hanging the coordinator.
 #[test]
 fn parallel_spmm_plan_contains_worker_errors() {
@@ -211,13 +209,13 @@ fn parallel_spmm_plan_contains_worker_errors() {
     let live_before = c.live_objects();
     let blocks_before = c.total_blocks();
     assert!(
-        spmm_plan_parallel(&a, &a, 4).is_err(),
+        spmm_plan(&a, &a, 4).is_err(),
         "injected read error surfaces from the worker pool"
     );
     assert_eq!(c.live_objects(), live_before, "spill not leaked");
     assert_eq!(c.total_blocks(), blocks_before);
     // With the failpoint consumed, the same parallel plan succeeds.
-    let plan = spmm_plan_parallel(&a, &a, 4).unwrap();
+    let plan = spmm_plan(&a, &a, 4).unwrap();
     assert!(plan.out_nnz() > 0);
 }
 
@@ -230,7 +228,7 @@ fn parallel_spmm_convenience_matches_dense_reference() {
         .unwrap();
     let b = SparseMatrix::from_triplets(&c, n2, n3, MatrixLayout::Square, &band(n2, n3, 4), None)
         .unwrap();
-    let (t, _) = spmm_parallel(&a, &b, 4, None).unwrap();
+    let (t, _) = spmm(&a, &b, 4, None).unwrap();
     let ad = a.to_rows().unwrap();
     let bd = b.to_rows().unwrap();
     let mut want = vec![0.0; n1 * n3];

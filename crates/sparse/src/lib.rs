@@ -12,75 +12,90 @@
 //!
 //! A sparse matrix reuses the dense tiling ([`riot_array::MatrixLayout`]
 //! fixes the tile aspect ratio, one tile = at most one block), but **only
-//! occupied tiles get a data page**. The object's contiguous block extent
-//! is:
+//! occupied tiles are stored, and they share pages**: their payloads are
+//! packed greedily, in row-major tile order, into the data pages. A tile
+//! never straddles a page; a tile-row may. The object's contiguous block
+//! extent is:
 //!
 //! ```text
 //! +--------------------+----------------------------------------------+
-//! | directory blocks   | data pages (one per occupied tile)           |
+//! | directory blocks   | data pages (payloads packed end to end)      |
 //! +--------------------+----------------------------------------------+
 //!
-//! directory: 2 f64 slots per tile, in row-major tile order
-//!   dir[2t]   = data-page slot of tile t, or -1.0 when the tile is empty
-//!   dir[2t+1] = nnz of tile t
+//! directory: one run per tile-row, as a stream of f64 across the blocks
+//!   [ k = occupied tiles of the row | k x (tj, nnz, page, offset) ]
 //!
-//! data page, CSR form (nnz <= csr_cap = (B - (tile_r+1)) / 2):
-//!   [ row_offsets: tile_r+1 | col_indices: nnz | values: nnz | pad ]
+//! payload, triples form (nnz <= min(tile_r, csr_cap)):
+//!   [ nnz x (row, col, value), sorted by (row, col) ]
 //!
-//! data page, dense form (nnz > csr_cap):
-//!   [ tile_r * tile_c values, row-major ]                (exactly fits)
+//! payload, CSR form (nnz <= csr_cap = (B - (tile_r+1)) / 2):
+//!   [ row_offsets: tile_r+1 | col_indices: nnz | values: nnz ]
+//!
+//! payload, dense form (nnz > csr_cap):
+//!   [ tile_r * tile_c values, row-major ]       (a full page of its own)
 //! ```
 //!
-//! `B` is the block capacity in `f64` elements. Offsets and column
-//! indices are stored as `f64` (exact for integers below 2^53). The
-//! format per page is *not* flagged in the page: it is derived from the
-//! directory's `nnz` against `csr_cap`, so a CSR page spends every slot on
-//! payload. Tiles denser than `csr_cap` fall back to the dense form, which
-//! always fits because one dense tile is exactly one block.
+//! `B` is the block capacity in `f64` elements. Counts, indices and
+//! offsets are stored as `f64` (exact for integers below 2^53). The form
+//! of a payload is *not* flagged in the page: it is derived from the
+//! directory's `nnz`, so every stored element is payload. A tile with a
+//! handful of entries costs three elements each — at `tile_r` entries the
+//! CSR row offsets stop being the larger part — and tiles denser than
+//! `csr_cap` fall back to the dense form, which always fits because one
+//! dense tile is exactly one block. The directory lists occupied tiles
+//! only, so both it and the pages scale with the non-zeros, not with the
+//! tile grid: 65,536 non-zeros spread four to a tile over a 512 x 512
+//! grid of 8 KiB tiles take 192 pages and 61 directory blocks, where one
+//! page per occupied tile took 15,360 and 512.
 //!
-//! The density break-even is visible in the layout itself: a matrix at
-//! density `d` occupies roughly `ntiles · (1 - (1-d)^(tile elems))` data
-//! pages, so a 0.01-density matrix with 64-element tiles stores ~47% of
-//! the dense footprint and a 0.001-density one ~6%, and every kernel scan
-//! reads only those pages — the property the counted-I/O tests pin down.
+//! A format is a decision the catalog records: packed matrices carry
+//! [`riot_storage::ObjectKind::SparseMatrix`], and
+//! [`SparseMatrix::open`] refuses the retired one-page-per-tile objects
+//! (`SparseTilePages`) with a typed error instead of misreading them.
 //!
 //! ## Handles
 //!
 //! [`SparseMatrix`] handles are cheap `Send + Sync` clones sharing one
 //! [`riot_array::StorageCtx`]; the directory is written through the pool at
 //! construction and cached in the handle (`Arc`), so tile addressing costs
-//! no further I/O. Tile reads pin the underlying page zero-copy and decode
-//! the CSR views straight from the pinned `&[f64]`.
+//! no further I/O. Reads go through [`Tiles`], a cursor over a run of
+//! occupied tiles that pins each page of the run once and lends decoded
+//! [`SparseTile`] views straight off the pinned `&[f64]`:
+//! [`SparseMatrix::tile_row`] is the strip loop every tile-row kernel
+//! shares, [`SparseMatrix::tile`] the one-tile case.
 //!
 //! ## Builders and their counted-I/O contracts
 //!
+//! Every builder feeds one sequential page appender ([`TileWriter`]) in
+//! directory order, so each block of the extent is written exactly once.
+//!
 //! | builder | reads | writes (once flushed) |
 //! |---|---|---|
-//! | [`SparseMatrix::from_triplets`] | 0 | `occupied_pages + dir_blocks` |
-//! | [`SparseMatrix::from_dense`] | every dense tile, once | `occupied_pages + dir_blocks` |
-//! | [`SparseMatrix::create_with_plan`] | 0 | `dir_blocks` (pages land via the `write_tile*` calls) |
-//! | [`SparseMatrix::transpose`] | `occupied_pages`, once each | `occupied_pages + dir_blocks` |
+//! | [`SparseMatrix::from_triplets`] (sorts the triplets) | 0 | `blocks()` |
+//! | [`SparseMatrix::from_dense`] | every dense tile, once | `blocks()` |
+//! | [`SparseMatrix::create_with_plan`] + [`TileWriter::push`] | 0 | `blocks()` (`dir_blocks` at creation) |
+//! | [`SparseMatrix::transpose`] | `occupied_pages`, once each, while the re-sort buffer fits the pool's capacity | `blocks()` of the output |
 //!
 //! [`SparseMatrix::transpose`] is the **native transpose**: the output
-//! directory is derived from the cached input directory (tile `(j, i)` of
-//! the output is tile `(i, j)` of the input with the same nnz), so
-//! planning costs zero I/O, and the data pass streams the occupied pages
-//! in transposed directory order — the matrix is never densified. Two-pass
-//! producers (SpMM in `riot-core`) size their output with
-//! [`SparseMatrix::create_with_plan`] and fill pages either from a dense
-//! scratch ([`SparseMatrix::write_tile`]) or directly from sorted entries
-//! ([`SparseMatrix::write_tile_entries_at`], the replay path for plans
-//! spilled to a growable catalog extent).
+//! plan is derived from the cached input directory (tile `(j, i)` of the
+//! output is tile `(i, j)` of the input with the same nnz), so planning
+//! costs zero I/O; the data pass walks the input pages in order, re-sorts
+//! the entries in memory and appends — the matrix is never densified.
+//! Two-pass producers (SpMM in `riot-core`) size their output with
+//! [`SparseMatrix::create_with_plan`] and append each tile's sorted
+//! entries with [`TileWriter::push`] (the replay path for plans spilled
+//! to a growable catalog extent).
 
 #![deny(unsafe_code)]
 
 pub mod matrix;
 
-pub use matrix::{SparseMatrix, SparseTile, TileSlot};
+pub use matrix::{SparseMatrix, SparseTile, TileSlot, TileWriter, Tiles};
 
 /// CSR capacity of one data page: the largest nnz for which the CSR form
 /// (`tile_r + 1` offsets + `nnz` column indices + `nnz` values) fits in a
-/// block of `epb` elements. Tiles above this store the dense form.
+/// block of `epb` elements. Tiles above this store the dense form; tiles
+/// of at most `tile_r` entries (and within this capacity) store triples.
 pub fn csr_capacity(epb: usize, tile_r: usize) -> usize {
     epb.saturating_sub(tile_r + 1) / 2
 }

@@ -6,7 +6,8 @@ use riot_array::context::StorageCtx;
 use riot_array::matrix::MatrixLayout;
 use riot_sparse::SparseMatrix;
 use riot_storage::{
-    BlockDevice, BufferPool, FailpointDevice, MemBlockDevice, PoolConfig, ReplacerKind,
+    BlockDevice, BufferPool, FailpointDevice, MemBlockDevice, ObjectHeader, ObjectKind, PoolConfig,
+    ReplacerKind, StorageError,
 };
 use std::sync::Arc;
 
@@ -50,6 +51,41 @@ fn sparse_matrix_survives_a_clean_restart() {
         assert_eq!(s.get(r, c).unwrap(), v);
     }
     assert_eq!(s.get(10, 10).unwrap(), 0.0);
+}
+
+/// A store written before page packing holds sparse matrices under
+/// `ObjectKind` code 2 (a dense tile directory, one page per occupied
+/// tile). The catalog still loads; the reopen is refused with a typed
+/// error naming the old layout instead of misreading the extent.
+#[test]
+fn pre_packing_sparse_objects_are_refused_by_name() {
+    assert_eq!(ObjectKind::from_code(2), Some(ObjectKind::SparseTilePages));
+    let mem = Arc::new(MemBlockDevice::new(BS));
+    {
+        let ctx = StorageCtx::new_durable(pool_over(Box::new(Arc::clone(&mem)))).unwrap();
+        // The old header over the old extent: 1 directory block + 5 pages.
+        let (id, _) = ctx.create_object(6, Some("old")).unwrap();
+        ctx.set_object_header(
+            id,
+            ObjectHeader {
+                kind: ObjectKind::SparseTilePages,
+                rows: 20,
+                cols: 20,
+                layout: MatrixLayout::Square.code(),
+                nnz: 5,
+            },
+        )
+        .unwrap();
+        ctx.commit().unwrap();
+    }
+    let ctx = StorageCtx::open(pool_over(Box::new(Arc::clone(&mem)))).unwrap();
+    match SparseMatrix::open(&ctx, "old") {
+        Err(StorageError::CannotReopen { name, reason }) => {
+            assert_eq!(name, "old");
+            assert!(reason.contains("one-page-per-tile"), "{reason}");
+        }
+        other => panic!("expected CannotReopen, got {:?}", other.map(|m| m.shape())),
+    }
 }
 
 #[test]

@@ -43,10 +43,16 @@ pub enum ObjectKind {
     DenseVector,
     /// A tiled dense matrix.
     DenseMatrix,
-    /// A block-compressed sparse matrix (directory + data pages).
-    SparseMatrix,
+    /// A sparse matrix in the retired layout (a dense tile directory and
+    /// one data page per occupied tile). Still decodable, so a catalog
+    /// holding one loads and the reopen fails with a typed error instead
+    /// of misreading the extent; nothing writes it any more.
+    SparseTilePages,
     /// An anonymous spill/scratch stream.
     Spill,
+    /// A block-compressed sparse matrix (run directory + packed tile
+    /// pages).
+    SparseMatrix,
 }
 
 impl ObjectKind {
@@ -55,8 +61,9 @@ impl ObjectKind {
         match self {
             ObjectKind::DenseVector => 0,
             ObjectKind::DenseMatrix => 1,
-            ObjectKind::SparseMatrix => 2,
+            ObjectKind::SparseTilePages => 2,
             ObjectKind::Spill => 3,
+            ObjectKind::SparseMatrix => 4,
         }
     }
 
@@ -65,8 +72,9 @@ impl ObjectKind {
         match code {
             0 => Some(ObjectKind::DenseVector),
             1 => Some(ObjectKind::DenseMatrix),
-            2 => Some(ObjectKind::SparseMatrix),
+            2 => Some(ObjectKind::SparseTilePages),
             3 => Some(ObjectKind::Spill),
+            4 => Some(ObjectKind::SparseMatrix),
             _ => None,
         }
     }

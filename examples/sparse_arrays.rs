@@ -68,7 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ctx.pool().flush_all()?;
     ctx.clear_cache()?;
     let before = ctx.io_snapshot();
-    spmv(&a, &x, None)?;
+    spmv(&a, &x, 1, None)?;
     let sparse_reads = (ctx.io_snapshot() - before).reads;
 
     ctx.pool().flush_all()?;

@@ -3,13 +3,19 @@
 //! concrete). The square-tiled schedule is deterministic, so its model is
 //! held to the exact block count; the continuous BNLJ and naive models
 //! ignore boundary tiles and pool caching and keep generous (2x)
-//! tolerances, but the *ratios between strategies* must hold tightly.
+//! tolerances, but the *ratios between strategies* must hold tightly. The
+//! sparse model prices the packed format's pages and run directory; it is
+//! held to the corpus `spmv` full profile within the bound stated there.
 
 use riot::array::{DenseMatrix, MatrixLayout, StorageCtx, TileOrder};
 use riot::core::cost::{
-    bnlj_io, naive_colmajor_io, square_tiled_io, square_tiled_schedule_io, CostParams,
+    bnlj_io, naive_colmajor_io, sparse_blocks, spmdm_io, square_tiled_io, square_tiled_schedule_io,
+    CostParams,
 };
-use riot::core::exec::{multiply, MatMulKernel, Operand};
+use riot::core::exec::{multiply, spmdm, MatMulKernel, Operand};
+use riot::core::EngineKind;
+use riot::sparse::SparseMatrix;
+use riot_bench::corpus::{self, Input};
 
 const BLOCK: usize = 8192; // 1024 elems, 32x32 tiles
 const EPB: f64 = 1024.0;
@@ -251,5 +257,79 @@ fn model_ratio_matches_measured_ratio() {
     assert!(
         meas_ratio / model_ratio < 3.0 && model_ratio / meas_ratio < 3.0,
         "model ratio {model_ratio:.2} vs measured ratio {meas_ratio:.2}"
+    );
+}
+
+/// The sparse model against the corpus `spmv` full profile (n = 768, at
+/// most 4 non-zeros per row, 512-byte blocks): one cold `a %*% v` — `a`
+/// reopened by name, so its run directory is read too, and the result
+/// flushed. The kernel's reads are *equal* to the packed pages plus `v`,
+/// and so is the budget the manifest pins for the whole script (later
+/// rounds hit the pool). The model prices the average occupied tile's
+/// payload where the builder packs whole tiles that may not straddle a
+/// page, and draws tile occupancy from the density where the generator's
+/// pattern is regular: it must land within **5 %** of the measured pages,
+/// directory blocks and total I/O (today: 90 of 92 pages, 110 of 110
+/// directory blocks, 308 of 310 blocks in all).
+#[test]
+fn sparse_model_matches_the_corpus_spmv_full_profile() {
+    let w = corpus::workload("spmv");
+    let profile = w.manifest.profile("full").expect("spmv has a full profile");
+    let inputs = corpus::inputs("spmv", profile);
+    let (n, trips) = inputs
+        .iter()
+        .find_map(|i| match i {
+            Input::Sparse(_, n, _, trips) => Some((*n, trips)),
+            _ => None,
+        })
+        .expect("spmv binds a sparse matrix");
+    let ctx = StorageCtx::new_mem(profile.block_size, profile.mem_blocks);
+    let built =
+        SparseMatrix::from_triplets(&ctx, n, n, MatrixLayout::Square, trips, Some("a")).unwrap();
+    let (layout, order) = (MatrixLayout::Square, TileOrder::RowMajor);
+    let v = DenseMatrix::from_fn(&ctx, n, 1, layout, order, None, |_, _| 1.0).unwrap();
+    drop(built);
+    ctx.pool().flush_all().unwrap();
+    ctx.clear_cache().unwrap();
+
+    let before = ctx.io_snapshot();
+    let a = SparseMatrix::open(&ctx, "a").unwrap();
+    let opened = ctx.io_snapshot();
+    let (t, _) = spmdm(&a, &v, 1, None).unwrap();
+    let kernel_reads = (ctx.io_snapshot() - opened).reads;
+    ctx.pool().flush_all().unwrap();
+    let io = ctx.io_snapshot() - before;
+    assert_eq!((opened - before).reads, a.dir_blocks());
+    assert_eq!(kernel_reads, a.occupied_pages() + v.blocks());
+    assert_eq!(io.writes, t.blocks());
+    let pinned = profile.budget(EngineKind::Riot).expect("riot budget");
+    assert_eq!(
+        pinned.reads, kernel_reads,
+        "the corpus budget is these reads"
+    );
+
+    let epb = ctx.elems_per_block() as f64;
+    let p = CostParams {
+        mem_elems: profile.mem_blocks as f64 * epb,
+        block_elems: epb,
+    };
+    let (pages, dir) = sparse_blocks(n as f64, n as f64, a.density(), p);
+    let model = spmdm_io(n as f64, n as f64, 1.0, a.density(), p);
+    let within =
+        |model: f64, measured: u64| (model - measured as f64).abs() <= 0.05 * measured as f64;
+    assert!(
+        within(pages, a.occupied_pages()),
+        "pages: {pages} vs {}",
+        a.occupied_pages()
+    );
+    assert!(
+        within(dir, a.dir_blocks()),
+        "directory: {dir} vs {}",
+        a.dir_blocks()
+    );
+    assert!(
+        within(model, io.total_blocks()),
+        "total: {model} vs {}",
+        io.total_blocks()
     );
 }
