@@ -26,7 +26,7 @@ use std::sync::{Arc, Mutex};
 
 use riot_storage::{
     BufferPool, Catalog, CatalogStore, Extent, IoSnapshot, IoStats, MemBlockDevice, ObjectHeader,
-    ObjectId, PoolConfig, QueryGovernor, ReplacerKind, Result,
+    ObjectId, PoolConfig, QueryGovernor, Result,
 };
 
 /// A buffer pool plus an object catalog, shared by every array.
@@ -56,20 +56,7 @@ impl StorageCtx {
     /// pool has a single shard, reproducing sequential eviction order
     /// exactly (use [`StorageCtx::new_mem_sharded`] for parallel kernels).
     pub fn new_mem(block_size: usize, frames: usize) -> Arc<Self> {
-        Self::new_mem_with(block_size, frames, ReplacerKind::Lru)
-    }
-
-    /// Like [`StorageCtx::new_mem`] with an explicit replacement policy.
-    pub fn new_mem_with(block_size: usize, frames: usize, replacer: ReplacerKind) -> Arc<Self> {
-        Self::new_mem_opts(
-            block_size,
-            PoolConfig {
-                frames,
-                replacer,
-                ..PoolConfig::default()
-            },
-            1,
-        )
+        Self::new_mem_sharded(block_size, frames, 1)
     }
 
     /// Context over an in-memory device with a lock-striped pool, for
@@ -79,7 +66,6 @@ impl StorageCtx {
             block_size,
             PoolConfig {
                 frames,
-                replacer: ReplacerKind::Lru,
                 ..PoolConfig::default()
             },
             shards,

@@ -357,10 +357,9 @@ impl VectorWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use riot_storage::ReplacerKind;
 
     fn ctx(frames: usize) -> Arc<StorageCtx> {
-        StorageCtx::new_mem_with(64, frames, ReplacerKind::Lru)
+        StorageCtx::new_mem(64, frames)
     }
 
     #[test]

@@ -8,8 +8,7 @@ use riot_array::linear::TileOrder;
 use riot_array::matrix::{DenseMatrix, MatrixLayout};
 use riot_array::vector::DenseVector;
 use riot_storage::{
-    BlockDevice, BufferPool, FailpointDevice, MemBlockDevice, PoolConfig, ReplacerKind,
-    StorageError,
+    BlockDevice, BufferPool, FailpointDevice, MemBlockDevice, PoolConfig, StorageError,
 };
 use std::sync::Arc;
 
@@ -20,7 +19,6 @@ fn pool_over(dev: Box<dyn BlockDevice>) -> BufferPool {
         dev,
         PoolConfig {
             frames: 32,
-            replacer: ReplacerKind::Lru,
             ..PoolConfig::default()
         },
     )

@@ -23,7 +23,7 @@ use proptest::prelude::*;
 use riot_bench::corpus::{self, bind_inputs, open_inputs, run_script_measured, Cell};
 use riot_core::{EngineKind, Session};
 use riot_rlang::Interpreter;
-use riot_storage::{BufferPool, MemBlockDevice, PoolConfig, ReplacerKind, PREFETCH_AUTO};
+use riot_storage::{BufferPool, MemBlockDevice, PoolConfig, PREFETCH_AUTO};
 use std::sync::Arc;
 
 const ENGINES: [EngineKind; 3] = [EngineKind::Strawman, EngineKind::MatNamed, EngineKind::Riot];
@@ -33,7 +33,6 @@ fn pool_over(dev: Arc<MemBlockDevice>, frames: usize, prefetch: usize) -> Buffer
         Box::new(dev),
         PoolConfig {
             frames,
-            replacer: ReplacerKind::Lru,
             prefetch_depth: prefetch,
             ..PoolConfig::default()
         },

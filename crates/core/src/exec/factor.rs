@@ -217,19 +217,11 @@ pub(crate) fn solve_in_memory(a: &mut [f64], x: &mut [f64], n: usize, m: usize) 
 /// pass. Inputs that are not positive definite surface
 /// [`ExecError::NotPositiveDefinite`] with the failing panel and global
 /// pivot index — NaNs never propagate silently.
+///
+/// The TRSM and trailing-update steps of each panel are distributed over
+/// `threads` workers. The panel partition is fixed by `mem_elems` alone,
+/// so results and counted I/O are bit-identical at every thread count.
 pub fn chol_tiled(
-    a: &DenseMatrix,
-    mem_elems: usize,
-    name: Option<&str>,
-) -> ExecResult<(DenseMatrix, u64)> {
-    chol_tiled_parallel(a, mem_elems, 1, name)
-}
-
-/// [`chol_tiled`] with the TRSM and trailing-update steps of each panel
-/// distributed over `threads` workers. The panel partition is fixed by
-/// `mem_elems` alone, so results and counted I/O are bit-identical at
-/// every thread count.
-pub fn chol_tiled_parallel(
     a: &DenseMatrix,
     mem_elems: usize,
     threads: usize,
@@ -344,7 +336,7 @@ pub fn chol_tiled_parallel(
 /// independent recurrence over the row panels, so outputs are disjoint
 /// and results identical at every thread count (the strip partition is
 /// fixed by `mem_elems` alone, like the Cholesky panels).
-pub fn tri_solve_parallel(
+pub fn tri_solve(
     l: &DenseMatrix,
     b: &DenseMatrix,
     mem_elems: usize,
@@ -423,8 +415,8 @@ pub fn cholesky_solve(
     threads: usize,
     name: Option<&str>,
 ) -> ExecResult<(DenseMatrix, u64)> {
-    let (l, f1) = chol_tiled_parallel(a, mem_elems, threads, None)?;
-    let solved = tri_solve_parallel(&l, b, mem_elems, threads, name);
+    let (l, f1) = chol_tiled(a, mem_elems, threads, None)?;
+    let solved = tri_solve(&l, b, mem_elems, threads, name);
     l.free()?;
     let (x, f2) = solved?;
     Ok((x, f1 + f2))
@@ -657,7 +649,7 @@ mod tests {
         for n in [1usize, 7, 8, 20, 33] {
             let c = ctx(64);
             let a = mk(&c, n, n, |i, j| spd_sym(i, j, n));
-            let (l, _) = chol_tiled(&a, 3 * 64, None).unwrap();
+            let (l, _) = chol_tiled(&a, 3 * 64, 1, None).unwrap();
             let lv = l.to_rows().unwrap();
             // Strict upper triangle exactly zero.
             for i in 0..n {
@@ -690,7 +682,7 @@ mod tests {
         let c = ctx(64);
         let av: Vec<f64> = (0..n * n).map(|k| spd_sym(k / n, k % n, n)).collect();
         let a = mk(&c, n, n, |i, j| av[i * n + j]);
-        let (l, _) = chol_tiled(&a, 3 * 64, None).unwrap();
+        let (l, _) = chol_tiled(&a, 3 * 64, 1, None).unwrap();
         assert_close(&l.to_rows().unwrap(), &reference_chol(&av, n), 1e-10);
     }
 
@@ -712,8 +704,8 @@ mod tests {
                 }
             },
         );
-        let (l1, f1) = chol_tiled(&clean, 3 * 64, None).unwrap();
-        let (l2, f2) = chol_tiled(&dirty, 3 * 64, None).unwrap();
+        let (l1, f1) = chol_tiled(&clean, 3 * 64, 1, None).unwrap();
+        let (l2, f2) = chol_tiled(&dirty, 3 * 64, 1, None).unwrap();
         assert_eq!(l1.to_rows().unwrap(), l2.to_rows().unwrap());
         assert_eq!(f1, f2);
     }
@@ -733,7 +725,7 @@ mod tests {
                 v
             }
         });
-        match chol_tiled(&a, 3 * 64, None) {
+        match chol_tiled(&a, 3 * 64, 1, None) {
             Err(ExecError::NotPositiveDefinite { tile, pivot }) => {
                 assert_eq!(pivot, bad);
                 assert_eq!(tile, bad / 8, "panel index of the failing pivot");
@@ -749,7 +741,7 @@ mod tests {
                 spd_sym(i, j, n)
             }
         });
-        match chol_tiled(&a, 3 * 64, None) {
+        match chol_tiled(&a, 3 * 64, 1, None) {
             Err(ExecError::NotPositiveDefinite { pivot, .. }) => assert_eq!(pivot, 3),
             Err(other) => panic!("expected NotPositiveDefinite, got {other}"),
             Ok(_) => panic!("factorization of a NaN-poisoned matrix succeeded"),
@@ -761,7 +753,7 @@ mod tests {
         let c = ctx(64);
         let rect = mk(&c, 4, 6, |i, j| (i + j) as f64);
         assert!(matches!(
-            chol_tiled(&rect, 3 * 64, None),
+            chol_tiled(&rect, 3 * 64, 1, None),
             Err(ExecError::Expr(ExprError::Expected { .. }))
         ));
     }
@@ -821,8 +813,8 @@ mod tests {
             c.pool().flush_all().unwrap();
             c.clear_cache().unwrap();
             let before = c.io_snapshot();
-            let (l, lf) = chol_tiled_parallel(&a, 3 * 64, threads, None).unwrap();
-            let (x, xf) = tri_solve_parallel(&l, &b, 3 * 64, threads, None).unwrap();
+            let (l, lf) = chol_tiled(&a, 3 * 64, threads, None).unwrap();
+            let (x, xf) = tri_solve(&l, &b, 3 * 64, threads, None).unwrap();
             c.pool().flush_all().unwrap();
             let delta = c.io_snapshot() - before;
             (
@@ -856,7 +848,7 @@ mod tests {
         c.pool().flush_all().unwrap();
         c.clear_cache().unwrap();
         let before = c.io_snapshot();
-        let (l, _) = chol_tiled(&a, 3 * 64, None).unwrap();
+        let (l, _) = chol_tiled(&a, 3 * 64, 1, None).unwrap();
         c.pool().flush_all().unwrap();
         let delta = c.io_snapshot() - before;
         drop(l);
@@ -906,7 +898,6 @@ mod tests {
                 512,
                 riot_storage::PoolConfig {
                     frames: 64,
-                    replacer: riot_storage::ReplacerKind::Lru,
                     prefetch_depth: depth,
                     ..riot_storage::PoolConfig::default()
                 },

@@ -23,17 +23,17 @@
 //!
 //! ## Parallel execution
 //!
-//! [`matmul_tiled_parallel`] distributes the independent `(bi, bj)` output
-//! submatrices over worker threads, and [`matmul_bnlj_parallel`] does the
-//! same with the row chunks; each worker owns its scratch buffers and pins
-//! tiles zero-copy from the shared (ideally sharded) buffer pool. Workers
+//! With `threads > 1`, [`matmul_tiled`] distributes the independent
+//! `(bi, bj)` output submatrices over worker threads, and [`matmul_bnlj`]
+//! does the same with the row chunks; each worker owns its scratch buffers
+//! and pins tiles zero-copy from the shared (ideally sharded) pool. Workers
 //! write disjoint output tiles, so results are identical to the sequential
 //! kernels, and — when the pool is large enough to hold the operands, the
 //! in-memory regime the speedup matters in — total counted I/O is
 //! identical too: every operand block is loaded exactly once and every
 //! output block written exactly once, in whatever order the workers reach
-//! them. The single-threaded entry points run inline (no spawn), keeping
-//! the sequential kernels' I/O order bit-for-bit deterministic.
+//! them. `threads = 1` runs inline (no spawn), keeping the sequential
+//! schedule's I/O order bit-for-bit deterministic.
 //!
 //! Rectangle I/O ([`read_rect`] / [`write_rect`]) performs zero per-access
 //! heap allocation: a pin guard exposes each tile as `&[f64]` and rows are
@@ -123,8 +123,8 @@ pub fn multiply<'a>(
 ) -> ExecResult<(DenseMatrix, u64)> {
     match kernel {
         MatMulKernel::Naive => matmul_naive(a, b, name),
-        MatMulKernel::Bnlj => matmul_bnlj(a, b, mem_elems, name),
-        MatMulKernel::SquareTiled => matmul_tiled(a, b, mem_elems, name),
+        MatMulKernel::Bnlj => matmul_bnlj(a, b, mem_elems, 1, name),
+        MatMulKernel::SquareTiled => matmul_tiled(a, b, mem_elems, 1, name),
     }
 }
 
@@ -195,19 +195,11 @@ pub fn matmul_naive<'a>(
 /// §4's BNLJ-inspired algorithm: rows of `A` are read in chunks sized so
 /// the chunk plus the corresponding rows of `T` fit in `mem_elems`; `B` is
 /// scanned once per chunk, column by column.
-pub fn matmul_bnlj<'a>(
-    a: impl Into<Operand<'a>>,
-    b: impl Into<Operand<'a>>,
-    mem_elems: usize,
-    name: Option<&str>,
-) -> ExecResult<(DenseMatrix, u64)> {
-    matmul_bnlj_parallel(a, b, mem_elems, 1, name)
-}
-
-/// [`matmul_bnlj`] with the chunk loop distributed over `threads` workers,
-/// each owning its chunk/column scratch. The per-worker memory budget is
+///
+/// The chunk loop is distributed over `threads` workers, each owning its
+/// chunk/column scratch. The per-worker memory budget is
 /// `mem_elems / threads`, so the total stays within the paper's `M`.
-pub fn matmul_bnlj_parallel<'a>(
+pub fn matmul_bnlj<'a>(
     a: impl Into<Operand<'a>>,
     b: impl Into<Operand<'a>>,
     mem_elems: usize,
@@ -281,26 +273,18 @@ pub fn matmul_bnlj_parallel<'a>(
 /// `p = √(M/3)`, multiplied submatrix-by-submatrix. Operands and result
 /// should use [`MatrixLayout::Square`] tiles so each submatrix costs
 /// `p²/B` blocks, which is what makes the schedule meet the lower bound.
-pub fn matmul_tiled<'a>(
-    a: impl Into<Operand<'a>>,
-    b: impl Into<Operand<'a>>,
-    mem_elems: usize,
-    name: Option<&str>,
-) -> ExecResult<(DenseMatrix, u64)> {
-    matmul_tiled_parallel(a, b, mem_elems, 1, name)
-}
-
-/// [`matmul_tiled`] with the outer `(bi, bj)` submatrix loop distributed
-/// over `threads` workers. Each worker owns three `p × p` scratch buffers
-/// with `p = √(M / 3·threads)` (tile-aligned), so the combined footprint
-/// stays within `mem_elems`; output submatrices are disjoint, making the
-/// result identical to the sequential schedule.
+///
+/// The outer `(bi, bj)` submatrix loop is distributed over `threads`
+/// workers. Each worker owns three `p × p` scratch buffers with
+/// `p = √(M / 3·threads)` (tile-aligned), so the combined footprint stays
+/// within `mem_elems`; output submatrices are disjoint, making the result
+/// identical to the sequential schedule.
 ///
 /// A Gram product ([`is_gram`]) runs the half schedule: only cells
 /// `bi <= bj`, a diagonal cell reading one operand strip (the other is its
 /// in-memory transpose), an off-diagonal cell written twice — once
 /// mirrored through the idle `A` scratch panel.
-pub fn matmul_tiled_parallel<'a>(
+pub fn matmul_tiled<'a>(
     a: impl Into<Operand<'a>>,
     b: impl Into<Operand<'a>>,
     mem_elems: usize,
@@ -625,7 +609,7 @@ mod tests {
             c.pool().flush_all().unwrap();
             c.clear_cache().unwrap();
             let before = c.io_snapshot();
-            let (t, flops) = matmul_tiled_parallel(&a, &b, 3 * 4 * 64 * 4, threads, None).unwrap();
+            let (t, flops) = matmul_tiled(&a, &b, 3 * 4 * 64 * 4, threads, None).unwrap();
             c.pool().flush_all().unwrap();
             let delta = c.io_snapshot() - before;
             (t.to_rows().unwrap(), flops, delta.reads, delta.writes)
@@ -649,7 +633,7 @@ mod tests {
             c.pool().flush_all().unwrap();
             c.clear_cache().unwrap();
             let before = c.io_snapshot();
-            let (t, _) = matmul_bnlj_parallel(&a, &b, 8 * (n2 + n3) * 4, threads, None).unwrap();
+            let (t, _) = matmul_bnlj(&a, &b, 8 * (n2 + n3) * 4, threads, None).unwrap();
             c.pool().flush_all().unwrap();
             let delta = c.io_snapshot() - before;
             (t.to_rows().unwrap(), delta.reads, delta.writes)

@@ -15,10 +15,10 @@ pub mod matmul;
 pub mod pipeline;
 pub mod sparse;
 
-pub use factor::{chol_tiled, chol_tiled_parallel, cholesky_solve, tri_solve_parallel};
+pub use factor::{chol_tiled, cholesky_solve, tri_solve};
 pub use matmul::{
-    is_gram, matmul_bnlj, matmul_bnlj_parallel, matmul_naive, matmul_tiled, matmul_tiled_parallel,
-    multiply, multiply_chain, prefetch_rect, read_rect, write_rect, MatMulKernel, Operand,
+    is_gram, matmul_bnlj, matmul_naive, matmul_tiled, multiply, multiply_chain, prefetch_rect,
+    read_rect, write_rect, MatMulKernel, Operand,
 };
 pub use pipeline::{
     drain_partitioned, drain_to_vec, fold_partitioned, governed, materialize, Arg, GatherPipe,

@@ -381,7 +381,7 @@ impl Runtime {
     /// * sparse x sparse (aligned tiles) -> [`spkernel::spmm`], sparse
     /// * sparse x dense -> [`spkernel::spmdm`], dense accumulator tiles
     /// * dense x sparse -> [`spkernel::dmspm`], dense accumulator strips
-    /// * dense x dense -> the configured [`crate::exec::MatMulKernel`]
+    /// * dense x dense -> [`matmul::matmul_tiled`], Appendix A's schedule
     ///
     /// and `Transpose`/`SpTranspose` to the native [`spkernel::sptranspose`]
     /// whenever the forced operand is sparse — no combination in the
@@ -445,7 +445,7 @@ impl Runtime {
                 MatValue::Dense(self.kernel(
                     "chol",
                     |_| format!("{r}x{c}"),
-                    |_| factor::chol_tiled_parallel(&a, mem, threads, None),
+                    |_| factor::chol_tiled(&a, mem, threads, None),
                 )?)
             }
             Node::Solve([lhs, rhs]) => {
@@ -488,7 +488,7 @@ impl Runtime {
         Ok((self.force_matrix_value(id)?, false))
     }
 
-    /// Dense x dense under the configured [`crate::exec::MatMulKernel`],
+    /// Dense x dense through the square-tiled kernel on one thread,
     /// operand flags and all. Fused transposes and Gram products are
     /// executor-level plan decisions, counted and traced next to the
     /// optimizer's (`RewriteStats`, `Rewrite` events): the profile of a
@@ -515,9 +515,9 @@ impl Runtime {
             };
             format!("{} * {}{}", op(a), op(b), if gram { " [gram]" } else { "" })
         };
-        let (kernel, mem) = (self.cfg.matmul_kernel, self.mem_elems());
+        let mem = self.mem_elems();
         self.kernel("matmul", detail, |_| {
-            matmul::multiply(kernel, a, b, mem, None)
+            matmul::matmul_tiled(a, b, mem, 1, None)
         })
     }
 

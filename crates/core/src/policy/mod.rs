@@ -51,11 +51,11 @@ use rand::SeedableRng;
 
 use riot_array::{DenseMatrix, DenseVector, StorageCtx};
 use riot_sparse::SparseMatrix;
-use riot_storage::{DiskModel, IoSnapshot, ObjectId, PoolConfig, PoolStats, ReplacerKind};
+use riot_storage::{DiskModel, IoSnapshot, ObjectId, PoolConfig, PoolStats};
 use riot_trace::Metrics;
 use riot_vm::{PagedHeap, VmConfig, VmId};
 
-use crate::exec::{ExecResult, MatMulKernel};
+use crate::exec::ExecResult;
 use crate::expr::{NodeId, SourceRef};
 use crate::graph::ExprGraph;
 use crate::opt::{OptConfig, RewriteStats};
@@ -106,12 +106,8 @@ pub struct EngineConfig {
     pub mem_blocks: usize,
     /// Pipeline chunk size in elements.
     pub chunk_elems: usize,
-    /// Buffer-pool replacement policy.
-    pub replacer: ReplacerKind,
     /// Optimizer switches (only the `Riot` engine optimizes).
     pub opt: OptConfig,
-    /// Kernel for deferred matrix multiplication.
-    pub matmul_kernel: MatMulKernel,
     /// Worker threads for the elementwise pipeline, the parallel
     /// aggregation drain, and the sparse kernel family at forcing points.
     /// `1` (the default) runs the classic sequential executor, whose I/O
@@ -131,16 +127,14 @@ pub struct EngineConfig {
 
 impl EngineConfig {
     /// Sensible defaults for `kind`: 8 KiB blocks, a 4 MiB memory cap,
-    /// LRU replacement, all optimizations on, square-tiled matmul.
+    /// all optimizations on, one thread, no prefetch.
     pub fn new(kind: EngineKind) -> Self {
         EngineConfig {
             kind,
             block_size: 8192,
             mem_blocks: 512,
             chunk_elems: 1024,
-            replacer: ReplacerKind::Lru,
             opt: OptConfig::default(),
-            matmul_kernel: MatMulKernel::SquareTiled,
             threads: 1,
             prefetch_depth: 0,
             seed: R_SEED,
@@ -308,7 +302,6 @@ impl Runtime {
             cfg.block_size,
             PoolConfig {
                 frames: cfg.mem_blocks,
-                replacer: cfg.replacer,
                 prefetch_depth: cfg.prefetch_depth,
                 ..PoolConfig::default()
             },

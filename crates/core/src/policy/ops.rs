@@ -489,7 +489,7 @@ impl Runtime {
             MatRepr::Node(id) => Ok(MatRepr::Node(self.graph.chol(*id)?)),
             MatRepr::Vm(m) => self.heap_chol(*m),
             MatRepr::Stored(sm) => {
-                let (l, flops) = factor::chol_tiled(&sm.mat, self.mem_elems(), None)?;
+                let (l, flops) = factor::chol_tiled(&sm.mat, self.mem_elems(), 1, None)?;
                 self.count_ops(flops as usize);
                 Ok(stored(l, true))
             }

@@ -17,7 +17,7 @@ use riot_array::{DenseMatrix, DenseVector, MatrixLayout, StorageCtx, TileOrder};
 use riot_core::exec::{multiply, spmv, MatMulKernel};
 use riot_sparse::SparseMatrix;
 use riot_storage::testing::FailpointDevice;
-use riot_storage::{BufferPool, MemBlockDevice, PoolConfig, ReplacerKind};
+use riot_storage::{BufferPool, MemBlockDevice, PoolConfig};
 
 /// A context over a plain mem device, or the same device behind latency
 /// failpoints (1 ms per transfer — enough to keep I/O genuinely in flight
@@ -37,7 +37,6 @@ fn ctx(frames: usize, with_latency: bool) -> Arc<StorageCtx> {
         device,
         PoolConfig {
             frames,
-            replacer: ReplacerKind::Lru,
             ..PoolConfig::default()
         },
     ))

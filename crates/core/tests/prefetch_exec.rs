@@ -17,7 +17,7 @@ use riot_core::exec::{
 };
 use riot_sparse::SparseMatrix;
 use riot_storage::testing::FailpointDevice;
-use riot_storage::{BufferPool, IoSnapshot, MemBlockDevice, PoolConfig, PoolStats, ReplacerKind};
+use riot_storage::{BufferPool, IoSnapshot, MemBlockDevice, PoolConfig, PoolStats};
 
 /// Prefetch-off pools run the bare device; prefetch-on pools inject 1 ms
 /// of read latency, which both exercises the overlapped path for real and
@@ -38,7 +38,6 @@ fn ctx(frames: usize, prefetch_depth: usize) -> Arc<StorageCtx> {
         device,
         PoolConfig {
             frames,
-            replacer: ReplacerKind::Lru,
             prefetch_depth,
             ..PoolConfig::default()
         },
@@ -138,7 +137,7 @@ fn matmul_kernels_prefetch_parity() {
         .unwrap();
         c.pool().flush_all().unwrap();
         c.clear_cache().unwrap();
-        let (t, flops) = matmul_tiled(&a, &b, 3 * 4 * 64, None).unwrap();
+        let (t, flops) = matmul_tiled(&a, &b, 3 * 4 * 64, 1, None).unwrap();
         (t.to_rows().unwrap(), flops)
     };
     assert_parity("matmul_tiled", measure(64, 0, tiled), measure(64, 4, tiled));
@@ -166,7 +165,7 @@ fn matmul_kernels_prefetch_parity() {
         .unwrap();
         c.pool().flush_all().unwrap();
         c.clear_cache().unwrap();
-        let (t, flops) = matmul_bnlj(&a, &b, 8 * 2 * n, None).unwrap();
+        let (t, flops) = matmul_bnlj(&a, &b, 8 * 2 * n, 1, None).unwrap();
         (t.to_rows().unwrap(), flops)
     };
     assert_parity("matmul_bnlj", measure(96, 0, bnlj), measure(96, 4, bnlj));
@@ -192,7 +191,7 @@ fn matmul_kernels_prefetch_parity() {
         .unwrap();
         c.pool().flush_all().unwrap();
         c.clear_cache().unwrap();
-        let (l, flops) = chol_tiled(&a, 3 * 16 * 16, None).unwrap();
+        let (l, flops) = chol_tiled(&a, 3 * 16 * 16, 1, None).unwrap();
         (l.to_rows().unwrap(), flops)
     };
     assert_parity("chol_tiled", measure(64, 0, chol), measure(64, 4, chol));

@@ -12,9 +12,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use riot_array::{DenseMatrix, MatrixLayout, StorageCtx, TileOrder};
-use riot_core::exec::{
-    is_gram, matmul_bnlj_parallel, matmul_naive, matmul_tiled_parallel, MatMulKernel, Operand,
-};
+use riot_core::exec::{is_gram, matmul_bnlj, matmul_naive, matmul_tiled, MatMulKernel, Operand};
 use riot_core::{EngineConfig, EngineKind, Session};
 use riot_storage::{PoolConfig, PREFETCH_AUTO};
 
@@ -58,8 +56,8 @@ fn run(
 ) -> (DenseMatrix, u64) {
     match kernel {
         MatMulKernel::Naive => matmul_naive(a, b, None),
-        MatMulKernel::Bnlj => matmul_bnlj_parallel(a, b, mem, threads, None),
-        MatMulKernel::SquareTiled => matmul_tiled_parallel(a, b, mem, threads, None),
+        MatMulKernel::Bnlj => matmul_bnlj(a, b, mem, threads, None),
+        MatMulKernel::SquareTiled => matmul_tiled(a, b, mem, threads, None),
     }
     .unwrap()
 }
@@ -220,48 +218,44 @@ fn whole_panel_products_are_the_ascending_k_sum() {
 /// optimizer stats; a `t(x)` forced in its own right still materializes.
 #[test]
 fn session_products_never_store_a_transpose() {
-    for kernel in KERNELS {
-        for kind in [EngineKind::Riot, EngineKind::MatNamed] {
-            let mut cfg = EngineConfig::new(kind);
-            cfg.block_size = 512;
-            cfg.mem_blocks = 64;
-            cfg.matmul_kernel = kernel;
-            let s = Session::new(cfg);
-            let f =
-                |salt: usize| move |i: usize, j: usize| ((i * 5 + j * 3 + salt) % 11) as f64 / 4.0;
-            let x = s
-                .matrix_from_fn(21, 13, MatrixLayout::Square, f(0))
-                .unwrap();
-            let y = s.matrix_from_fn(21, 9, MatrixLayout::Square, f(1)).unwrap();
-            let (_, _, xt) = x.t().collect().unwrap(); // forced: one stored t(x)
-            let ctx = s.storage_ctx();
-            let count = || ctx.live_object_ids().len();
+    for kind in [EngineKind::Riot, EngineKind::MatNamed] {
+        let mut cfg = EngineConfig::new(kind);
+        cfg.block_size = 512;
+        cfg.mem_blocks = 64;
+        let s = Session::new(cfg);
+        let f = |salt: usize| move |i: usize, j: usize| ((i * 5 + j * 3 + salt) % 11) as f64 / 4.0;
+        let x = s
+            .matrix_from_fn(21, 13, MatrixLayout::Square, f(0))
+            .unwrap();
+        let y = s.matrix_from_fn(21, 9, MatrixLayout::Square, f(1)).unwrap();
+        let (_, _, xt) = x.t().collect().unwrap(); // forced: one stored t(x)
+        let ctx = s.storage_ctx();
+        let count = || ctx.live_object_ids().len();
 
-            let base = count();
-            let (r, c, tn) = x.t().matmul(&y).collect().unwrap();
-            assert_eq!((r, c), (13, 9));
-            assert_eq!(count(), base + 1, "{kernel:?}/{kind:?}: t(x) %*% y");
-            assert_eq!(s.last_opt_stats().transposes_fused, 1);
-            let (_, _, nt) = y.t().matmul(&x).collect().unwrap();
-            assert_eq!(count(), base + 2);
-            // (t(x) y) = t(t(y) x), entry for entry.
-            for i in 0..13 {
-                for j in 0..9 {
-                    assert_eq!(tn[i * 9 + j].to_bits(), nt[j * 13 + i].to_bits());
-                }
+        let base = count();
+        let (r, c, tn) = x.t().matmul(&y).collect().unwrap();
+        assert_eq!((r, c), (13, 9));
+        assert_eq!(count(), base + 1, "{kind:?}: t(x) %*% y");
+        assert_eq!(s.last_opt_stats().transposes_fused, 1);
+        let (_, _, nt) = y.t().matmul(&x).collect().unwrap();
+        assert_eq!(count(), base + 2);
+        // (t(x) y) = t(t(y) x), entry for entry.
+        for i in 0..13 {
+            for j in 0..9 {
+                assert_eq!(tn[i * 9 + j].to_bits(), nt[j * 13 + i].to_bits());
             }
-            let (_, _, gram) = x.t().matmul(&x).collect().unwrap();
-            assert_eq!(count(), base + 3, "{kernel:?}/{kind:?}: crossprod(x)");
-            assert!(s.last_opt_stats().gram_products >= 1);
-            // Reference from the collected transpose, ascending k.
-            for i in 0..13 {
-                for j in 0..13 {
-                    let mut acc = 0.0;
-                    for k in 0..21 {
-                        acc += xt[i * 21 + k] * xt[j * 21 + k];
-                    }
-                    assert_eq!(gram[i * 13 + j].to_bits(), acc.to_bits(), "({i},{j})");
+        }
+        let (_, _, gram) = x.t().matmul(&x).collect().unwrap();
+        assert_eq!(count(), base + 3, "{kind:?}: crossprod(x)");
+        assert!(s.last_opt_stats().gram_products >= 1);
+        // Reference from the collected transpose, ascending k.
+        for i in 0..13 {
+            for j in 0..13 {
+                let mut acc = 0.0;
+                for k in 0..21 {
+                    acc += xt[i * 21 + k] * xt[j * 21 + k];
                 }
+                assert_eq!(gram[i * 13 + j].to_bits(), acc.to_bits(), "({i},{j})");
             }
         }
     }

@@ -7,7 +7,7 @@ use riot_array::matrix::MatrixLayout;
 use riot_sparse::SparseMatrix;
 use riot_storage::{
     BlockDevice, BufferPool, FailpointDevice, MemBlockDevice, ObjectHeader, ObjectKind, PoolConfig,
-    ReplacerKind, StorageError,
+    StorageError,
 };
 use std::sync::Arc;
 
@@ -18,7 +18,6 @@ fn pool_over(dev: Box<dyn BlockDevice>) -> BufferPool {
         dev,
         PoolConfig {
             frames: 32,
-            replacer: ReplacerKind::Lru,
             ..PoolConfig::default()
         },
     )

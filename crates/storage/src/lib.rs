@@ -13,8 +13,8 @@
 //!   [`FileBlockDevice`] (a real file, proving the engine genuinely works
 //!   out of core).
 //! * [`BufferPool`] — a **sharded, thread-safe** pin/unpin buffer manager
-//!   with pluggable page replacement ([`LruReplacer`], [`ClockReplacer`],
-//!   [`MruReplacer`]). The pool capacity is the reproduction's analogue of
+//!   that evicts the least recently used unpinned frame, read off each
+//!   frame's own state. The pool capacity is the reproduction's analogue of
 //!   the paper's `shmat(SHM_SHARE_MMU)` physical-memory cap. Pins hand out
 //!   zero-copy RAII guards ([`PinnedFrame`] / [`PinnedFrameMut`]) exposing
 //!   the page directly as `&[f64]` / `&mut [f64]`.
@@ -38,7 +38,7 @@
 //!
 //! Everything in this crate is `Send + Sync`. The buffer pool is
 //! lock-striped: blocks map to shards by id, each shard owns its frames and
-//! replacement state behind one mutex, and per-shard hit/miss/write-back
+//! recency clock behind one mutex, and per-shard hit/miss/write-back
 //! counters sum to the totals a sequential pool would report. A pool built
 //! with [`BufferPool::new`] has exactly one shard and reproduces the
 //! classic sequential pool's eviction order and counted I/O bit-for-bit —
@@ -60,12 +60,11 @@
 //! ## Quick start
 //!
 //! ```
-//! use riot_storage::{BufferPool, MemBlockDevice, PoolConfig, ReplacerKind};
+//! use riot_storage::{BufferPool, MemBlockDevice, PoolConfig};
 //!
 //! let device = MemBlockDevice::new(8192);
 //! let pool = BufferPool::new(Box::new(device), PoolConfig {
 //!     frames: 64,
-//!     replacer: ReplacerKind::Lru,
 //!     ..PoolConfig::default()
 //! });
 //! let block = pool.allocate_blocks(1).unwrap();
@@ -85,7 +84,6 @@ pub mod file_device;
 pub mod governor;
 pub mod mem_device;
 pub mod pool;
-pub mod replacer;
 pub mod retry;
 pub mod stats;
 pub mod testing;
@@ -98,8 +96,9 @@ pub use error::{ErrorClass, Result, StorageError};
 pub use file_device::FileBlockDevice;
 pub use governor::{CancelToken, QueryGovernor, ResourceLimits};
 pub use mem_device::MemBlockDevice;
-pub use pool::{BufferPool, PinnedFrame, PinnedFrameMut, PoolConfig, PoolStats, PREFETCH_AUTO};
-pub use replacer::{ClockReplacer, LruReplacer, MruReplacer, Replacer, ReplacerKind};
+pub use pool::{
+    BufferPool, PinnedFrame, PinnedFrameMut, PoolConfig, PoolStats, ReplacerKind, PREFETCH_AUTO,
+};
 pub use retry::{RetryDevice, RetryPolicy, RetryStats};
 pub use stats::{DiskModel, InFlight, IoSnapshot, IoStats};
 pub use testing::{FailpointDevice, FailpointHandle, Watchdog};
@@ -135,5 +134,45 @@ mod lib_tests {
         assert_send_sync::<BufferPool>();
         assert_send_sync::<IoStats>();
         assert_send_sync::<Catalog>();
+    }
+}
+
+/// Unit tests of the buffer pool's replacement rule, checked on one shard's
+/// frame table: the victim is read off each frame's own state, so there is
+/// no separate replacement structure to keep in step with it.
+#[cfg(test)]
+mod replacer {
+    mod tests {
+        use crate::pool::ShardMeta;
+        use crate::BlockId;
+
+        /// Map `block` into the next free frame, unpinned and most recently
+        /// used, as a finished load publishes it.
+        fn load(meta: &mut ShardMeta, block: u64) -> usize {
+            let frame = meta.free.pop().expect("a free frame");
+            meta.frames[frame].block = Some(BlockId(block));
+            meta.map.insert(BlockId(block), frame);
+            meta.touch(frame);
+            frame
+        }
+
+        #[test]
+        fn remove_forgets_frames() {
+            let mut meta = ShardMeta::new(2);
+            let frame = load(&mut meta, 7);
+            assert_eq!(meta.victim(), Some(frame));
+            assert!(!meta.unmap(frame), "never a prefetch");
+            assert_eq!(meta.victim(), None);
+            assert!(!meta.map.contains_key(&BlockId(7)));
+            assert_eq!(meta.free.len(), 2);
+        }
+
+        #[test]
+        fn victim_on_empty_policy_is_none() {
+            // Free frames are `Resident` and unpinned, but unmapped.
+            for frames in [1, 4] {
+                assert_eq!(ShardMeta::new(frames).victim(), None, "{frames} frames");
+            }
+        }
     }
 }

@@ -9,7 +9,7 @@
 //! ## Concurrency model
 //!
 //! The pool is lock-striped into `shards` partitions (block id modulo shard
-//! count). Each shard owns its frames, page table, and replacement policy
+//! count). Each shard owns its frames, page table, and recency clock
 //! behind one mutex. Device I/O — miss loads, eviction write-backs, and
 //! flushes — runs with the shard mutex **dropped**: the frame involved is
 //! parked in an explicit in-flight state first, so the shard stays open for
@@ -49,13 +49,16 @@
 //!   and writes, the eviction order, and every counter are bit-for-bit
 //!   those of the classic lock-held pool (the paper's cost-model
 //!   validation depends on this).
-//! * **In-flight frames are invisible to replacement**: a frame in any
-//!   in-flight state is neither free nor evictable, so `Replacer::victim`
-//!   can never hand it out (see `crate::replacer`).
+//! * **Least recently used, derived**: each frame carries the shard-clock
+//!   stamp of its last pin (or publish), and a frame is evictable exactly
+//!   when it is mapped, `Resident`, and unpinned. The victim is the
+//!   evictable frame with the smallest stamp, ties to the lowest frame.
+//!   Evictability is read off the frame's own state, never kept in a
+//!   second copy, so a frame in any in-flight state can never be a victim.
 //! * **Failure containment**: a failed load releases the claimed slot (no
 //!   leaked frame, stats exact, the next pin of the block retries); a
-//!   failed eviction write-back returns the victim to `Resident`+dirty
-//!   under replacement, poisoning nothing.
+//!   failed eviction write-back returns the victim to `Resident`+dirty as
+//!   the most recently used frame, poisoning nothing.
 //!
 //! ## Plan-driven prefetch
 //!
@@ -106,8 +109,10 @@ use riot_trace::{EventKind, Tracer};
 use crate::device::{BlockDevice, BlockId};
 use crate::error::{Result, StorageError};
 use crate::governor::QueryGovernor;
-use crate::replacer::{make_replacer, FrameId, Replacer, ReplacerKind};
 use crate::stats::{InFlight, IoStats};
+
+/// Frame index inside a shard.
+type FrameId = usize;
 
 /// `PoolConfig::prefetch_depth` sentinel: size the prefetch worker pool
 /// from the device's capabilities. Non-[`BlockDevice::persistent`] devices
@@ -118,12 +123,24 @@ use crate::stats::{InFlight, IoStats};
 /// load can still overlap compute either way.
 pub const PREFETCH_AUTO: usize = usize::MAX;
 
+/// The pool's replacement policy, which has one value: evict the least
+/// recently used unpinned frame (see the module docs).
+///
+/// It exists only so that [`PoolConfig`] literals naming
+/// `replacer: ReplacerKind::Lru` — the benchmark's `benchmark/src/store.rs`
+/// is the last — keep compiling; it selects nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReplacerKind {
+    /// Evict the least recently used unpinned frame.
+    Lru,
+}
+
 /// Pool construction parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct PoolConfig {
     /// Number of frames (blocks) the pool may keep in memory.
     pub frames: usize,
-    /// Replacement policy for unpinned frames.
+    /// Always [`ReplacerKind::Lru`]; see there.
     pub replacer: ReplacerKind,
     /// Background prefetch workers (= maximum prefetch loads in flight).
     ///
@@ -298,9 +315,11 @@ impl Drop for FrameBuf {
 }
 
 /// Lifecycle state of a mapped frame (see the module-level diagram).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 enum FrameState {
-    /// Contents valid; pins follow reader/writer rules.
+    /// Contents valid; pins follow reader/writer rules. Free frames are
+    /// `Resident` too (and unmapped).
+    #[default]
     Resident,
     /// A miss claimed this frame and is reading the block from the device
     /// with the shard lock dropped. Pins of the block wait; the frame is
@@ -317,8 +336,9 @@ enum FrameState {
 }
 
 /// Book-keeping for one frame, protected by the shard mutex.
-struct FrameMeta {
-    block: Option<BlockId>,
+#[derive(Default)]
+pub(crate) struct FrameMeta {
+    pub(crate) block: Option<BlockId>,
     readers: u32,
     writer: bool,
     dirty: bool,
@@ -327,13 +347,28 @@ struct FrameMeta {
     /// first pin (counted in [`PoolStats::prefetch_hits`]) or by recycling
     /// the frame unused (counted in [`PoolStats::prefetch_wasted`]).
     prefetched: bool,
+    /// [`ShardMeta::tick`] at the frame's last pin or publish: the victim
+    /// scan's recency rank.
+    last_use: u64,
 }
 
-struct ShardMeta {
-    frames: Vec<FrameMeta>,
-    map: HashMap<BlockId, FrameId>,
-    replacer: Box<dyn Replacer + Send>,
-    free: Vec<FrameId>,
+impl FrameMeta {
+    /// A victim candidate: mapped, `Resident`, and unpinned. Frames in any
+    /// in-flight state never are.
+    fn evictable(&self) -> bool {
+        self.block.is_some()
+            && self.state == FrameState::Resident
+            && self.readers == 0
+            && !self.writer
+    }
+}
+
+pub(crate) struct ShardMeta {
+    pub(crate) frames: Vec<FrameMeta>,
+    pub(crate) map: HashMap<BlockId, FrameId>,
+    /// Logical clock stamped into [`FrameMeta::last_use`].
+    tick: u64,
+    pub(crate) free: Vec<FrameId>,
     /// Exclusive-pin waiters per block id (not per frame: frames can be
     /// recycled to other blocks while a waiter sleeps). New shared pins
     /// yield to these so a stream of overlapping readers cannot starve a
@@ -344,6 +379,54 @@ struct ShardMeta {
     /// frame (a failed load or finished eviction), so frame seekers wait
     /// instead of erroring.
     in_flight: u32,
+}
+
+impl ShardMeta {
+    /// `frames` unmapped frames, all on the free list (lowest index popped
+    /// first).
+    pub(crate) fn new(frames: usize) -> Self {
+        ShardMeta {
+            frames: (0..frames).map(|_| FrameMeta::default()).collect(),
+            map: HashMap::new(),
+            tick: 0,
+            free: (0..frames).rev().collect(),
+            write_waiters: HashMap::new(),
+            in_flight: 0,
+        }
+    }
+
+    /// `frame` was just pinned or published: make it the most recently
+    /// used.
+    pub(crate) fn touch(&mut self, frame: FrameId) {
+        self.tick += 1;
+        self.frames[frame].last_use = self.tick;
+    }
+
+    /// The least recently used evictable frame, ties to the lowest index.
+    pub(crate) fn victim(&self) -> Option<FrameId> {
+        self.frames
+            .iter()
+            .enumerate()
+            .filter(|(_, f)| f.evictable())
+            .min_by_key(|(_, f)| f.last_use)
+            .map(|(i, _)| i)
+    }
+
+    /// Drop an unpinned frame's mapping and push it on the free list,
+    /// clean and `Resident`. Returns whether it held a prefetch that was
+    /// never pinned, which the caller counts as wasted unless the prefetch
+    /// itself failed.
+    pub(crate) fn unmap(&mut self, frame: FrameId) -> bool {
+        let fm = &mut self.frames[frame];
+        debug_assert!(fm.readers == 0 && !fm.writer, "unmap of a pinned frame");
+        let block = fm.block.take().expect("unmap of an unmapped frame");
+        fm.dirty = false;
+        fm.state = FrameState::Resident;
+        let unused_prefetch = std::mem::take(&mut fm.prefetched);
+        self.map.remove(&block);
+        self.free.push(frame);
+        unused_prefetch
+    }
 }
 
 struct Shard {
@@ -371,20 +454,6 @@ impl Shard {
             prefetch_issued: self.prefetch_issued.load(Ordering::Relaxed),
             prefetch_hits: self.prefetch_hits.load(Ordering::Relaxed),
             prefetch_wasted: self.prefetch_wasted.load(Ordering::Relaxed),
-        }
-    }
-
-    /// The frame's mapping is being dropped for reuse: if it carried a
-    /// never-pinned prefetch, that background read was wasted. Returns
-    /// whether a wasted prefetch was counted (so the caller can record the
-    /// trace event — the shard itself has no tracer handle).
-    fn note_recycled(&self, fm: &mut FrameMeta) -> bool {
-        if fm.prefetched {
-            fm.prefetched = false;
-            self.prefetch_wasted.fetch_add(1, Ordering::Relaxed);
-            true
-        } else {
-            false
         }
     }
 }
@@ -585,23 +654,7 @@ impl BufferPool {
             .map(|s| {
                 let frames = config.frames / nshards + usize::from(s < config.frames % nshards);
                 Shard {
-                    meta: Mutex::new(ShardMeta {
-                        frames: (0..frames)
-                            .map(|_| FrameMeta {
-                                block: None,
-                                readers: 0,
-                                writer: false,
-                                dirty: false,
-                                state: FrameState::Resident,
-                                prefetched: false,
-                            })
-                            .collect(),
-                        map: HashMap::new(),
-                        replacer: make_replacer(config.replacer, frames),
-                        free: (0..frames).rev().collect(),
-                        write_waiters: HashMap::new(),
-                        in_flight: 0,
-                    }),
+                    meta: Mutex::new(ShardMeta::new(frames)),
                     unpinned: Condvar::new(),
                     bufs: (0..frames)
                         .map(|_| FrameBuf::new(elems_per_block))
@@ -928,6 +981,13 @@ impl PoolCore {
         reentry::record(self.id(), _block.0);
     }
 
+    /// A prefetch of `block` was recycled without ever being pinned.
+    fn note_wasted(&self, shard: &Shard, block: BlockId) {
+        shard.prefetch_wasted.fetch_add(1, Ordering::Relaxed);
+        self.tracer
+            .record(EventKind::PrefetchWasted { block: block.0 });
+    }
+
     /// About to sleep until `block`'s pin state changes: in debug builds,
     /// panic if this thread itself holds a pin on `block` — nobody else
     /// can release what we are waiting for, so the wait is a deadlock.
@@ -969,15 +1029,9 @@ impl PoolCore {
                 // Checked before any mutation so the panic leaves the shard
                 // consistent (the caller's guard still unpins cleanly).
                 assert!(fm.readers == 0 && !fm.writer, "freeing a pinned block");
-                if shard.note_recycled(&mut meta.frames[frame]) {
-                    self.tracer
-                        .record(EventKind::PrefetchWasted { block: id.0 });
+                if meta.unmap(frame) {
+                    self.note_wasted(shard, id);
                 }
-                meta.map.remove(&id);
-                meta.frames[frame].block = None;
-                meta.frames[frame].dirty = false;
-                meta.replacer.remove(frame);
-                meta.free.push(frame);
                 break;
             }
             drop(meta);
@@ -1139,8 +1193,7 @@ impl PoolCore {
                         meta.frames[frame].dirty = true;
                     }
                 }
-                meta.replacer.record_access(frame);
-                meta.replacer.set_evictable(frame, false);
+                meta.touch(frame);
                 self.note_pinned(block);
                 return Ok((shard_idx, frame, shard.bufs[frame].ptr()));
             }
@@ -1166,11 +1219,8 @@ impl PoolCore {
                 // and wait (single-flight); pins of other blocks proceed.
                 meta.frames[frame] = FrameMeta {
                     block: Some(block),
-                    readers: 0,
-                    writer: false,
-                    dirty: false,
                     state: FrameState::LoadInFlight,
-                    prefetched: false,
+                    ..FrameMeta::default()
                 };
                 meta.map.insert(block, frame);
                 meta.in_flight += 1;
@@ -1202,10 +1252,7 @@ impl PoolCore {
                     // Release the slot: no leaked frame, no stale mapping.
                     // Waiters wake, see the block absent, and retry the
                     // load themselves.
-                    meta.map.remove(&block);
-                    meta.frames[frame].block = None;
-                    meta.frames[frame].state = FrameState::Resident;
-                    meta.free.push(frame);
+                    meta.unmap(frame);
                     drop(meta);
                     shard.unpinned.notify_all();
                     return Err(e);
@@ -1218,8 +1265,7 @@ impl PoolCore {
                         meta.frames[frame].dirty = true;
                     }
                 }
-                meta.replacer.record_access(frame);
-                meta.replacer.set_evictable(frame, false);
+                meta.touch(frame);
                 drop(meta);
                 shard.unpinned.notify_all();
                 self.note_pinned(block);
@@ -1239,12 +1285,10 @@ impl PoolCore {
                 readers: u32::from(mode == AccessMode::Shared),
                 writer: mode == AccessMode::Exclusive,
                 dirty: true,
-                state: FrameState::Resident,
-                prefetched: false,
+                ..FrameMeta::default()
             };
             meta.map.insert(block, frame);
-            meta.replacer.record_access(frame);
-            meta.replacer.set_evictable(frame, false);
+            meta.touch(frame);
             self.note_pinned(block);
             return Ok((shard_idx, frame, shard.bufs[frame].ptr()));
         }
@@ -1281,7 +1325,7 @@ impl PoolCore {
             if let Some(frame) = meta.free.pop() {
                 return (meta, Ok(Some(frame)));
             }
-            let Some(victim) = meta.replacer.victim() else {
+            let Some(victim) = meta.victim() else {
                 if !wait_for_frame {
                     return (meta, Ok(None));
                 }
@@ -1326,32 +1370,21 @@ impl PoolCore {
             let old_block = meta.frames[victim]
                 .block
                 .expect("victim frame must hold a block");
-            debug_assert!(
-                meta.frames[victim].readers == 0 && !meta.frames[victim].writer,
-                "victim must be unpinned"
-            );
-            debug_assert!(
-                meta.frames[victim].state == FrameState::Resident,
-                "victim must not be mid-I/O (in-flight frames are unevictable)"
-            );
             if !meta.frames[victim].dirty {
-                if shard.note_recycled(&mut meta.frames[victim]) {
-                    self.tracer
-                        .record(EventKind::PrefetchWasted { block: old_block.0 });
+                if meta.unmap(victim) {
+                    self.note_wasted(shard, old_block);
                 }
                 self.tracer.record(EventKind::PoolEvict {
                     block: old_block.0,
                     dirty: false,
                 });
-                meta.map.remove(&old_block);
-                meta.frames[victim].block = None;
-                return (meta, Ok(Some(victim)));
+                continue; // the free-list pop above hands the victim out
             }
 
             // Dirty-copy-then-write: snapshot under the lock, write with
             // the lock dropped. The Evicting state keeps the victim frame
-            // unreachable (not free, not in the replacer, its block's pins
-            // wait), so the snapshot cannot go stale.
+            // unreachable (not free, not evictable, its block's pins wait),
+            // so the snapshot cannot go stale.
             // SAFETY: victim is unpinned and the shard lock is held.
             let copy: Box<[u8]> = unsafe {
                 std::slice::from_raw_parts(shard.bufs[victim].ptr().cast::<u8>(), self.block_size)
@@ -1364,32 +1397,14 @@ impl PoolCore {
 
             let res = self.device.write_block(old_block, &copy);
 
-            let mut meta_back = lock(&shard.meta);
-            meta_back.in_flight -= 1;
+            meta = lock(&shard.meta);
+            meta.in_flight -= 1;
             self.in_flight.end_writeback();
-            meta_back.frames[victim].state = FrameState::Resident;
+            meta.frames[victim].state = FrameState::Resident;
+            // Wake waiters parked on the victim's block (they re-run as
+            // misses, or as hits on a restored victim) and frame seekers.
+            shard.unpinned.notify_all();
             match res {
-                Err(e) => {
-                    // Failed write-back: put the victim back under
-                    // replacement so the frame (and its mapped block, still
-                    // dirty) are not stranded.
-                    meta_back.replacer.record_access(victim);
-                    meta_back.replacer.set_evictable(victim, true);
-                    shard.unpinned.notify_all();
-                    writeback_failures += 1;
-                    if writeback_failures >= WRITEBACK_FAILURE_LIMIT {
-                        return (meta_back, Err(e));
-                    }
-                    // Retry: the re-accessed victim is now MRU, so the next
-                    // pass prefers a different frame when one is evictable
-                    // (and re-tries this one otherwise — either way a
-                    // transient fault recovers without the caller noticing).
-                    shard.writeback_retries.fetch_add(1, Ordering::Relaxed);
-                    self.tracer
-                        .record(EventKind::WritebackRetry { block: old_block.0 });
-                    meta = meta_back;
-                    continue;
-                }
                 Ok(()) => {
                     shard.evict_writebacks.fetch_add(1, Ordering::Relaxed);
                     self.tracer
@@ -1398,17 +1413,25 @@ impl PoolCore {
                         block: old_block.0,
                         dirty: true,
                     });
-                    if shard.note_recycled(&mut meta_back.frames[victim]) {
-                        self.tracer
-                            .record(EventKind::PrefetchWasted { block: old_block.0 });
+                    if meta.unmap(victim) {
+                        self.note_wasted(shard, old_block);
                     }
-                    meta_back.frames[victim].dirty = false;
-                    meta_back.map.remove(&old_block);
-                    meta_back.frames[victim].block = None;
-                    // Wake waiters parked on the outgoing block (they
-                    // re-run as misses) and frame seekers.
-                    shard.unpinned.notify_all();
-                    return (meta_back, Ok(Some(victim)));
+                }
+                Err(e) => {
+                    // Failed write-back: the victim stays mapped and dirty
+                    // (nothing stranded) and becomes the most recently
+                    // used, so the next pass prefers a different frame when
+                    // one is evictable (and re-tries this one otherwise —
+                    // either way a transient fault recovers without the
+                    // caller noticing).
+                    meta.touch(victim);
+                    writeback_failures += 1;
+                    if writeback_failures >= WRITEBACK_FAILURE_LIMIT {
+                        return (meta, Err(e));
+                    }
+                    shard.writeback_retries.fetch_add(1, Ordering::Relaxed);
+                    self.tracer
+                        .record(EventKind::WritebackRetry { block: old_block.0 });
                 }
             }
         }
@@ -1429,10 +1452,9 @@ impl PoolCore {
             }
         }
         // A frame can be unpinned to zero while a flush of it is in flight
-        // (shared pins are legal then); evictability is restored by the
-        // flush completion in that case, not here.
-        if fm.readers == 0 && !fm.writer && fm.state == FrameState::Resident {
-            meta.replacer.set_evictable(frame, true);
+        // (shared pins are legal then); the flush completion wakes frame
+        // seekers in that case, not here.
+        if fm.evictable() {
             drop(meta);
             shard.unpinned.notify_all();
         }
@@ -1472,8 +1494,6 @@ impl PoolCore {
         }
         .into();
         meta.frames[frame].state = FrameState::WriteBackInFlight;
-        // Not evictable while the write is outstanding; restored below.
-        meta.replacer.set_evictable(frame, false);
         meta.in_flight += 1;
         self.in_flight.begin_writeback();
         drop(meta);
@@ -1489,8 +1509,6 @@ impl PoolCore {
             self.tracer
                 .record(EventKind::PoolWriteBack { block: block.0 });
         }
-        let evictable = meta.frames[frame].readers == 0 && !meta.frames[frame].writer;
-        meta.replacer.set_evictable(frame, evictable);
         shard.unpinned.notify_all();
         (meta, res)
     }
@@ -1548,10 +1566,7 @@ impl PoolCore {
                 // Re-validate: writes below drop the lock, so the snapshot
                 // list can go stale (frame recycled, block re-pinned).
                 let still_ours = |m: &ShardMeta| {
-                    m.map.get(&block) == Some(&frame)
-                        && m.frames[frame].readers == 0
-                        && !m.frames[frame].writer
-                        && m.frames[frame].state == FrameState::Resident
+                    m.map.get(&block) == Some(&frame) && m.frames[frame].evictable()
                 };
                 if !still_ours(&meta) {
                     continue;
@@ -1568,14 +1583,9 @@ impl PoolCore {
                         continue;
                     }
                 }
-                if shard.note_recycled(&mut meta.frames[frame]) {
-                    self.tracer
-                        .record(EventKind::PrefetchWasted { block: block.0 });
+                if meta.unmap(frame) {
+                    self.note_wasted(shard, block);
                 }
-                meta.map.remove(&block);
-                meta.frames[frame].block = None;
-                meta.replacer.remove(frame);
-                meta.free.push(frame);
             }
             drop(meta);
             shard.unpinned.notify_all();
@@ -1719,11 +1729,9 @@ impl PoolCore {
             .record(EventKind::PrefetchIssued { block: block.0 });
         meta.frames[frame] = FrameMeta {
             block: Some(block),
-            readers: 0,
-            writer: false,
-            dirty: false,
             state: FrameState::LoadInFlight,
             prefetched: true,
+            ..FrameMeta::default()
         };
         meta.map.insert(block, frame);
         meta.in_flight += 1;
@@ -1745,19 +1753,16 @@ impl PoolCore {
             Err(_) => {
                 // Release the slot: no leaked frame, no stale mapping, no
                 // poisoning. Pins waiting on this entry wake, see the
-                // block absent, and load it themselves.
-                meta.map.remove(&block);
-                meta.frames[frame].block = None;
-                meta.frames[frame].state = FrameState::Resident;
-                meta.frames[frame].prefetched = false;
-                meta.free.push(frame);
+                // block absent, and load it themselves. A failed prefetch
+                // is not counted as wasted (see `PoolStats`).
+                meta.unmap(frame);
             }
             Ok(()) => {
+                // Unpinned and evictable from birth, ranked by its publish
+                // time: an unused prefetch must never outrank the compute
+                // path's frames.
                 meta.frames[frame].state = FrameState::Resident;
-                // Unpinned and evictable from birth: an unused prefetch
-                // must never outrank the compute path's frames.
-                meta.replacer.record_access(frame);
-                meta.replacer.set_evictable(frame, true);
+                meta.touch(frame);
             }
         }
         drop(meta);
@@ -1935,7 +1940,6 @@ mod tests {
             Box::new(MemBlockDevice::new(64)),
             PoolConfig {
                 frames,
-                replacer: ReplacerKind::Lru,
                 ..PoolConfig::default()
             },
         )
@@ -2078,40 +2082,155 @@ mod tests {
         assert!((s.hit_rate() - 0.9).abs() < 1e-12);
     }
 
+    /// Misses one read of `block` costs: 0 when it was resident.
+    fn misses_of(p: &BufferPool, block: BlockId) -> u64 {
+        let before = p.pool_stats().misses;
+        p.read(block, |_| ()).unwrap();
+        p.pool_stats().misses - before
+    }
+
     #[test]
-    fn mru_pool_for_cyclic_scan_beats_lru() {
-        // Classic: scanning 5 blocks cyclically with 4 frames. LRU misses
-        // every access after warmup; MRU keeps 3 and misses only on the
-        // rotating remainder.
-        let run = |kind: ReplacerKind| -> u64 {
-            let p = BufferPool::new(
-                Box::new(MemBlockDevice::new(64)),
-                PoolConfig {
-                    frames: 4,
-                    replacer: kind,
-                    ..PoolConfig::default()
-                },
-            );
-            let b = p.allocate_blocks(5).unwrap();
-            for i in 0..5 {
-                p.write_new(b.offset(i), |_| ()).unwrap();
+    fn least_recently_pinned_frame_is_evicted_first() {
+        let p = pool(3);
+        let b = p.allocate_blocks(4).unwrap();
+        for i in 0..3 {
+            p.write_new(b.offset(i), |_| ()).unwrap();
+        }
+        // Re-pinning block 0 leaves block 1 the least recently pinned.
+        p.read(b, |_| ()).unwrap();
+        p.write_new(b.offset(3), |_| ()).unwrap();
+        assert_eq!([0, 2, 3].map(|i| misses_of(&p, b.offset(i))), [0; 3]);
+        let reads = p.io_stats().snapshot().reads;
+        assert_eq!(misses_of(&p, b.offset(1)), 1, "block 1 was the victim");
+        assert_eq!(p.io_stats().snapshot().reads, reads + 1);
+        // That miss evicted block 0, the oldest of the three pins above.
+        assert_eq!(misses_of(&p, b), 1);
+    }
+
+    #[test]
+    fn victim_ties_go_to_the_lowest_frame() {
+        let p = pool(3);
+        let b = p.allocate_blocks(4).unwrap();
+        for i in 0..3 {
+            p.write_new(b.offset(i), |_| ()).unwrap(); // block i in frame i
+        }
+        {
+            // Pins never repeat a stamp, so force the tie: frames 1 and 2
+            // share the oldest one.
+            let mut meta = lock(&p.core.shards[0].meta);
+            for (f, stamp) in meta.frames.iter_mut().zip([8, 7, 7]) {
+                f.last_use = stamp;
             }
-            p.flush_all().unwrap();
-            p.clear_cache().unwrap();
-            let before = p.pool_stats().misses;
-            for _round in 0..10 {
-                for i in 0..5 {
-                    p.read(b.offset(i), |_| ()).unwrap();
-                }
-            }
-            p.pool_stats().misses - before
+        }
+        p.write_new(b.offset(3), |_| ()).unwrap();
+        assert_eq!([0, 2, 3].map(|i| misses_of(&p, b.offset(i))), [0; 3]);
+        assert_eq!(misses_of(&p, b.offset(1)), 1, "frame 1 was the victim");
+    }
+
+    /// Two frames over a failpoint device, blocks 0..4 stored with
+    /// `d[0] = i`: block 0 resident with the oldest stamp (dirty when
+    /// asked), block 1 resident and clean with the newer one.
+    fn two_frames(dirty_oldest: bool) -> (BufferPool, crate::FailpointHandle, BlockId) {
+        let dev = FailpointDevice::new(Box::new(MemBlockDevice::new(64)));
+        let fp = dev.handle();
+        let config = PoolConfig {
+            frames: 2,
+            ..PoolConfig::default()
         };
-        let lru_misses = run(ReplacerKind::Lru);
-        let mru_misses = run(ReplacerKind::Mru);
-        assert!(
-            mru_misses < lru_misses,
-            "MRU ({mru_misses}) should beat LRU ({lru_misses}) on cyclic scans"
-        );
+        let p = BufferPool::new(Box::new(dev), config);
+        let b = p.allocate_blocks(4).unwrap();
+        for i in 0..4 {
+            p.write_new(b.offset(i), |d| d[0] = i as u8).unwrap();
+        }
+        p.clear_cache().unwrap();
+        if dirty_oldest {
+            p.write(b, |d| d[0] = 9).unwrap();
+        } else {
+            p.read(b, |_| ()).unwrap();
+        }
+        p.read(b.offset(1), |_| ()).unwrap();
+        (p, fp, b)
+    }
+
+    #[test]
+    fn pinned_and_in_flight_frames_are_never_victims() {
+        // Pinned: block 0 holds the oldest stamp, but a pin.
+        let (p, _, b) = two_frames(false);
+        let g = p.pin(b).unwrap();
+        p.read(b.offset(1), |_| ()).unwrap();
+        p.read(b.offset(2), |_| ()).unwrap();
+        assert_eq!(g.as_bytes()[0], 0);
+        drop(g);
+        assert_eq!(misses_of(&p, b), 0, "the pinned block stayed");
+        assert_eq!(misses_of(&p, b.offset(1)), 1, "block 1 was the victim");
+
+        // In flight: a background transfer holds frame 0, whose stamp is
+        // the oldest (a claimed load carries none), so a miss that ignored
+        // its state would take it. Reading block 2 claims frame 0 for a
+        // load, or — block 0 dirty — first evicts through it; flushing
+        // block 0 writes it back in place.
+        type Op = fn(&BufferPool, BlockId) -> BlockId;
+        let read_2: Op = |p, b| {
+            p.read(b.offset(2), |_| ()).unwrap();
+            b.offset(2)
+        };
+        let flush_0: Op = |p, b| {
+            p.flush_block(b).unwrap();
+            b
+        };
+        for (state, dirty, background) in [
+            ("LoadInFlight", false, read_2),
+            ("Evicting", true, read_2),
+            ("WriteBackInFlight", true, flush_0),
+        ] {
+            let (p, fp, b) = two_frames(dirty);
+            fp.set_read_latency(Duration::from_millis(100));
+            fp.set_write_latency(Duration::from_millis(100));
+            let kept = std::thread::scope(|s| {
+                let kept = s.spawn(|| background(&p, b));
+                await_in_flight(&p);
+                p.read(b.offset(3), |_| ()).unwrap();
+                kept.join().unwrap()
+            });
+            fp.set_read_latency(Duration::ZERO);
+            let want = |block: BlockId| if block == b { 9 } else { (block.0 - b.0) as u8 };
+            for block in [kept, b.offset(3)] {
+                let reads = p.io_stats().snapshot().reads;
+                assert_eq!(p.read(block, |d| d[0]).unwrap(), want(block), "{state}");
+                assert_eq!(
+                    p.io_stats().snapshot().reads,
+                    reads,
+                    "{state}: {block} stayed"
+                );
+            }
+            assert_eq!(
+                misses_of(&p, b.offset(1)),
+                1,
+                "{state}: block 1 was the victim"
+            );
+        }
+    }
+
+    #[test]
+    fn prefetched_frames_rank_by_publish_time() {
+        let p = prefetch_pool(3, 1);
+        let b = p.allocate_blocks(4).unwrap();
+        for i in 0..4 {
+            p.write_new(b.offset(i), |_| ()).unwrap();
+        }
+        p.flush_all().unwrap();
+        p.clear_cache().unwrap();
+        p.read(b, |_| ()).unwrap();
+        p.prefetch(&[b.offset(1)]);
+        p.wait_prefetch_idle();
+        p.read(b.offset(2), |_| ()).unwrap();
+        // Block 0 is older than the never-pinned prefetch of block 1...
+        p.read(b.offset(3), |_| ()).unwrap();
+        assert_eq!(p.pool_stats().prefetch_wasted, 0, "block 0 went first");
+        // ...which is evictable as published and older than block 2.
+        assert_eq!(misses_of(&p, b), 1);
+        assert_eq!(p.pool_stats().prefetch_wasted, 1, "then the prefetch");
+        assert_eq!([2, 3].map(|i| misses_of(&p, b.offset(i))), [0; 2]);
     }
 
     #[test]
@@ -2229,32 +2348,43 @@ mod tests {
         let p = BufferPool::new(
             Box::new(dev),
             PoolConfig {
-                frames: 2,
-                replacer: ReplacerKind::Lru,
+                frames: 3,
                 ..PoolConfig::default()
             },
         );
-        let b = p.allocate_blocks(3).unwrap();
-        p.write_new(b, |d| d[0] = 10).unwrap();
-        p.write_new(b.offset(1), |d| d[0] = 11).unwrap();
-        // The LRU victim for a third page is block 0 — fail its write-back
+        let b = p.allocate_blocks(5).unwrap();
+        for i in 0..3 {
+            p.write_new(b.offset(i), |d| d[0] = 10 + i as u8).unwrap();
+        }
+        // The LRU victim for a fourth page is block 0 — fail its write-back
         // once. The evictor absorbs the failure (block 0 stays resident,
         // dirty) and the retried victim pass evicts block 1 instead.
         fp.fail_writes(b, 1);
-        p.write_new(b.offset(2), |d| d[0] = 12).unwrap();
+        p.write_new(b.offset(3), |d| d[0] = 13).unwrap();
         assert_eq!(fp.injected_write_errors(), 1);
         let s = p.pool_stats();
         assert_eq!(s.writeback_retries, 1, "one absorbed failure");
         assert_eq!(s.evict_writebacks, 1, "block 1's successful write-back");
         assert_eq!(p.io_stats().snapshot().writes, 1);
-        // The failed victim kept its data and its dirty bit.
+        // The failure re-ranked block 0 as the most recently used, so it
+        // now outlives block 2: the next miss evicts block 2.
+        p.write_new(b.offset(4), |d| d[0] = 14).unwrap();
+        assert_eq!(p.io_stats().snapshot().writes, 2);
+        let reads = p.io_stats().snapshot().reads;
         assert_eq!(p.read(b, |d| d[0]).unwrap(), 10, "victim data intact");
-        assert_eq!(p.resident(), 2);
+        assert_eq!(
+            p.io_stats().snapshot().reads,
+            reads,
+            "block 0 still resident"
+        );
+        assert_eq!(p.read(b.offset(2), |d| d[0]).unwrap(), 12);
+        assert_eq!(p.io_stats().snapshot().reads, reads + 1, "block 2 evicted");
+        // That read evicted block 3; the failed victim kept its dirty bit.
         p.flush_all().unwrap();
         assert_eq!(
             p.io_stats().snapshot().writes,
-            3,
-            "flush lands the still-dirty victim and block 2"
+            5,
+            "flush lands the still-dirty victim and block 4"
         );
     }
 
@@ -2266,7 +2396,6 @@ mod tests {
             Box::new(dev),
             PoolConfig {
                 frames: 2,
-                replacer: ReplacerKind::Lru,
                 ..PoolConfig::default()
             },
         );
@@ -2310,7 +2439,6 @@ mod tests {
             Box::new(MemBlockDevice::new(64)),
             PoolConfig {
                 frames: 8,
-                replacer: ReplacerKind::Lru,
                 ..PoolConfig::default()
             },
             4,
@@ -2339,7 +2467,6 @@ mod tests {
             Box::new(MemBlockDevice::new(64)),
             PoolConfig {
                 frames: 2,
-                replacer: ReplacerKind::Lru,
                 ..PoolConfig::default()
             },
             16,
@@ -2353,7 +2480,6 @@ mod tests {
             Box::new(MemBlockDevice::new(64)),
             PoolConfig {
                 frames: 8,
-                replacer: ReplacerKind::Lru,
                 ..PoolConfig::default()
             },
             4,
@@ -2382,7 +2508,6 @@ mod tests {
             Box::new(MemBlockDevice::new(64)),
             PoolConfig {
                 frames,
-                replacer: ReplacerKind::Lru,
                 prefetch_depth: depth,
                 ..PoolConfig::default()
             },
@@ -2397,7 +2522,6 @@ mod tests {
             Box::new(MemBlockDevice::new(64)),
             PoolConfig {
                 frames: 4,
-                replacer: ReplacerKind::Lru,
                 prefetch_depth: PREFETCH_AUTO,
                 ..PoolConfig::default()
             },
@@ -2410,7 +2534,6 @@ mod tests {
             Box::new(crate::FileBlockDevice::temp(64).unwrap()),
             PoolConfig {
                 frames: 4,
-                replacer: ReplacerKind::Lru,
                 prefetch_depth: PREFETCH_AUTO,
                 ..PoolConfig::default()
             },
@@ -2421,7 +2544,6 @@ mod tests {
             Box::new(crate::FileBlockDevice::temp(64).unwrap()),
             PoolConfig {
                 frames: 4,
-                replacer: ReplacerKind::Lru,
                 prefetch_depth: 3,
                 ..PoolConfig::default()
             },
@@ -2438,7 +2560,6 @@ mod tests {
                 Box::new(crate::FileBlockDevice::temp(64).unwrap()),
                 PoolConfig {
                     frames: 4,
-                    replacer: ReplacerKind::Lru,
                     prefetch_depth: depth,
                     ..PoolConfig::default()
                 },
@@ -2593,7 +2714,6 @@ mod tests {
             Box::new(dev),
             PoolConfig {
                 frames: 4,
-                replacer: ReplacerKind::Lru,
                 prefetch_depth: 1,
                 ..PoolConfig::default()
             },
@@ -2634,7 +2754,6 @@ mod tests {
             Box::new(dev),
             PoolConfig {
                 frames: 2,
-                replacer: ReplacerKind::Lru,
                 prefetch_depth: 1,
                 ..PoolConfig::default()
             },
@@ -2667,7 +2786,6 @@ mod tests {
             Box::new(MemBlockDevice::new(64)),
             PoolConfig {
                 frames: 4,
-                replacer: ReplacerKind::Lru,
                 ..PoolConfig::default()
             },
             2,
@@ -2700,9 +2818,9 @@ mod tests {
             Box::new(dev),
             PoolConfig {
                 frames: 2,
-                replacer: ReplacerKind::Lru,
                 prefetch_depth: 0,
                 pin_timeout,
+                ..PoolConfig::default()
             },
         );
         p.allocate_blocks(3).unwrap();
@@ -2710,17 +2828,17 @@ mod tests {
         p
     }
 
-    /// Wait until the pool reports an outstanding load (the wedged
-    /// transfer has left the shard lock), bounded so a broken pool
+    /// Wait until the pool reports an outstanding load or write-back (the
+    /// slow transfer has left the shard lock), bounded so a broken pool
     /// fails the test instead of hanging it.
     fn await_in_flight(p: &BufferPool) {
         for _ in 0..200 {
-            if p.in_flight().loads() > 0 {
+            if p.in_flight().loads() + p.in_flight().writebacks() > 0 {
                 return;
             }
             std::thread::sleep(Duration::from_millis(5));
         }
-        panic!("wedged load never became visible");
+        panic!("slow transfer never became visible");
     }
 
     #[test]
@@ -2812,7 +2930,6 @@ mod tests {
             Box::new(dev),
             PoolConfig {
                 frames: 8,
-                replacer: ReplacerKind::Lru,
                 prefetch_depth: 1,
                 ..PoolConfig::default()
             },

@@ -4,14 +4,13 @@
 
 use std::sync::Arc;
 
-use riot_storage::{BlockId, BufferPool, MemBlockDevice, PoolConfig, ReplacerKind};
+use riot_storage::{BlockId, BufferPool, MemBlockDevice, PoolConfig};
 
 fn sharded(frames: usize, shards: usize) -> BufferPool {
     BufferPool::new_sharded(
         Box::new(MemBlockDevice::new(64)),
         PoolConfig {
             frames,
-            replacer: ReplacerKind::Lru,
             ..PoolConfig::default()
         },
         shards,

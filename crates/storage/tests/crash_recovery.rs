@@ -11,7 +11,7 @@
 
 use riot_storage::{
     BlockDevice, BufferPool, Catalog, CatalogStore, FailpointDevice, MemBlockDevice, PoolConfig,
-    ReplacerKind, VerifyingDevice,
+    VerifyingDevice,
 };
 use std::sync::Arc;
 
@@ -22,7 +22,6 @@ fn pool_over(dev: Box<dyn BlockDevice>) -> BufferPool {
         dev,
         PoolConfig {
             frames: 8,
-            replacer: ReplacerKind::Lru,
             ..PoolConfig::default()
         },
     )

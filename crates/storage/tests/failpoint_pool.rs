@@ -6,7 +6,7 @@
 //! the caller simply retrying.
 
 use riot_storage::testing::{FailpointDevice, FailpointHandle};
-use riot_storage::{BufferPool, MemBlockDevice, PoolConfig, ReplacerKind};
+use riot_storage::{BufferPool, MemBlockDevice, PoolConfig};
 
 fn failpoint_pool(frames: usize) -> (BufferPool, FailpointHandle) {
     let dev = FailpointDevice::new(Box::new(MemBlockDevice::new(64)));
@@ -15,7 +15,6 @@ fn failpoint_pool(frames: usize) -> (BufferPool, FailpointHandle) {
         Box::new(dev),
         PoolConfig {
             frames,
-            replacer: ReplacerKind::Lru,
             ..PoolConfig::default()
         },
     );
@@ -226,7 +225,6 @@ fn prefetching_failpoint_pool(frames: usize, depth: usize) -> (BufferPool, Failp
         Box::new(dev),
         PoolConfig {
             frames,
-            replacer: ReplacerKind::Lru,
             prefetch_depth: depth,
             ..PoolConfig::default()
         },

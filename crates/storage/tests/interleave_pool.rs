@@ -11,7 +11,7 @@ use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use riot_storage::testing::{FailpointDevice, FailpointHandle, Watchdog};
-use riot_storage::{BufferPool, MemBlockDevice, PoolConfig, ReplacerKind};
+use riot_storage::{BufferPool, MemBlockDevice, PoolConfig};
 
 const WATCHDOG: Duration = Duration::from_secs(60);
 
@@ -22,7 +22,6 @@ fn failpoint_pool(frames: usize, shards: usize) -> (Arc<BufferPool>, FailpointHa
         Box::new(dev),
         PoolConfig {
             frames,
-            replacer: ReplacerKind::Lru,
             ..PoolConfig::default()
         },
         shards,

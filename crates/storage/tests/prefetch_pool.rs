@@ -12,7 +12,7 @@ use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use riot_storage::testing::{FailpointDevice, FailpointHandle, Watchdog};
-use riot_storage::{BlockId, BufferPool, IoSnapshot, MemBlockDevice, PoolConfig, ReplacerKind};
+use riot_storage::{BlockId, BufferPool, IoSnapshot, MemBlockDevice, PoolConfig};
 
 const WATCHDOG: Duration = Duration::from_secs(60);
 
@@ -27,7 +27,6 @@ fn failpoint_pool(
         Box::new(dev),
         PoolConfig {
             frames,
-            replacer: ReplacerKind::Lru,
             prefetch_depth: depth,
             ..PoolConfig::default()
         },

@@ -12,9 +12,7 @@
 //!   shard count, and the hit/miss ledger balances exactly.
 
 use proptest::prelude::*;
-use riot_storage::{
-    BlockId, BufferPool, IoSnapshot, MemBlockDevice, PoolConfig, PoolStats, ReplacerKind,
-};
+use riot_storage::{BlockId, BufferPool, IoSnapshot, MemBlockDevice, PoolConfig, PoolStats};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -57,7 +55,6 @@ fn run_ops(ops: &[Op], frames: usize, shards: usize) -> (HashMap<u64, f64>, Pool
         Box::new(MemBlockDevice::new(BS)),
         PoolConfig {
             frames,
-            replacer: ReplacerKind::Lru,
             ..PoolConfig::default()
         },
         shards,
@@ -201,7 +198,7 @@ proptest! {
         // force steady eviction churn.
         let pool = Arc::new(BufferPool::new_sharded(
             Box::new(MemBlockDevice::new(BS)),
-            PoolConfig { frames: 16, replacer: ReplacerKind::Lru, ..PoolConfig::default() },
+            PoolConfig { frames: 16, ..PoolConfig::default() },
             shards,
         ));
         let base = pool.allocate_blocks(THREADS * BLOCKS_PER_THREAD).unwrap();

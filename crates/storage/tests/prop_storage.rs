@@ -6,7 +6,7 @@
 //! must reconcile.
 
 use proptest::prelude::*;
-use riot_storage::{BufferPool, MemBlockDevice, PoolConfig, ReplacerKind};
+use riot_storage::{BufferPool, MemBlockDevice, PoolConfig};
 use std::collections::HashMap;
 
 const BS: usize = 64;
@@ -32,28 +32,22 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-fn replacer_strategy() -> impl Strategy<Value = ReplacerKind> {
-    prop_oneof![
-        Just(ReplacerKind::Lru),
-        Just(ReplacerKind::Clock),
-        Just(ReplacerKind::Mru),
-    ]
-}
-
 proptest! {
     /// Under any interleaving of reads, writes, flushes, and cache drops —
-    /// with any replacement policy and any pool size — the pool serves the
-    /// same bytes a perfect in-memory model would.
+    /// with any pool size and 1–4 shards, each evicting in its own LRU
+    /// order — the pool serves the same bytes a perfect in-memory model
+    /// would.
     #[test]
     fn pool_is_transparent(
         ops in prop::collection::vec(op_strategy(), 1..120),
         frames in 1usize..9,
         nblocks in 1u64..24,
-        kind in replacer_strategy(),
+        shards in 1usize..5,
     ) {
-        let pool = BufferPool::new(
+        let pool = BufferPool::new_sharded(
             Box::new(MemBlockDevice::new(BS)),
-            PoolConfig { frames, replacer: kind, ..PoolConfig::default() },
+            PoolConfig { frames, ..PoolConfig::default() },
+            shards,
         );
         let start = pool.allocate_blocks(nblocks).unwrap();
         let mut model: HashMap<u64, u8> = HashMap::new();
@@ -94,7 +88,7 @@ proptest! {
     ) {
         let pool = BufferPool::new(
             Box::new(MemBlockDevice::new(BS)),
-            PoolConfig { frames, replacer: ReplacerKind::Lru, ..PoolConfig::default() },
+            PoolConfig { frames, ..PoolConfig::default() },
         );
         let start = pool.allocate_blocks(16).unwrap();
         for &a in &accesses {
@@ -114,7 +108,7 @@ proptest! {
     ) {
         let pool = BufferPool::new(
             Box::new(MemBlockDevice::new(BS)),
-            PoolConfig { frames, replacer: ReplacerKind::Lru, ..PoolConfig::default() },
+            PoolConfig { frames, ..PoolConfig::default() },
         );
         let start = pool.allocate_blocks(pressure + 2).unwrap();
         let mut sentinel = pool.pin_new(start).unwrap();
@@ -135,7 +129,7 @@ proptest! {
         let device = MemBlockDevice::new(BS);
         let nblocks = 12u64;
         let pool = BufferPool::new(Box::new(device), PoolConfig {
-            frames, replacer: ReplacerKind::Clock, ..PoolConfig::default()
+            frames, ..PoolConfig::default()
         });
         let start = pool.allocate_blocks(nblocks).unwrap();
         let mut model: HashMap<u64, u8> = HashMap::new();

@@ -16,8 +16,8 @@
 //! interleaving: with 64-byte blocks, 8 checksum slots per group.
 
 use riot_storage::{
-    BlockId, BufferPool, FailpointDevice, MemBlockDevice, PoolConfig, ReplacerKind, RetryDevice,
-    RetryPolicy, RetryStats, StorageError, VerifyingDevice,
+    BlockId, BufferPool, FailpointDevice, MemBlockDevice, PoolConfig, RetryDevice, RetryPolicy,
+    RetryStats, StorageError, VerifyingDevice,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -55,7 +55,6 @@ fn stack(frames: usize) -> Stack {
         Box::new(retry_dev),
         PoolConfig {
             frames,
-            replacer: ReplacerKind::Lru,
             ..PoolConfig::default()
         },
     );
@@ -67,7 +66,6 @@ fn bare(frames: usize) -> BufferPool {
         Box::new(MemBlockDevice::new(BS)),
         PoolConfig {
             frames,
-            replacer: ReplacerKind::Lru,
             ..PoolConfig::default()
         },
     )
@@ -210,7 +208,6 @@ fn corruption_on_prefetch_releases_the_slot_and_demand_pin_recovers() {
         Box::new(retry_dev),
         PoolConfig {
             frames: 8,
-            replacer: ReplacerKind::Lru,
             prefetch_depth: 2,
             ..PoolConfig::default()
         },

@@ -3,8 +3,8 @@
 //! A full reproduction of the CIDR 2009 paper by Zhang, Herodotou, and
 //! Yang, as a Rust workspace:
 //!
-//! * [`storage`] ([`riot_storage`]) — block devices, buffer pool,
-//!   replacement policies, I/O accounting (the DTrace stand-in);
+//! * [`storage`] ([`riot_storage`]) — block devices, an LRU buffer
+//!   pool, I/O accounting (the DTrace stand-in);
 //! * [`vm`] ([`riot_vm`]) — a demand-paging heap simulating R's
 //!   virtual-memory thrashing;
 //! * [`array`](mod@array) ([`riot_array`]) — tiled out-of-core vectors and matrices

@@ -3,7 +3,7 @@
 //! thread count, on both the square-tiled and BNLJ schedules.
 
 use riot::array::{DenseMatrix, MatrixLayout, StorageCtx, TileOrder};
-use riot::core::exec::{matmul_bnlj_parallel, matmul_tiled_parallel};
+use riot::core::exec::{matmul_bnlj, matmul_tiled};
 
 const N: usize = 160; // 20x20 tiles of 8x8 at 512-byte blocks
 
@@ -37,7 +37,7 @@ fn parallel_tiled_matches_sequential_exactly() {
         ctx.pool().flush_all().unwrap();
         ctx.clear_cache().unwrap();
         let before = ctx.io_snapshot();
-        let (t, flops) = matmul_tiled_parallel(&a, &b, 3 * 4 * 64, threads, None).unwrap();
+        let (t, flops) = matmul_tiled(&a, &b, 3 * 4 * 64, threads, None).unwrap();
         ctx.pool().flush_all().unwrap();
         let delta = ctx.io_snapshot() - before;
         (t.to_rows().unwrap(), flops, delta.reads, delta.writes)
@@ -65,7 +65,7 @@ fn parallel_bnlj_matches_sequential_exactly() {
         ctx.pool().flush_all().unwrap();
         ctx.clear_cache().unwrap();
         let before = ctx.io_snapshot();
-        let (t, _) = matmul_bnlj_parallel(&a, &b, 16 * 2 * N * 4, threads, None).unwrap();
+        let (t, _) = matmul_bnlj(&a, &b, 16 * 2 * N * 4, threads, None).unwrap();
         ctx.pool().flush_all().unwrap();
         let delta = ctx.io_snapshot() - before;
         (t.to_rows().unwrap(), delta.reads, delta.writes)
@@ -87,7 +87,7 @@ fn parallel_bnlj_matches_sequential_exactly() {
 fn parallel_per_shard_counters_sum_to_totals() {
     let ctx = sharded_ctx();
     let (a, b) = operands(&ctx, MatrixLayout::Square);
-    let (t, _) = matmul_tiled_parallel(&a, &b, 3 * 4 * 64, 4, None).unwrap();
+    let (t, _) = matmul_tiled(&a, &b, 3 * 4 * 64, 4, None).unwrap();
     drop(t);
     let total = ctx.pool().pool_stats();
     let summed = ctx.pool().shard_stats().iter().fold((0, 0, 0), |acc, s| {

@@ -4,7 +4,7 @@
 
 use riot::array::{DenseMatrix, DenseVector, MatrixLayout, StorageCtx, TileOrder};
 use riot::core::exec::{multiply, MatMulKernel};
-use riot::storage::{BufferPool, FileBlockDevice, PoolConfig, ReplacerKind};
+use riot::storage::{BufferPool, FileBlockDevice, PoolConfig};
 
 fn file_ctx(frames: usize) -> std::sync::Arc<StorageCtx> {
     let device = FileBlockDevice::temp(512).expect("temp device");
@@ -12,7 +12,6 @@ fn file_ctx(frames: usize) -> std::sync::Arc<StorageCtx> {
         Box::new(device),
         PoolConfig {
             frames,
-            replacer: ReplacerKind::Lru,
             ..PoolConfig::default()
         },
     ))
