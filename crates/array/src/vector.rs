@@ -187,7 +187,7 @@ impl DenseVector {
     /// processed. Free no-op when the pool's prefetcher is disabled; never
     /// changes counted I/O totals, only when the reads happen.
     pub fn prefetch_range(&self, start: usize, len: usize) {
-        if self.ctx.pool().prefetch_depth() == 0 || start >= self.len {
+        if start >= self.len {
             return;
         }
         let len = len.min(self.len - start);
@@ -197,9 +197,9 @@ impl DenseVector {
         let per_block = self.elems_per_block();
         let first = self.start_block + (start / per_block) as u64;
         let last = self.start_block + ((start + len - 1) / per_block) as u64;
-        let blocks: Vec<riot_storage::BlockId> =
-            (first..=last).map(riot_storage::BlockId).collect();
-        self.ctx.pool().prefetch(&blocks);
+        self.ctx
+            .pool()
+            .prefetch((first..=last).map(riot_storage::BlockId));
     }
 
     /// Read `out.len()` elements starting at `start`, block at a time.

@@ -376,20 +376,17 @@ pub fn prefetch_rect<'a>(
     cols: usize,
 ) {
     let v @ Operand { mat: m, .. } = m.into();
-    if rows == 0 || cols == 0 || m.ctx().pool().prefetch_depth() == 0 {
+    if rows == 0 || cols == 0 {
         return;
     }
     let ((r0, c0), (rows, cols)) = (v.stored((r0, c0)), v.stored((rows, cols)));
     let (tr, tc) = m.tile_dims();
     let (t_row0, t_row1) = (r0 / tr, (r0 + rows - 1) / tr);
     let (t_col0, t_col1) = (c0 / tc, (c0 + cols - 1) / tc);
-    let mut blocks = Vec::with_capacity((t_row1 - t_row0 + 1) * (t_col1 - t_col0 + 1));
-    for ti in t_row0..=t_row1 {
-        for tj in t_col0..=t_col1 {
-            blocks.push(m.tile_block(ti as u64, tj as u64));
-        }
-    }
-    m.ctx().pool().prefetch(&blocks);
+    m.ctx().pool().prefetch(
+        (t_row0..=t_row1)
+            .flat_map(|ti| (t_col0..=t_col1).map(move |tj| m.tile_block(ti as u64, tj as u64))),
+    );
 }
 
 /// Read the `rows x cols` rectangle at `(r0, c0)` of `m` into `buf`

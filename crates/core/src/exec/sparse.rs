@@ -452,10 +452,7 @@ impl<'f> SpillReader<'f> {
             // Sequential read-ahead: the next spill block loads while this
             // one's entries are consumed.
             if ((idx + 1) as u64) < self.file.data_blocks() {
-                self.file
-                    .ctx
-                    .pool()
-                    .prefetch(&self.file.blocks[idx + 1..idx + 2]);
+                self.file.ctx.pool().prefetch([self.file.blocks[idx + 1]]);
             }
             let page = self.file.ctx.pool().pin(self.file.blocks[idx])?;
             self.buf.clear();
@@ -530,16 +527,11 @@ pub fn spmm_plan(a: &SparseMatrix, b: &SparseMatrix, threads: usize) -> ExecResu
     // Declare one output cell's input pages (pairs where both the A and B
     // tile are occupied — exactly the pages the compute will pin).
     let prefetch_cell = |(bi, bj): (u64, u64)| {
-        if a.ctx().pool().prefetch_depth() == 0 {
-            return;
-        }
-        let mut blocks = Vec::new();
-        for at in a.row(bi) {
-            if let Some(bt) = b.slot(u64::from(at.tj), bj) {
-                blocks.extend([a.page_block(at.page), b.page_block(bt.page)]);
-            }
-        }
-        a.ctx().pool().prefetch(&blocks);
+        let pairs = a.row(bi).iter().filter_map(|at| {
+            let bt = b.slot(u64::from(at.tj), bj)?;
+            Some([a.page_block(at.page), b.page_block(bt.page)])
+        });
+        a.ctx().pool().prefetch(pairs.flatten());
     };
 
     // One output tile: accumulate into `scratch`, extract the sorted

@@ -495,14 +495,11 @@ impl SparseMatrix {
     }
 
     fn prefetch_slots(&self, slots: &[TileSlot]) {
-        if slots.is_empty() || self.ctx.pool().prefetch_depth() == 0 {
-            return;
-        }
         // Pages ascend along a run, so deduplicating neighbours is enough.
-        let mut pages: Vec<u32> = slots.iter().map(|s| s.page).collect();
-        pages.dedup();
-        let blocks: Vec<BlockId> = pages.into_iter().map(|p| self.page_block(p)).collect();
-        self.ctx.pool().prefetch(&blocks);
+        let mut last = None;
+        let pages = slots.iter().map(|s| s.page);
+        let pages = pages.filter(move |&p| last.replace(p) != Some(p));
+        self.ctx.pool().prefetch(pages.map(|p| self.page_block(p)));
     }
 
     /// Prefetch the pages of tile-row `ti`: the next strip of a

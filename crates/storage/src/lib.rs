@@ -143,15 +143,14 @@ mod lib_tests {
 #[cfg(test)]
 mod replacer {
     mod tests {
-        use crate::pool::ShardMeta;
+        use crate::pool::{FrameState, ShardMeta};
         use crate::BlockId;
 
         /// Map `block` into the next free frame, unpinned and most recently
         /// used, as a finished load publishes it.
         fn load(meta: &mut ShardMeta, block: u64) -> usize {
             let frame = meta.free.pop().expect("a free frame");
-            meta.frames[frame].block = Some(BlockId(block));
-            meta.map.insert(BlockId(block), frame);
+            meta.claim(frame, BlockId(block), FrameState::Resident, false);
             meta.touch(frame);
             frame
         }

@@ -40,6 +40,16 @@
 //!                           failure: back to Resident, still dirty
 //! ```
 //!
+//! Each edge has exactly one implementation, whoever takes it:
+//!
+//! | edge | implemented by |
+//! |---|---|
+//! | `(free) → LoadInFlight → Resident`, or back to `(free)` on a failed read | `PoolCore::load`, for demand pins and background prefetches alike (`pin_new` goes `(free) → Resident` there too, zero-filled instead of read) |
+//! | a frame found: a free one, or a victim evicted | `PoolCore::obtain_frame`, called only by `PoolCore::load` |
+//! | `Resident → Evicting → Resident` and `Resident → WriteBackInFlight → Resident` | `PoolCore::write_out`, for evictions (from `obtain_frame`) and flushes (from `PoolCore::flush_frame`) alike |
+//! | block mapped into / dropped from a frame | `ShardMeta::claim` / `ShardMeta::unmap` |
+//! | pin granted / released | `ShardMeta::grant` / the `Drop` of `FramePin`, the body both guards wrap |
+//!
 //! Invariants the test suite pins down:
 //!
 //! * **Single-flight**: concurrent misses of one block perform exactly one
@@ -65,10 +75,10 @@
 //! The execution layer knows its block access pattern ahead of time (the
 //! RIOT paper's §4/Appendix A schedules are *declared* tile walks), so the
 //! pool accepts that declaration directly: [`BufferPool::prefetch`] takes
-//! the next window's block list and a small worker pool (capacity
-//! [`PoolConfig::prefetch_depth`]) loads the non-resident blocks in the
-//! background, each through the ordinary `(free) -> LoadInFlight ->
-//! Resident` transitions above with a `prefetched` flag on the frame.
+//! the next window's blocks as an iterator and a small worker pool
+//! (capacity [`PoolConfig::prefetch_depth`]) loads the non-resident blocks
+//! in the background, each through the same `PoolCore::load` as a demand
+//! miss, with a `prefetched` flag on the frame.
 //! A pin that arrives while the background load is in flight waits on the
 //! existing `LoadInFlight` entry — the PR-3 single-flight path, so there
 //! is never a duplicate device read — and the first pin of a prefetched
@@ -81,9 +91,11 @@
 //! Prefetching never changes *how many* device transfers a well-windowed
 //! workload performs — only *when* they happen (reads move off the pin
 //! path onto the workers, where they overlap compute and each other).
-//! With `prefetch_depth = 0` (the default) the whole mechanism is
-//! compiled down to a cheap early return and the pool's I/O sequence is
-//! bit-for-bit the classic demand-paged one.
+//! With `prefetch_depth = 0` (what [`PREFETCH_AUTO`] resolves to on a
+//! non-persistent device) [`BufferPool::prefetch`] returns before consuming
+//! its iterator — callers build no hint list and need no guard of their
+//! own — and the pool's I/O sequence is bit-for-bit the classic
+//! demand-paged one.
 //!
 //! ## Zero-copy pin guards
 //!
@@ -231,19 +243,21 @@ impl PoolStats {
     /// Field-wise difference against an earlier snapshot (saturating, so a
     /// stale baseline never underflows).
     pub fn delta(&self, earlier: &PoolStats) -> PoolStats {
+        self.zip(earlier, u64::saturating_sub)
+    }
+
+    /// Combine two snapshots counter by counter: the one place every field
+    /// is listed for arithmetic.
+    fn zip(&self, other: &PoolStats, f: impl Fn(u64, u64) -> u64) -> PoolStats {
         PoolStats {
-            hits: self.hits.saturating_sub(earlier.hits),
-            misses: self.misses.saturating_sub(earlier.misses),
-            evict_writebacks: self
-                .evict_writebacks
-                .saturating_sub(earlier.evict_writebacks),
-            writeback_retries: self
-                .writeback_retries
-                .saturating_sub(earlier.writeback_retries),
-            coalesced_loads: self.coalesced_loads.saturating_sub(earlier.coalesced_loads),
-            prefetch_issued: self.prefetch_issued.saturating_sub(earlier.prefetch_issued),
-            prefetch_hits: self.prefetch_hits.saturating_sub(earlier.prefetch_hits),
-            prefetch_wasted: self.prefetch_wasted.saturating_sub(earlier.prefetch_wasted),
+            hits: f(self.hits, other.hits),
+            misses: f(self.misses, other.misses),
+            evict_writebacks: f(self.evict_writebacks, other.evict_writebacks),
+            writeback_retries: f(self.writeback_retries, other.writeback_retries),
+            coalesced_loads: f(self.coalesced_loads, other.coalesced_loads),
+            prefetch_issued: f(self.prefetch_issued, other.prefetch_issued),
+            prefetch_hits: f(self.prefetch_hits, other.prefetch_hits),
+            prefetch_wasted: f(self.prefetch_wasted, other.prefetch_wasted),
         }
     }
 }
@@ -316,7 +330,7 @@ impl Drop for FrameBuf {
 
 /// Lifecycle state of a mapped frame (see the module-level diagram).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-enum FrameState {
+pub(crate) enum FrameState {
     /// Contents valid; pins follow reader/writer rules. Free frames are
     /// `Resident` too (and unmapped).
     #[default]
@@ -337,8 +351,8 @@ enum FrameState {
 
 /// Book-keeping for one frame, protected by the shard mutex.
 #[derive(Default)]
-pub(crate) struct FrameMeta {
-    pub(crate) block: Option<BlockId>,
+struct FrameMeta {
+    block: Option<BlockId>,
     readers: u32,
     writer: bool,
     dirty: bool,
@@ -361,10 +375,16 @@ impl FrameMeta {
             && self.readers == 0
             && !self.writer
     }
+
+    /// A flush candidate: `Resident`, dirty, and not exclusively pinned
+    /// (shared pins stay legal while the snapshot is written).
+    fn flushable(&self) -> bool {
+        self.dirty && !self.writer && self.state == FrameState::Resident
+    }
 }
 
 pub(crate) struct ShardMeta {
-    pub(crate) frames: Vec<FrameMeta>,
+    frames: Vec<FrameMeta>,
     pub(crate) map: HashMap<BlockId, FrameId>,
     /// Logical clock stamped into [`FrameMeta::last_use`].
     tick: u64,
@@ -412,6 +432,39 @@ impl ShardMeta {
             .map(|(i, _)| i)
     }
 
+    /// Map `block` into `frame`, just taken off the free list, in `state`:
+    /// unpinned, clean, and `prefetched` when a background load claims it.
+    /// The mirror of [`ShardMeta::unmap`].
+    pub(crate) fn claim(
+        &mut self,
+        frame: FrameId,
+        block: BlockId,
+        state: FrameState,
+        prefetched: bool,
+    ) {
+        self.frames[frame] = FrameMeta {
+            block: Some(block),
+            state,
+            prefetched,
+            ..FrameMeta::default()
+        };
+        self.map.insert(block, frame);
+    }
+
+    /// Grant one pin on the mapped `frame` (an exclusive pin dirties it)
+    /// and make it the most recently used.
+    fn grant(&mut self, frame: FrameId, mode: AccessMode) {
+        let fm = &mut self.frames[frame];
+        match mode {
+            AccessMode::Shared => fm.readers += 1,
+            AccessMode::Exclusive => {
+                fm.writer = true;
+                fm.dirty = true;
+            }
+        }
+        self.touch(frame);
+    }
+
     /// Drop an unpinned frame's mapping and push it on the free list,
     /// clean and `Resident`. Returns whether it held a prefetch that was
     /// never pinned, which the caller counts as wasted unless the prefetch
@@ -433,6 +486,13 @@ struct Shard {
     meta: Mutex<ShardMeta>,
     unpinned: Condvar,
     bufs: Box<[FrameBuf]>,
+    counters: Counters,
+}
+
+/// One shard's [`PoolStats`] as relaxed atomics: they are statistics and
+/// publish no other data.
+#[derive(Default)]
+struct Counters {
     hits: AtomicU64,
     misses: AtomicU64,
     evict_writebacks: AtomicU64,
@@ -443,35 +503,36 @@ struct Shard {
     prefetch_wasted: AtomicU64,
 }
 
-impl Shard {
-    fn stats(&self) -> PoolStats {
+impl Counters {
+    fn load(&self) -> PoolStats {
+        let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
         PoolStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evict_writebacks: self.evict_writebacks.load(Ordering::Relaxed),
-            writeback_retries: self.writeback_retries.load(Ordering::Relaxed),
-            coalesced_loads: self.coalesced_loads.load(Ordering::Relaxed),
-            prefetch_issued: self.prefetch_issued.load(Ordering::Relaxed),
-            prefetch_hits: self.prefetch_hits.load(Ordering::Relaxed),
-            prefetch_wasted: self.prefetch_wasted.load(Ordering::Relaxed),
+            hits: get(&self.hits),
+            misses: get(&self.misses),
+            evict_writebacks: get(&self.evict_writebacks),
+            writeback_retries: get(&self.writeback_retries),
+            coalesced_loads: get(&self.coalesced_loads),
+            prefetch_issued: get(&self.prefetch_issued),
+            prefetch_hits: get(&self.prefetch_hits),
+            prefetch_wasted: get(&self.prefetch_wasted),
         }
     }
 }
 
-/// Lock a shard's metadata, recovering from poisoning: a panic in one
-/// thread (e.g. an assertion in a caller's closure) must not turn every
-/// subsequent guard drop into an abort — shard invariants are re-established
-/// before the mutex is released on every path.
-fn lock(meta: &Mutex<ShardMeta>) -> MutexGuard<'_, ShardMeta> {
-    meta.lock()
+/// Lock a shard's metadata or the prefetch queue, recovering from
+/// poisoning: a panic in one thread (e.g. an assertion in a caller's
+/// closure) must not turn every subsequent guard drop into an abort —
+/// invariants are re-established before the mutex is released on every
+/// path.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex
+        .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Wait on the shard condvar, recovering from poisoning like [`lock`].
-fn wait<'a>(shard: &'a Shard, meta: MutexGuard<'a, ShardMeta>) -> MutexGuard<'a, ShardMeta> {
-    shard
-        .unpinned
-        .wait(meta)
+/// Wait on `cv`, recovering from poisoning like [`lock`].
+fn wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+    cv.wait(guard)
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
@@ -659,14 +720,7 @@ impl BufferPool {
                     bufs: (0..frames)
                         .map(|_| FrameBuf::new(elems_per_block))
                         .collect(),
-                    hits: AtomicU64::new(0),
-                    misses: AtomicU64::new(0),
-                    evict_writebacks: AtomicU64::new(0),
-                    writeback_retries: AtomicU64::new(0),
-                    coalesced_loads: AtomicU64::new(0),
-                    prefetch_issued: AtomicU64::new(0),
-                    prefetch_hits: AtomicU64::new(0),
-                    prefetch_wasted: AtomicU64::new(0),
+                    counters: Counters::default(),
                 }
             })
             .collect();
@@ -709,17 +763,43 @@ impl BufferPool {
     /// prefetching changes when reads happen, never how many. Hints past
     /// the queue bound are dropped (the pin performs the read instead);
     /// failed background loads release their slot and leave the next pin
-    /// to retry on the device. No-op when `PoolConfig::prefetch_depth`
-    /// is 0.
-    pub fn prefetch(&self, blocks: &[BlockId]) {
-        self.core.prefetch(blocks);
+    /// to retry on the device. Returns without consuming `blocks` when
+    /// `PoolConfig::prefetch_depth` is 0.
+    pub fn prefetch(&self, blocks: impl IntoIterator<Item = BlockId>) {
+        let core = &*self.core;
+        if core.prefetch_depth == 0 {
+            return;
+        }
+        let cap = 8 * core.prefetch_depth;
+        let mut queued_any = false;
+        for block in blocks {
+            // Cheap residency probe outside the queue lock: a mapped block
+            // (resident or in flight) needs no background load.
+            if lock(&core.shard_of(block).meta).map.contains_key(&block) {
+                continue;
+            }
+            let mut q = lock(&core.prefetch.queue);
+            if q.shutdown || q.enqueued.contains(&block.0) || q.pending.len() >= cap {
+                continue;
+            }
+            q.pending.push_back(block);
+            q.enqueued.insert(block.0);
+            queued_any = true;
+        }
+        if queued_any {
+            core.prefetch.work.notify_all();
+        }
     }
 
     /// Block until the prefetch queue is empty and every worker is idle
     /// (tests use this to make prefetch counters deterministic). No-op
     /// when prefetching is disabled.
     pub fn wait_prefetch_idle(&self) {
-        self.core.wait_prefetch_idle();
+        let prefetch = &self.core.prefetch;
+        let mut q = lock(&prefetch.queue);
+        while !q.shutdown && (!q.pending.is_empty() || q.busy > 0) {
+            q = wait(&prefetch.idle, q);
+        }
     }
 
     /// Resolved prefetch worker count (0 = prefetching disabled).
@@ -784,7 +864,14 @@ impl BufferPool {
     /// pin; hints a worker already claimed finish normally (their frames
     /// publish unpinned and evictable — no pin leak either way).
     pub fn discard_prefetch_queue(&self) -> usize {
-        self.core.discard_prefetch_queue()
+        let mut q = lock(&self.core.prefetch.queue);
+        let dropped = q.pending.len();
+        q.pending.clear();
+        q.enqueued.clear();
+        if q.busy == 0 {
+            self.core.prefetch.idle.notify_all();
+        }
+        dropped
     }
 
     /// Shared device I/O counters.
@@ -812,24 +899,14 @@ impl BufferPool {
 
     /// Cache hit/miss counters, summed over shards.
     pub fn pool_stats(&self) -> PoolStats {
-        let mut total = PoolStats::default();
-        for s in self.core.shards.iter() {
-            let s = s.stats();
-            total.hits += s.hits;
-            total.misses += s.misses;
-            total.evict_writebacks += s.evict_writebacks;
-            total.writeback_retries += s.writeback_retries;
-            total.coalesced_loads += s.coalesced_loads;
-            total.prefetch_issued += s.prefetch_issued;
-            total.prefetch_hits += s.prefetch_hits;
-            total.prefetch_wasted += s.prefetch_wasted;
-        }
-        total
+        self.shard_stats()
+            .iter()
+            .fold(PoolStats::default(), |total, s| total.zip(s, |a, b| a + b))
     }
 
     /// Per-shard cache counters, in shard order.
     pub fn shard_stats(&self) -> Vec<PoolStats> {
-        self.core.shards.iter().map(Shard::stats).collect()
+        self.core.shards.iter().map(|s| s.counters.load()).collect()
     }
 
     /// Allocate `n` fresh contiguous device blocks (no I/O).
@@ -842,12 +919,38 @@ impl BufferPool {
     ///
     /// Blocks with device I/O in flight (another thread's eviction,
     /// flush, or background prefetch picked the frame — states callers
-    /// cannot observe) are waited out first. Panics if any of the blocks
+    /// cannot observe) are waited out first: an eviction removes the
+    /// mapping, a flush returns the frame to `Resident`, a background
+    /// load publishes (or releases) its claim. Panics if any of the blocks
     /// is still pinned: recycling a pinned frame would alias a live
     /// guard's `&[f64]`, so this is a hard invariant in release builds
     /// too.
     pub fn free_blocks(&self, start: BlockId, n: u64) -> Result<()> {
-        self.core.free_blocks(start, n)
+        for i in 0..n {
+            let id = start.offset(i);
+            let shard = self.core.shard_of(id);
+            let mut meta = lock(&shard.meta);
+            // Loop ends when the block is absent (never resident, or its
+            // in-flight eviction completed and unmapped it) or dropped.
+            while let Some(&frame) = meta.map.get(&id) {
+                if meta.frames[frame].state != FrameState::Resident {
+                    meta = wait(&shard.unpinned, meta);
+                    continue;
+                }
+                let fm = &meta.frames[frame];
+                // Checked before any mutation so the panic leaves the shard
+                // consistent (the caller's guard still unpins cleanly).
+                assert!(fm.readers == 0 && !fm.writer, "freeing a pinned block");
+                if meta.unmap(frame) {
+                    self.core.note_wasted(shard, id);
+                }
+                break;
+            }
+            drop(meta);
+            // A freed frame is claimable; wake frame seekers.
+            shard.unpinned.notify_all();
+        }
+        self.core.device.free(start, n)
     }
 
     /// Pin `block` for reading, loading it from the device if absent.
@@ -856,13 +959,17 @@ impl BufferPool {
     /// the frame resident until dropped. Blocks while another thread holds
     /// an exclusive pin on the same block.
     pub fn pin(&self, block: BlockId) -> Result<PinnedFrame<'_>> {
-        self.core.pin(block)
+        self.core
+            .acquire(block, Miss::Read(AccessMode::Shared))
+            .map(PinnedFrame)
     }
 
     /// Pin `block` for exclusive read-write access, loading it from the
     /// device if absent. The frame is marked dirty.
     pub fn pin_mut(&self, block: BlockId) -> Result<PinnedFrameMut<'_>> {
-        self.core.pin_mut(block)
+        self.core
+            .acquire(block, Miss::Read(AccessMode::Exclusive))
+            .map(PinnedFrameMut)
     }
 
     /// Pin `block` for exclusive access *without* reading it from the
@@ -873,7 +980,7 @@ impl BufferPool {
     /// stale when it was: callers that do not overwrite every element must
     /// `fill` first.
     pub fn pin_new(&self, block: BlockId) -> Result<PinnedFrameMut<'_>> {
-        self.core.pin_new(block)
+        self.core.acquire(block, Miss::Fresh).map(PinnedFrameMut)
     }
 
     /// Pin for reading, run `f` over the page bytes, unpin.
@@ -908,7 +1015,17 @@ impl BufferPool {
     /// torn page. Each write runs with the shard lock dropped, so pins of
     /// other blocks proceed while the flush streams out.
     pub fn flush_all(&self) -> Result<()> {
-        self.core.flush_all()
+        for shard in self.core.shards.iter() {
+            let mut meta = lock(&shard.meta);
+            for frame in 0..meta.frames.len() {
+                let (meta_back, res) = self.core.flush_frame(shard, meta, frame);
+                meta = meta_back;
+                res?;
+            }
+        }
+        // Durability barrier: a successful flush means the data is on
+        // stable storage, not just in the device's write cache.
+        self.core.device.sync()
     }
 
     /// Force previously written blocks to stable storage (see
@@ -930,7 +1047,12 @@ impl BufferPool {
     /// Flush one block if resident and dirty (and not exclusively pinned
     /// or already mid-write).
     pub fn flush_block(&self, block: BlockId) -> Result<()> {
-        self.core.flush_block(block)
+        let shard = self.core.shard_of(block);
+        let meta = lock(&shard.meta);
+        match meta.map.get(&block) {
+            Some(&frame) => self.core.flush_frame(shard, meta, frame).1,
+            None => Ok(()),
+        }
     }
 
     /// Drop every unpinned frame (flushing dirty ones), emptying the cache.
@@ -938,7 +1060,40 @@ impl BufferPool {
     /// Experiment harnesses call this between strategies so one run's
     /// residual cache cannot subsidize the next.
     pub fn clear_cache(&self) -> Result<()> {
-        self.core.clear_cache()
+        self.flush_all()?;
+        for shard in self.core.shards.iter() {
+            let mut meta = lock(&shard.meta);
+            let resident: Vec<(BlockId, FrameId)> =
+                meta.map.iter().map(|(&b, &f)| (b, f)).collect();
+            for (block, frame) in resident {
+                // Re-validate: writes below drop the lock, so the snapshot
+                // list can go stale (frame recycled, block re-pinned).
+                let still_ours = |m: &ShardMeta| {
+                    m.map.get(&block) == Some(&frame) && m.frames[frame].evictable()
+                };
+                if !still_ours(&meta) {
+                    continue;
+                }
+                if meta.frames[frame].dirty {
+                    // A writer released between flush_all and here (or
+                    // flush_all skipped it while exclusively pinned):
+                    // write back so the update is not dropped with the
+                    // frame.
+                    let (meta_back, res) = self.core.flush_frame(shard, meta, frame);
+                    meta = meta_back;
+                    res?;
+                    if !still_ours(&meta) || meta.frames[frame].dirty {
+                        continue;
+                    }
+                }
+                if meta.unmap(frame) {
+                    self.core.note_wasted(shard, block);
+                }
+            }
+            drop(meta);
+            shard.unpinned.notify_all();
+        }
+        Ok(())
     }
 }
 
@@ -948,12 +1103,7 @@ impl Drop for BufferPool {
     /// outlives the pool handle.
     fn drop(&mut self) {
         {
-            let mut q = self
-                .core
-                .prefetch
-                .queue
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            let mut q = lock(&self.core.prefetch.queue);
             q.shutdown = true;
             q.pending.clear();
             q.enqueued.clear();
@@ -976,14 +1126,12 @@ impl PoolCore {
         self as *const PoolCore as usize
     }
 
-    fn note_pinned(&self, _block: BlockId) {
-        #[cfg(debug_assertions)]
-        reentry::record(self.id(), _block.0);
-    }
-
     /// A prefetch of `block` was recycled without ever being pinned.
     fn note_wasted(&self, shard: &Shard, block: BlockId) {
-        shard.prefetch_wasted.fetch_add(1, Ordering::Relaxed);
+        shard
+            .counters
+            .prefetch_wasted
+            .fetch_add(1, Ordering::Relaxed);
         self.tracer
             .record(EventKind::PrefetchWasted { block: block.0 });
     }
@@ -1002,93 +1150,9 @@ impl PoolCore {
         }
     }
 
-    /// Release `n` device blocks starting at `start`, dropping any resident
-    /// frames without writing them back.
-    ///
-    /// Blocks with device I/O in flight (another thread's eviction or
-    /// flush picked the frame — a state callers cannot observe) are waited
-    /// out first: an eviction removes the mapping, a flush returns the
-    /// frame to `Resident`, a background prefetch load publishes (or
-    /// releases) its claim. Panics if any of the blocks is still pinned:
-    /// recycling a pinned frame would alias a live guard's `&[f64]`, so
-    /// this is a hard invariant in release builds too (not just a debug
-    /// assert).
-    fn free_blocks(&self, start: BlockId, n: u64) -> Result<()> {
-        for i in 0..n {
-            let id = start.offset(i);
-            let shard = self.shard_of(id);
-            let mut meta = lock(&shard.meta);
-            // Loop ends when the block is absent (never resident, or its
-            // in-flight eviction completed and unmapped it) or dropped.
-            while let Some(&frame) = meta.map.get(&id) {
-                if meta.frames[frame].state != FrameState::Resident {
-                    meta = wait(shard, meta);
-                    continue;
-                }
-                let fm = &meta.frames[frame];
-                // Checked before any mutation so the panic leaves the shard
-                // consistent (the caller's guard still unpins cleanly).
-                assert!(fm.readers == 0 && !fm.writer, "freeing a pinned block");
-                if meta.unmap(frame) {
-                    self.note_wasted(shard, id);
-                }
-                break;
-            }
-            drop(meta);
-            // A freed frame is claimable; wake frame seekers.
-            shard.unpinned.notify_all();
-        }
-        self.device.free(start, n)
-    }
-
-    fn pin(&self, block: BlockId) -> Result<PinnedFrame<'_>> {
-        let (shard, frame, ptr) = self.acquire(block, AccessMode::Shared, true)?;
-        Ok(PinnedFrame {
-            pool: self,
-            shard,
-            frame,
-            block,
-            ptr,
-            len: self.elems_per_block,
-            #[cfg(debug_assertions)]
-            owner: std::thread::current().id(),
-        })
-    }
-
-    fn pin_mut(&self, block: BlockId) -> Result<PinnedFrameMut<'_>> {
-        let (shard, frame, ptr) = self.acquire(block, AccessMode::Exclusive, true)?;
-        Ok(PinnedFrameMut {
-            pool: self,
-            shard,
-            frame,
-            block,
-            ptr,
-            len: self.elems_per_block,
-            #[cfg(debug_assertions)]
-            owner: std::thread::current().id(),
-        })
-    }
-
-    fn pin_new(&self, block: BlockId) -> Result<PinnedFrameMut<'_>> {
-        let (shard, frame, ptr) = self.acquire(block, AccessMode::Exclusive, false)?;
-        Ok(PinnedFrameMut {
-            pool: self,
-            shard,
-            frame,
-            block,
-            ptr,
-            len: self.elems_per_block,
-            #[cfg(debug_assertions)]
-            owner: std::thread::current().id(),
-        })
-    }
-
-    fn acquire(
-        &self,
-        block: BlockId,
-        mode: AccessMode,
-        load: bool,
-    ) -> Result<(usize, FrameId, *mut f64)> {
+    /// Take one pin on `block`: a hit on a mapped frame, or `miss` (never
+    /// [`Miss::Prefetch`]) through [`PoolCore::load`].
+    fn acquire(&self, block: BlockId, miss: Miss) -> Result<FramePin<'_>> {
         // Governed pin admission: `max_pinned_frames` is enforced here,
         // where pins are born, rather than at kernel checkpoints — the
         // budget bounds *concurrent* frame occupancy, not a running
@@ -1107,208 +1171,231 @@ impl PoolCore {
                 }
             }
         }
+        let mode = match miss {
+            Miss::Read(mode) => mode,
+            Miss::Fresh | Miss::Prefetch => AccessMode::Exclusive,
+        };
         let shard_idx = (block.0 % self.shards.len() as u64) as usize;
         let shard = &self.shards[shard_idx];
         // Count a coalesced wait at most once per pin request.
         let mut coalesced = false;
         let mut meta = lock(&shard.meta);
-        loop {
-            if let Some(&frame) = meta.map.get(&block) {
-                match meta.frames[frame].state {
-                    FrameState::LoadInFlight => {
-                        // Single-flight: another thread — a sibling pin or
-                        // a background prefetch worker — is already reading
-                        // this block; wait for it to publish instead of
-                        // issuing a second device read. Waits on a sibling
-                        // pin's load count as coalesced; waits on a
-                        // prefetch land as `prefetch_hits` when the
-                        // published frame is pinned below.
-                        if !coalesced && !meta.frames[frame].prefetched {
-                            coalesced = true;
-                            shard.coalesced_loads.fetch_add(1, Ordering::Relaxed);
-                            self.tracer
-                                .record(EventKind::CoalescedLoad { block: block.0 });
-                        }
-                        meta = wait(shard, meta);
-                        continue;
-                    }
-                    FrameState::Evicting => {
-                        // The block is on its way out; once the write-back
-                        // finishes the mapping is gone and this pin re-runs
-                        // as a miss (or, if the write-back fails, as a hit
-                        // on the restored frame).
-                        meta = wait(shard, meta);
-                        continue;
-                    }
-                    FrameState::WriteBackInFlight if mode == AccessMode::Exclusive => {
-                        // The flush snapshot is consistent, but mutating
-                        // under it would race the dirty-bit bookkeeping:
-                        // writers wait the flush out. (Shared pins proceed.)
-                        meta = wait(shard, meta);
-                        continue;
-                    }
-                    FrameState::WriteBackInFlight | FrameState::Resident => {}
+        let frame = loop {
+            let Some(&frame) = meta.map.get(&block) else {
+                let (meta_back, frame) = self.load(shard, meta, block, miss);
+                meta = meta_back;
+                match frame? {
+                    Some(frame) => break frame,
+                    None => continue, // the block appeared: re-run as a hit
                 }
-                let conflict = match mode {
-                    // Shared pins also yield to queued writers (write
-                    // preference), or overlapping readers could starve an
-                    // exclusive waiter forever.
-                    AccessMode::Shared => {
-                        meta.frames[frame].writer || meta.write_waiters.contains_key(&block)
-                    }
-                    AccessMode::Exclusive => {
-                        meta.frames[frame].writer || meta.frames[frame].readers > 0
-                    }
-                };
-                if conflict {
-                    self.check_not_reentrant(block);
-                    if mode == AccessMode::Exclusive {
-                        *meta.write_waiters.entry(block).or_insert(0) += 1;
-                    }
-                    meta = wait(shard, meta);
-                    if mode == AccessMode::Exclusive {
-                        let n = meta.write_waiters.get_mut(&block).expect("waiter entry");
-                        *n -= 1;
-                        if *n == 0 {
-                            meta.write_waiters.remove(&block);
-                            // Shared pins parked on the waiter entry can go.
-                            shard.unpinned.notify_all();
-                        }
-                    }
-                    continue; // re-check: the frame may have moved or gone
-                }
-                if meta.frames[frame].prefetched {
-                    // First pin of a prefetched frame: the background load
-                    // paid this pin's device read.
-                    meta.frames[frame].prefetched = false;
-                    shard.prefetch_hits.fetch_add(1, Ordering::Relaxed);
-                    self.tracer
-                        .record(EventKind::PrefetchHit { block: block.0 });
-                }
-                shard.hits.fetch_add(1, Ordering::Relaxed);
-                match mode {
-                    AccessMode::Shared => meta.frames[frame].readers += 1,
-                    AccessMode::Exclusive => {
-                        meta.frames[frame].writer = true;
-                        meta.frames[frame].dirty = true;
-                    }
-                }
-                meta.touch(frame);
-                self.note_pinned(block);
-                return Ok((shard_idx, frame, shard.bufs[frame].ptr()));
-            }
-
-            // Miss: find a frame to claim. Obtaining one may drop the shard
-            // lock (dirty-victim write-back), so afterwards the block may
-            // have appeared via another thread — hand the frame back and
-            // re-run the resident path in that case.
-            let (meta_back, frame) = self.obtain_frame(shard, meta, true);
-            meta = meta_back;
-            let frame = frame?.expect("waiting obtain_frame yields a frame or errors");
-            if meta.map.contains_key(&block) {
-                meta.free.push(frame);
-                shard.unpinned.notify_all();
-                continue;
-            }
-
-            shard.misses.fetch_add(1, Ordering::Relaxed);
-            self.tracer.record(EventKind::PoolMiss { block: block.0 });
-            if load {
-                // Claim the slot, then read with the shard lock dropped.
-                // Concurrent pins of this block find the LoadInFlight entry
-                // and wait (single-flight); pins of other blocks proceed.
-                meta.frames[frame] = FrameMeta {
-                    block: Some(block),
-                    state: FrameState::LoadInFlight,
-                    ..FrameMeta::default()
-                };
-                meta.map.insert(block, frame);
-                meta.in_flight += 1;
-                self.in_flight.begin_load();
-                drop(meta);
-
-                // SAFETY: the frame is claimed by the LoadInFlight state:
-                // it is not free, not evictable, and every pin of its block
-                // waits, so this thread has sole access to the buffer.
-                let bytes = unsafe {
-                    std::slice::from_raw_parts_mut(
-                        shard.bufs[frame].ptr().cast::<u8>(),
-                        self.block_size,
-                    )
-                };
-                let mut res = self.device.read_block(block, bytes);
-                if matches!(res, Err(StorageError::Corruption { .. })) {
-                    // Containment rule: a corrupt demand load re-reads the
-                    // device once — the copy that failed validation may
-                    // have been a transient transfer fault rather than rot
-                    // at rest — before surfacing the typed error.
-                    res = self.device.read_block(block, bytes);
-                }
-
-                meta = lock(&shard.meta);
-                meta.in_flight -= 1;
-                self.in_flight.end_load();
-                if let Err(e) = res {
-                    // Release the slot: no leaked frame, no stale mapping.
-                    // Waiters wake, see the block absent, and retry the
-                    // load themselves.
-                    meta.unmap(frame);
-                    drop(meta);
-                    shard.unpinned.notify_all();
-                    return Err(e);
-                }
-                meta.frames[frame].state = FrameState::Resident;
-                match mode {
-                    AccessMode::Shared => meta.frames[frame].readers = 1,
-                    AccessMode::Exclusive => {
-                        meta.frames[frame].writer = true;
-                        meta.frames[frame].dirty = true;
-                    }
-                }
-                meta.touch(frame);
-                drop(meta);
-                shard.unpinned.notify_all();
-                self.note_pinned(block);
-                return Ok((shard_idx, frame, shard.bufs[frame].ptr()));
-            }
-
-            // pin_new: no device read — zero-fill and publish under the
-            // lock, exactly like the classic pool.
-            // SAFETY: the frame is unpinned and unmapped; the shard lock is
-            // held, so no other thread can observe or touch it.
-            let data = unsafe {
-                std::slice::from_raw_parts_mut(shard.bufs[frame].ptr(), self.elems_per_block)
             };
-            data.fill(0.0);
-            meta.frames[frame] = FrameMeta {
-                block: Some(block),
-                readers: u32::from(mode == AccessMode::Shared),
-                writer: mode == AccessMode::Exclusive,
-                dirty: true,
-                ..FrameMeta::default()
+            match meta.frames[frame].state {
+                FrameState::LoadInFlight => {
+                    // Single-flight: another thread — a sibling pin or a
+                    // background prefetch worker — is already reading this
+                    // block; wait for it to publish instead of issuing a
+                    // second device read. Waits on a sibling pin's load
+                    // count as coalesced; waits on a prefetch land as
+                    // `prefetch_hits` when the published frame is pinned
+                    // below.
+                    if !coalesced && !meta.frames[frame].prefetched {
+                        coalesced = true;
+                        shard
+                            .counters
+                            .coalesced_loads
+                            .fetch_add(1, Ordering::Relaxed);
+                        self.tracer
+                            .record(EventKind::CoalescedLoad { block: block.0 });
+                    }
+                    meta = wait(&shard.unpinned, meta);
+                    continue;
+                }
+                FrameState::Evicting => {
+                    // The block is on its way out; once the write-back
+                    // finishes the mapping is gone and this pin re-runs as
+                    // a miss (or, if the write-back fails, as a hit on the
+                    // restored frame).
+                    meta = wait(&shard.unpinned, meta);
+                    continue;
+                }
+                FrameState::WriteBackInFlight if mode == AccessMode::Exclusive => {
+                    // The flush snapshot is consistent, but mutating under
+                    // it would race the dirty-bit bookkeeping: writers wait
+                    // the flush out. (Shared pins proceed.)
+                    meta = wait(&shard.unpinned, meta);
+                    continue;
+                }
+                FrameState::WriteBackInFlight | FrameState::Resident => {}
+            }
+            let conflict = match mode {
+                // Shared pins also yield to queued writers (write
+                // preference), or overlapping readers could starve an
+                // exclusive waiter forever.
+                AccessMode::Shared => {
+                    meta.frames[frame].writer || meta.write_waiters.contains_key(&block)
+                }
+                AccessMode::Exclusive => {
+                    meta.frames[frame].writer || meta.frames[frame].readers > 0
+                }
             };
-            meta.map.insert(block, frame);
-            meta.touch(frame);
-            self.note_pinned(block);
-            return Ok((shard_idx, frame, shard.bufs[frame].ptr()));
-        }
+            if conflict {
+                self.check_not_reentrant(block);
+                if mode == AccessMode::Exclusive {
+                    *meta.write_waiters.entry(block).or_insert(0) += 1;
+                }
+                meta = wait(&shard.unpinned, meta);
+                if mode == AccessMode::Exclusive {
+                    let n = meta.write_waiters.get_mut(&block).expect("waiter entry");
+                    *n -= 1;
+                    if *n == 0 {
+                        meta.write_waiters.remove(&block);
+                        // Shared pins parked on the waiter entry can go.
+                        shard.unpinned.notify_all();
+                    }
+                }
+                continue; // re-check: the frame may have moved or gone
+            }
+            if meta.frames[frame].prefetched {
+                // First pin of a prefetched frame: the background load paid
+                // this pin's device read.
+                meta.frames[frame].prefetched = false;
+                shard.counters.prefetch_hits.fetch_add(1, Ordering::Relaxed);
+                self.tracer
+                    .record(EventKind::PrefetchHit { block: block.0 });
+            }
+            shard.counters.hits.fetch_add(1, Ordering::Relaxed);
+            meta.grant(frame, mode);
+            break frame;
+        };
+        #[cfg(debug_assertions)]
+        reentry::record(self.id(), block.0);
+        Ok(FramePin {
+            pool: self,
+            shard: shard_idx,
+            frame,
+            block,
+            mode,
+            ptr: shard.bufs[frame].ptr(),
+            len: self.elems_per_block,
+            #[cfg(debug_assertions)]
+            owner: std::thread::current().id(),
+        })
     }
 
-    /// Find a frame for a new page in `shard`: reuse a free one or evict a
+    /// The miss edge, `(free) → LoadInFlight → Resident`, and the one place
+    /// a block is read into a frame: obtain a frame, count the miss, claim
+    /// the frame for `block`, read it with the shard lock dropped, publish
+    /// it, and grant the pin a [`Miss::Read`] asked for. [`Miss::Fresh`]
+    /// skips the read and goes `(free) → Resident` under the lock,
+    /// zero-filled.
+    ///
+    /// `Ok(None)` means nothing was claimed: `block` is mapped after all
+    /// (the caller re-runs its resident path; a prefetch is skipped), or a
+    /// prefetch found no frame without waiting. A failed read releases the
+    /// slot — no leaked frame, no stale mapping — and the waiters it wakes
+    /// find the block absent and load it themselves.
+    fn load<'a>(
+        &self,
+        shard: &'a Shard,
+        meta: MutexGuard<'a, ShardMeta>,
+        block: BlockId,
+        miss: Miss,
+    ) -> (MutexGuard<'a, ShardMeta>, Result<Option<FrameId>>) {
+        // Never wait for a frame on a prefetch: under pool pressure a hint
+        // is worth less than the frames the compute path is actively using.
+        let (mut meta, frame) = self.obtain_frame(shard, meta, block, miss != Miss::Prefetch);
+        let frame = match frame {
+            Ok(Some(frame)) => frame,
+            other => return (meta, other),
+        };
+        if miss == Miss::Prefetch {
+            shard
+                .counters
+                .prefetch_issued
+                .fetch_add(1, Ordering::Relaxed);
+            self.tracer
+                .record(EventKind::PrefetchIssued { block: block.0 });
+        } else {
+            shard.counters.misses.fetch_add(1, Ordering::Relaxed);
+            self.tracer.record(EventKind::PoolMiss { block: block.0 });
+        }
+        let buf = shard.bufs[frame].ptr();
+        if miss == Miss::Fresh {
+            // SAFETY: the frame came off the free list (unpinned, unmapped)
+            // and the shard lock is held, so no other thread can observe
+            // or touch it.
+            unsafe { std::slice::from_raw_parts_mut(buf, self.elems_per_block) }.fill(0.0);
+            meta.claim(frame, block, FrameState::Resident, false);
+            meta.grant(frame, AccessMode::Exclusive);
+            return (meta, Ok(Some(frame)));
+        }
+        // Claim the slot, then read with the shard lock dropped. Pins of
+        // this block find the LoadInFlight entry and wait (single-flight);
+        // pins of other blocks proceed.
+        meta.claim(
+            frame,
+            block,
+            FrameState::LoadInFlight,
+            miss == Miss::Prefetch,
+        );
+        meta.in_flight += 1;
+        self.in_flight.begin_load();
+        drop(meta);
+
+        // SAFETY: the frame is claimed by the LoadInFlight state: it is not
+        // free, not evictable, and every pin of its block waits, so this
+        // thread has sole access to the buffer.
+        let bytes = unsafe { std::slice::from_raw_parts_mut(buf.cast::<u8>(), self.block_size) };
+        let mut res = self.device.read_block(block, bytes);
+        if miss != Miss::Prefetch && matches!(res, Err(StorageError::Corruption { .. })) {
+            // Containment rule: a corrupt demand load re-reads the device
+            // once — the copy that failed validation may have been a
+            // transient transfer fault rather than rot at rest — before
+            // surfacing the typed error. A background load reads once; the
+            // pin that follows it retries.
+            res = self.device.read_block(block, bytes);
+        }
+
+        let mut meta = lock(&shard.meta);
+        meta.in_flight -= 1;
+        self.in_flight.end_load();
+        shard.unpinned.notify_all();
+        if let Err(e) = res {
+            // A failed prefetch is not counted as wasted (see `PoolStats`).
+            meta.unmap(frame);
+            return (meta, Err(e));
+        }
+        meta.frames[frame].state = FrameState::Resident;
+        if let Miss::Read(mode) = miss {
+            meta.grant(frame, mode);
+        } else {
+            // A prefetch publishes unpinned and evictable, ranked by its
+            // publish time: an unused prefetch must never outrank the
+            // compute path's frames.
+            meta.touch(frame);
+        }
+        (meta, Ok(Some(frame)))
+    }
+
+    /// Find a frame for `block` in `shard`: reuse a free one or evict a
     /// victim. A dirty victim's copy is written back with the shard lock
     /// dropped (state [`FrameState::Evicting`]), so pins of other blocks
     /// never stall on the victim's I/O.
     ///
-    /// With `wait` set (the pin path), an apparently exhausted shard with
-    /// transfers outstanding waits for them (a failed load or a finished
-    /// eviction frees a frame) and the result is never `Ok(None)`. With
-    /// `wait` unset (the prefetch path), exhaustion returns `Ok(None)`
-    /// immediately — a prefetch is a hint, and hanging a background worker
-    /// on pool pressure would be worse than dropping the hint.
+    /// Evicting and waiting both drop the lock, so every attempt first
+    /// checks whether `block` got mapped meanwhile and returns `Ok(None)`
+    /// if so (the caller re-runs its resident path; an evicted victim stays
+    /// on the free list). With `wait` set (the pin path), an apparently
+    /// exhausted shard with transfers outstanding waits for them (a failed
+    /// load or a finished eviction frees a frame). With `wait` unset (the
+    /// prefetch path), exhaustion returns `Ok(None)` immediately — a
+    /// prefetch is a hint, and hanging a background worker on pool pressure
+    /// would be worse than dropping the hint.
     fn obtain_frame<'a>(
         &self,
         shard: &'a Shard,
         mut meta: MutexGuard<'a, ShardMeta>,
+        block: BlockId,
         wait_for_frame: bool,
     ) -> (MutexGuard<'a, ShardMeta>, Result<Option<FrameId>>) {
         // Eviction write-back failures absorbed so far by this request.
@@ -1322,6 +1409,9 @@ impl PoolCore {
         // transfers in flight; bounds the total wait across re-checks.
         let mut wait_start: Option<Instant> = None;
         loop {
+            if meta.map.contains_key(&block) {
+                return (meta, Ok(None));
+            }
             if let Some(frame) = meta.free.pop() {
                 return (meta, Ok(Some(frame)));
             }
@@ -1381,34 +1471,19 @@ impl PoolCore {
                 continue; // the free-list pop above hands the victim out
             }
 
-            // Dirty-copy-then-write: snapshot under the lock, write with
-            // the lock dropped. The Evicting state keeps the victim frame
-            // unreachable (not free, not evictable, its block's pins wait),
-            // so the snapshot cannot go stale.
-            // SAFETY: victim is unpinned and the shard lock is held.
-            let copy: Box<[u8]> = unsafe {
-                std::slice::from_raw_parts(shard.bufs[victim].ptr().cast::<u8>(), self.block_size)
-            }
-            .into();
-            meta.frames[victim].state = FrameState::Evicting;
-            meta.in_flight += 1;
-            self.in_flight.begin_writeback();
-            drop(meta);
-
-            let res = self.device.write_block(old_block, &copy);
-
-            meta = lock(&shard.meta);
-            meta.in_flight -= 1;
-            self.in_flight.end_writeback();
-            meta.frames[victim].state = FrameState::Resident;
-            // Wake waiters parked on the victim's block (they re-run as
-            // misses, or as hits on a restored victim) and frame seekers.
-            shard.unpinned.notify_all();
+            // Dirty-copy-then-write: the Evicting state keeps the victim
+            // frame unreachable (not free, not evictable, its block's pins
+            // wait), so the snapshot cannot go stale, and pins of other
+            // blocks never stall on the victim's I/O.
+            let (meta_back, res) =
+                self.write_out(shard, meta, victim, old_block, FrameState::Evicting);
+            meta = meta_back;
             match res {
                 Ok(()) => {
-                    shard.evict_writebacks.fetch_add(1, Ordering::Relaxed);
-                    self.tracer
-                        .record(EventKind::PoolWriteBack { block: old_block.0 });
+                    shard
+                        .counters
+                        .evict_writebacks
+                        .fetch_add(1, Ordering::Relaxed);
                     self.tracer.record(EventKind::PoolEvict {
                         block: old_block.0,
                         dirty: true,
@@ -1429,7 +1504,10 @@ impl PoolCore {
                     if writeback_failures >= WRITEBACK_FAILURE_LIMIT {
                         return (meta, Err(e));
                     }
-                    shard.writeback_retries.fetch_add(1, Ordering::Relaxed);
+                    shard
+                        .counters
+                        .writeback_retries
+                        .fetch_add(1, Ordering::Relaxed);
                     self.tracer
                         .record(EventKind::WritebackRetry { block: old_block.0 });
                 }
@@ -1460,40 +1538,33 @@ impl PoolCore {
         }
     }
 
-    fn pin_count(&self, shard_idx: usize, frame: FrameId) -> u32 {
-        let meta = lock(&self.shards[shard_idx].meta);
-        meta.frames[frame].readers + u32::from(meta.frames[frame].writer)
-    }
-
-    /// Write a dirty resident frame's snapshot to the device with the
-    /// shard lock dropped (state [`FrameState::WriteBackInFlight`]).
-    ///
-    /// The caller must have verified, under the passed guard, that the
-    /// frame is `Resident`, dirty, and not exclusively pinned. Shared
-    /// readers of the block stay legal throughout (the snapshot is
-    /// consistent); exclusive pins and eviction wait the write out. On
-    /// success the dirty bit clears; on failure it stays set.
-    fn writeback_resident<'a>(
+    /// The write-out edge, `Resident → Evicting | WriteBackInFlight →
+    /// Resident`, and the one place a frame is written to the device:
+    /// snapshot dirty `frame` under the lock, park it in `state`, write the
+    /// snapshot to `block` with the lock dropped, and restore `Resident`.
+    /// What success means is the caller's: eviction unmaps the frame, a
+    /// flush clears its dirty bit. On failure the frame stays dirty.
+    fn write_out<'a>(
         &self,
         shard: &'a Shard,
         mut meta: MutexGuard<'a, ShardMeta>,
         frame: FrameId,
         block: BlockId,
+        state: FrameState,
     ) -> (MutexGuard<'a, ShardMeta>, Result<()>) {
         debug_assert!(
-            meta.frames[frame].state == FrameState::Resident
-                && meta.frames[frame].dirty
-                && !meta.frames[frame].writer,
-            "flush of a frame that is not a dirty, writer-free resident"
+            meta.frames[frame].flushable(),
+            "write-out of a clean or busy frame"
         );
-        // SAFETY: no writer is active (checked above, and none can start
-        // while the state is WriteBackInFlight) and the shard lock is held
-        // for the copy, so the snapshot is consistent.
+        // SAFETY: no writer is active (every caller checks the frame is
+        // flushable, as asserted above, and no exclusive pin can start
+        // while it is in flight) and the shard lock is held for the copy,
+        // so the snapshot is consistent.
         let copy: Box<[u8]> = unsafe {
             std::slice::from_raw_parts(shard.bufs[frame].ptr().cast::<u8>(), self.block_size)
         }
         .into();
-        meta.frames[frame].state = FrameState::WriteBackInFlight;
+        meta.frames[frame].state = state;
         meta.in_flight += 1;
         self.in_flight.begin_writeback();
         drop(meta);
@@ -1505,123 +1576,38 @@ impl PoolCore {
         self.in_flight.end_writeback();
         meta.frames[frame].state = FrameState::Resident;
         if res.is_ok() {
-            meta.frames[frame].dirty = false;
             self.tracer
                 .record(EventKind::PoolWriteBack { block: block.0 });
         }
+        // Wake pins parked on the frame's block (an evicted one re-runs as
+        // a miss, a restored one as a hit) and frame seekers.
         shard.unpinned.notify_all();
         (meta, res)
     }
 
-    /// Write every dirty frame back to the device (frames stay resident).
-    ///
-    /// Frames held under an exclusive pin are skipped: their holder will
-    /// mark them dirty again anyway, and flushing mid-write would persist a
-    /// torn page. Each write runs with the shard lock dropped, so pins of
-    /// other blocks proceed while the flush streams out.
-    fn flush_all(&self) -> Result<()> {
-        for shard in self.shards.iter() {
-            let mut meta = lock(&shard.meta);
-            for frame in 0..meta.frames.len() {
-                let fm = &meta.frames[frame];
-                if fm.dirty && !fm.writer && fm.state == FrameState::Resident {
-                    let block = fm.block.expect("dirty frame must hold a block");
-                    let (meta_back, res) = self.writeback_resident(shard, meta, frame, block);
-                    meta = meta_back;
-                    res?;
-                }
-            }
+    /// Flush `frame` in place if it is [`FrameMeta::flushable`] (state
+    /// [`FrameState::WriteBackInFlight`]): shared readers of the block stay
+    /// legal throughout, exclusive pins and eviction wait the write out,
+    /// and success clears the dirty bit. Frames held under an exclusive
+    /// pin are skipped: their holder will mark them dirty again anyway, and
+    /// flushing mid-write would persist a torn page.
+    fn flush_frame<'a>(
+        &self,
+        shard: &'a Shard,
+        meta: MutexGuard<'a, ShardMeta>,
+        frame: FrameId,
+    ) -> (MutexGuard<'a, ShardMeta>, Result<()>) {
+        let fm = &meta.frames[frame];
+        if !fm.flushable() {
+            return (meta, Ok(()));
         }
-        // Durability barrier: a successful flush means the data is on
-        // stable storage, not just in the device's write cache.
-        self.device.sync()
-    }
-
-    /// Flush one block if resident and dirty (and not exclusively pinned
-    /// or already mid-write).
-    fn flush_block(&self, block: BlockId) -> Result<()> {
-        let shard = self.shard_of(block);
-        let meta = lock(&shard.meta);
-        if let Some(&frame) = meta.map.get(&block) {
-            let fm = &meta.frames[frame];
-            if fm.dirty && !fm.writer && fm.state == FrameState::Resident {
-                let (_meta, res) = self.writeback_resident(shard, meta, frame, block);
-                return res;
-            }
+        let block = fm.block.expect("dirty frame must hold a block");
+        let (mut meta, res) =
+            self.write_out(shard, meta, frame, block, FrameState::WriteBackInFlight);
+        if res.is_ok() {
+            meta.frames[frame].dirty = false;
         }
-        Ok(())
-    }
-
-    /// Drop every unpinned frame (flushing dirty ones), emptying the cache.
-    ///
-    /// Experiment harnesses call this between strategies so one run's
-    /// residual cache cannot subsidize the next.
-    fn clear_cache(&self) -> Result<()> {
-        self.flush_all()?;
-        for shard in self.shards.iter() {
-            let mut meta = lock(&shard.meta);
-            let resident: Vec<(BlockId, FrameId)> =
-                meta.map.iter().map(|(&b, &f)| (b, f)).collect();
-            for (block, frame) in resident {
-                // Re-validate: writes below drop the lock, so the snapshot
-                // list can go stale (frame recycled, block re-pinned).
-                let still_ours = |m: &ShardMeta| {
-                    m.map.get(&block) == Some(&frame) && m.frames[frame].evictable()
-                };
-                if !still_ours(&meta) {
-                    continue;
-                }
-                if meta.frames[frame].dirty {
-                    // A writer released between flush_all and here (or
-                    // flush_all skipped it while exclusively pinned):
-                    // write back so the update is not dropped with the
-                    // frame.
-                    let (meta_back, res) = self.writeback_resident(shard, meta, frame, block);
-                    meta = meta_back;
-                    res?;
-                    if !still_ours(&meta) || meta.frames[frame].dirty {
-                        continue;
-                    }
-                }
-                if meta.unmap(frame) {
-                    self.note_wasted(shard, block);
-                }
-            }
-            drop(meta);
-            shard.unpinned.notify_all();
-        }
-        Ok(())
-    }
-
-    // ---- background prefetch ------------------------------------------
-
-    /// Enqueue prefetch hints (see [`BufferPool::prefetch`]). Blocks that
-    /// are resident, in flight, already queued, or past the queue bound
-    /// are skipped — each skip means "the pin will do the read", never a
-    /// duplicate read.
-    fn prefetch(&self, blocks: &[BlockId]) {
-        if self.prefetch_depth == 0 || blocks.is_empty() {
-            return;
-        }
-        let cap = 8 * self.prefetch_depth;
-        let mut queued_any = false;
-        for &block in blocks {
-            // Cheap residency probe outside the queue lock: a mapped block
-            // (resident or in flight) needs no background load.
-            if lock(&self.shard_of(block).meta).map.contains_key(&block) {
-                continue;
-            }
-            let mut q = lock_queue(&self.prefetch.queue);
-            if q.shutdown || q.enqueued.contains(&block.0) || q.pending.len() >= cap {
-                continue;
-            }
-            q.pending.push_back(block);
-            q.enqueued.insert(block.0);
-            queued_any = true;
-        }
-        if queued_any {
-            self.prefetch.work.notify_all();
-        }
+        (meta, res)
     }
 
     /// See [`BufferPool::pinned_frames`].
@@ -1638,43 +1624,12 @@ impl PoolCore {
             .sum()
     }
 
-    /// See [`BufferPool::discard_prefetch_queue`].
-    fn discard_prefetch_queue(&self) -> usize {
-        if self.prefetch_depth == 0 {
-            return 0;
-        }
-        let mut q = lock_queue(&self.prefetch.queue);
-        let dropped = q.pending.len();
-        for block in q.pending.drain(..).collect::<Vec<_>>() {
-            q.enqueued.remove(&block.0);
-        }
-        if q.busy == 0 {
-            self.prefetch.idle.notify_all();
-        }
-        dropped
-    }
-
-    /// See [`BufferPool::wait_prefetch_idle`].
-    fn wait_prefetch_idle(&self) {
-        if self.prefetch_depth == 0 {
-            return;
-        }
-        let mut q = lock_queue(&self.prefetch.queue);
-        while !q.shutdown && (!q.pending.is_empty() || q.busy > 0) {
-            q = self
-                .prefetch
-                .idle
-                .wait(q)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
-    }
-
     /// Body of one background prefetch worker: dequeue hints and load them
     /// until shutdown.
     fn prefetch_worker(&self) {
         loop {
             let block = {
-                let mut q = lock_queue(&self.prefetch.queue);
+                let mut q = lock(&self.prefetch.queue);
                 loop {
                     if q.shutdown {
                         self.prefetch.idle.notify_all();
@@ -1685,96 +1640,21 @@ impl PoolCore {
                         q.busy += 1;
                         break block;
                     }
-                    q = self
-                        .prefetch
-                        .work
-                        .wait(q)
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
+                    q = wait(&self.prefetch.work, q);
                 }
             };
-            self.prefetch_one(block);
-            let mut q = lock_queue(&self.prefetch.queue);
+            // The frame publishes unpinned, evictable and flagged
+            // `prefetched`; a failure releases the slot silently and the
+            // next pin of the block retries on the device.
+            let shard = self.shard_of(block);
+            let _ = self.load(shard, lock(&shard.meta), block, Miss::Prefetch);
+            let mut q = lock(&self.prefetch.queue);
             q.busy -= 1;
             if q.pending.is_empty() && q.busy == 0 {
                 self.prefetch.idle.notify_all();
             }
         }
     }
-
-    /// Load one prefetched block into a claimed frame, exactly like a miss
-    /// load but with no pin attached: the frame publishes `Resident`,
-    /// unpinned, evictable, and flagged `prefetched` so the first pin can
-    /// account the hit. Failures release the slot silently — the next pin
-    /// of the block simply retries on the device (the failure-containment
-    /// contract of the miss path, inherited wholesale).
-    fn prefetch_one(&self, block: BlockId) {
-        let shard = self.shard_of(block);
-        let mut meta = lock(&shard.meta);
-        if meta.map.contains_key(&block) {
-            return; // a pin (or sibling worker) got here first
-        }
-        // Never wait for a frame: under pool pressure a hint is worth
-        // less than the frames the compute path is actively using.
-        let (meta_back, frame) = self.obtain_frame(shard, meta, false);
-        meta = meta_back;
-        let Ok(Some(frame)) = frame else { return };
-        if meta.map.contains_key(&block) {
-            meta.free.push(frame);
-            drop(meta);
-            shard.unpinned.notify_all();
-            return;
-        }
-        shard.prefetch_issued.fetch_add(1, Ordering::Relaxed);
-        self.tracer
-            .record(EventKind::PrefetchIssued { block: block.0 });
-        meta.frames[frame] = FrameMeta {
-            block: Some(block),
-            state: FrameState::LoadInFlight,
-            prefetched: true,
-            ..FrameMeta::default()
-        };
-        meta.map.insert(block, frame);
-        meta.in_flight += 1;
-        self.in_flight.begin_load();
-        drop(meta);
-
-        // SAFETY: the frame is claimed by the LoadInFlight state: it is
-        // not free, not evictable, and every pin of its block waits, so
-        // this worker has sole access to the buffer.
-        let bytes = unsafe {
-            std::slice::from_raw_parts_mut(shard.bufs[frame].ptr().cast::<u8>(), self.block_size)
-        };
-        let res = self.device.read_block(block, bytes);
-
-        let mut meta = lock(&shard.meta);
-        meta.in_flight -= 1;
-        self.in_flight.end_load();
-        match res {
-            Err(_) => {
-                // Release the slot: no leaked frame, no stale mapping, no
-                // poisoning. Pins waiting on this entry wake, see the
-                // block absent, and load it themselves. A failed prefetch
-                // is not counted as wasted (see `PoolStats`).
-                meta.unmap(frame);
-            }
-            Ok(()) => {
-                // Unpinned and evictable from birth, ranked by its publish
-                // time: an unused prefetch must never outrank the compute
-                // path's frames.
-                meta.frames[frame].state = FrameState::Resident;
-                meta.touch(frame);
-            }
-        }
-        drop(meta);
-        shard.unpinned.notify_all();
-    }
-}
-
-/// Lock the prefetch queue, recovering from poisoning like [`lock`].
-fn lock_queue(queue: &Mutex<PrefetchQueue>) -> MutexGuard<'_, PrefetchQueue> {
-    queue
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -1783,14 +1663,26 @@ enum AccessMode {
     Exclusive,
 }
 
-/// RAII shared pin on a block: dereferences to the page's `&[f64]`.
-/// Dropping the guard unpins.
-pub struct PinnedFrame<'p> {
+/// What a miss in [`PoolCore::load`] is for.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Miss {
+    /// `pin` / `pin_mut`: read the block, then grant the pin.
+    Read(AccessMode),
+    /// `pin_new`: zero-fill instead of reading, then grant an exclusive pin.
+    Fresh,
+    /// A background prefetch: read the block once and grant nothing.
+    Prefetch,
+}
+
+/// The pin both guards wrap: one shared or exclusive pin on one frame,
+/// taken by [`PoolCore::acquire`] and released when dropped.
+struct FramePin<'p> {
     pool: &'p PoolCore,
     shard: usize,
     frame: FrameId,
     block: BlockId,
-    ptr: *const f64,
+    mode: AccessMode,
+    ptr: *mut f64,
     len: usize,
     /// Thread that took the pin; guards are `Send`, so the re-entrancy
     /// registry entry must be released under this key, not the dropper's.
@@ -1798,15 +1690,56 @@ pub struct PinnedFrame<'p> {
     owner: std::thread::ThreadId,
 }
 
-// SAFETY: the guard only reads through `ptr`, which stays valid while the
-// pin holds; pin bookkeeping goes through the pool's shard mutex.
-unsafe impl Send for PinnedFrame<'_> {}
-unsafe impl Sync for PinnedFrame<'_> {}
+// SAFETY: `ptr` stays valid while the pin holds, and the pin mode governs
+// access through it: a shared pin excludes writers, and an exclusive pin
+// excludes all other access, mutation needing `&mut` of the exclusive
+// guard. The remaining fields are plain ids and a shared reference to
+// the pool, whose pin bookkeeping goes through the shard mutex.
+unsafe impl Send for FramePin<'_> {}
+unsafe impl Sync for FramePin<'_> {}
+
+impl FramePin<'_> {
+    fn data(&self) -> &[f64] {
+        // SAFETY: the pin keeps the frame resident and excludes writers
+        // other than this pin's own holder.
+        unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
+    }
+
+    fn pins(&self) -> u32 {
+        let meta = lock(&self.pool.shards[self.shard].meta);
+        meta.frames[self.frame].readers + u32::from(meta.frames[self.frame].writer)
+    }
+}
+
+impl std::fmt::Debug for FramePin<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let name = match self.mode {
+            AccessMode::Shared => "PinnedFrame",
+            AccessMode::Exclusive => "PinnedFrameMut",
+        };
+        f.debug_struct(name)
+            .field("block", &self.block)
+            .field("len", &self.len)
+            .finish_non_exhaustive()
+    }
+}
+
+impl Drop for FramePin<'_> {
+    fn drop(&mut self) {
+        self.pool.unpin(self.shard, self.frame, self.mode);
+        #[cfg(debug_assertions)]
+        reentry::release(self.pool.id(), self.block.0, self.owner);
+    }
+}
+
+/// RAII shared pin on a block: dereferences to the page's `&[f64]`.
+/// Dropping the guard unpins.
+pub struct PinnedFrame<'p>(FramePin<'p>);
 
 impl PinnedFrame<'_> {
     /// The pinned block's id.
     pub fn block(&self) -> BlockId {
-        self.block
+        self.0.block
     }
 
     /// The page as `f64` elements (same as dereferencing the guard).
@@ -1818,21 +1751,18 @@ impl PinnedFrame<'_> {
     pub fn as_bytes(&self) -> &[u8] {
         // SAFETY: the shared pin keeps the frame stable; every byte of the
         // f64 buffer is initialized.
-        unsafe { std::slice::from_raw_parts(self.ptr.cast::<u8>(), self.len * 8) }
+        unsafe { std::slice::from_raw_parts(self.0.ptr.cast::<u8>(), self.0.len * 8) }
     }
 
     /// Current pin count (for tests and invariant checks).
     pub fn pins(&self) -> u32 {
-        self.pool.pin_count(self.shard, self.frame)
+        self.0.pins()
     }
 }
 
 impl std::fmt::Debug for PinnedFrame<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PinnedFrame")
-            .field("block", &self.block)
-            .field("len", &self.len)
-            .finish_non_exhaustive()
+        self.0.fmt(f)
     }
 }
 
@@ -1840,41 +1770,18 @@ impl Deref for PinnedFrame<'_> {
     type Target = [f64];
 
     fn deref(&self) -> &[f64] {
-        // SAFETY: readers > 0 prevents eviction and exclusive access.
-        unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
-    }
-}
-
-impl Drop for PinnedFrame<'_> {
-    fn drop(&mut self) {
-        self.pool.unpin(self.shard, self.frame, AccessMode::Shared);
-        #[cfg(debug_assertions)]
-        reentry::release(self.pool.id(), self.block.0, self.owner);
+        self.0.data()
     }
 }
 
 /// RAII exclusive pin on a block: dereferences to the page's `&mut [f64]`.
 /// The frame is dirty for the guard's lifetime; dropping unpins.
-pub struct PinnedFrameMut<'p> {
-    pool: &'p PoolCore,
-    shard: usize,
-    frame: FrameId,
-    block: BlockId,
-    ptr: *mut f64,
-    len: usize,
-    /// Thread that took the pin; see [`PinnedFrame`]'s `owner`.
-    #[cfg(debug_assertions)]
-    owner: std::thread::ThreadId,
-}
-
-// SAFETY: exclusive access through `ptr` is guaranteed by the writer flag;
-// pin bookkeeping goes through the pool's shard mutex.
-unsafe impl Send for PinnedFrameMut<'_> {}
+pub struct PinnedFrameMut<'p>(FramePin<'p>);
 
 impl PinnedFrameMut<'_> {
     /// The pinned block's id.
     pub fn block(&self) -> BlockId {
-        self.block
+        self.0.block
     }
 
     /// The page as mutable `f64` elements.
@@ -1886,21 +1793,18 @@ impl PinnedFrameMut<'_> {
     pub fn as_bytes_mut(&mut self) -> &mut [u8] {
         // SAFETY: the exclusive pin gives sole access; all bit patterns are
         // valid for both u8 and f64.
-        unsafe { std::slice::from_raw_parts_mut(self.ptr.cast::<u8>(), self.len * 8) }
+        unsafe { std::slice::from_raw_parts_mut(self.0.ptr.cast::<u8>(), self.0.len * 8) }
     }
 
     /// Current pin count (for tests and invariant checks).
     pub fn pins(&self) -> u32 {
-        self.pool.pin_count(self.shard, self.frame)
+        self.0.pins()
     }
 }
 
 impl std::fmt::Debug for PinnedFrameMut<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PinnedFrameMut")
-            .field("block", &self.block)
-            .field("len", &self.len)
-            .finish_non_exhaustive()
+        self.0.fmt(f)
     }
 }
 
@@ -1908,24 +1812,14 @@ impl Deref for PinnedFrameMut<'_> {
     type Target = [f64];
 
     fn deref(&self) -> &[f64] {
-        // SAFETY: the writer flag excludes all other access.
-        unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
+        self.0.data()
     }
 }
 
 impl DerefMut for PinnedFrameMut<'_> {
     fn deref_mut(&mut self) -> &mut [f64] {
-        // SAFETY: the writer flag excludes all other access.
-        unsafe { std::slice::from_raw_parts_mut(self.ptr, self.len) }
-    }
-}
-
-impl Drop for PinnedFrameMut<'_> {
-    fn drop(&mut self) {
-        self.pool
-            .unpin(self.shard, self.frame, AccessMode::Exclusive);
-        #[cfg(debug_assertions)]
-        reentry::release(self.pool.id(), self.block.0, self.owner);
+        // SAFETY: the exclusive pin excludes all other access.
+        unsafe { std::slice::from_raw_parts_mut(self.0.ptr, self.0.len) }
     }
 }
 
@@ -2211,6 +2105,105 @@ mod tests {
         }
     }
 
+    /// Every frame transition in one scripted single-threaded run, pinned
+    /// event by event: `pin_new`, a flush, a clean and a dirty eviction, a
+    /// failed eviction write-back, a prefetch that is hit and one that is
+    /// wasted. Waiting out each hint keeps the background loads in order.
+    #[test]
+    fn scripted_transitions_trace_exactly() {
+        let dev = FailpointDevice::new(Box::new(MemBlockDevice::new(64)));
+        let fp = dev.handle();
+        let tracer = Arc::new(Tracer::new());
+        tracer.enable();
+        let config = PoolConfig {
+            frames: 2,
+            prefetch_depth: 1,
+            ..PoolConfig::default()
+        };
+        let p = BufferPool::with_tracer(Box::new(dev), config, 1, Arc::clone(&tracer));
+        let b = p.allocate_blocks(4).unwrap();
+        assert_eq!(b, BlockId(0));
+        let hint = |block: u64| {
+            p.prefetch([BlockId(block)]);
+            p.wait_prefetch_idle();
+        };
+        p.write_new(BlockId(0), |d| d[0] = 10).unwrap();
+        p.write_new(BlockId(1), |d| d[0] = 11).unwrap();
+        p.flush_block(BlockId(0)).unwrap();
+        p.write_new(BlockId(2), |d| d[0] = 12).unwrap(); // evicts clean 0
+        fp.fail_writes(BlockId(1), 1);
+        p.write_new(BlockId(3), |d| d[0] = 13).unwrap(); // 1 fails, evicts 2
+        hint(0); // evicts dirty 1
+        assert_eq!(p.read(BlockId(0), |d| d[0]).unwrap(), 10);
+        hint(1); // evicts dirty 3
+        assert_eq!(p.read(BlockId(2), |d| d[0]).unwrap(), 12); // evicts 0
+        assert_eq!(p.read(BlockId(3), |d| d[0]).unwrap(), 13); // evicts 1 unused
+
+        let trace = tracer.drain();
+        let dirty: Vec<bool> = trace
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::PoolEvict { dirty, .. } => Some(dirty),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(dirty, [false, true, true, true, false, false]);
+        let events: Vec<(&str, u64)> = trace
+            .iter()
+            .map(|e| match e.kind {
+                EventKind::PoolMiss { block }
+                | EventKind::PoolEvict { block, .. }
+                | EventKind::PoolWriteBack { block }
+                | EventKind::PrefetchIssued { block }
+                | EventKind::PrefetchHit { block }
+                | EventKind::PrefetchWasted { block }
+                | EventKind::WritebackRetry { block } => (e.kind.label(), block),
+                ref other => panic!("unexpected event {other:?}"),
+            })
+            .collect();
+        assert_eq!(
+            events,
+            [
+                ("pool_miss", 0),
+                ("pool_miss", 1),
+                ("pool_writeback", 0),
+                ("pool_evict", 0),
+                ("pool_miss", 2),
+                ("writeback_retry", 1),
+                ("pool_writeback", 2),
+                ("pool_evict", 2),
+                ("pool_miss", 3),
+                ("pool_writeback", 1),
+                ("pool_evict", 1),
+                ("prefetch_issued", 0),
+                ("prefetch_hit", 0),
+                ("pool_writeback", 3),
+                ("pool_evict", 3),
+                ("prefetch_issued", 1),
+                ("pool_evict", 0),
+                ("pool_miss", 2),
+                ("prefetch_wasted", 1),
+                ("pool_evict", 1),
+                ("pool_miss", 3),
+            ]
+        );
+        assert_eq!(
+            p.pool_stats(),
+            PoolStats {
+                hits: 1,
+                misses: 6,
+                evict_writebacks: 3,
+                writeback_retries: 1,
+                coalesced_loads: 0,
+                prefetch_issued: 2,
+                prefetch_hits: 1,
+                prefetch_wasted: 1,
+            }
+        );
+        let io = p.io_stats().snapshot();
+        assert_eq!((io.reads, io.writes), (4, 4));
+    }
+
     #[test]
     fn prefetched_frames_rank_by_publish_time() {
         let p = prefetch_pool(3, 1);
@@ -2221,7 +2214,7 @@ mod tests {
         p.flush_all().unwrap();
         p.clear_cache().unwrap();
         p.read(b, |_| ()).unwrap();
-        p.prefetch(&[b.offset(1)]);
+        p.prefetch([b.offset(1)]);
         p.wait_prefetch_idle();
         p.read(b.offset(2), |_| ()).unwrap();
         // Block 0 is older than the never-pinned prefetch of block 1...
@@ -2595,7 +2588,7 @@ mod tests {
         let s0 = p.pool_stats();
 
         let blocks: Vec<BlockId> = (0..4).map(|i| b.offset(i)).collect();
-        p.prefetch(&blocks);
+        p.prefetch(blocks.iter().copied());
         p.wait_prefetch_idle();
         // All four loaded by the workers, none by a pin.
         assert_eq!((p.io_stats().snapshot() - io0).reads, 4);
@@ -2636,8 +2629,8 @@ mod tests {
         let io0 = p.io_stats().snapshot();
 
         // Resident block: skipped. Absent block prefetched twice: one read.
-        p.prefetch(&[b, b1, b1]);
-        p.prefetch(&[b1]);
+        p.prefetch([b, b1, b1]);
+        p.prefetch([b1]);
         p.wait_prefetch_idle();
         let s = p.pool_stats();
         assert_eq!((p.io_stats().snapshot() - io0).reads, 1);
@@ -2651,7 +2644,7 @@ mod tests {
         p.write_new(b, |_| ()).unwrap();
         p.flush_all().unwrap();
         p.clear_cache().unwrap();
-        p.prefetch(&[b, b.offset(1)]);
+        p.prefetch([b, b.offset(1)]);
         p.wait_prefetch_idle();
         assert_eq!(p.resident(), 0);
         assert_eq!(p.io_stats().snapshot().reads, 0);
@@ -2668,7 +2661,7 @@ mod tests {
         p.flush_all().unwrap();
         p.clear_cache().unwrap();
 
-        p.prefetch(&[b, b.offset(1)]);
+        p.prefetch([b, b.offset(1)]);
         p.wait_prefetch_idle();
         assert_eq!(p.pool_stats().prefetch_issued, 2);
         // Pin two other blocks: both prefetched frames are evicted unused.
@@ -2679,7 +2672,7 @@ mod tests {
         assert_eq!(s.prefetch_hits, 0);
         // And clear_cache on a fresh prefetch counts waste too.
         p.clear_cache().unwrap();
-        p.prefetch(&[b]);
+        p.prefetch([b]);
         p.wait_prefetch_idle();
         p.clear_cache().unwrap();
         assert_eq!(p.pool_stats().prefetch_wasted, 3);
@@ -2698,7 +2691,7 @@ mod tests {
         // hang the worker (wait_prefetch_idle would deadlock then).
         let _g1 = p.pin(b).unwrap();
         let _g2 = p.pin(b.offset(1)).unwrap();
-        p.prefetch(&[b.offset(2)]);
+        p.prefetch([b.offset(2)]);
         p.wait_prefetch_idle();
         assert_eq!(p.pool_stats().prefetch_issued, 0);
         // The dropped hint costs nothing: the pin performs the read.
@@ -2728,7 +2721,7 @@ mod tests {
         // pin mid-flight: the pin must wait on the existing load, not
         // issue a second read.
         fp.set_read_latency(std::time::Duration::from_millis(80));
-        p.prefetch(&[b]);
+        p.prefetch([b]);
         while p.resident() == 0 {
             std::thread::yield_now();
         }
@@ -2765,7 +2758,7 @@ mod tests {
         let io0 = p.io_stats().snapshot();
 
         fp.fail_reads(b, 1);
-        p.prefetch(&[b]);
+        p.prefetch([b]);
         p.wait_prefetch_idle();
         // The failed load released its claim: nothing resident, nothing
         // counted on the device, nothing poisoned.
@@ -2938,7 +2931,7 @@ mod tests {
         let blocks: Vec<BlockId> = (0..6).map(|i| BlockId(first.0 + i)).collect();
         // The single worker wedges on the first block; the rest queue.
         fp.set_read_latency(Duration::from_millis(300));
-        p.prefetch(&blocks);
+        p.prefetch(blocks.iter().copied());
         await_in_flight(&p);
         let dropped = p.discard_prefetch_queue();
         assert!(dropped > 0, "queue should still hold undispatched blocks");

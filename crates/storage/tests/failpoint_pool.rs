@@ -246,7 +246,7 @@ fn failed_prefetch_releases_slot_and_next_pin_retries() {
     let io0 = pool.io_stats().snapshot();
 
     fp.fail_reads(b, 1);
-    pool.prefetch(&[b]);
+    pool.prefetch([b]);
     pool.wait_prefetch_idle();
 
     // Slot released: nothing resident, nothing counted on the device (the
@@ -285,7 +285,7 @@ fn torn_prefetch_read_is_not_published() {
     pool.clear_cache().unwrap();
 
     fp.cap_read_transfer(Some(8));
-    pool.prefetch(&[b]);
+    pool.prefetch([b]);
     pool.wait_prefetch_idle();
     assert_eq!(pool.resident(), 0, "torn frame not published");
 
@@ -314,7 +314,7 @@ fn mixed_prefetch_failures_contain_to_their_block() {
     let io0 = pool.io_stats().snapshot();
 
     fp.fail_reads(b.offset(1), 1);
-    pool.prefetch(&[b, b.offset(1), b.offset(2)]);
+    pool.prefetch([b, b.offset(1), b.offset(2)]);
     pool.wait_prefetch_idle();
     assert_eq!(pool.resident(), 2, "the two healthy prefetches landed");
 

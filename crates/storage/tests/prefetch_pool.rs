@@ -51,7 +51,7 @@ fn windowed_scan(pool: &BufferPool, start: BlockId, blocks: u64, window: u64) ->
             let ahead: Vec<BlockId> = (i + 1..(i + 1 + window).min(blocks))
                 .map(|j| start.offset(j))
                 .collect();
-            pool.prefetch(&ahead);
+            pool.prefetch(ahead.iter().copied());
         }
         pool.read(start.offset(i), |_| ()).unwrap();
     }
@@ -115,7 +115,7 @@ fn prefetch_accounting_is_exhaustive() {
 
     // Prefetch 4 (fills the pool), pin 2 of them, then churn through the
     // other 4 blocks to evict the unpinned prefetches.
-    pool.prefetch(&[b, b.offset(1), b.offset(2), b.offset(3)]);
+    pool.prefetch([b, b.offset(1), b.offset(2), b.offset(3)]);
     pool.wait_prefetch_idle();
     assert_eq!(pool.pool_stats().prefetch_issued, 4);
     pool.read(b, |_| ()).unwrap();
@@ -151,7 +151,7 @@ fn concurrent_pins_of_one_inflight_prefetch_coalesce() {
     let io0 = pool.io_stats().snapshot();
 
     fp.set_read_latency(Duration::from_millis(80));
-    pool.prefetch(&[b]);
+    pool.prefetch([b]);
     // Wait until the claim is visible (the block maps while LoadInFlight).
     while pool.resident() == 0 {
         std::thread::yield_now();
@@ -204,7 +204,7 @@ fn prefetched_window_beats_serial_wall_clock() {
     fp.set_read_latency(latency);
     let t0 = Instant::now();
     let window: Vec<BlockId> = (0..K).map(|i| start.offset(i)).collect();
-    pool.prefetch(&window);
+    pool.prefetch(window.iter().copied());
     for i in 0..K {
         assert_eq!(pool.read(start.offset(i), |d| d[0]).unwrap(), i as u8);
     }
@@ -247,7 +247,7 @@ fn prefetch_and_demand_pins_interleave_safely() {
                     let i = (t * 7 + round) % 32;
                     let window: Vec<BlockId> =
                         (i..(i + 3).min(32)).map(|j| start.offset(j)).collect();
-                    pool.prefetch(&window);
+                    pool.prefetch(window.iter().copied());
                     assert_eq!(pool.read(start.offset(i), |d| d[0]).unwrap(), i as u8);
                 }
             });

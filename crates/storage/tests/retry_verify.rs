@@ -16,8 +16,8 @@
 //! interleaving: with 64-byte blocks, 8 checksum slots per group.
 
 use riot_storage::{
-    BlockId, BufferPool, FailpointDevice, MemBlockDevice, PoolConfig, RetryDevice, RetryPolicy,
-    RetryStats, StorageError, VerifyingDevice,
+    BlockDevice, BlockId, BufferPool, FailpointDevice, IoStats, MemBlockDevice, PoolConfig,
+    RetryDevice, RetryPolicy, RetryStats, StorageError, VerifyingDevice,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -44,10 +44,15 @@ struct Stack {
     pool: BufferPool,
     fp: riot_storage::FailpointHandle,
     retry: Arc<RetryStats>,
+    /// Physical traffic at the bottom of the stack: every transfer the
+    /// verifier later rejects is counted here, not in `pool.io_stats()`.
+    raw: Arc<IoStats>,
 }
 
 fn stack(frames: usize) -> Stack {
-    let failpoint = FailpointDevice::new(Box::new(MemBlockDevice::new(BS)));
+    let mem = MemBlockDevice::new(BS);
+    let raw = mem.stats();
+    let failpoint = FailpointDevice::new(Box::new(mem));
     let fp = failpoint.handle();
     let retry_dev = RetryDevice::new(VerifyingDevice::new(failpoint), policy());
     let retry = retry_dev.retry_stats();
@@ -58,7 +63,12 @@ fn stack(frames: usize) -> Stack {
             ..PoolConfig::default()
         },
     );
-    Stack { pool, fp, retry }
+    Stack {
+        pool,
+        fp,
+        retry,
+        raw,
+    }
 }
 
 fn bare(frames: usize) -> BufferPool {
@@ -173,8 +183,11 @@ fn single_bit_flip_is_contained_by_the_demand_pin_retry() {
     // One poisoned read: the pool's demand-miss path retries once on a
     // typed corruption error, and the second read is clean.
     s.fp.corrupt_reads(phys(b.0), 1);
+    let before = s.raw.snapshot();
     assert_eq!(s.pool.read(b, |d| d[0]).unwrap(), 42);
     assert_eq!(s.fp.injected_corruptions(), 1);
+    let delta = s.raw.snapshot() - before;
+    assert_eq!(delta.reads, 2, "a corrupt demand load reads twice");
 }
 
 #[test]
@@ -201,7 +214,9 @@ fn persistent_corruption_surfaces_as_a_typed_error_with_the_logical_id() {
 
 #[test]
 fn corruption_on_prefetch_releases_the_slot_and_demand_pin_recovers() {
-    let failpoint = FailpointDevice::new(Box::new(MemBlockDevice::new(BS)));
+    let mem = MemBlockDevice::new(BS);
+    let raw = mem.stats();
+    let failpoint = FailpointDevice::new(Box::new(mem));
     let fp = failpoint.handle();
     let retry_dev = RetryDevice::new(VerifyingDevice::new(failpoint), policy());
     let pool = BufferPool::new_sharded(
@@ -224,10 +239,15 @@ fn corruption_on_prefetch_releases_the_slot_and_demand_pin_recovers() {
     // load hits the corruption, drops the slot, and the later demand pin
     // reads a clean copy.
     fp.corrupt_reads(phys(b.0 + 1), 1);
-    pool.prefetch(&[b.offset(1)]);
+    let before = raw.snapshot();
+    pool.prefetch([b.offset(1)]);
     pool.wait_prefetch_idle();
+    let delta = raw.snapshot() - before;
+    assert_eq!(delta.reads, 1, "a corrupt background load reads once");
     assert_eq!(pool.read(b.offset(1), |d| d[0]).unwrap(), 11);
     assert_eq!(fp.injected_corruptions(), 1);
+    let delta = raw.snapshot() - before;
+    assert_eq!(delta.reads, 2, "then the demand pin reads a clean copy");
 }
 
 #[test]
