@@ -9,7 +9,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::expr::{AggOp, ExprError, Node, NodeId, SourceRef};
+use crate::expr::{ExprError, Node, NodeId, SourceRef};
 use crate::graph::ExprGraph;
 use crate::shape::Shape;
 
@@ -344,18 +344,7 @@ fn eval_node(
             }
             Value::matrix(c, r, out)
         }
-        Node::Agg(op, [input]) => {
-            let x = get(input);
-            let n = x.len();
-            let mut acc = op.init();
-            for i in 0..n {
-                acc = op.fold(acc, x.at(i));
-            }
-            if *op == AggOp::Mean && n > 0 {
-                acc /= n as f64;
-            }
-            Value::Scalar(acc)
-        }
+        Node::Agg(op, [input]) => Value::Scalar(op.reduce(&get(input).to_flat())),
         Node::Chol([input]) => {
             let x = get(input);
             let Value::Matrix { rows, data, .. } = x else {
@@ -452,7 +441,7 @@ fn shape_value(shape: Shape, data: Vec<f64>) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::{BinOp, UnOp};
+    use crate::expr::{AggOp, BinOp, UnOp};
 
     #[test]
     fn example_1_reference_semantics() {

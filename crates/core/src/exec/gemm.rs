@@ -5,12 +5,14 @@
 //! [`transpose_into`] — so one register-blocked kernel serves them all.
 //!
 //! **One body, one instantiation per instruction set.** [`body`] is safe,
-//! generic over its `MR x NR` register block, and written once;
-//! [`dispatch`] compiles it at the width each ISA's registers hold and
-//! picks the widest the CPU supports, once per process. Both operands are
-//! packed k-major (`A` in `MR`-row slices, `B` in `NR`-column panels), so
-//! the inner loop streams contiguous memory whatever the row strides of
-//! the panels it was handed.
+//! generic over its `MR x NR` register block, and written once; [`Gemm`]
+//! sizes the block to two vector registers per row at the width of the
+//! instruction set it is compiled for, and the crate's shared run-time
+//! detection (`crate::isa`, which the tape's chunk kernels use too) runs
+//! the widest copy the CPU supports, chosen once per process. Both
+//! operands are packed k-major (`A` in `MR`-row slices, `B` in `NR`-column
+//! panels), so the inner loop streams contiguous memory whatever the row
+//! strides of the panels it was handed.
 //!
 //! **Summation-order contract.** Every `c[i,j]` receives its products in
 //! ascending `k`, one rounded multiply and one rounded add each (no FMA
@@ -20,7 +22,7 @@
 //! values alone — not on the register block, and so not on the
 //! instruction set or the machine.
 
-use std::sync::OnceLock;
+use crate::isa::{self, Isa, Kernel};
 
 /// Depth of one packed slice: `KC x MR` of `A` on the stack (at most
 /// 4 KiB), `KC x NR` of `B` per panel (at most 16 KiB, L1-resident).
@@ -64,14 +66,30 @@ pub(super) fn gemm_acc(c: &mut [f64], a: &[f64], b: &[f64], dims: Dims, alpha: f
 /// update a sub-block of a larger row-major buffer in place: only the
 /// `pi x pj` cells of `C` are written.
 pub(super) fn gemm_acc_ld(c: PanelMut, a: Panel, b: Panel, dims: Dims, alpha: f64) -> u64 {
-    static WIDEST: OnceLock<dispatch::Kernel> = OnceLock::new();
-    let widest = || dispatch::supported().last().expect("baseline is listed").1;
-    WIDEST.get_or_init(widest).run(c, a, b, dims, alpha);
+    isa::run(Gemm(c, a, b, dims, alpha));
     (dims.0 * dims.1 * dims.2) as u64
 }
 
-/// The kernel. `#[inline(always)]` so each [`dispatch`] wrapper compiles
-/// its own copy under its own target features.
+/// One product, `C += alpha · A · B`, as a [`Kernel`]: `MR x NR` is four
+/// rows of two vector registers at the instruction set's width.
+struct Gemm<'a>(PanelMut<'a>, Panel<'a>, Panel<'a>, Dims, f64);
+
+impl Kernel for Gemm<'_> {
+    type Out = ();
+
+    #[inline(always)]
+    fn run(self, isa: Isa) {
+        let Gemm(c, a, b, dims, alpha) = self;
+        match isa.f64_lanes() {
+            2 => body::<4, 4>(c, a, b, dims, alpha),
+            4 => body::<4, 8>(c, a, b, dims, alpha),
+            _ => body::<4, 16>(c, a, b, dims, alpha),
+        }
+    }
+}
+
+/// The kernel. `#[inline(always)]` so each instruction set's copy of
+/// [`Gemm`] compiles its own under its own target features.
 #[inline(always)]
 fn body<const MR: usize, const NR: usize>(
     (c, ldc): PanelMut,
@@ -156,59 +174,6 @@ fn micro<const MR: usize, const NR: usize>(
     }
 }
 
-/// Run-time instruction-set selection: the crate's only unsafe code.
-#[allow(unsafe_code)]
-mod dispatch {
-    use super::{body, Dims, Panel, PanelMut};
-
-    type Entry = unsafe fn(PanelMut, Panel, Panel, Dims, f64);
-
-    /// One instantiation of [`body`] that this CPU can run: only
-    /// [`supported`] constructs one.
-    #[derive(Clone, Copy)]
-    pub(super) struct Kernel(Entry);
-
-    impl Kernel {
-        pub(super) fn run(self, c: PanelMut, a: Panel, b: Panel, dims: Dims, alpha: f64) {
-            // SAFETY: the entry is safe code compiled for one target feature,
-            // and `supported` lists it only after detecting that feature
-            // (`avx2`, `avx512f`) on the running CPU; the baseline enables
-            // none.
-            unsafe { (self.0)(c, a, b, dims, alpha) }
-        }
-    }
-
-    /// Four 256-bit rows of accumulators, two registers each.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    fn avx2(c: PanelMut, a: Panel, b: Panel, dims: Dims, alpha: f64) {
-        body::<4, 8>(c, a, b, dims, alpha)
-    }
-
-    /// Four 512-bit rows of accumulators, two registers each.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx512f")]
-    fn avx512(c: PanelMut, a: Panel, b: Panel, dims: Dims, alpha: f64) {
-        body::<4, 16>(c, a, b, dims, alpha)
-    }
-
-    /// Every instantiation the running CPU supports by name, narrowest
-    /// first.
-    pub(super) fn supported() -> Vec<(&'static str, Kernel)> {
-        let mut list = vec![("baseline 4x4", Kernel(body::<4, 4>))];
-        #[cfg(target_arch = "x86_64")]
-        {
-            if is_x86_feature_detected!("avx2") {
-                list.push(("avx2 4x8", Kernel(avx2)));
-            }
-            if is_x86_feature_detected!("avx512f") {
-                list.push(("avx512f 4x16", Kernel(avx512)));
-            }
-        }
-        list
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -267,14 +232,15 @@ mod tests {
                 for _ in 0..2 {
                     reference((&mut want, pj), (&a, pk), (&b, pj), dims, alpha);
                 }
-                for (name, kernel) in dispatch::supported() {
+                for isa in isa::supported() {
                     let mut got = vals(pi * pj, 3);
                     for _ in 0..2 {
-                        kernel.run((&mut got, pj), (&a, pk), (&b, pj), dims, alpha);
+                        isa.run(Gemm((&mut got, pj), (&a, pk), (&b, pj), dims, alpha));
                     }
                     assert!(
                         bits(&got) == bits(&want),
-                        "{name}: {pi}x{pk} * {pk}x{pj}, alpha {alpha}"
+                        "{}: {pi}x{pk} * {pk}x{pj}, alpha {alpha}",
+                        isa.name()
                     );
                 }
                 let mut got = vals(pi * pj, 3);
@@ -311,15 +277,16 @@ mod tests {
                 dims,
                 -1.0,
             );
-            for (name, kernel) in dispatch::supported() {
+            for isa in isa::supported() {
+                let name = isa.name();
                 let mut got = c0.clone();
-                kernel.run(
+                isa.run(Gemm(
                     (&mut got[ldc + 1..], ldc),
                     (&a[1..], lda),
                     (&b[2..], ldb),
                     dims,
                     -1.0,
-                );
+                ));
                 for (at, (&g, &w)) in got.iter().zip(&want).enumerate() {
                     assert!(same(g, w), "{name}: {dims:?} cell {at}: {g} vs {w}");
                     let (i, j) = (at / ldc, at % ldc);
@@ -341,11 +308,12 @@ mod tests {
     fn gemm_rates() {
         for n in [256usize, 416] {
             let (a, b, mut c) = (vals(n * n, 1), vals(n * n, 2), vec![0.0; n * n]);
-            for (name, kernel) in dispatch::supported() {
+            for isa in isa::supported() {
+                let name = format!("{} 4x{}", isa.name(), 2 * isa.f64_lanes());
                 let best = (0..7)
                     .map(|_| {
                         let t = std::time::Instant::now();
-                        kernel.run((&mut c, n), (&a, n), (&b, n), (n, n, n), 1.0);
+                        isa.run(Gemm((&mut c, n), (&a, n), (&b, n), (n, n, n), 1.0));
                         t.elapsed().as_secs_f64()
                     })
                     .fold(f64::INFINITY, f64::min);

@@ -21,8 +21,8 @@ pub use matmul::{
     read_rect, write_rect, MatMulKernel, Operand,
 };
 pub use pipeline::{
-    drain_partitioned, drain_to_vec, fold_partitioned, governed, materialize, Arg, GatherPipe,
-    GovernedPipe, Pipe, Scan, Source, Tape, TapeBuilder,
+    drain_partitioned, drain_to_vec, governed, materialize, Arg, GatherPipe, GovernedPipe, Pipe,
+    Scan, Source, Tape, TapeBuilder,
 };
 pub use sparse::{dmspm, dmv, spmdm, spmm, spmm_fill, spmm_plan, spmv, sptranspose, SpmmPlan};
 
@@ -44,6 +44,9 @@ pub enum ExecError {
     NotPositiveDefinite { tile: usize, pivot: usize },
     /// Feature intentionally outside the reproduction's scope.
     Unsupported(String),
+    /// The Plain R heap could not allocate a vector (R's "cannot allocate
+    /// vector").
+    OutOfMemory(riot_vm::OutOfMemory),
     /// The query's cancel token fired; `at` names the governance
     /// checkpoint that observed it (see `riot_storage::QueryGovernor`).
     Cancelled {
@@ -88,6 +91,7 @@ impl std::fmt::Display for ExecError {
                 pivot + 1
             ),
             ExecError::Unsupported(what) => write!(f, "unsupported: {what}"),
+            ExecError::OutOfMemory(e) => write!(f, "heap: {e}"),
             ExecError::Cancelled { at } => write!(f, "query cancelled at checkpoint '{at}'"),
             ExecError::BudgetExceeded {
                 resource,
@@ -108,9 +112,16 @@ impl std::error::Error for ExecError {
             ExecError::Expr(e) => Some(e),
             ExecError::NotPositiveDefinite { .. } => None,
             ExecError::Unsupported(_) => None,
+            ExecError::OutOfMemory(e) => Some(e),
             ExecError::Cancelled { .. } => None,
             ExecError::BudgetExceeded { .. } => None,
         }
+    }
+}
+
+impl From<riot_vm::OutOfMemory> for ExecError {
+    fn from(e: riot_vm::OutOfMemory) -> Self {
+        ExecError::OutOfMemory(e)
     }
 }
 

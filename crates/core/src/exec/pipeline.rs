@@ -12,16 +12,18 @@
 //! DAG node. Per chunk, every leaf ([`Scan`], [`GatherPipe`]) is pulled
 //! once into its register, and every elementwise operator runs once as a
 //! slice kernel ([`UnOp::apply_slice`], [`BinOp::apply_slice`],
-//! [`select_slice`]) — so a subexpression referenced k times is computed
-//! once, a source is pinned once, a scalar operand never becomes a buffer,
-//! and operator dispatch happens per chunk, not per element.
+//! [`select_slice`], each compiled per instruction set and run at the
+//! widest the CPU has) — so a subexpression referenced k times is
+//! computed once, a source is pinned once, a scalar operand never becomes
+//! a buffer, and operator dispatch happens per chunk, not per element.
 //!
 //! A tape ends in a root register it streams out, or in **k fold sinks**
 //! ([`TapeBuilder::fold`]): k aggregates over one pass, each a fold
 //! instruction reading whatever register holds its input, into its own
-//! accumulator ([`Pipe::folds`]). The sinks share every register below
-//! them, so a batch of aggregates over one scan computes a shared
-//! subexpression once per chunk and reads each source once.
+//! [`Fold`] ([`Pipe::folds`]) — lane state in the one fold shape every
+//! engine shares, positioned by the stream index. The sinks share every
+//! register below them, so a batch of aggregates over one scan computes a
+//! shared subexpression once per chunk and reads each source once.
 //!
 //! [`GatherPipe`] is the executor's index-nested-loop join: it pulls index
 //! chunks and probes the data side element by element, which after the
@@ -44,7 +46,7 @@ use std::sync::{Arc, Mutex};
 use riot_array::{DenseVector, StorageCtx, VectorWriter};
 
 use super::{run_parallel, ExecError, ExecResult};
-use crate::expr::{select_slice, AggOp, BinOp, ExprError, Src, UnOp};
+use crate::expr::{select_slice, AggOp, BinOp, ExprError, Fold, Src, UnOp};
 
 /// Default chunk size in elements: one block's worth of `f64`s.
 pub const DEFAULT_CHUNK: usize = 1024;
@@ -81,12 +83,11 @@ pub trait Pipe: Send {
         0
     }
 
-    /// The accumulators of this pipe's fold sinks, in sink order (none
-    /// for a pipe that only streams). They hold the fold of everything
-    /// drained so far; the caller reads them when a span is drained and
-    /// resets the ones that start over with the next span.
-    fn folds(&mut self) -> &mut [f64] {
-        &mut []
+    /// This pipe's fold sinks, in sink order (none for a pipe that only
+    /// streams). They hold the fold of everything drained since the last
+    /// [`Pipe::restrict`], which restarts each at the span's first element.
+    fn folds(&self) -> &[Fold] {
+        &[]
     }
 }
 
@@ -122,7 +123,7 @@ impl Pipe for GovernedPipe {
         self.ops_per_elem
     }
 
-    fn folds(&mut self) -> &mut [f64] {
+    fn folds(&self) -> &[Fold] {
         self.inner.folds()
     }
 }
@@ -284,8 +285,8 @@ enum Instr {
     Zip(BinOp, [Arg; 2]),
     /// `cond != 0 ? yes : no` over a register and `[yes, no]`.
     IfElse(usize, [Arg; 2]),
-    /// Fold the operand into this sink's accumulator; fills no register.
-    Fold(AggOp, Arg, usize),
+    /// Fold the operand into this sink; fills no register.
+    Fold(Arg, usize),
 }
 
 impl Instr {
@@ -295,7 +296,7 @@ impl Instr {
             Instr::Pull(_) => &mut [],
             Instr::Map(_, reg) => return f(reg),
             Instr::Zip(_, args) => args,
-            Instr::Fold(_, arg, _) => std::slice::from_mut(arg),
+            Instr::Fold(arg, _) => std::slice::from_mut(arg),
             Instr::IfElse(cond, args) => {
                 f(cond);
                 args
@@ -318,7 +319,7 @@ impl Instr {
 pub struct TapeBuilder {
     steps: Vec<Instr>,
     leaves: Vec<Box<dyn Pipe>>,
-    folds: Vec<f64>,
+    folds: Vec<Fold>,
     len: usize,
     chunk: usize,
     ops: Arc<AtomicU64>,
@@ -381,13 +382,18 @@ impl TapeBuilder {
         }
     }
 
-    /// One more fold sink: `op` over every element of `a`, into an
-    /// accumulator of its own ([`Pipe::folds`], in the order of these
-    /// calls). The instruction sits where it is emitted, so the register
+    /// One more fold sink: `op` over every element of `a`, into a
+    /// [`Fold`] of its own ([`Pipe::folds`], in the order of these calls).
+    /// Element `i` of the stream folds into lane `i % FOLD_LANES` whatever
+    /// the chunk, and a restricted tape's sinks start at the span's first
+    /// element, so a partition folded alone has the bits the whole stream
+    /// gives it. The instruction sits where it is emitted, so the register
     /// it reads is free again right after it.
+    ///
+    /// [`FOLD_LANES`]: crate::expr::FOLD_LANES
     pub fn fold(&mut self, op: AggOp, a: Arg) {
-        self.steps.push(Instr::Fold(op, a, self.folds.len()));
-        self.folds.push(op.init());
+        self.steps.push(Instr::Fold(a, self.folds.len()));
+        self.folds.push(Fold::new(op, 0));
     }
 
     /// The tape streaming `root` — or, with `None`, the tape of a batch
@@ -450,8 +456,8 @@ pub struct Tape {
     steps: Vec<(Instr, usize)>,
     leaves: Vec<Box<dyn Pipe>>,
     regs: Vec<Vec<f64>>,
-    /// One accumulator per fold sink.
-    folds: Vec<f64>,
+    /// One fold per sink.
+    folds: Vec<Fold>,
     /// The register streamed out; `None` for a tape that only folds.
     root: Option<Arg>,
     remaining: usize,
@@ -490,8 +496,8 @@ impl Pipe for Tape {
                     Arg::Const(c) => Src::Scalar(c),
                 }
             }
-            if let Instr::Fold(op, arg, sink) = *instr {
-                self.folds[sink] = op.fold_slice(self.folds[sink], src(regs, arg), n);
+            if let Instr::Fold(arg, sink) = *instr {
+                self.folds[sink].push(src(regs, arg), n);
                 continue;
             }
             // Out of the file while it is written, so the kernel can read
@@ -535,6 +541,7 @@ impl Pipe for Tape {
         self.leaves
             .iter_mut()
             .for_each(|leaf| leaf.restrict(start, len));
+        self.folds.iter_mut().for_each(|fold| fold.restart(start));
         self.remaining = len;
     }
 
@@ -543,8 +550,8 @@ impl Pipe for Tape {
         self.kernels() + leaf_ops.sum::<u64>()
     }
 
-    fn folds(&mut self) -> &mut [f64] {
-        &mut self.folds
+    fn folds(&self) -> &[Fold] {
+        &self.folds
     }
 }
 
@@ -587,19 +594,6 @@ impl Pipe for GatherPipe {
     }
 }
 
-/// The one drain loop: `pull` chunks until the stream ends, handing each
-/// to `sink`.
-fn for_each_chunk(
-    mut pull: impl FnMut(&mut Vec<f64>) -> ExecResult<usize>,
-    mut sink: impl FnMut(&[f64]) -> ExecResult<()>,
-) -> ExecResult<()> {
-    let mut buf = Vec::new();
-    while pull(&mut buf)? > 0 {
-        sink(&buf)?;
-    }
-    Ok(())
-}
-
 /// Drain a pipe into a freshly stored vector (sequential writes).
 pub fn materialize(
     pipe: Box<dyn Pipe>,
@@ -608,39 +602,33 @@ pub fn materialize(
 ) -> ExecResult<DenseVector> {
     let mut pipe = governed(pipe, ctx, "pipeline.materialize.chunk");
     let mut writer = VectorWriter::new(ctx, pipe.total_len(), name)?;
-    for_each_chunk(
-        |buf| pipe.next_into(buf),
-        |chunk| Ok(writer.push_chunk(chunk)?),
-    )?;
+    let mut buf = Vec::new();
+    while pipe.next_into(&mut buf)? > 0 {
+        writer.push_chunk(&buf)?;
+    }
     Ok(writer.finish()?)
 }
 
 /// Drain a pipe into memory.
 pub fn drain_to_vec(mut pipe: Box<dyn Pipe>) -> ExecResult<Vec<f64>> {
-    let mut out = Vec::with_capacity(pipe.total_len());
-    for_each_chunk(
-        |buf| pipe.next_into(buf),
-        |chunk| {
-            out.extend_from_slice(chunk);
-            Ok(())
-        },
-    )?;
+    let mut out = vec![0.0; pipe.total_len()];
+    drain_into(pipe.as_mut(), &mut out)?;
     Ok(out)
 }
 
-/// Drain one pipe fully into `out` (which must have the pipe's exact
-/// restricted length).
+/// Drain one pipe fully into `out`: the elements it streams (`out` has
+/// its exact restricted length) — or, for a pipe that folds, its sinks'
+/// values ([`Fold::value`]), one per sink.
 fn drain_into(pipe: &mut dyn Pipe, out: &mut [f64]) -> ExecResult<()> {
-    let mut at = 0;
-    for_each_chunk(
-        |buf| pipe.next_into(buf),
-        |chunk| {
-            out[at..at + chunk.len()].copy_from_slice(chunk);
-            at += chunk.len();
-            Ok(())
-        },
-    )?;
-    debug_assert_eq!(at, out.len(), "partition produced a short stream");
+    let (mut buf, mut at) = (Vec::new(), 0);
+    while pipe.next_into(&mut buf)? > 0 {
+        out[at..at + buf.len()].copy_from_slice(&buf);
+        at += buf.len();
+    }
+    for (o, fold) in out[at..].iter_mut().zip(pipe.folds()) {
+        *o = fold.value();
+    }
+    debug_assert_eq!(at + pipe.folds().len(), out.len(), "short partition");
     Ok(())
 }
 
@@ -649,9 +637,12 @@ fn drain_into(pipe: &mut dyn Pipe, out: &mut [f64]) -> ExecResult<()> {
 pub type Partition<'out> = (Box<dyn Pipe>, &'out mut [f64]);
 
 /// Drain restricted pipes covering disjoint spans of one logical stream
-/// into the matching slices of the output, over `threads` workers of the
-/// kernels' shared work queue (`run_parallel`: inline and in order with
-/// one thread; the first failure abandons the remaining parts).
+/// into the matching slices of the output (see `drain_into`: elements, or
+/// a folding pipe's sink values), over `threads` workers of the kernels'
+/// shared work queue (`run_parallel`: inline and in order with one
+/// thread; the first failure abandons the remaining parts). A span's
+/// sinks fold in the shared shape from the span's first element, so the
+/// values are bitwise independent of the worker schedule.
 pub fn drain_partitioned(parts: Vec<Partition<'_>>, threads: usize) -> ExecResult<()> {
     let threads = threads.max(1).min(parts.len());
     let items: Vec<Mutex<Option<Partition<'_>>>> =
@@ -669,47 +660,17 @@ pub fn drain_partitioned(parts: Vec<Partition<'_>>, threads: usize) -> ExecResul
     Ok(())
 }
 
-/// Drain the current span of a pipe into its fold sinks, streaming
-/// nothing. `buf` is the chunk buffer; a caller folding span after span
-/// keeps one, so it stays sized.
-pub(crate) fn drain_folds(pipe: &mut dyn Pipe, buf: &mut Vec<f64>) -> ExecResult<()> {
-    while pipe.next_into(buf)? > 0 {}
-    Ok(())
-}
-
-/// Fold restricted pipes covering disjoint spans of one logical stream,
-/// each sequentially from its sinks' `init()`, over `threads`
-/// `run_parallel` workers; the sinks' partials return **in partition
-/// order**. Every partial is one partition's ordered fold, so the result
-/// is bitwise independent of the worker schedule — the property the fixed
-/// partition-tree aggregation is built on.
-pub fn fold_partitioned(pipes: Vec<Box<dyn Pipe>>, threads: usize) -> ExecResult<Vec<Vec<f64>>> {
-    let threads = threads.max(1).min(pipes.len());
-    let items: Vec<_> = pipes
-        .into_iter()
-        .map(|p| (Mutex::new(Some(p)), Mutex::new(Vec::new())))
-        .collect();
-    run_parallel(
-        threads,
-        &items,
-        || (),
-        |(pipe, partial), _| {
-            let mut pipe = pipe.lock().unwrap().take().expect("parts are visited once");
-            drain_folds(pipe.as_mut(), &mut Vec::new())?;
-            *partial.lock().unwrap() = pipe.folds().to_vec();
-            Ok(0)
-        },
-    )?;
-    let partials = items.into_iter().map(|(_, p)| p.into_inner().unwrap());
-    Ok(partials.collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn ops() -> Arc<AtomicU64> {
         Arc::new(AtomicU64::new(0))
+    }
+
+    /// Drain the current span into the fold sinks.
+    fn drain_folds(pipe: &mut dyn Pipe) {
+        while pipe.next_into(&mut Vec::new()).unwrap() > 0 {}
     }
 
     fn ctx() -> Arc<StorageCtx> {
@@ -919,21 +880,23 @@ mod tests {
         let mut tape = t.finish(None);
         assert_eq!((tape.registers(), tape.ops_per_elem()), (1, 0));
         let mut buf = vec![f64::NAN; 2];
-        drain_folds(&mut tape, &mut buf).unwrap();
-        assert!(buf.is_empty(), "a folding tape streams nothing");
+        while tape.next_into(&mut buf).unwrap() > 0 {
+            assert!(buf.is_empty(), "a folding tape streams nothing");
+        }
+        let values = |tape: &Tape| tape.folds().iter().map(Fold::value).collect::<Vec<_>>();
         // `Mean` accumulates the sum; whoever reads the sink divides.
-        assert_eq!(tape.folds(), [55.0, 55.0, 1.0, 10.0]);
-        // Pointed at another span, the sinks carry on unless reset.
-        tape.folds()[2..].copy_from_slice(&[AggOp::Min.init(), AggOp::Max.init()]);
+        assert_eq!(values(&tape), [55.0, 55.0, 1.0, 10.0]);
+        // Pointed at another span, the sinks start over at its first
+        // element.
         tape.restrict(3, 4);
-        drain_folds(&mut tape, &mut buf).unwrap();
-        assert_eq!(tape.folds(), [77.0, 77.0, 4.0, 7.0]);
+        drain_folds(&mut tape);
+        assert_eq!(values(&tape), [22.0, 22.0, 4.0, 7.0]);
         // A sink over a scalar folds it once per element.
         let mut t = TapeBuilder::new(5, 2, ops());
         t.fold(AggOp::Sum, Arg::Const(1.5));
         let mut tape = t.finish(None);
-        drain_folds(&mut tape, &mut buf).unwrap();
-        assert_eq!(tape.folds(), [7.5]);
+        drain_folds(&mut tape);
+        assert_eq!(values(&tape), [7.5]);
     }
 
     #[test]
@@ -1044,8 +1007,13 @@ mod tests {
         let sum = t.zip(BinOp::Add, sx, sy);
         t.fold(AggOp::Sum, sum);
         let mut tape = t.finish(None);
-        drain_folds(&mut tape, &mut Vec::new()).unwrap();
-        assert_eq!(tape.folds()[0], (0..n).map(|i| 2.0 * i as f64).sum::<f64>());
+        drain_folds(&mut tape);
+        let want = (0..n).map(|i| 2.0 * i as f64).sum::<f64>();
+        assert_eq!(
+            tape.folds()[0].value(),
+            want,
+            "integers: any order is exact"
+        );
 
         // Memory is live registers x chunk, not nodes x chunk. A 200-deep
         // chain keeps one value alive at a time (plus the one being

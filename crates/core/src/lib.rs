@@ -44,6 +44,7 @@ pub mod exec;
 pub mod expr;
 pub mod governance;
 pub mod graph;
+mod isa;
 pub mod opt;
 pub mod policy;
 pub mod profile;

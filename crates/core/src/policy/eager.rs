@@ -25,7 +25,7 @@ use super::{HeapMat, MatRepr, Runtime, StrawMat, StrawTable, VecRepr};
 use crate::exec::factor;
 use crate::exec::pipeline::position;
 use crate::exec::ExecResult;
-use crate::expr::{AggOp, BinOp, Src, UnOp};
+use crate::expr::{AggOp, BinOp, Fold, Src, UnOp};
 
 /// Where an eager vector lives.
 enum Slot<'a> {
@@ -95,7 +95,7 @@ impl Runtime {
             // temp budget like the Strawman's tables do.
             let pages = len.div_ceil(self.cfg.block_size / 8).max(1);
             self.ctx.governor().charge_temp_blocks(pages as u64)?;
-            return Ok(VecRepr::Vm(self.heap.alloc(len)));
+            return Ok(VecRepr::Vm(self.heap.alloc(len)?));
         }
         let vec = DenseVector::create_wide(&self.ctx, len, name)?;
         let owned = name.is_none();
@@ -344,17 +344,13 @@ impl Runtime {
 
     pub(super) fn eager_aggregate(&mut self, op: AggOp, v: &VecRepr) -> ExecResult<f64> {
         let n = self.vec_len(v);
-        let mut buf = vec![0.0; self.chunk()];
-        let mut acc = op.init();
+        let (mut buf, mut fold) = (vec![0.0; self.chunk()], Fold::new(op, 0));
         self.for_chunks(at!(self, "aggregate"), n, |rt, at, take| {
             rt.read_chunk(v, at, &mut buf[..take])?;
-            acc = buf[..take].iter().fold(acc, |a, &x| op.fold(a, x));
+            fold.push(Src::Slice(&buf[..take]), take);
             Ok(())
         })?;
-        if op == AggOp::Mean && n > 0 {
-            acc /= n as f64;
-        }
-        Ok(acc)
+        Ok(op.finish(fold.value(), n))
     }
 
     pub(super) fn eager_collect(&mut self, v: &VecRepr) -> ExecResult<Vec<f64>> {
@@ -374,24 +370,29 @@ impl Runtime {
         rows: usize,
         cols: usize,
         f: impl FnMut(usize) -> f64,
-    ) -> HeapMat {
-        let id = self.heap.alloc(rows * cols);
+    ) -> ExecResult<HeapMat> {
+        let id = self.heap.alloc(rows * cols)?;
         fill(rows * cols, self.chunk(), f, |at, buf| {
             self.heap.write_chunk(id, at, buf);
             Ok(())
         })
         .expect("heap writes cannot fail");
-        HeapMat { id, rows, cols }
+        Ok(HeapMat { id, rows, cols })
     }
 
     /// A fresh heap matrix holding `data` (row-major).
-    pub(super) fn heap_mat(&mut self, rows: usize, cols: usize, data: &[f64]) -> MatRepr {
-        let id = self.heap.alloc_from(data);
-        MatRepr::Vm(HeapMat { id, rows, cols })
+    pub(super) fn heap_mat(
+        &mut self,
+        rows: usize,
+        cols: usize,
+        data: &[f64],
+    ) -> ExecResult<MatRepr> {
+        let id = self.heap.alloc_from(data)?;
+        Ok(MatRepr::Vm(HeapMat { id, rows, cols }))
     }
 
-    pub(super) fn heap_transpose(&mut self, m: HeapMat) -> MatRepr {
-        let (id, rows, cols) = (self.heap.alloc(m.rows * m.cols), m.cols, m.rows);
+    pub(super) fn heap_transpose(&mut self, m: HeapMat) -> ExecResult<MatRepr> {
+        let (id, rows, cols) = (self.heap.alloc(m.rows * m.cols)?, m.cols, m.rows);
         for i in 0..m.rows {
             for j in 0..m.cols {
                 let v = self.heap.get(m.id, i * m.cols + j);
@@ -399,13 +400,13 @@ impl Runtime {
             }
         }
         self.count_ops(rows * cols);
-        MatRepr::Vm(HeapMat { id, rows, cols })
+        Ok(MatRepr::Vm(HeapMat { id, rows, cols }))
     }
 
     /// R's internal loop (Example 2): j outer, i middle, k inner.
     pub(super) fn heap_matmul(&mut self, a: HeapMat, b: HeapMat) -> ExecResult<MatRepr> {
         let (n1, n2, n3) = (a.rows, a.cols, b.cols);
-        let id = self.heap.alloc(n1 * n3);
+        let id = self.heap.alloc(n1 * n3)?;
         let columns = (0..n3).try_for_each(|j| {
             self.ctx.governor().checkpoint("plainr.matmul.col")?;
             for i in 0..n1 {
@@ -442,7 +443,7 @@ impl Runtime {
         let mut a = self.heap.to_vec(m.id);
         let flops = factor::potrf(&mut a, n, 0, 0)?;
         self.charge(flops);
-        Ok(self.heap_mat(n, n, &a))
+        self.heap_mat(n, n, &a)
     }
 
     pub(super) fn heap_solve(&mut self, a: HeapMat, b: HeapMat) -> ExecResult<MatRepr> {
@@ -452,7 +453,7 @@ impl Runtime {
         let mut x = self.heap.to_vec(b.id);
         let flops = factor::solve_in_memory(&mut l, &mut x, n, m)?;
         self.charge(flops);
-        Ok(self.heap_mat(n, m, &x))
+        self.heap_mat(n, m, &x)
     }
 
     pub(super) fn heap_nnz(&mut self, m: HeapMat) -> u64 {

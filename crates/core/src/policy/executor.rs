@@ -1,5 +1,5 @@
 //! The executor half of the deferred family: turning a planned DAG into
-//! chunk pipelines, partitioned aggregation trees, and matrix kernels.
+//! chunk pipelines, partitioned aggregate passes, and matrix kernels.
 //! Nothing here knows which engine planned the DAG.
 
 use std::collections::{HashMap, HashSet};
@@ -11,11 +11,11 @@ use riot_trace::EventKind;
 
 use super::{MatValue, Runtime};
 use crate::exec::pipeline::{
-    drain_folds, drain_partitioned, drain_to_vec, fold_partitioned, governed, materialize,
-    position, Arg, GatherPipe, Pipe, Scan, Source, TapeBuilder,
+    drain_partitioned, drain_to_vec, governed, materialize, position, Arg, GatherPipe, Pipe, Scan,
+    Source, TapeBuilder,
 };
 use crate::exec::{factor, matmul, sparse as spkernel, ExecError, ExecResult, Operand};
-use crate::expr::{AggOp, Node, NodeId};
+use crate::expr::{AggOp, Node, NodeId, FOLD_PARTITION};
 use crate::shape::Shape;
 
 impl Runtime {
@@ -25,89 +25,49 @@ impl Runtime {
     /// one length — in **one pass**: one tape with a fold sink per member
     /// over the registers they share. k = 1 is the batch of one.
     ///
-    /// Each sink folds as it would alone. A sink whose input is longer
-    /// than one partition and provably parallel-safe takes the **fixed
-    /// partition tree**: the stream is cut at block-aligned boundaries
-    /// derived only from its length (never from the thread count), each
-    /// partition folds sequentially from `op.init()`, and the partials
-    /// combine in partition order — so `sum()` and friends are
-    /// **bit-identical across every `EngineConfig::threads` value**. Any
-    /// other sink is one sequential fold over the whole stream (the same
-    /// value at every thread count, and bit for bit the pre-tree
-    /// aggregate, which keeps small results — and the cross-engine
-    /// transparency tests built on them — exactly stable). The decision
-    /// reads the plan and the length only; which aggregates share the pass
-    /// never changes a bit of any of them.
+    /// Every sink folds in the one shape every engine and the `eval`
+    /// oracle share ([`Fold`](crate::expr::Fold): 8 lanes by element
+    /// index, partitions of [`FOLD_PARTITION`] elements combined in
+    /// order), which depends on the input's length alone. So `sum()` and
+    /// friends are **bit-identical across engines and every
+    /// `EngineConfig::threads` value**, and which aggregates share the
+    /// pass never changes a bit of any of them.
     ///
-    /// The partition folds fan out over the worker pool when every sink
-    /// takes the tree; otherwise one pipe is pointed at each partition in
-    /// turn — identical partials, and the device-I/O sequence of a
-    /// sequential drain — with the sequential sinks carrying on across
-    /// the partition boundaries.
+    /// With worker threads, an input longer than one partition, every sink
+    /// provably parallel-safe and partitions that are whole blocks, each
+    /// partition is one restricted pipe folded on the worker pool and the
+    /// partitions' values combine in order. Otherwise the tape drains
+    /// once, in order, and its sinks close their partitions as they pass.
     pub(super) fn aggregate_batch(&mut self, sinks: &[(AggOp, NodeId)]) -> ExecResult<Vec<f64>> {
         let Some(&(_, first)) = sinks.first() else {
             return Ok(Vec::new());
         };
         let len = self.graph.shape(first).len();
         self.count_ops(len * sinks.len());
-        let epb = self.ctx.elems_per_block();
-        let align = self.chunk().max(epb).div_ceil(epb) * epb;
-        let part = 4 * align;
-        let tree: Vec<bool> = sinks
-            .iter()
-            .map(|&(_, input)| len > part && self.parallel_safe(input, len))
-            .collect();
-        let partitioned = tree.contains(&true);
-        let spans: Vec<(usize, usize)> = if partitioned {
-            let starts = (0..len).step_by(part);
-            starts.map(|s| (s, part.min(len - s))).collect()
-        } else {
-            vec![(0, len)]
-        };
         let threads = self.cfg.threads.max(1);
-        let partials = if threads > 1 && !tree.contains(&false) {
-            // One restricted pipe per partition, folded on scoped workers.
-            let mut pipes = Vec::new();
-            for (start, take) in spans {
-                let mut pipe = self.compile_folds(sinks, len)?;
-                pipe.restrict(start, take);
-                pipes.push(governed(pipe, &self.ctx, "pipeline.agg.part"));
-            }
-            fold_partitioned(pipes, threads)?
-        } else {
-            let pipe = self.compile_folds(sinks, len)?;
-            let mut pipe = governed(pipe, &self.ctx, "pipeline.agg.chunk");
-            let (mut buf, mut partials) = (Vec::new(), Vec::new());
-            for (start, take) in spans {
-                if partitioned {
-                    pipe.restrict(start, take);
-                }
-                drain_folds(pipe.as_mut(), &mut buf)?;
-                partials.push(pipe.folds().to_vec());
-                // A tree sink starts its next partition over.
-                for ((acc, &(op, _)), &tree) in pipe.folds().iter_mut().zip(sinks).zip(&tree) {
-                    if tree {
-                        *acc = op.init();
-                    }
-                }
-            }
-            partials
+        let parallel = threads > 1
+            && len > FOLD_PARTITION
+            && FOLD_PARTITION.is_multiple_of(self.ctx.elems_per_block())
+            && sinks
+                .iter()
+                .all(|&(_, input)| self.parallel_safe(input, len));
+        let (part, at) = match parallel {
+            true => (FOLD_PARTITION, "pipeline.agg.part"),
+            false => (len.max(1), "pipeline.agg.chunk"),
         };
-        let mut values = Vec::with_capacity(sinks.len());
-        for (at, (&(op, _), &tree)) in sinks.iter().zip(&tree).enumerate() {
-            // A tree sink combines its partials in partition order; a
-            // sequential sink's last reading is its whole fold.
-            let from = if tree { 0 } else { partials.len() - 1 };
-            let mut acc = partials[from][at];
-            for later in &partials[from + 1..] {
-                acc = op.fold(acc, later[at]);
-            }
-            if op == AggOp::Mean && len > 0 {
-                acc /= len as f64;
-            }
-            values.push(acc);
+        // One slot per sink per partition; one partition unless parallel.
+        let mut partials = vec![0.0; len.div_ceil(part).max(1) * sinks.len()];
+        let mut parts = Vec::new();
+        for (k, slots) in partials.chunks_mut(sinks.len()).enumerate() {
+            let mut pipe = self.compile_folds(sinks, len)?;
+            pipe.restrict(k * part, part.min(len - k * part));
+            parts.push((governed(pipe, &self.ctx, at), slots));
         }
-        Ok(values)
+        drain_partitioned(parts, threads)?;
+        let value = |(at, &(op, _)): (usize, &(AggOp, NodeId))| {
+            op.combine(partials.chunks(sinks.len()).map(|part| part[at]), len)
+        };
+        Ok(sinks.iter().enumerate().map(value).collect())
     }
 
     // ================= parallel pipeline =================
@@ -582,12 +542,14 @@ mod tests {
 
     use super::*;
     use crate::eval::{evaluate, MemSources};
+    use crate::expr::tests::lane_fold;
     use crate::expr::{BinOp, UnOp};
     use crate::policy::VecRepr;
     use crate::{EngineConfig, EngineKind};
 
-    /// Length of every vector: a ragged number of 16-element chunks, and
-    /// past the `4 x chunk` partition size, so aggregates take the tree.
+    /// Length of every vector: a ragged number of 16-element chunks and
+    /// of fold lanes. (Streams longer than a fold partition are
+    /// `tests/parallel_pipeline.rs`'s and `tests/fold_contract.rs`'s.)
     const N: usize = 203;
 
     /// A scalar constant or an earlier node (index modulo the node count).
@@ -687,15 +649,14 @@ mod tests {
                 .all(|(a, b)| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()))
     }
 
-    /// A batch whose sinks disagree on the partition tree — a gather is
-    /// never parallel-safe — still gives each sink the fold it has alone:
-    /// one pipe visits the partitions in turn and the sequential sink
-    /// carries on across their boundaries.
+    /// A batch mixing a gather (never parallel-safe) with parallel-safe
+    /// sinks drains once, in order, and each sink still has the bits it
+    /// has alone — the shared fold shape, at either thread count.
     #[test]
     fn a_mixed_batch_keeps_each_sinks_own_fold() {
-        for threads in [1, 4] {
+        let runs = [1, 4].map(|threads| {
             let thirds = Spec::Zip(BinOp::Div, 0, Operand::Scalar(3));
-            let (mut rt, nodes, _) = build(&[thirds], threads);
+            let (mut rt, nodes, src) = build(&[thirds], threads);
             let (thirds, all) = (nodes[3], nodes[2]);
             let gathered = rt.graph.gather(thirds, all).unwrap();
             assert!(rt.parallel_safe(thirds, N) && !rt.parallel_safe(gathered, N));
@@ -707,10 +668,14 @@ mod tests {
             let batch = rt.aggregate_batch(&sinks).unwrap();
             let alone = sinks.map(|sink| rt.aggregate_batch(&[sink]).unwrap()[0]);
             assert!(same_bits(&batch, &alone), "{batch:?} vs {alone:?}");
-            // Same values, and the straight fold and the tree really are
-            // different sums of them.
-            assert_ne!(batch[0].to_bits(), batch[1].to_bits());
-        }
+            let oracle = sinks.map(|(op, node)| {
+                let stream = evaluate(&rt.graph, node, &src).unwrap().to_flat();
+                op.finish(lane_fold(op, &stream, 0), N)
+            });
+            assert!(same_bits(&batch, &oracle), "{batch:?} vs {oracle:?}");
+            batch
+        });
+        assert!(same_bits(&runs[0], &runs[1]));
     }
 
     proptest! {
@@ -759,12 +724,13 @@ mod tests {
             for &(op, node) in &sinks {
                 let stream = drain_to_vec(rt.compile(node, N).unwrap()).unwrap();
                 let slice = &stream[start..start + take];
-                want.push(slice.iter().fold(op.init(), |acc, &v| op.fold(acc, v)));
+                want.push(lane_fold(op, slice, start));
             }
             let mut pipe = rt.compile_folds(&sinks, N).unwrap();
             pipe.restrict(start, take);
-            drain_folds(pipe.as_mut(), &mut Vec::new()).unwrap();
-            prop_assert!(same_bits(pipe.folds(), &want), "{sinks:?}");
+            let mut got = vec![f64::NAN; sinks.len()];
+            drain_partitioned(vec![(pipe, &mut got)], 1).unwrap();
+            prop_assert!(same_bits(&got, &want), "{sinks:?}");
 
             // Forcing points at 1 and 4 threads: same values, same scalar
             // work, same counted I/O.

@@ -31,7 +31,7 @@
 //!   scalar-shaped node, pending until its value is observed, then run in
 //!   one pass with every other pending aggregate over the same storage.
 //!   `executor` is the half that runs a planned DAG: pipelines,
-//!   aggregation trees, matrix kernels.
+//!   partitioned aggregate passes, matrix kernels.
 //!
 //! `Runtime::deferred` is the family test for operators that have no
 //! operand to look at (loads, literals, `sample`, ranges).

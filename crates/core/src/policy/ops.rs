@@ -81,7 +81,7 @@ impl Runtime {
             return Ok(self.mat_source(MatValue::Dense(mat)));
         }
         if self.on_heap() {
-            let m = self.heap_filled(rows, cols, |i| f(i / cols, i % cols));
+            let m = self.heap_filled(rows, cols, |i| f(i / cols, i % cols))?;
             return Ok(MatRepr::Vm(m));
         }
         // The Strawman stores what R's column-major layout maps to.
@@ -111,7 +111,7 @@ impl Runtime {
             return Ok(self.mat_source(MatValue::Sparse(sp)));
         }
         if self.on_heap() {
-            let m = self.heap_filled(rows, cols, |_| 0.0);
+            let m = self.heap_filled(rows, cols, |_| 0.0)?;
             for &(r, c, v) in triplets {
                 let cur = self.heap.get(m.id, r * cols + c);
                 self.heap.set(m.id, r * cols + c, cur + v);
@@ -138,7 +138,7 @@ impl Runtime {
             return Ok(self.vec_source(vec));
         }
         if self.on_heap() {
-            return Ok(VecRepr::Vm(self.heap.alloc_from(&vec.to_vec()?)));
+            return Ok(VecRepr::Vm(self.heap.alloc_from(&vec.to_vec()?)?));
         }
         Ok(VecRepr::Table(Rc::new(StrawTable { owned: false, vec })))
     }
@@ -167,7 +167,7 @@ impl Runtime {
         }
         if self.on_heap() {
             let (rows, cols, data) = opened.to_rows()?;
-            return Ok(self.heap_mat(rows, cols, &data));
+            return self.heap_mat(rows, cols, &data);
         }
         Ok(match opened {
             MatValue::Dense(mat) => stored(mat, false),
@@ -457,7 +457,7 @@ impl Runtime {
     pub(crate) fn transpose(&mut self, m: &MatRepr) -> ExecResult<MatRepr> {
         Ok(match m {
             MatRepr::Node(id) => MatRepr::Node(self.graph.transpose(*id)?),
-            MatRepr::Vm(m) => self.heap_transpose(*m),
+            MatRepr::Vm(m) => self.heap_transpose(*m)?,
             MatRepr::Stored(sm) => {
                 let (layout, order) = (MatrixLayout::ColMajor, TileOrder::ColMajor);
                 stored(sm.mat.transpose(layout, order, None)?, true)

@@ -845,6 +845,22 @@ mod tests {
             .collect()
     }
 
+    /// A vector the host cannot hold is a typed error under Plain R, not
+    /// an allocation abort: the heap reserves its page table fallibly, and
+    /// the session carries on. (10^15 elements need a page table of about
+    /// 23 PB, beyond any address space, so the refusal is certain.)
+    #[test]
+    fn plain_r_refuses_an_unallocatable_vector_with_a_typed_error() {
+        let s = Session::with_engine(EngineKind::PlainR);
+        let len = 1_000_000_000_000_000;
+        match s.range(1, len as i64) {
+            Err(ExecError::OutOfMemory(e)) => assert_eq!(e.len, len),
+            Err(e) => panic!("{e}"),
+            Ok(_) => panic!("allocated {len} elements"),
+        }
+        assert_eq!(s.range(1, 10).unwrap().sum().unwrap(), 55.0);
+    }
+
     #[test]
     fn arithmetic_matches_across_engines() {
         for s in sessions() {

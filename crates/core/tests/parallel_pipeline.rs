@@ -2,7 +2,8 @@
 //! executor: identical results, identical counted I/O, identical scalar
 //! op counts — with only `EngineConfig::threads` changed.
 
-use riot_core::{EngineConfig, EngineKind, Session};
+use riot_core::expr::FOLD_PARTITION;
+use riot_core::{AggOp, EngineConfig, EngineKind, Session};
 use riot_storage::IoSnapshot;
 
 /// Run the Example-1-shaped elementwise program and report
@@ -80,7 +81,7 @@ fn unsafe_plans_fall_back_and_agree() {
         let s = Session::new(cfg);
         let n = 2000;
         let x = s.vector_from_fn(n, |i| i as f64).unwrap();
-        let total = (&x * 2.0).sum().unwrap(); // fixed partition tree
+        let total = (&x * 2.0).sum().unwrap(); // one drain, shared fold shape
         let idx = s.sample(n, 7).unwrap();
         let picked = (&x + 1.0).index(&idx).collect().unwrap(); // short output
         (total, picked)
@@ -91,14 +92,19 @@ fn unsafe_plans_fall_back_and_agree() {
     assert_eq!(p1, p4);
 }
 
-/// The fixed partition-tree aggregation: `sum()`/`mean()`/`min()`/`max()`
-/// over a large float stream are **bit-identical** across
-/// `EngineConfig::threads` values — partition boundaries derive from the
-/// stream length alone, each partition folds sequentially, and partials
-/// combine in partition order. I/O is identical too in the in-memory
-/// regime (every element read exactly once either way).
+/// The shared fold shape (`riot_core::expr::Fold`): `sum()`/`mean()`/
+/// `min()`/`max()` over a float stream longer than three partitions are
+/// **bit-identical** across `EngineConfig::threads` values and equal to
+/// the host's `AggOp::reduce` of the same values — lanes and partition
+/// boundaries derive from the stream length alone, and partition values
+/// combine in partition order whichever worker folded them. Counted I/O
+/// is identical too (every block read exactly once either way).
 #[test]
 fn aggregates_bit_identical_across_thread_counts() {
+    let n = 3 * FOLD_PARTITION + 5;
+    let data: Vec<f64> = (0..n)
+        .map(|i| ((i as f64 * 0.0137).sin() * 3.0 + 0.1) * 1.5 + 0.25)
+        .collect();
     let run = |threads: usize| {
         let mut cfg = EngineConfig::new(EngineKind::Riot);
         cfg.block_size = 512;
@@ -106,26 +112,27 @@ fn aggregates_bit_identical_across_thread_counts() {
         cfg.mem_blocks = 512;
         cfg.threads = threads;
         let s = Session::new(cfg);
-        let n = 64 * 100; // 25 fixed partitions of 4 blocks each
         let x = s
             .vector_from_fn(n, |i| (i as f64 * 0.0137).sin() * 3.0 + 0.1)
             .unwrap();
         let e = (&x * 1.5) + 0.25;
         s.drop_caches().unwrap();
         let io0 = s.io_snapshot();
-        let out = (
+        let out = [
             e.sum().unwrap(),
             e.mean().unwrap(),
             e.min().unwrap(),
             e.max().unwrap(),
-        );
-        (out, s.io_snapshot() - io0)
+        ];
+        (out.map(f64::to_bits), s.io_snapshot() - io0)
     };
     let (seq, seq_io) = run(1);
+    let ops = [AggOp::Sum, AggOp::Mean, AggOp::Min, AggOp::Max];
+    assert_eq!(seq, ops.map(|op| op.reduce(&data).to_bits()), "host shape");
     for threads in [2, 4] {
         let (par, par_io) = run(threads);
         // Exact bit equality, not approximate: the whole point of the
-        // fixed tree.
+        // shared shape.
         assert_eq!(par, seq, "{threads}-thread aggregates diverged");
         // Totals only: the sequential/random *classification* is
         // best-effort when worker reads interleave (see riot_storage::stats).
@@ -137,25 +144,29 @@ fn aggregates_bit_identical_across_thread_counts() {
     }
 }
 
-/// Below one partition the classic single sequential fold runs unchanged
-/// (small results — and the cross-engine transparency tests built on
-/// them — stay exactly stable), and MatNamed agrees with Riot.
+/// Below one partition every engine folds in the shared shape — eight
+/// lanes by element index, combined left to right — whatever the chunk
+/// and the thread count, and MatNamed agrees with Riot. The reference is
+/// that loop written out here.
 #[test]
-fn small_aggregates_keep_the_classic_sequential_fold() {
+fn small_aggregates_fold_in_the_shared_lane_shape() {
     for kind in [EngineKind::Riot, EngineKind::MatNamed] {
         let mut cfg = EngineConfig::new(kind);
         cfg.block_size = 512;
-        cfg.chunk_elems = 64;
+        cfg.chunk_elems = 60; // chunks straddle the lanes
         cfg.threads = 4; // even with workers available
         let s = Session::new(cfg);
-        let n = 200; // < 4 aligned chunks: single-fold path
+        let n = 200;
         let data: Vec<f64> = (0..n).map(|i| (i as f64 * 0.31).cos() * 7.0).collect();
         let x = s.vector_from_fn(n, |i| data[i]).unwrap();
-        let mut want = 0.0f64;
-        for &v in &data {
-            want += v; // the classic left fold, element order
+        let mut lanes = [0.0f64; 8];
+        for (i, &v) in data.iter().enumerate() {
+            lanes[i % 8] += v;
         }
-        assert_eq!(x.sum().unwrap(), want, "{kind:?}: small sum changed");
+        let want = lanes.iter().fold(0.0, |acc, &lane| acc + lane);
+        assert_eq!(x.sum().unwrap().to_bits(), want.to_bits(), "{kind:?}");
+        // Not what the element-order fold gives, which is what pins it.
+        assert_ne!(data.iter().sum::<f64>().to_bits(), want.to_bits());
     }
 }
 

@@ -545,41 +545,33 @@ impl Interpreter {
                 }
                 _ => Ok(RValue::Scalar(0.0)),
             },
-            "sum" | "mean" | "min" | "max" => match self.arg1(&positional, name)? {
-                RValue::Scalar(x) => Ok(RValue::Scalar(*x)),
-                RValue::Vector { v, .. } => {
-                    let op = match name {
-                        "sum" => AggOp::Sum,
-                        "mean" => AggOp::Mean,
-                        "min" => AggOp::Min,
-                        _ => AggOp::Max,
-                    };
+            "sum" | "mean" | "min" | "max" => {
+                let op = match name {
+                    "sum" => AggOp::Sum,
+                    "mean" => AggOp::Mean,
+                    "min" => AggOp::Min,
+                    _ => AggOp::Max,
+                };
+                match self.arg1(&positional, name)? {
+                    RValue::Scalar(x) => Ok(RValue::Scalar(*x)),
                     // Deferred where the engine defers: the number is
                     // computed when the script observes it.
-                    Ok(match v.deferred(op)? {
+                    RValue::Vector { v, .. } => Ok(match v.deferred(op)? {
                         Some(v) => RValue::Vector { v, logical: false },
                         None => RValue::Scalar(v.aggregate(op)?),
-                    })
-                }
-                RValue::Matrix(m) => {
+                    }),
                     // R reduces a matrix like the flattened vector of its
-                    // elements. Fold the collected rows sequentially on the
-                    // host so the result is identical under every engine
-                    // and thread count (no kernel-order dependence).
-                    let (_, _, data) = m.collect()?;
-                    if data.is_empty() {
-                        return Err(RError::Runtime(format!("{name}() of empty matrix")));
-                    }
-                    let x = match name {
-                        "sum" => data.iter().sum(),
-                        "mean" => data.iter().sum::<f64>() / data.len() as f64,
-                        "min" => data.iter().copied().fold(f64::INFINITY, f64::min),
-                        _ => data.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-                    };
-                    Ok(RValue::Scalar(x))
+                    // elements: the collected rows, in the fold shape every
+                    // engine uses for a vector of that length.
+                    RValue::Matrix(m) => match m.collect()? {
+                        (_, _, data) if data.is_empty() => {
+                            Err(RError::Runtime(format!("{name}() of empty matrix")))
+                        }
+                        (_, _, data) => Ok(RValue::Scalar(op.reduce(&data))),
+                    },
+                    _ => Err(RError::Runtime(format!("{name}() of non-numeric"))),
                 }
-                _ => Err(RError::Runtime(format!("{name}() of non-numeric"))),
-            },
+            }
             "pmin" | "pmax" => {
                 if positional.len() != 2 {
                     return Err(RError::Runtime(format!("{name}() needs two arguments")));
@@ -1118,6 +1110,16 @@ mod tests {
     fn vector_pipeline() {
         assert_eq!(run("x <- 1:10\nprint(sum(x^2))").trim(), "[1] 385");
         assert_eq!(run("print(mean(1:9))").trim(), "[1] 5");
+    }
+
+    /// R's "cannot allocate vector" under Plain R: an error the script
+    /// reports, after which the interpreter runs on.
+    #[test]
+    fn an_unallocatable_plain_r_vector_is_an_r_error() {
+        let mut i = Interpreter::new(EngineConfig::new(EngineKind::PlainR));
+        let err = i.run("x <- 1:1e15").expect_err("1e15 elements refused");
+        assert!(err.to_string().contains("cannot allocate"), "{err}");
+        assert_eq!(i.run("print(sum(1:10))").unwrap().trim(), "[1] 55");
     }
 
     #[test]

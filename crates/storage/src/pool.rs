@@ -76,9 +76,10 @@
 //! RIOT paper's §4/Appendix A schedules are *declared* tile walks), so the
 //! pool accepts that declaration directly: [`BufferPool::prefetch`] takes
 //! the next window's blocks as an iterator and a small worker pool
-//! (capacity [`PoolConfig::prefetch_depth`]) loads the non-resident blocks
-//! in the background, each through the same `PoolCore::load` as a demand
-//! miss, with a `prefetched` flag on the frame.
+//! (capacity [`PoolConfig::prefetch_depth`], started by the first hint
+//! that queues a load) loads the non-resident blocks in the background,
+//! each through the same `PoolCore::load` as a demand miss, with a
+//! `prefetched` flag on the frame.
 //! A pin that arrives while the background load is in flight waits on the
 //! existing `LoadInFlight` entry — the PR-3 single-flight path, so there
 //! is never a duplicate device read — and the first pin of a prefetched
@@ -282,18 +283,26 @@ impl std::fmt::Display for PoolStats {
     }
 }
 
-/// Stable home of one frame's data: a raw allocation of `len` `f64`s,
-/// owned manually so no `&`/`&mut` reference over the contents is ever
-/// materialized here (guards derive their slices straight from the raw
-/// pointer, keeping concurrent shared pins free of aliasing UB). Access is
-/// governed by the pin protocol: the shard lock plus a zero pin count for
-/// zero-fills, shared pins for `&` access, an exclusive pin for `&mut`,
-/// and sole ownership through the claiming thread while the frame is in
+/// Stable home of one shard's frame data: `frames` runs of `stride`
+/// `f64`s, frame `f` at element `f * stride`, owned manually so no
+/// `&`/`&mut` reference over the contents is ever materialized here
+/// (guards derive their slices straight from the raw pointer, keeping
+/// concurrent shared pins free of aliasing UB). Access is governed by the
+/// pin protocol: the shard lock plus a zero pin count for zero-fills,
+/// shared pins for `&` access, an exclusive pin for `&mut`, and sole
+/// ownership through the claiming thread while the frame is in
 /// [`FrameState::LoadInFlight`] (the device read fills the buffer with the
 /// shard lock dropped).
+///
+/// The frames are one zero-filled region outside the allocator's heap
+/// (an anonymous mapping on Linux), returned to the OS whole when the
+/// pool drops. Hundreds of block-sized heap chunks would instead go back
+/// to the heap, be refilled by unrelated allocations, and leave how much
+/// memory the process keeps resident to how those happened to fit.
 struct FrameBuf {
     ptr: *mut f64,
-    len: usize,
+    bytes: usize,
+    stride: usize,
 }
 
 // SAFETY: all access through `ptr` follows the pin protocol above; the
@@ -302,29 +311,105 @@ unsafe impl Send for FrameBuf {}
 unsafe impl Sync for FrameBuf {}
 
 impl FrameBuf {
-    fn new(len: usize) -> Self {
-        let buf = vec![0.0f64; len].into_boxed_slice();
+    fn new(frames: usize, stride: usize) -> Self {
+        let bytes = frames
+            .checked_mul(stride)
+            .and_then(|elems| elems.checked_mul(std::mem::size_of::<f64>()))
+            .expect("frame region size overflows usize");
         FrameBuf {
-            ptr: Box::into_raw(buf).cast::<f64>(),
-            len,
+            ptr: region::map(bytes).cast::<f64>(),
+            bytes,
+            stride,
         }
     }
 
-    fn ptr(&self) -> *mut f64 {
-        self.ptr
+    fn ptr(&self, frame: FrameId) -> *mut f64 {
+        self.ptr.wrapping_add(frame * self.stride)
     }
 }
 
 impl Drop for FrameBuf {
     fn drop(&mut self) {
-        // SAFETY: `ptr`/`len` came from Box::into_raw of a boxed slice and
-        // are dropped exactly once; the pool (and thus every guard borrowing
-        // from it) is gone when frames drop.
-        unsafe {
-            drop(Box::from_raw(std::ptr::slice_from_raw_parts_mut(
-                self.ptr, self.len,
-            )));
+        // SAFETY: `ptr`/`bytes` came from `region::map` and are released
+        // exactly once; the pool (and thus every guard borrowing from it)
+        // is gone when frames drop.
+        unsafe { region::unmap(self.ptr.cast::<u8>(), self.bytes) }
+    }
+}
+
+/// Zero-filled, page-aligned memory that does not come from the heap.
+mod region {
+    use std::alloc::{handle_alloc_error, Layout};
+    #[cfg(target_os = "linux")]
+    use std::ffi::{c_int, c_long, c_void};
+
+    #[cfg(target_os = "linux")]
+    extern "C" {
+        fn mmap(
+            addr: *mut c_void,
+            len: usize,
+            prot: c_int,
+            flags: c_int,
+            fd: c_int,
+            off: c_long,
+        ) -> *mut c_void;
+        fn munmap(addr: *mut c_void, len: usize) -> c_int;
+    }
+
+    fn layout(bytes: usize) -> Layout {
+        Layout::from_size_align(bytes, 4096).expect("frame region layout")
+    }
+
+    /// A fresh region of `bytes` zero bytes.
+    pub(super) fn map(bytes: usize) -> *mut u8 {
+        assert!(bytes > 0, "a frame region holds at least one byte");
+        #[cfg(target_os = "linux")]
+        let p = {
+            const PROT_READ_WRITE: c_int = 0x1 | 0x2;
+            const MAP_PRIVATE_ANONYMOUS: c_int = 0x02 | 0x20;
+            // SAFETY: a new private anonymous mapping aliases nothing.
+            let p = unsafe {
+                mmap(
+                    std::ptr::null_mut(),
+                    bytes,
+                    PROT_READ_WRITE,
+                    MAP_PRIVATE_ANONYMOUS,
+                    -1,
+                    0,
+                )
+            };
+            // MAP_FAILED is -1.
+            if p as isize == -1 {
+                std::ptr::null_mut()
+            } else {
+                p.cast::<u8>()
+            }
+        };
+        #[cfg(not(target_os = "linux"))]
+        // SAFETY: the layout's size is non-zero (asserted above).
+        let p = unsafe { std::alloc::alloc_zeroed(layout(bytes)) };
+        if p.is_null() {
+            handle_alloc_error(layout(bytes));
         }
+        p
+    }
+
+    /// Release a region [`map`] returned.
+    ///
+    /// # Safety
+    /// `ptr` and `bytes` are one [`map`] result, released once, with no
+    /// reference into it left.
+    pub(super) unsafe fn unmap(ptr: *mut u8, bytes: usize) {
+        // SAFETY: per this function's contract.
+        #[cfg(target_os = "linux")]
+        unsafe {
+            munmap(ptr.cast::<c_void>(), bytes)
+        };
+        // SAFETY: per this function's contract.
+        #[cfg(not(target_os = "linux"))]
+        unsafe {
+            std::alloc::dealloc(ptr, layout(bytes))
+        };
     }
 }
 
@@ -485,7 +570,7 @@ impl ShardMeta {
 struct Shard {
     meta: Mutex<ShardMeta>,
     unpinned: Condvar,
-    bufs: Box<[FrameBuf]>,
+    bufs: FrameBuf,
     counters: Counters,
 }
 
@@ -625,13 +710,15 @@ struct PrefetchState {
 /// A sharded, thread-safe buffer pool over a [`BlockDevice`].
 ///
 /// The pool proper lives in a private `PoolCore` behind an `Arc` shared
-/// with the background prefetch workers; dropping the `BufferPool` shuts
-/// the workers down and joins them, so no background I/O outlives the
-/// handle.
+/// with the background prefetch workers. The workers start with the first
+/// hint that queues a load, so a pool that is never asked to prefetch runs
+/// no thread; dropping the `BufferPool` shuts them down and joins them,
+/// so no background I/O outlives the handle.
 pub struct BufferPool {
     core: Arc<PoolCore>,
-    /// Prefetch worker handles, joined on drop.
-    workers: Vec<JoinHandle<()>>,
+    /// Prefetch worker handles, spawned by the first queued hint and
+    /// joined on drop.
+    workers: OnceLock<Vec<JoinHandle<()>>>,
 }
 
 /// The pool state shared between the owning [`BufferPool`] handle and the
@@ -717,9 +804,7 @@ impl BufferPool {
                 Shard {
                     meta: Mutex::new(ShardMeta::new(frames)),
                     unpinned: Condvar::new(),
-                    bufs: (0..frames)
-                        .map(|_| FrameBuf::new(elems_per_block))
-                        .collect(),
+                    bufs: FrameBuf::new(frames, elems_per_block),
                     counters: Counters::default(),
                 }
             })
@@ -738,16 +823,10 @@ impl BufferPool {
             pin_timeout: config.pin_timeout,
             governor: OnceLock::new(),
         });
-        let workers = (0..prefetch_depth)
-            .map(|i| {
-                let core = Arc::clone(&core);
-                std::thread::Builder::new()
-                    .name(format!("riot-prefetch-{i}"))
-                    .spawn(move || core.prefetch_worker())
-                    .expect("spawn prefetch worker")
-            })
-            .collect();
-        BufferPool { core, workers }
+        BufferPool {
+            core,
+            workers: OnceLock::new(),
+        }
     }
 
     /// Hint that `blocks` will be pinned soon: background workers load the
@@ -764,7 +843,8 @@ impl BufferPool {
     /// the queue bound are dropped (the pin performs the read instead);
     /// failed background loads release their slot and leave the next pin
     /// to retry on the device. Returns without consuming `blocks` when
-    /// `PoolConfig::prefetch_depth` is 0.
+    /// `PoolConfig::prefetch_depth` is 0. The first hint that queues a
+    /// load starts the workers.
     pub fn prefetch(&self, blocks: impl IntoIterator<Item = BlockId>) {
         let core = &*self.core;
         if core.prefetch_depth == 0 {
@@ -787,6 +867,19 @@ impl BufferPool {
             queued_any = true;
         }
         if queued_any {
+            // The first queued hint starts the workers: a pool that never
+            // prefetches runs no thread, so creating and dropping one never
+            // interleaves worker start-up and exit with the caller's work.
+            self.workers.get_or_init(|| {
+                let spawn = |i| {
+                    let core = Arc::clone(&self.core);
+                    std::thread::Builder::new()
+                        .name(format!("riot-prefetch-{i}"))
+                        .spawn(move || core.prefetch_worker())
+                        .expect("spawn prefetch worker")
+                };
+                (0..core.prefetch_depth).map(spawn).collect()
+            });
             core.prefetch.work.notify_all();
         }
     }
@@ -1109,7 +1202,7 @@ impl Drop for BufferPool {
             q.enqueued.clear();
         }
         self.core.prefetch.work.notify_all();
-        for w in self.workers.drain(..) {
+        for w in self.workers.take().into_iter().flatten() {
             let _ = w.join();
         }
     }
@@ -1275,7 +1368,7 @@ impl PoolCore {
             frame,
             block,
             mode,
-            ptr: shard.bufs[frame].ptr(),
+            ptr: shard.bufs.ptr(frame),
             len: self.elems_per_block,
             #[cfg(debug_assertions)]
             owner: std::thread::current().id(),
@@ -1319,7 +1412,7 @@ impl PoolCore {
             shard.counters.misses.fetch_add(1, Ordering::Relaxed);
             self.tracer.record(EventKind::PoolMiss { block: block.0 });
         }
-        let buf = shard.bufs[frame].ptr();
+        let buf = shard.bufs.ptr(frame);
         if miss == Miss::Fresh {
             // SAFETY: the frame came off the free list (unpinned, unmapped)
             // and the shard lock is held, so no other thread can observe
@@ -1561,7 +1654,7 @@ impl PoolCore {
         // while it is in flight) and the shard lock is held for the copy,
         // so the snapshot is consistent.
         let copy: Box<[u8]> = unsafe {
-            std::slice::from_raw_parts(shard.bufs[frame].ptr().cast::<u8>(), self.block_size)
+            std::slice::from_raw_parts(shard.bufs.ptr(frame).cast::<u8>(), self.block_size)
         }
         .into();
         meta.frames[frame].state = state;
@@ -2573,6 +2666,23 @@ mod tests {
             (io.reads, io.writes)
         };
         assert_eq!(run(0), run(PREFETCH_AUTO));
+    }
+
+    /// The workers start with the first hint that queues a load: a pool
+    /// whose hints all name resident blocks runs no thread.
+    #[test]
+    fn prefetch_workers_start_with_the_first_queued_hint() {
+        let p = prefetch_pool(8, 2);
+        let b = p.allocate_blocks(2).unwrap();
+        p.write_new(b, |d| d[0] = 7).unwrap();
+        p.prefetch([b]);
+        assert!(p.workers.get().is_none(), "a resident block queues nothing");
+        p.flush_all().unwrap();
+        p.clear_cache().unwrap();
+        p.prefetch([b]);
+        assert_eq!(p.workers.get().map(Vec::len), Some(2));
+        p.wait_prefetch_idle();
+        assert_eq!(p.read(b, |d| d[0]).unwrap(), 7);
     }
 
     #[test]

@@ -23,6 +23,28 @@ impl Default for VmConfig {
     }
 }
 
+/// The host refused the memory an allocation needs: what R reports as
+/// "cannot allocate vector", as a typed error instead of an abort.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OutOfMemory {
+    /// Elements requested.
+    pub len: usize,
+    /// Bytes of page table the heap could not reserve for them.
+    pub bytes: usize,
+}
+
+impl std::fmt::Display for OutOfMemory {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (len, bytes) = (self.len, self.bytes);
+        write!(
+            f,
+            "cannot allocate a vector of {len} elements (a {bytes}-byte page table)"
+        )
+    }
+}
+
+impl std::error::Error for OutOfMemory {}
+
 /// Handle to a heap-allocated vector. Copyable; lifetime is governed by the
 /// heap's reference counts ([`PagedHeap::retain`] / [`PagedHeap::release`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -151,32 +173,39 @@ impl PagedHeap {
         self.cfg.frames - self.free_frames.len()
     }
 
-    /// Allocate a zeroed vector of `len` elements with refcount 1.
+    /// Allocate a zeroed vector of `len` elements with refcount 1, or
+    /// [`OutOfMemory`] when the host refuses its page table.
     ///
     /// Allocation itself does no I/O: like `calloc`, pages materialize
     /// lazily on first touch.
-    pub fn alloc(&mut self, len: usize) -> VmId {
-        let pages = len.div_ceil(self.cfg.page_elems).max(1);
+    pub fn alloc(&mut self, len: usize) -> Result<VmId, OutOfMemory> {
+        let count = len.div_ceil(self.cfg.page_elems).max(1);
+        let mut pages = Vec::new();
+        if pages.try_reserve_exact(count).is_err() {
+            let bytes = count.saturating_mul(std::mem::size_of::<PageState>());
+            return Err(OutOfMemory { len, bytes });
+        }
+        pages.resize(count, PageState::Fresh);
         let id = VmId(self.next_id);
         self.next_id += 1;
         self.objects.insert(
             id.0,
             Object {
-                pages: vec![PageState::Fresh; pages],
+                pages,
                 len,
                 refs: 1,
             },
         );
         self.live_bytes += (len * std::mem::size_of::<f64>()) as u64;
         self.stats.peak_live_bytes = self.stats.peak_live_bytes.max(self.live_bytes);
-        id
+        Ok(id)
     }
 
     /// Allocate and fill from a slice.
-    pub fn alloc_from(&mut self, data: &[f64]) -> VmId {
-        let id = self.alloc(data.len());
+    pub fn alloc_from(&mut self, data: &[f64]) -> Result<VmId, OutOfMemory> {
+        let id = self.alloc(data.len())?;
         self.write_chunk(id, 0, data);
-        id
+        Ok(id)
     }
 
     /// Increment the reference count (R assignment of an existing value).
@@ -402,7 +431,7 @@ mod tests {
     #[test]
     fn read_your_writes_in_memory() {
         let mut h = heap(8, 4);
-        let v = h.alloc(10);
+        let v = h.alloc(10).unwrap();
         h.set(v, 0, 1.5);
         h.set(v, 9, -2.0);
         assert_eq!(h.get(v, 0), 1.5);
@@ -415,7 +444,7 @@ mod tests {
     fn thrashing_counts_io() {
         // 2 frames, pages of 4 elems; a 16-element vector = 4 pages.
         let mut h = heap(2, 4);
-        let v = h.alloc(16);
+        let v = h.alloc(16).unwrap();
         for i in 0..16 {
             h.set(v, i, i as f64);
         }
@@ -435,7 +464,7 @@ mod tests {
     #[test]
     fn zero_fill_faults_cost_no_reads() {
         let mut h = heap(1, 4);
-        let v = h.alloc(12); // 3 pages through 1 frame
+        let v = h.alloc(12).unwrap(); // 3 pages through 1 frame
         for i in 0..12 {
             assert_eq!(h.get(v, i), 0.0);
         }
@@ -448,7 +477,7 @@ mod tests {
     #[test]
     fn release_discards_without_writeback() {
         let mut h = heap(2, 4);
-        let v = h.alloc(8);
+        let v = h.alloc(8).unwrap();
         h.set(v, 0, 1.0);
         h.set(v, 7, 2.0);
         let before = h.io_stats().snapshot();
@@ -462,7 +491,7 @@ mod tests {
     #[test]
     fn refcounting() {
         let mut h = heap(4, 4);
-        let v = h.alloc(4);
+        let v = h.alloc(4).unwrap();
         h.retain(v);
         assert_eq!(h.refcount(v), 2);
         h.release(v);
@@ -475,7 +504,7 @@ mod tests {
     #[test]
     fn chunked_round_trip_across_pages() {
         let mut h = heap(3, 4);
-        let v = h.alloc(11);
+        let v = h.alloc(11).unwrap();
         let data: Vec<f64> = (0..11).map(|i| i as f64 * 0.5).collect();
         h.write_chunk(v, 0, &data);
         assert_eq!(h.to_vec(v), data);
@@ -484,7 +513,7 @@ mod tests {
     #[test]
     fn unaligned_chunk_access() {
         let mut h = heap(2, 4);
-        let v = h.alloc(12);
+        let v = h.alloc(12).unwrap();
         h.write_chunk(v, 3, &[9.0, 8.0, 7.0, 6.0, 5.0]);
         let mut out = [0.0; 3];
         h.read_chunk(v, 4, &mut out);
@@ -495,7 +524,7 @@ mod tests {
     fn alloc_from_round_trips() {
         let mut h = heap(2, 4);
         let data: Vec<f64> = (0..9).map(|i| (i * i) as f64).collect();
-        let v = h.alloc_from(&data);
+        let v = h.alloc_from(&data).unwrap();
         assert_eq!(h.to_vec(v), data);
     }
 
@@ -506,14 +535,14 @@ mod tests {
         let page = 4;
         let n = 40;
         let mut h = heap(2, page);
-        let x = h.alloc(n);
-        let y = h.alloc(n);
+        let x = h.alloc(n).unwrap();
+        let y = h.alloc(n).unwrap();
         for i in 0..n {
             h.set(x, i, i as f64);
             h.set(y, i, 2.0 * i as f64);
         }
         let pre = h.stats().faults;
-        let z = h.alloc(n);
+        let z = h.alloc(n).unwrap();
         for i in 0..n {
             let v = h.get(x, i) + h.get(y, i);
             h.set(z, i, v);
@@ -534,9 +563,9 @@ mod tests {
     #[test]
     fn peak_statistics_track() {
         let mut h = heap(4, 4);
-        let a = h.alloc(16);
+        let a = h.alloc(16).unwrap();
         assert_eq!(h.live_bytes(), 16 * 8);
-        let b = h.alloc(16);
+        let b = h.alloc(16).unwrap();
         assert_eq!(h.stats().peak_live_bytes, 32 * 8);
         h.release(a);
         h.release(b);
@@ -545,10 +574,19 @@ mod tests {
     }
 
     #[test]
+    fn an_unreservable_page_table_is_a_typed_error() {
+        let mut h = heap(2, 4);
+        let err = h.alloc(usize::MAX).unwrap_err();
+        assert_eq!(err.len, usize::MAX);
+        assert_eq!((h.live_objects(), h.live_bytes()), (0, 0));
+        assert!(h.alloc(4).is_ok(), "the heap carries on");
+    }
+
+    #[test]
     #[should_panic(expected = "dead object")]
     fn use_after_free_panics() {
         let mut h = heap(2, 4);
-        let v = h.alloc(4);
+        let v = h.alloc(4).unwrap();
         h.release(v);
         h.len(v);
     }
@@ -558,7 +596,7 @@ mod tests {
         // Sequential sweep over one large object should look sequential to
         // the I/O classifier once it cycles through swap.
         let mut h = heap(2, 4);
-        let v = h.alloc(32); // 8 pages
+        let v = h.alloc(32).unwrap(); // 8 pages
         for i in 0..32 {
             h.set(v, i, 1.0);
         }

@@ -33,7 +33,7 @@
 
 pub mod heap;
 
-pub use heap::{PagedHeap, VmConfig, VmId, VmStats};
+pub use heap::{OutOfMemory, PagedHeap, VmConfig, VmId, VmStats};
 
 /// Default page size in `f64` elements: 1024 elements = 8 KiB, matching the
 /// storage crate's default block size so I/O counts are directly

@@ -39,7 +39,7 @@ proptest! {
         for op in ops {
             match op {
                 Op::Alloc(n) => {
-                    let id = h.alloc(n as usize);
+                    let id = h.alloc(n as usize).unwrap();
                     live.push((id, vec![0.0; n as usize]));
                 }
                 Op::Set(o, i, v) => {
@@ -91,7 +91,7 @@ proptest! {
         frames in 1usize..4,
     ) {
         let mut h = PagedHeap::new(VmConfig { page_elems: 4, frames });
-        let v = h.alloc(256);
+        let v = h.alloc(256).unwrap();
         for (i, val) in writes {
             h.set(v, i as usize % 256, val);
         }
