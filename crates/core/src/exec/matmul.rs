@@ -43,20 +43,9 @@ use riot_array::{DenseMatrix, MatrixLayout, TileOrder};
 
 use super::gemm::{gemm_acc, transpose_into};
 use super::{run_parallel, ExecError, ExecResult};
-use crate::cost::{panel_side, ChainTree};
+use crate::cost::panel_side;
 use crate::expr::ExprError;
 use crate::shape::Shape;
-
-/// Which kernel to use for a multiplication.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MatMulKernel {
-    /// Element-at-a-time triple loop (Example 2).
-    Naive,
-    /// Row-chunked BNLJ-style algorithm (§4).
-    Bnlj,
-    /// Square-submatrix optimal schedule (Appendix A).
-    SquareTiled,
-}
 
 /// One side of a product: a stored matrix read as itself or — `trans` —
 /// as its transpose. Rectangle reads through the view pin the tiles the
@@ -111,21 +100,6 @@ impl<'a> Operand<'a> {
 /// so the product is symmetric and half the output cells determine it.
 pub fn is_gram(a: Operand<'_>, b: Operand<'_>) -> bool {
     a.trans != b.trans && a.mat.object() == b.mat.object()
-}
-
-/// Multiply with the chosen kernel; returns `(product, flops)`.
-pub fn multiply<'a>(
-    kernel: MatMulKernel,
-    a: impl Into<Operand<'a>>,
-    b: impl Into<Operand<'a>>,
-    mem_elems: usize,
-    name: Option<&str>,
-) -> ExecResult<(DenseMatrix, u64)> {
-    match kernel {
-        MatMulKernel::Naive => matmul_naive(a, b, name),
-        MatMulKernel::Bnlj => matmul_bnlj(a, b, mem_elems, 1, name),
-        MatMulKernel::SquareTiled => matmul_tiled(a, b, mem_elems, 1, name),
-    }
 }
 
 /// The error for an `a %*% b` or `solve(a, b)` whose shapes do not fit.
@@ -477,33 +451,6 @@ pub fn write_rect(
     Ok(())
 }
 
-/// Evaluate a parenthesization over stored matrices with the given kernel,
-/// materializing intermediates (square layout) and freeing them as soon as
-/// they are consumed — Appendix B's schedule for chains.
-pub fn multiply_chain(
-    tree: &ChainTree,
-    mats: &[DenseMatrix],
-    kernel: MatMulKernel,
-    mem_elems: usize,
-) -> ExecResult<(DenseMatrix, u64)> {
-    match tree {
-        ChainTree::Leaf(i) => Ok((mats[*i].clone(), 0)),
-        ChainTree::Mul(l, r) => {
-            let (lm, lf) = multiply_chain(l, mats, kernel, mem_elems)?;
-            let (rm, rf) = multiply_chain(r, mats, kernel, mem_elems)?;
-            let (out, f) = multiply(kernel, &lm, &rm, mem_elems, None)?;
-            // Free intermediates (leaves are borrowed inputs and stay).
-            if !matches!(**l, ChainTree::Leaf(_)) {
-                lm.free()?;
-            }
-            if !matches!(**r, ChainTree::Leaf(_)) {
-                rm.free()?;
-            }
-            Ok((out, lf + rf + f))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -530,6 +477,16 @@ mod tests {
         DenseMatrix::from_fn(ctx, rows, cols, layout, order, None, f).unwrap()
     }
 
+    /// One sequential kernel: `(a, b, mem_elems)` to `(product, flops)`.
+    type Kernel = fn(&DenseMatrix, &DenseMatrix, usize) -> ExecResult<(DenseMatrix, u64)>;
+
+    /// The three kernels, named: naive, BNLJ and square-tiled.
+    const KERNELS: [(&str, Kernel); 3] = [
+        ("naive", |a, b, _| matmul_naive(a, b, None)),
+        ("bnlj", |a, b, mem| matmul_bnlj(a, b, mem, 1, None)),
+        ("tiled", |a, b, mem| matmul_tiled(a, b, mem, 1, None)),
+    ];
+
     fn reference(a: &[f64], b: &[f64], n1: usize, n2: usize, n3: usize) -> Vec<f64> {
         let mut out = vec![0.0; n1 * n3];
         for i in 0..n1 {
@@ -555,16 +512,12 @@ mod tests {
         let av: Vec<f64> = (0..n1 * n2).map(|i| (i as f64).sin()).collect();
         let bv: Vec<f64> = (0..n2 * n3).map(|i| (i as f64).cos()).collect();
         let want = reference(&av, &bv, n1, n2, n3);
-        for kernel in [
-            MatMulKernel::Naive,
-            MatMulKernel::Bnlj,
-            MatMulKernel::SquareTiled,
-        ] {
+        for (name, kernel) in KERNELS {
             let c = ctx(64);
             let a = mk(&c, n1, n2, MatrixLayout::Square, |i, j| av[i * n2 + j]);
             let b = mk(&c, n2, n3, MatrixLayout::Square, |i, j| bv[i * n3 + j]);
-            let (t, flops) = multiply(kernel, &a, &b, 3 * 64, None).unwrap();
-            assert_eq!(flops, (n1 * n2 * n3) as u64, "{kernel:?}");
+            let (t, flops) = kernel(&a, &b, 3 * 64).unwrap();
+            assert_eq!(flops, (n1 * n2 * n3) as u64, "{name}");
             assert_close(&t.to_rows().unwrap(), &want);
         }
     }
@@ -578,12 +531,8 @@ mod tests {
         let c = ctx(64);
         let a = mk(&c, n1, n2, MatrixLayout::RowMajor, |i, j| av[i * n2 + j]);
         let b = mk(&c, n2, n3, MatrixLayout::ColMajor, |i, j| bv[i * n3 + j]);
-        for kernel in [
-            MatMulKernel::Naive,
-            MatMulKernel::Bnlj,
-            MatMulKernel::SquareTiled,
-        ] {
-            let (t, _) = multiply(kernel, &a, &b, 3 * 64, None).unwrap();
+        for (_, kernel) in KERNELS {
+            let (t, _) = kernel(&a, &b, 3 * 64).unwrap();
             assert_close(&t.to_rows().unwrap(), &want);
         }
     }
@@ -648,21 +597,21 @@ mod tests {
         // over column layouts must move far more blocks than square-tiled
         // over square layouts.
         let n = 32;
-        let run = |layout: MatrixLayout, kernel: MatMulKernel| -> u64 {
+        let run = |layout: MatrixLayout, kernel: Kernel| -> u64 {
             let c = ctx(6); // 6 frames: severe pressure
             let a = mk(&c, n, n, layout, |i, j| (i + j) as f64);
             let b = mk(&c, n, n, layout, |i, j| (i * j % 5) as f64);
             c.pool().flush_all().unwrap();
             c.clear_cache().unwrap();
             let before = c.io_snapshot();
-            let (t, _) = multiply(kernel, &a, &b, 6 * 64, None).unwrap();
+            let (t, _) = kernel(&a, &b, 6 * 64).unwrap();
             c.pool().flush_all().unwrap();
             let delta = c.io_snapshot() - before;
             drop(t);
             delta.total_blocks()
         };
-        let naive = run(MatrixLayout::ColMajor, MatMulKernel::Naive);
-        let tiled = run(MatrixLayout::Square, MatMulKernel::SquareTiled);
+        let naive = run(MatrixLayout::ColMajor, KERNELS[0].1);
+        let tiled = run(MatrixLayout::Square, KERNELS[2].1);
         assert!(
             naive > 4 * tiled,
             "naive {naive} should dwarf tiled {tiled}"
@@ -672,14 +621,14 @@ mod tests {
     #[test]
     fn bnlj_io_between_naive_and_tiled() {
         let n = 32;
-        let run = |layouts: (MatrixLayout, MatrixLayout), kernel: MatMulKernel| -> u64 {
+        let run = |layouts: (MatrixLayout, MatrixLayout), kernel: Kernel| -> u64 {
             let c = ctx(6);
             let a = mk(&c, n, n, layouts.0, |i, j| (i + j) as f64);
             let b = mk(&c, n, n, layouts.1, |i, j| (i * 2 + j) as f64);
             c.pool().flush_all().unwrap();
             c.clear_cache().unwrap();
             let before = c.io_snapshot();
-            let (t, _) = multiply(kernel, &a, &b, 6 * 64, None).unwrap();
+            let (t, _) = kernel(&a, &b, 6 * 64).unwrap();
             c.pool().flush_all().unwrap();
             let delta = c.io_snapshot() - before;
             drop(t);
@@ -688,44 +637,13 @@ mod tests {
         // BNLJ with its favourable layouts (row for A, col for B).
         let bnlj = run(
             (MatrixLayout::RowMajor, MatrixLayout::ColMajor),
-            MatMulKernel::Bnlj,
+            KERNELS[1].1,
         );
         let naive = run(
             (MatrixLayout::ColMajor, MatrixLayout::ColMajor),
-            MatMulKernel::Naive,
+            KERNELS[0].1,
         );
         assert!(bnlj < naive, "bnlj {bnlj} < naive {naive}");
-    }
-
-    #[test]
-    fn chain_execution_matches_reference_and_frees_temps() {
-        let c = ctx(64);
-        let dims = [12usize, 4, 10, 6];
-        let mats: Vec<DenseMatrix> = (0..3)
-            .map(|m| {
-                mk(&c, dims[m], dims[m + 1], MatrixLayout::Square, |i, j| {
-                    ((i * 31 + j * 17 + m * 7) % 13) as f64
-                })
-            })
-            .collect();
-        // Reference result.
-        let datas: Vec<Vec<f64>> = mats.iter().map(|m| m.to_rows().unwrap()).collect();
-        let ab = reference(&datas[0], &datas[1], dims[0], dims[1], dims[2]);
-        let abc = reference(&ab, &datas[2], dims[0], dims[2], dims[3]);
-        let live_before = c.live_objects();
-        for tree in crate::opt::all_orders(3) {
-            let (out, flops) =
-                multiply_chain(&tree, &mats, MatMulKernel::SquareTiled, 3 * 64).unwrap();
-            assert_eq!(flops as f64, tree.flops(&dims), "{}", tree.render());
-            assert_close(&out.to_rows().unwrap(), &abc);
-            out.free().unwrap();
-            assert_eq!(
-                c.live_objects(),
-                live_before,
-                "temps freed: {}",
-                tree.render()
-            );
-        }
     }
 
     #[test]
@@ -742,7 +660,7 @@ mod tests {
         c.pool().flush_all().unwrap();
         c.clear_cache().unwrap();
         let before = c.io_snapshot();
-        let (t, _) = multiply(MatMulKernel::SquareTiled, &a, &b, mem_elems, None).unwrap();
+        let (t, _) = matmul_tiled(&a, &b, mem_elems, 1, None).unwrap();
         c.pool().flush_all().unwrap();
         let delta = c.io_snapshot() - before;
         drop(t);

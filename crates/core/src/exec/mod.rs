@@ -17,8 +17,7 @@ pub mod sparse;
 
 pub use factor::{chol_tiled, cholesky_solve, tri_solve};
 pub use matmul::{
-    is_gram, matmul_bnlj, matmul_naive, matmul_tiled, multiply, multiply_chain, prefetch_rect,
-    read_rect, write_rect, MatMulKernel, Operand,
+    is_gram, matmul_bnlj, matmul_naive, matmul_tiled, prefetch_rect, read_rect, write_rect, Operand,
 };
 pub use pipeline::{
     drain_partitioned, drain_to_vec, governed, materialize, Arg, GatherPipe, GovernedPipe, Pipe,
@@ -162,6 +161,10 @@ pub type ExecResult<T> = std::result::Result<T, ExecError>;
 /// items run inline in order (no spawn), keeping sequential kernels'
 /// I/O order deterministic. After the first failure remaining items are
 /// abandoned and a failing worker's error is returned.
+///
+/// This is riot-core's only compute pool: every kernel that fans out —
+/// the dense and sparse products, the factorizations, partitioned pipeline
+/// drains and SpMM's windows of cells — runs its items here.
 pub(crate) fn run_parallel<I: Sync, S: Send>(
     threads: usize,
     items: &[I],

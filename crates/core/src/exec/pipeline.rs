@@ -40,10 +40,10 @@
 //! output — elementwise results are bit-identical to a sequential drain
 //! because every element is computed by exactly one worker, in one pass.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use riot_array::{DenseVector, StorageCtx, VectorWriter};
+use riot_storage::QueryGovernor;
 
 use super::{run_parallel, ExecError, ExecResult};
 use crate::expr::{select_slice, AggOp, BinOp, ExprError, Fold, Src, UnOp};
@@ -77,12 +77,6 @@ pub trait Pipe: Send {
     /// drained, the pipe may be pointed at another.
     fn restrict(&mut self, start: usize, len: usize);
 
-    /// Scalar operations this pipe performs (and adds to its op counter)
-    /// per element it produces.
-    fn ops_per_elem(&self) -> u64 {
-        0
-    }
-
     /// This pipe's fold sinks, in sink order (none for a pipe that only
     /// streams). They hold the fold of everything drained since the last
     /// [`Pipe::restrict`], which restarts each at the span's first element.
@@ -92,23 +86,21 @@ pub trait Pipe: Send {
 }
 
 /// A pipe adapter that places a governance checkpoint before every chunk
-/// it pulls, so cancellation, deadlines, and I/O budgets are observed at
-/// chunk granularity on any drain path (sequential, partitioned, or
-/// aggregating) without threading the governor through every drain
-/// signature.
+/// it pulls — and before the pull that finds the stream ended, which sees
+/// the last chunk's charge — so cancellation, deadlines, and budgets are
+/// observed at chunk granularity on any drain path (sequential,
+/// partitioned, or aggregating) without threading the governor through
+/// every drain signature.
 pub struct GovernedPipe {
     inner: Box<dyn Pipe>,
-    gov: Arc<riot_storage::QueryGovernor>,
+    gov: Arc<QueryGovernor>,
     at: &'static str,
-    ops_per_elem: u64,
 }
 
 impl Pipe for GovernedPipe {
     fn next_into(&mut self, out: &mut Vec<f64>) -> ExecResult<usize> {
         self.gov.checkpoint(self.at)?;
-        let n = self.inner.next_into(out)?;
-        self.gov.add_flops(n as u64 * self.ops_per_elem);
-        Ok(n)
+        self.inner.next_into(out)
     }
 
     fn total_len(&self) -> usize {
@@ -119,18 +111,13 @@ impl Pipe for GovernedPipe {
         self.inner.restrict(start, len)
     }
 
-    fn ops_per_elem(&self) -> u64 {
-        self.ops_per_elem
-    }
-
     fn folds(&self) -> &[Fold] {
         self.inner.folds()
     }
 }
 
-/// Wrap `pipe` with a per-chunk governance checkpoint labelled `at`, which
-/// also charges the chunk's scalar operations to the flop budget. When the
-/// context's governor is disengaged the pipe is returned unchanged, so
+/// Wrap `pipe` with a per-chunk governance checkpoint labelled `at`. When
+/// the context's governor is disengaged the pipe is returned unchanged, so
 /// ungoverned queries pay nothing — not even the extra virtual dispatch.
 pub fn governed(pipe: Box<dyn Pipe>, ctx: &Arc<StorageCtx>, at: &'static str) -> Box<dyn Pipe> {
     let gov = ctx.governor();
@@ -138,7 +125,6 @@ pub fn governed(pipe: Box<dyn Pipe>, ctx: &Arc<StorageCtx>, at: &'static str) ->
         return pipe;
     }
     Box::new(GovernedPipe {
-        ops_per_elem: pipe.ops_per_elem(),
         inner: pipe,
         gov: Arc::clone(gov),
         at,
@@ -322,21 +308,21 @@ pub struct TapeBuilder {
     folds: Vec<Fold>,
     len: usize,
     chunk: usize,
-    ops: Arc<AtomicU64>,
+    gov: Arc<QueryGovernor>,
 }
 
 impl TapeBuilder {
-    /// A tape producing `len` elements `chunk` at a time; `ops` counts
-    /// scalar work. Every leaf pulled from must stream the same `len`
-    /// elements in the same `chunk`s.
-    pub fn new(len: usize, chunk: usize, ops: Arc<AtomicU64>) -> Self {
+    /// A tape producing `len` elements `chunk` at a time, counting its
+    /// scalar work on `gov`'s flop counter. Every leaf pulled from must
+    /// stream the same `len` elements in the same `chunk`s.
+    pub fn new(len: usize, chunk: usize, gov: Arc<QueryGovernor>) -> Self {
         TapeBuilder {
             steps: Vec::new(),
             leaves: Vec::new(),
             folds: Vec::new(),
             len,
             chunk,
-            ops,
+            gov,
         }
     }
 
@@ -346,7 +332,7 @@ impl TapeBuilder {
     }
 
     fn folded(&self, value: f64) -> Arg {
-        self.ops.fetch_add(1, Ordering::Relaxed);
+        self.gov.add_flops(1);
         Arg::Const(value)
     }
 
@@ -442,7 +428,7 @@ impl TapeBuilder {
             regs: vec![Vec::new(); buffers],
             remaining: self.len,
             chunk: self.chunk,
-            ops: self.ops,
+            gov: self.gov,
         }
     }
 }
@@ -462,7 +448,7 @@ pub struct Tape {
     root: Option<Arg>,
     remaining: usize,
     chunk: usize,
-    ops: Arc<AtomicU64>,
+    gov: Arc<QueryGovernor>,
 }
 
 impl Tape {
@@ -471,11 +457,11 @@ impl Tape {
         self.regs.len()
     }
 
-    /// Elementwise instructions: the scalar operations per element this
-    /// tape counts itself (its leaves count their own, and whoever reads
-    /// the fold sinks counts those).
+    /// Instructions that compute — elementwise kernels and fold sinks,
+    /// every one but the pulls: the scalar operations per element this
+    /// tape counts (its leaves count their own).
     fn kernels(&self) -> u64 {
-        (self.steps.len() - self.leaves.len() - self.folds.len()) as u64
+        (self.steps.len() - self.leaves.len()) as u64
     }
 }
 
@@ -528,8 +514,7 @@ impl Pipe for Tape {
             }
             None => out.clear(),
         }
-        self.ops
-            .fetch_add(n as u64 * self.kernels(), Ordering::Relaxed);
+        self.gov.add_flops(n as u64 * self.kernels());
         Ok(n)
     }
 
@@ -545,27 +530,23 @@ impl Pipe for Tape {
         self.remaining = len;
     }
 
-    fn ops_per_elem(&self) -> u64 {
-        let leaf_ops = self.leaves.iter().map(|leaf| leaf.ops_per_elem());
-        self.kernels() + leaf_ops.sum::<u64>()
-    }
-
     fn folds(&self) -> &[Fold] {
         &self.folds
     }
 }
 
-/// Gather: pulls 1-based indices from `index` and probes `data`.
+/// Gather: pulls 1-based indices from `index` and probes `data`, one
+/// operation per element on `gov`'s flop counter.
 pub struct GatherPipe {
     index: Box<dyn Pipe>,
     data: Source,
-    ops: Arc<AtomicU64>,
+    gov: Arc<QueryGovernor>,
 }
 
 impl GatherPipe {
     /// `data[index]` with 1-based indices.
-    pub fn new(index: Box<dyn Pipe>, data: Source, ops: Arc<AtomicU64>) -> Self {
-        GatherPipe { index, data, ops }
+    pub fn new(index: Box<dyn Pipe>, data: Source, gov: Arc<QueryGovernor>) -> Self {
+        GatherPipe { index, data, gov }
     }
 }
 
@@ -575,7 +556,7 @@ impl Pipe for GatherPipe {
         for v in out.iter_mut() {
             *v = self.data.get(position(*v, self.data.len())?)?;
         }
-        self.ops.fetch_add(n as u64, Ordering::Relaxed);
+        self.gov.add_flops(n as u64);
         Ok(n)
     }
 
@@ -587,10 +568,6 @@ impl Pipe for GatherPipe {
         // The probe side is random-access; narrowing the index stream
         // narrows the gather.
         self.index.restrict(start, len)
-    }
-
-    fn ops_per_elem(&self) -> u64 {
-        1 + self.index.ops_per_elem()
     }
 }
 
@@ -664,8 +641,9 @@ pub fn drain_partitioned(parts: Vec<Partition<'_>>, threads: usize) -> ExecResul
 mod tests {
     use super::*;
 
-    fn ops() -> Arc<AtomicU64> {
-        Arc::new(AtomicU64::new(0))
+    /// A flop counter of its own.
+    fn ops() -> Arc<QueryGovernor> {
+        Arc::new(QueryGovernor::new(riot_storage::IoStats::new_shared()))
     }
 
     /// Drain the current span into the fold sinks.
@@ -724,7 +702,7 @@ mod tests {
         let got = drain_to_vec(Box::new(t.finish(sqrt))).unwrap();
         let want: Vec<f64> = (0..20).map(|i| (i as f64 - 1.0).abs()).collect();
         assert_eq!(got, want);
-        assert_eq!(counter.load(Ordering::Relaxed), 60, "3 ops x 20 elements");
+        assert_eq!(counter.flops(), 60, "3 ops x 20 elements");
     }
 
     #[test]
@@ -775,7 +753,7 @@ mod tests {
         );
         let e = t.zip(BinOp::Add, d2, d3);
         let tape = t.finish(e);
-        assert_eq!(tape.ops_per_elem(), 5);
+        assert_eq!(tape.kernels(), 5);
         let got = drain_to_vec(Box::new(tape)).unwrap();
         let want: Vec<f64> = (0..n)
             .map(|i| {
@@ -784,7 +762,7 @@ mod tests {
             })
             .collect();
         assert_eq!(got, want);
-        assert_eq!(counter.load(Ordering::Relaxed), 5 * n as u64);
+        assert_eq!(counter.flops(), 5 * n as u64);
         let delta = c.io_snapshot() - before;
         assert_eq!((delta.reads, delta.writes), (20, 0), "x and y once each");
     }
@@ -799,13 +777,13 @@ mod tests {
         // A root that is a bare leaf: the tape is one pull.
         let leaf = t.pull(Box::new(Scan::new(Source::Range { start: 1, len: 4 }, 3)));
         let tape = t.finish(leaf);
-        assert_eq!((tape.registers(), tape.ops_per_elem()), (1, 0));
+        assert_eq!((tape.registers(), tape.kernels()), (1, 0));
         assert_eq!(
             drain_to_vec(Box::new(tape)).unwrap(),
             vec![1.0, 2.0, 3.0, 4.0]
         );
         // The two folds, one scalar operation each; the bare leaf none.
-        assert_eq!(counter.load(Ordering::Relaxed), 2);
+        assert_eq!(counter.flops(), 2);
     }
 
     #[test]
@@ -871,14 +849,16 @@ mod tests {
 
     #[test]
     fn aggregates_over_pipe() {
-        // Four sinks over one leaf: one pass, one register.
-        let mut t = TapeBuilder::new(10, 3, ops());
+        // Four sinks over one leaf: one pass, one register, and one
+        // counted operation per sink per element.
+        let counter = ops();
+        let mut t = TapeBuilder::new(10, 3, counter.clone());
         let r = t.pull(Box::new(Scan::new(Source::Range { start: 1, len: 10 }, 3)));
         for op in [AggOp::Sum, AggOp::Mean, AggOp::Min, AggOp::Max] {
             t.fold(op, r);
         }
         let mut tape = t.finish(None);
-        assert_eq!((tape.registers(), tape.ops_per_elem()), (1, 0));
+        assert_eq!((tape.registers(), tape.kernels()), (1, 4));
         let mut buf = vec![f64::NAN; 2];
         while tape.next_into(&mut buf).unwrap() > 0 {
             assert!(buf.is_empty(), "a folding tape streams nothing");
@@ -886,6 +866,7 @@ mod tests {
         let values = |tape: &Tape| tape.folds().iter().map(Fold::value).collect::<Vec<_>>();
         // `Mean` accumulates the sum; whoever reads the sink divides.
         assert_eq!(values(&tape), [55.0, 55.0, 1.0, 10.0]);
+        assert_eq!(counter.flops(), 4 * 10);
         // Pointed at another span, the sinks start over at its first
         // element.
         tape.restrict(3, 4);
@@ -988,7 +969,7 @@ mod tests {
         }
         assert_eq!(out, want);
         // Every element computed exactly once across both drains.
-        assert_eq!(counter.load(Ordering::Relaxed), 2 * n as u64);
+        assert_eq!(counter.flops(), 2 * n as u64);
     }
 
     #[test]
@@ -1030,7 +1011,7 @@ mod tests {
                 v = t.zip(BinOp::Sub, v, scan);
             }
             let tape = t.finish(v);
-            assert_eq!(tape.ops_per_elem(), 200 + u64::from(keep_scan));
+            assert_eq!(tape.kernels(), 200 + u64::from(keep_scan));
             assert_eq!(tape.registers(), 2 + usize::from(keep_scan));
             // 100 rounds of -(v + 1) leave v as it started.
             let want = if keep_scan {
@@ -1052,7 +1033,7 @@ mod tests {
             sum = t.zip(BinOp::Add, sum, branch);
         }
         let tape = t.finish(sum);
-        assert_eq!((tape.ops_per_elem(), tape.registers()), (100, 4));
+        assert_eq!((tape.kernels(), tape.registers()), (100, 4));
         let want: Vec<f64> = data.iter().map(|v| v * 1225.0).collect();
         assert_eq!(drain_to_vec(Box::new(tape)).unwrap(), want);
     }

@@ -65,7 +65,7 @@
 //! non-zeros), so measured I/O and arithmetic can be checked against the
 //! cost model like the dense kernels.
 
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, OnceLock};
 
 use riot_array::{DenseMatrix, DenseVector, MatrixLayout, StorageCtx, TileOrder, VectorWriter};
 use riot_sparse::SparseMatrix;
@@ -73,7 +73,7 @@ use riot_storage::{BlockId, ObjectId};
 
 use super::gemm::axpy;
 use super::matmul::{prefetch_rect, read_rect, write_rect};
-use super::{run_parallel, ExecError, ExecResult};
+use super::{run_parallel, ExecResult};
 
 /// Out-of-core sparse matrix-vector multiply `y = A x`.
 ///
@@ -150,7 +150,7 @@ pub fn dmv(a: &DenseMatrix, x: &DenseVector, name: Option<&str>) -> ExecResult<(
     let mut flops = 0u64;
     for ti in 0..tr {
         a.ctx().governor().checkpoint("sparse.dmv.strip")?;
-        let strip_f0 = flops;
+        let mut strip_flops = 0u64;
         let r0 = ti as usize * tile_r;
         let m = tile_r.min(rows - r0);
         acc[..m].fill(0.0);
@@ -167,10 +167,11 @@ pub fn dmv(a: &DenseMatrix, x: &DenseVector, name: Option<&str>) -> ExecResult<(
                 }
                 acc[r] += s;
             }
-            flops += (m * take) as u64;
+            strip_flops += (m * take) as u64;
         }
         writer.push_chunk(&acc[..m])?;
-        a.ctx().governor().add_flops(flops - strip_f0);
+        a.ctx().governor().add_flops(strip_flops);
+        flops += strip_flops;
     }
     Ok((writer.finish()?, flops))
 }
@@ -495,16 +496,23 @@ impl SpmmPlan {
     }
 }
 
+/// Output cells per worker in one window of [`spmm_plan`] at `threads > 1`:
+/// enough work to amortize the window's thread spawns, few enough that the
+/// finished but not yet appended tiles stay a handful per worker.
+const CELLS_PER_WORKER: usize = 32;
+
 /// SpMM pass one: compute every output tile once (dense accumulator tile
 /// in memory), record its nnz in the plan, and spill its sorted entries.
 ///
-/// Output tiles are computed by `threads` scoped workers, each owning its
-/// dense accumulator scratch, but their entries are appended to the spill
-/// strictly in row-major tile order by the coordinating thread — so the
-/// spill stream (and therefore the plan, the filled product, and the
-/// spill's block count) is **bit-identical** at every thread count.
-/// `threads <= 1` computes the cells inline in order: the sequential
-/// device sequence.
+/// Output tiles are computed on the kernels' worker pool (`run_parallel`)
+/// in windows of consecutive cells, each worker owning its dense
+/// accumulator scratch; a finished window's entries are appended to the
+/// spill strictly in row-major tile order — so the spill stream (and
+/// therefore the plan, the filled product, and the spill's block count)
+/// is **bit-identical** at every thread count. Each window declares the
+/// next window's input pages before it computes. At `threads <= 1` a
+/// window is one cell: hint the next cell, compute, append — the
+/// sequential device sequence.
 pub fn spmm_plan(a: &SparseMatrix, b: &SparseMatrix, threads: usize) -> ExecResult<SpmmPlan> {
     let (_, n2) = a.shape();
     assert_eq!(n2, b.rows(), "spmm inner dimensions");
@@ -526,7 +534,7 @@ pub fn spmm_plan(a: &SparseMatrix, b: &SparseMatrix, threads: usize) -> ExecResu
 
     // Declare one output cell's input pages (pairs where both the A and B
     // tile are occupied — exactly the pages the compute will pin).
-    let prefetch_cell = |(bi, bj): (u64, u64)| {
+    let prefetch_cell = |&(bi, bj): &(u64, u64)| {
         let pairs = a.row(bi).iter().filter_map(|at| {
             let bt = b.slot(u64::from(at.tj), bj)?;
             Some([a.page_block(at.page), b.page_block(bt.page)])
@@ -534,11 +542,11 @@ pub fn spmm_plan(a: &SparseMatrix, b: &SparseMatrix, threads: usize) -> ExecResu
         a.ctx().pool().prefetch(pairs.flatten());
     };
 
-    // One output tile: accumulate into `scratch`, extract the sorted
-    // non-zero entries; returns the cell's flop count.
-    let run_cell = |(bi, bj): (u64, u64),
-                    scratch: &mut [f64],
-                    entries: &mut Vec<(usize, usize, f64)>|
+    // One output tile: accumulate into `scratch`, leave the sorted
+    // non-zero entries in `slot`; returns the cell's flop count.
+    type Entries = Vec<(usize, usize, f64)>;
+    let run_cell = |&((bi, bj), ref slot): &((u64, u64), OnceLock<Entries>),
+                    scratch: &mut Vec<f64>|
      -> ExecResult<u64> {
         a.ctx().governor().checkpoint("sparse.spmm.cell")?;
         scratch.fill(0.0);
@@ -554,12 +562,9 @@ pub fn spmm_plan(a: &SparseMatrix, b: &SparseMatrix, threads: usize) -> ExecResu
                 });
             });
         }
-        entries.clear();
-        for (i, &v) in scratch.iter().enumerate() {
-            if v != 0.0 {
-                entries.push((i / btc, i % btc, v));
-            }
-        }
+        let nonzero = scratch.iter().enumerate().filter(|(_, &v)| v != 0.0);
+        let entries = nonzero.map(|(i, &v)| (i / btc, i % btc, v)).collect();
+        slot.set(entries).expect("a cell is computed once");
         a.ctx().governor().add_flops(fl);
         Ok(fl)
     };
@@ -567,126 +572,29 @@ pub fn spmm_plan(a: &SparseMatrix, b: &SparseMatrix, threads: usize) -> ExecResu
     let mut spill = Spill::new(a.ctx(), "spmm-spill")?;
     let mut tile_nnz = Vec::with_capacity(cells.len());
     let mut flops = 0u64;
-    let append = |spill: &mut Spill, entries: &[(usize, usize, f64)]| -> ExecResult<()> {
-        for &(r, c, v) in entries {
-            spill.push(r as f64)?;
-            spill.push(c as f64)?;
-            spill.push(v)?;
-        }
-        Ok(())
-    };
-
-    if threads <= 1 {
-        let mut scratch = vec![0.0; atr * btc];
-        let mut entries = Vec::new();
-        for (idx, &cell) in cells.iter().enumerate() {
-            // The next cell's pages load while this cell computes.
-            if idx + 1 < cells.len() {
-                prefetch_cell(cells[idx + 1]);
-            }
-            flops += run_cell(cell, &mut scratch, &mut entries)?;
-            append(&mut spill, &entries)?;
-            tile_nnz.push(entries.len() as u32);
-        }
+    // One cell at a time on one thread — hint the next, compute, append;
+    // with workers, enough cells per window to amortize its spawns.
+    let window = if threads <= 1 {
+        1
     } else {
-        // One long-lived worker pool for the whole grid: workers claim
-        // cells (throttled to a small window past the append frontier, so
-        // buffered results stay bounded), and the coordinating thread
-        // consumes them strictly in row-major order — the spill stream is
-        // byte-identical to the sequential pass. Each worker allocates
-        // its scratch exactly once.
-        type CellOut = (Vec<(usize, usize, f64)>, u64);
-        struct Shared {
-            /// Finished-but-unappended cells, indexed by cell number.
-            results: Vec<Option<CellOut>>,
-            /// Next cell a worker may claim.
-            next: usize,
-            /// Cells appended to the spill so far (the window base).
-            appended: usize,
-            failure: Option<ExecError>,
+        threads * CELLS_PER_WORKER
+    };
+    let windows: Vec<&[(u64, u64)]> = cells.chunks(window).collect();
+    for (w, window) in windows.iter().enumerate() {
+        // The next window's pages load while this one computes.
+        if let Some(next) = windows.get(w + 1) {
+            next.iter().for_each(prefetch_cell);
         }
-        let window = 2 * threads;
-        let shared = Mutex::new(Shared {
-            results: (0..cells.len()).map(|_| None).collect(),
-            next: 0,
-            appended: 0,
-            failure: None,
-        });
-        let ready = Condvar::new();
-        let mut append_err: ExecResult<()> = Ok(());
-        std::thread::scope(|s| {
-            for _ in 0..threads.min(cells.len()) {
-                s.spawn(|| {
-                    let mut scratch = vec![0.0; atr * btc];
-                    loop {
-                        let i = {
-                            let mut st = shared.lock().unwrap();
-                            loop {
-                                if st.failure.is_some() || st.next == cells.len() {
-                                    return; // done or a sibling failed
-                                }
-                                if st.next < st.appended + window {
-                                    break;
-                                }
-                                st = ready.wait(st).unwrap();
-                            }
-                            let i = st.next;
-                            st.next += 1;
-                            i
-                        };
-                        // Own-cell window: the pool loads the cell's pages
-                        // concurrently while the first pin runs.
-                        prefetch_cell(cells[i]);
-                        let mut entries = Vec::new();
-                        match run_cell(cells[i], &mut scratch, &mut entries) {
-                            Ok(fl) => {
-                                let mut st = shared.lock().unwrap();
-                                st.results[i] = Some((entries, fl));
-                                ready.notify_all();
-                            }
-                            Err(e) => {
-                                let mut st = shared.lock().unwrap();
-                                st.failure.get_or_insert(e);
-                                ready.notify_all();
-                                return;
-                            }
-                        }
-                    }
-                });
+        let slots: Vec<_> = window.iter().map(|&cell| (cell, OnceLock::new())).collect();
+        flops += run_parallel(threads, &slots, || vec![0.0; atr * btc], run_cell)?;
+        for (_, slot) in slots {
+            let entries = slot.into_inner().expect("every cell of a finished window");
+            for (r, c, v) in &entries {
+                spill.push(*r as f64)?;
+                spill.push(*c as f64)?;
+                spill.push(*v)?;
             }
-            // Coordinator: append each cell as it becomes ready, in order.
-            for i in 0..cells.len() {
-                let out = {
-                    let mut st = shared.lock().unwrap();
-                    loop {
-                        if st.failure.is_some() {
-                            return; // error surfaces after the scope
-                        }
-                        if let Some(out) = st.results[i].take() {
-                            st.appended = i + 1;
-                            ready.notify_all();
-                            break out;
-                        }
-                        st = ready.wait(st).unwrap();
-                    }
-                };
-                let (entries, fl) = out;
-                flops += fl;
-                if let Err(e) = append(&mut spill, &entries) {
-                    append_err = Err(e);
-                    let mut st = shared.lock().unwrap();
-                    // Stop the workers; the real error returns below.
-                    st.failure
-                        .get_or_insert(ExecError::Unsupported(String::new()));
-                    ready.notify_all();
-                    return;
-                }
-                tile_nnz.push(entries.len() as u32);
-            }
-        });
-        append_err?;
-        if let Some(e) = shared.into_inner().unwrap().failure {
-            return Err(e);
+            tile_nnz.push(entries.len() as u32);
         }
     }
     if !spill.buf.is_empty() {
@@ -1089,6 +997,73 @@ mod tests {
         }
         let (_, flops) = spmm(&a, &b, 1, None).unwrap();
         assert_eq!(flops, want_flops, "each multiplication counted once");
+    }
+
+    /// SpMM at one thread over a pool of four frames: pass one's spill
+    /// blocks evict operand pages while cells are still being computed,
+    /// so the order of compute, hint and append is visible on the device.
+    /// Every pool event (by block), the counted I/O and the pool counters
+    /// are pinned.
+    #[test]
+    fn spmm_at_one_thread_keeps_its_device_sequence() {
+        use riot_storage::{IoSnapshot, PoolStats};
+        use riot_trace::EventKind;
+
+        let c = ctx(4);
+        let n = 32;
+        let trips: Vec<_> = (0..n)
+            .flat_map(|r| [0, 3, 9, 17].map(|d| (r, (r + d) % n, (r * n + d) as f64 + 1.0)))
+            .collect();
+        let a = SparseMatrix::from_triplets(&c, n, n, MatrixLayout::Square, &trips, None).unwrap();
+        c.pool().flush_all().unwrap();
+        c.clear_cache().unwrap();
+        let (io0, pool0) = (c.io_snapshot(), c.pool().pool_stats());
+        c.tracer().enable();
+        let (t, flops) = spmm_fill(spmm_plan(&a, &a, 1).unwrap(), None).unwrap();
+        c.tracer().disable();
+        let (io, pool) = (c.io_snapshot() - io0, c.pool().pool_stats().delta(&pool0));
+        let trace: Vec<String> = (c.tracer().drain().iter())
+            .filter_map(|e| match e.kind {
+                EventKind::PoolMiss { block } => Some(format!("m{block}")),
+                EventKind::PoolEvict { block, dirty } => {
+                    Some(format!("e{block}{}", if dirty { "*" } else { "" }))
+                }
+                EventKind::PoolWriteBack { block } => Some(format!("w{block}")),
+                _ => None,
+            })
+            .collect();
+        let trace = trace.join(" ");
+        assert_eq!((flops, t.nnz()), (512, 320));
+        let want_io = IoSnapshot {
+            reads: 88,
+            writes: 30,
+            seq_reads: 36,
+            seq_writes: 28,
+            bytes_read: 88 * 512,
+            bytes_written: 30 * 512,
+            syncs: 0,
+        };
+        assert_eq!(io, want_io);
+        let want_pool = PoolStats {
+            hits: 27,
+            misses: 121,
+            evict_writebacks: 30,
+            ..PoolStats::default()
+        };
+        assert_eq!(pool, want_pool);
+        // 64-bit FNV-1a of the rendered sequence: 268 events, from
+        // "m2 m3 m5 m7 e2 m9 e3 ..." to "... m41 w39 e39* m42". (The
+        // product's last dirty blocks stay in the pool: a flush writes
+        // them in no fixed order.)
+        let fnv = trace.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        });
+        let events = trace.split(' ').count();
+        assert_eq!(
+            (events, fnv),
+            (268, 0x7589_9820_57f5_10e1),
+            "sequence moved:\n{trace}"
+        );
     }
 
     #[test]

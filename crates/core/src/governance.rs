@@ -5,7 +5,8 @@
 //! suite needs one uniform way to assert that an aborted query released
 //! everything it held: no frame left pinned, every temporary extent
 //! freed, the catalog's allocation state byte-identical to the moment
-//! before the query started. [`LeakSnapshot`] captures that state and
+//! before the query started, and no object left on Plain R's paging heap
+//! that was not there then. [`LeakSnapshot`] captures that state and
 //! [`assert_no_leaks`] compares against it; the cancel-at-every-
 //! checkpoint sweep calls the pair around every abort point.
 
@@ -19,6 +20,8 @@ pub struct LeakSnapshot {
     pub catalog: String,
     /// Frames pinned at snapshot time (0 between queries).
     pub pinned_frames: usize,
+    /// Live objects on the session's paging heap (Plain R's values).
+    pub heap_objects: usize,
 }
 
 /// Capture the session's storage-allocation state.
@@ -27,13 +30,15 @@ pub fn leak_snapshot(session: &Session) -> LeakSnapshot {
     LeakSnapshot {
         catalog: ctx.catalog_fingerprint(),
         pinned_frames: ctx.pool().pinned_frames(),
+        heap_objects: session.heap_objects(),
     }
 }
 
 /// Assert the session leaked nothing since `before` was captured:
-/// zero pinned frames now, and a catalog fingerprint byte-identical to
-/// the snapshot. Panics with a diff-friendly message otherwise — `at`
-/// names the abort point for the failure message.
+/// zero pinned frames now, a catalog fingerprint byte-identical to the
+/// snapshot, and as many heap objects as then. Panics with a
+/// diff-friendly message otherwise — `at` names the abort point for the
+/// failure message.
 pub fn assert_no_leaks(session: &Session, before: &LeakSnapshot, at: &str) {
     let now = leak_snapshot(session);
     assert_eq!(
@@ -45,6 +50,10 @@ pub fn assert_no_leaks(session: &Session, before: &LeakSnapshot, at: &str) {
         now.catalog, before.catalog,
         "{at}: catalog changed across an aborted query\n--- before ---\n{}\n--- after ---\n{}",
         before.catalog, now.catalog
+    );
+    assert_eq!(
+        now.heap_objects, before.heap_objects,
+        "{at}: paging-heap objects leaked across an aborted query"
     );
 }
 

@@ -43,8 +43,6 @@ use crate::shape::Shape;
 pub struct OptConfig {
     /// Enable subscript pushdown (Figure 2).
     pub pushdown: bool,
-    /// Enable constant folding and algebraic simplification.
-    pub fold: bool,
     /// Enable matrix-chain reordering (applied by [`super::optimize`]).
     pub reorder_chains: bool,
     /// Density at or above which a sparse `MatMul` operand is densified so
@@ -58,7 +56,6 @@ impl Default for OptConfig {
     fn default() -> Self {
         OptConfig {
             pushdown: true,
-            fold: true,
             reorder_chains: true,
             sparse_threshold: crate::cost::SPARSE_DENSITY_THRESHOLD,
         }
@@ -132,22 +129,22 @@ fn rw(
     // Children first, whatever the operator; then only the operators that
     // have a rule are named.
     let node = g.map_children(id, |g, child| rw(g, child, cfg, stats, memo));
-    if let Some(x) = cancelled(g, &node).filter(|_| cfg.fold) {
+    if let Some(x) = cancelled(g, &node) {
         stats.folds += 1;
         memo.insert(id, x);
         return x;
     }
     let out = match node {
-        Node::Map(op, [input]) => build_map(g, op, input, cfg, stats),
-        Node::Zip(op, [lhs, rhs]) => build_zip(g, op, lhs, rhs, cfg, stats),
-        Node::IfElse([cond, yes, no]) => build_if_else(g, cond, yes, no, cfg, stats),
+        Node::Map(op, [input]) => build_map(g, op, input, stats),
+        Node::Zip(op, [lhs, rhs]) => build_zip(g, op, lhs, rhs, stats),
+        Node::IfElse([cond, yes, no]) => build_if_else(g, cond, yes, no, stats),
         Node::Gather([data, index]) if cfg.pushdown => build_gather(g, data, index, cfg, stats),
         Node::MaskAssign([data, mask, value]) => {
             // A masked functional update IS an elementwise conditional;
             // rewriting it as one turns a blocking modification into a
             // deferrable, pushdown-transparent operator (Figure 2).
             stats.mask_to_ifelse += 1;
-            build_if_else(g, mask, value, data, cfg, stats)
+            build_if_else(g, mask, value, data, stats)
         }
         Node::MatMul(operands) => {
             // Physical-plan choice for sparse operands: keep the sparse
@@ -280,25 +277,17 @@ fn build_transpose(
 }
 
 /// Build `Map(op, input)` applying local simplifications.
-fn build_map(
-    g: &mut ExprGraph,
-    op: UnOp,
-    input: NodeId,
-    cfg: &OptConfig,
-    stats: &mut RewriteStats,
-) -> NodeId {
-    if cfg.fold {
-        // Constant folding.
-        if let Node::Scalar(c) = *g.node(input) {
+fn build_map(g: &mut ExprGraph, op: UnOp, input: NodeId, stats: &mut RewriteStats) -> NodeId {
+    // Constant folding.
+    if let Node::Scalar(c) = *g.node(input) {
+        stats.folds += 1;
+        return g.scalar(op.apply(c));
+    }
+    // Double negation.
+    if op == UnOp::Neg {
+        if let Node::Map(UnOp::Neg, [inner]) = *g.node(input) {
             stats.folds += 1;
-            return g.scalar(op.apply(c));
-        }
-        // Double negation.
-        if op == UnOp::Neg {
-            if let Node::Map(UnOp::Neg, [inner]) = *g.node(input) {
-                stats.folds += 1;
-                return inner;
-            }
+            return inner;
         }
     }
     g.map(op, input)
@@ -310,62 +299,59 @@ fn build_zip(
     op: BinOp,
     lhs: NodeId,
     rhs: NodeId,
-    cfg: &OptConfig,
     stats: &mut RewriteStats,
 ) -> NodeId {
-    if cfg.fold {
-        if let (Node::Scalar(a), Node::Scalar(b)) = (g.node(lhs), g.node(rhs)) {
-            let v = op.apply(*a, *b);
-            stats.folds += 1;
-            return g.scalar(v);
-        }
-        if let Node::Scalar(c) = *g.node(rhs) {
-            match (op, c) {
-                // x ^ 2 -> square(x): the strength reduction that lets the
-                // pipeline avoid powf.
-                (BinOp::Pow, c) if c == 2.0 => {
-                    stats.folds += 1;
-                    return build_map(g, UnOp::Square, lhs, cfg, stats);
-                }
-                (BinOp::Pow, c) if c == 1.0 => {
-                    stats.folds += 1;
-                    return lhs;
-                }
-                (BinOp::Mul, c) if c == 1.0 => {
-                    stats.folds += 1;
-                    return lhs;
-                }
-                (BinOp::Div, c) if c == 1.0 => {
-                    stats.folds += 1;
-                    return lhs;
-                }
-                (BinOp::Add, c) if c == 0.0 => {
-                    stats.folds += 1;
-                    return lhs;
-                }
-                (BinOp::Sub, c) if c == 0.0 => {
-                    stats.folds += 1;
-                    return lhs;
-                }
-                _ => {}
+    if let (Node::Scalar(a), Node::Scalar(b)) = (g.node(lhs), g.node(rhs)) {
+        let v = op.apply(*a, *b);
+        stats.folds += 1;
+        return g.scalar(v);
+    }
+    if let Node::Scalar(c) = *g.node(rhs) {
+        match (op, c) {
+            // x ^ 2 -> square(x): the strength reduction that lets the
+            // pipeline avoid powf.
+            (BinOp::Pow, c) if c == 2.0 => {
+                stats.folds += 1;
+                return build_map(g, UnOp::Square, lhs, stats);
             }
-        }
-        if let Node::Scalar(c) = *g.node(lhs) {
-            match (op, c) {
-                (BinOp::Mul, c) if c == 1.0 => {
-                    stats.folds += 1;
-                    return rhs;
-                }
-                (BinOp::Add, c) if c == 0.0 => {
-                    stats.folds += 1;
-                    return rhs;
-                }
-                (BinOp::Sub, c) if c == 0.0 => {
-                    stats.folds += 1;
-                    return build_map(g, UnOp::Neg, rhs, cfg, stats);
-                }
-                _ => {}
+            (BinOp::Pow, c) if c == 1.0 => {
+                stats.folds += 1;
+                return lhs;
             }
+            (BinOp::Mul, c) if c == 1.0 => {
+                stats.folds += 1;
+                return lhs;
+            }
+            (BinOp::Div, c) if c == 1.0 => {
+                stats.folds += 1;
+                return lhs;
+            }
+            (BinOp::Add, c) if c == 0.0 => {
+                stats.folds += 1;
+                return lhs;
+            }
+            (BinOp::Sub, c) if c == 0.0 => {
+                stats.folds += 1;
+                return lhs;
+            }
+            _ => {}
+        }
+    }
+    if let Node::Scalar(c) = *g.node(lhs) {
+        match (op, c) {
+            (BinOp::Mul, c) if c == 1.0 => {
+                stats.folds += 1;
+                return rhs;
+            }
+            (BinOp::Add, c) if c == 0.0 => {
+                stats.folds += 1;
+                return rhs;
+            }
+            (BinOp::Sub, c) if c == 0.0 => {
+                stats.folds += 1;
+                return build_map(g, UnOp::Neg, rhs, stats);
+            }
+            _ => {}
         }
     }
     g.rebuilt(Node::Zip(op, [lhs, rhs]))
@@ -377,22 +363,19 @@ fn build_if_else(
     cond: NodeId,
     yes: NodeId,
     no: NodeId,
-    cfg: &OptConfig,
     stats: &mut RewriteStats,
 ) -> NodeId {
-    if cfg.fold {
-        if let Node::Scalar(c) = *g.node(cond) {
-            let chosen = if c != 0.0 { yes } else { no };
-            // Only select the branch if it has the full result shape
-            // (otherwise the conditional's broadcast would be lost).
-            let full = g
-                .shape(cond)
-                .broadcast(&g.shape(yes))
-                .broadcast(&g.shape(no));
-            if g.shape(chosen) == full {
-                stats.folds += 1;
-                return chosen;
-            }
+    if let Node::Scalar(c) = *g.node(cond) {
+        let chosen = if c != 0.0 { yes } else { no };
+        // Only select the branch if it has the full result shape
+        // (otherwise the conditional's broadcast would be lost).
+        let full = g
+            .shape(cond)
+            .broadcast(&g.shape(yes))
+            .broadcast(&g.shape(no));
+        if g.shape(chosen) == full {
+            stats.folds += 1;
+            return chosen;
         }
     }
     g.rebuilt(Node::IfElse([cond, yes, no]))
@@ -408,7 +391,7 @@ fn build_gather(
 ) -> NodeId {
     if let Shape::Vector(data_len) = g.shape(data) {
         // Identity: x[1:len(x)] is x.
-        if cfg.fold && matches!(*g.node(index), Node::Range { start: 1, len } if len == data_len) {
+        if matches!(*g.node(index), Node::Range { start: 1, len } if len == data_len) {
             stats.folds += 1;
             return data;
         }
@@ -419,18 +402,18 @@ fn build_gather(
             Node::Map(op, [input]) => {
                 stats.gathers_pushed += 1;
                 let pushed = push_operand(g, input, index, data_len, cfg, stats);
-                return build_map(g, op, pushed, cfg, stats);
+                return build_map(g, op, pushed, stats);
             }
             Node::Zip(op, operands) => {
                 stats.gathers_pushed += 1;
                 let [pl, pr] = operands.map(|x| push_operand(g, x, index, data_len, cfg, stats));
-                return build_zip(g, op, pl, pr, cfg, stats);
+                return build_zip(g, op, pl, pr, stats);
             }
             Node::IfElse(operands) => {
                 stats.gathers_pushed += 1;
                 let [pc, py, pn] =
                     operands.map(|x| push_operand(g, x, index, data_len, cfg, stats));
-                return build_if_else(g, pc, py, pn, cfg, stats);
+                return build_if_else(g, pc, py, pn, stats);
             }
             // x[j][i] = x[j[i]] — which stops checking the entries of `j`
             // that `i` does not select, so only for a `j` known in bounds.
@@ -476,9 +459,9 @@ fn push_operand(
             debug_assert!(l > 0 && out_len.is_multiple_of(l), "recycling invariant");
             let one = g.scalar(1.0);
             let len = g.scalar(l as f64);
-            let zero_based = build_zip(g, BinOp::Sub, index, one, cfg, stats);
-            let wrapped = build_zip(g, BinOp::Mod, zero_based, len, cfg, stats);
-            let remapped = build_zip(g, BinOp::Add, wrapped, one, cfg, stats);
+            let zero_based = build_zip(g, BinOp::Sub, index, one, stats);
+            let wrapped = build_zip(g, BinOp::Mod, zero_based, len, stats);
+            let remapped = build_zip(g, BinOp::Add, wrapped, one, stats);
             build_gather(g, n, remapped, cfg, stats)
         }
         _ => build_gather(g, n, index, cfg, stats),

@@ -21,7 +21,7 @@ use riot_array::DenseVector;
 use riot_trace::EventKind;
 
 use super::{EngineKind, Runtime, VecRepr};
-use crate::exec::pipeline::{drain_to_vec, governed, materialize};
+use crate::exec::pipeline::{drain_partitioned, governed, materialize};
 use crate::exec::ExecResult;
 use crate::expr::{Node, NodeId};
 use crate::opt::optimize;
@@ -191,15 +191,43 @@ impl Runtime {
     }
 
     /// Evaluate a deferred vector into memory (the `print` forcing point).
+    ///
+    /// One partition — the whole stream, drained in order — unless worker
+    /// threads have at least two alignment units each to share and the
+    /// plan is parallel-safe: then one restricted pipe per worker's span,
+    /// drained on the worker pool straight into its slice of the output.
+    /// Span boundaries are **block-aligned** (in elements): two partitions
+    /// sharing a boundary block would each pin it, and under eviction
+    /// pressure the shared block could be read twice, breaking I/O parity
+    /// with the sequential drain. Chunk alignment also starts every span
+    /// on a chunk boundary when the chunk is block-sized or larger.
     pub(super) fn force_collect(&mut self, id: NodeId) -> ExecResult<Vec<f64>> {
         self.force("collect", id, |rt, root| {
             let len = rt.graph.shape(root).len();
-            rt.count_ops(len);
-            if let Some(out) = rt.try_parallel_collect(root, len)? {
-                return Ok(out);
+            rt.add_flops(len);
+            let threads = rt.cfg.threads.max(1);
+            let epb = rt.ctx.elems_per_block();
+            let align = rt.chunk().max(epb).div_ceil(epb) * epb;
+            let per = len.div_ceil(threads).div_ceil(align) * align;
+            let parallel =
+                threads > 1 && len >= 2 * align && per < len && rt.parallel_safe(root, len);
+            let (part, at) = match parallel {
+                true => (per, "pipeline.collect.part"),
+                false => (len.max(1), "pipeline.collect.chunk"),
+            };
+            let mut out = vec![0.0; len];
+            let mut slices: Vec<&mut [f64]> = out.chunks_mut(part).collect();
+            if slices.is_empty() {
+                slices.push(&mut []); // an empty stream still compiles once
             }
-            let pipe = governed(rt.compile(root, len)?, &rt.ctx, "pipeline.collect.chunk");
-            drain_to_vec(pipe)
+            let mut parts = Vec::new();
+            for (k, slice) in slices.into_iter().enumerate() {
+                let mut pipe = rt.compile(root, len)?;
+                pipe.restrict(k * part, slice.len());
+                parts.push((governed(pipe, &rt.ctx, at), slice));
+            }
+            drain_partitioned(parts, threads)?;
+            Ok(out)
         })
     }
 

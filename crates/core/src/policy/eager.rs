@@ -162,8 +162,7 @@ impl Runtime {
     }
 
     /// One governed pass over `0..n`, a chunk at a time: every step
-    /// checkpoints under `at` and is charged to the flop budget; a pass
-    /// that completes counts `n` scalar operations.
+    /// checkpoints under `at` and counts one scalar operation per element.
     fn for_chunks(
         &mut self,
         at: &'static str,
@@ -174,10 +173,9 @@ impl Runtime {
         for start in (0..n).step_by(chunk) {
             let take = chunk.min(n - start);
             self.ctx.governor().checkpoint(at)?;
-            self.ctx.governor().add_flops(take as u64);
+            self.add_flops(take);
             step(self, start, take)?;
         }
-        self.count_ops(n);
         Ok(())
     }
 
@@ -399,7 +397,7 @@ impl Runtime {
                 self.heap.set(id, j * m.rows + i, v);
             }
         }
-        self.count_ops(rows * cols);
+        self.add_flops(rows * cols);
         Ok(MatRepr::Vm(HeapMat { id, rows, cols }))
     }
 
@@ -416,22 +414,15 @@ impl Runtime {
                 }
                 self.heap.set(id, i * n3 + j, acc);
             }
-            self.ctx.governor().add_flops((n1 * n2) as u64);
+            self.add_flops(n1 * n2);
             Ok(())
         });
         if let Err(e) = columns {
             self.heap.release(id);
             return Err(e);
         }
-        self.count_ops(n1 * n2 * n3);
         let (rows, cols) = (n1, n3);
         Ok(MatRepr::Vm(HeapMat { id, rows, cols }))
-    }
-
-    /// Count `flops` scalar operations, against the flop budget too.
-    fn charge(&mut self, flops: u64) {
-        self.count_ops(flops as usize);
-        self.ctx.governor().add_flops(flops);
     }
 
     /// In-memory Cholesky, as R's LAPACK call would: the whole matrix is
@@ -442,7 +433,7 @@ impl Runtime {
         self.ctx.governor().checkpoint("plainr.chol")?;
         let mut a = self.heap.to_vec(m.id);
         let flops = factor::potrf(&mut a, n, 0, 0)?;
-        self.charge(flops);
+        self.add_flops(flops as usize);
         self.heap_mat(n, n, &a)
     }
 
@@ -452,13 +443,13 @@ impl Runtime {
         let mut l = self.heap.to_vec(a.id);
         let mut x = self.heap.to_vec(b.id);
         let flops = factor::solve_in_memory(&mut l, &mut x, n, m)?;
-        self.charge(flops);
+        self.add_flops(flops as usize);
         self.heap_mat(n, m, &x)
     }
 
     pub(super) fn heap_nnz(&mut self, m: HeapMat) -> u64 {
         let len = m.rows * m.cols;
-        self.count_ops(len);
+        self.add_flops(len);
         (0..len).filter(|&i| self.heap.get(m.id, i) != 0.0).count() as u64
     }
 }

@@ -43,7 +43,6 @@ impl Runtime {
             return Ok(Vec::new());
         };
         let len = self.graph.shape(first).len();
-        self.count_ops(len * sinks.len());
         let threads = self.cfg.threads.max(1);
         let parallel = threads > 1
             && len > FOLD_PARTITION
@@ -85,7 +84,7 @@ impl Runtime {
     /// sequential one. `SubAssign` is safe because its forced
     /// materialization is memoized (the first compile does the work,
     /// identical to sequential) and then scans like a stored vector.
-    fn parallel_safe(&self, root: NodeId, out_len: usize) -> bool {
+    pub(super) fn parallel_safe(&self, root: NodeId, out_len: usize) -> bool {
         let (mut seen, mut stack) = (HashSet::new(), vec![root]);
         while let Some(id) = stack.pop() {
             if !seen.insert(id) {
@@ -112,50 +111,13 @@ impl Runtime {
         true
     }
 
-    /// Attempt a partitioned parallel drain of node `id` (`len` elements):
-    /// compile one pipe per chunk-aligned span, restrict each to its span,
-    /// and drain them on `cfg.threads` scoped workers into one output
-    /// buffer. Returns `None` (and performs no partial work the sequential
-    /// path would not) when the plan is not parallel-safe.
-    pub(super) fn try_parallel_collect(
-        &mut self,
-        id: NodeId,
-        len: usize,
-    ) -> ExecResult<Option<Vec<f64>>> {
-        let threads = self.cfg.threads;
-        // Partition boundaries must be **block-aligned** (in elements):
-        // two partitions sharing a boundary block would each pin it, and
-        // under eviction pressure the shared block could be device-read
-        // twice, breaking I/O parity with the sequential drain. Chunk
-        // alignment additionally keeps per-partition streams starting on
-        // chunk boundaries when the chunk is block-sized or larger.
-        let epb = self.ctx.elems_per_block();
-        let align = self.chunk().max(epb).div_ceil(epb) * epb;
-        if threads <= 1 || len < 2 * align || !self.parallel_safe(id, len) {
-            return Ok(None);
-        }
-        let per = len.div_ceil(threads).div_ceil(align) * align;
-        if per >= len {
-            return Ok(None);
-        }
-        let mut out = vec![0.0; len];
-        let mut parts = Vec::new();
-        for (k, slice) in out.chunks_mut(per).enumerate() {
-            let mut pipe = self.compile(id, len)?;
-            pipe.restrict(k * per, slice.len());
-            parts.push((governed(pipe, &self.ctx, "pipeline.collect.part"), slice));
-        }
-        drain_partitioned(parts, threads)?;
-        Ok(Some(out))
-    }
-
     // ================= pipeline compilation =================
 
     /// Compile node `id` into a pipe producing `out_len` elements
     /// (broadcasting scalars and recycling short operands): one tape for
     /// the whole DAG under `id`, one instruction per distinct node.
     pub(super) fn compile(&mut self, id: NodeId, out_len: usize) -> ExecResult<Box<dyn Pipe>> {
-        let mut tape = TapeBuilder::new(out_len, self.chunk(), Arc::clone(&self.cpu_ops));
+        let mut tape = TapeBuilder::new(out_len, self.chunk(), Arc::clone(self.ctx.governor()));
         let root = self.emit(&mut tape, &mut HashMap::new(), id, out_len)?;
         Ok(Box::new(tape.finish(root)))
     }
@@ -168,7 +130,7 @@ impl Runtime {
         sinks: &[(AggOp, NodeId)],
         len: usize,
     ) -> ExecResult<Box<dyn Pipe>> {
-        let mut tape = TapeBuilder::new(len, self.chunk(), Arc::clone(&self.cpu_ops));
+        let mut tape = TapeBuilder::new(len, self.chunk(), Arc::clone(self.ctx.governor()));
         let mut done = HashMap::new();
         for &(op, input) in sinks {
             let input = self.emit(&mut tape, &mut done, input, len)?;
@@ -238,8 +200,8 @@ impl Runtime {
                         let idx_len = self.graph.shape(index).len();
                         let index = self.compile(index, idx_len)?;
                         let probe = self.compile_probe(data)?;
-                        let ops = Arc::clone(&self.cpu_ops);
-                        tape.pull(Box::new(GatherPipe::new(index, probe, ops)))
+                        let gov = Arc::clone(self.ctx.governor());
+                        tape.pull(Box::new(GatherPipe::new(index, probe, gov)))
                     }
                     Node::SubAssign([data, index, value]) => {
                         let vec = self.force_subassign(id, data, index, value)?;
@@ -311,26 +273,23 @@ impl Runtime {
         for (&raw, &val) in idx.iter().zip(&vals) {
             vec.set(position(raw, len)?, val)?;
         }
-        self.count_ops(len + idx.len());
+        self.add_flops(len + idx.len());
         self.materialized.insert(node_id, vec.clone());
         Ok(vec)
     }
 
     // ================= matrices =================
 
-    /// Run one matrix kernel inside a span named `name`, counting the
-    /// scalar operations it reports.
+    /// Run one matrix kernel inside a span named `name`. The kernel has
+    /// counted its scalar operations as it went; the total it reports is
+    /// not counted again.
     fn kernel<T>(
         &mut self,
         name: &'static str,
         detail: impl FnOnce(&Self) -> String,
         body: impl FnOnce(&mut Self) -> ExecResult<(T, u64)>,
     ) -> ExecResult<T> {
-        self.span(name, detail, |rt| {
-            let (out, flops) = body(rt)?;
-            rt.count_ops(flops as usize);
-            Ok(out)
-        })
+        self.span(name, detail, |rt| Ok(body(rt)?.0))
     }
 
     /// Materialize a matrix node in whichever physical representation the
@@ -531,7 +490,7 @@ impl Runtime {
     pub(super) fn dense_nnz(&mut self, m: &DenseMatrix) -> ExecResult<u64> {
         let mut count = 0u64;
         m.for_each(|_, _, v| count += u64::from(v != 0.0))?;
-        self.count_ops(m.rows() * m.cols());
+        self.add_flops(m.rows() * m.cols());
         Ok(count)
     }
 }
@@ -703,7 +662,6 @@ mod tests {
             });
             let interior = interior.count() as u64;
             let pipe = rt.compile(root, N).unwrap();
-            prop_assert_eq!(pipe.ops_per_elem(), interior);
             let before = rt.cpu_ops();
             let full = drain_to_vec(pipe).unwrap();
             prop_assert!(same_bits(&full, &want), "{specs:?}: {full:?} vs {want:?}");

@@ -43,7 +43,6 @@ mod ops;
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -274,7 +273,6 @@ pub struct Runtime {
     /// materializes into a fresh object), so an aggregate that runs late
     /// reads what it would have read when it was built.
     pub(crate) pending: BTreeMap<NodeId, deferred::Pending>,
-    pub(crate) cpu_ops: Arc<AtomicU64>,
     pub(crate) last_opt_stats: RewriteStats,
     rng: StdRng,
 }
@@ -328,7 +326,7 @@ impl Runtime {
         }
         // `RIOT_GOVERN=1` engages the governor with empty limits — full
         // checkpoint accounting, nothing to trip — for the whole runtime
-        // (the CI governance leg runs the entire suite this way, proving
+        // (CI's `governed` leg runs the entire suite this way, proving
         // the engaged path never perturbs counted I/O or results).
         if env_flag("RIOT_GOVERN") {
             ctx.governor().engage(riot_storage::ResourceLimits::none());
@@ -346,7 +344,6 @@ impl Runtime {
             mat_materialized: HashMap::new(),
             sparse_materialized: HashMap::new(),
             pending: BTreeMap::new(),
-            cpu_ops: Arc::new(AtomicU64::new(0)),
             last_opt_stats: RewriteStats::default(),
             rng: StdRng::seed_from_u64(cfg.seed),
         }
@@ -379,9 +376,11 @@ impl Runtime {
         self.ctx.io_snapshot() + self.heap.io_stats().snapshot()
     }
 
-    /// Scalar operations performed so far.
+    /// Scalar operations performed so far over this runtime's storage
+    /// context: the governor's one flop counter, which every kernel adds
+    /// its work to (see [`riot_storage::QueryGovernor::add_flops`]).
     pub fn cpu_ops(&self) -> u64 {
-        self.cpu_ops.load(Ordering::Relaxed)
+        self.ctx.governor().flops()
     }
 
     /// Modeled execution time per Figure 1(b)'s I/O-dominated accounting.
@@ -389,8 +388,9 @@ impl Runtime {
         model.modeled_seconds(&self.io_snapshot(), self.cpu_ops())
     }
 
-    fn count_ops(&self, n: usize) {
-        self.cpu_ops.fetch_add(n as u64, Ordering::Relaxed);
+    /// Count `n` scalar operations on the context's flop counter.
+    fn add_flops(&self, n: usize) {
+        self.ctx.governor().add_flops(n as u64);
     }
 
     fn chunk(&self) -> usize {
@@ -478,12 +478,15 @@ impl Runtime {
     /// [`crate::session::Session`] operation enters through. With the
     /// governor disengaged (or when already inside a governed bracket)
     /// this is a direct call. Engaged, it opens the governor's budget
-    /// bracket, snapshots the set of live catalog objects, and — if `f`
-    /// unwinds with a governance abort (cancel, budget, pin timeout) —
-    /// releases everything the query allocated: queued prefetch windows
-    /// are dropped, cache entries backed by query-created objects are
-    /// purged, and the objects themselves are freed, restoring the catalog
-    /// to its pre-query state (the *leak-free abort* pinned invariant).
+    /// bracket, snapshots the set of live catalog objects, and closes the
+    /// bracket with one more budget check — which refuses a query whose
+    /// last charge went over, its finished result included. If `f`
+    /// unwinds with a governance abort (cancel, budget, pin timeout), or
+    /// the closing check refuses it, everything the query allocated is
+    /// released: queued prefetch windows are dropped, cache entries backed
+    /// by query-created objects are purged, and the objects themselves are
+    /// freed — in the catalog and on the paging heap — restoring both to
+    /// their pre-query state (the *leak-free abort* pinned invariant).
     pub(crate) fn governed<T>(
         &mut self,
         f: impl FnOnce(&mut Self) -> ExecResult<T>,
@@ -495,13 +498,15 @@ impl Runtime {
         if !outer {
             return f(self);
         }
-        let baseline = self.ctx.live_object_ids();
+        let (baseline, heap_mark) = (self.ctx.live_object_ids(), self.heap.mark());
         self.ctx.governor().begin();
         let result = f(self);
-        self.ctx.governor().end();
+        let closed = self.ctx.governor().end();
+        // A refused result is dropped before the cleanup runs.
+        let result = result.and_then(|out| closed.map(|()| out).map_err(Into::into));
         if let Err(e) = &result {
             if e.is_governance_abort() {
-                self.abort_cleanup(&baseline);
+                self.abort_cleanup(&baseline, heap_mark);
             }
         }
         result
@@ -509,8 +514,10 @@ impl Runtime {
 
     /// Release everything a governance-aborted query allocated (see
     /// [`Runtime::governed`]). `baseline` is the set of live catalog
-    /// objects at query start; anything newer is the aborted query's.
-    fn abort_cleanup(&mut self, baseline: &[ObjectId]) {
+    /// objects at query start and `heap_mark` the paging heap's next id
+    /// then; anything newer is the aborted query's.
+    fn abort_cleanup(&mut self, baseline: &[ObjectId], heap_mark: VmId) {
+        self.heap.free_since(heap_mark);
         // Stop queued prefetch windows first: nothing new should load on
         // behalf of a dead query.
         self.ctx.pool().discard_prefetch_queue();

@@ -472,8 +472,7 @@ impl Runtime {
             (MatRepr::Node(l), MatRepr::Node(r)) => Ok(MatRepr::Node(self.graph.matmul(*l, *r)?)),
             (MatRepr::Vm(a), MatRepr::Vm(b)) => self.heap_matmul(*a, *b),
             (MatRepr::Stored(a), MatRepr::Stored(b)) => {
-                let (t, flops) = matmul_naive(&a.mat, &b.mat, None)?;
-                self.count_ops(flops as usize);
+                let (t, _) = matmul_naive(&a.mat, &b.mat, None)?;
                 Ok(stored(t, true))
             }
             _ => unreachable!("one engine, one matrix representation"),
@@ -489,8 +488,7 @@ impl Runtime {
             MatRepr::Node(id) => Ok(MatRepr::Node(self.graph.chol(*id)?)),
             MatRepr::Vm(m) => self.heap_chol(*m),
             MatRepr::Stored(sm) => {
-                let (l, flops) = factor::chol_tiled(&sm.mat, self.mem_elems(), 1, None)?;
-                self.count_ops(flops as usize);
+                let (l, _) = factor::chol_tiled(&sm.mat, self.mem_elems(), 1, None)?;
                 Ok(stored(l, true))
             }
         }
@@ -504,8 +502,7 @@ impl Runtime {
             (MatRepr::Node(l), MatRepr::Node(r)) => Ok(MatRepr::Node(self.graph.solve(*l, *r)?)),
             (MatRepr::Vm(a), MatRepr::Vm(b)) => self.heap_solve(*a, *b),
             (MatRepr::Stored(a), MatRepr::Stored(b)) => {
-                let (x, flops) = factor::cholesky_solve(&a.mat, &b.mat, self.mem_elems(), 1, None)?;
-                self.count_ops(flops as usize);
+                let (x, _) = factor::cholesky_solve(&a.mat, &b.mat, self.mem_elems(), 1, None)?;
                 Ok(stored(x, true))
             }
             _ => unreachable!("one engine, one matrix representation"),

@@ -304,7 +304,10 @@ impl Session {
         self.rt.borrow().drop_caches()
     }
 
-    /// Scalar operations so far.
+    /// Scalar operations so far, over this session's storage context —
+    /// like [`Session::io_snapshot`], one counter per context, which every
+    /// kernel adds its work to; a profile's flops and the `max_flops`
+    /// budget are deltas of it.
     pub fn cpu_ops(&self) -> u64 {
         self.rt.borrow().cpu_ops()
     }
@@ -322,6 +325,11 @@ impl Session {
     /// Deferred aggregates built and not yet observed.
     pub fn pending_scalars(&self) -> usize {
         self.rt.borrow().pending.len()
+    }
+
+    /// Live objects on the paging heap (Plain R's values; none elsewhere).
+    pub(crate) fn heap_objects(&self) -> usize {
+        self.rt.borrow().heap.live_objects()
     }
 
     /// Buffer-pool cache-effectiveness counters so far.

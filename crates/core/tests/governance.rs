@@ -6,9 +6,10 @@
 //! session — the checkpoints exist, but observe only.
 //!
 //! Leak-free abort: after a cancellation or budget abort at any
-//! checkpoint, no frame stays pinned, every temporary extent is freed,
-//! and the catalog allocation state is byte-identical to the pre-query
-//! snapshot.
+//! checkpoint — or a refusal where the query bracket closes — no frame
+//! stays pinned, every temporary extent is freed, the catalog allocation
+//! state is byte-identical to the pre-query snapshot, and the paging heap
+//! holds the objects it held.
 
 use std::time::Duration;
 
@@ -323,9 +324,10 @@ fn a_cancelled_batch_leaves_every_scalar_pending() {
 #[test]
 fn a_batch_charges_each_shared_node_once() {
     // The tape of the batch computes w's three nodes once per element,
-    // whichever sinks read them: its flop charge is that of one pass, not
-    // of three. One operation short of that trips; that much admits it.
-    let one_pass = 3 * BATCH_LEN as u64;
+    // whichever sinks read them, and folds each element into the three
+    // sinks: its flop charge is that of one pass, not of three. One
+    // operation short of that trips; that much admits it.
+    let one_pass = (3 + 3) * BATCH_LEN as u64;
     let s = Session::new(tight(EngineKind::Riot));
     let pending = three_pending(&s);
     let snap = leak_snapshot(&s);
@@ -446,6 +448,85 @@ fn eager_operators_cancel_at_every_chunk_and_leak_nothing() {
                 op(&s, &x, &y, &idx).unwrap_or_else(|e| panic!("{tag}: rerun failed: {e}"));
                 assert_no_leaks(&s, &snap, &format!("{tag}: rerun after {k}/{total}"));
             }
+        }
+    }
+}
+
+/// A query of the flop-boundary test: its operands, built without a
+/// budget, and the one call — one governed query — that computes it. An
+/// eager engine computes an operator the moment it is called; a deferred
+/// one only records it, and the forcing point that follows does the work.
+fn boundary_query(s: &Session, case: &str) -> Box<dyn Fn() -> Result<(), ExecError>> {
+    let deferred = matches!(s.kind(), EngineKind::MatNamed | EngineKind::Riot);
+    let x = s.vector_from_fn(30_000, |i| (i % 13) as f64).unwrap();
+    let a = spd_input(s, 48);
+    let twice = |x: &RVec| x.try_binary_scalar(BinOp::Mul, 2.0, false);
+    match case {
+        "x * 2" if deferred => {
+            let y = twice(&x).unwrap();
+            Box::new(move || y.collect().map(drop))
+        }
+        "x * 2" => Box::new(move || twice(&x).map(drop)),
+        "sum(x)" => Box::new(move || x.sum().map(drop)),
+        "(x * 2).sum()" => {
+            let y = twice(&x).unwrap();
+            Box::new(move || y.sum().map(drop))
+        }
+        "t(a) %*% a" if deferred => {
+            let p = a.t().matmul(&a);
+            Box::new(move || p.collect().map(drop))
+        }
+        "t(a) %*% a" => {
+            let at = a.t();
+            Box::new(move || at.try_matmul(&a).map(drop))
+        }
+        "chol(a)" if deferred => {
+            let l = a.chol().unwrap();
+            Box::new(move || l.collect().map(drop))
+        }
+        "chol(a)" => Box::new(move || a.chol().map(drop)),
+        other => unreachable!("no query {other}"),
+    }
+}
+
+#[test]
+fn max_flops_charges_exactly_what_the_profile_reports() {
+    // A budget of the query's own flop count D admits it; D − 1 refuses
+    // it, with the count its profile reports — the last chunk, tile or
+    // fold of the pass included — and nothing left behind.
+    for kind in EngineKind::all() {
+        for case in ["x * 2", "sum(x)", "(x * 2).sum()", "t(a) %*% a", "chol(a)"] {
+            let tag = format!("{kind:?} {case}");
+            let s = Session::new(tight(kind));
+            let query = boundary_query(&s, case);
+            let ops = s.cpu_ops();
+            query().unwrap();
+            let d = s.cpu_ops() - ops;
+            assert!(d > 0, "{tag}: no flops");
+
+            let s = Session::new(tight(kind));
+            let query = boundary_query(&s, case);
+            s.set_limits(ResourceLimits::none().with_max_flops(d));
+            query().unwrap_or_else(|e| panic!("{tag}: a budget of {d} refused it: {e}"));
+
+            let s = Session::new(tight(kind));
+            let query = boundary_query(&s, case);
+            let snap = leak_snapshot(&s);
+            s.set_limits(ResourceLimits::none().with_max_flops(d - 1));
+            let (refused, profile) = s.profile(&query);
+            match refused {
+                Err(ExecError::BudgetExceeded {
+                    resource: "flops",
+                    used,
+                    limit,
+                }) => {
+                    assert_eq!(limit, d - 1, "{tag}");
+                    assert_eq!(used, profile.total().flops, "{tag}: used vs profile");
+                }
+                other => panic!("{tag}: a budget of {} gave {other:?}", d - 1),
+            }
+            s.clear_limits();
+            assert_no_leaks(&s, &snap, &tag);
         }
     }
 }

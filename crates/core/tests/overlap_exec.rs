@@ -14,7 +14,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use riot_array::{DenseMatrix, DenseVector, MatrixLayout, StorageCtx, TileOrder};
-use riot_core::exec::{multiply, spmv, MatMulKernel};
+use riot_core::exec::{matmul_tiled, spmv};
 use riot_sparse::SparseMatrix;
 use riot_storage::testing::FailpointDevice;
 use riot_storage::{BufferPool, MemBlockDevice, PoolConfig};
@@ -70,7 +70,7 @@ fn matmul_counted_io_identical_through_overlapped_path() {
         ctx.pool().flush_all().unwrap();
         ctx.clear_cache().unwrap();
         let before = ctx.io_snapshot();
-        let (t, flops) = multiply(MatMulKernel::SquareTiled, &a, &b, 3 * 64, None).unwrap();
+        let (t, flops) = matmul_tiled(&a, &b, 3 * 64, 1, None).unwrap();
         let io = ctx.io_snapshot() - before;
         let result = t.to_rows().unwrap();
         (result, flops, io.reads, io.writes)

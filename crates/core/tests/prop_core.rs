@@ -201,7 +201,7 @@ proptest! {
         );
     }
 
-    /// All four engines — and Riot with its optimizer switched off — have
+    /// All four engines — and Riot with subscript pushdown switched off — have
     /// the same outcome as the reference evaluator for random programs.
     #[test]
     fn engines_agree_with_reference(p in prog_strategy(), n in 3usize..24) {
@@ -217,7 +217,7 @@ proptest! {
         let root = build(&mut g, &p, x, y, n);
         let want = evaluate(&g, root, &src).map(|v| v.to_flat());
 
-        let unoptimized = OptConfig { pushdown: false, fold: false, ..OptConfig::default() };
+        let unoptimized = OptConfig { pushdown: false, ..OptConfig::default() };
         let engines = EngineKind::all().map(|kind| (kind, OptConfig::default()));
         for (kind, opt) in engines.into_iter().chain([(EngineKind::Riot, unoptimized)]) {
             let mut cfg = EngineConfig::new(kind);

@@ -12,9 +12,17 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use riot_array::{DenseMatrix, MatrixLayout, StorageCtx, TileOrder};
-use riot_core::exec::{is_gram, matmul_bnlj, matmul_naive, matmul_tiled, MatMulKernel, Operand};
+use riot_core::exec::{is_gram, matmul_bnlj, matmul_naive, matmul_tiled, Operand};
 use riot_core::{EngineConfig, EngineKind, Session};
 use riot_storage::{PoolConfig, PREFETCH_AUTO};
+
+/// The three dense kernels under test.
+#[derive(Debug, Clone, Copy)]
+enum MatMulKernel {
+    Naive,
+    Bnlj,
+    SquareTiled,
+}
 
 const KERNELS: [MatMulKernel; 3] = [
     MatMulKernel::Naive,

@@ -155,12 +155,17 @@ impl SparseMatrix {
         name: Option<&str>,
     ) -> Result<Self> {
         let (tile_r, tile_c) = layout.tile_dims(ctx.elems_per_block());
-        let mut cells = triplets.to_vec();
-        for &(r, c, _) in &cells {
+        for &(r, c, _) in triplets {
             assert!(r < rows && c < cols, "triplet ({r}, {c}) out of bounds");
         }
-        // Stable, so duplicates of one cell stay in input order.
-        cells.sort_by_key(|&(r, c, _)| (r / tile_r, c / tile_c, r, c));
+        // Sort an index, not a copy with a copy's worth of merge scratch;
+        // stable, so duplicates of one cell stay in input order.
+        let mut order: Vec<usize> = (0..triplets.len()).collect();
+        order.sort_by_key(|&i| {
+            let (r, c, _) = triplets[i];
+            (r / tile_r, c / tile_c, r, c)
+        });
+        let mut cells: Vec<Entry> = order.into_iter().map(|i| triplets[i]).collect();
         cells.dedup_by(|dup, first| {
             let same = (dup.0, dup.1) == (first.0, first.1);
             if same {

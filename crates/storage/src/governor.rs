@@ -27,6 +27,13 @@
 //! cheap cloneable handles to the governor's cancel flag — hand one to
 //! another thread and `cancel()` aborts the running query at its next
 //! checkpoint.
+//!
+//! The governor also keeps the context's one flop counter: every kernel
+//! adds the scalar work it does with [`QueryGovernor::add_flops`],
+//! governed or not, and [`QueryGovernor::flops`] is the monotonic total
+//! the runtime's `cpu_ops`, every profile and the cost model read. The
+//! flop budget is that counter's delta since `begin`, the way the read
+//! and write budgets are deltas of [`IoStats`].
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -151,11 +158,13 @@ pub struct QueryGovernor {
     max_flops: AtomicU64,
     max_pinned: AtomicU64,
     max_temp: AtomicU64,
-    /// Counted-I/O baselines captured at `begin`.
+    /// Counted-I/O and flop baselines captured at `begin`.
     base_reads: AtomicU64,
     base_writes: AtomicU64,
-    /// Per-query usage accumulators.
+    base_flops: AtomicU64,
+    /// Scalar operations over the context's life (never reset).
     flops: AtomicU64,
+    /// Per-query temp-block accumulator.
     temp_blocks: AtomicU64,
     /// Monotonic count of governed checkpoints (never reset by `begin`,
     /// so a cancel sweep can target the k-th checkpoint of a workload
@@ -185,6 +194,7 @@ impl QueryGovernor {
             max_temp: AtomicU64::new(UNLIMITED),
             base_reads: AtomicU64::new(0),
             base_writes: AtomicU64::new(0),
+            base_flops: AtomicU64::new(0),
             flops: AtomicU64::new(0),
             temp_blocks: AtomicU64::new(0),
             checkpoints: AtomicU64::new(0),
@@ -277,13 +287,13 @@ impl QueryGovernor {
         self.cancel_at.store(UNLIMITED, Ordering::Relaxed);
     }
 
-    /// Open a query bracket: capture counted-I/O baselines, zero the
-    /// per-query accumulators, and arm the deadline.
+    /// Open a query bracket: capture the counted-I/O and flop baselines,
+    /// zero the temp-block accumulator, and arm the deadline.
     pub fn begin(&self) {
         let snap = self.io.snapshot();
         self.base_reads.store(snap.reads, Ordering::Relaxed);
         self.base_writes.store(snap.writes, Ordering::Relaxed);
-        self.flops.store(0, Ordering::Relaxed);
+        self.base_flops.store(self.flops(), Ordering::Relaxed);
         self.temp_blocks.store(0, Ordering::Relaxed);
         let now = self.t0.elapsed().as_millis() as u64;
         self.begin_ms.store(now, Ordering::Relaxed);
@@ -299,10 +309,18 @@ impl QueryGovernor {
         self.in_query.store(true, Ordering::Relaxed);
     }
 
-    /// Close the query bracket opened by [`QueryGovernor::begin`].
-    pub fn end(&self) {
+    /// Close the query bracket opened by [`QueryGovernor::begin`], and
+    /// test the read, write and flop budgets once more: a checkpoint
+    /// precedes the work it admits, so the last chunk, tile or cell of a
+    /// pass is charged after the last checkpoint. This is no checkpoint —
+    /// it counts nothing, and a cancel arriving now is moot.
+    pub fn end(&self) -> Result<()> {
         self.in_query.store(false, Ordering::Relaxed);
         self.deadline_at_ms.store(UNLIMITED, Ordering::Relaxed);
+        if !self.engaged.load(Ordering::Relaxed) {
+            return Ok(());
+        }
+        self.check_counted()
     }
 
     /// The abort seam every layer calls. Ungoverned: one relaxed atomic
@@ -356,6 +374,11 @@ impl QueryGovernor {
                 });
             }
         }
+        self.check_counted()
+    }
+
+    /// The read, write and flop budgets against their deltas since `begin`.
+    fn check_counted(&self) -> Result<()> {
         let max_r = self.max_reads.load(Ordering::Relaxed);
         let max_w = self.max_writes.load(Ordering::Relaxed);
         if max_r != UNLIMITED || max_w != UNLIMITED {
@@ -379,7 +402,7 @@ impl QueryGovernor {
         }
         let max_f = self.max_flops.load(Ordering::Relaxed);
         if max_f != UNLIMITED {
-            let used = self.flops.load(Ordering::Relaxed);
+            let used = self.flops() - self.base_flops.load(Ordering::Relaxed);
             if used > max_f {
                 return Err(StorageError::BudgetExceeded {
                     resource: "flops",
@@ -391,13 +414,18 @@ impl QueryGovernor {
         Ok(())
     }
 
-    /// Record `n` scalar operations against the flop budget (checked at
-    /// the next checkpoint). Free when ungoverned.
+    /// Count `n` scalar operations: the one call every site that does
+    /// scalar work makes, once per unit of work, governed or not. The
+    /// flop budget sees it at the next checkpoint, or where the query
+    /// bracket closes.
     #[inline]
     pub fn add_flops(&self, n: u64) {
-        if self.engaged.load(Ordering::Relaxed) {
-            self.flops.fetch_add(n, Ordering::Relaxed);
-        }
+        self.flops.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Scalar operations counted over the context's life.
+    pub fn flops(&self) -> u64 {
+        self.flops.load(Ordering::Relaxed)
     }
 
     /// Charge `blocks` of temporary allocation against the temp budget,
@@ -504,6 +532,32 @@ mod tests {
     }
 
     #[test]
+    fn flops_count_always_and_the_budget_is_a_delta_checked_at_end() {
+        let g = gov();
+        g.add_flops(500); // disengaged work still counts
+        assert_eq!(g.flops(), 500);
+        g.engage(ResourceLimits::none().with_max_flops(100));
+        g.begin();
+        g.checkpoint("x").unwrap();
+        g.add_flops(100); // the pass's last charge: no checkpoint after it
+        g.end().unwrap();
+        g.begin();
+        g.checkpoint("x").unwrap();
+        g.add_flops(101);
+        let seen = g.checkpoints_seen();
+        assert!(matches!(
+            g.end(),
+            Err(StorageError::BudgetExceeded {
+                resource: "flops",
+                used: 101,
+                limit: 100,
+            })
+        ));
+        assert_eq!(g.checkpoints_seen(), seen, "closing is no checkpoint");
+        assert_eq!(g.flops(), 701);
+    }
+
+    #[test]
     fn temp_budget_charges_only_inside_queries() {
         let g = gov();
         g.engage(ResourceLimits::none().with_max_temp_blocks(4));
@@ -518,10 +572,10 @@ mod tests {
                 limit: 4,
             })
         ));
-        g.end();
+        g.end().unwrap();
         g.begin();
         g.charge_temp_blocks(4).unwrap(); // fresh query, fresh budget
-        g.end();
+        g.end().unwrap();
     }
 
     #[test]

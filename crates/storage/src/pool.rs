@@ -3019,7 +3019,7 @@ mod tests {
             "{err}"
         );
         drop(_g0);
-        gov.end();
+        gov.end().unwrap();
         // Outside the query bracket the cap no longer applies.
         let _g0 = p.pin_new(b0).unwrap();
         let _g1 = p.pin_new(b1).unwrap();

@@ -94,6 +94,8 @@ struct Frame {
 pub struct PagedHeap {
     cfg: VmConfig,
     objects: HashMap<u64, Object>,
+    /// Physical frames, allocated on first use up to `cfg.frames`: a heap
+    /// nothing pages into holds no frame memory.
     frames: Vec<Frame>,
     free_frames: Vec<usize>,
     /// Simulated swap device: slot -> page contents.
@@ -115,15 +117,8 @@ impl PagedHeap {
         PagedHeap {
             cfg,
             objects: HashMap::new(),
-            frames: (0..cfg.frames)
-                .map(|_| Frame {
-                    data: vec![0.0; cfg.page_elems].into_boxed_slice(),
-                    owner: None,
-                    dirty: false,
-                    stamp: 0,
-                })
-                .collect(),
-            free_frames: (0..cfg.frames).rev().collect(),
+            frames: Vec::new(),
+            free_frames: Vec::new(),
             swap: HashMap::new(),
             free_slots: Vec::new(),
             io: IoStats::new_shared(),
@@ -170,7 +165,7 @@ impl PagedHeap {
 
     /// Currently resident pages.
     pub fn resident_pages(&self) -> usize {
-        self.cfg.frames - self.free_frames.len()
+        self.frames.len() - self.free_frames.len()
     }
 
     /// Allocate a zeroed vector of `len` elements with refcount 1, or
@@ -244,6 +239,29 @@ impl PagedHeap {
                 }
             }
             self.live_bytes -= (obj.len * std::mem::size_of::<f64>()) as u64;
+        }
+    }
+
+    /// The id the next allocation gets: everything allocated after this
+    /// call has an id at or above it (see [`PagedHeap::free_since`]).
+    pub fn mark(&self) -> VmId {
+        VmId(self.next_id)
+    }
+
+    /// Free every live object allocated since `mark`, whatever its
+    /// reference count — what an abandoned computation allocated and
+    /// nobody will release.
+    pub fn free_since(&mut self, mark: VmId) {
+        let mut young: Vec<u64> = self
+            .objects
+            .keys()
+            .filter(|&&id| id >= mark.0)
+            .copied()
+            .collect();
+        young.sort_unstable(); // swap slots return to the free list in one order
+        for id in young {
+            self.objects.get_mut(&id).expect("live object").refs = 1;
+            self.release(VmId(id));
         }
     }
 
@@ -368,10 +386,20 @@ impl PagedHeap {
         frame
     }
 
-    /// Obtain a free frame, evicting the LRU resident page if necessary.
+    /// Obtain a free frame — a released one, else a new one while under
+    /// the cap — evicting the LRU resident page if necessary.
     fn grab_frame(&mut self) -> usize {
         if let Some(f) = self.free_frames.pop() {
             return f;
+        }
+        if self.frames.len() < self.cfg.frames {
+            self.frames.push(Frame {
+                data: vec![0.0; self.cfg.page_elems].into_boxed_slice(),
+                owner: None,
+                dirty: false,
+                stamp: 0,
+            });
+            return self.frames.len() - 1;
         }
         // LRU victim scan.
         let victim = self
@@ -499,6 +527,19 @@ mod tests {
         assert_eq!(h.live_objects(), 1);
         h.release(v);
         assert_eq!(h.live_objects(), 0);
+    }
+
+    #[test]
+    fn free_since_frees_only_the_younger_objects() {
+        let mut h = heap(4, 4);
+        let old = h.alloc(4).unwrap();
+        let mark = h.mark();
+        let young = h.alloc(4).unwrap();
+        h.retain(young);
+        h.alloc(8).unwrap();
+        h.free_since(mark);
+        assert_eq!(h.live_objects(), 1);
+        assert_eq!(h.refcount(old), 1);
     }
 
     #[test]

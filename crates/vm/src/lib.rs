@@ -13,6 +13,8 @@
 //!
 //! * every R vector is an *object* spanning whole pages of `f64`s;
 //! * a fixed budget of physical *frames* caps residency (the memory cap);
+//!   frames are allocated as first needed, so an engine that never pages
+//!   into its heap holds none;
 //! * touching a non-resident page is a **page fault**: an LRU victim frame
 //!   is evicted (a disk *write* if dirty) and the faulting page is read
 //!   back from its swap slot (a disk *read*, unless the page was never

@@ -12,7 +12,7 @@ use riot::core::cost::{
     bnlj_io, naive_colmajor_io, sparse_blocks, spmdm_io, square_tiled_io, square_tiled_schedule_io,
     CostParams,
 };
-use riot::core::exec::{multiply, spmdm, MatMulKernel, Operand};
+use riot::core::exec::{matmul_bnlj, matmul_naive, matmul_tiled, spmdm, ExecResult, Operand};
 use riot::core::EngineKind;
 use riot::sparse::SparseMatrix;
 use riot_bench::corpus::{self, Input};
@@ -33,14 +33,18 @@ fn mk(ctx: &std::sync::Arc<StorageCtx>, n: usize, layout: MatrixLayout) -> Dense
 }
 
 /// Measure the kernel's total block I/O with a pass-through pool.
-fn measured(kernel: MatMulKernel, n: usize, layout: MatrixLayout, mem_elems: usize) -> f64 {
+fn measured(
+    n: usize,
+    layout: MatrixLayout,
+    kernel: impl Fn(&DenseMatrix, &DenseMatrix) -> ExecResult<(DenseMatrix, u64)>,
+) -> f64 {
     let ctx = StorageCtx::new_mem(BLOCK, 4);
     let a = mk(&ctx, n, layout);
     let b = mk(&ctx, n, layout);
     ctx.pool().flush_all().unwrap();
     ctx.clear_cache().unwrap();
     let before = ctx.io_snapshot();
-    let (t, _) = multiply(kernel, &a, &b, mem_elems, None).unwrap();
+    let (t, _) = kernel(&a, &b).unwrap();
     ctx.pool().flush_all().unwrap();
     let io = ctx.io_snapshot() - before;
     t.free().unwrap();
@@ -78,7 +82,7 @@ fn tiled_measured_and_model(
         Operand { mat: &a, trans: at },
         Operand { mat: &b, trans: bt },
     );
-    let (t, _) = multiply(MatMulKernel::SquareTiled, ops.0, ops.1, mem, None).unwrap();
+    let (t, _) = matmul_tiled(ops.0, ops.1, mem, 1, None).unwrap();
     ctx.pool().flush_all().unwrap();
     let io = ctx.io_snapshot() - before;
     t.free().unwrap();
@@ -150,7 +154,7 @@ fn measured_bnlj_small_blocks(n: usize, mem_elems: usize) -> f64 {
     ctx.pool().flush_all().unwrap();
     ctx.clear_cache().unwrap();
     let before = ctx.io_snapshot();
-    let (t, _) = multiply(MatMulKernel::Bnlj, &a, &b, mem_elems, None).unwrap();
+    let (t, _) = matmul_bnlj(&a, &b, mem_elems, 1, None).unwrap();
     ctx.pool().flush_all().unwrap();
     let io = ctx.io_snapshot() - before;
     t.free().unwrap();
@@ -183,8 +187,10 @@ fn naive_colmajor_is_catastrophic_as_predicted() {
     // costs ~2*n^3/(B*p). At n=64 that's a factor of hundreds; measure it.
     let n = 64;
     let mem = 3 * 1024;
-    let naive = measured(MatMulKernel::Naive, n, MatrixLayout::ColMajor, mem);
-    let tiled = measured(MatMulKernel::SquareTiled, n, MatrixLayout::Square, mem);
+    let naive = measured(n, MatrixLayout::ColMajor, |a, b| matmul_naive(a, b, None));
+    let tiled = measured(n, MatrixLayout::Square, |a, b| {
+        matmul_tiled(a, b, mem, 1, None)
+    });
     assert!(
         naive > 20.0 * tiled,
         "naive {naive} must dwarf tiled {tiled}"
@@ -234,7 +240,7 @@ fn measured_tiled_small_blocks(n: usize, mem_elems: usize) -> f64 {
     ctx.pool().flush_all().unwrap();
     ctx.clear_cache().unwrap();
     let before = ctx.io_snapshot();
-    let (t, _) = multiply(MatMulKernel::SquareTiled, &a, &b, mem_elems, None).unwrap();
+    let (t, _) = matmul_tiled(&a, &b, mem_elems, 1, None).unwrap();
     ctx.pool().flush_all().unwrap();
     let io = ctx.io_snapshot() - before;
     t.free().unwrap();

@@ -3,7 +3,7 @@
 //! device, byte-identical results included.
 
 use riot::array::{DenseMatrix, DenseVector, MatrixLayout, StorageCtx, TileOrder};
-use riot::core::exec::{multiply, MatMulKernel};
+use riot::core::exec::matmul_tiled;
 use riot::storage::{BufferPool, FileBlockDevice, PoolConfig};
 
 fn file_ctx(frames: usize) -> std::sync::Arc<StorageCtx> {
@@ -56,7 +56,7 @@ fn matmul_runs_against_a_real_file() {
         |i, j| f64::from(i == j) * 2.0,
     )
     .unwrap();
-    let (t, _) = multiply(MatMulKernel::SquareTiled, &a, &b, 3 * 64, None).unwrap();
+    let (t, _) = matmul_tiled(&a, &b, 3 * 64, 1, None).unwrap();
     // B = 2I, so T must equal 2A — read back through the file.
     ctx.pool().flush_all().unwrap();
     ctx.clear_cache().unwrap();
