@@ -23,7 +23,7 @@ pub use pipeline::{
     drain_partitioned, drain_to_vec, governed, materialize, Arg, GatherPipe, GovernedPipe, Pipe,
     Scan, Source, Tape, TapeBuilder,
 };
-pub use sparse::{dmspm, dmv, spmdm, spmm, spmm_fill, spmm_plan, spmv, sptranspose, SpmmPlan};
+pub use sparse::{spmdm, spmm, spmm_fill, spmm_plan, sptranspose, Side, SpmmPlan};
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 

@@ -17,26 +17,23 @@
 //! `tests/sparse_exec.rs`, `tests/prop_sparse.rs` and the unit tests
 //! here; page layout in the [`riot_sparse`] crate docs):
 //!
-//! * [`spmv`] — sparse matrix x dense vector. Walks tile-rows: reads are
-//!   `occupied_pages + x.blocks` whenever the pool holds `x` beside a
-//!   page (each page is read once even when two tile-rows share it); `y`
-//!   streams out whole blocks at a time (each written exactly once, never
-//!   read back), so its blocks cost pure writes.
-//! * [`dmv`] — the dense reference the sparse path is measured against
-//!   (reads every tile of `A` regardless of content).
-//! * [`spmdm`] — sparse x dense with **dense accumulator strips**: the
-//!   accumulators of one output tile-row live in memory; each occupied
-//!   sparse tile pulls the matching block-row of the dense operand, so
-//!   skipped sparse tiles skip their dense reads too. Reads of `A` are
-//!   `occupied_pages`; every output block is written once, whole. This is
-//!   the kernel `a %*% v` reaches from R (`n3 = 1`).
-//! * [`dmspm`] — dense x sparse, mirroring [`spmdm`] from the right: the
-//!   accumulator strip follows the dense operand's tile-rows, and only
-//!   sparse tile-rows with at least one occupied tile pull the matching
-//!   rectangle of the dense operand. Reads are `occupied_pages(B)` per
-//!   strip that finds them evicted, plus the `A` rectangles matching
-//!   occupied `B` tile-rows — a fully empty `B` tile-row costs zero `A`
-//!   I/O.
+//! * [`spmdm`] — the one sparse x dense product, with the sparse operand
+//!   on either [`Side`] and **dense accumulator strips**: the
+//!   accumulators of one output strip live in memory and each strip is
+//!   written once, whole. `a %*% v` from R is its left side at `n3 = 1`.
+//!   - [`Side::Left`] (sparse `A` x dense `B`): a strip walks its own
+//!     tile-rows of `A`, and each occupied tile pulls the matching
+//!     block-row of `B`, so skipped sparse tiles skip their dense reads
+//!     too. Reads are `occupied_pages(A)` plus the `B` block-rows of
+//!     occupied tiles — `occupied_pages + v.blocks()` at `n3 = 1`
+//!     whenever the pool holds `v` beside a page (a page shared by two
+//!     tile-rows is read once).
+//!   - [`Side::Right`] (dense `A` x sparse `B`): a strip walks every
+//!     tile-row of `B`, and only a tile-row with at least one occupied
+//!     tile pulls the matching rectangle of `A`. Reads are
+//!     `occupied_pages(B)` per strip that finds them evicted, plus the `A`
+//!     rectangles matching occupied `B` tile-rows — a fully empty `B`
+//!     tile-row costs zero `A` I/O.
 //! * [`sptranspose`] — native sparse transpose. Planning derives the
 //!   output directory from the cached input directory (zero I/O); the
 //!   data pass reads each input page exactly once, re-sorts the entries
@@ -52,11 +49,6 @@
 //!   [`spmm_fill`] expose the passes individually so tests can pin
 //!   exactly that.
 //!
-//! The dense results of [`spmdm`] and [`dmspm`] take square tiles, or
-//! tall `ColMajor` ones when the result is narrower than a square tile
-//! (`product_matrix`): an `n x 1` product is `n / B` blocks, not one
-//! block per `sqrt(B)` values.
-//!
 //! Each kernel takes `threads`: independent strips (or output tiles) are
 //! distributed over that many scoped workers, results are bit-identical
 //! at every count, and `threads <= 1` runs inline in order — the
@@ -67,7 +59,8 @@
 
 use std::sync::{Arc, OnceLock};
 
-use riot_array::{DenseMatrix, DenseVector, MatrixLayout, StorageCtx, TileOrder, VectorWriter};
+use riot_array::MatrixLayout::{ColMajor, Square};
+use riot_array::{DenseMatrix, StorageCtx, TileOrder};
 use riot_sparse::SparseMatrix;
 use riot_storage::{BlockId, ObjectId};
 
@@ -75,262 +68,136 @@ use super::gemm::axpy;
 use super::matmul::{prefetch_rect, read_rect, write_rect};
 use super::{run_parallel, ExecResult};
 
-/// Out-of-core sparse matrix-vector multiply `y = A x`.
-///
-/// Reads the pages of `A` once each and streams `x` per tile-row; `y`
-/// streams out whole blocks at a time as pure write I/O (no
-/// read-modify-write of fresh output pages).
-///
-/// Work items are **output-block groups** of tile-rows distributed over
-/// `threads` scoped workers, each owning its accumulator/`x` scratch, so
-/// every worker writes whole disjoint blocks of `y`. Results are
-/// bit-identical at every thread count (each output element is one
-/// worker's ordinary tile-row fold) and — in the in-memory regime — total
-/// counted I/O is identical too. `threads <= 1` runs the groups inline in
-/// order: the sequential device sequence.
-pub fn spmv(
-    a: &SparseMatrix,
-    x: &DenseVector,
-    threads: usize,
-    name: Option<&str>,
-) -> ExecResult<(DenseVector, u64)> {
-    let (rows, cols) = a.shape();
-    assert_eq!(x.len(), cols, "spmv operand lengths");
-    let (tile_r, tile_c) = a.tile_dims();
-    let y = DenseVector::create(a.ctx(), rows, name)?;
-    // Tile dims come from the block size, so whole tile-rows pack into
-    // whole output blocks: groups never share a block.
-    let group = y.elems_per_block();
-    debug_assert_eq!(group % tile_r, 0, "tile-rows pack into y blocks");
-    let groups: Vec<usize> = (0..rows).step_by(group).collect();
-
-    let run_group = |g0: usize, acc: &mut [f64], xbuf: &mut [f64]| -> ExecResult<u64> {
-        a.ctx().governor().checkpoint("sparse.spmv.group")?;
-        let g_rows = group.min(rows - g0);
-        acc[..g_rows].fill(0.0);
-        let mut flops = 0u64;
-        for ti in (g0 / tile_r) as u64..(g0 + g_rows).div_ceil(tile_r) as u64 {
-            // Next strip's pages load while this one computes.
-            a.prefetch_tile_row(ti + 1);
-            let strip = &mut acc[ti as usize * tile_r - g0..];
-            let mut tiles = a.tile_row(ti);
-            while let Some(tile) = tiles.next()? {
-                let c0 = tile.tj() as usize * tile_c;
-                let take = tile_c.min(cols - c0);
-                x.read_range(c0, &mut xbuf[..take])?;
-                tile.for_each(|r, c, v| strip[r] += v * xbuf[c]);
-                flops += tile.nnz() as u64;
-            }
-        }
-        y.write_range(g0, &acc[..g_rows])?;
-        a.ctx().governor().add_flops(flops);
-        Ok(flops)
-    };
-
-    let flops = run_parallel(
-        threads,
-        &groups,
-        || (vec![0.0; group], vec![0.0; tile_c]),
-        |&g0, (acc, xbuf)| run_group(g0, acc, xbuf),
-    )?;
-    Ok((y, flops))
+/// Which operand of an [`spmdm`] product is the sparse one.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Side {
+    /// Sparse times dense.
+    Left,
+    /// Dense times sparse.
+    Right,
 }
 
-/// Dense reference matrix-vector multiply `y = A x`, tile by tile: the
-/// kernel the sparse path is measured against (it must read every tile of
-/// `A` regardless of content).
-pub fn dmv(a: &DenseMatrix, x: &DenseVector, name: Option<&str>) -> ExecResult<(DenseVector, u64)> {
-    let (rows, cols) = a.shape();
-    assert_eq!(x.len(), cols, "dmv operand lengths");
-    let (tile_r, tile_c) = a.tile_dims();
-    let (tr, tc) = a.tile_grid();
-    let mut writer = VectorWriter::new(a.ctx(), rows, name)?;
-    let mut acc = vec![0.0; tile_r];
-    let mut xbuf = vec![0.0; tile_c];
-    let mut flops = 0u64;
-    for ti in 0..tr {
-        a.ctx().governor().checkpoint("sparse.dmv.strip")?;
-        let mut strip_flops = 0u64;
-        let r0 = ti as usize * tile_r;
-        let m = tile_r.min(rows - r0);
-        acc[..m].fill(0.0);
-        for tj in 0..tc {
-            let tile = a.pin_tile(ti, tj)?;
-            let c0 = tj as usize * tile_c;
-            let take = tile_c.min(cols - c0);
-            x.read_range(c0, &mut xbuf[..take])?;
-            for r in 0..m {
-                let row = &tile[r * tile_c..r * tile_c + take];
-                let mut s = 0.0;
-                for (rv, xv) in row.iter().zip(&xbuf[..take]) {
-                    s += rv * xv;
-                }
-                acc[r] += s;
-            }
-            strip_flops += (m * take) as u64;
-        }
-        writer.push_chunk(&acc[..m])?;
-        a.ctx().governor().add_flops(strip_flops);
-        flops += strip_flops;
-    }
-    Ok((writer.finish()?, flops))
-}
-
-/// The `n1 x n3` result of a product with a sparse operand. A result
-/// narrower than a square tile takes tall `ColMajor` tiles: an `n x 1`
-/// product is `n / B` blocks rather than one nearly empty block per
-/// `sqrt(B)` values, and the next multiplication reads it back as such.
-fn product_matrix(
-    ctx: &Arc<StorageCtx>,
-    n1: usize,
-    n3: usize,
-    name: Option<&str>,
-) -> ExecResult<DenseMatrix> {
-    let square = MatrixLayout::Square.tile_dims(ctx.elems_per_block());
-    let layout = if n3 < square.1 {
-        MatrixLayout::ColMajor
-    } else {
-        MatrixLayout::Square
-    };
-    Ok(DenseMatrix::create(
-        ctx,
-        n1,
-        n3,
-        layout,
-        TileOrder::RowMajor,
-        name,
-    )?)
-}
-
-/// Sparse `A` times dense `B`, producing a dense matrix (tiled by
-/// `product_matrix`). Each tile-row of `A` accumulates into a dense
-/// `tile_r x n3` strip; only occupied `A` tiles pull the matching
-/// `tile_c x n3` block-row of `B`.
+/// The product of a sparse and a dense matrix — `sparse %*% dense` on
+/// [`Side::Left`], `dense %*% sparse` on [`Side::Right`] — as a dense
+/// matrix. The result takes square tiles, or tall `ColMajor` ones when it
+/// is narrower than a square tile: an `n x 1` product is `n / B` blocks
+/// rather than one nearly empty block per `sqrt(B)` values, and the next
+/// multiplication reads it back as such.
 ///
-/// Work items are groups of tile-rows covering whole output tile-rows
-/// (one tile-row of `A` unless the output's tiles are taller), so every
-/// output block is written once, whole, by one worker. Groups are
-/// independent, so results are bit-identical at every thread count and —
-/// in the in-memory regime — total counted I/O is identical too.
-/// `threads <= 1` runs the groups inline in order: the sequential device
-/// sequence.
+/// The output's rows are cut into strips as tall as the tiles of the
+/// operand that supplies them (or the output's, where those are taller).
+/// A strip accumulates in a dense `strip x n3` buffer and is written
+/// once, whole, by one worker. The side decides only:
+///
+/// * the sparse tile-rows a strip walks — on the left its own, on the
+///   right all of them;
+/// * the dense rectangle pulled — on the left the `tile_c x n3`
+///   block-row matching each occupied sparse tile, on the right the
+///   `strip x tile_r` rectangle matching each sparse tile-row with at
+///   least one occupied tile (an empty tile-row pulls nothing);
+/// * the index order of the update.
+///
+/// Before a tile-row computes, the next one is declared: its pages, then
+/// the rectangles it will pull. Every output element takes its products
+/// in ascending inner index and strips are independent, so results are
+/// bit-identical at every thread count and — in the in-memory regime —
+/// total counted I/O is identical too. `threads <= 1` runs the strips
+/// inline in order: the sequential device sequence.
 pub fn spmdm(
-    a: &SparseMatrix,
-    b: &DenseMatrix,
+    sp: &SparseMatrix,
+    dense: &DenseMatrix,
+    side: Side,
     threads: usize,
     name: Option<&str>,
 ) -> ExecResult<(DenseMatrix, u64)> {
-    let (n1, n2) = a.shape();
-    assert_eq!(n2, b.rows(), "spmdm inner dimensions");
-    let n3 = b.cols();
-    let (tile_r, tile_c) = a.tile_dims();
-    let t = product_matrix(a.ctx(), n1, n3, name)?;
-    let group = tile_r.max(t.tile_dims().0);
-    let groups: Vec<usize> = (0..n1).step_by(group).collect();
-    let run_group = |g0: usize, acc: &mut [f64], brow: &mut [f64]| -> ExecResult<u64> {
-        let g_rows = group.min(n1 - g0);
-        acc[..g_rows * n3].fill(0.0);
-        let mut flops = 0u64;
-        for ti in (g0 / tile_r) as u64..(g0 + g_rows).div_ceil(tile_r) as u64 {
-            a.ctx().governor().checkpoint("sparse.spmdm.strip")?;
-            // Declare the next strip: its `A` pages and the matching `B`
-            // block-rows load while this strip computes (the bounded
-            // prefetch queue caps how much of the window is accepted).
-            a.prefetch_tile_row(ti + 1);
-            for next in a.row(ti + 1) {
-                let k0 = next.tj as usize * tile_c;
-                prefetch_rect(b, k0, 0, tile_c.min(n2 - k0), n3);
-            }
-            let strip = &mut acc[(ti as usize * tile_r - g0) * n3..];
-            let mut tiles = a.tile_row(ti);
-            while let Some(tile) = tiles.next()? {
-                let k0 = tile.tj() as usize * tile_c;
-                read_rect(b, k0, 0, tile_c.min(n2 - k0), n3, brow)?;
-                tile.for_each(|r, k, v| {
-                    axpy(v, &brow[k * n3..][..n3], &mut strip[r * n3..][..n3]);
-                });
-                flops += tile.nnz() as u64 * n3 as u64;
-            }
-        }
-        write_rect(&t, g0, 0, g_rows, n3, acc)?;
-        a.ctx().governor().add_flops(flops);
-        Ok(flops)
+    let left = side == Side::Left;
+    let (tile_r, tile_c) = sp.tile_dims();
+    // Per side: the tile edge along the inner index, and the height of
+    // the tiles of the operand that supplies the output's rows.
+    let ((n1, n2), (inner, n3), tile_k, row_tiles) = match side {
+        Side::Left => (sp.shape(), dense.shape(), tile_c, tile_r),
+        Side::Right => (dense.shape(), sp.shape(), tile_r, dense.tile_dims().0),
     };
-    let flops = run_parallel(
-        threads,
-        &groups,
-        || (vec![0.0; group * n3], vec![0.0; tile_c * n3]),
-        |&g0, (acc, brow)| run_group(g0, acc, brow),
-    )?;
-    Ok((t, flops))
-}
-
-/// Dense `A` times sparse `B`, producing a dense matrix (tiled by
-/// `product_matrix`) — the mirror image of [`spmdm`]. Each strip of
-/// `A`'s rows accumulates into a dense `strip x n3` buffer; within a
-/// strip, a tile-row of `B` with at least one occupied tile pulls the
-/// matching `strip x tile_k` rectangle of `A` exactly once, and a fully
-/// empty `B` tile-row pulls nothing.
-///
-/// Strips (one tile-row of `A`, or of the output where its tiles are
-/// taller) are distributed over `threads` scoped workers, each owning its
-/// accumulator and `A`-rectangle scratch; `B` is read shared. Strips are
-/// independent, so results are bit-identical at every thread count and —
-/// in the in-memory regime — total counted I/O is identical too.
-/// `threads <= 1` runs the strips inline in order: the sequential device
-/// sequence.
-pub fn dmspm(
-    a: &DenseMatrix,
-    b: &SparseMatrix,
-    threads: usize,
-    name: Option<&str>,
-) -> ExecResult<(DenseMatrix, u64)> {
-    let (n1, n2) = a.shape();
-    assert_eq!(n2, b.rows(), "dmspm inner dimensions");
-    let n3 = b.cols();
-    let (tile_k, tile_c) = b.tile_dims();
-    let t = product_matrix(a.ctx(), n1, n3, name)?;
-    let strip = a.tile_dims().0.max(t.tile_dims().0);
+    assert_eq!(n2, inner, "spmdm inner dimensions");
+    let square = Square.tile_dims(sp.ctx().elems_per_block());
+    let layout = if n3 < square.1 { ColMajor } else { Square };
+    let t = DenseMatrix::create(sp.ctx(), n1, n3, layout, TileOrder::RowMajor, name)?;
+    let strip = row_tiles.max(t.tile_dims().0);
     let strips: Vec<usize> = (0..n1).step_by(strip).collect();
-    let run_strip = |r0: usize, acc: &mut [f64], abuf: &mut [f64]| -> ExecResult<u64> {
-        a.ctx().governor().checkpoint("sparse.dmspm.strip")?;
+    let run_strip = |r0: usize, acc: &mut [f64], pulled: &mut [f64]| -> ExecResult<u64> {
         let m = strip.min(n1 - r0);
-        let mut flops = 0u64;
         acc[..m * n3].fill(0.0);
-        for tk in 0..b.tile_grid().0 {
-            // Next `B` tile-row (and the `A` rectangle it will pull, when
-            // occupied) loads while this tile-row computes.
-            b.prefetch_tile_row(tk + 1);
-            if !b.row(tk + 1).is_empty() {
-                let k1 = (tk + 1) as usize * tile_k;
-                prefetch_rect(a, r0, k1, m, tile_k.min(n2 - k1));
-            }
-            let k0 = tk as usize * tile_k;
+        let mut flops = 0u64;
+        // The dense rectangle `(row, col, rows, cols)` pulled for sparse
+        // tile `(ti, tj)`: its block-row on the left, the strip's
+        // rectangle matching its tile-row on the right.
+        let rect = |ti: u64, tj: u64| {
+            let k0 = (if left { tj } else { ti }) as usize * tile_k;
             let kk = tile_k.min(n2 - k0);
-            if !b.row(tk).is_empty() {
-                read_rect(a, r0, k0, m, kk, abuf)?;
+            if left {
+                (k0, 0, kk, n3)
+            } else {
+                (r0, k0, m, kk)
             }
-            let mut tiles = b.tile_row(tk);
+        };
+        let walk = match side {
+            Side::Left => (r0 / tile_r) as u64..(r0 + m).div_ceil(tile_r) as u64,
+            Side::Right => 0..sp.tile_grid().0,
+        };
+        for ti in walk {
+            sp.ctx().governor().checkpoint("sparse.spmdm.strip")?;
+            // Declare the next tile-row: its pages and the rectangles it
+            // will pull load while this one computes (the bounded prefetch
+            // queue caps how much of the window is accepted).
+            // One rectangle per occupied tile on the left, one per
+            // occupied tile-row on the right.
+            sp.prefetch_tile_row(ti + 1);
+            let pulls = if left { usize::MAX } else { 1 };
+            for next in sp.row(ti + 1).iter().take(pulls) {
+                let (r, c, h, w) = rect(ti + 1, u64::from(next.tj));
+                prefetch_rect(dense, r, c, h, w);
+            }
+            let pull = |tj, buf: &mut [f64]| {
+                let (r, c, h, w) = rect(ti, tj);
+                read_rect(dense, r, c, h, w, buf)
+            };
+            // The right side pulls before the walk pins this tile-row's
+            // pages, the left side after each tile's page; the test
+            // `sparse_dense_products_keep_their_device_sequence_and_bits`
+            // holds this order.
+            if !left && !sp.row(ti).is_empty() {
+                pull(0, pulled)?;
+            }
+            let mut tiles = sp.tile_row(ti);
             while let Some(tile) = tiles.next()? {
-                let c0 = tile.tj() as usize * tile_c;
-                tile.for_each(|k, c, v| {
-                    let col = c0 + c;
-                    for r in 0..m {
-                        acc[r * n3 + col] += abuf[r * kk + k] * v;
-                    }
-                });
-                flops += tile.nnz() as u64 * m as u64;
+                let tj = tile.tj();
+                if left {
+                    pull(tj, pulled)?;
+                    let acc = &mut acc[(ti as usize * tile_r - r0) * n3..];
+                    tile.for_each(|r, k, v| {
+                        axpy(v, &pulled[k * n3..][..n3], &mut acc[r * n3..][..n3]);
+                    });
+                } else {
+                    let (c0, w) = (tj as usize * tile_c, rect(ti, tj).3);
+                    tile.for_each(|k, c, v| {
+                        for r in 0..m {
+                            acc[r * n3 + c0 + c] += pulled[r * w + k] * v;
+                        }
+                    });
+                }
+                flops += tile.nnz() as u64 * if left { n3 } else { m } as u64;
             }
         }
         write_rect(&t, r0, 0, m, n3, acc)?;
-        a.ctx().governor().add_flops(flops);
+        sp.ctx().governor().add_flops(flops);
         Ok(flops)
     };
+    let pulled = if left { tile_c * n3 } else { strip * tile_r };
     let flops = run_parallel(
         threads,
         &strips,
-        || (vec![0.0; strip * n3], vec![0.0; strip * tile_k]),
-        |&r0, (acc, abuf)| run_strip(r0, acc, abuf),
+        || (vec![0.0; strip * n3], vec![0.0; pulled]),
+        |&r0, (acc, buf)| run_strip(r0, acc, buf),
     )?;
     Ok((t, flops))
 }
@@ -660,6 +527,7 @@ pub fn spmm(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use riot_array::MatrixLayout;
     use riot_array::StorageCtx;
     use std::sync::Arc;
 
@@ -677,6 +545,12 @@ mod tests {
                     .map(move |(i, j)| (i, j, (i * cols + j) as f64 * 0.25 + 1.0))
             })
             .collect()
+    }
+
+    /// `data` as a one-column matrix in tall tiles.
+    fn column(c: &Arc<StorageCtx>, data: &[f64]) -> DenseMatrix {
+        let (layout, order) = (MatrixLayout::ColMajor, TileOrder::RowMajor);
+        DenseMatrix::from_rows(c, data.len(), 1, data, layout, order, None).unwrap()
     }
 
     fn dense_ref_mv(rows: usize, cols: usize, m: &[f64], x: &[f64]) -> Vec<f64> {
@@ -700,11 +574,11 @@ mod tests {
         let a = SparseMatrix::from_triplets(&c, rows, cols, MatrixLayout::Square, &trips, None)
             .unwrap();
         let xdata: Vec<f64> = (0..cols).map(|i| (i as f64 * 0.3).sin()).collect();
-        let x = DenseVector::from_slice(&c, &xdata, None).unwrap();
-        let (y, flops) = spmv(&a, &x, 1, None).unwrap();
+        let x = column(&c, &xdata);
+        let (y, flops) = spmdm(&a, &x, Side::Left, 1, None).unwrap();
         assert_eq!(flops, a.nnz());
         let want = dense_ref_mv(rows, cols, &a.to_rows().unwrap(), &xdata);
-        assert_close(&y.to_vec().unwrap(), &want);
+        assert_close(&y.to_rows().unwrap(), &want);
     }
 
     #[test]
@@ -714,21 +588,17 @@ mod tests {
         let trips = vec![(0, 0, 1.0), (20, 40, 2.0), (63, 7, 3.0)];
         let a = SparseMatrix::from_triplets(&c, rows, cols, MatrixLayout::Square, &trips, None)
             .unwrap();
-        let x = DenseVector::from_slice(&c, &vec![1.0; cols], None).unwrap();
+        let x = column(&c, &vec![1.0; cols]);
         c.pool().flush_all().unwrap();
         c.clear_cache().unwrap();
         let before = c.io_snapshot();
-        let (y, _) = spmv(&a, &x, 1, None).unwrap();
+        let (y, _) = spmdm(&a, &x, Side::Left, 1, None).unwrap();
         let delta = c.io_snapshot() - before;
-        // 3 occupied pages + at most one x block per occupied tile.
-        assert!(
-            delta.reads <= a.occupied_pages() + 3,
-            "reads {} vs occupied {}",
-            delta.reads,
-            a.occupied_pages()
-        );
+        // The one page the 3 occupied tiles share + the one block of x.
+        assert_eq!((a.occupied_pages(), x.blocks()), (1, 1));
+        assert_eq!(delta.reads, a.occupied_pages() + x.blocks());
         assert!(delta.reads < a.dense_blocks());
-        assert_eq!(y.get(0).unwrap(), 1.0);
+        assert_eq!(y.get(0, 0).unwrap(), 1.0);
     }
 
     #[test]
@@ -748,7 +618,7 @@ mod tests {
             |i, j| ((i * 7 + j * 3) % 11) as f64 - 5.0,
         )
         .unwrap();
-        let (t, flops) = spmdm(&a, &b, 1, None).unwrap();
+        let (t, flops) = spmdm(&a, &b, Side::Left, 1, None).unwrap();
         assert_eq!(flops, a.nnz() * n3 as u64);
         let ad = a.to_rows().unwrap();
         let bd = b.to_rows().unwrap();
@@ -816,7 +686,7 @@ mod tests {
         let trips = band_triplets(n2, n3);
         let b =
             SparseMatrix::from_triplets(&c, n2, n3, MatrixLayout::Square, &trips, None).unwrap();
-        let (t, flops) = dmspm(&a, &b, 1, None).unwrap();
+        let (t, flops) = spmdm(&b, &a, Side::Right, 1, None).unwrap();
         assert_eq!(flops, b.nnz() * n1 as u64);
         let ad = a.to_rows().unwrap();
         let bd = b.to_rows().unwrap();
@@ -861,7 +731,7 @@ mod tests {
         c.pool().flush_all().unwrap();
         c.clear_cache().unwrap();
         let before = c.io_snapshot();
-        let (t, _) = dmspm(&a, &b, 1, None).unwrap();
+        let (t, _) = spmdm(&b, &a, Side::Right, 1, None).unwrap();
         let delta = c.io_snapshot() - before;
         // Per output strip (2 strips): 1 B page (cached after the first
         // strip) + 1 A tile. Everything else is skipped.
@@ -1066,6 +936,124 @@ mod tests {
         );
     }
 
+    /// The sparse-times-dense product on both sides — sparse on the left
+    /// at `n3` = 1 and 13, sparse on the right — over a pool of eight
+    /// frames, so operand pages and output tiles evict each other mid
+    /// strip. The sparse operand has an empty tile-row, which the right
+    /// side must skip without touching the dense operand. At one thread
+    /// the counted I/O, the pool counters and every pool event are
+    /// pinned; at every thread count, the product's bits.
+    #[test]
+    fn sparse_dense_products_keep_their_device_sequence_and_bits() {
+        use riot_storage::{IoSnapshot, PoolStats};
+        use riot_trace::EventKind;
+
+        let fnv = |bytes: &mut dyn Iterator<Item = u8>| {
+            bytes.fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            })
+        };
+        // (case, threads) -> (flops, io, pool delta, events, event FNV, bits FNV)
+        let run = |case: usize, threads: usize| {
+            let c = ctx(8);
+            let n = 64; // 8x8 grid of 8x8 tiles; tile-row 2 is empty
+            let trips: Vec<_> = (0..n)
+                .filter(|r| !(16..24).contains(r))
+                .flat_map(|r| [0, 5, 11].map(|d| (r, (r + d) % n, (r * n + d) as f64 * 0.37 + 0.1)))
+                .collect();
+            let a =
+                SparseMatrix::from_triplets(&c, n, n, MatrixLayout::Square, &trips, None).unwrap();
+            let dense = |rows, cols, layout| {
+                DenseMatrix::from_fn(&c, rows, cols, layout, TileOrder::RowMajor, None, |i, j| {
+                    ((i * 7 + j * 3) % 11) as f64 * 0.3 - 1.3
+                })
+                .unwrap()
+            };
+            let d = match case {
+                0 => dense(n, 1, MatrixLayout::ColMajor),
+                1 => dense(n, 13, MatrixLayout::Square),
+                _ => dense(20, n, MatrixLayout::Square),
+            };
+            c.pool().flush_all().unwrap();
+            c.clear_cache().unwrap();
+            let (io0, pool0) = (c.io_snapshot(), c.pool().pool_stats());
+            c.tracer().enable();
+            let (t, flops) = match case {
+                0 | 1 => spmdm(&a, &d, Side::Left, threads, None),
+                _ => spmdm(&a, &d, Side::Right, threads, None),
+            }
+            .unwrap();
+            c.tracer().disable();
+            let (io, pool) = (c.io_snapshot() - io0, c.pool().pool_stats().delta(&pool0));
+            let trace: Vec<String> = (c.tracer().drain().iter())
+                .filter_map(|e| match e.kind {
+                    EventKind::PoolMiss { block } => Some(format!("m{block}")),
+                    EventKind::PoolEvict { block, dirty } => {
+                        Some(format!("e{block}{}", if dirty { "*" } else { "" }))
+                    }
+                    EventKind::PoolWriteBack { block } => Some(format!("w{block}")),
+                    _ => None,
+                })
+                .collect();
+            let trace = trace.join(" ");
+            let bits = t.to_rows().unwrap();
+            let bits = fnv(&mut bits.iter().flat_map(|v| v.to_bits().to_le_bytes()));
+            let events = trace.split(' ').count();
+            (flops, io, pool, events, fnv(&mut trace.bytes()), bits)
+        };
+        let io = |reads: u64, writes: u64, seq_reads: u64, seq_writes: u64| IoSnapshot {
+            reads,
+            writes,
+            seq_reads,
+            seq_writes,
+            bytes_read: reads * 512,
+            bytes_written: writes * 512,
+            syncs: 0,
+        };
+        let pool = |hits: u64, misses: u64, evict_writebacks: u64| PoolStats {
+            hits,
+            misses,
+            evict_writebacks,
+            ..PoolStats::default()
+        };
+        let want = [
+            (
+                168,
+                io(11, 0, 8, 0),
+                pool(24, 12, 0),
+                16,
+                0x08b6_c618_8a2e_2dbf,
+                0xe149_4d4e_d0a7_cb9a,
+            ),
+            (
+                2184,
+                io(38, 14, 16, 13),
+                pool(18, 54, 14),
+                114,
+                0x75ba_a3d5_cfe8_d8a9,
+                0xb573_f4e3_3310_ee82,
+            ),
+            (
+                3360,
+                io(51, 16, 9, 15),
+                pool(12, 75, 16),
+                158,
+                0x1f86_4ed8_56f8_19ab,
+                0x046a_14d9_1b84_2fa5,
+            ),
+        ];
+        for (case, want) in want.into_iter().enumerate() {
+            assert_eq!(run(case, 1), want, "case {case} at one thread");
+            for threads in [2, 4] {
+                assert_eq!(
+                    run(case, threads).5,
+                    want.5,
+                    "case {case} bits at {threads} threads"
+                );
+            }
+        }
+    }
+
     #[test]
     fn failed_spmm_plan_releases_the_spill() {
         use riot_storage::testing::FailpointDevice;
@@ -1129,21 +1117,5 @@ mod tests {
         let live_with_plan = c.live_objects();
         drop(plan);
         assert_eq!(c.live_objects(), live_with_plan - 1);
-    }
-
-    #[test]
-    fn dmv_matches_spmv_semantics() {
-        let c = ctx(64);
-        let (rows, cols) = (19, 23);
-        let trips = band_triplets(rows, cols);
-        let sp = SparseMatrix::from_triplets(&c, rows, cols, MatrixLayout::Square, &trips, None)
-            .unwrap();
-        let dense = sp.to_dense(TileOrder::RowMajor, None).unwrap();
-        let xdata: Vec<f64> = (0..cols).map(|i| i as f64 - 11.0).collect();
-        let x = DenseVector::from_slice(&c, &xdata, None).unwrap();
-        let (ys, _) = spmv(&sp, &x, 1, None).unwrap();
-        let (yd, flops) = dmv(&dense, &x, None).unwrap();
-        assert_eq!(flops, (rows * cols) as u64);
-        assert_close(&ys.to_vec().unwrap(), &yd.to_vec().unwrap());
     }
 }

@@ -237,8 +237,8 @@ fn sparse_stats(g: &ExprGraph, id: NodeId) -> Option<(usize, usize, u64)> {
 /// `cfg.sparse_threshold` is densified (the dense kernels' sequential
 /// scans win once page occupancy saturates); below the threshold it stays
 /// sparse and the executor dispatches the sparse kernels — on *either*
-/// side of the product (`spmdm` for sparse x dense, `dmspm` for dense x
-/// sparse, `spmm` for sparse x sparse).
+/// side of the product (`spmdm` with the sparse side for sparse x dense
+/// and dense x sparse, `spmm` for sparse x sparse).
 fn choose_repr(g: &mut ExprGraph, id: NodeId, cfg: &OptConfig, stats: &mut RewriteStats) -> NodeId {
     if let Some((rows, cols, nnz)) = sparse_stats(g, id) {
         let density = nnz as f64 / (rows * cols) as f64;
@@ -720,7 +720,8 @@ mod tests {
             };
             (matches!(*g.node(rhs), Node::SpMatSource { .. }), stats)
         };
-        // 1% density: the rhs stays sparse (the executor runs dmspm).
+        // 1% density: the rhs stays sparse (the executor runs `spmdm` with
+        // the sparse side on the right).
         let (sparse_rhs, stats) = run(10);
         assert!(sparse_rhs);
         assert_eq!((stats.sparse_kernels, stats.sparse_densified), (1, 0));

@@ -14,7 +14,7 @@ use crate::exec::pipeline::{
     drain_partitioned, drain_to_vec, governed, materialize, position, Arg, GatherPipe, Pipe, Scan,
     Source, TapeBuilder,
 };
-use crate::exec::{factor, matmul, sparse as spkernel, ExecError, ExecResult, Operand};
+use crate::exec::{factor, matmul, sparse as spkernel, ExecError, ExecResult, Operand, Side};
 use crate::expr::{AggOp, Node, NodeId, FOLD_PARTITION};
 use crate::shape::Shape;
 
@@ -298,8 +298,9 @@ impl Runtime {
     /// the density threshold):
     ///
     /// * sparse x sparse (aligned tiles) -> [`spkernel::spmm`], sparse
-    /// * sparse x dense -> [`spkernel::spmdm`], dense accumulator tiles
-    /// * dense x sparse -> [`spkernel::dmspm`], dense accumulator strips
+    /// * sparse x dense and dense x sparse -> [`spkernel::spmdm`] with the
+    ///   sparse [`Side`], one dense accumulator strip per output tile-row
+    ///   (spans `spmdm` and `dmspm`)
     /// * dense x dense -> [`matmul::matmul_tiled`], Appendix A's schedule
     ///
     /// and `Transpose`/`SpTranspose` to the native [`spkernel::sptranspose`]
@@ -475,12 +476,12 @@ impl Runtime {
                     MatValue::Dense(b) => b,
                     MatValue::Sparse(b) => b.to_dense(TileOrder::RowMajor, None)?,
                 };
-                spkernel::spmdm(&a, &b, threads, None)
+                spkernel::spmdm(&a, &b, Side::Left, threads, None)
             })?),
             (MatValue::Dense(a), MatValue::Sparse(b)) => {
-                MatValue::Dense(
-                    self.kernel("dmspm", detail, |_| spkernel::dmspm(&a, &b, threads, None))?,
-                )
+                MatValue::Dense(self.kernel("dmspm", detail, |_| {
+                    spkernel::spmdm(&b, &a, Side::Right, threads, None)
+                })?)
             }
         })
     }

@@ -13,8 +13,8 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use riot_array::{DenseMatrix, DenseVector, MatrixLayout, StorageCtx, TileOrder};
-use riot_core::exec::{matmul_tiled, spmv};
+use riot_array::{DenseMatrix, MatrixLayout, StorageCtx, TileOrder};
+use riot_core::exec::{matmul_tiled, spmdm, Side};
 use riot_sparse::SparseMatrix;
 use riot_storage::testing::FailpointDevice;
 use riot_storage::{BufferPool, MemBlockDevice, PoolConfig};
@@ -101,13 +101,19 @@ fn spmv_counted_io_identical_through_overlapped_path() {
         let ctx = ctx(8, with_latency);
         let a = SparseMatrix::from_triplets(&ctx, rows, cols, MatrixLayout::Square, &trips, None)
             .unwrap();
-        let x = DenseVector::from_slice(&ctx, &xdata, None).unwrap();
+        let (layout, order) = (MatrixLayout::ColMajor, TileOrder::RowMajor);
+        let x = DenseMatrix::from_rows(&ctx, cols, 1, &xdata, layout, order, None).unwrap();
         ctx.pool().flush_all().unwrap();
         ctx.clear_cache().unwrap();
         let before = ctx.io_snapshot();
-        let (y, _) = spmv(&a, &x, 1, None).unwrap();
+        let (y, _) = spmdm(&a, &x, Side::Left, 1, None).unwrap();
         let io = ctx.io_snapshot() - before;
-        (y.to_vec().unwrap(), a.occupied_pages(), io.reads, io.writes)
+        (
+            y.to_rows().unwrap(),
+            a.occupied_pages(),
+            io.reads,
+            io.writes,
+        )
     };
 
     let (y_plain, pages_plain, r_plain, w_plain) = run(false);

@@ -11,10 +11,8 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use riot_array::{DenseMatrix, DenseVector, MatrixLayout, StorageCtx, TileOrder};
-use riot_core::exec::{
-    chol_tiled, dmspm, matmul_bnlj, matmul_tiled, spmdm, spmm, spmv, sptranspose,
-};
+use riot_array::{DenseMatrix, MatrixLayout, StorageCtx, TileOrder};
+use riot_core::exec::{chol_tiled, matmul_bnlj, matmul_tiled, spmdm, spmm, sptranspose, Side};
 use riot_sparse::SparseMatrix;
 use riot_storage::testing::FailpointDevice;
 use riot_storage::{BufferPool, IoSnapshot, MemBlockDevice, PoolConfig, PoolStats};
@@ -204,16 +202,13 @@ fn sparse_kernels_prefetch_parity() {
 
     let run_spmv = |c: &Arc<StorageCtx>| {
         let a = SparseMatrix::from_triplets(c, n1, n2, MatrixLayout::Square, &trips, None).unwrap();
-        let x = DenseVector::from_slice(
-            c,
-            &(0..n2).map(|i| (i as f64 * 0.3).sin()).collect::<Vec<_>>(),
-            None,
-        )
-        .unwrap();
+        let xdata: Vec<f64> = (0..n2).map(|i| (i as f64 * 0.3).sin()).collect();
+        let (layout, order) = (MatrixLayout::ColMajor, TileOrder::RowMajor);
+        let x = DenseMatrix::from_rows(c, n2, 1, &xdata, layout, order, None).unwrap();
         c.pool().flush_all().unwrap();
         c.clear_cache().unwrap();
-        let (y, flops) = spmv(&a, &x, 1, None).unwrap();
-        (y.to_vec().unwrap(), flops)
+        let (y, flops) = spmdm(&a, &x, Side::Left, 1, None).unwrap();
+        (y.to_rows().unwrap(), flops)
     };
     assert_parity("spmv", measure(64, 0, run_spmv), measure(64, 4, run_spmv));
 
@@ -231,7 +226,7 @@ fn sparse_kernels_prefetch_parity() {
         .unwrap();
         c.pool().flush_all().unwrap();
         c.clear_cache().unwrap();
-        let (t, flops) = spmdm(&a, &b, 1, None).unwrap();
+        let (t, flops) = spmdm(&a, &b, Side::Left, 1, None).unwrap();
         (t.to_rows().unwrap(), flops)
     };
     assert_parity(
@@ -254,7 +249,7 @@ fn sparse_kernels_prefetch_parity() {
         let b = SparseMatrix::from_triplets(c, n1, n2, MatrixLayout::Square, &trips, None).unwrap();
         c.pool().flush_all().unwrap();
         c.clear_cache().unwrap();
-        let (t, flops) = dmspm(&a, &b, 1, None).unwrap();
+        let (t, flops) = spmdm(&b, &a, Side::Right, 1, None).unwrap();
         (t.to_rows().unwrap(), flops)
     };
     assert_parity(

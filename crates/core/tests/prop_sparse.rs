@@ -10,8 +10,8 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use riot_array::{DenseVector, MatrixLayout, StorageCtx, TileOrder};
-use riot_core::exec::{dmspm, dmv, spmdm, spmm, spmv};
+use riot_array::{DenseMatrix, MatrixLayout, StorageCtx, TileOrder};
+use riot_core::exec::{matmul_tiled, spmdm, spmm, Side};
 use riot_core::{evaluate, optimize, ExprGraph, MemSources, OptConfig, Value};
 use riot_sparse::SparseMatrix;
 
@@ -48,6 +48,12 @@ fn scatter(rows: usize, cols: usize, trips: &[(usize, usize, f64)]) -> Vec<f64> 
         out[r * cols + c] += v;
     }
     out
+}
+
+/// `data` as a one-column matrix in tall tiles.
+fn column(c: &Arc<StorageCtx>, data: &[f64]) -> DenseMatrix {
+    let (layout, order) = (MatrixLayout::ColMajor, TileOrder::RowMajor);
+    DenseMatrix::from_rows(c, data.len(), 1, data, layout, order, None).unwrap()
 }
 
 fn close(a: &[f64], b: &[f64]) -> bool {
@@ -101,8 +107,8 @@ fn seam_triplets() -> Vec<(usize, usize, f64)> {
 
 /// Every kernel of the product table, the native transpose and the
 /// sparse result of `spmm` agree with the dense reference on the seam
-/// matrix, at one and at four threads, and a cold `spmv` still reads each
-/// shared page once.
+/// matrix, at one and at four threads, and a cold `a %*% x` still reads
+/// each shared page once.
 #[test]
 fn kernels_agree_across_packing_seams() {
     let trips = seam_triplets();
@@ -115,18 +121,18 @@ fn kernels_agree_across_packing_seams() {
         let ad = scatter(rows, cols, &trips);
 
         let xdata: Vec<f64> = (0..cols).map(|i| ((i * 7) % 13) as f64 - 6.0).collect();
-        let x = DenseVector::from_slice(&c, &xdata, None).unwrap();
+        let x = column(&c, &xdata);
         c.pool().flush_all().unwrap();
         c.clear_cache().unwrap();
         let before = c.io_snapshot();
-        let (y, flops) = spmv(&a, &x, threads, None).unwrap();
+        let (y, flops) = spmdm(&a, &x, Side::Left, threads, None).unwrap();
         assert_eq!(
             (c.io_snapshot() - before).reads,
             a.occupied_pages() + x.blocks()
         );
         assert_eq!(flops, a.nnz());
         assert!(close(
-            &y.to_vec().unwrap(),
+            &y.to_rows().unwrap(),
             &matmul_ref(&ad, &xdata, rows, cols, 1)
         ));
 
@@ -137,9 +143,9 @@ fn kernels_agree_across_packing_seams() {
         let atd = at.to_dense(TileOrder::RowMajor, None).unwrap();
         let want = matmul_ref(&ad, &atd.to_rows().unwrap(), rows, cols, rows);
         let (ss, _) = spmm(&a, &at, threads, None).unwrap();
-        let (sd, _) = spmdm(&a, &atd, threads, None).unwrap();
+        let (sd, _) = spmdm(&a, &atd, Side::Left, threads, None).unwrap();
         let da = a.to_dense(TileOrder::RowMajor, None).unwrap();
-        let (ds, _) = dmspm(&da, &at, threads, None).unwrap();
+        let (ds, _) = spmdm(&at, &da, Side::Right, threads, None).unwrap();
         assert_close(&ss.to_rows().unwrap(), &want);
         assert_close(&sd.to_rows().unwrap(), &want);
         assert_close(&ds.to_rows().unwrap(), &want);
@@ -153,9 +159,8 @@ fn kernels_agree_across_packing_seams() {
         // A thin right side (3 columns) takes the tall-tile result path.
         let bdata: Vec<f64> = (0..cols * 3).map(|k| ((k * 3) % 7) as f64 - 3.0).collect();
         let (layout, order) = (MatrixLayout::Square, TileOrder::RowMajor);
-        let b =
-            riot_array::DenseMatrix::from_rows(&c, cols, 3, &bdata, layout, order, None).unwrap();
-        let (thin, _) = spmdm(&a, &b, threads, None).unwrap();
+        let b = DenseMatrix::from_rows(&c, cols, 3, &bdata, layout, order, None).unwrap();
+        let (thin, _) = spmdm(&a, &b, Side::Left, threads, None).unwrap();
         assert_eq!(thin.layout(), MatrixLayout::ColMajor);
         assert_close(
             &thin.to_rows().unwrap(),
@@ -179,10 +184,10 @@ proptest! {
             .unwrap();
         let dense = sp.to_dense(TileOrder::RowMajor, None).unwrap();
         let xdata: Vec<f64> = (0..cols).map(|i| ((i * 7) % 13) as f64 - 6.0).collect();
-        let x = DenseVector::from_slice(&c, &xdata, None).unwrap();
-        let (ys, sflops) = spmv(&sp, &x, 1, None).unwrap();
-        let (yd, _) = dmv(&dense, &x, None).unwrap();
-        prop_assert!(close(&ys.to_vec().unwrap(), &yd.to_vec().unwrap()));
+        let x = column(&c, &xdata);
+        let (ys, sflops) = spmdm(&sp, &x, Side::Left, 1, None).unwrap();
+        let (yd, _) = matmul_tiled(&dense, &x, 3 * 64, 1, None).unwrap();
+        prop_assert!(close(&ys.to_rows().unwrap(), &yd.to_rows().unwrap()));
         prop_assert_eq!(sflops, sp.nnz());
     }
 
@@ -194,10 +199,10 @@ proptest! {
         let sp = SparseMatrix::from_triplets(&c, n1, n2, MatrixLayout::Square, &trips, None)
             .unwrap();
         let bdata: Vec<f64> = (0..n2 * n3).map(|k| ((k * 3) % 7) as f64 - 3.0).collect();
-        let b = riot_array::DenseMatrix::from_rows(
+        let b = DenseMatrix::from_rows(
             &c, n2, n3, &bdata, MatrixLayout::Square, TileOrder::RowMajor, None,
         ).unwrap();
-        let (t, _) = spmdm(&sp, &b, 1, None).unwrap();
+        let (t, _) = spmdm(&sp, &b, Side::Left, 1, None).unwrap();
         let ad = scatter(n1, n2, &trips);
         let mut want = vec![0.0; n1 * n3];
         for i in 0..n1 {
@@ -241,8 +246,8 @@ proptest! {
         b_seed in any::<u64>(),
         n3 in 1usize..24,
     ) {
-        // A %*% B computed by all four kernels — spmm, spmdm, dmspm, and
-        // the dense reference — agrees whatever the operand formats.
+        // A %*% B computed by spmm, spmdm on either side and the dense
+        // reference agrees whatever the operand formats.
         let (n1, n2, ta) = a_case;
         let tb = {
             let target = b_raw.min(n2 * n3 * 2 / 5);
@@ -272,8 +277,8 @@ proptest! {
         }
 
         let (ss, _) = spmm(&sa, &sb, 1, None).unwrap();       // sparse x sparse
-        let (sd, _) = spmdm(&sa, &db, 1, None).unwrap();      // sparse x dense
-        let (ds, _) = dmspm(&da, &sb, 1, None).unwrap();      // dense  x sparse
+        let (sd, _) = spmdm(&sa, &db, Side::Left, 1, None).unwrap();  // sparse x dense
+        let (ds, _) = spmdm(&sb, &da, Side::Right, 1, None).unwrap(); // dense  x sparse
         prop_assert!(close(&ss.to_rows().unwrap(), &want));
         prop_assert!(close(&sd.to_rows().unwrap(), &want));
         prop_assert!(close(&ds.to_rows().unwrap(), &want));

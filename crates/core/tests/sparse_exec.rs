@@ -5,8 +5,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use riot_array::{DenseMatrix, DenseVector, MatrixLayout, StorageCtx, TileOrder};
-use riot_core::exec::{dmv, spmdm, spmv};
+use riot_array::{DenseMatrix, MatrixLayout, StorageCtx, TileOrder};
+use riot_core::exec::{matmul_tiled, spmdm, Side};
 use riot_core::{EngineConfig, EngineKind, OptConfig, Session};
 use riot_sparse::SparseMatrix;
 
@@ -23,10 +23,11 @@ fn random_triplets(rows: usize, cols: usize, density: f64, seed: u64) -> Vec<(us
     out
 }
 
-/// The acceptance criterion: out-of-core SpMV on a 0.01-density matrix
-/// reads only the occupied sparse pages (plus the streamed vector), which
-/// is strictly fewer block reads than the dense equivalent of the same
-/// matrix, measured through the same `IoStats`.
+/// The acceptance criterion: out-of-core SpMV (`a %*% x`, the sparse
+/// product at one column) on a 0.01-density matrix reads only the
+/// occupied sparse pages (plus `x`), which is strictly fewer block reads
+/// than the dense product over the same matrix, measured through the
+/// same `IoStats`.
 #[test]
 fn spmv_io_proportional_to_occupied_pages() {
     // 512-byte blocks: 8x8 tiles; 128x128 = 16x16 tile grid = 256 pages
@@ -43,24 +44,25 @@ fn spmv_io_proportional_to_occupied_pages() {
     );
     let dense = a.to_dense(TileOrder::RowMajor, None).unwrap();
     let xdata: Vec<f64> = (0..cols).map(|i| (i as f64 * 0.11).cos()).collect();
-    let x = DenseVector::from_slice(&ctx, &xdata, None).unwrap();
+    let (layout, order) = (MatrixLayout::Square, TileOrder::RowMajor);
+    let x = DenseMatrix::from_rows(&ctx, cols, 1, &xdata, layout, order, None).unwrap();
 
     // Sparse pass, cold cache.
     ctx.pool().flush_all().unwrap();
     ctx.clear_cache().unwrap();
     let before = ctx.io_snapshot();
-    let (ys, _) = spmv(&a, &x, 1, None).unwrap();
+    let (ys, _) = spmdm(&a, &x, Side::Left, 1, None).unwrap();
     let sparse_reads = (ctx.io_snapshot() - before).reads;
 
     // Dense pass, cold cache.
     ctx.pool().flush_all().unwrap();
     ctx.clear_cache().unwrap();
     let before = ctx.io_snapshot();
-    let (yd, _) = dmv(&dense, &x, None).unwrap();
+    let (yd, _) = matmul_tiled(&dense, &x, 512 * 64, 1, None).unwrap();
     let dense_reads = (ctx.io_snapshot() - before).reads;
 
     // Same answer (up to summation-order rounding)...
-    assert_close(&ys.to_vec().unwrap(), &yd.to_vec().unwrap());
+    assert_close(&ys.to_rows().unwrap(), &yd.to_rows().unwrap());
     // ...but the sparse kernel read only occupied pages + the x blocks,
     // while the dense kernel had to read every tile.
     assert_eq!(sparse_reads, a.occupied_pages() + x.blocks());
@@ -78,7 +80,7 @@ fn spmv_io_proportional_to_occupied_pages() {
         mem_elems: 512.0 * 64.0,
         block_elems: 64.0,
     };
-    let predicted = riot_core::cost::spmv_io(rows as f64, cols as f64, a.density(), p);
+    let predicted = riot_core::cost::spmdm_io(rows as f64, cols as f64, 1.0, a.density(), p);
     let measured = (sparse_reads + a.dir_blocks() + ys.blocks()) as f64;
     assert!(
         (measured - predicted).abs() <= 0.25 * measured,
@@ -115,7 +117,7 @@ fn packed_pages_store_and_scan_the_sparse_lat_shape_compactly() {
     ctx.pool().flush_all().unwrap();
     ctx.clear_cache().unwrap();
     let before = ctx.io_snapshot();
-    let (w, _) = spmdm(&a, &v, 1, None).unwrap();
+    let (w, _) = spmdm(&a, &v, Side::Left, 1, None).unwrap();
     ctx.pool().flush_all().unwrap();
     let io = ctx.io_snapshot() - before;
     assert_eq!(io.reads, a.occupied_pages() + v.blocks());
@@ -138,11 +140,12 @@ fn spmv_io_scales_down_with_density() {
     let trips = random_triplets(rows, cols, 0.001, 7);
     let a =
         SparseMatrix::from_triplets(&ctx, rows, cols, MatrixLayout::Square, &trips, None).unwrap();
-    let x = DenseVector::from_slice(&ctx, &vec![1.0; cols], None).unwrap();
+    let (layout, order) = (MatrixLayout::ColMajor, TileOrder::RowMajor);
+    let x = DenseMatrix::from_fn(&ctx, cols, 1, layout, order, None, |_, _| 1.0).unwrap();
     ctx.pool().flush_all().unwrap();
     ctx.clear_cache().unwrap();
     let before = ctx.io_snapshot();
-    spmv(&a, &x, 1, None).unwrap();
+    spmdm(&a, &x, Side::Left, 1, None).unwrap();
     let reads = (ctx.io_snapshot() - before).reads;
     assert!(
         reads * 4 < a.dense_blocks(),
@@ -384,8 +387,9 @@ fn matmul_parity_across_all_format_combinations() {
     }
 }
 
-/// Dense x sparse under Riot keeps the sparse rhs on the native `dmspm`
-/// kernel below the threshold: same result as an always-densify plan, but
+/// Dense x sparse under Riot keeps the sparse rhs on the native kernel
+/// (`spmdm` with the sparse side on the right, span `dmspm`) below the
+/// threshold: same result as an always-densify plan, but
 /// measurably less query I/O — the cost the old fallback silently paid.
 #[test]
 fn dense_sparse_product_avoids_densification_io() {

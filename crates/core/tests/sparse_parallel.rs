@@ -9,8 +9,8 @@
 
 use std::sync::Arc;
 
-use riot_array::{DenseMatrix, DenseVector, MatrixLayout, StorageCtx, TileOrder};
-use riot_core::exec::{dmspm, spmdm, spmm, spmm_fill, spmm_plan, spmv};
+use riot_array::{DenseMatrix, MatrixLayout, StorageCtx, TileOrder};
+use riot_core::exec::{spmdm, spmm, spmm_fill, spmm_plan, Side};
 use riot_core::{EngineConfig, EngineKind, Session};
 use riot_sparse::SparseMatrix;
 use riot_storage::IoSnapshot;
@@ -38,13 +38,14 @@ fn spmv_parallel_matches_sequential_exactly() {
         let c = ctx(256);
         let a = SparseMatrix::from_triplets(&c, rows, cols, MatrixLayout::Square, &trips, None)
             .unwrap();
-        let x = DenseVector::from_slice(&c, &xdata, None).unwrap();
+        let (layout, order) = (MatrixLayout::ColMajor, TileOrder::RowMajor);
+        let x = DenseMatrix::from_rows(&c, cols, 1, &xdata, layout, order, None).unwrap();
         c.pool().flush_all().unwrap();
         c.clear_cache().unwrap();
         let before = c.io_snapshot();
-        let (y, flops) = spmv(&a, &x, threads, None).unwrap();
+        let (y, flops) = spmdm(&a, &x, Side::Left, threads, None).unwrap();
         c.pool().flush_all().unwrap();
-        (y.to_vec().unwrap(), flops, c.io_snapshot() - before)
+        (y.to_rows().unwrap(), flops, c.io_snapshot() - before)
     };
     let (seq, seq_flops, seq_io) = run(1);
     for threads in [2, 4] {
@@ -80,7 +81,7 @@ fn spmdm_parallel_matches_sequential_exactly() {
         c.pool().flush_all().unwrap();
         c.clear_cache().unwrap();
         let before = c.io_snapshot();
-        let (t, flops) = spmdm(&a, &b, threads, None).unwrap();
+        let (t, flops) = spmdm(&a, &b, Side::Left, threads, None).unwrap();
         c.pool().flush_all().unwrap();
         (t.to_rows().unwrap(), flops, c.io_snapshot() - before)
     };
@@ -118,7 +119,7 @@ fn dmspm_parallel_matches_sequential_exactly() {
         c.pool().flush_all().unwrap();
         c.clear_cache().unwrap();
         let before = c.io_snapshot();
-        let (t, flops) = dmspm(&a, &b, threads, None).unwrap();
+        let (t, flops) = spmdm(&b, &a, Side::Right, threads, None).unwrap();
         c.pool().flush_all().unwrap();
         (t.to_rows().unwrap(), flops, c.io_snapshot() - before)
     };

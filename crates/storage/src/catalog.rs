@@ -386,7 +386,8 @@ impl Catalog {
         }
         impl Reader<'_> {
             fn take(&mut self, n: usize) -> Result<&[u8]> {
-                if self.pos + n > self.bytes.len() {
+                // `pos <= len` always; `pos + n` may overflow on hostile `n`.
+                if n > self.bytes.len() - self.pos {
                     return Err(bad("truncated"));
                 }
                 let s = &self.bytes[self.pos..self.pos + n];
@@ -685,6 +686,20 @@ mod tests {
         long.push(0);
         assert!(Catalog::decode(&long).is_err());
         assert!(Catalog::decode(&bytes).is_ok());
+    }
+
+    #[test]
+    fn decode_rejects_a_name_length_that_overflows() {
+        // next = 1, one object: id 0, not growable, named, with a name
+        // length that wraps `pos + len` past `usize::MAX`.
+        let mut bytes = Vec::new();
+        for word in [1u64, 1, 0] {
+            bytes.extend_from_slice(&word.to_le_bytes());
+        }
+        bytes.extend_from_slice(&[0, 1]);
+        bytes.extend_from_slice(&(u64::MAX - 3).to_le_bytes());
+        bytes.extend_from_slice(b"name");
+        assert!(Catalog::decode(&bytes).is_err());
     }
 
     #[test]

@@ -208,13 +208,17 @@ impl CatalogStore {
     }
 
     fn read_snapshot(dev: &dyn BlockDevice, block_size: usize, sb: &Superblock) -> Result<Catalog> {
-        let cap = sb.cat_blocks * block_size as u64;
-        if sb.cat_len > cap || sb.cat_start + sb.cat_blocks > dev.num_blocks() {
-            return Err(StorageError::Io(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "superblock references an impossible snapshot region",
-            )));
-        }
+        let cap = sb.cat_blocks.checked_mul(block_size as u64);
+        let end = sb.cat_start.checked_add(sb.cat_blocks);
+        let cap = match (cap, end) {
+            (Some(cap), Some(end)) if sb.cat_len <= cap && end <= dev.num_blocks() => cap,
+            _ => {
+                return Err(StorageError::Io(std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    "superblock references an impossible snapshot region",
+                )))
+            }
+        };
         let mut bytes = vec![0u8; cap as usize];
         for i in 0..sb.cat_blocks {
             let off = (i * block_size as u64) as usize;
@@ -363,6 +367,31 @@ mod tests {
             "snapshot churn stays bounded: {} bytes live",
             dev.resident_bytes()
         );
+    }
+
+    #[test]
+    fn hostile_snapshot_extents_fall_back_instead_of_panicking() {
+        let dev = Arc::new(MemBlockDevice::new(64));
+        let mut store = CatalogStore::format(&*dev).unwrap();
+        let pool = pool_over(Arc::clone(&dev));
+        let mut cat = Catalog::new();
+        cat.create(&pool, 1, Some("kept")).unwrap();
+        store.commit(&*dev, &cat).unwrap(); // v2 in slot 1
+
+        // Checksummed superblocks in slot 0 whose snapshot region
+        // overflows: `cat_blocks * block_size`, then `cat_start + cat_blocks`.
+        for (cat_start, cat_blocks) in [(2, u64::MAX / 2), (u64::MAX, 2)] {
+            let sb = Superblock {
+                version: 9,
+                cat_start,
+                cat_blocks,
+                cat_len: 0,
+                cat_checksum: checksum64(&[]),
+            };
+            dev.write_block(BlockId(0), &sb.encode(64)).unwrap();
+            let (_, back) = CatalogStore::open(&*dev).unwrap();
+            assert!(back.find_by_name("kept").is_some(), "read from v2");
+        }
     }
 
     #[test]

@@ -4,10 +4,10 @@
 //!
 //! Run with: `cargo run --release --example sparse_arrays`
 
-use riot::core::exec::{dmv, spmv};
+use riot::core::exec::{matmul_tiled, spmdm, Side};
 use riot::sparse::SparseMatrix;
 use riot::{EngineConfig, EngineKind, Interpreter};
-use riot_array::{DenseVector, MatrixLayout, StorageCtx, TileOrder};
+use riot_array::{DenseMatrix, MatrixLayout, StorageCtx, TileOrder};
 
 const SCRIPT: &str = r#"
 a <- sparse(i, j, v, n, n)
@@ -63,19 +63,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .collect();
     let a = SparseMatrix::from_triplets(&ctx, n, n, MatrixLayout::Square, &trips, None)?;
     let dense = a.to_dense(TileOrder::RowMajor, None)?;
-    let x = DenseVector::from_slice(&ctx, &vec![1.0; n], None)?;
+    let (layout, order) = (MatrixLayout::ColMajor, TileOrder::RowMajor);
+    let x = DenseMatrix::from_fn(&ctx, n, 1, layout, order, None, |_, _| 1.0)?;
 
     ctx.pool().flush_all()?;
     ctx.clear_cache()?;
     let before = ctx.io_snapshot();
-    spmv(&a, &x, 1, None)?;
+    let (ys, _) = spmdm(&a, &x, Side::Left, 1, None)?;
     let sparse_reads = (ctx.io_snapshot() - before).reads;
 
     ctx.pool().flush_all()?;
     ctx.clear_cache()?;
     let before = ctx.io_snapshot();
-    dmv(&dense, &x, None)?;
+    let (yd, _) = matmul_tiled(&dense, &x, 1 << 20, 1, None)?;
     let dense_reads = (ctx.io_snapshot() - before).reads;
+    assert_eq!(
+        ys.to_rows()?,
+        yd.to_rows()?,
+        "integer products agree exactly"
+    );
 
     println!(
         "SpMV on a {n}x{n} band matrix (density {:.4}):",

@@ -12,7 +12,7 @@ use riot::core::cost::{
     bnlj_io, naive_colmajor_io, sparse_blocks, spmdm_io, square_tiled_io, square_tiled_schedule_io,
     CostParams,
 };
-use riot::core::exec::{matmul_bnlj, matmul_naive, matmul_tiled, spmdm, ExecResult, Operand};
+use riot::core::exec::{matmul_bnlj, matmul_naive, matmul_tiled, spmdm, ExecResult, Operand, Side};
 use riot::core::EngineKind;
 use riot::sparse::SparseMatrix;
 use riot_bench::corpus::{self, Input};
@@ -301,7 +301,7 @@ fn sparse_model_matches_the_corpus_spmv_full_profile() {
     let before = ctx.io_snapshot();
     let a = SparseMatrix::open(&ctx, "a").unwrap();
     let opened = ctx.io_snapshot();
-    let (t, _) = spmdm(&a, &v, 1, None).unwrap();
+    let (t, _) = spmdm(&a, &v, Side::Left, 1, None).unwrap();
     let kernel_reads = (ctx.io_snapshot() - opened).reads;
     ctx.pool().flush_all().unwrap();
     let io = ctx.io_snapshot() - before;
