@@ -236,19 +236,22 @@ impl StorageCtx {
     }
 
     /// Drop an object, releasing all of its blocks. In durable mode the
-    /// catalog is committed *without* the object before its blocks are
-    /// freed, so a crash mid-drop can only leak blocks — the committed
-    /// catalog never references freed ones.
+    /// catalog is committed *without* the object and its frames are
+    /// dropped at once, but its blocks go to the superblock slot whose
+    /// catalog still names it ([`CatalogStore::retire`]) and are freed when
+    /// a later commit overwrites that slot — so no catalog a recovery could
+    /// pick ever references freed (or reissued) blocks.
     pub fn drop_object(&self, id: ObjectId) -> Result<()> {
         let mut cat = self.catalog.lock().unwrap();
-        if self.store.is_none() {
+        let Some(store) = &self.store else {
             return cat.drop_object(&self.pool, id);
-        }
+        };
         let segs = cat.forget_object(id)?;
         self.commit_locked(&cat)?;
         for seg in &segs {
-            self.pool.free_blocks(seg.start, seg.blocks)?;
+            self.pool.discard_blocks(seg.start, seg.blocks);
         }
+        store.lock().unwrap().retire(segs);
         Ok(())
     }
 

@@ -172,6 +172,31 @@ impl DenseVector {
         Ok(page[off])
     }
 
+    /// Read the elements at the 0-based `positions` into `out` (equal
+    /// lengths). One pin covers each run of consecutive positions that fall
+    /// in one block, and it is dropped before the next block is pinned, so
+    /// a read never holds two frames: a range costs one pin per block, a
+    /// random probe one pin per element.
+    pub fn read_at(&self, positions: &[usize], out: &mut [f64]) -> Result<()> {
+        assert_eq!(positions.len(), out.len(), "one output per position");
+        let mut page = None;
+        for (o, &index) in out.iter_mut().zip(positions) {
+            assert!(index < self.len, "vector index {index} out of {}", self.len);
+            let (block, off) = self.locate(index);
+            let frame = match page.take() {
+                Some((b, frame)) if b == block => frame,
+                held => {
+                    // Unpin the last block before pinning this one.
+                    drop(held);
+                    self.ctx.pool().pin(riot_storage::BlockId(block))?
+                }
+            };
+            *o = frame[off];
+            page = Some((block, frame));
+        }
+        Ok(())
+    }
+
     /// Write one element.
     pub fn set(&self, index: usize, value: f64) -> Result<()> {
         assert!(index < self.len, "vector index {index} out of {}", self.len);

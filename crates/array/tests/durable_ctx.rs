@@ -8,7 +8,8 @@ use riot_array::linear::TileOrder;
 use riot_array::matrix::{DenseMatrix, MatrixLayout};
 use riot_array::vector::DenseVector;
 use riot_storage::{
-    BlockDevice, BufferPool, FailpointDevice, MemBlockDevice, PoolConfig, StorageError,
+    BlockDevice, BlockId, BufferPool, Catalog, CatalogStore, FailpointDevice, MemBlockDevice,
+    PoolConfig, StorageError,
 };
 use std::sync::Arc;
 
@@ -104,6 +105,53 @@ fn durable_context_survives_a_clean_restart() {
     let ctx2 = StorageCtx::open(pool_over(Box::new(Arc::clone(&mem)))).unwrap();
     assert!(DenseVector::open(&ctx2, "v").is_err(), "drop was committed");
     assert!(DenseMatrix::open(&ctx2, "m").is_ok());
+}
+
+/// The catalog each superblock slot holds: open with the other slot
+/// blanked, then put it back.
+fn slot_catalogs(mem: &MemBlockDevice) -> Vec<Catalog> {
+    (0..2u64)
+        .filter_map(|slot| {
+            let other = BlockId(1 - slot);
+            let mut saved = vec![0u8; BS];
+            mem.read_block(other, &mut saved).unwrap();
+            mem.write_block(other, &[0u8; BS]).unwrap();
+            let opened = CatalogStore::open(mem).ok();
+            mem.write_block(other, &saved).unwrap();
+            opened.map(|(_, cat)| cat)
+        })
+        .collect()
+}
+
+#[test]
+fn a_dropped_object_stays_whole_while_a_slot_names_it() {
+    let mem = Arc::new(MemBlockDevice::new(BS));
+    let ctx = StorageCtx::new_durable(pool_over(Box::new(Arc::clone(&mem)))).unwrap();
+    DenseVector::from_slice(&ctx, &[1.0; 100], Some("kept")).unwrap();
+    let gone = DenseVector::from_slice(&ctx, &[2.0; 100], Some("gone")).unwrap();
+    ctx.commit().unwrap();
+    gone.free().unwrap();
+    // After the drop the fallback slot still names "gone"; the next commit
+    // overwrites that slot, and only then are its blocks freed.
+    for (step, naming_gone) in [("drop", 1), ("commit", 0), ("second commit", 0)] {
+        if step != "drop" {
+            ctx.commit().unwrap();
+        }
+        let cats = slot_catalogs(&mem);
+        assert_eq!(cats.len(), 2, "{step}: both slots open");
+        let mut buf = vec![0u8; BS];
+        for cat in &cats {
+            for e in cat.extents() {
+                assert!(e.start.0 + e.blocks <= mem.num_blocks(), "{step}");
+                for i in 0..e.blocks {
+                    mem.read_block(e.block(i), &mut buf)
+                        .unwrap_or_else(|err| panic!("{step}: {e:?} names a freed block: {err}"));
+                }
+            }
+        }
+        let named = cats.iter().filter(|c| c.find_by_name("gone").is_some());
+        assert_eq!(named.count(), naming_gone, "{step}");
+    }
 }
 
 #[test]

@@ -26,9 +26,12 @@
 //! shared subexpression once per chunk and reads each source once.
 //!
 //! [`GatherPipe`] is the executor's index-nested-loop join: it pulls index
-//! chunks and probes the data side element by element, which after the
-//! optimizer's pushdown is how `z <- d[s]; print(z)` touches only ~100
-//! elements of `x` and `y` instead of computing all of `d`.
+//! chunks, checks every subscript, and reads the data side at those
+//! positions, holding one pin while consecutive positions stay in one
+//! block — so a range subscript costs one pin per block and a random one
+//! at most one per element. After the optimizer's pushdown this is how
+//! `z <- d[s]; print(z)` touches only ~100 elements of `x` and `y` instead
+//! of computing all of `d`.
 //!
 //! ## Parallel draining
 //!
@@ -132,8 +135,9 @@ pub fn governed(pipe: Box<dyn Pipe>, ctx: &Arc<StorageCtx>, at: &'static str) ->
 }
 
 /// A vector a pipeline reads where it lies: a [`Scan`] streams it in
-/// order, a [`GatherPipe`] probes it by index. Reading a stored vector
-/// goes through the buffer pool, so each probe is at most one block read —
+/// order, a [`GatherPipe`] reads it at positions. Reading a stored vector
+/// goes through the buffer pool, so a gather reads only the blocks its
+/// positions fall in, each pinned once per run of positions inside it —
 /// the index-nested-loop plan of §4.1.
 pub enum Source {
     /// A stored vector, read block-aligned through the pool.
@@ -164,13 +168,19 @@ impl Source {
         self.len() == 0
     }
 
-    /// Fetch 0-based element `i`.
-    pub fn get(&self, i: usize) -> ExecResult<f64> {
+    /// Fetch the 0-based elements at `positions` into `out`. A stored
+    /// vector pins each block once per run of positions inside it
+    /// ([`DenseVector::read_at`]).
+    pub fn read_at(&self, positions: &[usize], out: &mut [f64]) -> ExecResult<()> {
+        let pairs = out.iter_mut().zip(positions);
         match self {
-            Source::Stored(v) => Ok(v.get(i)?),
-            Source::Mem(v) => Ok(v[i]),
-            Source::Range { start, .. } => Ok((*start + i as i64) as f64),
+            Source::Stored(v) => v.read_at(positions, out)?,
+            Source::Mem(v) => pairs.for_each(|(o, &i)| *o = v[i]),
+            Source::Range { start, .. } => {
+                pairs.for_each(|(o, &i)| *o = (*start + i as i64) as f64)
+            }
         }
+        Ok(())
     }
 }
 
@@ -535,27 +545,39 @@ impl Pipe for Tape {
     }
 }
 
-/// Gather: pulls 1-based indices from `index` and probes `data`, one
+/// Gather: pulls 1-based indices from `index`, checks each chunk's
+/// subscripts, then reads the data side at those positions — one pin per
+/// block a run of positions stays in, not one per element — charging one
 /// operation per element on `gov`'s flop counter.
 pub struct GatherPipe {
     index: Box<dyn Pipe>,
     data: Source,
+    /// The current chunk's 0-based positions (reused across chunks).
+    positions: Vec<usize>,
     gov: Arc<QueryGovernor>,
 }
 
 impl GatherPipe {
     /// `data[index]` with 1-based indices.
     pub fn new(index: Box<dyn Pipe>, data: Source, gov: Arc<QueryGovernor>) -> Self {
-        GatherPipe { index, data, gov }
+        GatherPipe {
+            index,
+            data,
+            positions: Vec::new(),
+            gov,
+        }
     }
 }
 
 impl Pipe for GatherPipe {
     fn next_into(&mut self, out: &mut Vec<f64>) -> ExecResult<usize> {
         let n = self.index.next_into(out)?;
-        for v in out.iter_mut() {
-            *v = self.data.get(position(*v, self.data.len())?)?;
+        let len = self.data.len();
+        self.positions.clear();
+        for &raw in out.iter() {
+            self.positions.push(position(raw, len)?);
         }
+        self.data.read_at(&self.positions, out)?;
         self.gov.add_flops(n as u64);
         Ok(n)
     }
@@ -801,6 +823,84 @@ mod tests {
         let delta = c.io_snapshot() - before;
         // 3 probes, at most 3 block reads, not the 10 a full scan needs.
         assert!(delta.reads <= 3, "{delta}");
+    }
+
+    /// An 80-element stored vector over 64-byte blocks: 8 elements a
+    /// block, 10 blocks, flushed and out of the cache.
+    fn stored_80(c: &Arc<StorageCtx>) -> (DenseVector, Vec<f64>) {
+        let data: Vec<f64> = (0..80).map(|i| i as f64 * 10.0).collect();
+        let x = DenseVector::from_slice(c, &data, None).unwrap();
+        c.pool().flush_all().unwrap();
+        c.clear_cache().unwrap();
+        (x, data)
+    }
+
+    fn pins(c: &StorageCtx) -> u64 {
+        let s = c.pool().pool_stats();
+        s.hits + s.misses
+    }
+
+    #[test]
+    fn range_gather_pins_each_block_once() {
+        // Subscripts 5..=76 cover positions 4..=75: all 10 blocks.
+        let c = ctx();
+        let (x, data) = stored_80(&c);
+        let counter = ops();
+        let before = pins(&c);
+        let idx = Box::new(Scan::new(
+            Source::Range { start: 5, len: 72 },
+            DEFAULT_CHUNK,
+        ));
+        let p = Box::new(GatherPipe::new(idx, Source::Stored(x), counter.clone()));
+        assert_eq!(drain_to_vec(p).unwrap(), data[4..76]);
+        assert_eq!(pins(&c) - before, 10, "one pin per block");
+        assert_eq!(counter.flops(), 72, "one operation per element");
+    }
+
+    #[test]
+    fn random_gather_reads_what_single_probes_read() {
+        let c = ctx();
+        let (x, _) = stored_80(&c);
+        let mut state = 7u64;
+        let subscripts: Vec<f64> = (0..50)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                ((state >> 33) % 80 + 1) as f64
+            })
+            .collect();
+        let want: Vec<f64> = subscripts
+            .iter()
+            .map(|&s| x.get(s as usize - 1).unwrap())
+            .collect();
+        let counter = ops();
+        let idx = Box::new(Scan::new(Source::Mem(Arc::new(subscripts)), 16));
+        let p = Box::new(GatherPipe::new(idx, Source::Stored(x), counter.clone()));
+        assert_eq!(drain_to_vec(p).unwrap(), want);
+        assert_eq!(counter.flops(), 50);
+    }
+
+    #[test]
+    fn gather_checks_a_chunk_before_reading_it() {
+        // Subscript 81 sits mid-chunk. Probing one element at a time read
+        // the blocks of 3 and 50 before failing; checking first reads none.
+        let c = ctx();
+        let (x, _) = stored_80(&c);
+        let before = c.io_snapshot();
+        let idx = Box::new(Scan::new(
+            Source::Mem(Arc::new(vec![3.0, 50.0, 81.0, 7.0])),
+            4,
+        ));
+        let mut p = GatherPipe::new(idx, Source::Stored(x), ops());
+        assert!(matches!(
+            p.next_into(&mut Vec::new()),
+            Err(ExecError::Expr(ExprError::IndexOutOfBounds {
+                index: 81,
+                len: 80
+            }))
+        ));
+        assert_eq!((c.io_snapshot() - before).reads, 0);
     }
 
     #[test]

@@ -318,13 +318,16 @@ impl Catalog {
         self.objects.is_empty()
     }
 
-    /// Total blocks held by live objects (all segments counted).
-    pub fn total_blocks(&self) -> u64 {
+    /// Every extent a live object holds (all segments, no order).
+    pub fn extents(&self) -> impl Iterator<Item = Extent> + '_ {
         self.objects
             .values()
-            .flat_map(|e| e.segments.iter())
-            .map(|s| s.blocks)
-            .sum()
+            .flat_map(|e| e.segments.iter().copied())
+    }
+
+    /// Total blocks held by live objects (all segments counted).
+    pub fn total_blocks(&self) -> u64 {
+        self.extents().map(|s| s.blocks).sum()
     }
 
     /// Serialize the full catalog state deterministically (objects sorted

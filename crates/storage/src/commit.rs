@@ -25,10 +25,16 @@
 //! * crash in 4–5: highest-version slot is the new one, its snapshot was
 //!   synced in 2 → new catalog (the un-freed old snapshot leaks).
 //!
-//! Leaks are bounded (at most one snapshot per crash) and block ids are
-//! never reused, so a leak can never alias live data. Snapshot churn
-//! grows the device monotonically — the price of a bump allocator, noted
-//! in ARCHITECTURE.md.
+//! A slot also owns the extents of objects that its catalog still names
+//! but a later commit dropped ([`CatalogStore::retire`]): they are freed
+//! in step 5 together with that slot's snapshot, never earlier. So no
+//! block that either slot's catalog names is ever freed, and a device
+//! that takes freed space back (a [`crate::FileBlockDevice`] shrinks its
+//! file once freed blocks reach its end, and then reissues those ids) can
+//! never hand a block the fallback catalog references to a new owner.
+//! Leaks are bounded: a crash leaks at most one snapshot, plus the
+//! extents the fallback slot held, until a recovery that derives free
+//! space from the catalog exists.
 //!
 //! Catalog *data* durability is separate: object contents still flow
 //! through the buffer pool and are only durable after
@@ -93,13 +99,16 @@ impl Superblock {
     }
 }
 
-/// Per-slot recovery state: the committed version this slot holds and the
-/// snapshot extent that superblock references (and thus owns).
-#[derive(Debug, Clone, Copy)]
+/// Per-slot recovery state: the committed version this slot holds, the
+/// snapshot extent that superblock references, and the dropped objects'
+/// extents its catalog still names — all owned by the slot and freed when
+/// a commit overwrites it.
+#[derive(Debug, Clone, Default)]
 struct SlotState {
     /// 0 = slot empty/invalid.
     version: u64,
     snapshot: Option<Extent>,
+    retired: Vec<Extent>,
 }
 
 /// Crash-consistent persistence for a [`Catalog`] on a [`BlockDevice`].
@@ -145,12 +154,9 @@ impl CatalogStore {
             slots: [
                 SlotState {
                     version: 1,
-                    snapshot: None,
+                    ..SlotState::default()
                 },
-                SlotState {
-                    version: 0,
-                    snapshot: None,
-                },
+                SlotState::default(),
             ],
         })
     }
@@ -160,7 +166,9 @@ impl CatalogStore {
     /// back to the other slot otherwise. After a crash at any write
     /// boundary of [`CatalogStore::commit`], this returns either the
     /// pre-commit or the post-commit catalog — never an error, never a
-    /// mix.
+    /// mix. A slot whose snapshot fails to validate opens empty: its
+    /// version cannot steer the next commit onto the only valid slot, and
+    /// its extent, which may be hostile, is never freed.
     pub fn open(dev: &dyn BlockDevice) -> Result<(CatalogStore, Catalog)> {
         let block_size = dev.block_size();
         let mut parsed = [None, None];
@@ -172,33 +180,47 @@ impl CatalogStore {
                 *p = Superblock::decode(&buf);
             }
         }
-        let slot_state = |p: &Option<Superblock>| match p {
+        let mut slots = parsed.map(|p| match p {
             Some(sb) => SlotState {
                 version: sb.version,
                 snapshot: (sb.cat_blocks > 0).then_some(Extent {
                     start: BlockId(sb.cat_start),
                     blocks: sb.cat_blocks,
                 }),
+                ..SlotState::default()
             },
-            None => SlotState {
-                version: 0,
-                snapshot: None,
-            },
-        };
+            None => SlotState::default(),
+        });
         // Try slots in descending version order.
         let mut order = [0usize, 1];
-        if parsed[1].map_or(0, |s| s.version) > parsed[0].map_or(0, |s| s.version) {
+        if slots[1].version > slots[0].version {
             order = [1, 0];
         }
         for i in order {
             let Some(sb) = parsed[i] else { continue };
             let Ok(cat) = Self::read_snapshot(dev, block_size, &sb) else {
+                slots[i] = SlotState::default();
                 continue;
             };
-            let store = CatalogStore {
-                block_size,
-                slots: [slot_state(&parsed[0]), slot_state(&parsed[1])],
+            // The other slot's snapshot was not read. Keep it (to free at
+            // the next commit) only if it lies past the superblocks, inside
+            // the device, and clear of everything the recovered catalog and
+            // snapshot name: a hostile extent is never freed.
+            let other = 1 - i;
+            let plausible = |ext: Extent| {
+                let Some(end) = ext.start.0.checked_add(ext.blocks) else {
+                    return false;
+                };
+                let overlaps =
+                    |e: Extent| e.start.0 < end && ext.start.0 < e.start.0.saturating_add(e.blocks);
+                ext.start.0 >= 2
+                    && end <= dev.num_blocks()
+                    && !cat.extents().chain(slots[i].snapshot).any(overlaps)
             };
+            if !slots[other].snapshot.is_some_and(plausible) {
+                slots[other].snapshot = None;
+            }
+            let store = CatalogStore { block_size, slots };
             return Ok((store, cat));
         }
         Err(StorageError::Io(std::io::Error::new(
@@ -247,7 +269,7 @@ impl CatalogStore {
         let bytes = cat.encode();
         // Overwrite the OLDER slot: the newer one keeps the current
         // version reachable until the new superblock is durable.
-        let target = usize::from(self.slots[0].version > self.slots[1].version);
+        let target = self.older();
         let new_version = self.slots[0].version.max(self.slots[1].version) + 1;
 
         let nblocks = bytes.len().div_ceil(self.block_size) as u64;
@@ -272,21 +294,37 @@ impl CatalogStore {
         dev.write_block(BlockId(target as u64), &sb.encode(self.block_size))?;
         dev.sync()?;
 
-        // Commit point passed: retire the snapshot the overwritten slot
-        // used to own. The *other* slot's snapshot is untouched, so a
-        // crash anywhere above still recovers cleanly.
-        let retired = self.slots[target].snapshot;
-        self.slots[target] = SlotState {
-            version: new_version,
-            snapshot: Some(Extent {
-                start,
-                blocks: nblocks,
-            }),
-        };
-        if let Some(old) = retired {
-            dev.free(old.start, old.blocks)?;
+        // Commit point passed: free what the overwritten slot owned. The
+        // *other* slot's snapshot is untouched, so a crash anywhere above
+        // still recovers cleanly.
+        let old = std::mem::replace(
+            &mut self.slots[target],
+            SlotState {
+                version: new_version,
+                snapshot: Some(Extent {
+                    start,
+                    blocks: nblocks,
+                }),
+                retired: Vec::new(),
+            },
+        );
+        for ext in old.snapshot.iter().chain(&old.retired) {
+            dev.free(ext.start, ext.blocks)?;
         }
         Ok(())
+    }
+
+    /// Hand over the extents of objects that the last commit dropped. The
+    /// fallback slot's catalog still names them, so they are freed only
+    /// when a later commit overwrites that slot (step 5).
+    pub fn retire(&mut self, extents: impl IntoIterator<Item = Extent>) {
+        let fallback = self.older();
+        self.slots[fallback].retired.extend(extents);
+    }
+
+    /// The slot holding the older version: the next commit's target.
+    fn older(&self) -> usize {
+        usize::from(self.slots[0].version > self.slots[1].version)
     }
 
     /// The committed catalog version (monotonic; 1 after format).
@@ -389,9 +427,79 @@ mod tests {
                 cat_checksum: checksum64(&[]),
             };
             dev.write_block(BlockId(0), &sb.encode(64)).unwrap();
-            let (_, back) = CatalogStore::open(&*dev).unwrap();
+            let (mut store, back) = CatalogStore::open(&*dev).unwrap();
             assert!(back.find_by_name("kept").is_some(), "read from v2");
+            assert_eq!(store.version(), 2, "the hostile slot counts as empty");
+
+            // The next commit must overwrite the hostile slot, not the only
+            // valid one: tear whichever superblock it wrote, and v2 still
+            // opens.
+            let slots = || {
+                let mut bufs = [[0u8; 64]; 2];
+                for (i, buf) in bufs.iter_mut().enumerate() {
+                    dev.read_block(BlockId(i as u64), buf).unwrap();
+                }
+                bufs
+            };
+            let before = slots();
+            store.commit(&*dev, &back).unwrap();
+            let after = slots();
+            let written = (0..2).find(|&i| before[i] != after[i]).unwrap();
+            dev.write_block(BlockId(written as u64), &[0xAAu8; 64])
+                .unwrap();
+            let (reopened, back) = CatalogStore::open(&*dev).unwrap();
+            assert_eq!(reopened.version(), 2, "torn commit falls back to v2");
+            assert!(back.find_by_name("kept").is_some());
         }
+    }
+
+    #[test]
+    fn an_unread_slot_never_frees_live_blocks() {
+        let dev = Arc::new(MemBlockDevice::new(64));
+        let mut store = CatalogStore::format(&*dev).unwrap();
+        let pool = pool_over(Arc::clone(&dev));
+        let mut cat = Catalog::new();
+        let (_, live) = cat.create(&pool, 1, Some("live")).unwrap();
+        pool.write_new(live.block(0), |d| d[0] = 5).unwrap();
+        pool.flush_all().unwrap();
+        store.commit(&*dev, &cat).unwrap(); // v2 in slot 1
+
+        // Slot 0 (v1, not read at open) claims the live object's block as
+        // its snapshot; the next commit would free it.
+        let sb = Superblock {
+            version: 1,
+            cat_start: live.start.0,
+            cat_blocks: 1,
+            cat_len: 0,
+            cat_checksum: checksum64(&[]),
+        };
+        dev.write_block(BlockId(0), &sb.encode(64)).unwrap();
+        let (mut store, back) = CatalogStore::open(&*dev).unwrap();
+        assert_eq!(store.version(), 2);
+        store.commit(&*dev, &back).unwrap();
+        let mut buf = [0u8; 64];
+        dev.read_block(live.block(0), &mut buf).unwrap();
+        assert_eq!(buf[0], 5, "the live block was not freed");
+    }
+
+    #[test]
+    fn dropped_extents_are_freed_with_the_slot_that_names_them() {
+        let dev = Arc::new(MemBlockDevice::new(64));
+        let mut store = CatalogStore::format(&*dev).unwrap();
+        let pool = pool_over(Arc::clone(&dev));
+        let mut cat = Catalog::new();
+        let (id, ext) = cat.create(&pool, 2, Some("gone")).unwrap();
+        pool.write_new(ext.block(0), |d| d[0] = 7).unwrap();
+        pool.flush_all().unwrap();
+        store.commit(&*dev, &cat).unwrap(); // v2 names "gone"
+        cat.forget_object(id).unwrap();
+        store.commit(&*dev, &cat).unwrap(); // v3 does not; v2 is the fallback
+        store.retire([ext]);
+        let mut buf = [0u8; 64];
+        dev.read_block(ext.block(0), &mut buf).unwrap();
+        assert_eq!(buf[0], 7, "still named by the fallback slot");
+        store.commit(&*dev, &cat).unwrap(); // v4 overwrites the v2 slot
+        assert!(dev.read_block(ext.block(0), &mut buf).is_err(), "freed");
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub trait BlockDevice: Send + Sync {
     /// Size of one block in bytes.
     fn block_size(&self) -> usize;
 
-    /// Current device size in blocks (the bump-allocation high-water mark).
+    /// Current device size in blocks: one past the highest allocated id.
     fn num_blocks(&self) -> u64;
 
     /// Read the block `id` into `buf` (`buf.len() == block_size`).
@@ -54,7 +54,8 @@ pub trait BlockDevice: Send + Sync {
     /// Write `buf` (`buf.len() == block_size`) to block `id`.
     fn write_block(&self, id: BlockId, buf: &[u8]) -> Result<()>;
 
-    /// Allocate `n` contiguous zeroed blocks, returning the first id.
+    /// Allocate `n` contiguous zeroed blocks at the end of the device,
+    /// returning the first id.
     ///
     /// Allocation itself performs no I/O: a fresh block only costs a write
     /// when its contents are eventually flushed, exactly like extending a
@@ -63,8 +64,12 @@ pub trait BlockDevice: Send + Sync {
 
     /// Release `n` blocks starting at `start`.
     ///
-    /// Devices may reclaim the backing memory but ids are never reused, so
-    /// dangling references fail loudly instead of aliasing new data.
+    /// Devices may reclaim the space. [`crate::MemBlockDevice`] drops the
+    /// memory and never reissues an id; [`crate::FileBlockDevice`] shrinks
+    /// its file once freed blocks reach its end, and a later `allocate`
+    /// reissues those ids, zero-filled. So a block must be freed only once
+    /// nothing can read it again (see [`crate::BufferPool::free_blocks`]
+    /// and [`crate::CatalogStore::retire`]).
     fn free(&self, start: BlockId, n: u64) -> Result<()>;
 
     /// The shared traffic counters for this device.

@@ -48,6 +48,12 @@ pub enum StorageError {
         /// The (logical) block whose contents failed validation.
         block: BlockId,
     },
+    /// A block range was freed while part of it was already free (a
+    /// double free, or a range overlapping an earlier free).
+    DoubleFree {
+        /// The first block of the range that was already free.
+        block: BlockId,
+    },
     /// The underlying operating-system file operation failed.
     Io(std::io::Error),
     /// The query's [`crate::CancelToken`] was triggered; raised by the
@@ -164,6 +170,9 @@ impl fmt::Display for StorageError {
                     "block {} failed checksum validation (corruption)",
                     block.0
                 )
+            }
+            StorageError::DoubleFree { block } => {
+                write!(f, "block {} freed while already free", block.0)
             }
             StorageError::Io(e) => write!(f, "I/O error: {e}"),
             StorageError::Cancelled { at } => {

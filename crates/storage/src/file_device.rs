@@ -6,12 +6,20 @@
 //! core against the filesystem. Integration tests exercise both devices
 //! through the same code paths.
 //!
+//! Space comes back at the end of the file: `free` coalesces freed ranges
+//! and, once they reach the file's end, shrinks the file (`set_len`), so
+//! a workload that creates and drops objects keeps a flat footprint.
+//! `allocate` only ever extends, so a reissued id reads zeros exactly like
+//! a fresh one. Freed ranges below a live block stay holes until the
+//! blocks above them are freed too.
+//!
 //! On unix, transfers use positioned I/O (`pread`/`pwrite` via
 //! [`std::os::unix::fs::FileExt`]), so concurrent reads and writes of
 //! distinct blocks overlap without any shared cursor or lock — the device
 //! advertises [`BlockDevice::concurrent_io`]. Elsewhere a single cursor
 //! lock serializes transfers (correct, just not overlapped).
 
+use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::ErrorKind;
 #[cfg(not(unix))]
@@ -119,15 +127,25 @@ pub(crate) fn write_full_at(file: &File, mut buf: &[u8], mut off: u64) -> std::i
     Ok(())
 }
 
+/// What a [`FileBlockDevice`] knows of its blocks: the file length and the
+/// freed ranges below it.
+#[derive(Default)]
+struct Space {
+    /// File length in blocks.
+    num_blocks: u64,
+    /// Freed ranges, `start -> end` (exclusive), coalesced: no two touch,
+    /// and none reaches `num_blocks` (such a range shrinks the file).
+    free: BTreeMap<u64, u64>,
+}
+
 /// A block device stored in a single file; block `i` lives at byte offset
 /// `i * block_size`.
 pub struct FileBlockDevice {
     file: File,
     path: PathBuf,
     block_size: usize,
-    /// Allocation high-water mark; guarded so `allocate`/`free` can run
-    /// concurrently with transfers.
-    num_blocks: Mutex<u64>,
+    /// Guarded so `allocate`/`free` can run concurrently with transfers.
+    space: Mutex<Space>,
     /// Serializes the shared file cursor on targets without positioned I/O.
     #[cfg(not(unix))]
     cursor: Mutex<()>,
@@ -149,7 +167,7 @@ impl FileBlockDevice {
             file,
             path: path.to_path_buf(),
             block_size,
-            num_blocks: Mutex::new(0),
+            space: Mutex::default(),
             #[cfg(not(unix))]
             cursor: Mutex::new(()),
             remove_on_drop: false,
@@ -168,7 +186,10 @@ impl FileBlockDevice {
             file,
             path: path.to_path_buf(),
             block_size,
-            num_blocks: Mutex::new(len / block_size as u64),
+            space: Mutex::new(Space {
+                num_blocks: len / block_size as u64,
+                ..Space::default()
+            }),
             #[cfg(not(unix))]
             cursor: Mutex::new(()),
             remove_on_drop: false,
@@ -200,7 +221,7 @@ impl FileBlockDevice {
                 got: buf_len,
             });
         }
-        let num_blocks = *self.num_blocks.lock().unwrap();
+        let num_blocks = self.num_blocks();
         if id.0 >= num_blocks {
             return Err(StorageError::OutOfBounds {
                 block: id,
@@ -221,7 +242,7 @@ impl BlockDevice for FileBlockDevice {
     }
 
     fn num_blocks(&self) -> u64 {
-        *self.num_blocks.lock().unwrap()
+        self.space.lock().unwrap().num_blocks
     }
 
     fn read_block(&self, id: BlockId, buf: &mut [u8]) -> Result<()> {
@@ -255,24 +276,56 @@ impl BlockDevice for FileBlockDevice {
     }
 
     fn allocate(&self, n: u64) -> Result<BlockId> {
-        let mut num_blocks = self.num_blocks.lock().unwrap();
-        let start = BlockId(*num_blocks);
-        *num_blocks += n;
+        let mut space = self.space.lock().unwrap();
+        let start = BlockId(space.num_blocks);
         // Extending with set_len gives zero-filled (sparse where supported)
         // blocks without any data transfer.
-        self.file.set_len(*num_blocks * self.block_size as u64)?;
+        self.file
+            .set_len((space.num_blocks + n) * self.block_size as u64)?;
+        space.num_blocks += n;
         Ok(start)
     }
 
     fn free(&self, start: BlockId, n: u64) -> Result<()> {
-        // File devices do not reclaim space mid-file; validate the range so
-        // misuse is still caught.
-        let num_blocks = *self.num_blocks.lock().unwrap();
-        if start.0 + n > num_blocks {
+        let mut space = self.space.lock().unwrap();
+        let end = start.0.saturating_add(n);
+        if end > space.num_blocks {
             return Err(StorageError::OutOfBounds {
-                block: BlockId(start.0 + n - 1),
-                num_blocks,
+                block: BlockId(end - 1),
+                num_blocks: space.num_blocks,
             });
+        }
+        if n == 0 {
+            return Ok(());
+        }
+        // Coalesce with the free neighbours; touching one is a merge,
+        // overlapping one is a double free.
+        let (mut lo, mut hi) = (start.0, end);
+        if let Some((&s, &e)) = space.free.range(..=start.0).next_back() {
+            if e > start.0 {
+                return Err(StorageError::DoubleFree { block: start });
+            }
+            if e == start.0 {
+                lo = s;
+            }
+        }
+        if let Some((&s, &e)) = space.free.range(start.0 + 1..).next() {
+            if s < end {
+                return Err(StorageError::DoubleFree { block: BlockId(s) });
+            }
+            if s == end {
+                hi = e;
+            }
+        }
+        let tail = hi == space.num_blocks;
+        if tail {
+            self.file.set_len(lo * self.block_size as u64)?;
+            space.num_blocks = lo;
+        }
+        space.free.remove(&lo);
+        space.free.remove(&end);
+        if !tail {
+            space.free.insert(lo, hi);
         }
         Ok(())
     }
@@ -345,6 +398,80 @@ mod tests {
         assert!(d.read_block(BlockId(1), &mut buf).is_err());
         assert!(d.free(BlockId(0), 2).is_err());
         assert!(d.free(BlockId(0), 1).is_ok());
+    }
+
+    fn file_len(d: &FileBlockDevice) -> u64 {
+        std::fs::metadata(d.path()).unwrap().len()
+    }
+
+    #[test]
+    fn out_of_order_frees_coalesce_down_to_the_tail() {
+        let d = FileBlockDevice::temp(64).unwrap();
+        d.allocate(8).unwrap();
+        // Holes below a live block keep the file at its length.
+        d.free(BlockId(5), 1).unwrap();
+        d.free(BlockId(2), 2).unwrap();
+        assert_eq!((d.num_blocks(), file_len(&d)), (8, 8 * 64));
+        // The last block goes: the file shrinks by exactly it.
+        d.free(BlockId(7), 1).unwrap();
+        assert_eq!((d.num_blocks(), file_len(&d)), (7, 7 * 64));
+        // Block 6 joins the hole at 5 and both reach the end.
+        d.free(BlockId(6), 1).unwrap();
+        assert_eq!((d.num_blocks(), file_len(&d)), (5, 5 * 64));
+        // Block 4 joins 2..4 and the tail: the file ends at the live block 1.
+        d.free(BlockId(4), 1).unwrap();
+        assert_eq!((d.num_blocks(), file_len(&d)), (2, 2 * 64));
+        d.free(BlockId(0), 2).unwrap();
+        assert_eq!((d.num_blocks(), file_len(&d)), (0, 0));
+    }
+
+    #[test]
+    fn a_reissued_id_reads_zeros() {
+        let d = FileBlockDevice::temp(64).unwrap();
+        let b = d.allocate(4).unwrap();
+        d.write_block(b.offset(3), &[9u8; 64]).unwrap();
+        d.free(b.offset(3), 1).unwrap();
+        let mut out = vec![0u8; 64];
+        assert!(d.read_block(b.offset(3), &mut out).is_err(), "truncated");
+        assert_eq!(d.allocate(1).unwrap(), b.offset(3), "the id comes back");
+        d.read_block(b.offset(3), &mut out).unwrap();
+        assert!(out.iter().all(|&x| x == 0), "as zeros, like a fresh id");
+    }
+
+    #[test]
+    fn double_and_overlapping_frees_are_typed_errors_that_never_truncate() {
+        let d = FileBlockDevice::temp(64).unwrap();
+        let b = d.allocate(6).unwrap();
+        for i in 0..6 {
+            d.write_block(b.offset(i), &[i as u8 + 1; 64]).unwrap();
+        }
+        d.free(BlockId(1), 1).unwrap();
+        d.free(BlockId(4), 1).unwrap();
+        let double = |start, n, first| match d.free(BlockId(start), n) {
+            Err(StorageError::DoubleFree { block }) => assert_eq!(block, BlockId(first)),
+            other => panic!("free({start}, {n}): {other:?}"),
+        };
+        double(1, 1, 1); // the same block again
+        double(0, 2, 1); // a range ending in a free block
+        double(3, 3, 4); // a range reaching the tail over a free block
+        double(4, 2, 4); // a range starting at one
+        assert!(matches!(
+            d.free(BlockId(5), 2),
+            Err(StorageError::OutOfBounds { .. })
+        ));
+        // Nothing was freed or truncated by the refused calls.
+        assert_eq!((d.num_blocks(), file_len(&d)), (6, 6 * 64));
+        let mut out = vec![0u8; 64];
+        for i in [0, 2, 3, 5] {
+            d.read_block(BlockId(i), &mut out).unwrap();
+            assert_eq!(out[0], i as u8 + 1, "live block {i} intact");
+        }
+        // The refused ranges were not recorded as free: freeing the live
+        // blocks one by one still coalesces everything down to nothing.
+        for i in [3, 0, 5, 2] {
+            d.free(BlockId(i), 1).unwrap();
+        }
+        assert_eq!((d.num_blocks(), file_len(&d)), (0, 0));
     }
 
     #[test]

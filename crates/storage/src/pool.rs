@@ -1003,12 +1003,26 @@ impl BufferPool {
     }
 
     /// Allocate `n` fresh contiguous device blocks (no I/O).
+    ///
+    /// A device may reissue ids it took back (a [`crate::FileBlockDevice`]
+    /// shrinks its file once freed blocks reach its end), so a frame that a
+    /// late background load left for one of them is dropped here: a fresh
+    /// block reads as zeros, never as its previous owner's data.
     pub fn allocate_blocks(&self, n: u64) -> Result<BlockId> {
-        self.core.device.allocate(n)
+        let start = self.core.device.allocate(n)?;
+        self.discard_blocks(start, n);
+        Ok(start)
     }
 
     /// Release `n` device blocks starting at `start`, dropping any resident
-    /// frames without writing them back.
+    /// frames without writing them back ([`BufferPool::discard_blocks`]).
+    pub fn free_blocks(&self, start: BlockId, n: u64) -> Result<()> {
+        self.discard_blocks(start, n);
+        self.core.device.free(start, n)
+    }
+
+    /// Drop any resident frames of the `n` blocks at `start` without
+    /// writing them back; the device blocks stay allocated.
     ///
     /// Blocks with device I/O in flight (another thread's eviction,
     /// flush, or background prefetch picked the frame — states callers
@@ -1018,7 +1032,7 @@ impl BufferPool {
     /// is still pinned: recycling a pinned frame would alias a live
     /// guard's `&[f64]`, so this is a hard invariant in release builds
     /// too.
-    pub fn free_blocks(&self, start: BlockId, n: u64) -> Result<()> {
+    pub fn discard_blocks(&self, start: BlockId, n: u64) {
         for i in 0..n {
             let id = start.offset(i);
             let shard = self.core.shard_of(id);
@@ -1037,13 +1051,12 @@ impl BufferPool {
                 if meta.unmap(frame) {
                     self.core.note_wasted(shard, id);
                 }
+                drop(meta);
+                // A dropped frame is claimable; wake frame seekers.
+                shard.unpinned.notify_all();
                 break;
             }
-            drop(meta);
-            // A freed frame is claimable; wake frame seekers.
-            shard.unpinned.notify_all();
         }
-        self.core.device.free(start, n)
     }
 
     /// Pin `block` for reading, loading it from the device if absent.

@@ -12,7 +12,9 @@ use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use riot_storage::testing::{FailpointDevice, FailpointHandle, Watchdog};
-use riot_storage::{BlockId, BufferPool, IoSnapshot, MemBlockDevice, PoolConfig};
+use riot_storage::{
+    BlockId, BufferPool, FileBlockDevice, IoSnapshot, MemBlockDevice, PoolConfig, StorageError,
+};
 
 const WATCHDOG: Duration = Duration::from_secs(60);
 
@@ -130,6 +132,98 @@ fn prefetch_accounting_is_exhaustive() {
         s.prefetch_issued,
         s.prefetch_hits + s.prefetch_wasted,
         "every issued prefetch resolved"
+    );
+}
+
+/// A hint still queued for a block that is freed meanwhile, and cut off
+/// the end of the device file, is dropped when a worker reaches it: no
+/// error surfaces, no frame is mapped, and the block stays gone.
+#[test]
+fn a_queued_hint_for_a_truncated_block_is_dropped() {
+    let _wd = Watchdog::arm("a_queued_hint_for_a_truncated_block_is_dropped", WATCHDOG);
+    let dev = FailpointDevice::new(Box::new(FileBlockDevice::temp(64).unwrap()));
+    let fp = dev.handle();
+    let pool = BufferPool::new(
+        Box::new(dev),
+        PoolConfig {
+            frames: 4,
+            prefetch_depth: 1,
+            ..PoolConfig::default()
+        },
+    );
+    let b = pool.allocate_blocks(2).unwrap();
+    let tail = b.offset(1);
+    for i in 0..2 {
+        pool.write_new(b.offset(i), |d| d[0] = i as u8 + 1).unwrap();
+    }
+    pool.flush_all().unwrap();
+    pool.clear_cache().unwrap();
+    let io0 = pool.io_stats().snapshot();
+
+    // The one worker sleeps inside the load of `b`, so the hint for the
+    // tail block waits in the queue while that block is freed.
+    fp.set_read_latency(Duration::from_millis(100));
+    pool.prefetch([b]);
+    while pool.resident() == 0 {
+        std::thread::yield_now();
+    }
+    pool.prefetch([tail]);
+    pool.free_blocks(tail, 1).unwrap();
+    assert_eq!(pool.device().num_blocks(), 1, "the file lost its tail");
+    pool.wait_prefetch_idle();
+    fp.set_read_latency(Duration::ZERO);
+
+    assert_eq!(pool.resident(), 1, "only the first hint mapped a frame");
+    assert_eq!((pool.io_stats().snapshot() - io0).reads, 1);
+    assert!(matches!(
+        pool.pin(tail),
+        Err(StorageError::OutOfBounds { .. })
+    ));
+    assert_eq!(pool.read(b, |d| d[0]).unwrap(), 1);
+}
+
+/// A hint for a freed block that sits below a live one (a hole, so the
+/// file keeps its old bytes) loads those bytes into a frame. Once the tail
+/// above it is freed too, the file shrinks and the id is reissued: the new
+/// owner reads zeros, never the frame the late load left behind.
+#[test]
+fn a_late_prefetch_never_leaks_into_a_reissued_id() {
+    let _wd = Watchdog::arm("a_late_prefetch_never_leaks_into_a_reissued_id", WATCHDOG);
+    let dev = FailpointDevice::new(Box::new(FileBlockDevice::temp(64).unwrap()));
+    let fp = dev.handle();
+    let pool = BufferPool::new(
+        Box::new(dev),
+        PoolConfig {
+            frames: 4,
+            prefetch_depth: 1,
+            ..PoolConfig::default()
+        },
+    );
+    let b = pool.allocate_blocks(3).unwrap();
+    let (hole, top) = (b.offset(1), b.offset(2));
+    for i in 0..3 {
+        pool.write_new(b.offset(i), |d| d[0] = 0xEE).unwrap();
+    }
+    pool.flush_all().unwrap();
+    pool.clear_cache().unwrap();
+
+    fp.set_read_latency(Duration::from_millis(100));
+    pool.prefetch([b]);
+    while pool.resident() == 0 {
+        std::thread::yield_now();
+    }
+    pool.prefetch([hole]);
+    pool.free_blocks(hole, 1).unwrap();
+    pool.wait_prefetch_idle();
+    fp.set_read_latency(Duration::ZERO);
+    assert_eq!(pool.resident(), 2, "the late load mapped the freed hole");
+
+    pool.free_blocks(top, 1).unwrap();
+    assert_eq!(pool.allocate_blocks(2).unwrap(), hole, "the id is reissued");
+    assert_eq!(
+        pool.read(hole, |d| d[0]).unwrap(),
+        0,
+        "a fresh block reads zeros"
     );
 }
 

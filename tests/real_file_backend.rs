@@ -7,14 +7,21 @@ use riot::core::exec::matmul_tiled;
 use riot::storage::{BufferPool, FileBlockDevice, PoolConfig};
 
 fn file_ctx(frames: usize) -> std::sync::Arc<StorageCtx> {
+    file_ctx_at(frames).0
+}
+
+/// A context over a temporary device file, and the file's path.
+fn file_ctx_at(frames: usize) -> (std::sync::Arc<StorageCtx>, std::path::PathBuf) {
     let device = FileBlockDevice::temp(512).expect("temp device");
-    StorageCtx::from_pool(BufferPool::new(
+    let path = device.path().to_path_buf();
+    let ctx = StorageCtx::from_pool(BufferPool::new(
         Box::new(device),
         PoolConfig {
             frames,
             ..PoolConfig::default()
         },
-    ))
+    ));
+    (ctx, path)
 }
 
 #[test]
@@ -84,4 +91,45 @@ fn file_and_mem_devices_count_identical_io() {
     let mem = run(StorageCtx::new_mem(512, 4));
     let file = run(file_ctx(4));
     assert_eq!(mem, file, "mem {mem:?} vs file {file:?}");
+}
+
+#[test]
+fn file_length_stays_flat_across_create_drop_iterations() {
+    // Each iteration builds three objects and a product over a kept input,
+    // then drops them out of creation order. The freed ranges coalesce
+    // down to the file's end, so the file returns to one length.
+    let (ctx, path) = file_ctx_at(6);
+    let file_len = || std::fs::metadata(&path).unwrap().len();
+    let n = 24;
+    let kept = DenseMatrix::from_fn(
+        &ctx,
+        n,
+        n,
+        MatrixLayout::Square,
+        TileOrder::RowMajor,
+        Some("kept"),
+        |i, j| (i * n + j) as f64,
+    )
+    .unwrap();
+    ctx.pool().flush_all().unwrap();
+    let base = file_len();
+    for iter in 0..8 {
+        let data: Vec<f64> = (0..6_400).map(|i| (i + iter) as f64).collect();
+        let v = DenseVector::from_slice(&ctx, &data, None).unwrap();
+        let (t, _) = matmul_tiled(&kept, &kept, 3 * 64, 1, None).unwrap();
+        // A vector created on reissued ids reads as zeros.
+        let z = DenseVector::create(&ctx, 1_000, None).unwrap();
+        assert!(
+            z.to_vec().unwrap().iter().all(|&x| x == 0.0),
+            "iteration {iter}"
+        );
+        ctx.pool().flush_all().unwrap();
+        assert!(file_len() > base);
+        assert_eq!(v.to_vec().unwrap(), data);
+        v.free().unwrap();
+        z.free().unwrap();
+        t.free().unwrap();
+        assert_eq!(file_len(), base, "iteration {iter}");
+    }
+    assert_eq!(ctx.live_objects(), 1);
 }
