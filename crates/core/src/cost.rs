@@ -98,12 +98,12 @@ pub fn panel_side(mem_elems: f64, tile_side: usize) -> usize {
 /// Operand flags do not appear: a transposed read pins the tiles of the
 /// mirrored rectangle, the same number. `gram` (`t(X)·X` or `X·t(X)`,
 /// `n1 == n3`) is the half schedule: only output cells `bi <= bj` run,
-/// and a diagonal cell reads one operand strip — the other side is that
-/// strip transposed in memory. Every output block is written once either
-/// way. With `side` a whole number of tiles, an extent of `e` elements
-/// from a panel boundary spans `⌈e/tile⌉` tiles, so the count below is the
-/// schedule, tile for tile — `tests/cost_model_validation.rs` holds the
-/// kernel to it with `==`.
+/// and a diagonal cell reads one operand strip — the GEMM packs the other
+/// side from it under the opposite flag. Every output block is written
+/// once either way. With `side` a whole number of tiles, an extent of `e`
+/// elements from a panel boundary spans `⌈e/tile⌉` tiles, so the count
+/// below is the schedule, tile for tile — `tests/cost_model_validation.rs`
+/// holds the kernel to it with `==`.
 pub fn square_tiled_schedule_io(
     n1: usize,
     n2: usize,

@@ -14,7 +14,13 @@
 //!   [`prefetch_rect`] before blocking on the current one (the PR-5
 //!   discipline: prefetch changes *when* reads happen, never *how many*);
 //! * the trailing update fans its disjoint output panels over a work
-//!   queue of threads with bit-identical results at every thread count.
+//!   queue of threads with bit-identical results at every thread count;
+//! * every `Lᵀ` is `L` as stored under a `trans` flag — `L(j,k)ᵀ` in the
+//!   trailing update, `Lᵀ` in the backward solve, the block column in
+//!   `potrf`'s own update — and the GEMM's pack or `trsm_left`'s
+//!   indexing resolves it, so no transposed copy of a factor is built.
+//!   Only the TRSM step's `X · Lᵀ = A` transposes its right-hand side,
+//!   to reuse the one left-side solve.
 //!
 //! The panel side is deliberately **independent of the thread count**:
 //! the trailing update accumulates into storage panel-by-panel, so the
@@ -27,7 +33,7 @@
 use riot_array::matrix::DenseMatrix;
 use riot_array::{MatrixLayout, TileOrder};
 
-use super::gemm::{axpy, gemm_acc, gemm_acc_ld, transpose_into};
+use super::gemm::{self, axpy, gemm_acc, transpose_into};
 use super::matmul::{non_conformable, prefetch_rect, read_rect, write_rect, Operand};
 use super::{run_parallel, ExecError, ExecResult};
 use crate::cost::panel_side;
@@ -35,7 +41,7 @@ use crate::expr::ExprError;
 use crate::shape::Shape;
 
 /// Column-block width of the in-memory panel kernels: everything to the
-/// left of a block reaches it as one [`gemm_acc_ld`] product, only the
+/// left of a block reaches it as one [`gemm_acc`] product, only the
 /// `NB` in-block columns run through the scalar recurrences.
 const NB: usize = 32;
 
@@ -48,8 +54,8 @@ const NB: usize = 32;
 /// last one, so the bits are those of the unblocked dot-product loop at
 /// any block width.
 pub(crate) fn potrf(buf: &mut [f64], t: usize, panel: usize, row0: usize) -> ExecResult<u64> {
-    // The block column below the diagonal block, and its transpose.
-    let (mut col, mut colt) = (vec![0.0; NB * t], vec![0.0; NB * t]);
+    // The block column below the diagonal block.
+    let mut col = vec![0.0; NB * t];
     for j0 in (0..t).step_by(NB) {
         let j1 = (j0 + NB).min(t);
         // Factor the block column: in-block `k` only, one pivot at a time,
@@ -82,19 +88,18 @@ pub(crate) fn potrf(buf: &mut [f64], t: usize, panel: usize, row0: usize) -> Exe
         }
         // Trailing update, lower triangle only: each row block takes
         // `A(i, j1..=i) -= L(i, j0..j1) · L(j1..=i, j0..j1)ᵀ` in place.
+        // The column is copied out because the update writes `buf`; its
+        // transpose is the same copy under the GEMM's flag.
         let (rows, nb) = (t - j1, j1 - j0);
-        for r in 0..rows {
-            for k in 0..nb {
-                let v = buf[(j1 + r) * t + j0 + k];
-                (col[r * nb + k], colt[k * rows + r]) = (v, v);
-            }
+        for (r, dst) in col.chunks_exact_mut(nb).take(rows).enumerate() {
+            dst.copy_from_slice(&buf[(j1 + r) * t + j0..][..nb]);
         }
         for r0 in (0..rows).step_by(NB) {
             let r1 = (r0 + NB).min(rows);
-            gemm_acc_ld(
+            gemm_acc(
                 (&mut buf[(j1 + r0) * t + j1..], t),
-                (&col[r0 * nb..], nb),
-                (&colt, rows),
+                (&col[r0 * nb..], nb, false),
+                (&col, nb, true),
                 (r1 - r0, r1, nb),
                 -1.0,
             );
@@ -103,24 +108,26 @@ pub(crate) fn potrf(buf: &mut [f64], t: usize, panel: usize, row0: usize) -> Exe
     Ok((t * (t + 1) * (t + 2) / 6) as u64)
 }
 
-/// Solve `T · X = B` in place for a triangular `t x t` panel `tri`, `b`
-/// being `t x cols` (all row-major): lower-triangular top-down, or —
-/// `upper` — upper-triangular bottom-up.
+/// Solve `T · X = B` in place, `b` being `t x cols` and `l` a
+/// lower-triangular `t x t` panel (both row-major): `T = L` top-down, or —
+/// `upper` — `T = Lᵀ` bottom-up, read from `l` as stored.
 ///
 /// Top-down, each [`NB`]-row block first takes everything above it as one
 /// product, which leaves every element's subtractions in ascending `k`.
 /// Bottom-up, a row's own block holds its *first* `k`, so pulling the rest
 /// into a product would regroup the sum: that sweep stays unblocked (its
 /// shapes are matrix-vector wherever it runs).
-fn trsm_left(b: &mut [f64], cols: usize, tri: &[f64], t: usize, upper: bool) -> u64 {
+fn trsm_left(b: &mut [f64], cols: usize, l: &[f64], t: usize, upper: bool) -> u64 {
     let b = &mut b[..t * cols];
+    // `T[r, k]` is `l[k][r]` under `upper`.
+    let tri = (l, t, upper);
     for step in 0..t {
         let r = if upper { t - 1 - step } else { step };
         let (above, rest) = b.split_at_mut(r * cols);
         let block = r - r % NB;
         if !upper && r == block {
-            let dims = (NB.min(t - r), cols, r);
-            gemm_acc_ld((rest, cols), (&tri[r * t..], t), (above, cols), dims, -1.0);
+            let (dims, lr) = ((NB.min(t - r), cols, r), (&l[r * t..], t, false));
+            gemm_acc((rest, cols), lr, (above, cols, false), dims, -1.0);
         }
         let (row, below) = rest.split_at_mut(cols);
         let (k0, others) = if upper {
@@ -129,9 +136,9 @@ fn trsm_left(b: &mut [f64], cols: usize, tri: &[f64], t: usize, upper: bool) -> 
             (block, &above[block * cols..])
         };
         for (k, xk) in others.chunks_exact(cols).enumerate() {
-            axpy(-tri[r * t + k0 + k], xk, row);
+            axpy(-gemm::at(tri, r, k0 + k), xk, row);
         }
-        let d = tri[r * t + r];
+        let d = l[r * t + r];
         for v in row {
             *v /= d;
         }
@@ -200,9 +207,7 @@ fn expect_square(rows: usize, cols: usize) -> ExecResult<usize> {
 /// tiled solve's own steps on a single panel, and their flop count.
 pub(crate) fn solve_in_memory(a: &mut [f64], x: &mut [f64], n: usize, m: usize) -> ExecResult<u64> {
     let flops = potrf(a, n, 0, 0)? + trsm_left(x, m, a, n, false);
-    let mut lt = vec![0.0; n * n];
-    transpose_into(a, n, n, &mut lt);
-    Ok(flops + trsm_left(x, m, &lt, n, true))
+    Ok(flops + trsm_left(x, m, a, n, true))
 }
 
 /// Out-of-core tiled Cholesky factorization: returns the lower-triangular
@@ -296,21 +301,21 @@ pub fn chol_tiled(
                 threads.min(cells.len().max(1)),
                 &cells,
                 || (vec![0.0; p * p], vec![0.0; p * p], vec![0.0; p * p]),
-                |&(i, j), (li, ljt, cij)| {
+                |&(i, j), (li, lj, cij)| {
                     ctx.governor().checkpoint("factor.chol.update")?;
                     let (pi, pj) = (pw(i), pw(j));
                     // Next window: the output panel this step modifies.
                     prefetch_rect(&out, i * p, j * p, pi, pj);
-                    read_rect(&out, i * p, k0, pi, pk, li)?;
-                    // L(j,k)ᵀ: the in-memory transpose on the diagonal,
-                    // a transposed read of the stored panel off it.
-                    if i == j {
-                        transpose_into(li, pi, pk, ljt);
+                    let lip = read_rect(&out, i * p, k0, pi, pk, li)?;
+                    // L(j,k)ᵀ: on the diagonal, the panel just read under
+                    // the opposite flag; off it, a transposed view.
+                    let ljp = if i == j {
+                        (lip.0, lip.1, true)
                     } else {
-                        read_rect(Operand::t(&out), k0, j * p, pk, pj, ljt)?;
-                    }
+                        read_rect(Operand::t(&out), k0, j * p, pk, pj, lj)?
+                    };
                     read_rect(&out, i * p, j * p, pi, pj, cij)?;
-                    let f = gemm_acc(cij, li, ljt, (pi, pj, pk), -1.0);
+                    let f = gemm_acc((cij, pj), lip, ljp, (pi, pj, pk), -1.0);
                     write_rect(&out, i * p, j * p, pi, pj, cij)?;
                     ctx.governor().add_flops(f);
                     Ok(f)
@@ -387,11 +392,13 @@ pub fn tri_solve(
                             if k + 1 < nb {
                                 prefetch_rect(lv, i0, (k + 1) * p, pi, pw(k + 1));
                             }
-                            read_rect(lv, i0, k * p, pi, pk, lbuf)?;
+                            let lp = read_rect(lv, i0, k * p, pi, pk, lbuf)?;
                             read_rect(&x, k * p, s0, pk, qs, xk)?;
-                            f += gemm_acc(xb, lbuf, xk, (pi, qs, pk), -1.0);
+                            f += gemm_acc((xb, qs), lp, (xk, qs, false), (pi, qs, pk), -1.0);
                         }
-                        read_rect(lv, i0, i0, pi, pi, lbuf)?;
+                        // The diagonal panel as stored: `trsm_left` reads
+                        // it as `Lᵀ` under `upper`.
+                        read_rect(l, i0, i0, pi, pi, lbuf)?;
                         f += trsm_left(xb, qs, lbuf, pi, upper);
                         write_rect(&x, i0, s0, pi, qs, xb)?;
                     }
@@ -586,9 +593,11 @@ mod tests {
             transpose_into(&l, t, t, &mut lt);
             for n in [1usize, 3, 4, 37] {
                 // Both sweeps of `trsm_left` over a `t x n` right-hand side.
+                // `trsm_left` reads `l` as stored under both; the oracle
+                // reads the triangle it solves with.
                 for (tri, upper) in [(&l, false), (&lt, true)] {
                     let (mut got, mut want) = (rhs(t, n), rhs(t, n));
-                    let flops = trsm_left(&mut got, n, tri, t, upper);
+                    let flops = trsm_left(&mut got, n, &l, t, upper);
                     trsm_left_unblocked(&mut want, n, tri, t, upper);
                     assert_eq!(flops, (t * (t + 1) / 2 * n) as u64);
                     assert!(

@@ -1,8 +1,9 @@
 //! The one in-memory GEMM behind every tiled kernel's inner step: what a
-//! schedule does with two row-major panels in scratch is always
-//! `C += alpha · A · B`. Transposed uses are resolved before this point —
-//! a read through a transposed [`super::matmul::Operand`], or
-//! [`transpose_into`] — so one register-blocked kernel serves them all.
+//! schedule does with two operand panels in scratch is always
+//! `C += alpha · A · B`. Orientation is decided here and nowhere else:
+//! each operand [`Panel`] is a row-major rectangle *as stored* plus BLAS's
+//! `trans` flag, and the pack reads either orientation, so `t(x) %*% y`
+//! and the factorizations' `L · Lᵀ` steps never build a transposed copy.
 //!
 //! **One body, one instantiation per instruction set.** [`body`] is safe,
 //! generic over its `MR x NR` register block, and written once; [`Gemm`]
@@ -11,16 +12,17 @@
 //! detection (`crate::isa`, which the tape's chunk kernels use too) runs
 //! the widest copy the CPU supports, chosen once per process. Both
 //! operands are packed k-major (`A` in `MR`-row slices, `B` in `NR`-column
-//! panels), so the inner loop streams contiguous memory whatever the row
-//! strides of the panels it was handed.
+//! panels), so the inner loop streams contiguous memory whatever the
+//! strides and flags of the panels it was handed.
 //!
 //! **Summation-order contract.** Every `c[i,j]` receives its products in
 //! ascending `k`, one rounded multiply and one rounded add each (no FMA
 //! contraction, no partial sums): accumulators are loaded from `C` and
 //! stored back, so splitting `k` across calls or `KC` chunks never
-//! regroups a sum, and lanes never mix. The bits depend on the operand
-//! values alone — not on the register block, and so not on the
-//! instruction set or the machine.
+//! regroups a sum, and lanes never mix. Packing only moves values, so the
+//! bits depend on the operand values alone — not on their orientation,
+//! not on the register block, and so not on the instruction set or the
+//! machine.
 
 use crate::isa::{self, Isa, Kernel};
 
@@ -34,9 +36,11 @@ const NC: usize = 256;
 /// `(rows, cols, depth)` of a product: `C` is `pi x pj`, `A` is `pi x pk`,
 /// `B` is `pk x pj`.
 type Dims = (usize, usize, usize);
-/// A row-major operand panel as `(elements, row stride)`.
-type Panel<'a> = (&'a [f64], usize);
-/// The panel a product accumulates into.
+/// An operand panel as `(elements, row stride, trans)`: a row-major
+/// rectangle as stored, read as itself or — `trans` — as its transpose.
+pub(super) type Panel<'a> = (&'a [f64], usize, bool);
+/// The row-major panel a product accumulates into, as `(elements, row
+/// stride)`.
 type PanelMut<'a> = (&'a mut [f64], usize);
 
 /// `y += alpha · x`.
@@ -56,16 +60,10 @@ pub(super) fn transpose_into(src: &[f64], rows: usize, cols: usize, dst: &mut [f
     }
 }
 
-/// `C += alpha · A · B` over dense row-major panels; returns the
-/// multiplications performed.
-pub(super) fn gemm_acc(c: &mut [f64], a: &[f64], b: &[f64], dims: Dims, alpha: f64) -> u64 {
-    gemm_acc_ld((c, dims.1), (a, dims.2), (b, dims.1), dims, alpha)
-}
-
-/// [`gemm_acc`] over panels given as `(slice, row stride)`, so a caller can
-/// update a sub-block of a larger row-major buffer in place: only the
-/// `pi x pj` cells of `C` are written.
-pub(super) fn gemm_acc_ld(c: PanelMut, a: Panel, b: Panel, dims: Dims, alpha: f64) -> u64 {
+/// `C += alpha · A · B`; returns the multiplications performed. The row
+/// strides let a caller update a sub-block of a larger buffer in place:
+/// only the `pi x pj` cells of `C` are written.
+pub(super) fn gemm_acc(c: PanelMut, a: Panel, b: Panel, dims: Dims, alpha: f64) -> u64 {
     isa::run(Gemm(c, a, b, dims, alpha));
     (dims.0 * dims.1 * dims.2) as u64
 }
@@ -88,13 +86,19 @@ impl Kernel for Gemm<'_> {
     }
 }
 
+/// Element `(i, k)` of a panel read through its flag.
+#[inline(always)]
+pub(super) fn at((x, ld, trans): Panel, i: usize, k: usize) -> f64 {
+    x[if trans { k * ld + i } else { i * ld + k }]
+}
+
 /// The kernel. `#[inline(always)]` so each instruction set's copy of
 /// [`Gemm`] compiles its own under its own target features.
 #[inline(always)]
 fn body<const MR: usize, const NR: usize>(
     (c, ldc): PanelMut,
-    (a, lda): Panel,
-    (b, ldb): Panel,
+    a: Panel,
+    b: Panel,
     (pi, pj, pk): Dims,
     alpha: f64,
 ) {
@@ -107,12 +111,12 @@ fn body<const MR: usize, const NR: usize>(
             // Pack B's kc x nc block into NR-wide k-major panels. Edges of
             // both packs are padded with zeros: they feed only accumulator
             // cells that are never stored.
-            for k in 0..kc {
-                let row = &b[(k0 + k) * ldb + j0..][..nc];
-                for (p, src) in row.chunks(NR).enumerate() {
-                    let dst = &mut bpack[p * kc + k];
-                    dst[..src.len()].copy_from_slice(src);
-                    dst[src.len()..].fill(0.0);
+            for (p, panel) in bpack.chunks_exact_mut(kc).take(nc.div_ceil(NR)).enumerate() {
+                for (k, row) in panel.iter_mut().enumerate() {
+                    for (jj, v) in row.iter_mut().enumerate() {
+                        let j = p * NR + jj;
+                        *v = if j < nc { at(b, k0 + k, j0 + j) } else { 0.0 };
+                    }
                 }
             }
             for i0 in (0..pi).step_by(MR) {
@@ -120,7 +124,7 @@ fn body<const MR: usize, const NR: usize>(
                 for (k, col) in apack[..kc].iter_mut().enumerate() {
                     for (r, v) in col.iter_mut().enumerate() {
                         *v = if r < h {
-                            alpha * a[(i0 + r) * lda + k0 + k]
+                            alpha * at(a, i0 + r, k0 + k)
                         } else {
                             0.0
                         };
@@ -178,11 +182,12 @@ fn micro<const MR: usize, const NR: usize>(
 mod tests {
     use super::*;
 
-    /// The loop the micro-kernel replaced: per row, ascending `k`, axpy.
+    /// The loop the micro-kernel replaced: per row, ascending `k`, axpy,
+    /// over plain row-major panels.
     fn reference(
         (c, ldc): PanelMut,
-        (a, lda): Panel,
-        (b, ldb): Panel,
+        (a, lda): (&[f64], usize),
+        (b, ldb): (&[f64], usize),
         (pi, pj, pk): Dims,
         alpha: f64,
     ) {
@@ -206,11 +211,29 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
+    /// The dense `rows x cols` panel `x` as a caller stores it for `trans`:
+    /// as itself, or as its transpose with a row stride three wider than
+    /// the transpose needs and `NaN` in the gap.
+    fn stored(x: &[f64], rows: usize, cols: usize, trans: bool) -> (Vec<f64>, usize) {
+        if !trans {
+            return (x.to_vec(), cols);
+        }
+        let ld = rows + 3;
+        let mut s = vec![f64::NAN; cols * ld];
+        for (at, &v) in x.iter().enumerate() {
+            s[at % cols * ld + at / cols] = v;
+        }
+        (s, ld)
+    }
+
+    const FLAGS: [(bool, bool); 4] = [(false, false), (true, false), (false, true), (true, true)];
+
     /// Every instantiation the host supports against the reference: ragged
     /// against each `MR`/`NR` in use, `KC` and `NC` on every side (down to
-    /// `pj = 1` and `pi < MR`), both signs of alpha, and a second
-    /// accumulation round on top of the first (load-from-C). Equal to one
-    /// reference, the instantiations are equal to each other.
+    /// `pj = 1` and `pi < MR`), both signs of alpha, each operand stored
+    /// plain or transposed, and a second accumulation round on top of the
+    /// first (load-from-C). Equal to one reference, the instantiations and
+    /// orientations are equal to each other.
     #[test]
     fn gemm_is_bitwise_the_ascending_k_axpy_loop() {
         for &(pi, pj, pk) in &[
@@ -233,20 +256,26 @@ mod tests {
                     reference((&mut want, pj), (&a, pk), (&b, pj), dims, alpha);
                 }
                 for isa in isa::supported() {
-                    let mut got = vals(pi * pj, 3);
-                    for _ in 0..2 {
-                        isa.run(Gemm((&mut got, pj), (&a, pk), (&b, pj), dims, alpha));
+                    for (ta, tb) in FLAGS {
+                        let ((sa, lda), (sb, ldb)) =
+                            (stored(&a, pi, pk, ta), stored(&b, pk, pj, tb));
+                        let mut got = vals(pi * pj, 3);
+                        for _ in 0..2 {
+                            let (a, b) = ((&sa[..], lda, ta), (&sb[..], ldb, tb));
+                            isa.run(Gemm((&mut got, pj), a, b, dims, alpha));
+                        }
+                        assert!(
+                            bits(&got) == bits(&want),
+                            "{}: {pi}x{pk} * {pk}x{pj}, alpha {alpha}, trans {ta} {tb}",
+                            isa.name()
+                        );
                     }
-                    assert!(
-                        bits(&got) == bits(&want),
-                        "{}: {pi}x{pk} * {pk}x{pj}, alpha {alpha}",
-                        isa.name()
-                    );
                 }
                 let mut got = vals(pi * pj, 3);
-                let f = gemm_acc(&mut got, &a, &b, dims, alpha);
+                let (ap, bp) = ((&a[..], pk, false), (&b[..], pj, false));
+                let f = gemm_acc((&mut got, pj), ap, bp, dims, alpha);
                 assert_eq!(f, (pi * pj * pk) as u64);
-                gemm_acc(&mut got, &a, &b, dims, alpha);
+                gemm_acc((&mut got, pj), ap, bp, dims, alpha);
                 assert!(bits(&got) == bits(&want), "the selected instantiation");
             }
         }
@@ -282,8 +311,8 @@ mod tests {
                 let mut got = c0.clone();
                 isa.run(Gemm(
                     (&mut got[ldc + 1..], ldc),
-                    (&a[1..], lda),
-                    (&b[2..], ldb),
+                    (&a[1..], lda, false),
+                    (&b[2..], ldb, false),
                     dims,
                     -1.0,
                 ));
@@ -302,23 +331,33 @@ mod tests {
     }
 
     /// The per-ISA in-core table quoted in CHANGES.md: `cargo test --release
-    /// -p riot-core --lib gemm_rates -- --ignored --nocapture`.
+    /// -p riot-core --lib gemm_rates -- --ignored --nocapture`. One row per
+    /// orientation that a kernel uses: NN, and the transposed pack on
+    /// either side (TN: `t(x) %*% x`; NT: `x %*% t(x)` and the factor's
+    /// `L · Lᵀ` updates).
     #[test]
     #[ignore = "a measurement, not a check"]
     fn gemm_rates() {
         for n in [256usize, 416] {
             let (a, b, mut c) = (vals(n * n, 1), vals(n * n, 2), vec![0.0; n * n]);
             for isa in isa::supported() {
-                let name = format!("{} 4x{}", isa.name(), 2 * isa.f64_lanes());
-                let best = (0..7)
-                    .map(|_| {
-                        let t = std::time::Instant::now();
-                        isa.run(Gemm((&mut c, n), (&a, n), (&b, n), (n, n, n), 1.0));
-                        t.elapsed().as_secs_f64()
-                    })
-                    .fold(f64::INFINITY, f64::min);
-                let rate = (n * n * n) as f64 / best / 1e9;
-                println!("{name:<14} {n}^3: {rate:.2} G madd/s");
+                for (flags, ta, tb) in [
+                    ("NN", false, false),
+                    ("TN", true, false),
+                    ("NT", false, true),
+                ] {
+                    let name = format!("{} 4x{} {flags}", isa.name(), 2 * isa.f64_lanes());
+                    let best = (0..7)
+                        .map(|_| {
+                            let t = std::time::Instant::now();
+                            let (a, b) = ((&a[..], n, ta), (&b[..], n, tb));
+                            isa.run(Gemm((&mut c, n), a, b, (n, n, n), 1.0));
+                            t.elapsed().as_secs_f64()
+                        })
+                        .fold(f64::INFINITY, f64::min);
+                    let rate = (n * n * n) as f64 / best / 1e9;
+                    println!("{name:<17} {n}^3: {rate:.2} G madd/s");
+                }
             }
         }
     }

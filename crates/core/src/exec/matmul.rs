@@ -18,8 +18,11 @@
 //! measured I/O and flops can be checked against the cost model.
 //!
 //! Inputs are [`Operand`]s — a stored matrix plus BLAS's `trans` flag —
-//! so `t(x) %*% y` reads `x` directly and no transposed copy is stored
-//! (ARCHITECTURE.md, "Dense GEMM").
+//! so `t(x) %*% y` reads `x` directly and no transposed copy is made,
+//! on the device or in memory: a kernel copies the *stored* rectangle it
+//! needs ([`read_rect`] has one plain copy path) and hands it on with the
+//! flag, and the GEMM's pack resolves the orientation (ARCHITECTURE.md,
+//! "Dense GEMM").
 //!
 //! ## Parallel execution
 //!
@@ -41,15 +44,15 @@
 
 use riot_array::{DenseMatrix, MatrixLayout, TileOrder};
 
-use super::gemm::{gemm_acc, transpose_into};
+use super::gemm::{self, gemm_acc, transpose_into, Panel};
 use super::{run_parallel, ExecError, ExecResult};
 use crate::cost::panel_side;
 use crate::expr::ExprError;
 use crate::shape::Shape;
 
 /// One side of a product: a stored matrix read as itself or — `trans` —
-/// as its transpose. Rectangle reads through the view pin the tiles the
-/// mirrored plain read would and transpose in the copy they make anyway.
+/// as its transpose. A kernel maps a view rectangle to stored coordinates,
+/// copies that, and carries the flag to the GEMM ([`read_rect`]).
 #[derive(Clone, Copy)]
 pub struct Operand<'a> {
     /// The stored matrix.
@@ -204,7 +207,7 @@ pub fn matmul_bnlj<'a>(
         |r0: usize, a_chunk: &mut [f64], t_chunk: &mut [f64], col: &mut [f64]| -> ExecResult<u64> {
             ctx.governor().checkpoint("matmul.bnlj.chunk")?;
             let m = chunk_rows.min(n1 - r0);
-            read_rect(a, r0, 0, m, n2, a_chunk)?;
+            let chunk = read_rect(a, r0, 0, m, n2, a_chunk)?;
             t_chunk[..m * n3].fill(0.0);
             let mut flops = 0u64;
             for j in 0..n3 {
@@ -212,12 +215,13 @@ pub fn matmul_bnlj<'a>(
                 if j + 1 < n3 {
                     prefetch_rect(b, 0, j + 1, n2, 1);
                 }
+                // A view column is a stored column or row: `col` holds it
+                // contiguously either way.
                 read_rect(b, 0, j, n2, 1, col)?;
                 for r in 0..m {
-                    let row = &a_chunk[r * n2..(r + 1) * n2];
                     let mut acc = 0.0;
-                    for k in 0..n2 {
-                        acc += row[k] * col[k];
+                    for (k, bk) in col.iter().enumerate() {
+                        acc += gemm::at(chunk, r, k) * bk;
                     }
                     t_chunk[r * n3 + j] = acc;
                 }
@@ -255,9 +259,10 @@ pub fn matmul_bnlj<'a>(
 /// identical to the sequential schedule.
 ///
 /// A Gram product ([`is_gram`]) runs the half schedule: only cells
-/// `bi <= bj`, a diagonal cell reading one operand strip (the other is its
-/// in-memory transpose), an off-diagonal cell written twice — once
-/// mirrored through the idle `A` scratch panel.
+/// `bi <= bj`, a diagonal cell reading one operand strip and packing both
+/// sides from it (the same stored rectangle under opposite flags), an
+/// off-diagonal cell written twice — once mirrored through the idle `A`
+/// scratch panel.
 pub fn matmul_tiled<'a>(
     a: impl Into<Operand<'a>>,
     b: impl Into<Operand<'a>>,
@@ -309,13 +314,13 @@ pub fn matmul_tiled<'a>(
                     prefetch_rect(b, k1, j0, pk1, pj);
                 }
             }
-            read_rect(a, i0, k0, pi, pk, asub)?;
-            if diagonal {
-                transpose_into(asub, pi, pk, bsub);
+            let ap = read_rect(a, i0, k0, pi, pk, asub)?;
+            let bp = if diagonal {
+                (ap.0, ap.1, b.trans)
             } else {
-                read_rect(b, k0, j0, pk, pj, bsub)?;
-            }
-            flops += gemm_acc(tsub, asub, bsub, (pi, pj, pk), 1.0);
+                read_rect(b, k0, j0, pk, pj, bsub)?
+            };
+            flops += gemm_acc((tsub, pj), ap, bp, (pi, pj, pk), 1.0);
         }
         write_rect(&t, i0, j0, pi, pj, tsub)?;
         if gram && !diagonal {
@@ -363,48 +368,42 @@ pub fn prefetch_rect<'a>(
     );
 }
 
-/// Read the `rows x cols` rectangle at `(r0, c0)` of `m` into `buf`
-/// (row-major, `buf[i*cols + j]`), tile by tile. Zero-copy on the pool
-/// side: each tile is pinned and rows are copied straight out of the
-/// frame; no per-call allocation. A transposed [`Operand`] pins exactly
-/// the tiles the mirrored plain read would and transposes in the copy.
-pub fn read_rect<'a>(
+/// Read the `rows x cols` rectangle at `(r0, c0)` of the view `m` into
+/// `buf` *as stored* (row-major), tile by tile, and return it as a GEMM
+/// panel under the view's flag: the pack, not this copy, resolves the
+/// orientation. A transposed view pins exactly the tiles of the plain read
+/// of the stored rectangle, in the same order. Zero-copy on the pool side:
+/// each tile is pinned and rows are copied straight out of the frame; no
+/// per-call allocation.
+pub fn read_rect<'a, 'b>(
     m: impl Into<Operand<'a>>,
     r0: usize,
     c0: usize,
     rows: usize,
     cols: usize,
-    buf: &mut [f64],
-) -> ExecResult<()> {
+    buf: &'b mut [f64],
+) -> ExecResult<Panel<'b>> {
     let v @ Operand { mat: m, .. } = m.into();
+    let ((r0, c0), (rows, cols)) = (v.stored((r0, c0)), v.stored((rows, cols)));
     debug_assert!(buf.len() >= rows * cols, "rect buffer too small");
-    // The rectangle in stored coordinates; `buf` keeps the view's shape.
-    let ((sr0, sc0), (srows, scols)) = (v.stored((r0, c0)), v.stored((rows, cols)));
     let (tr, tc) = m.tile_dims();
-    let (t_row0, t_row1) = (sr0 / tr, (sr0 + srows - 1) / tr);
-    let (t_col0, t_col1) = (sc0 / tc, (sc0 + scols - 1) / tc);
+    let (t_row0, t_row1) = (r0 / tr, (r0 + rows - 1) / tr);
+    let (t_col0, t_col1) = (c0 / tc, (c0 + cols - 1) / tc);
     for ti in t_row0..=t_row1 {
         for tj in t_col0..=t_col1 {
             let tile = m.pin_tile(ti as u64, tj as u64)?;
             let (base_r, base_c) = (ti * tr, tj * tc);
-            let rs = sr0.max(base_r);
-            let re = (sr0 + srows).min(base_r + tr).min(m.rows());
-            let cs = sc0.max(base_c);
-            let ce = (sc0 + scols).min(base_c + tc).min(m.cols());
+            let rs = r0.max(base_r);
+            let re = (r0 + rows).min(base_r + tr).min(m.rows());
+            let cs = c0.max(base_c);
+            let ce = (c0 + cols).min(base_c + tc).min(m.cols());
             for r in rs..re {
                 let src = &tile[(r - base_r) * tc + (cs - base_c)..][..ce - cs];
-                if v.trans {
-                    // Stored row `r` is view column `r - sr0`.
-                    for (c, s) in (cs..ce).zip(src) {
-                        buf[(c - sc0) * cols + (r - sr0)] = *s;
-                    }
-                } else {
-                    buf[(r - r0) * cols + (cs - c0)..][..ce - cs].copy_from_slice(src);
-                }
+                buf[(r - r0) * cols + (cs - c0)..][..ce - cs].copy_from_slice(src);
             }
         }
     }
-    Ok(())
+    Ok((buf, cols, v.trans))
 }
 
 /// Write the `rows x cols` rectangle at `(r0, c0)` of `m` from `buf`,
@@ -673,6 +672,204 @@ mod tests {
         assert!(
             measured <= 2.0 * predicted && measured >= predicted / 2.0,
             "measured {measured} vs predicted {predicted:.1}"
+        );
+    }
+
+    /// 64-bit FNV-1a.
+    fn fnv(bytes: impl Iterator<Item = u8>) -> u64 {
+        bytes.fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    fn bits_fnv(v: &[f64]) -> u64 {
+        fnv(v.iter().flat_map(|x| x.to_bits().to_le_bytes()))
+    }
+
+    /// A symmetric positive definite `n x n` value with real-valued
+    /// entries, so a regrouped sum would show in the bits.
+    fn spd(i: usize, j: usize, n: usize) -> f64 {
+        let (lo, hi) = (i.min(j), i.max(j));
+        if i == j {
+            n as f64 + 2.0 + (i % 5) as f64 / 3.0
+        } else {
+            ((lo * 31 + hi * 17) % 13) as f64 / 13.0 - 0.45
+        }
+    }
+
+    /// The dense products and factorizations over a pool of eight frames,
+    /// so operand tiles and output tiles evict each other mid schedule:
+    /// `matmul_tiled` under NN, TN, NT and TT; both Gram orientations,
+    /// with a diagonal and an off-diagonal cell; `matmul_bnlj` under TN;
+    /// `chol_tiled`; `cholesky_solve`. At one thread the flops, the counted
+    /// I/O, the pool counters and every pool event are pinned; at every
+    /// thread count, the result's bits. Last, the bits of the in-memory
+    /// solve.
+    #[test]
+    fn dense_products_and_factors_keep_their_device_sequence_and_bits() {
+        use crate::exec::factor::{chol_tiled, cholesky_solve, solve_in_memory};
+        use riot_storage::{IoSnapshot, PoolStats};
+        use riot_trace::EventKind;
+
+        // (case, threads) -> (flops, io, pool delta, events, event FNV, bits FNV)
+        let run = |case: usize, threads: usize| {
+            let c = ctx(8);
+            let m = |rows, cols, seed: usize| {
+                mk(&c, rows, cols, MatrixLayout::Square, |i, j| {
+                    ((i * 7 + j * 3 + seed) % 11) as f64 * 0.3 - 1.3
+                })
+            };
+            // 8x8 tiles; `mem` gives 16x16 panels at one thread, so a
+            // 20-wide side has a full and a ragged panel.
+            let mem = 3 * 4 * 64;
+            let (a, at, b, bt) = (m(20, 27, 1), m(27, 20, 2), m(27, 18, 3), m(18, 27, 4));
+            let s = mk(&c, 40, 40, MatrixLayout::Square, |i, j| spd(i, j, 40));
+            let rhs = m(40, 5, 5);
+            c.pool().flush_all().unwrap();
+            c.clear_cache().unwrap();
+            let (io0, pool0) = (c.io_snapshot(), c.pool().pool_stats());
+            c.tracer().enable();
+            let (t, flops) = match case {
+                0 => matmul_tiled(&a, &b, mem, threads, None),
+                1 => matmul_tiled(Operand::t(&at), &b, mem, threads, None),
+                2 => matmul_tiled(&a, Operand::t(&bt), mem, threads, None),
+                3 => matmul_tiled(Operand::t(&at), Operand::t(&bt), mem, threads, None),
+                4 => matmul_tiled(Operand::t(&at), &at, mem, threads, None),
+                5 => matmul_tiled(&a, Operand::t(&a), mem, threads, None),
+                6 => matmul_bnlj(Operand::t(&at), &b, mem, threads, None),
+                7 => chol_tiled(&s, mem, threads, None),
+                _ => cholesky_solve(&s, &rhs, mem, threads, None),
+            }
+            .unwrap();
+            c.tracer().disable();
+            let (io, pool) = (c.io_snapshot() - io0, c.pool().pool_stats().delta(&pool0));
+            let trace: Vec<String> = (c.tracer().drain().iter())
+                .filter_map(|e| match e.kind {
+                    EventKind::PoolMiss { block } => Some(format!("m{block}")),
+                    EventKind::PoolEvict { block, dirty } => {
+                        Some(format!("e{block}{}", if dirty { "*" } else { "" }))
+                    }
+                    EventKind::PoolWriteBack { block } => Some(format!("w{block}")),
+                    _ => None,
+                })
+                .collect();
+            let trace = trace.join(" ");
+            let bits = bits_fnv(&t.to_rows().unwrap());
+            let events = trace.split(' ').count();
+            (flops, io, pool, events, fnv(trace.bytes()), bits)
+        };
+        let io = |reads: u64, writes: u64, seq_reads: u64, seq_writes: u64| IoSnapshot {
+            reads,
+            writes,
+            seq_reads,
+            seq_writes,
+            bytes_read: reads * 512,
+            bytes_written: writes * 512,
+            syncs: 0,
+        };
+        let pool = |hits: u64, misses: u64, evict_writebacks: u64| PoolStats {
+            hits,
+            misses,
+            evict_writebacks,
+            ..PoolStats::default()
+        };
+        // The four flag pairs move the same tiles in different orders; a
+        // transposed left side gives the tiled and the BNLJ product the
+        // same bits (both sum each cell in ascending `k`).
+        let want = [
+            (
+                9720,
+                io(48, 8, 20, 4),
+                pool(0, 57, 8),
+                114,
+                0x16dc_319d_5de3_e2c5,
+                0xfe6a_cace_1ea5_f2f3,
+            ),
+            (
+                9720,
+                io(48, 8, 16, 4),
+                pool(0, 57, 8),
+                114,
+                0x1eab_f95f_3d32_c3c4,
+                0x37b3_878c_f95f_4b99,
+            ),
+            (
+                9720,
+                io(48, 8, 24, 4),
+                pool(0, 57, 8),
+                114,
+                0xbf26_05c3_c3fd_1b2f,
+                0xd2ed_ac39_3c30_ca90,
+            ),
+            (
+                9720,
+                io(48, 8, 20, 4),
+                pool(0, 57, 8),
+                114,
+                0xee81_5305_7258_d016,
+                0xc0ff_ca90_7318_5568,
+            ),
+            (
+                9072,
+                io(22, 5, 9, 2),
+                pool(2, 31, 5),
+                59,
+                0x24c9_fed5_be62_d1c8,
+                0x7016_5f09_af82_2698,
+            ),
+            (
+                9072,
+                io(22, 5, 11, 2),
+                pool(2, 31, 5),
+                59,
+                0xfa00_e339_566b_26ba,
+                0xc9cf_f78e_9a25_a792,
+            ),
+            (
+                9720,
+                io(40, 17, 13, 16),
+                pool(120, 60, 17),
+                129,
+                0xb1f0_e776_939c_8b81,
+                0x37b3_878c_f95f_4b99,
+            ),
+            (
+                14296,
+                io(46, 41, 25, 22),
+                pool(35, 71, 41),
+                175,
+                0x5c26_fb17_721c_55b1,
+                0x1b0e_926f_dacc_bd3a,
+            ),
+            (
+                22496,
+                io(92, 58, 49, 33),
+                pool(51, 129, 58),
+                308,
+                0x9318_3c26_f2f0_7555,
+                0xf932_d390_b0ed_9500,
+            ),
+        ];
+        for (case, want) in want.into_iter().enumerate() {
+            assert_eq!(run(case, 1), want, "case {case} at one thread");
+            for threads in [2, 4] {
+                assert_eq!(
+                    run(case, threads).5,
+                    want.5,
+                    "case {case} bits at {threads} threads"
+                );
+            }
+        }
+        // `solve(a, b)` in memory: the factor and the solution.
+        let n = 37;
+        let mut a: Vec<f64> = (0..n * n).map(|at| spd(at / n, at % n, n)).collect();
+        let mut x: Vec<f64> = (0..n * 3)
+            .map(|at| ((at * 13) % 29) as f64 / 9.0 - 1.3)
+            .collect();
+        let flops = solve_in_memory(&mut a, &mut x, n, 3).unwrap();
+        assert_eq!(
+            (flops, bits_fnv(&a), bits_fnv(&x)),
+            (13357, 0x4c1e_4546_372e_9d2d, 0xc0fa_7207_eb18_e110)
         );
     }
 }

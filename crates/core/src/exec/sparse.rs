@@ -159,7 +159,7 @@ pub fn spmdm(
             }
             let pull = |tj, buf: &mut [f64]| {
                 let (r, c, h, w) = rect(ti, tj);
-                read_rect(dense, r, c, h, w, buf)
+                read_rect(dense, r, c, h, w, buf).map(|_| ())
             };
             // The right side pulls before the walk pins this tile-row's
             // pages, the left side after each tile's page; the test

@@ -11,7 +11,8 @@
 //! a workload that creates and drops objects keeps a flat footprint.
 //! `allocate` only ever extends, so a reissued id reads zeros exactly like
 //! a fresh one. Freed ranges below a live block stay holes until the
-//! blocks above them are freed too.
+//! blocks above them are freed too; a read or write inside a hole is
+//! refused with [`StorageError::OutOfBounds`], like one past the end.
 //!
 //! On unix, transfers use positioned I/O (`pread`/`pwrite` via
 //! [`std::os::unix::fs::FileExt`]), so concurrent reads and writes of
@@ -221,11 +222,14 @@ impl FileBlockDevice {
                 got: buf_len,
             });
         }
-        let num_blocks = self.num_blocks();
-        if id.0 >= num_blocks {
+        let space = self.space.lock().unwrap();
+        // A freed hole below the end of the file still holds its old
+        // owner's bytes: it is as out of bounds as an id past the end.
+        let hole = space.free.range(..=id.0).next_back();
+        if id.0 >= space.num_blocks || hole.is_some_and(|(_, &end)| end > id.0) {
             return Err(StorageError::OutOfBounds {
                 block: id,
-                num_blocks,
+                num_blocks: space.num_blocks,
             });
         }
         Ok(())
@@ -436,6 +440,26 @@ mod tests {
         assert_eq!(d.allocate(1).unwrap(), b.offset(3), "the id comes back");
         d.read_block(b.offset(3), &mut out).unwrap();
         assert!(out.iter().all(|&x| x == 0), "as zeros, like a fresh id");
+    }
+
+    #[test]
+    fn a_freed_hole_is_out_of_bounds_and_its_neighbours_are_not() {
+        let d = FileBlockDevice::temp(64).unwrap();
+        let b = d.allocate(3).unwrap();
+        for i in 0..3 {
+            d.write_block(b.offset(i), &[i as u8 + 1; 64]).unwrap();
+        }
+        d.free(b.offset(1), 1).unwrap();
+        assert_eq!(d.num_blocks(), 3, "a hole keeps the file's length");
+        let mut out = vec![0u8; 64];
+        let out_of_bounds = |r: Result<()>| matches!(r, Err(StorageError::OutOfBounds { block, .. }) if block == b.offset(1));
+        assert!(out_of_bounds(d.read_block(b.offset(1), &mut out)));
+        assert!(out_of_bounds(d.write_block(b.offset(1), &[7u8; 64])));
+        for i in [0, 2] {
+            d.read_block(b.offset(i), &mut out).unwrap();
+            assert_eq!(out[0], i as u8 + 1, "neighbour {i} reads its own bytes");
+            d.write_block(b.offset(i), &[9u8; 64]).unwrap();
+        }
     }
 
     #[test]

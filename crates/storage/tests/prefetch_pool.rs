@@ -183,9 +183,9 @@ fn a_queued_hint_for_a_truncated_block_is_dropped() {
 }
 
 /// A hint for a freed block that sits below a live one (a hole, so the
-/// file keeps its old bytes) loads those bytes into a frame. Once the tail
-/// above it is freed too, the file shrinks and the id is reissued: the new
-/// owner reads zeros, never the frame the late load left behind.
+/// file keeps its old bytes) is refused by the device like any freed id:
+/// the late load maps no frame. Once the tail above it is freed too, the
+/// file shrinks and the id is reissued: the new owner reads zeros.
 #[test]
 fn a_late_prefetch_never_leaks_into_a_reissued_id() {
     let _wd = Watchdog::arm("a_late_prefetch_never_leaks_into_a_reissued_id", WATCHDOG);
@@ -216,7 +216,15 @@ fn a_late_prefetch_never_leaks_into_a_reissued_id() {
     pool.free_blocks(hole, 1).unwrap();
     pool.wait_prefetch_idle();
     fp.set_read_latency(Duration::ZERO);
-    assert_eq!(pool.resident(), 2, "the late load mapped the freed hole");
+    assert_eq!(
+        pool.resident(),
+        1,
+        "the late load of the freed hole was refused"
+    );
+    assert!(matches!(
+        pool.pin(hole),
+        Err(StorageError::OutOfBounds { .. })
+    ));
 
     pool.free_blocks(top, 1).unwrap();
     assert_eq!(pool.allocate_blocks(2).unwrap(), hole, "the id is reissued");
