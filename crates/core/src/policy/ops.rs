@@ -13,7 +13,7 @@ use riot_sparse::SparseMatrix;
 use riot_storage::ObjectKind;
 
 use super::eager::{fill, stored};
-use super::{MatRepr, MatValue, Runtime, StrawTable, VecRepr};
+use super::{MatRepr, MatValue, Runtime, Stored, Straw, VecRepr};
 use crate::exec::{factor, matmul_naive, ExecError, ExecResult};
 use crate::expr::{AggOp, BinOp, Node, NodeId, UnOp};
 use crate::graph::shape_rule;
@@ -40,26 +40,24 @@ impl Runtime {
         Ok(self.vec_source(writer.finish()?))
     }
 
+    /// A source node for `vec`, which is stored under it.
     fn vec_source(&mut self, vec: DenseVector) -> VecRepr {
-        let (src, len) = (self.fresh_source(), vec.len());
-        self.vec_sources.insert(src.0, vec);
-        VecRepr::Node(self.graph.vec_source(src, len))
+        let src = self.fresh_source();
+        let id = self.graph.vec_source(src, vec.len());
+        self.stored.insert(id, Stored::Vector(vec));
+        VecRepr::Node(id)
     }
 
+    /// A source node for `mat`, which is stored under it.
     fn mat_source(&mut self, mat: MatValue) -> MatRepr {
         let (src, (rows, cols)) = (self.fresh_source(), mat.shape());
-        MatRepr::Node(match mat {
-            MatValue::Dense(mat) => {
-                self.mat_sources.insert(src.0, mat);
-                self.graph.mat_source(src, rows, cols)
-            }
+        let id = match &mat {
+            MatValue::Dense(_) => self.graph.mat_source(src, rows, cols),
             // The nnz statistic feeds the optimizer's density estimate.
-            MatValue::Sparse(sp) => {
-                let nnz = sp.nnz();
-                self.sparse_sources.insert(src.0, sp);
-                self.graph.sp_mat_source(src, rows, cols, nnz)
-            }
-        })
+            MatValue::Sparse(sp) => self.graph.sp_mat_source(src, rows, cols, sp.nnz()),
+        };
+        self.stored.insert(id, Stored::Matrix(Box::new(mat)));
+        MatRepr::Node(id)
     }
 
     /// Load a matrix produced by `f(row, col)`. A `name` registers the
@@ -140,7 +138,10 @@ impl Runtime {
         if self.on_heap() {
             return Ok(VecRepr::Vm(self.heap.alloc_from(&vec.to_vec()?)?));
         }
-        Ok(VecRepr::Table(Rc::new(StrawTable { owned: false, vec })))
+        Ok(VecRepr::Table(Rc::new(Straw {
+            value: vec,
+            owns: None,
+        })))
     }
 
     /// Reopen a named stored matrix, dense or sparse (the catalog header's
@@ -237,7 +238,7 @@ impl Runtime {
         match v {
             VecRepr::Node(id) => self.graph.shape(*id).len(),
             VecRepr::Vm(id) => self.heap.len(*id),
-            VecRepr::Table(t) => t.vec.len(),
+            VecRepr::Table(t) => t.value.len(),
         }
     }
 
@@ -449,7 +450,7 @@ impl Runtime {
                 _ => unreachable!("matrix nodes have matrix shapes"),
             },
             MatRepr::Vm(m) => (m.rows, m.cols),
-            MatRepr::Stored(sm) => sm.mat.shape(),
+            MatRepr::Stored(sm) => sm.value.shape(),
         }
     }
 
@@ -460,7 +461,7 @@ impl Runtime {
             MatRepr::Vm(m) => self.heap_transpose(*m)?,
             MatRepr::Stored(sm) => {
                 let (layout, order) = (MatrixLayout::ColMajor, TileOrder::ColMajor);
-                stored(sm.mat.transpose(layout, order, None)?, true)
+                stored(sm.value.transpose(layout, order, None)?, true)
             }
         })
     }
@@ -472,7 +473,7 @@ impl Runtime {
             (MatRepr::Node(l), MatRepr::Node(r)) => Ok(MatRepr::Node(self.graph.matmul(*l, *r)?)),
             (MatRepr::Vm(a), MatRepr::Vm(b)) => self.heap_matmul(*a, *b),
             (MatRepr::Stored(a), MatRepr::Stored(b)) => {
-                let (t, _) = matmul_naive(&a.mat, &b.mat, None)?;
+                let (t, _) = matmul_naive(&a.value, &b.value, None)?;
                 Ok(stored(t, true))
             }
             _ => unreachable!("one engine, one matrix representation"),
@@ -488,7 +489,7 @@ impl Runtime {
             MatRepr::Node(id) => Ok(MatRepr::Node(self.graph.chol(*id)?)),
             MatRepr::Vm(m) => self.heap_chol(*m),
             MatRepr::Stored(sm) => {
-                let (l, _) = factor::chol_tiled(&sm.mat, self.mem_elems(), 1, None)?;
+                let (l, _) = factor::chol_tiled(&sm.value, self.mem_elems(), 1, None)?;
                 Ok(stored(l, true))
             }
         }
@@ -502,7 +503,7 @@ impl Runtime {
             (MatRepr::Node(l), MatRepr::Node(r)) => Ok(MatRepr::Node(self.graph.solve(*l, *r)?)),
             (MatRepr::Vm(a), MatRepr::Vm(b)) => self.heap_solve(*a, *b),
             (MatRepr::Stored(a), MatRepr::Stored(b)) => {
-                let (x, _) = factor::cholesky_solve(&a.mat, &b.mat, self.mem_elems(), 1, None)?;
+                let (x, _) = factor::cholesky_solve(&a.value, &b.value, self.mem_elems(), 1, None)?;
                 Ok(stored(x, true))
             }
             _ => unreachable!("one engine, one matrix representation"),
@@ -517,8 +518,8 @@ impl Runtime {
             }),
             MatRepr::Vm(m) => Ok((m.rows, m.cols, self.heap.to_vec(m.id))),
             MatRepr::Stored(sm) => {
-                let (rows, cols) = sm.mat.shape();
-                Ok((rows, cols, sm.mat.to_rows()?))
+                let (rows, cols) = sm.value.shape();
+                Ok((rows, cols, sm.value.to_rows()?))
             }
         }
     }
@@ -541,7 +542,7 @@ impl Runtime {
                 })
             }
             MatRepr::Vm(m) => Ok(self.heap_nnz(*m)),
-            MatRepr::Stored(sm) => self.dense_nnz(&sm.mat),
+            MatRepr::Stored(sm) => self.dense_nnz(&sm.value),
         }
     }
 
