@@ -28,10 +28,12 @@
 //! [`GatherPipe`] is the executor's index-nested-loop join: it pulls index
 //! chunks, checks every subscript, and reads the data side at those
 //! positions, holding one pin while consecutive positions stay in one
-//! block — so a range subscript costs one pin per block and a random one
-//! at most one per element. After the optimizer's pushdown this is how
-//! `z <- d[s]; print(z)` touches only ~100 elements of `x` and `y` instead
-//! of computing all of `d`.
+//! block — so a random subscript costs at most one pin per element. After
+//! the optimizer's pushdown this is how `z <- d[s]; print(z)` touches only
+//! ~100 elements of `x` and `y` instead of computing all of `d`. A range
+//! subscript known to be in bounds needs neither index nor check: it is a
+//! window of its data ([`Scan::window`]), read in order like any scan,
+//! only the blocks it covers.
 //!
 //! ## Parallel draining
 //!
@@ -185,12 +187,17 @@ impl Source {
 }
 
 /// The leaf of every pipeline: a cursor over elements `[pos, end)` of a
-/// [`Source`], produced `chunk` at a time.
+/// [`Source`], produced `chunk` at a time. Its stream starts at element
+/// `origin` of the source: 0 for a plain scan, the window's first element
+/// for a range subscript ([`Scan::window`]).
 pub struct Scan {
     source: Source,
+    origin: usize,
     pos: usize,
     end: usize,
     chunk: usize,
+    /// Charged one operation per element streamed: a window's subscripts.
+    gov: Option<Arc<QueryGovernor>>,
 }
 
 impl Scan {
@@ -199,10 +206,29 @@ impl Scan {
         let end = source.len();
         Scan {
             source,
+            origin: 0,
             pos: 0,
             end,
             chunk,
+            gov: None,
         }
+    }
+
+    /// Stream elements `[origin, origin + len)` of `source`, in order —
+    /// `x[a:b]` for a range known to be in bounds, read the way a plain
+    /// scan reads — charging one operation per element on `gov`'s flop
+    /// counter, as a [`GatherPipe`] does: every subscript costs the same.
+    pub fn window(
+        source: Source,
+        origin: usize,
+        len: usize,
+        chunk: usize,
+        gov: Arc<QueryGovernor>,
+    ) -> Self {
+        let mut scan = Scan::new(source, chunk);
+        (scan.origin, scan.gov) = (origin, Some(gov));
+        scan.restrict(0, len);
+        scan
     }
 
     /// Stream `data` cyclically until `out_len` elements were produced —
@@ -249,6 +275,9 @@ impl Pipe for Scan {
             }
         }
         self.pos += take;
+        if let Some(gov) = &self.gov {
+            gov.add_flops(take as u64);
+        }
         Ok(take)
     }
 
@@ -257,8 +286,8 @@ impl Pipe for Scan {
     }
 
     fn restrict(&mut self, start: usize, len: usize) {
-        self.pos = start;
-        self.end = start + len;
+        self.pos = self.origin + start;
+        self.end = self.pos + len;
     }
 }
 
@@ -548,7 +577,8 @@ impl Pipe for Tape {
 /// Gather: pulls 1-based indices from `index`, checks each chunk's
 /// subscripts, then reads the data side at those positions — one pin per
 /// block a run of positions stays in, not one per element — charging one
-/// operation per element on `gov`'s flop counter.
+/// operation per element on `gov`'s flop counter. A range subscript known
+/// to be in bounds does not come here: it compiles to a [`Scan::window`].
 pub struct GatherPipe {
     index: Box<dyn Pipe>,
     data: Source,

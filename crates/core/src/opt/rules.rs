@@ -27,7 +27,10 @@
 //! remove a `Gather` only if the subscript check survives elsewhere in the
 //! plan** (pushdown keeps it on the full-length operands; composition is
 //! limited to subscripts known in bounds; a `Gather` of a `Range` stays,
-//! and the executor probes the sequence without I/O). `tests/prop_core.rs`
+//! and the executor computes the sequence without I/O). A `Gather` whose
+//! index is a `Range` known in bounds (`in_bounds`) also stays in the
+//! plan: the executor reads it as a window of its data, in order, with no
+//! per-element check left to keep. `tests/prop_core.rs`
 //! checks rewritten DAGs against the reference evaluator on random
 //! programs, out-of-range and fractional subscripts included.
 
@@ -97,6 +100,10 @@ pub struct RewriteStats {
     /// observed — members beyond the first, folded in the same pass
     /// (counted at execution, like the two above).
     pub aggregates_batched: u64,
+    /// Range subscripts known to be in bounds that the executor read as a
+    /// window of their data, in order, instead of gathering them element
+    /// by element (counted at execution, like the three above).
+    pub range_scans: u64,
 }
 
 /// Rewrite the DAG rooted at `root`, returning the new root.
@@ -428,7 +435,7 @@ fn build_gather(
 /// True when every element of `id` is known to be a valid subscript of a
 /// `len`-element vector: decidable for the small index sets the optimizer
 /// can see — literals, ranges, and subscripts of those.
-fn in_bounds(g: &ExprGraph, id: NodeId, len: usize) -> bool {
+pub(crate) fn in_bounds(g: &ExprGraph, id: NodeId, len: usize) -> bool {
     match g.node(id) {
         Node::Literal(values) => values.iter().all(|&v| position(v, len).is_ok()),
         Node::Range { start, len: k } => *k == 0 || (*start >= 1 && *start as usize + k - 1 <= len),

@@ -16,6 +16,7 @@ use crate::exec::pipeline::{
 };
 use crate::exec::{factor, matmul, sparse as spkernel, ExecError, ExecResult, Operand, Side};
 use crate::expr::{AggOp, Node, NodeId, FOLD_PARTITION};
+use crate::opt::rules::in_bounds;
 use crate::shape::Shape;
 
 impl Runtime {
@@ -156,63 +157,82 @@ impl Runtime {
         }
         let chunk = self.chunk();
         let shape = self.graph.shape(id);
-        let arg =
-            if shape != Shape::Scalar && shape.len() != out_len {
-                // Recycled operand: materialize the short side in memory.
-                debug_assert!(shape.len() < out_len && out_len.is_multiple_of(shape.len()));
-                let data = self.drain(id, shape.len(), "pipeline.cycle.chunk")?;
-                tape.pull(Box::new(Scan::cycle(data, out_len, chunk)))
-            } else if let Some(source) = self.leaf_source(id) {
-                tape.pull(Box::new(Scan::new(source, chunk)))
-            } else {
-                match self.graph.node(id).clone() {
-                    Node::Scalar(c) => Arg::Const(c),
-                    // Forcing points give the aggregates under their root
-                    // a value before they plan; one met here runs now.
-                    Node::Agg(..) => Arg::Const(self.scalar_value(id)?),
-                    Node::Map(op, [input]) => {
-                        let input = self.emit(tape, done, input, out_len)?;
-                        tape.map(op, input)
-                    }
-                    Node::Zip(op, [lhs, rhs]) => {
-                        let lhs = self.emit(tape, done, lhs, out_len)?;
-                        let rhs = self.emit(tape, done, rhs, out_len)?;
-                        tape.zip(op, lhs, rhs)
-                    }
-                    // A `MaskAssign` is present when the optimizer is off (MatNamed
-                    // or ablation): it executes as the equivalent conditional.
-                    Node::IfElse([cond, yes, no]) | Node::MaskAssign([no, cond, yes]) => {
-                        match self.emit(tape, done, cond, out_len)? {
-                            // A scalar condition picks its arm here.
-                            Arg::Const(c) => {
-                                self.emit(tape, done, if c != 0.0 { yes } else { no }, out_len)?
-                            }
-                            cond => {
-                                let yes = self.emit(tape, done, yes, out_len)?;
-                                let no = self.emit(tape, done, no, out_len)?;
-                                tape.if_else(cond, yes, no)
-                            }
+        let arg = if shape != Shape::Scalar && shape.len() != out_len {
+            // Recycled operand: materialize the short side in memory.
+            debug_assert!(shape.len() < out_len && out_len.is_multiple_of(shape.len()));
+            let data = self.drain(id, shape.len(), "pipeline.cycle.chunk")?;
+            tape.pull(Box::new(Scan::cycle(data, out_len, chunk)))
+        } else if let Some(source) = self.leaf_source(id) {
+            tape.pull(Box::new(Scan::new(source, chunk)))
+        } else {
+            match self.graph.node(id).clone() {
+                Node::Scalar(c) => Arg::Const(c),
+                // Forcing points give the aggregates under their root
+                // a value before they plan; one met here runs now.
+                Node::Agg(..) => Arg::Const(self.scalar_value(id)?),
+                Node::Map(op, [input]) => {
+                    let input = self.emit(tape, done, input, out_len)?;
+                    tape.map(op, input)
+                }
+                Node::Zip(op, [lhs, rhs]) => {
+                    let lhs = self.emit(tape, done, lhs, out_len)?;
+                    let rhs = self.emit(tape, done, rhs, out_len)?;
+                    tape.zip(op, lhs, rhs)
+                }
+                // A `MaskAssign` is present when the optimizer is off (MatNamed
+                // or ablation): it executes as the equivalent conditional.
+                Node::IfElse([cond, yes, no]) | Node::MaskAssign([no, cond, yes]) => {
+                    match self.emit(tape, done, cond, out_len)? {
+                        // A scalar condition picks its arm here.
+                        Arg::Const(c) => {
+                            self.emit(tape, done, if c != 0.0 { yes } else { no }, out_len)?
+                        }
+                        cond => {
+                            let yes = self.emit(tape, done, yes, out_len)?;
+                            let no = self.emit(tape, done, no, out_len)?;
+                            tape.if_else(cond, yes, no)
                         }
                     }
-                    // The non-lockstep operators stay pipes of their own, which
-                    // the tape pulls from like any other leaf.
-                    Node::Gather([data, index]) => {
-                        let idx_len = self.graph.shape(index).len();
-                        let index = self.compile(index, idx_len)?;
-                        let probe = self.compile_probe(data)?;
-                        let gov = Arc::clone(self.ctx.governor());
-                        tape.pull(Box::new(GatherPipe::new(index, probe, gov)))
+                }
+                // The non-lockstep operators stay pipes of their own, which
+                // the tape pulls from like any other leaf. A range known to
+                // be in bounds selects a window, read in order where it
+                // lies: an executor-level plan decision, counted and
+                // traced next to the optimizer's.
+                Node::Gather([data, index]) => {
+                    let gov = Arc::clone(self.ctx.governor());
+                    let data_len = self.graph.shape(data).len();
+                    match *self.graph.node(index) {
+                        Node::Range { start, len } if in_bounds(&self.graph, index, data_len) => {
+                            let probe = self.compile_probe(data)?;
+                            self.last_opt_stats.range_scans += 1;
+                            let rule = "range_scans";
+                            self.ctx
+                                .tracer()
+                                .record(EventKind::Rewrite { rule, count: 1 });
+                            let origin = (start - 1).max(0) as usize; // any, when empty
+                            tape.pull(Box::new(Scan::window(probe, origin, len, chunk, gov)))
+                        }
+                        _ => {
+                            let idx_len = self.graph.shape(index).len();
+                            let index = self.compile(index, idx_len)?;
+                            let probe = self.compile_probe(data)?;
+                            tape.pull(Box::new(GatherPipe::new(index, probe, gov)))
+                        }
                     }
-                    Node::SubAssign([data, index, value]) => {
-                        let vec = self.force_subassign(id, data, index, value)?;
-                        tape.pull(Box::new(Scan::new(Source::Stored(vec), chunk)))
-                    }
-                    _ => return Err(ExecError::Unsupported(
+                }
+                Node::SubAssign([data, index, value]) => {
+                    let vec = self.force_subassign(id, data, index, value)?;
+                    tape.pull(Box::new(Scan::new(Source::Stored(vec), chunk)))
+                }
+                _ => {
+                    return Err(ExecError::Unsupported(
                         "matrix values cannot stream through vector pipelines; use collect_matrix"
                             .to_string(),
-                    )),
+                    ))
                 }
-            };
+            }
+        };
         done.insert(id, arg);
         Ok(arg)
     }
@@ -618,6 +638,69 @@ mod tests {
             batch
         });
         assert!(same_bits(&runs[0], &runs[1]));
+    }
+
+    /// Range subscripts whose edges sit at 0, below it, exactly at the end
+    /// and past it, over a stored vector, a literal and a range, under both
+    /// deferred engines, streamed and folded: an in-bounds window has the
+    /// oracle's bits, is read as a window and costs one operation per
+    /// element; any other range raises the oracle's
+    /// `IndexOutOfBounds { index, len }`.
+    #[test]
+    fn range_windows_match_the_oracle_at_their_edges() {
+        let n = N as i64;
+        let starts = [-3, -1, 0, 1, 2, 17, n / 2, n - 1, n, n + 1, n + 3];
+        let lens = [0, 1, 2, 16, 17, N / 2, N - 1, N, N + 1];
+        for kind in [EngineKind::MatNamed, EngineKind::Riot] {
+            let mut cfg = EngineConfig::new(kind);
+            cfg.block_size = 128; // 16 elements
+            cfg.chunk_elems = 24;
+            cfg.mem_blocks = 6; // the stored vector evicts itself
+            let mut rt = Runtime::new(cfg);
+            let xd: Vec<f64> = (0..N).map(|i| (i * 7 % 13) as f64 / 3.0 - 1.7).collect();
+            let Ok(VecRepr::Node(x)) = rt.load_vector(N, None, |i| xd[i]) else {
+                unreachable!("deferred values are DAG nodes")
+            };
+            let mut src = MemSources::new();
+            src.add_vector(xd.clone());
+            let lit = rt.graph.literal(xd.iter().map(|v| v * 2.0 + 0.5).collect());
+            let seq = rt.graph.range(-7, N);
+            for (data, start, len) in [x, lit, seq].into_iter().flat_map(|data| {
+                let cases = starts.into_iter().flat_map(move |s| lens.map(|l| (s, l)));
+                cases.map(move |(s, l)| (data, s, l))
+            }) {
+                let case = format!("{kind:?}: {}[{start}, +{len}]", rt.graph.render(data));
+                let index = rt.graph.range(start, len);
+                let window = rt.graph.gather(data, index).unwrap();
+                let want = evaluate(&rt.graph, window, &src).map(|v| v.to_flat());
+                let inside = in_bounds(&rt.graph, index, N);
+                assert_eq!(inside, want.is_ok(), "{case}");
+                rt.last_opt_stats.range_scans = 0;
+                let before = rt.cpu_ops();
+                match (rt.collect(&VecRepr::Node(window)), &want) {
+                    (Ok(got), Ok(want)) => assert!(same_bits(&got, want), "{case}"),
+                    (Err(ExecError::Expr(got)), Err(want)) => assert_eq!(&got, want, "{case}"),
+                    (got, want) => panic!("{case}: {got:?} vs {want:?}"),
+                }
+                // A full window is the vector itself to the optimizer; any
+                // other in-bounds one is scanned and charged per element,
+                // beside the collect's own one per element.
+                let scanned = inside && !(kind == EngineKind::Riot && start == 1 && len == N);
+                assert_eq!(rt.last_opt_stats.range_scans, u64::from(scanned), "{case}");
+                if scanned {
+                    assert_eq!(rt.cpu_ops() - before, 2 * len as u64, "{case}: flops");
+                }
+                for op in [AggOp::Sum, AggOp::Min, AggOp::Max] {
+                    let agg = rt.graph.agg(op, window);
+                    let want = evaluate(&rt.graph, agg, &src).map(|v| v.to_flat()[0]);
+                    match (rt.aggregate(op, &VecRepr::Node(window)), want) {
+                        (Ok(got), Ok(want)) => assert!(same_bits(&[got], &[want]), "{case}"),
+                        (Err(ExecError::Expr(got)), Err(want)) => assert_eq!(got, want, "{case}"),
+                        (got, want) => panic!("{case} {op:?}: {got:?} vs {want:?}"),
+                    }
+                }
+            }
+        }
     }
 
     proptest! {

@@ -327,8 +327,15 @@ impl SparseMatrix {
         }
         let layout =
             MatrixLayout::from_code(header.layout).ok_or_else(|| cannot("bad layout code"))?;
-        let geom = Geom::new(ctx, header.rows as usize, header.cols as usize, layout);
+        let (rows, cols) = (header.rows as usize, header.cols as usize);
+        let geom = Geom::new(ctx, rows, cols, layout);
         let Geom { epb, tr, tc, .. } = geom;
+        // Every shape-sized product and the directory's `u32` tile
+        // indices must hold before anything is sized by them.
+        let grid = u64::from(u32::MAX);
+        if rows.checked_mul(cols).is_none() || tr > grid || tc > grid {
+            return Err(cannot("bad sparse dimensions"));
+        }
         let extent = ctx.object_extent(object)?;
         // Stream the runs back. The on-disk directory is the authority;
         // every value is checked against the grid, the greedy packing and

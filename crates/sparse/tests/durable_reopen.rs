@@ -128,3 +128,30 @@ fn sparse_reopen_after_a_crash_is_all_or_nothing() {
         }
     }
 }
+
+/// A header whose width makes `rows * cols` overflow, or whose tile grid
+/// outgrows the directory's 32-bit tile indices, is refused at `open` —
+/// before anything sized by it is allocated. (Only `open` is called: a
+/// matrix that claims such a shape must never reach `to_dense`.)
+#[test]
+fn open_refuses_a_hostile_width() {
+    let (rows, cols) = (20u64, 20u64);
+    for (rows, cols) in [(rows, u64::MAX), (u64::MAX / 8, cols + 1), (rows, 1 << 36)] {
+        let ctx = StorageCtx::new_mem(BS, 32);
+        let s =
+            SparseMatrix::from_triplets(&ctx, 20, 20, MatrixLayout::Square, &triplets(), Some("s"))
+                .unwrap();
+        let mut header = ctx.object_header(s.object()).unwrap().unwrap();
+        (header.rows, header.cols) = (rows, cols);
+        ctx.set_object_header(s.object(), header).unwrap();
+        match SparseMatrix::open(&ctx, "s") {
+            Err(StorageError::CannotReopen { reason, .. }) => {
+                assert_eq!(reason, "bad sparse dimensions", "{rows} x {cols}")
+            }
+            other => panic!(
+                "{rows} x {cols}: expected CannotReopen, got {:?}",
+                other.map(|m| m.shape())
+            ),
+        }
+    }
+}
