@@ -5,7 +5,7 @@
 //! `IoStats` observes the engine's entire footprint, mirroring how the
 //! paper monitors all of MySQL's data and index files together.
 //!
-//! The context is `Send + Sync`: the pool is internally sharded and the
+//! The context is `Send + Sync`: the pool is thread-safe and the
 //! catalog sits behind a mutex, so parallel kernels share one
 //! `Arc<StorageCtx>` across worker threads.
 //!
@@ -41,34 +41,19 @@ pub struct StorageCtx {
     governor: Arc<QueryGovernor>,
 }
 
-/// Build the context's governor and attach it to `pool` so pin waits
-/// observe cancellation and pin admission sees `max_pinned_frames`.
-fn governed(pool: BufferPool) -> (BufferPool, Arc<QueryGovernor>) {
-    let governor = Arc::new(QueryGovernor::new(pool.io_stats()));
-    pool.attach_governor(Arc::clone(&governor));
-    (pool, governor)
-}
-
 impl StorageCtx {
     /// Context over a fresh in-memory simulated device.
     ///
-    /// `frames` is the memory cap in blocks; `block_size` is in bytes. The
-    /// pool has a single shard, reproducing sequential eviction order
-    /// exactly (use [`StorageCtx::new_mem_sharded`] for parallel kernels).
+    /// `frames` is the memory cap in blocks; `block_size` is in bytes.
+    /// Single-threaded, the pool reproduces sequential eviction order
+    /// exactly.
     pub fn new_mem(block_size: usize, frames: usize) -> Arc<Self> {
-        Self::new_mem_sharded(block_size, frames, 1)
-    }
-
-    /// Context over an in-memory device with a lock-striped pool, for
-    /// multi-threaded kernels.
-    pub fn new_mem_sharded(block_size: usize, frames: usize, shards: usize) -> Arc<Self> {
         Self::new_mem_opts(
             block_size,
             PoolConfig {
                 frames,
                 ..PoolConfig::default()
             },
-            shards,
         )
     }
 
@@ -77,26 +62,14 @@ impl StorageCtx {
     /// (`config.prefetch_depth > 0`; the [`riot_storage::PREFETCH_AUTO`]
     /// default resolves to `0` here because the in-memory device is not
     /// persistent — pass an explicit depth to prefetch over memory).
-    pub fn new_mem_opts(block_size: usize, config: PoolConfig, shards: usize) -> Arc<Self> {
+    pub fn new_mem_opts(block_size: usize, config: PoolConfig) -> Arc<Self> {
         let device = MemBlockDevice::new(block_size);
-        let (pool, governor) = governed(BufferPool::new_sharded(Box::new(device), config, shards));
-        Arc::new(StorageCtx {
-            pool,
-            catalog: Mutex::new(Catalog::new()),
-            store: None,
-            governor,
-        })
+        Self::from_pool(BufferPool::new(Box::new(device), config))
     }
 
     /// Context over an arbitrary pool (e.g. one backed by a real file).
     pub fn from_pool(pool: BufferPool) -> Arc<Self> {
-        let (pool, governor) = governed(pool);
-        Arc::new(StorageCtx {
-            pool,
-            catalog: Mutex::new(Catalog::new()),
-            store: None,
-            governor,
-        })
+        Self::build(pool, Catalog::new(), None)
     }
 
     /// **Durable** context over an empty device: formats a
@@ -105,13 +78,7 @@ impl StorageCtx {
     /// shutdown with [`StorageCtx::open`] over the same device.
     pub fn new_durable(pool: BufferPool) -> Result<Arc<Self>> {
         let store = CatalogStore::format(pool.device())?;
-        let (pool, governor) = governed(pool);
-        Ok(Arc::new(StorageCtx {
-            pool,
-            catalog: Mutex::new(Catalog::new()),
-            store: Some(Mutex::new(store)),
-            governor,
-        }))
+        Ok(Self::build(pool, Catalog::new(), Some(store)))
     }
 
     /// Recover a durable context from a formatted device, yielding the
@@ -119,13 +86,21 @@ impl StorageCtx {
     /// any crash boundary — see [`CatalogStore::open`]).
     pub fn open(pool: BufferPool) -> Result<Arc<Self>> {
         let (store, catalog) = CatalogStore::open(pool.device())?;
-        let (pool, governor) = governed(pool);
-        Ok(Arc::new(StorageCtx {
+        Ok(Self::build(pool, catalog, Some(store)))
+    }
+
+    /// The one constructor: build the context's governor and attach it to
+    /// `pool`, so pin waits observe cancellation and pin admission sees
+    /// `max_pinned_frames`.
+    fn build(pool: BufferPool, catalog: Catalog, store: Option<CatalogStore>) -> Arc<Self> {
+        let governor = Arc::new(QueryGovernor::new(pool.io_stats()));
+        pool.attach_governor(Arc::clone(&governor));
+        Arc::new(StorageCtx {
             pool,
             catalog: Mutex::new(catalog),
-            store: Some(Mutex::new(store)),
+            store: store.map(Mutex::new),
             governor,
-        }))
+        })
     }
 
     /// Whether catalog mutations are being durably committed.
@@ -346,8 +321,7 @@ mod tests {
 
     #[test]
     fn context_is_shareable_across_threads() {
-        let ctx = StorageCtx::new_mem_sharded(64, 16, 4);
-        assert_eq!(ctx.pool().num_shards(), 4);
+        let ctx = StorageCtx::new_mem(64, 16);
         std::thread::scope(|s| {
             for t in 0..4u64 {
                 let ctx = Arc::clone(&ctx);

@@ -771,7 +771,7 @@ mod tests {
 
     #[test]
     fn concurrent_tile_writers_on_disjoint_tiles() {
-        let c = StorageCtx::new_mem_sharded(512, 32, 4);
+        let c = StorageCtx::new_mem(512, 32);
         let m = DenseMatrix::create(&c, 32, 32, MatrixLayout::Square, TileOrder::RowMajor, None)
             .unwrap();
         std::thread::scope(|s| {

@@ -57,7 +57,12 @@ fn ridge_explain_matches_golden() {
     let src = explain_script(script);
     let got = interp.run(&src).expect("explain script runs");
 
-    // The rewrite must have fired while building the explained plan.
+    // EXPLAIN forces nothing, so it leaves the statistics of the last
+    // forcing point alone. Forcing the explained value runs the plan just
+    // rendered, and the rewrite must fire there.
+    interp
+        .run("print(beta)\n")
+        .expect("the explained plan runs");
     let stats = interp.session().last_opt_stats();
     assert!(
         stats.normal_eq_solves >= 1,

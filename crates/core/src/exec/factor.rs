@@ -806,7 +806,7 @@ mod tests {
         // sequential in results, flops, reads, and writes.
         let n = 40; // 5x5 panels at p = 8
         let run = |threads: usize| {
-            let c = StorageCtx::new_mem_sharded(512, 256, 8);
+            let c = StorageCtx::new_mem(512, 256);
             let a = mk(&c, n, n, |i, j| spd_sym(i, j, n));
             let xs: Vec<f64> = (0..n * 3).map(|k| ((k * 5) % 9) as f64 - 4.0).collect();
             let av: Vec<f64> = (0..n * n).map(|k| spd_sym(k / n, k % n, n)).collect();
@@ -850,7 +850,7 @@ mod tests {
     fn chol_per_panel_read_budget_is_pinned() {
         // Exact counted I/O for the 4x4-panel schedule under a tiny pool:
         // the budget below is the panel schedule's read set, derived once
-        // and pinned (single shard + LRU makes it deterministic).
+        // and pinned (one frame table + LRU makes it deterministic).
         let n = 32; // 4x4 single-tile panels (p = 8, one block per panel)
         let c = ctx(4);
         let a = mk(&c, n, n, |i, j| spd_sym(i, j, n));
@@ -882,7 +882,7 @@ mod tests {
         // The schedule's demand-read set is an upper bound; the 4-frame
         // LRU pool serves some re-touches (e.g. the POTRF re-read right
         // after the copy-in wrote the panel) from cache. The exact count
-        // under this deterministic single-shard schedule is pinned below —
+        // under this deterministic single-threaded schedule is pinned below —
         // any drift means the tile schedule changed.
         assert!(delta.reads <= copy_reads + step_reads, "demand set grew");
         assert_eq!(delta.reads, 30, "pinned per-tile read budget moved");
@@ -910,7 +910,6 @@ mod tests {
                     prefetch_depth: depth,
                     ..riot_storage::PoolConfig::default()
                 },
-                1,
             );
             let a = mk(&c, n, n, |i, j| spd_sym(i, j, n));
             let b = mk(&c, n, 5, |i, j| (i * 5 + j) as f64);

@@ -29,7 +29,7 @@
 //! With `threads > 1`, [`matmul_tiled`] distributes the independent
 //! `(bi, bj)` output submatrices over worker threads, and [`matmul_bnlj`]
 //! does the same with the row chunks; each worker owns its scratch buffers
-//! and pins tiles zero-copy from the shared (ideally sharded) pool. Workers
+//! and pins tiles zero-copy from the shared pool. Workers
 //! write disjoint output tiles, so results are identical to the sequential
 //! kernels, and — when the pool is large enough to hold the operands, the
 //! in-memory regime the speedup matters in — total counted I/O is
@@ -548,7 +548,7 @@ mod tests {
         // Pool large enough to hold everything: the in-memory regime where
         // parallel totals must equal sequential totals exactly.
         let run = |threads: usize| {
-            let c = StorageCtx::new_mem_sharded(512, 256, 8);
+            let c = StorageCtx::new_mem(512, 256);
             let a = mk(&c, n1, n2, MatrixLayout::Square, |i, j| av[i * n2 + j]);
             let b = mk(&c, n2, n3, MatrixLayout::Square, |i, j| bv[i * n3 + j]);
             c.pool().flush_all().unwrap();
@@ -572,7 +572,7 @@ mod tests {
 
         // BNLJ likewise.
         let run_bnlj = |threads: usize| {
-            let c = StorageCtx::new_mem_sharded(512, 256, 8);
+            let c = StorageCtx::new_mem(512, 256);
             let a = mk(&c, n1, n2, MatrixLayout::RowMajor, |i, j| av[i * n2 + j]);
             let b = mk(&c, n2, n3, MatrixLayout::ColMajor, |i, j| bv[i * n3 + j]);
             c.pool().flush_all().unwrap();

@@ -24,7 +24,7 @@ use super::{EngineKind, Runtime, Stored, VecRepr};
 use crate::exec::pipeline::{drain_partitioned, governed, materialize};
 use crate::exec::ExecResult;
 use crate::expr::{Node, NodeId};
-use crate::opt::optimize;
+use crate::opt::{optimize, RewriteStats};
 use crate::shape::Shape;
 
 /// What batching needs to know of a pending aggregate, read off the DAG
@@ -53,15 +53,14 @@ impl Runtime {
     // ================= the two policy points =================
 
     /// Policy point 1 — *what a forcing point runs*: Riot optimizes the
-    /// DAG under `root` and returns the rewritten root; MatNamed executes
-    /// the DAG as the program built it (`None`).
-    fn optimized(&mut self, root: NodeId) -> Option<NodeId> {
+    /// DAG under `root` and returns the rewritten root with what the
+    /// optimizer did; MatNamed executes the DAG as the program built it
+    /// (`None`).
+    fn optimized(&mut self, root: NodeId) -> Option<(NodeId, RewriteStats)> {
         if self.cfg.kind != EngineKind::Riot {
             return None;
         }
-        let (root, stats) = optimize(&mut self.graph, root, &self.cfg.opt);
-        self.last_opt_stats = stats;
-        Some(root)
+        Some(optimize(&mut self.graph, root, &self.cfg.opt))
     }
 
     /// Policy point 2 — *what an assignment costs*: binding a name
@@ -74,6 +73,9 @@ impl Runtime {
             if self.graph.shape(id) == Shape::Scalar {
                 self.scalar_value(id)?;
             } else {
+                // A forcing point with nothing to plan: its statistics
+                // start empty, as `plan_root` starts them.
+                self.last_opt_stats = RewriteStats::default();
                 self.force_vector_to_disk(id)?;
             }
         }
@@ -90,7 +92,7 @@ impl Runtime {
     /// aggregates beneath it are pending too: their batches run first, and
     /// decide what is left to ride with this one.
     pub fn explain(&mut self, id: NodeId) -> String {
-        let root = self.optimized(id).unwrap_or(id);
+        let root = self.optimized(id).map_or(id, |(root, _)| root);
         let plan = crate::profile::render_plan(&self.graph, root);
         let is_pending = |n: &NodeId| matches!(self.graph.node(*n), Node::Agg(..));
         match self.pending.get(&id).filter(|_| is_pending(&id)) {
@@ -106,11 +108,15 @@ impl Runtime {
     }
 
     /// The forcing prelude: plan `root`, and when that rewrote the DAG,
-    /// trace the decisions.
+    /// trace the decisions. Under either engine the forcing point's
+    /// statistics start here, so the executor's counters add to this
+    /// forcing point's and no other's.
     fn plan_root(&mut self, root: NodeId) -> NodeId {
-        let Some(root) = self.optimized(root) else {
+        let Some((root, stats)) = self.optimized(root) else {
+            self.last_opt_stats = RewriteStats::default();
             return root;
         };
+        self.last_opt_stats = stats;
         self.record_opt_events(root);
         root
     }

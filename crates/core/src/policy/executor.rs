@@ -675,7 +675,6 @@ mod tests {
                 let want = evaluate(&rt.graph, window, &src).map(|v| v.to_flat());
                 let inside = in_bounds(&rt.graph, index, N);
                 assert_eq!(inside, want.is_ok(), "{case}");
-                rt.last_opt_stats.range_scans = 0;
                 let before = rt.cpu_ops();
                 match (rt.collect(&VecRepr::Node(window)), &want) {
                     (Ok(got), Ok(want)) => assert!(same_bits(&got, want), "{case}"),

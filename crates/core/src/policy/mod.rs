@@ -317,7 +317,6 @@ impl Runtime {
                 prefetch_depth: cfg.prefetch_depth,
                 ..PoolConfig::default()
             },
-            1,
         );
         Self::with_ctx(cfg, ctx)
     }

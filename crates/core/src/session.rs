@@ -978,6 +978,29 @@ mod tests {
         assert!(stats.gathers_pushed >= 1);
     }
 
+    /// `last_opt_stats` names one forcing point under both deferred
+    /// engines: collecting the same window twice reports the same
+    /// statistics, and an EXPLAIN in between — which plans a different
+    /// value but forces nothing — changes none of them.
+    #[test]
+    fn last_opt_stats_report_the_last_forcing_point_only() {
+        for kind in [EngineKind::MatNamed, EngineKind::Riot] {
+            let s = Session::with_engine(kind);
+            let x = s.vector_from_fn(500, |i| i as f64).unwrap();
+            let window = x.index(&s.range(2, 50).unwrap());
+            let b = x.square();
+            let masked = b.mask_assign(&b.gt(100.0), 100.0);
+            let pushed = masked.index(&s.range(1, 10).unwrap());
+            window.collect().unwrap();
+            let first = s.last_opt_stats();
+            assert_eq!(first.range_scans, 1, "{kind:?}");
+            pushed.explain();
+            assert_eq!(s.last_opt_stats(), first, "{kind:?}: after explain");
+            window.collect().unwrap();
+            assert_eq!(s.last_opt_stats(), first, "{kind:?}: second collect");
+        }
+    }
+
     #[test]
     fn aggregates_force_without_materializing() {
         for s in sessions() {

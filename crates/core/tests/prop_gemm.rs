@@ -38,7 +38,7 @@ fn ctx(prefetch_depth: usize) -> Arc<StorageCtx> {
         prefetch_depth,
         ..PoolConfig::default()
     };
-    StorageCtx::new_mem_opts(512, config, 4)
+    StorageCtx::new_mem_opts(512, config)
 }
 
 /// Real-valued entries (sums round, so grouping would show in the bits).

@@ -1,8 +1,8 @@
-//! Parallel sparse kernels: bit-identical outputs and shard-summed
+//! Parallel sparse kernels: bit-identical outputs and identical
 //! counted I/O versus the sequential schedules at threads {1, 2, 4} —
 //! the same discipline PR 1 pinned for the parallel dense matmul.
 //!
-//! Pools are striped and sized to hold each kernel's operands (the
+//! Pools are sized to hold each kernel's operands (the
 //! in-memory regime, where parallel totals must equal sequential totals
 //! exactly); `threads = 1` runs the work items inline in order, which is
 //! asserted to be bit-for-bit the classic sequential kernel.
@@ -16,7 +16,7 @@ use riot_sparse::SparseMatrix;
 use riot_storage::IoSnapshot;
 
 fn ctx(frames: usize) -> Arc<StorageCtx> {
-    StorageCtx::new_mem_sharded(512, frames, 8)
+    StorageCtx::new_mem(512, frames)
 }
 
 fn band(rows: usize, cols: usize, stride: usize) -> Vec<(usize, usize, f64)> {

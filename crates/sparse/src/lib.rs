@@ -4,7 +4,7 @@
 //! reproduction. The paper (CIDR 2009, §5) argues that an I/O-efficient
 //! numerical system must support sparse data natively instead of forcing a
 //! dense linearization through the buffer pool; this crate is that storage
-//! format, layered on the same sharded [`riot_storage::BufferPool`] and
+//! format, layered on the same [`riot_storage::BufferPool`] and
 //! zero-copy pin guards the dense arrays use, so every sparse access is
 //! I/O-accounted by the same counters.
 //!

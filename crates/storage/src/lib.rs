@@ -12,7 +12,7 @@
 //!   used by the experiment harness so runs are deterministic and fast) and
 //!   [`FileBlockDevice`] (a real file, proving the engine genuinely works
 //!   out of core).
-//! * [`BufferPool`] — a **sharded, thread-safe** pin/unpin buffer manager
+//! * [`BufferPool`] — a **thread-safe** pin/unpin buffer manager
 //!   that evicts the least recently used unpinned frame, read off each
 //!   frame's own state. The pool capacity is the reproduction's analogue of
 //!   the paper's `shmat(SHM_SHARE_MMU)` physical-memory cap. Pins hand out
@@ -36,18 +36,17 @@
 //!
 //! ## Concurrency
 //!
-//! Everything in this crate is `Send + Sync`. The buffer pool is
-//! lock-striped: blocks map to shards by id, each shard owns its frames and
-//! recency clock behind one mutex, and per-shard hit/miss/write-back
-//! counters sum to the totals a sequential pool would report. A pool built
-//! with [`BufferPool::new`] has exactly one shard and reproduces the
-//! classic sequential pool's eviction order and counted I/O bit-for-bit —
-//! that determinism is what keeps the paper's experiment tables
-//! reproducible — while [`BufferPool::new_sharded`] enables parallel
-//! kernels to pin tiles from many threads without contending on one lock.
+//! Everything in this crate is `Send + Sync`. The buffer pool is one frame
+//! table — frames, page table and recency clock — behind one mutex, so its
+//! frame budget is one number and a miss fails only when every frame is
+//! pinned. Single-threaded it reproduces the classic sequential pool's
+//! eviction order and counted I/O bit-for-bit — that determinism is what
+//! keeps the paper's experiment tables reproducible — and parallel kernels
+//! pin tiles from many threads through the same table: the mutex guards
+//! bookkeeping only, never a transfer.
 //!
 //! Device I/O is **overlapped**: miss loads, eviction write-backs, and
-//! flushes run with the shard mutex dropped, tracked by an explicit
+//! flushes run with the pool mutex dropped, tracked by an explicit
 //! per-frame state machine (see the `pool` module docs for the lifecycle
 //! diagram). Concurrent misses of one block coalesce into a single device
 //! read; misses of distinct blocks overlap their transfers, because
@@ -137,18 +136,18 @@ mod lib_tests {
     }
 }
 
-/// Unit tests of the buffer pool's replacement rule, checked on one shard's
-/// frame table: the victim is read off each frame's own state, so there is
+/// Unit tests of the buffer pool's replacement rule, checked on its frame
+/// table: the victim is read off each frame's own state, so there is
 /// no separate replacement structure to keep in step with it.
 #[cfg(test)]
 mod replacer {
     mod tests {
-        use crate::pool::{FrameState, ShardMeta};
+        use crate::pool::{FrameState, FrameTable};
         use crate::BlockId;
 
         /// Map `block` into the next free frame, unpinned and most recently
         /// used, as a finished load publishes it.
-        fn load(meta: &mut ShardMeta, block: u64) -> usize {
+        fn load(meta: &mut FrameTable, block: u64) -> usize {
             let frame = meta.free.pop().expect("a free frame");
             meta.claim(frame, BlockId(block), FrameState::Resident, false);
             meta.touch(frame);
@@ -157,7 +156,7 @@ mod replacer {
 
         #[test]
         fn remove_forgets_frames() {
-            let mut meta = ShardMeta::new(2);
+            let mut meta = FrameTable::new(2);
             let frame = load(&mut meta, 7);
             assert_eq!(meta.victim(), Some(frame));
             assert!(!meta.unmap(frame), "never a prefetch");
@@ -170,7 +169,7 @@ mod replacer {
         fn victim_on_empty_policy_is_none() {
             // Free frames are `Resident` and unpinned, but unmapped.
             for frames in [1, 4] {
-                assert_eq!(ShardMeta::new(frames).victim(), None, "{frames} frames");
+                assert_eq!(FrameTable::new(frames).victim(), None, "{frames} frames");
             }
         }
     }

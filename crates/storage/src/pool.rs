@@ -8,19 +8,20 @@
 //!
 //! ## Concurrency model
 //!
-//! The pool is lock-striped into `shards` partitions (block id modulo shard
-//! count). Each shard owns its frames, page table, and recency clock
-//! behind one mutex. Device I/O — miss loads, eviction write-backs, and
-//! flushes — runs with the shard mutex **dropped**: the frame involved is
-//! parked in an explicit in-flight state first, so the shard stays open for
-//! every other block while the transfer is outstanding, and distinct-block
-//! transfers overlap in time (devices take `&self` and synchronize
-//! internally; see [`crate::BlockDevice::concurrent_io`]).
+//! The pool is one frame table — frames, page table, and recency clock —
+//! behind one mutex, with one condvar for every wait. Device I/O — miss
+//! loads, eviction write-backs, and flushes — runs with the mutex
+//! **dropped**: the frame involved is parked in an explicit in-flight state
+//! first, so the table stays open for every other block while the transfer
+//! is outstanding, and distinct-block transfers overlap in time (devices
+//! take `&self` and synchronize internally; see
+//! [`crate::BlockDevice::concurrent_io`]). The mutex guards bookkeeping
+//! only, never a transfer.
 //!
 //! ## Frame lifecycle
 //!
 //! Every frame is in exactly one state, recorded in its metadata and
-//! guarded by the shard mutex (the I/O itself happens between the mutex
+//! guarded by the pool mutex (the I/O itself happens between the mutex
 //! regions):
 //!
 //! ```text
@@ -47,8 +48,8 @@
 //! | `(free) → LoadInFlight → Resident`, or back to `(free)` on a failed read | `PoolCore::load`, for demand pins and background prefetches alike (`pin_new` goes `(free) → Resident` there too, zero-filled instead of read) |
 //! | a frame found: a free one, or a victim evicted | `PoolCore::obtain_frame`, called only by `PoolCore::load` |
 //! | `Resident → Evicting → Resident` and `Resident → WriteBackInFlight → Resident` | `PoolCore::write_out`, for evictions (from `obtain_frame`) and flushes (from `PoolCore::flush_frame`) alike |
-//! | block mapped into / dropped from a frame | `ShardMeta::claim` / `ShardMeta::unmap` |
-//! | pin granted / released | `ShardMeta::grant` / the `Drop` of `FramePin`, the body both guards wrap |
+//! | block mapped into / dropped from a frame | `FrameTable::claim` / `FrameTable::unmap` |
+//! | pin granted / released | `FrameTable::grant` / the `Drop` of `FramePin`, the body both guards wrap |
 //!
 //! Invariants the test suite pins down:
 //!
@@ -59,7 +60,7 @@
 //!   and writes, the eviction order, and every counter are bit-for-bit
 //!   those of the classic lock-held pool (the paper's cost-model
 //!   validation depends on this).
-//! * **Least recently used, derived**: each frame carries the shard-clock
+//! * **Least recently used, derived**: each frame carries the table-clock
 //!   stamp of its last pin (or publish), and a frame is evictable exactly
 //!   when it is mapped, `Resident`, and unpinned. The victim is the
 //!   evictable frame with the smallest stamp, ties to the lowest frame.
@@ -124,7 +125,7 @@ use crate::error::{Result, StorageError};
 use crate::governor::QueryGovernor;
 use crate::stats::{InFlight, IoStats};
 
-/// Frame index inside a shard.
+/// Frame index in the pool's frame table.
 type FrameId = usize;
 
 /// `PoolConfig::prefetch_depth` sentinel: size the prefetch worker pool
@@ -168,7 +169,7 @@ pub struct PoolConfig {
     /// only *when* it happens (see the module docs).
     pub prefetch_depth: usize,
     /// Upper bound on how long a pin may wait for an apparently
-    /// exhausted shard's in-flight transfers to free a frame before
+    /// exhausted pool's in-flight transfers to free a frame before
     /// failing with [`StorageError::PinTimeout`]. A healthy pool frees
     /// frames in device-latency time, so the generous default only
     /// fires when a transfer has genuinely wedged — previously that pin
@@ -244,21 +245,16 @@ impl PoolStats {
     /// Field-wise difference against an earlier snapshot (saturating, so a
     /// stale baseline never underflows).
     pub fn delta(&self, earlier: &PoolStats) -> PoolStats {
-        self.zip(earlier, u64::saturating_sub)
-    }
-
-    /// Combine two snapshots counter by counter: the one place every field
-    /// is listed for arithmetic.
-    fn zip(&self, other: &PoolStats, f: impl Fn(u64, u64) -> u64) -> PoolStats {
+        let sub = u64::saturating_sub;
         PoolStats {
-            hits: f(self.hits, other.hits),
-            misses: f(self.misses, other.misses),
-            evict_writebacks: f(self.evict_writebacks, other.evict_writebacks),
-            writeback_retries: f(self.writeback_retries, other.writeback_retries),
-            coalesced_loads: f(self.coalesced_loads, other.coalesced_loads),
-            prefetch_issued: f(self.prefetch_issued, other.prefetch_issued),
-            prefetch_hits: f(self.prefetch_hits, other.prefetch_hits),
-            prefetch_wasted: f(self.prefetch_wasted, other.prefetch_wasted),
+            hits: sub(self.hits, earlier.hits),
+            misses: sub(self.misses, earlier.misses),
+            evict_writebacks: sub(self.evict_writebacks, earlier.evict_writebacks),
+            writeback_retries: sub(self.writeback_retries, earlier.writeback_retries),
+            coalesced_loads: sub(self.coalesced_loads, earlier.coalesced_loads),
+            prefetch_issued: sub(self.prefetch_issued, earlier.prefetch_issued),
+            prefetch_hits: sub(self.prefetch_hits, earlier.prefetch_hits),
+            prefetch_wasted: sub(self.prefetch_wasted, earlier.prefetch_wasted),
         }
     }
 }
@@ -283,16 +279,16 @@ impl std::fmt::Display for PoolStats {
     }
 }
 
-/// Stable home of one shard's frame data: `frames` runs of `stride`
+/// Stable home of the pool's frame data: `frames` runs of `stride`
 /// `f64`s, frame `f` at element `f * stride`, owned manually so no
 /// `&`/`&mut` reference over the contents is ever materialized here
 /// (guards derive their slices straight from the raw pointer, keeping
 /// concurrent shared pins free of aliasing UB). Access is governed by the
-/// pin protocol: the shard lock plus a zero pin count for zero-fills,
+/// pin protocol: the pool lock plus a zero pin count for zero-fills,
 /// shared pins for `&` access, an exclusive pin for `&mut`, and sole
 /// ownership through the claiming thread while the frame is in
 /// [`FrameState::LoadInFlight`] (the device read fills the buffer with the
-/// shard lock dropped).
+/// pool lock dropped).
 ///
 /// The frames are one zero-filled region outside the allocator's heap
 /// (an anonymous mapping on Linux), returned to the OS whole when the
@@ -306,7 +302,7 @@ struct FrameBuf {
 }
 
 // SAFETY: all access through `ptr` follows the pin protocol above; the
-// shard mutex orders transitions between the modes.
+// pool mutex orders transitions between the modes.
 unsafe impl Send for FrameBuf {}
 unsafe impl Sync for FrameBuf {}
 
@@ -421,20 +417,20 @@ pub(crate) enum FrameState {
     #[default]
     Resident,
     /// A miss claimed this frame and is reading the block from the device
-    /// with the shard lock dropped. Pins of the block wait; the frame is
+    /// with the pool lock dropped. Pins of the block wait; the frame is
     /// neither free nor evictable; the claiming thread owns the buffer.
     LoadInFlight,
-    /// A dirty snapshot of this frame is being flushed with the shard lock
+    /// A dirty snapshot of this frame is being flushed with the pool lock
     /// dropped. The frame stays resident: shared pins remain legal (the
     /// snapshot is already taken), exclusive pins wait out the write.
     WriteBackInFlight,
     /// This frame is a dirty eviction victim whose copy is being written
-    /// back with the shard lock dropped. Pins of the (outgoing) block
-    /// wait; pins of every other block in the shard are unaffected.
+    /// back with the pool lock dropped. Pins of the (outgoing) block
+    /// wait; pins of every other block are unaffected.
     Evicting,
 }
 
-/// Book-keeping for one frame, protected by the shard mutex.
+/// Book-keeping for one frame, protected by the pool mutex.
 #[derive(Default)]
 struct FrameMeta {
     block: Option<BlockId>,
@@ -446,7 +442,7 @@ struct FrameMeta {
     /// first pin (counted in [`PoolStats::prefetch_hits`]) or by recycling
     /// the frame unused (counted in [`PoolStats::prefetch_wasted`]).
     prefetched: bool,
-    /// [`ShardMeta::tick`] at the frame's last pin or publish: the victim
+    /// [`FrameTable::tick`] at the frame's last pin or publish: the victim
     /// scan's recency rank.
     last_use: u64,
 }
@@ -468,7 +464,9 @@ impl FrameMeta {
     }
 }
 
-pub(crate) struct ShardMeta {
+/// The pool's frame table: every frame's book-keeping, the page table,
+/// the recency clock and the free list, behind the pool mutex.
+pub(crate) struct FrameTable {
     frames: Vec<FrameMeta>,
     pub(crate) map: HashMap<BlockId, FrameId>,
     /// Logical clock stamped into [`FrameMeta::last_use`].
@@ -479,24 +477,18 @@ pub(crate) struct ShardMeta {
     /// yield to these so a stream of overlapping readers cannot starve a
     /// writer indefinitely.
     write_waiters: HashMap<BlockId, u32>,
-    /// Device transfers currently outstanding for this shard's frames.
-    /// While nonzero, an apparently exhausted shard may still yield a
-    /// frame (a failed load or finished eviction), so frame seekers wait
-    /// instead of erroring.
-    in_flight: u32,
 }
 
-impl ShardMeta {
+impl FrameTable {
     /// `frames` unmapped frames, all on the free list (lowest index popped
     /// first).
     pub(crate) fn new(frames: usize) -> Self {
-        ShardMeta {
+        FrameTable {
             frames: (0..frames).map(|_| FrameMeta::default()).collect(),
             map: HashMap::new(),
             tick: 0,
             free: (0..frames).rev().collect(),
             write_waiters: HashMap::new(),
-            in_flight: 0,
         }
     }
 
@@ -519,7 +511,7 @@ impl ShardMeta {
 
     /// Map `block` into `frame`, just taken off the free list, in `state`:
     /// unpinned, clean, and `prefetched` when a background load claims it.
-    /// The mirror of [`ShardMeta::unmap`].
+    /// The mirror of [`FrameTable::unmap`].
     pub(crate) fn claim(
         &mut self,
         frame: FrameId,
@@ -567,14 +559,7 @@ impl ShardMeta {
     }
 }
 
-struct Shard {
-    meta: Mutex<ShardMeta>,
-    unpinned: Condvar,
-    bufs: FrameBuf,
-    counters: Counters,
-}
-
-/// One shard's [`PoolStats`] as relaxed atomics: they are statistics and
+/// The pool's [`PoolStats`] as relaxed atomics: they are statistics and
 /// publish no other data.
 #[derive(Default)]
 struct Counters {
@@ -604,7 +589,7 @@ impl Counters {
     }
 }
 
-/// Lock a shard's metadata or the prefetch queue, recovering from
+/// Lock the frame table or the prefetch queue, recovering from
 /// poisoning: a panic in one thread (e.g. an assertion in a caller's
 /// closure) must not turn every subsequent guard drop into an abort —
 /// invariants are re-established before the mutex is released on every
@@ -624,14 +609,8 @@ fn wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
 /// Bounded [`wait`]: returns after a notification, a spurious wake-up, or
 /// `dur` — whichever comes first. The caller re-checks its predicate and
 /// its own deadline either way.
-fn wait_timeout<'a>(
-    shard: &'a Shard,
-    meta: MutexGuard<'a, ShardMeta>,
-    dur: Duration,
-) -> MutexGuard<'a, ShardMeta> {
-    shard
-        .unpinned
-        .wait_timeout(meta, dur)
+fn wait_timeout<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>, dur: Duration) -> MutexGuard<'a, T> {
+    cv.wait_timeout(guard, dur)
         .map(|(g, _)| g)
         .unwrap_or_else(|e| e.into_inner().0)
 }
@@ -707,7 +686,8 @@ struct PrefetchState {
     idle: Condvar,
 }
 
-/// A sharded, thread-safe buffer pool over a [`BlockDevice`].
+/// A thread-safe buffer pool over a [`BlockDevice`]: one frame table
+/// behind one mutex (see the module docs).
 ///
 /// The pool proper lives in a private `PoolCore` behind an `Arc` shared
 /// with the background prefetch workers. The workers start with the first
@@ -724,10 +704,15 @@ pub struct BufferPool {
 /// The pool state shared between the owning [`BufferPool`] handle and the
 /// prefetch workers.
 struct PoolCore {
-    shards: Box<[Shard]>,
+    table: Mutex<FrameTable>,
+    /// Every wait on the pool sleeps here: for a pin to be released, a
+    /// transfer to finish, or a frame to come free.
+    unpinned: Condvar,
+    bufs: FrameBuf,
+    counters: Counters,
     /// Devices synchronize internally (`&self` methods), so misses and
-    /// write-backs from different shards — or for different blocks of one
-    /// shard — dispatch without any pool-side device lock.
+    /// write-backs of different blocks dispatch without any pool-side
+    /// device lock.
     device: Box<dyn BlockDevice>,
     io: Arc<IoStats>,
     in_flight: InFlight,
@@ -740,7 +725,7 @@ struct PoolCore {
     /// Trace recorder shared by every layer above this pool (disabled by
     /// default; recording never changes what the pool reads or writes).
     tracer: Arc<Tracer>,
-    /// Bound on the exhausted-shard pin wait (see
+    /// Bound on the exhausted-pool pin wait (see
     /// [`PoolConfig::pin_timeout`]).
     pin_timeout: Duration,
     /// The query governor this pool answers to, when a storage context
@@ -751,33 +736,32 @@ struct PoolCore {
 }
 
 impl BufferPool {
-    /// Build a single-shard pool with `config.frames` frames over `device`.
+    /// Build a pool with `config.frames` frames over `device`.
     ///
-    /// Single-shard pools reproduce the sequential pool's eviction order
-    /// and I/O counts exactly, which the cost-model validation relies on.
+    /// Single-threaded, the pool reproduces the sequential pool's eviction
+    /// order and I/O counts exactly, which the cost-model validation relies
+    /// on.
     pub fn new(device: Box<dyn BlockDevice>, config: PoolConfig) -> Self {
-        Self::new_sharded(device, config, 1)
+        Self::with_tracer(device, config, 1, Arc::new(Tracer::new()))
     }
 
-    /// Build a pool striped over `shards` partitions (clamped to
-    /// `[1, config.frames]`). Blocks map to shards by id modulo the shard
-    /// count; frames are divided evenly, with the remainder going to the
-    /// lowest-numbered shards.
-    pub fn new_sharded(device: Box<dyn BlockDevice>, config: PoolConfig, shards: usize) -> Self {
-        Self::with_tracer(device, config, shards, Arc::new(Tracer::new()))
-    }
-
-    /// Build a sharded pool recording into `tracer` (disabled tracers cost
-    /// one relaxed atomic load per would-be event). Sharing one tracer
-    /// between the pool and the device wrappers stacked beneath it
+    /// Build a pool recording into `tracer` (disabled tracers cost one
+    /// relaxed atomic load per would-be event). Sharing one tracer between
+    /// the pool and the device wrappers stacked beneath it
     /// ([`crate::RetryDevice`], [`crate::VerifyingDevice`]) merges their
     /// events into a single timeline.
+    ///
+    /// `shards` must be 1: the pool is one frame table, and the argument
+    /// exists only so that callers written when the pool was lock-striped
+    /// — the benchmark's `benchmark/src/store.rs` is the last — keep
+    /// compiling.
     pub fn with_tracer(
         device: Box<dyn BlockDevice>,
         config: PoolConfig,
         shards: usize,
         tracer: Arc<Tracer>,
     ) -> Self {
+        assert_eq!(shards, 1, "the pool is one frame table");
         assert!(config.frames > 0, "pool needs at least one frame");
         let block_size = device.block_size();
         assert!(
@@ -797,20 +781,11 @@ impl BufferPool {
         } else {
             config.prefetch_depth
         };
-        let nshards = shards.clamp(1, config.frames);
-        let shards = (0..nshards)
-            .map(|s| {
-                let frames = config.frames / nshards + usize::from(s < config.frames % nshards);
-                Shard {
-                    meta: Mutex::new(ShardMeta::new(frames)),
-                    unpinned: Condvar::new(),
-                    bufs: FrameBuf::new(frames, elems_per_block),
-                    counters: Counters::default(),
-                }
-            })
-            .collect();
         let core = Arc::new(PoolCore {
-            shards,
+            table: Mutex::new(FrameTable::new(config.frames)),
+            unpinned: Condvar::new(),
+            bufs: FrameBuf::new(config.frames, elems_per_block),
+            counters: Counters::default(),
             device,
             io,
             in_flight: InFlight::default(),
@@ -855,7 +830,7 @@ impl BufferPool {
         for block in blocks {
             // Cheap residency probe outside the queue lock: a mapped block
             // (resident or in flight) needs no background load.
-            if lock(&core.shard_of(block).meta).map.contains_key(&block) {
+            if lock(&core.table).map.contains_key(&block) {
                 continue;
             }
             let mut q = lock(&core.prefetch.queue);
@@ -915,18 +890,9 @@ impl BufferPool {
         self.core.capacity
     }
 
-    /// Number of lock-striped partitions.
-    pub fn num_shards(&self) -> usize {
-        self.core.shards.len()
-    }
-
     /// Number of blocks currently resident (in-flight loads included).
     pub fn resident(&self) -> usize {
-        self.core
-            .shards
-            .iter()
-            .map(|s| lock(&s.meta).map.len())
-            .sum()
+        lock(&self.core.table).map.len()
     }
 
     /// Number of frames currently pinned (shared or exclusive). A
@@ -938,7 +904,7 @@ impl BufferPool {
     }
 
     /// Attach the query governor this pool consults on the pin path:
-    /// exhausted-shard waits observe cancellation, and pin admission
+    /// exhausted-pool waits observe cancellation, and pin admission
     /// enforces [`crate::ResourceLimits::max_pinned_frames`]. One
     /// governor per pool, set once at context construction; without one
     /// the pin path pays a single `OnceLock` load.
@@ -990,16 +956,9 @@ impl BufferPool {
         self.core.device.concurrent_io()
     }
 
-    /// Cache hit/miss counters, summed over shards.
+    /// Cache hit/miss counters.
     pub fn pool_stats(&self) -> PoolStats {
-        self.shard_stats()
-            .iter()
-            .fold(PoolStats::default(), |total, s| total.zip(s, |a, b| a + b))
-    }
-
-    /// Per-shard cache counters, in shard order.
-    pub fn shard_stats(&self) -> Vec<PoolStats> {
-        self.core.shards.iter().map(|s| s.counters.load()).collect()
+        self.core.counters.load()
     }
 
     /// Allocate `n` fresh contiguous device blocks (no I/O).
@@ -1033,27 +992,27 @@ impl BufferPool {
     /// guard's `&[f64]`, so this is a hard invariant in release builds
     /// too.
     pub fn discard_blocks(&self, start: BlockId, n: u64) {
+        let core = &*self.core;
         for i in 0..n {
             let id = start.offset(i);
-            let shard = self.core.shard_of(id);
-            let mut meta = lock(&shard.meta);
+            let mut meta = lock(&core.table);
             // Loop ends when the block is absent (never resident, or its
             // in-flight eviction completed and unmapped it) or dropped.
             while let Some(&frame) = meta.map.get(&id) {
                 if meta.frames[frame].state != FrameState::Resident {
-                    meta = wait(&shard.unpinned, meta);
+                    meta = wait(&core.unpinned, meta);
                     continue;
                 }
                 let fm = &meta.frames[frame];
-                // Checked before any mutation so the panic leaves the shard
+                // Checked before any mutation so the panic leaves the table
                 // consistent (the caller's guard still unpins cleanly).
                 assert!(fm.readers == 0 && !fm.writer, "freeing a pinned block");
                 if meta.unmap(frame) {
-                    self.core.note_wasted(shard, id);
+                    core.note_wasted(id);
                 }
                 drop(meta);
                 // A dropped frame is claimable; wake frame seekers.
-                shard.unpinned.notify_all();
+                core.unpinned.notify_all();
                 break;
             }
         }
@@ -1118,17 +1077,16 @@ impl BufferPool {
     ///
     /// Frames held under an exclusive pin are skipped: their holder will
     /// mark them dirty again anyway, and flushing mid-write would persist a
-    /// torn page. Each write runs with the shard lock dropped, so pins of
+    /// torn page. Each write runs with the pool lock dropped, so pins of
     /// other blocks proceed while the flush streams out.
     pub fn flush_all(&self) -> Result<()> {
-        for shard in self.core.shards.iter() {
-            let mut meta = lock(&shard.meta);
-            for frame in 0..meta.frames.len() {
-                let (meta_back, res) = self.core.flush_frame(shard, meta, frame);
-                meta = meta_back;
-                res?;
-            }
+        let mut meta = lock(&self.core.table);
+        for frame in 0..meta.frames.len() {
+            let (meta_back, res) = self.core.flush_frame(meta, frame);
+            meta = meta_back;
+            res?;
         }
+        drop(meta);
         // Durability barrier: a successful flush means the data is on
         // stable storage, not just in the device's write cache.
         self.core.device.sync()
@@ -1153,10 +1111,9 @@ impl BufferPool {
     /// Flush one block if resident and dirty (and not exclusively pinned
     /// or already mid-write).
     pub fn flush_block(&self, block: BlockId) -> Result<()> {
-        let shard = self.core.shard_of(block);
-        let meta = lock(&shard.meta);
+        let meta = lock(&self.core.table);
         match meta.map.get(&block) {
-            Some(&frame) => self.core.flush_frame(shard, meta, frame).1,
+            Some(&frame) => self.core.flush_frame(meta, frame).1,
             None => Ok(()),
         }
     }
@@ -1167,38 +1124,34 @@ impl BufferPool {
     /// residual cache cannot subsidize the next.
     pub fn clear_cache(&self) -> Result<()> {
         self.flush_all()?;
-        for shard in self.core.shards.iter() {
-            let mut meta = lock(&shard.meta);
-            let resident: Vec<(BlockId, FrameId)> =
-                meta.map.iter().map(|(&b, &f)| (b, f)).collect();
-            for (block, frame) in resident {
-                // Re-validate: writes below drop the lock, so the snapshot
-                // list can go stale (frame recycled, block re-pinned).
-                let still_ours = |m: &ShardMeta| {
-                    m.map.get(&block) == Some(&frame) && m.frames[frame].evictable()
-                };
-                if !still_ours(&meta) {
+        let core = &*self.core;
+        let mut meta = lock(&core.table);
+        let resident: Vec<(BlockId, FrameId)> = meta.map.iter().map(|(&b, &f)| (b, f)).collect();
+        for (block, frame) in resident {
+            // Re-validate: writes below drop the lock, so the snapshot list
+            // can go stale (frame recycled, block re-pinned).
+            let still_ours =
+                |m: &FrameTable| m.map.get(&block) == Some(&frame) && m.frames[frame].evictable();
+            if !still_ours(&meta) {
+                continue;
+            }
+            if meta.frames[frame].dirty {
+                // A writer released between flush_all and here (or
+                // flush_all skipped it while exclusively pinned): write
+                // back so the update is not dropped with the frame.
+                let (meta_back, res) = core.flush_frame(meta, frame);
+                meta = meta_back;
+                res?;
+                if !still_ours(&meta) || meta.frames[frame].dirty {
                     continue;
                 }
-                if meta.frames[frame].dirty {
-                    // A writer released between flush_all and here (or
-                    // flush_all skipped it while exclusively pinned):
-                    // write back so the update is not dropped with the
-                    // frame.
-                    let (meta_back, res) = self.core.flush_frame(shard, meta, frame);
-                    meta = meta_back;
-                    res?;
-                    if !still_ours(&meta) || meta.frames[frame].dirty {
-                        continue;
-                    }
-                }
-                if meta.unmap(frame) {
-                    self.core.note_wasted(shard, block);
-                }
             }
-            drop(meta);
-            shard.unpinned.notify_all();
+            if meta.unmap(frame) {
+                core.note_wasted(block);
+            }
         }
+        drop(meta);
+        core.unpinned.notify_all();
         Ok(())
     }
 }
@@ -1222,10 +1175,6 @@ impl Drop for BufferPool {
 }
 
 impl PoolCore {
-    fn shard_of(&self, block: BlockId) -> &Shard {
-        &self.shards[(block.0 % self.shards.len() as u64) as usize]
-    }
-
     /// Identity of this pool for the debug re-entrancy registry.
     #[cfg(debug_assertions)]
     fn id(&self) -> usize {
@@ -1233,9 +1182,8 @@ impl PoolCore {
     }
 
     /// A prefetch of `block` was recycled without ever being pinned.
-    fn note_wasted(&self, shard: &Shard, block: BlockId) {
-        shard
-            .counters
+    fn note_wasted(&self, block: BlockId) {
+        self.counters
             .prefetch_wasted
             .fetch_add(1, Ordering::Relaxed);
         self.tracer
@@ -1281,14 +1229,12 @@ impl PoolCore {
             Miss::Read(mode) => mode,
             Miss::Fresh | Miss::Prefetch => AccessMode::Exclusive,
         };
-        let shard_idx = (block.0 % self.shards.len() as u64) as usize;
-        let shard = &self.shards[shard_idx];
         // Count a coalesced wait at most once per pin request.
         let mut coalesced = false;
-        let mut meta = lock(&shard.meta);
+        let mut meta = lock(&self.table);
         let frame = loop {
             let Some(&frame) = meta.map.get(&block) else {
-                let (meta_back, frame) = self.load(shard, meta, block, miss);
+                let (meta_back, frame) = self.load(meta, block, miss);
                 meta = meta_back;
                 match frame? {
                     Some(frame) => break frame,
@@ -1306,14 +1252,13 @@ impl PoolCore {
                     // below.
                     if !coalesced && !meta.frames[frame].prefetched {
                         coalesced = true;
-                        shard
-                            .counters
+                        self.counters
                             .coalesced_loads
                             .fetch_add(1, Ordering::Relaxed);
                         self.tracer
                             .record(EventKind::CoalescedLoad { block: block.0 });
                     }
-                    meta = wait(&shard.unpinned, meta);
+                    meta = wait(&self.unpinned, meta);
                     continue;
                 }
                 FrameState::Evicting => {
@@ -1321,14 +1266,14 @@ impl PoolCore {
                     // finishes the mapping is gone and this pin re-runs as
                     // a miss (or, if the write-back fails, as a hit on the
                     // restored frame).
-                    meta = wait(&shard.unpinned, meta);
+                    meta = wait(&self.unpinned, meta);
                     continue;
                 }
                 FrameState::WriteBackInFlight if mode == AccessMode::Exclusive => {
                     // The flush snapshot is consistent, but mutating under
                     // it would race the dirty-bit bookkeeping: writers wait
                     // the flush out. (Shared pins proceed.)
-                    meta = wait(&shard.unpinned, meta);
+                    meta = wait(&self.unpinned, meta);
                     continue;
                 }
                 FrameState::WriteBackInFlight | FrameState::Resident => {}
@@ -1349,14 +1294,14 @@ impl PoolCore {
                 if mode == AccessMode::Exclusive {
                     *meta.write_waiters.entry(block).or_insert(0) += 1;
                 }
-                meta = wait(&shard.unpinned, meta);
+                meta = wait(&self.unpinned, meta);
                 if mode == AccessMode::Exclusive {
                     let n = meta.write_waiters.get_mut(&block).expect("waiter entry");
                     *n -= 1;
                     if *n == 0 {
                         meta.write_waiters.remove(&block);
                         // Shared pins parked on the waiter entry can go.
-                        shard.unpinned.notify_all();
+                        self.unpinned.notify_all();
                     }
                 }
                 continue; // re-check: the frame may have moved or gone
@@ -1365,11 +1310,11 @@ impl PoolCore {
                 // First pin of a prefetched frame: the background load paid
                 // this pin's device read.
                 meta.frames[frame].prefetched = false;
-                shard.counters.prefetch_hits.fetch_add(1, Ordering::Relaxed);
+                self.counters.prefetch_hits.fetch_add(1, Ordering::Relaxed);
                 self.tracer
                     .record(EventKind::PrefetchHit { block: block.0 });
             }
-            shard.counters.hits.fetch_add(1, Ordering::Relaxed);
+            self.counters.hits.fetch_add(1, Ordering::Relaxed);
             meta.grant(frame, mode);
             break frame;
         };
@@ -1377,11 +1322,10 @@ impl PoolCore {
         reentry::record(self.id(), block.0);
         Ok(FramePin {
             pool: self,
-            shard: shard_idx,
             frame,
             block,
             mode,
-            ptr: shard.bufs.ptr(frame),
+            ptr: self.bufs.ptr(frame),
             len: self.elems_per_block,
             #[cfg(debug_assertions)]
             owner: std::thread::current().id(),
@@ -1390,7 +1334,7 @@ impl PoolCore {
 
     /// The miss edge, `(free) → LoadInFlight → Resident`, and the one place
     /// a block is read into a frame: obtain a frame, count the miss, claim
-    /// the frame for `block`, read it with the shard lock dropped, publish
+    /// the frame for `block`, read it with the pool lock dropped, publish
     /// it, and grant the pin a [`Miss::Read`] asked for. [`Miss::Fresh`]
     /// skips the read and goes `(free) → Resident` under the lock,
     /// zero-filled.
@@ -1401,41 +1345,39 @@ impl PoolCore {
     /// slot — no leaked frame, no stale mapping — and the waiters it wakes
     /// find the block absent and load it themselves.
     fn load<'a>(
-        &self,
-        shard: &'a Shard,
-        meta: MutexGuard<'a, ShardMeta>,
+        &'a self,
+        meta: MutexGuard<'a, FrameTable>,
         block: BlockId,
         miss: Miss,
-    ) -> (MutexGuard<'a, ShardMeta>, Result<Option<FrameId>>) {
+    ) -> (MutexGuard<'a, FrameTable>, Result<Option<FrameId>>) {
         // Never wait for a frame on a prefetch: under pool pressure a hint
         // is worth less than the frames the compute path is actively using.
-        let (mut meta, frame) = self.obtain_frame(shard, meta, block, miss != Miss::Prefetch);
+        let (mut meta, frame) = self.obtain_frame(meta, block, miss != Miss::Prefetch);
         let frame = match frame {
             Ok(Some(frame)) => frame,
             other => return (meta, other),
         };
         if miss == Miss::Prefetch {
-            shard
-                .counters
+            self.counters
                 .prefetch_issued
                 .fetch_add(1, Ordering::Relaxed);
             self.tracer
                 .record(EventKind::PrefetchIssued { block: block.0 });
         } else {
-            shard.counters.misses.fetch_add(1, Ordering::Relaxed);
+            self.counters.misses.fetch_add(1, Ordering::Relaxed);
             self.tracer.record(EventKind::PoolMiss { block: block.0 });
         }
-        let buf = shard.bufs.ptr(frame);
+        let buf = self.bufs.ptr(frame);
         if miss == Miss::Fresh {
             // SAFETY: the frame came off the free list (unpinned, unmapped)
-            // and the shard lock is held, so no other thread can observe
+            // and the pool lock is held, so no other thread can observe
             // or touch it.
             unsafe { std::slice::from_raw_parts_mut(buf, self.elems_per_block) }.fill(0.0);
             meta.claim(frame, block, FrameState::Resident, false);
             meta.grant(frame, AccessMode::Exclusive);
             return (meta, Ok(Some(frame)));
         }
-        // Claim the slot, then read with the shard lock dropped. Pins of
+        // Claim the slot, then read with the pool lock dropped. Pins of
         // this block find the LoadInFlight entry and wait (single-flight);
         // pins of other blocks proceed.
         meta.claim(
@@ -1444,7 +1386,6 @@ impl PoolCore {
             FrameState::LoadInFlight,
             miss == Miss::Prefetch,
         );
-        meta.in_flight += 1;
         self.in_flight.begin_load();
         drop(meta);
 
@@ -1462,10 +1403,9 @@ impl PoolCore {
             res = self.device.read_block(block, bytes);
         }
 
-        let mut meta = lock(&shard.meta);
-        meta.in_flight -= 1;
+        let mut meta = lock(&self.table);
         self.in_flight.end_load();
-        shard.unpinned.notify_all();
+        self.unpinned.notify_all();
         if let Err(e) = res {
             // A failed prefetch is not counted as wasted (see `PoolStats`).
             meta.unmap(frame);
@@ -1483,8 +1423,8 @@ impl PoolCore {
         (meta, Ok(Some(frame)))
     }
 
-    /// Find a frame for `block` in `shard`: reuse a free one or evict a
-    /// victim. A dirty victim's copy is written back with the shard lock
+    /// Find a frame for `block`: reuse a free one or evict a victim. A
+    /// dirty victim's copy is written back with the pool lock
     /// dropped (state [`FrameState::Evicting`]), so pins of other blocks
     /// never stall on the victim's I/O.
     ///
@@ -1492,18 +1432,17 @@ impl PoolCore {
     /// checks whether `block` got mapped meanwhile and returns `Ok(None)`
     /// if so (the caller re-runs its resident path; an evicted victim stays
     /// on the free list). With `wait` set (the pin path), an apparently
-    /// exhausted shard with transfers outstanding waits for them (a failed
+    /// exhausted pool with transfers outstanding waits for them (a failed
     /// load or a finished eviction frees a frame). With `wait` unset (the
     /// prefetch path), exhaustion returns `Ok(None)` immediately — a
     /// prefetch is a hint, and hanging a background worker on pool pressure
     /// would be worse than dropping the hint.
     fn obtain_frame<'a>(
-        &self,
-        shard: &'a Shard,
-        mut meta: MutexGuard<'a, ShardMeta>,
+        &'a self,
+        mut meta: MutexGuard<'a, FrameTable>,
         block: BlockId,
         wait_for_frame: bool,
-    ) -> (MutexGuard<'a, ShardMeta>, Result<Option<FrameId>>) {
+    ) -> (MutexGuard<'a, FrameTable>, Result<Option<FrameId>>) {
         // Eviction write-back failures absorbed so far by this request.
         // Each one leaves the victim intact (dirty, mapped, re-evictable)
         // and re-runs the victim pass — the bounded form of "retry on the
@@ -1511,7 +1450,7 @@ impl PoolCore {
         // while a genuinely dead device still errors out promptly.
         let mut writeback_failures = 0u32;
         const WRITEBACK_FAILURE_LIMIT: u32 = 3;
-        // Set when this request first finds the shard exhausted with
+        // Set when this request first finds the pool exhausted with
         // transfers in flight; bounds the total wait across re-checks.
         let mut wait_start: Option<Instant> = None;
         loop {
@@ -1525,7 +1464,10 @@ impl PoolCore {
                 if !wait_for_frame {
                     return (meta, Ok(None));
                 }
-                if meta.in_flight > 0 {
+                // A transfer in flight may still yield a frame (a failed
+                // load or a finished eviction). The gauges move under the
+                // pool lock, which is held here.
+                if self.in_flight.loads() + self.in_flight.writebacks() > 0 {
                     // Bounded wait: in-flight transfers normally free a
                     // frame within device latency, so only a wedged
                     // transfer ever reaches the timeout — and a cancelled
@@ -1553,7 +1495,7 @@ impl PoolCore {
                         );
                     }
                     let slice = (self.pin_timeout - waited).min(Duration::from_millis(50));
-                    meta = wait_timeout(shard, meta, slice);
+                    meta = wait_timeout(&self.unpinned, meta, slice);
                     continue;
                 }
                 return (
@@ -1568,7 +1510,7 @@ impl PoolCore {
                 .expect("victim frame must hold a block");
             if !meta.frames[victim].dirty {
                 if meta.unmap(victim) {
-                    self.note_wasted(shard, old_block);
+                    self.note_wasted(old_block);
                 }
                 self.tracer.record(EventKind::PoolEvict {
                     block: old_block.0,
@@ -1581,13 +1523,11 @@ impl PoolCore {
             // frame unreachable (not free, not evictable, its block's pins
             // wait), so the snapshot cannot go stale, and pins of other
             // blocks never stall on the victim's I/O.
-            let (meta_back, res) =
-                self.write_out(shard, meta, victim, old_block, FrameState::Evicting);
+            let (meta_back, res) = self.write_out(meta, victim, old_block, FrameState::Evicting);
             meta = meta_back;
             match res {
                 Ok(()) => {
-                    shard
-                        .counters
+                    self.counters
                         .evict_writebacks
                         .fetch_add(1, Ordering::Relaxed);
                     self.tracer.record(EventKind::PoolEvict {
@@ -1595,7 +1535,7 @@ impl PoolCore {
                         dirty: true,
                     });
                     if meta.unmap(victim) {
-                        self.note_wasted(shard, old_block);
+                        self.note_wasted(old_block);
                     }
                 }
                 Err(e) => {
@@ -1610,8 +1550,7 @@ impl PoolCore {
                     if writeback_failures >= WRITEBACK_FAILURE_LIMIT {
                         return (meta, Err(e));
                     }
-                    shard
-                        .counters
+                    self.counters
                         .writeback_retries
                         .fetch_add(1, Ordering::Relaxed);
                     self.tracer
@@ -1621,9 +1560,8 @@ impl PoolCore {
         }
     }
 
-    fn unpin(&self, shard_idx: usize, frame: FrameId, mode: AccessMode) {
-        let shard = &self.shards[shard_idx];
-        let mut meta = lock(&shard.meta);
+    fn unpin(&self, frame: FrameId, mode: AccessMode) {
+        let mut meta = lock(&self.table);
         let fm = &mut meta.frames[frame];
         match mode {
             AccessMode::Shared => {
@@ -1640,7 +1578,7 @@ impl PoolCore {
         // seekers in that case, not here.
         if fm.evictable() {
             drop(meta);
-            shard.unpinned.notify_all();
+            self.unpinned.notify_all();
         }
     }
 
@@ -1651,34 +1589,31 @@ impl PoolCore {
     /// What success means is the caller's: eviction unmaps the frame, a
     /// flush clears its dirty bit. On failure the frame stays dirty.
     fn write_out<'a>(
-        &self,
-        shard: &'a Shard,
-        mut meta: MutexGuard<'a, ShardMeta>,
+        &'a self,
+        mut meta: MutexGuard<'a, FrameTable>,
         frame: FrameId,
         block: BlockId,
         state: FrameState,
-    ) -> (MutexGuard<'a, ShardMeta>, Result<()>) {
+    ) -> (MutexGuard<'a, FrameTable>, Result<()>) {
         debug_assert!(
             meta.frames[frame].flushable(),
             "write-out of a clean or busy frame"
         );
         // SAFETY: no writer is active (every caller checks the frame is
         // flushable, as asserted above, and no exclusive pin can start
-        // while it is in flight) and the shard lock is held for the copy,
+        // while it is in flight) and the pool lock is held for the copy,
         // so the snapshot is consistent.
         let copy: Box<[u8]> = unsafe {
-            std::slice::from_raw_parts(shard.bufs.ptr(frame).cast::<u8>(), self.block_size)
+            std::slice::from_raw_parts(self.bufs.ptr(frame).cast::<u8>(), self.block_size)
         }
         .into();
         meta.frames[frame].state = state;
-        meta.in_flight += 1;
         self.in_flight.begin_writeback();
         drop(meta);
 
         let res = self.device.write_block(block, &copy);
 
-        let mut meta = lock(&shard.meta);
-        meta.in_flight -= 1;
+        let mut meta = lock(&self.table);
         self.in_flight.end_writeback();
         meta.frames[frame].state = FrameState::Resident;
         if res.is_ok() {
@@ -1687,7 +1622,7 @@ impl PoolCore {
         }
         // Wake pins parked on the frame's block (an evicted one re-runs as
         // a miss, a restored one as a hit) and frame seekers.
-        shard.unpinned.notify_all();
+        self.unpinned.notify_all();
         (meta, res)
     }
 
@@ -1698,18 +1633,16 @@ impl PoolCore {
     /// pin are skipped: their holder will mark them dirty again anyway, and
     /// flushing mid-write would persist a torn page.
     fn flush_frame<'a>(
-        &self,
-        shard: &'a Shard,
-        meta: MutexGuard<'a, ShardMeta>,
+        &'a self,
+        meta: MutexGuard<'a, FrameTable>,
         frame: FrameId,
-    ) -> (MutexGuard<'a, ShardMeta>, Result<()>) {
+    ) -> (MutexGuard<'a, FrameTable>, Result<()>) {
         let fm = &meta.frames[frame];
         if !fm.flushable() {
             return (meta, Ok(()));
         }
         let block = fm.block.expect("dirty frame must hold a block");
-        let (mut meta, res) =
-            self.write_out(shard, meta, frame, block, FrameState::WriteBackInFlight);
+        let (mut meta, res) = self.write_out(meta, frame, block, FrameState::WriteBackInFlight);
         if res.is_ok() {
             meta.frames[frame].dirty = false;
         }
@@ -1718,16 +1651,11 @@ impl PoolCore {
 
     /// See [`BufferPool::pinned_frames`].
     fn pinned_frames(&self) -> usize {
-        self.shards
+        let meta = lock(&self.table);
+        meta.frames
             .iter()
-            .map(|s| {
-                let meta = lock(&s.meta);
-                meta.frames
-                    .iter()
-                    .filter(|f| f.readers > 0 || f.writer)
-                    .count()
-            })
-            .sum()
+            .filter(|f| f.readers > 0 || f.writer)
+            .count()
     }
 
     /// Body of one background prefetch worker: dequeue hints and load them
@@ -1752,8 +1680,7 @@ impl PoolCore {
             // The frame publishes unpinned, evictable and flagged
             // `prefetched`; a failure releases the slot silently and the
             // next pin of the block retries on the device.
-            let shard = self.shard_of(block);
-            let _ = self.load(shard, lock(&shard.meta), block, Miss::Prefetch);
+            let _ = self.load(lock(&self.table), block, Miss::Prefetch);
             let mut q = lock(&self.prefetch.queue);
             q.busy -= 1;
             if q.pending.is_empty() && q.busy == 0 {
@@ -1784,7 +1711,6 @@ enum Miss {
 /// taken by [`PoolCore::acquire`] and released when dropped.
 struct FramePin<'p> {
     pool: &'p PoolCore,
-    shard: usize,
     frame: FrameId,
     block: BlockId,
     mode: AccessMode,
@@ -1800,7 +1726,7 @@ struct FramePin<'p> {
 // access through it: a shared pin excludes writers, and an exclusive pin
 // excludes all other access, mutation needing `&mut` of the exclusive
 // guard. The remaining fields are plain ids and a shared reference to
-// the pool, whose pin bookkeeping goes through the shard mutex.
+// the pool, whose pin bookkeeping goes through the pool mutex.
 unsafe impl Send for FramePin<'_> {}
 unsafe impl Sync for FramePin<'_> {}
 
@@ -1812,7 +1738,7 @@ impl FramePin<'_> {
     }
 
     fn pins(&self) -> u32 {
-        let meta = lock(&self.pool.shards[self.shard].meta);
+        let meta = lock(&self.pool.table);
         meta.frames[self.frame].readers + u32::from(meta.frames[self.frame].writer)
     }
 }
@@ -1832,7 +1758,7 @@ impl std::fmt::Debug for FramePin<'_> {
 
 impl Drop for FramePin<'_> {
     fn drop(&mut self) {
-        self.pool.unpin(self.shard, self.frame, self.mode);
+        self.pool.unpin(self.frame, self.mode);
         #[cfg(debug_assertions)]
         reentry::release(self.pool.id(), self.block.0, self.owner);
     }
@@ -2117,7 +2043,7 @@ mod tests {
         {
             // Pins never repeat a stamp, so force the tie: frames 1 and 2
             // share the oldest one.
-            let mut meta = lock(&p.core.shards[0].meta);
+            let mut meta = lock(&p.core.table);
             for (f, stamp) in meta.frames.iter_mut().zip([8, 7, 7]) {
                 f.last_use = stamp;
             }
@@ -2533,56 +2459,8 @@ mod tests {
     }
 
     #[test]
-    fn sharded_pool_partitions_blocks() {
-        let p = BufferPool::new_sharded(
-            Box::new(MemBlockDevice::new(64)),
-            PoolConfig {
-                frames: 8,
-                ..PoolConfig::default()
-            },
-            4,
-        );
-        assert_eq!(p.num_shards(), 4);
-        let b = p.allocate_blocks(8).unwrap();
-        for i in 0..8 {
-            p.write_new(b.offset(i), |d| d[0] = i as u8).unwrap();
-        }
-        // Every block resident; counters sum across shards.
-        assert_eq!(p.resident(), 8);
-        let s = p.pool_stats();
-        assert_eq!(s.misses, 8);
-        assert_eq!(s.hits, 0);
-        let per_shard: u64 = p.shard_stats().iter().map(|s| s.misses).sum();
-        assert_eq!(per_shard, 8);
-        for i in 0..8 {
-            assert_eq!(p.read(b.offset(i), |d| d[0]).unwrap(), i as u8);
-        }
-        assert_eq!(p.pool_stats().hits, 8);
-    }
-
-    #[test]
-    fn shard_count_clamped_to_frames() {
-        let p = BufferPool::new_sharded(
-            Box::new(MemBlockDevice::new(64)),
-            PoolConfig {
-                frames: 2,
-                ..PoolConfig::default()
-            },
-            16,
-        );
-        assert_eq!(p.num_shards(), 2);
-    }
-
-    #[test]
     fn concurrent_shared_pins_see_stable_data() {
-        let p = BufferPool::new_sharded(
-            Box::new(MemBlockDevice::new(64)),
-            PoolConfig {
-                frames: 8,
-                ..PoolConfig::default()
-            },
-            4,
-        );
+        let p = pool(8);
         let b = p.allocate_blocks(4).unwrap();
         for i in 0..4 {
             p.write_new(b.offset(i), |d| d[0] = (10 + i) as u8).unwrap();
@@ -2898,14 +2776,7 @@ mod tests {
 
     #[test]
     fn exclusive_pins_serialize_writers() {
-        let p = BufferPool::new_sharded(
-            Box::new(MemBlockDevice::new(64)),
-            PoolConfig {
-                frames: 4,
-                ..PoolConfig::default()
-            },
-            2,
-        );
+        let p = pool(4);
         let b = p.allocate_blocks(1).unwrap();
         p.write_new(b, |d| d[0] = 0).unwrap();
         // 4 threads x 250 increments through exclusive pins: no lost update.
@@ -2945,7 +2816,7 @@ mod tests {
     }
 
     /// Wait until the pool reports an outstanding load or write-back (the
-    /// slow transfer has left the shard lock), bounded so a broken pool
+    /// slow transfer has left the pool lock), bounded so a broken pool
     /// fails the test instead of hanging it.
     fn await_in_flight(p: &BufferPool) {
         for _ in 0..200 {

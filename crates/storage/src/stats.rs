@@ -8,8 +8,8 @@
 //! MySQL's "bulky and sequential" I/O costs far less wall time per block
 //! than R's scattered virtual-memory paging.
 //!
-//! Counters are lock-free atomics so devices shared by the sharded buffer
-//! pool can record traffic from any thread. Totals are always exact; the
+//! Counters are lock-free atomics so devices shared by the buffer pool's
+//! threads can record traffic from any of them. Totals are always exact; the
 //! sequential/random split is exact for single-stream I/O and a best-effort
 //! classification when several threads interleave accesses (physical disks
 //! would not see such interleavings as sequential either).
@@ -210,7 +210,7 @@ impl fmt::Display for IoSnapshot {
 
 /// Gauges for device I/O that is *currently in flight* on behalf of the
 /// buffer pool — miss loads and (eviction or flush) write-backs running
-/// with the shard lock dropped.
+/// with the pool lock dropped.
 ///
 /// The `peak_*` high-water marks are what the overlap tests assert on: a
 /// peak of `k > 1` proves `k` device transfers were genuinely outstanding

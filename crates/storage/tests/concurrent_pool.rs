@@ -1,19 +1,18 @@
-//! Concurrency tests for the sharded buffer pool: no lost write-backs
-//! under multi-threaded pin/unpin/evict pressure, and sharded counters
-//! that reconcile with the single-shard baseline.
+//! Concurrency tests for the buffer pool: no lost write-backs under
+//! multi-threaded pin/unpin/evict pressure, and counters that reconcile
+//! with every pin taken.
 
 use std::sync::Arc;
 
 use riot_storage::{BlockId, BufferPool, MemBlockDevice, PoolConfig};
 
-fn sharded(frames: usize, shards: usize) -> BufferPool {
-    BufferPool::new_sharded(
+fn pool(frames: usize) -> BufferPool {
+    BufferPool::new(
         Box::new(MemBlockDevice::new(64)),
         PoolConfig {
             frames,
             ..PoolConfig::default()
         },
-        shards,
     )
 }
 
@@ -29,10 +28,9 @@ fn stress_no_lost_writebacks_under_eviction() {
     const BLOCKS_PER_THREAD: u64 = 32;
     const ROUNDS: u64 = 50;
 
-    // 32 frames over 8 shards vs 128 live blocks: heavy eviction. Each
-    // shard holds THREADS frames, so even if every worker's current pin
-    // lands in one shard the pool cannot be transiently exhausted.
-    let pool = Arc::new(sharded(32, 8));
+    // 32 frames vs 128 live blocks: heavy eviction. Each worker holds one
+    // pin at a time, so the pool cannot be transiently exhausted.
+    let pool = Arc::new(pool(32));
     let base = pool.allocate_blocks(THREADS * BLOCKS_PER_THREAD).unwrap();
 
     std::thread::scope(|s| {
@@ -87,7 +85,7 @@ fn stress_no_lost_writebacks_under_eviction() {
 /// stable contents while eviction churns the rest of the pool.
 #[test]
 fn stress_shared_readers_with_churn() {
-    let pool = Arc::new(sharded(8, 4));
+    let pool = Arc::new(pool(8));
     let hot = pool.allocate_blocks(4).unwrap();
     let cold = pool.allocate_blocks(64).unwrap();
     for i in 0..4 {
@@ -124,56 +122,12 @@ fn stress_shared_readers_with_churn() {
     }
 }
 
-/// A deterministic single-threaded workload must report identical
-/// hit/miss/write-back totals whether the pool has one shard or many —
-/// the shard-summed counters are the same numbers the cost model
-/// validates against.
-#[test]
-fn sharded_counters_sum_to_single_shard_baseline() {
-    let run = |shards: usize| {
-        // Pool big enough that no shard evicts: residency, and therefore
-        // hits vs misses, is partition-independent.
-        let pool = sharded(64, shards);
-        let b = pool.allocate_blocks(32).unwrap();
-        for i in 0..32 {
-            pool.write_new(b.offset(i), |d| d[0] = i as u8).unwrap();
-        }
-        // Re-read everything twice with a strided pattern.
-        for round in 0..2 {
-            for i in 0..32 {
-                let blk = b.offset((i * 7 + round) % 32);
-                pool.read(blk, |_| ()).unwrap();
-            }
-        }
-        pool.flush_all().unwrap();
-        (pool.pool_stats(), pool.io_stats().snapshot())
-    };
-
-    let (base_stats, base_io) = run(1);
-    for shards in [2, 4, 8] {
-        let (stats, io) = run(shards);
-        assert_eq!(stats, base_stats, "{shards}-shard counters diverged");
-        assert_eq!(
-            io.reads, base_io.reads,
-            "{shards}-shard device reads diverged"
-        );
-        assert_eq!(
-            io.writes, base_io.writes,
-            "{shards}-shard device writes diverged"
-        );
-    }
-    // Sanity on the shape of the workload itself.
-    assert_eq!(base_stats.misses, 32);
-    assert_eq!(base_stats.hits, 64);
-    assert_eq!(base_stats.evict_writebacks, 0);
-}
-
 /// Exclusive and shared pins from racing threads never overlap: writers
 /// increment a counter in the page, readers only ever observe settled
 /// values written under exclusive pins.
 #[test]
 fn exclusive_pins_exclude_readers() {
-    let pool = Arc::new(sharded(4, 2));
+    let pool = Arc::new(pool(4));
     let b = pool.allocate_blocks(1).unwrap();
     pool.write_new(b, |d| d[0] = 0).unwrap();
 

@@ -15,16 +15,15 @@ use riot_storage::{BufferPool, MemBlockDevice, PoolConfig};
 
 const WATCHDOG: Duration = Duration::from_secs(60);
 
-fn failpoint_pool(frames: usize, shards: usize) -> (Arc<BufferPool>, FailpointHandle) {
+fn failpoint_pool(frames: usize) -> (Arc<BufferPool>, FailpointHandle) {
     let dev = FailpointDevice::new(Box::new(MemBlockDevice::new(64)));
     let fp = dev.handle();
-    let pool = BufferPool::new_sharded(
+    let pool = BufferPool::new(
         Box::new(dev),
         PoolConfig {
             frames,
             ..PoolConfig::default()
         },
-        shards,
     );
     (Arc::new(pool), fp)
 }
@@ -41,7 +40,7 @@ fn cores() -> usize {
 #[test]
 fn single_flight_coalesces_concurrent_misses() {
     let _wd = Watchdog::arm("single_flight_coalesces_concurrent_misses", WATCHDOG);
-    let (pool, fp) = failpoint_pool(4, 1);
+    let (pool, fp) = failpoint_pool(4);
     let b = pool.allocate_blocks(1).unwrap();
     pool.write_new(b, |d| d[0] = 77).unwrap();
     pool.flush_all().unwrap();
@@ -97,7 +96,7 @@ fn distinct_block_misses_overlap() {
     const K: u64 = 4;
     const LATENCY: Duration = Duration::from_millis(150);
 
-    let (pool, fp) = failpoint_pool(8, 4);
+    let (pool, fp) = failpoint_pool(8);
     let b = pool.allocate_blocks(K).unwrap();
     for i in 0..K {
         pool.write_new(b.offset(i), |d| d[0] = i as u8).unwrap();
@@ -142,7 +141,7 @@ fn distinct_block_misses_overlap() {
 }
 
 /// While a dirty victim's write-back is in flight, pins of *other* blocks
-/// in the same shard proceed immediately — the shard lock is not held
+/// proceed immediately — the pool lock is not held
 /// across the device write. (Runs on one core too: the victim writer is
 /// asleep in injected latency, not holding the CPU.)
 #[test]
@@ -150,7 +149,7 @@ fn other_blocks_do_not_wait_on_victim_writeback() {
     let _wd = Watchdog::arm("other_blocks_do_not_wait_on_victim_writeback", WATCHDOG);
     const WRITE_LATENCY: Duration = Duration::from_millis(200);
 
-    let (pool, fp) = failpoint_pool(2, 1);
+    let (pool, fp) = failpoint_pool(2);
     let b = pool.allocate_blocks(3).unwrap();
     pool.write_new(b, |d| d[0] = 10).unwrap(); // LRU, dirty: the victim
     pool.write_new(b.offset(1), |d| d[0] = 11).unwrap(); // stays resident
@@ -164,7 +163,7 @@ fn other_blocks_do_not_wait_on_victim_writeback() {
             s.spawn(move || {
                 started.wait();
                 // Evicts dirty block 0: ~200 ms inside the device write,
-                // shard lock dropped throughout.
+                // pool lock dropped throughout.
                 let mut g = pool.pin_new(b.offset(2)).unwrap();
                 g[0] = 12.0;
             });
@@ -175,7 +174,7 @@ fn other_blocks_do_not_wait_on_victim_writeback() {
             started.wait();
             // Give the evictor a moment to enter its write-back window...
             std::thread::sleep(Duration::from_millis(40));
-            // ...then hammer the shard's *other* resident block. Every pin
+            // ...then hammer the pool's *other* resident block. Every pin
             // is a hit and must not queue behind the victim's 200 ms write.
             let t0 = Instant::now();
             for _ in 0..20 {
@@ -205,7 +204,7 @@ fn other_blocks_do_not_wait_on_victim_writeback() {
 #[test]
 fn failed_single_flight_load_wakes_waiters() {
     let _wd = Watchdog::arm("failed_single_flight_load_wakes_waiters", WATCHDOG);
-    let (pool, fp) = failpoint_pool(4, 1);
+    let (pool, fp) = failpoint_pool(4);
     let b = pool.allocate_blocks(1).unwrap();
     pool.write_new(b, |d| d[0] = 55).unwrap();
     pool.flush_all().unwrap();
@@ -256,7 +255,7 @@ fn failed_single_flight_load_wakes_waiters() {
 #[test]
 fn free_blocks_waits_out_in_flight_eviction() {
     let _wd = Watchdog::arm("free_blocks_waits_out_in_flight_eviction", WATCHDOG);
-    let (pool, fp) = failpoint_pool(2, 1);
+    let (pool, fp) = failpoint_pool(2);
     let b = pool.allocate_blocks(3).unwrap();
     pool.write_new(b, |d| d[0] = 10).unwrap(); // LRU, dirty: the victim
     pool.write_new(b.offset(1), |d| d[0] = 11).unwrap();
@@ -295,7 +294,7 @@ fn mixed_latency_traffic_conserves_counters() {
     const BLOCKS: u64 = 12;
     const ROUNDS: u64 = 6;
 
-    let (pool, fp) = failpoint_pool(6, 2);
+    let (pool, fp) = failpoint_pool(6);
     let base = pool.allocate_blocks(BLOCKS).unwrap();
     for i in 0..BLOCKS {
         pool.write_new(base.offset(i), |d| d[0] = i as u8).unwrap();

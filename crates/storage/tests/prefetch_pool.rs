@@ -18,21 +18,16 @@ use riot_storage::{
 
 const WATCHDOG: Duration = Duration::from_secs(60);
 
-fn failpoint_pool(
-    frames: usize,
-    depth: usize,
-    shards: usize,
-) -> (Arc<BufferPool>, FailpointHandle) {
+fn failpoint_pool(frames: usize, depth: usize) -> (Arc<BufferPool>, FailpointHandle) {
     let dev = FailpointDevice::new(Box::new(MemBlockDevice::new(64)));
     let fp = dev.handle();
-    let pool = BufferPool::new_sharded(
+    let pool = BufferPool::new(
         Box::new(dev),
         PoolConfig {
             frames,
             prefetch_depth: depth,
             ..PoolConfig::default()
         },
-        shards,
     );
     (Arc::new(pool), fp)
 }
@@ -61,16 +56,16 @@ fn windowed_scan(pool: &BufferPool, start: BlockId, blocks: u64, window: u64) ->
 }
 
 /// The headline parity pin: the same windowed workload with prefetch off
-/// (depth 0), on (single shard), and on over a striped pool performs
-/// bit-for-bit identical device reads and writes.
+/// (depth 0) and on at two depths performs bit-for-bit identical device
+/// reads and writes.
 #[test]
 fn windowed_scan_io_totals_match_no_prefetch_exactly() {
     let _wd = Watchdog::arm(
         "windowed_scan_io_totals_match_no_prefetch_exactly",
         WATCHDOG,
     );
-    let run = |depth: usize, shards: usize| -> (IoSnapshot, u64, u64) {
-        let (pool, _fp) = failpoint_pool(32, depth, shards);
+    let run = |depth: usize| -> (IoSnapshot, u64, u64) {
+        let (pool, _fp) = failpoint_pool(32, depth);
         let start = pool.allocate_blocks(16).unwrap();
         for i in 0..16 {
             pool.write_new(start.offset(i), |d| d[0] = i as u8).unwrap();
@@ -82,15 +77,15 @@ fn windowed_scan_io_totals_match_no_prefetch_exactly() {
         let s = pool.pool_stats();
         (delta, s.prefetch_issued, s.prefetch_wasted)
     };
-    let (off, off_issued, _) = run(0, 1);
+    let (off, off_issued, _) = run(0);
     assert_eq!(off.reads, 16);
     assert_eq!(off_issued, 0);
-    for (depth, shards) in [(2, 1), (4, 1), (4, 4)] {
-        let (on, issued, wasted) = run(depth, shards);
+    for depth in [2, 4] {
+        let (on, issued, wasted) = run(depth);
         assert_eq!(
             (on.reads, on.writes),
             (off.reads, off.writes),
-            "depth {depth}/shards {shards}: prefetch changed I/O totals"
+            "depth {depth}: prefetch changed I/O totals"
         );
         assert_eq!(wasted, 0, "a fully pinned window wastes nothing");
         // Some reads moved onto the workers (scheduling-dependent how
@@ -107,7 +102,7 @@ fn windowed_scan_io_totals_match_no_prefetch_exactly() {
 #[test]
 fn prefetch_accounting_is_exhaustive() {
     let _wd = Watchdog::arm("prefetch_accounting_is_exhaustive", WATCHDOG);
-    let (pool, _fp) = failpoint_pool(4, 2, 1);
+    let (pool, _fp) = failpoint_pool(4, 2);
     let b = pool.allocate_blocks(8).unwrap();
     for i in 0..8 {
         pool.write_new(b.offset(i), |d| d[0] = i as u8).unwrap();
@@ -245,7 +240,7 @@ fn concurrent_pins_of_one_inflight_prefetch_coalesce() {
         "concurrent_pins_of_one_inflight_prefetch_coalesce",
         WATCHDOG,
     );
-    let (pool, fp) = failpoint_pool(4, 1, 1);
+    let (pool, fp) = failpoint_pool(4, 1);
     let b = pool.allocate_blocks(1).unwrap();
     pool.write_new(b, |d| d[0] = 77).unwrap();
     pool.flush_all().unwrap();
@@ -293,7 +288,7 @@ fn prefetched_window_beats_serial_wall_clock() {
     let latency = Duration::from_millis(40);
     let serial = latency * K as u32; // K demand misses, one at a time
 
-    let (pool, fp) = failpoint_pool(16, 8, 4);
+    let (pool, fp) = failpoint_pool(16, 8);
     assert!(pool.device_concurrent_io());
     let start = pool.allocate_blocks(K).unwrap();
     for i in 0..K {
@@ -329,12 +324,12 @@ fn prefetched_window_beats_serial_wall_clock() {
 }
 
 /// Prefetching must never deadlock with demand misses competing for the
-/// same shard: hammer a small striped pool from four threads, each
+/// same frames: hammer a small pool from four threads, each
 /// declaring a window then pinning it.
 #[test]
 fn prefetch_and_demand_pins_interleave_safely() {
     let _wd = Watchdog::arm("prefetch_and_demand_pins_interleave_safely", WATCHDOG);
-    let (pool, _fp) = failpoint_pool(8, 2, 2);
+    let (pool, _fp) = failpoint_pool(8, 2);
     let start = pool.allocate_blocks(32).unwrap();
     for i in 0..32 {
         pool.write_new(start.offset(i), |d| d[0] = i as u8).unwrap();

@@ -1,18 +1,12 @@
 //! Property tests for the overlapped-I/O pool (PR 3): random
 //! pin/pin_mut/unpin/alloc/free workloads against an in-memory oracle,
-//! run at shards ∈ {1, 4} and threads ∈ {1, 4}.
+//! run at threads ∈ {1, 4}.
 //!
-//! Two invariants beyond plain data equality:
-//!
-//! * With no eviction pressure, the shard-summed counters and counted
-//!   device I/O of a 4-shard run are **identical** to the single-shard
-//!   run for the same single-threaded op sequence (residency depends only
-//!   on history, not partitioning, when no shard evicts).
-//! * Under eviction churn (tiny pool), data equality still holds at every
-//!   shard count, and the hit/miss ledger balances exactly.
+//! Under eviction churn (tiny pool), data equality holds and the hit/miss
+//! ledger balances exactly.
 
 use proptest::prelude::*;
-use riot_storage::{BlockId, BufferPool, IoSnapshot, MemBlockDevice, PoolConfig, PoolStats};
+use riot_storage::{BlockId, BufferPool, MemBlockDevice, PoolConfig, PoolStats};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -46,18 +40,16 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// Replay `ops` single-threaded against a pool with `shards` shards,
-/// checking every read against the oracle as it goes. Returns the final
-/// oracle, the pool counters, and the device I/O totals (captured before
-/// the final verification sweep so runs stay comparable).
-fn run_ops(ops: &[Op], frames: usize, shards: usize) -> (HashMap<u64, f64>, PoolStats, IoSnapshot) {
-    let pool = BufferPool::new_sharded(
+/// Replay `ops` single-threaded against a pool of `frames` frames,
+/// checking every read against the oracle as it goes and every live block
+/// in a final sweep. Returns the pool counters from before that sweep.
+fn run_ops(ops: &[Op], frames: usize) -> PoolStats {
+    let pool = BufferPool::new(
         Box::new(MemBlockDevice::new(BS)),
         PoolConfig {
             frames,
             ..PoolConfig::default()
         },
-        shards,
     );
     // Oracle: live block id -> fill value (blocks are written uniformly).
     let mut oracle: HashMap<u64, f64> = HashMap::new();
@@ -110,13 +102,12 @@ fn run_ops(ops: &[Op], frames: usize, shards: usize) -> (HashMap<u64, f64>, Pool
         }
     }
     let stats = pool.pool_stats();
-    let io = pool.io_stats().snapshot();
     // Final sweep: every live block still holds its oracle value.
     for (&id, &want) in &oracle {
         let g = pool.pin(BlockId(id)).unwrap();
         prop_assert!(g.iter().all(|&x| x == want), "final sweep: block {id}");
     }
-    (oracle, stats, io)
+    stats
 }
 
 /// How many hit-or-miss classifications `run_ops` produces for `ops`:
@@ -147,59 +138,36 @@ fn pin_ledger(ops: &[Op]) -> u64 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// No-eviction regime: a pool big enough for every allocation reports
-    /// bit-identical counters and device I/O at 1 and 4 shards.
-    #[test]
-    fn sharded_counters_match_single_shard_without_pressure(
-        ops in prop::collection::vec(op_strategy(), 1..100),
-    ) {
-        // At most ~1 alloc per 3 draws over ≤ 99 ops; 96 frames over 4
-        // shards leaves 24 per shard, and ids are dense modulo the shard
-        // count, so no shard ever evicts.
-        let (data1, stats1, io1) = run_ops(&ops, 96, 1);
-        let (data4, stats4, io4) = run_ops(&ops, 96, 4);
-        prop_assert_eq!(data1, data4);
-        prop_assert_eq!(stats1, stats4, "shard-summed counters diverged");
-        prop_assert_eq!(io1.reads, io4.reads, "device reads diverged");
-        prop_assert_eq!(io1.writes, io4.writes, "device writes diverged");
-        prop_assert_eq!(stats1.coalesced_loads, 0);
-    }
-
     /// Eviction-churn regime: a tiny pool forces constant write-backs and
-    /// reloads; data equality must survive at both shard counts, and the
-    /// classification ledger balances exactly.
+    /// reloads; data equality must survive, and the classification ledger
+    /// balances exactly.
     #[test]
     fn data_equality_survives_eviction_churn(
         ops in prop::collection::vec(op_strategy(), 1..100),
         frames in 4usize..8,
     ) {
-        let (data1, stats1, _io1) = run_ops(&ops, frames, 1);
-        let (data4, _stats4, _io4) = run_ops(&ops, frames, 4);
-        prop_assert_eq!(&data1, &data4);
-        prop_assert_eq!(stats1.hits + stats1.misses, pin_ledger(&ops));
+        let stats = run_ops(&ops, frames);
+        prop_assert_eq!(stats.hits + stats.misses, pin_ledger(&ops));
     }
 
     /// Threaded regime: 4 workers over disjoint block ranges, eviction
-    /// churn, shards ∈ {1, 4}. Every worker verifies its own reads as it
+    /// churn. Every worker verifies its own reads as it
     /// goes; the final sweep checks the device contents against the
     /// per-worker oracles, and the pin ledger must balance exactly.
     #[test]
     fn threaded_workloads_match_oracle(
         seed in any::<u64>(),
-        shards in prop_oneof![Just(1usize), Just(4usize)],
     ) {
         const THREADS: u64 = 4;
         const BLOCKS_PER_THREAD: u64 = 8;
         const OPS_PER_THREAD: u64 = 120;
 
-        // 16 frames over ≤ 4 shards gives every shard at least as many
-        // frames as there are concurrently-pinned blocks (one per thread),
-        // so transient exhaustion is impossible while 32 live blocks still
-        // force steady eviction churn.
-        let pool = Arc::new(BufferPool::new_sharded(
+        // 16 frames is more than there are concurrently-pinned blocks
+        // (one per thread), so transient exhaustion is impossible while 32
+        // live blocks still force steady eviction churn.
+        let pool = Arc::new(BufferPool::new(
             Box::new(MemBlockDevice::new(BS)),
             PoolConfig { frames: 16, ..PoolConfig::default() },
-            shards,
         ));
         let base = pool.allocate_blocks(THREADS * BLOCKS_PER_THREAD).unwrap();
         let models: Vec<Vec<f64>> = std::thread::scope(|s| {

@@ -34,20 +34,17 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 
 proptest! {
     /// Under any interleaving of reads, writes, flushes, and cache drops —
-    /// with any pool size and 1–4 shards, each evicting in its own LRU
-    /// order — the pool serves the same bytes a perfect in-memory model
-    /// would.
+    /// with any pool size — the pool serves the same bytes a perfect
+    /// in-memory model would.
     #[test]
     fn pool_is_transparent(
         ops in prop::collection::vec(op_strategy(), 1..120),
         frames in 1usize..9,
         nblocks in 1u64..24,
-        shards in 1usize..5,
     ) {
-        let pool = BufferPool::new_sharded(
+        let pool = BufferPool::new(
             Box::new(MemBlockDevice::new(BS)),
             PoolConfig { frames, ..PoolConfig::default() },
-            shards,
         );
         let start = pool.allocate_blocks(nblocks).unwrap();
         let mut model: HashMap<u64, u8> = HashMap::new();

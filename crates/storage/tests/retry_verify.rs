@@ -219,14 +219,13 @@ fn corruption_on_prefetch_releases_the_slot_and_demand_pin_recovers() {
     let failpoint = FailpointDevice::new(Box::new(mem));
     let fp = failpoint.handle();
     let retry_dev = RetryDevice::new(VerifyingDevice::new(failpoint), policy());
-    let pool = BufferPool::new_sharded(
+    let pool = BufferPool::new(
         Box::new(retry_dev),
         PoolConfig {
             frames: 8,
             prefetch_depth: 2,
             ..PoolConfig::default()
         },
-        1,
     );
     let b = pool.allocate_blocks(4).unwrap();
     for i in 0..4 {

@@ -14,7 +14,7 @@
 //! ## Design
 //!
 //! * **One [`Tracer`] per buffer pool / engine**, shared as `Arc<Tracer>`
-//!   by every layer (pool shards, device wrappers, kernels, optimizer).
+//!   by every layer (the pool, device wrappers, kernels, optimizer).
 //! * **Disabled by default, cheap when disabled**: every recording call
 //!   starts with one `Relaxed` atomic load and returns; no clock read, no
 //!   allocation, no ring traffic. The ring itself is allocated lazily on

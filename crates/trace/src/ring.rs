@@ -5,7 +5,7 @@
 //! cursor and publish by storing `pos + 1` into the slot's sequence;
 //! consumers claim by CAS on the dequeue cursor and release by storing
 //! `pos + capacity`. No operation ever blocks on a lock, so instrumented
-//! hot paths (pool misses under a shard mutex, kernel workers) pay one CAS
+//! hot paths (pool misses under the pool mutex, kernel workers) pay one CAS
 //! per event and can never deadlock against each other or the drainer.
 //!
 //! The queue **drops the newest** event when full (the producer reports

@@ -1,5 +1,5 @@
 //! End-to-end checks of the parallel tiled kernel through the public
-//! `riot` facade: identical results and identical shard-summed I/O at any
+//! `riot` facade: identical results and identical counted I/O at any
 //! thread count, on both the square-tiled and BNLJ schedules.
 
 use riot::array::{DenseMatrix, MatrixLayout, StorageCtx, TileOrder};
@@ -23,16 +23,16 @@ fn operands(ctx: &std::sync::Arc<StorageCtx>, layout: MatrixLayout) -> (DenseMat
     (a, b)
 }
 
-/// Sharded context big enough to hold both operands plus the product, so
-/// totals are cache-shape-independent (the in-memory regime).
-fn sharded_ctx() -> std::sync::Arc<StorageCtx> {
-    StorageCtx::new_mem_sharded(512, 3 * (N / 8) * (N / 8) + 32, 8)
+/// Context big enough to hold both operands plus the product, so totals
+/// are cache-shape-independent (the in-memory regime).
+fn in_memory_ctx() -> std::sync::Arc<StorageCtx> {
+    StorageCtx::new_mem(512, 3 * (N / 8) * (N / 8) + 32)
 }
 
 #[test]
 fn parallel_tiled_matches_sequential_exactly() {
     let run = |threads: usize| {
-        let ctx = sharded_ctx();
+        let ctx = in_memory_ctx();
         let (a, b) = operands(&ctx, MatrixLayout::Square);
         ctx.pool().flush_all().unwrap();
         ctx.clear_cache().unwrap();
@@ -60,7 +60,7 @@ fn parallel_tiled_matches_sequential_exactly() {
 #[test]
 fn parallel_bnlj_matches_sequential_exactly() {
     let run = |threads: usize| {
-        let ctx = sharded_ctx();
+        let ctx = in_memory_ctx();
         let (a, b) = operands(&ctx, MatrixLayout::RowMajor);
         ctx.pool().flush_all().unwrap();
         ctx.clear_cache().unwrap();
@@ -81,18 +81,4 @@ fn parallel_bnlj_matches_sequential_exactly() {
             "{threads}-thread bnlj I/O diverged"
         );
     }
-}
-
-#[test]
-fn parallel_per_shard_counters_sum_to_totals() {
-    let ctx = sharded_ctx();
-    let (a, b) = operands(&ctx, MatrixLayout::Square);
-    let (t, _) = matmul_tiled(&a, &b, 3 * 4 * 64, 4, None).unwrap();
-    drop(t);
-    let total = ctx.pool().pool_stats();
-    let summed = ctx.pool().shard_stats().iter().fold((0, 0, 0), |acc, s| {
-        (acc.0 + s.hits, acc.1 + s.misses, acc.2 + s.evict_writebacks)
-    });
-    assert_eq!(summed, (total.hits, total.misses, total.evict_writebacks));
-    assert!(total.hits + total.misses > 0);
 }
